@@ -210,10 +210,8 @@ class Simulator:
         attrs = self.state.node(nid)
         if not attrs.alive:
             return
-        new = energy_debit(attrs, action, bits, self.config.energy_costs)
-        if new != attrs.energy:
-            attrs.energy = new
-            self.state.touch()
+        # Links do not depend on energy, so only a death changes the topology.
+        attrs.energy = energy_debit(attrs, action, bits, self.config.energy_costs)
         if attrs.energy == 0.0 and attrs.alive:
             attrs.alive = False
             self.state.touch()

@@ -2,14 +2,16 @@
 
 Nodes live on a 2-D plane and carry up to three radio interfaces (levels
 0..2).  A node with max_level L supports every level <= L; transmission
-range grows strictly with the level.  Links are never stored: they are
-recomputed lazily from current positions, so the link set is always
-consistent with the latest mobility update.
+range grows strictly with the level.  Links are derived from positions,
+velocities, ranges and liveness.  ``NetworkState`` caches them per
+topology version: a per-level adjacency built in one grid pass, and the
+attributes of every link looked up.  ``touch()`` starts a new version.
 """
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import ConfigError, UnknownNodeError
@@ -62,7 +64,7 @@ class NodeAttributes:
         return self.tx_range[level]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkAttributes:
     delay: float  # transmission + propagation, seconds
     bandwidth: float  # available, bits/second
@@ -97,10 +99,14 @@ DEFAULT_LINK_BANDWIDTH = {0: 2e6, 1: 5e6, 2: 10e6}
 
 
 class NetworkState:
-    """Mutable world snapshot: nodes plus derived, level-scoped link sets.
+    """World state: nodes plus a cached snapshot of the level-scoped links.
 
-    Neighbor sets are memoised per topology version; any position/energy
-    mutation must go through ``touch()`` to invalidate the cache.
+    Each topology version caches, per level, the neighbor sets of every
+    live node, and the ``LinkAttributes`` of every (pair, level) looked up.
+    Links depend on positions, velocities (through the link expiration
+    time), ranges and liveness, so a change to any of these must be
+    followed by ``touch()``, which starts a new version.  Energy does not
+    enter a link, so energy changes need no ``touch()``.
     """
 
     def __init__(self, link_delay=None, link_bandwidth=None, link_jitter=0.0, seed=0):
@@ -111,8 +117,8 @@ class NetworkState:
         self.seed = seed
         self._overrides = {}  # (lo, hi, level) -> (delay, bandwidth)
         self._jitter_cache = {}
-        self._neighbor_cache = {}
-        self._version = 0
+        self._adjacency = {}  # level -> {nid: frozenset of linked peers}
+        self._links = {}  # (lo, hi, level) -> LinkAttributes, or None if unlinked
 
     def add_node(self, nid, attrs):
         if nid in self.nodes:
@@ -127,8 +133,9 @@ class NetworkState:
             raise UnknownNodeError(f"unknown node id {nid}") from None
 
     def touch(self):
-        self._version += 1
-        self._neighbor_cache.clear()
+        """Start a new topology version: drop the cached adjacency and links."""
+        self._adjacency.clear()
+        self._links.clear()
 
     def alive_ids(self):
         return [n for n, a in self.nodes.items() if a.alive]
@@ -137,33 +144,69 @@ class NetworkState:
         """Pin explicit delay/bandwidth for one link (crafted scenarios)."""
         lo, hi = (a, b) if a < b else (b, a)
         self._overrides[(lo, hi, level)] = (delay, bandwidth)
+        self._links.pop((lo, hi, level), None)
+
+    def _build_adjacency(self, level):
+        """Neighbor sets of every live node supporting `level`, in one pass.
+
+        Nodes are bucketed into square cells a little wider than the
+        level's largest range, so every linked pair lies in the same or an
+        adjacent cell.  The margin absorbs rounding in the cell index; it
+        holds for coordinates within about 10**6 ranges of the origin.
+        Each set is built in ``self.nodes`` order, as a full scan would
+        build it, because callers sum floats in set-iteration order.
+        """
+        members = []
+        for nid, attrs in self.nodes.items():
+            if attrs.alive and attrs.supports(level):
+                x, y = attrs.position
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"non-finite coordinate on node {nid}")
+                members.append((nid, x, y, attrs.range_at(level)))
+        cell = max((m[3] for m in members), default=0.0) * (1.0 + 1e-9)
+        if not cell > 0.0:
+            cell = 1.0
+        grid = defaultdict(list)
+        for i, (_, x, y, r) in enumerate(members):
+            grid[(math.floor(x / cell), math.floor(y / cell))].append((i, x, y, r))
+        found = [[] for _ in members]
+        for (cx, cy), here in grid.items():
+            # Test each pair once: within this cell, and against the four
+            # adjacent cells that come after it in x, then y.
+            after = [m for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy),
+                                   (cx + 1, cy + 1))
+                     for m in grid.get(key, ())]
+            for k, (i, ax, ay, ra) in enumerate(here):
+                for j, bx, by, rb in here[k + 1:] + after:
+                    if math.hypot(ax - bx, ay - by) <= min(ra, rb):
+                        found[i].append(j)
+                        found[j].append(i)
+        adj = {}
+        for i, (nid, _, _, _) in enumerate(members):
+            found[i].sort()
+            # Copying a set grown one id at a time, not a list, gives the
+            # frozenset the same table, and so the same order, as a scan.
+            adj[nid] = frozenset(set(members[j][0] for j in found[i]))
+        return adj
 
     def neighbors(self, nid, level):
         """All peers linked to `nid` at `level`; empty if level unsupported."""
         attrs = self.node(nid)
         if not attrs.supports(level) or not attrs.alive:
             return frozenset()
-        key = (nid, level)
-        cached = self._neighbor_cache.get(key)
-        if cached is not None:
-            return cached
-        out = set()
-        for mid, m in self.nodes.items():
-            if mid == nid or not m.alive or not m.supports(level):
-                continue
-            rng = min(attrs.range_at(level), m.range_at(level))
-            if distance(attrs.position, m.position) <= rng:
-                out.add(mid)
-        result = frozenset(out)
-        self._neighbor_cache[key] = result
-        return result
+        adj = self._adjacency.get(level)
+        if adj is None:
+            adj = self._adjacency[level] = self._build_adjacency(level)
+        return adj[nid]
 
     def linked(self, a, b, level):
         na, nb = self.node(a), self.node(b)
         if not (na.alive and nb.alive and na.supports(level) and nb.supports(level)):
             return False
-        rng = min(na.range_at(level), nb.range_at(level))
-        return distance(na.position, nb.position) <= rng
+        adj = self._adjacency.get(level)
+        if adj is None:
+            adj = self._adjacency[level] = self._build_adjacency(level)
+        return a == b or b in adj[a]
 
     def link_level(self, a, b):
         """Lowest level at which a and b are currently linked, else None."""
@@ -181,23 +224,33 @@ class NetworkState:
         return 1.0 + self.link_jitter * u
 
     def link(self, a, b, level=None):
-        """LinkAttributes for the (a, b) link, or None if no such link."""
+        """LinkAttributes for the (a, b) link, or None if no such link.
+
+        The result is shared by every lookup of the link in this topology
+        version; link expiration time is symmetric, so (a, b) and (b, a)
+        give the same attributes.
+        """
         if level is None:
             level = self.link_level(a, b)
             if level is None:
                 return None
-        elif not self.linked(a, b, level):
-            return None
         lo, hi = (a, b) if a < b else (b, a)
-        delay, bandwidth = self._overrides.get((lo, hi, level), (None, None))
-        if delay is None:
-            delay = self.link_delay[level] * self._jitter(a, b, level, "d")
-        if bandwidth is None:
-            bandwidth = self.link_bandwidth[level] * self._jitter(a, b, level, "b")
-        na, nb = self.node(a), self.node(b)
-        rng = min(na.range_at(level), nb.range_at(level))
-        return LinkAttributes(delay=delay, bandwidth=bandwidth,
-                              let=link_expiration_time(na, nb, rng))
+        key = (lo, hi, level)
+        if key in self._links:
+            return self._links[key]
+        attrs = None
+        if self.linked(a, b, level):
+            delay, bandwidth = self._overrides.get(key, (None, None))
+            if delay is None:
+                delay = self.link_delay[level] * self._jitter(a, b, level, "d")
+            if bandwidth is None:
+                bandwidth = self.link_bandwidth[level] * self._jitter(a, b, level, "b")
+            na, nb = self.node(a), self.node(b)
+            rng = min(na.range_at(level), nb.range_at(level))
+            attrs = LinkAttributes(delay=delay, bandwidth=bandwidth,
+                                   let=link_expiration_time(na, nb, rng))
+        self._links[key] = attrs
+        return attrs
 
 
 @dataclass(frozen=True)

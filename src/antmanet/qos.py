@@ -87,18 +87,26 @@ def hop_count(route):
 
 
 def path_metrics(route, state, levels=None):
-    """All five aggregates in one pass; single-node routes have no links."""
+    """All five aggregates from one walk over the links.
+
+    Single-node routes have no links.  The sums (link delays, then node
+    delays) and minima equal those of path_delay, path_bandwidth,
+    path_energy and path_let.
+    """
     if not route:
         raise BrokenPathError("empty route")
     if len(route) == 1:
         return PathMetrics(delay=state.node(route[0]).node_delay,
                            bandwidth=math.inf, energy=state.node(route[0]).energy,
                            let=math.inf, hop_count=1)
-    return PathMetrics(delay=path_delay(route, state, levels),
-                       bandwidth=path_bandwidth(route, state, levels),
-                       energy=path_energy(route, state),
-                       let=path_let(route, state, levels),
-                       hop_count=hop_count(route))
+    links = _path_links(route, state, levels)
+    nodes = [state.node(n) for n in route]
+    delay = sum(l.delay for l in links) + sum(a.node_delay for a in nodes)
+    return PathMetrics(delay=delay,
+                       bandwidth=min(l.bandwidth for l in links),
+                       energy=min(a.energy for a in nodes),
+                       let=min(l.let for l in links),
+                       hop_count=len(route))
 
 
 def concatenate(m1, m2, shared_node_delay):

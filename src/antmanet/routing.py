@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
-from .qos import PathMetrics, concatenate, path_metrics, pheromone_deposit
+from .qos import PathMetrics, path_metrics, pheromone_deposit
 
 
 # --------------------------------------------------------------------------

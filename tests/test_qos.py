@@ -90,6 +90,29 @@ class TestBottleneckMetrics:
             hop_count([])
 
 
+class TestPathMetrics:
+    def test_equals_per_metric_functions(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            s = make_state(link_jitter=0.4, seed=rng.randint(0, 99))
+            for i in range(n):
+                add_node(s, i, (i * 40.0 + rng.uniform(-5, 5), rng.uniform(-5, 5)),
+                         vel=(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                         energy=rng.uniform(1, 100),
+                         node_delay=rng.uniform(1e-4, 1e-2))
+            route = list(range(n))
+            assert path_metrics(route, s) == PathMetrics(
+                delay=path_delay(route, s), bandwidth=path_bandwidth(route, s),
+                energy=path_energy(route, s), let=path_let(route, s),
+                hop_count=hop_count(route))
+
+    def test_broken_path_raises(self):
+        s = line_state(4)
+        with pytest.raises(BrokenPathError, match="0 and 2"):
+            path_metrics([0, 2, 3], s)
+
+
 class TestPheromoneDeposit:
     def test_direct_substitution(self):
         m = PathMetrics(delay=4, bandwidth=2, energy=3, let=5, hop_count=1)
