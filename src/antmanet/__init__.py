@@ -6,8 +6,8 @@ from .clustering import (ClusterState, WeightParams, ch_pheromone_update,
                          node_weight, select_cluster_heads)
 from .config import ScenarioConfig, load_scenario, parse_scenario, serialize
 from .engine import RunStats, Simulator, run_scenario
-from .model import (ClusterAddress, Level, LinkAttributes, NetworkState,
-                    NodeAttributes, distance, link_expiration_time)
+from .model import (LinkAttributes, NetworkState, NodeAttributes, distance,
+                    link_expiration_time)
 from .qos import DepositParams, PathMetrics, path_metrics, pheromone_deposit
 from .routing import (PheromoneTable, PreferenceParams, QosRequirement,
                       RouteCache, Router, path_preference_probability)

@@ -7,8 +7,8 @@ written.
 """
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import statistics
 import sys
@@ -90,16 +90,13 @@ def _parse_seed_range(spec):
 
 
 def cmd_sweep(args):
-    cfg_base = load_scenario(args.scenario)
+    base = _load(args)
     out_dir = _out_dir(args)
     stem = Path(args.scenario).stem
     seeds = _parse_seed_range(args.seeds)
     summaries = []
     for seed in seeds:
-        cfg = load_scenario(args.scenario)
-        cfg.seed = seed
-        if args.duration is not None:
-            cfg.duration = args.duration
+        cfg = dataclasses.replace(base, seed=seed)
         summaries.append(_run_one(cfg, f"{stem}.seed{seed}", out_dir, False))
 
     def ratio(s):

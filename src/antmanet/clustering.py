@@ -10,10 +10,10 @@ level-1 heads with a third.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ElectionError
-from .model import ClusterAddress, distance
+from .model import distance
 
 
 @dataclass
@@ -113,18 +113,6 @@ class ClusterState:
                 return head
         return None
 
-    def role(self, node, level):
-        table = self.levels.get(level, {})
-        if node in table:
-            return "head"
-        if any(node in members for members in table.values()):
-            return "member"
-        return None
-
-    def address(self, node, level):
-        head = self.head_of(node, level)
-        return ClusterAddress(level, head) if head is not None else None
-
     def remove_node(self, node):
         """Drop a node from every role at every level."""
         for level in list(self.levels):
@@ -162,9 +150,8 @@ def _elect(state, level, p, rng, participants, tau, weights):
         eligible = [n for n in order
                     if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
         if not eligible:
-            partial = {h: set() for h in heads}
             raise ElectionError(
-                f"no level-{level} candidate clears the thresholds", partial)
+                f"no level-{level} candidate clears the thresholds")
         head = max(eligible, key=lambda n: (weights[n], tau[n], -n))
         heads.append(head)
         uncovered -= {head} | (state.neighbors(head, level) & uncovered)

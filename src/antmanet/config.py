@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .clustering import WeightParams
-from .engine import EnergyCosts
 from .errors import ScenarioError
+from .model import DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_DELAY
 from .qos import DepositParams
 from .routing import PreferenceParams, QosRequirement
 
@@ -60,8 +60,8 @@ class Placement:
 
 @dataclass
 class LinkConfig:
-    delay: dict = field(default_factory=lambda: {0: 0.002, 1: 0.0015, 2: 0.001})
-    bandwidth: dict = field(default_factory=lambda: {0: 2e6, 1: 5e6, 2: 10e6})
+    delay: dict = field(default_factory=lambda: dict(DEFAULT_LINK_DELAY))
+    bandwidth: dict = field(default_factory=lambda: dict(DEFAULT_LINK_BANDWIDTH))
     jitter: float = 0.0
 
 
@@ -92,6 +92,16 @@ class MobilityConfig:
 class CacheConfig:
     capacity: int = 64
     max_age: float = 30.0
+
+
+@dataclass
+class EnergyCosts:
+    """Energy debited per radio action (see ``engine.energy_debit``)."""
+    tx_packet: float = 0.0
+    tx_bit: float = 0.0
+    rx_packet: float = 0.0
+    rx_bit: float = 0.0
+    beacon: float = 0.0
 
 
 @dataclass
@@ -200,6 +210,13 @@ class _Ctx:
         self.issues.append((path, code, msg))
 
 
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _map(ctx, data, path, known):
     if data is None:
         return {}
@@ -218,6 +235,12 @@ def _num(ctx, data, path, default, lo=None, hi=None, integer=False,
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         ctx.err(path, "type", "expected a number")
         return default
+    # Only a field that defaults to an infinity may be set to one.
+    open_ended = math.isinf(default)
+    if not (_finite(v) or (open_ended and isinstance(v, float) and math.isinf(v))):
+        ctx.err(path, "non-finite",
+                "must be finite or +-.inf" if open_ended else "must be finite")
+        return default
     if integer and int(v) != v:
         ctx.err(path, "type", "expected an integer")
         return default
@@ -233,6 +256,9 @@ def _pair(ctx, data, key, path, default):
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(isinstance(x, (int, float)) for x in v)):
         ctx.err(path, "type", "expected [x, y]")
+        return tuple(default)
+    if not all(_finite(x) for x in v):
+        ctx.err(path, "non-finite", "coordinates must be finite")
         return tuple(default)
     return tuple(float(x) for x in v)
 
@@ -252,6 +278,9 @@ def _levels(ctx, data, key, path, default):
         if not isinstance(v, (int, float)) or v <= 0:
             ctx.err(f"{path}.{k}", "range", "must be > 0")
             continue
+        if not _finite(v):
+            ctx.err(f"{path}.{k}", "non-finite", "must be finite")
+            continue
         out[int(k[1])] = float(v)
     return out
 
@@ -263,6 +292,9 @@ def _tx_range(ctx, data, path, max_level):
     if (not isinstance(raw, (list, tuple))
             or not all(isinstance(x, (int, float)) for x in raw)):
         ctx.err(path, "type", "expected a list of ranges")
+        return None
+    if not all(_finite(x) for x in raw):
+        ctx.err(path, "non-finite", "ranges must be finite")
         return None
     if len(raw) != max_level + 1:
         ctx.err(path, "tx-range", f"needs {max_level + 1} entries")

@@ -11,7 +11,6 @@ import heapq
 import json
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import clustering
@@ -21,17 +20,11 @@ from .model import NetworkState, NodeAttributes
 from .routing import Router
 
 
-@dataclass
-class EnergyCosts:
-    tx_packet: float = 0.0
-    tx_bit: float = 0.0
-    rx_packet: float = 0.0
-    rx_bit: float = 0.0
-    beacon: float = 0.0
-
-
 def energy_debit(attrs, action, size_bits, costs):
-    """New energy after one radio action; clamps at zero (node death)."""
+    """New energy after one radio action; clamps at zero (node death).
+
+    `costs` is a ``config.EnergyCosts``.
+    """
     if action == "tx":
         cost = costs.tx_packet + costs.tx_bit * size_bits
     elif action == "rx":

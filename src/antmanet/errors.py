@@ -35,14 +35,7 @@ class DegenerateRouteError(AntManetError):
 
 
 class ElectionError(AntManetError):
-    """Cluster-head election could not cover all nodes within budget.
-
-    ``partial`` holds the head -> members mapping built so far.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial or {}
+    """Cluster-head election could not cover all nodes within budget."""
 
 
 class RoutingError(AntManetError):

@@ -12,23 +12,18 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import IntEnum
 
 from .errors import ConfigError, UnknownNodeError
 
 
-class Level(IntEnum):
-    L0 = 0
-    L1 = 1
-    L2 = 2
-
-
 def distance(a, b):
-    """Euclidean distance between two 2-D points."""
+    """Euclidean distance between two 2-D points.
+
+    Coordinates are not checked here: scenario parsing rejects non-finite
+    ones, and ``NetworkState`` checks every position it builds links from.
+    """
     ax, ay = a
     bx, by = b
-    if not all(math.isfinite(v) for v in (ax, ay, bx, by)):
-        raise ValueError("non-finite coordinate")
     return math.hypot(ax - bx, ay - by)
 
 
@@ -251,17 +246,3 @@ class NetworkState:
                                    let=link_expiration_time(na, nb, rng))
         self._links[key] = attrs
         return attrs
-
-
-@dataclass(frozen=True)
-class ClusterAddress:
-    level: int
-    head: int
-
-    def __str__(self):
-        return f"C{self.level}.{self.head}"
-
-
-def interface_label(nid, level):
-    """Interface naming scheme: node id followed by the level it operates at."""
-    return f"{nid}.{level}"

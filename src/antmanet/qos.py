@@ -109,15 +109,6 @@ def path_metrics(route, state, levels=None):
                        hop_count=len(route))
 
 
-def concatenate(m1, m2, shared_node_delay):
-    """Metrics of R1 || R2 where the last node of R1 is the first of R2."""
-    return PathMetrics(delay=m1.delay + m2.delay - shared_node_delay,
-                       bandwidth=min(m1.bandwidth, m2.bandwidth),
-                       energy=min(m1.energy, m2.energy),
-                       let=min(m1.let, m2.let),
-                       hop_count=m1.hop_count + m2.hop_count - 1)
-
-
 def pheromone_deposit(m, p=None):
     """Deposit quantity for a completed route.
 

@@ -1,101 +1,33 @@
 """Ant-based route discovery over the three-level cluster hierarchy.
 
-Five packet kinds drive discovery: a Route ant asks a cluster head whether
+Five ant kinds drive discovery: a Route ant asks a cluster head whether
 the destination is one of its members; Knave request/reply ants explore
 inside one cluster; King request/reply ants explore the head overlay.
 Request ants fan out loop-free collecting link/node QoS values; at the
 destination each surviving copy is converted to a reply that retraces the
-visited stack in reverse.  Every node scores the candidate next hops with
-the multiplicative preference rule (pheromone x 1/delay x 1/hops x
-bandwidth x energy x expiry, each under a tunable exponent) and the best
-admissible path wins, gets a pheromone deposit, and is cached.
+visited stack in reverse.  Ants exist only as trace records: one
+``route_ant`` per Route ant and one ``reply_knave_ant``/``reply_king_ant``
+per reply; the delay-ordered flood stands in for the request ants.
+Every node scores the candidate next hops with the multiplicative
+preference rule (pheromone x 1/delay x 1/hops x bandwidth x energy x
+expiry, each under a tunable exponent) and the best admissible path
+wins, gets a pheromone deposit, and is cached.
 """
 
 import heapq
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
 from .qos import PathMetrics, path_metrics, pheromone_deposit
 
-
-# --------------------------------------------------------------------------
-# Packet types
-
-@dataclass
-class RouteAnt:
-    src: int
-    dst: int
-    flag: int = 0  # 1 once a head confirms the destination in its tables
-
-
-def _visit(stack, node):
-    if node in stack:
-        raise RoutingLoopError(f"node {node} already on the visited stack")
-    stack.append(node)
-
-
-@dataclass
-class RequestKnaveAnt:
-    start_time: float
-    bandwidth_min: float
-    src_member: int
-    dst_member: int
-    visited: list = field(default_factory=list)
-
-    def visit(self, node):
-        _visit(self.visited, node)
-
-
-@dataclass
-class ReplyKnaveAnt:
-    hop_count: int
-    delay: float
-    energy: float
-    let: float
-    bandwidth: float
-    dst_member: int
-    src_member: int
-    to_visit: list = field(default_factory=list)
-
-
-@dataclass
-class RequestKingAnt:
-    start_time: float
-    bandwidth_min: float
-    src_head: int
-    dst_head: int
-    visited: list = field(default_factory=list)
-
-    def visit(self, node):
-        _visit(self.visited, node)
-
-
-@dataclass
-class ReplyKingAnt:
-    hop_count: int
-    delay: float
-    energy: float
-    let: float
-    bandwidth: float
-    dst_head: int
-    src_head: int
-    to_visit: list = field(default_factory=list)
-
-
-def make_reply(request, metrics):
-    """Convert a request ant that reached its target into the reply twin."""
-    stack = list(reversed(request.visited))
-    common = dict(hop_count=metrics.hop_count, delay=metrics.delay,
-                  energy=metrics.energy, let=metrics.let,
-                  bandwidth=metrics.bandwidth, to_visit=stack)
-    if isinstance(request, RequestKnaveAnt):
-        return ReplyKnaveAnt(dst_member=request.dst_member,
-                             src_member=request.src_member, **common)
-    return ReplyKingAnt(dst_head=request.dst_head,
-                        src_head=request.src_head, **common)
+# Flood limits per discovery segment: replies collected, expansions per
+# node, and heap pops in total.
+MAX_REPLIES = 10
+FANOUT_CAP = 10
+FLOOD_BUDGET = 20000
 
 
 # --------------------------------------------------------------------------
@@ -120,30 +52,13 @@ class PheromoneTable:
         tau = self.entries.get((j, d), self.initial)
         self.entries[(j, d)] = (1.0 - self.q) * tau + dtau
 
-    def evaporate(self, q=None):
-        q = self.q if q is None else q
-        if not (0.0 < q <= 1.0):
-            raise ConfigError("q must lie in (0, 1]")
+    def evaporate(self):
         for key in self.entries:
-            self.entries[key] *= (1.0 - q)
+            self.entries[key] *= (1.0 - self.q)
 
     def purge_node(self, node):
         self.entries = {k: v for k, v in self.entries.items()
                         if node not in k}
-
-
-def deposit_on_route(tables, route, dst, dtau):
-    """Deposit dtau toward dst on every directed hop of the route.
-
-    `tables` maps node id -> PheromoneTable (one routing plane).
-    """
-    for i, j in zip(route, route[1:]):
-        tables[i].deposit(j, dst, dtau)
-
-
-def evaporate(table, q=None):
-    table.evaporate(q)
-    return table
 
 
 @dataclass
@@ -193,9 +108,6 @@ class RouteCache:
 
     def purge_node(self, node):
         self.entries = [e for e in self.entries if node not in e.path]
-
-    def drop_expired(self, now):
-        self.entries = [e for e in self.entries if e.expires_at >= now]
 
 
 # --------------------------------------------------------------------------
@@ -258,7 +170,6 @@ class Router:
 
     def __init__(self, state, clusters, pref=None, deposit=None, q=0.1,
                  tau_initial=1.0, cache_capacity=64, cache_max_age=30.0,
-                 max_replies=10, fanout_cap=10, flood_budget=20000,
                  trace=None):
         self.state = state
         self.clusters = clusters
@@ -267,9 +178,6 @@ class Router:
         self.q = q
         self.tau_initial = tau_initial
         self.cache_max_age = cache_max_age
-        self.max_replies = max_replies
-        self.fanout_cap = fanout_cap
-        self.flood_budget = flood_budget
         self.trace = trace
         self.tables = defaultdict(
             lambda: PheromoneTable(q=self.q, initial=self.tau_initial))
@@ -296,8 +204,7 @@ class Router:
 
     # -- ant flood -----------------------------------------------------
 
-    def _flood(self, scope, level, src, dst, now, min_bandwidth=0.0,
-               kind="knave"):
+    def _flood(self, scope, level, src, dst, now, kind="knave"):
         """Loop-free delay-ordered expansion; returns paths in arrival order.
 
         Models concurrent request ants: the priority queue key is the
@@ -313,15 +220,14 @@ class Router:
         pops = 0
         found = []
         expansions = defaultdict(int)
-        ant_cls = RequestKnaveAnt if kind == "knave" else RequestKingAnt
-        while heap and len(found) < self.max_replies and pops < self.flood_budget:
+        while heap and len(found) < MAX_REPLIES and pops < FLOOD_BUDGET:
             cum, _, path = heapq.heappop(heap)
             pops += 1
             node = path[-1]
             if node == dst:
                 found.append(path)
                 continue
-            if expansions[node] >= self.fanout_cap:
+            if expansions[node] >= FANOUT_CAP:
                 continue
             expansions[node] += 1
             for nb in sorted(self.state.neighbors(node, level)):
@@ -336,29 +242,26 @@ class Router:
         if not found:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
-        # Build the reply twin for each delivered request ant; the reply
-        # retraces the request's visited stack in reverse.
+        # Each delivered request ant turns into a reply that retraces its
+        # visited stack in reverse, carrying the path's QoS values.
+        ends = (("src_member", "dst_member") if kind == "knave"
+                else ("src_head", "dst_head"))
         for path in found:
-            if kind == "knave":
-                req = RequestKnaveAnt(now, min_bandwidth, src, dst, list(path))
-            else:
-                req = RequestKingAnt(now, min_bandwidth, src, dst, list(path))
             m = path_metrics(path, self.state, levels=(level,) * (len(path) - 1))
-            reply = make_reply(req, m)
             self.stats["reply_packets"] += 1
             self.stats["control_packets"] += len(path) - 1
-            self._emit({"kind": f"reply_{kind}_ant", "t": now,
-                        "packet": reply.__dict__ | {"to_visit": list(reply.to_visit)}})
+            self._emit({"kind": f"reply_{kind}_ant", "t": now, "packet": {
+                "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
+                "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
+                "to_visit": list(reversed(path))}})
         return found
 
-    def _choose(self, paths, level, src, dst, pher_dst, qos, now):
+    def _choose(self, paths, level, src, dst, pher_dst, qos):
         """Pick the best admissible path by preference probability."""
         best_per_hop = {}
-        metrics_cache = {}
         had_any = False
         for path in paths:
             m = path_metrics(path, self.state, levels=(level,) * (len(path) - 1))
-            metrics_cache[path] = m
             had_any = True
             if qos is not None and not qos.admits(m):
                 continue
@@ -388,19 +291,18 @@ class Router:
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,), path_metrics((src,), self.state), 1.0
-        paths = self._flood(scope, level, src, dst, now,
-                            min_bandwidth=(qos.min_bandwidth if qos else 0.0),
-                            kind=kind)
-        path, m, pref = self._choose(paths, level, src, dst, pher_dst, qos, now)
-        return path, m, pref
+        paths = self._flood(scope, level, src, dst, now, kind=kind)
+        return self._choose(paths, level, src, dst, pher_dst, qos)
 
     # -- discovery cascade ----------------------------------------------
 
     def _route_ant(self, src, dst, now, flag=0):
+        """Record one Route ant; `flag` is 1 once a head confirms the
+        destination in its tables."""
         self.stats["route_ants"] += 1
         self.stats["control_packets"] += 1
         self._emit({"kind": "route_ant", "t": now,
-                    "packet": RouteAnt(src, dst, flag).__dict__})
+                    "packet": {"src": src, "dst": dst, "flag": flag}})
 
     def _cluster_scope(self, head):
         return {head} | set(self.clusters.members_of(head, 0))

@@ -111,7 +111,7 @@ class TestElection:
         add_node(s, 5, (0, 0))
         cs = select_cluster_heads(s, 0, WeightParams(), random.Random(1))
         assert cs.levels[0] == {5: set()}
-        assert cs.role(5, 0) == "head"
+        assert 5 in cs.heads(0)
 
     def test_clique_elects_max_weight(self):
         wins = 0
@@ -146,7 +146,7 @@ class TestElection:
         s = clique_state(3)
         s.nodes[2].energy = 500.0
         cs = select_cluster_heads(s, 0, ENERGY_ONLY, random.Random(0))
-        assert str(cs.address(0, 0)) == "C0.2"
+        assert cs.head_of(0, 0) == 2
 
 
 class TestHierarchy:

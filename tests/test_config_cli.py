@@ -1,7 +1,9 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 
 from antmanet.cli import main
 from antmanet.config import parse_scenario, serialize
@@ -99,6 +101,45 @@ class TestParsing:
             parse_scenario("{unclosed")
 
 
+ONE_NODE = "placements: [{id: 0, position: [0, 0]}]\n"
+
+
+# (scenario text, path of the one issue it raises)
+NON_FINITE = [
+    ("seed: .inf", "seed"),
+    ("duration: .inf", "duration"),
+    ("groups: [{count: .nan}]", "groups[0].count"),
+    ("groups: [{count: 1, tx_range: [.nan]}]", "groups[0].tx_range"),
+    ("placements: [{id: 0, position: [.nan, 0]}]", "placements[0].position"),
+    ("placements: [{id: 0, position: [0, 0], velocity: [0, .inf]}]",
+     "placements[0].velocity"),
+    ("weights: {w1: .nan}", "weights.w1"),
+    ("link: {delay: {l0: .nan}}", "link.delay.l0"),
+    ("link: {bandwidth: {l2: .inf}}", "link.bandwidth.l2"),
+    ("weights: {theta_w: .nan}", "weights.theta_w"),
+    ("weights: {theta_tau: .nan}", "weights.theta_tau"),
+    (ONE_NODE + "flows: [{src: 0, dst: 0, qos: {max_delay: .nan}}]",
+     "flows[0].qos.max_delay"),
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("text, path", NON_FINITE,
+                             ids=[path for _, path in NON_FINITE])
+    def test_rejected(self, text, path):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert [(p, c) for p, c, _ in exc.value.issues] == [(path, "non-finite")]
+
+    def test_infinite_defaults_may_stay_infinite(self):
+        cfg = parse_scenario(
+            ONE_NODE + "weights: {theta_w: .inf, theta_tau: -.inf}\n"
+            "flows: [{src: 0, dst: 0, qos: {max_delay: .inf}}]")
+        assert cfg.weights.theta_w == math.inf
+        assert cfg.weights.theta_tau == -math.inf
+        assert cfg.flows[0].qos.max_delay == math.inf
+
+
 class TestSerialization:
     def test_round_trip_equality(self):
         cfg = parse_scenario(MINIMAL)
@@ -113,6 +154,11 @@ class TestSerialization:
         text = serialize(parse_scenario(MINIMAL))
         assert "miss_threshold: 3" in text
         assert "packet_size_bits: 8192" in text
+
+    def test_committed_defaults_file_matches(self):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "defaults.yaml"
+        committed = yaml.safe_load(path.read_text(encoding="utf-8"))
+        assert yaml.safe_load(serialize(parse_scenario(""))) == committed
 
 
 @pytest.fixture
@@ -132,6 +178,12 @@ class TestCli:
         bad.write_text("pheromone: {q: 0.0}", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
         assert "[q-range]" in capsys.readouterr().err
+
+    def test_validate_non_finite_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: .inf", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "seed: [non-finite]" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1

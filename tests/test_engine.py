@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from antmanet.config import (Arena, FlowConfig, MobilityConfig, NodeGroup,
-                             Placement, ScenarioConfig)
-from antmanet.engine import (EnergyCosts, RandomWaypoint, Simulator,
-                             energy_debit, format_record, mobility_update,
-                             run_scenario)
+from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
+                             NodeGroup, Placement, ScenarioConfig)
+from antmanet.engine import (RandomWaypoint, Simulator, energy_debit,
+                             format_record, mobility_update, run_scenario)
 from antmanet.model import NodeAttributes
 
 

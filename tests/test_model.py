@@ -4,8 +4,7 @@ import random
 import pytest
 
 from antmanet.errors import UnknownNodeError
-from antmanet.model import (ClusterAddress, NetworkState, NodeAttributes,
-                            distance, link_expiration_time)
+from antmanet.model import NodeAttributes, distance, link_expiration_time
 
 from helpers import add_node, make_state
 
@@ -25,12 +24,6 @@ class TestDistance:
             ref = math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
             assert distance(a, b) == pytest.approx(ref, abs=1e-12)
             assert distance(a, b) == distance(b, a)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            distance((math.nan, 0), (0, 0))
-        with pytest.raises(ValueError):
-            distance((0, 0), (math.inf, 0))
 
 
 class TestNeighbors:
@@ -167,8 +160,3 @@ class TestLinkExpirationTime:
             pb = (b.position[0] + t * b.velocity[0],
                   b.position[1] + t * b.velocity[1])
             assert distance(pa, pb) == pytest.approx(r, abs=1e-6)
-
-
-def test_cluster_address_rendering():
-    assert str(ClusterAddress(0, 7)) == "C0.7"
-    assert str(ClusterAddress(2, 13)) == "C2.13"

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from antmanet.errors import BrokenPathError, DegenerateRouteError
-from antmanet.qos import (DepositParams, PathMetrics, concatenate, hop_count,
+from antmanet.qos import (DepositParams, PathMetrics, hop_count,
                           path_bandwidth, path_delay, path_energy, path_let,
                           path_metrics, pheromone_deposit)
 
@@ -166,19 +166,6 @@ class TestPheromoneDeposit:
 
 
 class TestConcatenation:
-    def test_concatenation_identity(self):
-        s = pinned_line([0.5, 0.7, 0.9], [3e6, 1e6, 2e6], node_delay=0.1,
-                        energies=[9, 4, 7, 6])
-        full = path_metrics([0, 1, 2, 3], s)
-        m1 = path_metrics([0, 1, 2], s)
-        m2 = path_metrics([2, 3], s)
-        joined = concatenate(m1, m2, s.nodes[2].node_delay)
-        assert joined.delay == pytest.approx(full.delay)
-        assert joined.bandwidth == full.bandwidth
-        assert joined.energy == full.energy
-        assert joined.let == full.let
-        assert joined.hop_count == full.hop_count
-
     def test_subpath_bounds_full_path(self):
         s = pinned_line([0.5, 0.7, 0.9], [3e6, 1e6, 2e6],
                         energies=[9, 4, 7, 6])

@@ -3,15 +3,11 @@ import random
 
 import pytest
 
-from antmanet.errors import (NoAdmissibleRouteError, NoRouteError,
-                             RoutingLoopError)
+from antmanet.errors import NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import DepositParams, PathMetrics, path_metrics
 from antmanet.routing import (PheromoneTable, PreferenceParams,
-                              QosRequirement, RequestKingAnt,
-                              RequestKnaveAnt, ReplyKnaveAnt, RouteCache,
-                              RouteCacheEntry, Router, deposit_on_route,
-                              evaporate, make_reply,
-                              path_preference_probability)
+                              QosRequirement, RouteCache, RouteCacheEntry,
+                              Router, path_preference_probability)
 
 from helpers import add_node, line_state, make_state, manual_clusters
 
@@ -63,11 +59,11 @@ class TestPreferenceProbability:
 
 class TestPheromoneTable:
     def test_zero_deposit_only_evaporates(self):
-        tables = {0: PheromoneTable(q=0.5), 1: PheromoneTable(q=0.5)}
-        tables[0].deposit(1, 9, 1.0)
-        before = tables[0].get(1, 9)
-        deposit_on_route(tables, [0, 1], 9, 0.0)
-        assert tables[0].get(1, 9) == pytest.approx(0.5 * before)
+        t = PheromoneTable(q=0.5)
+        t.deposit(1, 9, 1.0)
+        before = t.get(1, 9)
+        t.deposit(1, 9, 0.0)
+        assert t.get(1, 9) == pytest.approx(0.5 * before)
 
     def test_direct_substitution(self):
         t = PheromoneTable(q=0.5, initial=1.0)
@@ -83,44 +79,59 @@ class TestPheromoneTable:
     def test_evaporate_full(self):
         t = PheromoneTable(q=1.0)
         t.entries[(1, 2)] = 5.0
-        evaporate(t)
+        t.evaporate()
         assert t.get(1, 2) == 0.0
 
     def test_evaporate_substitution(self):
         t = PheromoneTable(q=0.25)
         t.entries[(1, 2)] = 4.0
-        evaporate(t)
+        t.evaporate()
         assert t.get(1, 2) == pytest.approx(3.0)
 
     def test_evaporate_closed_form(self):
         t = PheromoneTable(q=0.1)
         t.entries[(1, 2)] = 7.0
         for _ in range(12):
-            evaporate(t)
+            t.evaporate()
         assert t.get(1, 2) == pytest.approx(7.0 * 0.9 ** 12, abs=1e-12)
 
 
-class TestAnts:
-    def test_visited_stack_rejects_duplicates(self):
-        ant = RequestKnaveAnt(0.0, 0.0, 1, 5)
-        ant.visit(1)
-        ant.visit(2)
-        with pytest.raises(RoutingLoopError):
-            ant.visit(1)
+def test_ant_trace_records():
+    """Exact packet dicts of the route, knave reply and king reply ants.
 
-    def test_reply_retraces_in_reverse(self):
-        req = RequestKingAnt(0.0, 0.0, 1, 4, visited=[1, 2, 3, 4])
-        reply = make_reply(req, metrics(hops=4))
-        assert reply.to_visit == [4, 3, 2, 1]
-        assert reply.src_head == 1 and reply.dst_head == 4
-
-    def test_knave_reply_fields(self):
-        req = RequestKnaveAnt(1.0, 5e5, 1, 3, visited=[1, 2, 3])
-        m = metrics(delay=0.5, bw=1e6, energy=9.0, let=12.0, hops=3)
-        reply = make_reply(req, m)
-        assert isinstance(reply, ReplyKnaveAnt)
-        assert (reply.delay, reply.bandwidth, reply.energy, reply.let,
-                reply.hop_count) == (0.5, 1e6, 9.0, 12.0, 3)
+    Two level-0 clusters, heads 10 and 20, under level-1 head 20.  Members
+    0 and 1 of cluster 10 are out of each other's range, so 0 -> 1 floods
+    inside the cluster; 0 -> 3 crosses the level-1 overlay.
+    """
+    state = make_state()
+    add_node(state, 0, (-80.0, 0.0), energy=90.0)
+    add_node(state, 10, (0.0, 0.0), level=1)
+    add_node(state, 1, (80.0, 0.0), energy=80.0)
+    add_node(state, 20, (200.0, 0.0), level=1, energy=70.0)
+    add_node(state, 3, (280.0, 0.0))
+    clusters = manual_clusters({0: {10: {0, 1}, 20: {3}}, 1: {20: {10}},
+                                2: {}})
+    records = []
+    r = Router(state, clusters, trace=records.append)
+    r.discover_route(0, 1, now=1.0)
+    r.discover_route(0, 3, now=2.0)
+    ants = [(rec["kind"], rec["t"], rec["packet"]) for rec in records
+            if rec["kind"] != "route_selected"]
+    assert ants == [
+        ("route_ant", 1.0, {"src": 0, "dst": 10, "flag": 0}),
+        ("route_ant", 1.0, {"src": 10, "dst": 0, "flag": 1}),
+        ("reply_knave_ant", 1.0, {
+            "hop_count": 3, "delay": 0.004 + 0.003, "energy": 80.0,
+            "let": math.inf, "bandwidth": 2e6,
+            "src_member": 0, "dst_member": 1, "to_visit": [1, 10, 0]}),
+        ("route_ant", 2.0, {"src": 0, "dst": 10, "flag": 0}),
+        ("route_ant", 2.0, {"src": 10, "dst": 20, "flag": 0}),
+        ("route_ant", 2.0, {"src": 20, "dst": 10, "flag": 1}),
+        ("reply_king_ant", 2.0, {
+            "hop_count": 2, "delay": 0.0015 + 0.002, "energy": 70.0,
+            "let": math.inf, "bandwidth": 5e6,
+            "src_head": 10, "dst_head": 20, "to_visit": [20, 10]}),
+    ]
 
 
 class TestRouteCache:

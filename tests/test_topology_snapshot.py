@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antmanet import engine
-from antmanet.config import (Arena, FlowConfig, MobilityConfig, NodeGroup,
-                             ScenarioConfig)
-from antmanet.engine import EnergyCosts, format_record, run_scenario
+from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
+                             NodeGroup, ScenarioConfig)
+from antmanet.engine import format_record, run_scenario
 from antmanet.model import (LinkAttributes, NetworkState, NodeAttributes,
                             link_expiration_time)
 
