@@ -134,6 +134,42 @@ def test_ant_trace_records():
     ]
 
 
+class TestAnts:
+    @staticmethod
+    def replies(state, level, src, dst, kind):
+        records = []
+        r = Router(state, manual_clusters({0: {}}), trace=records.append)
+        r._flood(state.nodes, level, src, dst, now=0.0, kind=kind)
+        return [rec for rec in records if rec["kind"].startswith("reply_")]
+
+    def test_reply_retraces_in_reverse(self):
+        # Four level-1 heads 200 apart: each reaches only its neighbours.
+        state = make_state()
+        for i in range(1, 5):
+            add_node(state, i, (i * 200.0, 0.0), level=1)
+        [rec] = self.replies(state, 1, 1, 4, "king")
+        assert rec["kind"] == "reply_king_ant"
+        assert rec["packet"]["to_visit"] == [4, 3, 2, 1]
+        assert rec["packet"]["src_head"] == 1
+        assert rec["packet"]["dst_head"] == 4
+
+    def test_knave_reply_fields(self):
+        # A line 0 - 1 - 2 whose middle node drifts, so the LET is finite.
+        state = make_state()
+        for nid, energy, vel in ((0, 9.0, (0.0, 0.0)), (1, 30.0, (5.0, 0.0)),
+                                 (2, 20.0, (0.0, 0.0))):
+            add_node(state, nid, (nid * 80.0, 0.0), energy=energy, vel=vel)
+        [rec] = self.replies(state, 0, 0, 2, "knave")
+        assert rec["kind"] == "reply_knave_ant"
+        m = path_metrics((0, 1, 2), state, levels=(0, 0))
+        assert math.isfinite(m.let)
+        p = rec["packet"]
+        assert (p["delay"], p["bandwidth"], p["energy"], p["let"],
+                p["hop_count"]) == (m.delay, m.bandwidth, 9.0, m.let, 3)
+        assert (p["src_member"], p["dst_member"]) == (0, 2)
+        assert p["to_visit"] == [2, 1, 0]
+
+
 class TestRouteCache:
     def entry(self, dst=9, pref=0.5, expires=10.0, path=(1, 2, 9)):
         return RouteCacheEntry(destination=dst, path=path,
