@@ -208,8 +208,15 @@ def check_reelection_triggers(state, clusters, p, joins=None):
     iterable of (level, head, node) recording recent arrivals.  Returns a
     set of (level, head) pairs.
     """
+    joins = list(joins or ())
     flagged = set()
     for level in sorted(clusters.levels):
+        level_joins = [(head, node) for jlevel, head, node in joins
+                       if jlevel == level]
+        # With theta_w at -inf no weight falls below it, so only a join can
+        # flag this level, and a level without one needs no weight table.
+        if p.theta_w == -math.inf and not level_joins:
+            continue
         participants = clusters.participants(level)
         participants = [n for n in participants if state.node(n).alive]
         if not participants:
@@ -218,11 +225,10 @@ def check_reelection_triggers(state, clusters, p, joins=None):
         for head in clusters.heads(level):
             if head in weights and weights[head] < p.theta_w:
                 flagged.add((level, head))
-        if joins:
-            for jlevel, head, node in joins:
-                if jlevel == level and head in weights and node in weights:
-                    if weights[node] > weights[head]:
-                        flagged.add((level, head))
+        for head, node in level_joins:
+            if head in weights and node in weights:
+                if weights[node] > weights[head]:
+                    flagged.add((level, head))
     return flagged
 
 

@@ -301,12 +301,11 @@ class MaintenanceManager:
         # re-merging an unchanged head pair would loop forever.
         self._merge_attempted = {p for p in self._merge_attempted
                                  if p <= head_set}
-        for i, h1 in enumerate(heads):
-            for h2 in heads[i + 1:]:
-                if h2 in self.state.neighbors(h1, 0):
-                    if frozenset((h1, h2)) not in self._merge_attempted:
-                        events.append(MembershipEvent(
-                            "heads_in_range", 0, head=h1, other=h2))
+        for h1 in heads:
+            for h2 in sorted(self.state.neighbors(h1, 0) & head_set):
+                if h2 > h1 and frozenset((h1, h2)) not in self._merge_attempted:
+                    events.append(MembershipEvent(
+                        "heads_in_range", 0, head=h1, other=h2))
         return events
 
     def check_reelection(self, now):

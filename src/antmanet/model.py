@@ -164,6 +164,7 @@ class NetworkState:
         grid = defaultdict(list)
         for i, (_, x, y, r) in enumerate(members):
             grid[(math.floor(x / cell), math.floor(y / cell))].append((i, x, y, r))
+        hypot = math.hypot
         found = [[] for _ in members]
         for (cx, cy), here in grid.items():
             # Test each pair once: within this cell, and against the four
@@ -172,16 +173,24 @@ class NetworkState:
                                    (cx + 1, cy + 1))
                      for m in grid.get(key, ())]
             for k, (i, ax, ay, ra) in enumerate(here):
-                for j, bx, by, rb in here[k + 1:] + after:
-                    if math.hypot(ax - bx, ay - by) <= min(ra, rb):
-                        found[i].append(j)
+                found_i = found[i]
+                for j, bx, by, rb in here[k + 1:]:
+                    d = hypot(ax - bx, ay - by)
+                    if d <= ra and d <= rb:
+                        found_i.append(j)
                         found[j].append(i)
+                for j, bx, by, rb in after:
+                    d = hypot(ax - bx, ay - by)
+                    if d <= ra and d <= rb:
+                        found_i.append(j)
+                        found[j].append(i)
+        ids = [m[0] for m in members]
         adj = {}
-        for i, (nid, _, _, _) in enumerate(members):
-            found[i].sort()
+        for nid, found_i in zip(ids, found):
+            found_i.sort()
             # Copying a set grown one id at a time, not a list, gives the
             # frozenset the same table, and so the same order, as a scan.
-            adj[nid] = frozenset(set(members[j][0] for j in found[i]))
+            adj[nid] = frozenset({ids[j] for j in found_i})
         return adj
 
     def neighbors(self, nid, level):

@@ -205,14 +205,13 @@ class Router:
     # -- ant flood -----------------------------------------------------
 
     def _flood(self, scope, level, src, dst, now, kind="knave"):
-        """Loop-free delay-ordered expansion; returns paths in arrival order.
+        """Loop-free delay-ordered expansion.
 
-        Models concurrent request ants: the priority queue key is the
-        accumulated path delay, so the first path to reach the destination
-        is the minimum-delay one.
+        Returns (path, PathMetrics) pairs in arrival order.  Models
+        concurrent request ants: the priority queue key is the accumulated
+        path delay, so the first path to reach the destination is the
+        minimum-delay one.
         """
-        if src == dst:
-            return [(src,)]
         scope = set(scope)
         start = self.state.node(src).node_delay
         heap = [(start, 0, (src,))]
@@ -246,22 +245,26 @@ class Router:
         # visited stack in reverse, carrying the path's QoS values.
         ends = (("src_member", "dst_member") if kind == "knave"
                 else ("src_head", "dst_head"))
+        replies = []
         for path in found:
             m = path_metrics(path, self.state, levels=(level,) * (len(path) - 1))
+            replies.append((path, m))
             self.stats["reply_packets"] += 1
             self.stats["control_packets"] += len(path) - 1
             self._emit({"kind": f"reply_{kind}_ant", "t": now, "packet": {
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
                 "to_visit": list(reversed(path))}})
-        return found
+        return replies
 
-    def _choose(self, paths, level, src, dst, pher_dst, qos):
-        """Pick the best admissible path by preference probability."""
+    def _choose(self, replies, level, src, dst, pher_dst, qos):
+        """Pick the best admissible path by preference probability.
+
+        `replies` holds the (path, PathMetrics) pairs that `_flood` returns.
+        """
         best_per_hop = {}
         had_any = False
-        for path in paths:
-            m = path_metrics(path, self.state, levels=(level,) * (len(path) - 1))
+        for path, m in replies:
             had_any = True
             if qos is not None and not qos.admits(m):
                 continue
@@ -291,8 +294,8 @@ class Router:
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,), path_metrics((src,), self.state), 1.0
-        paths = self._flood(scope, level, src, dst, now, kind=kind)
-        return self._choose(paths, level, src, dst, pher_dst, qos)
+        replies = self._flood(scope, level, src, dst, now, kind=kind)
+        return self._choose(replies, level, src, dst, pher_dst, qos)
 
     # -- discovery cascade ----------------------------------------------
 

@@ -10,7 +10,7 @@ from antmanet.clustering import (WeightParams, ch_pheromone_update,
                                  node_weight, select_cluster_heads)
 from antmanet.errors import ConfigError
 
-from helpers import add_node, clique_state, make_state
+from helpers import add_node, clique_state, make_state, manual_clusters
 
 
 ENERGY_ONLY = WeightParams(w1=0.0, w2=1.0, w3=0.0, w4=0.0)
@@ -198,3 +198,15 @@ class TestReelectionTriggers:
         cs.levels[0][1].add(9)
         flagged = check_reelection_triggers(s, cs, p, joins=[(0, 1, 9)])
         assert (0, 1) in flagged
+
+    def test_generator_joins_reach_every_level(self):
+        # Two level-0 clusters whose heads meet only on level 1; the level-1
+        # newcomer 2 outweighs head 0 on energy.  A generator of joins must
+        # still reach level 1 after level 0 has been checked.
+        s = make_state()
+        for nid, x, energy in ((0, 0.0, 10.0), (1, 10.0, 50.0),
+                               (2, 200.0, 99.0), (3, 210.0, 50.0)):
+            add_node(s, nid, (x, 0.0), level=1, energy=energy)
+        cs = manual_clusters({0: {0: {1}, 2: {3}}, 1: {0: {2}}})
+        joins = (j for j in [(1, 0, 2)])
+        assert check_reelection_triggers(s, cs, ENERGY_ONLY, joins=joins) == {(1, 0)}

@@ -1,0 +1,218 @@
+"""The beacon cycle's fast paths against test-local copies of the full scans.
+
+``reference_check_reelection_triggers`` builds every level's weight table
+on every call, ``reference_detect_head_merges`` tests every head pair, and
+``reference_build_adjacency`` concatenates the candidate lists per node and
+tests ``d <= min(ra, rb)``.  Each must give the same result, in the same
+order, as the code it stands in for.
+"""
+
+import math
+import random
+from collections import defaultdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antmanet import clustering
+from antmanet.clustering import (WeightParams, check_reelection_triggers,
+                                 form_hierarchy, select_cluster_heads,
+                                 weight_table)
+from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
+                             NodeGroup, ScenarioConfig)
+from antmanet.engine import format_record, run_scenario
+from antmanet.maintenance import MaintenanceManager, MembershipEvent
+from antmanet.model import NetworkState
+
+from helpers import add_node, make_state, manual_clusters
+
+
+def reference_check_reelection_triggers(state, clusters, p, joins=None):
+    flagged = set()
+    for level in sorted(clusters.levels):
+        participants = clusters.participants(level)
+        participants = [n for n in participants if state.node(n).alive]
+        if not participants:
+            continue
+        weights = weight_table(state, level, participants, p)
+        for head in clusters.heads(level):
+            if head in weights and weights[head] < p.theta_w:
+                flagged.add((level, head))
+        if joins:
+            for jlevel, head, node in joins:
+                if jlevel == level and head in weights and node in weights:
+                    if weights[node] > weights[head]:
+                        flagged.add((level, head))
+    return flagged
+
+
+def reference_detect_head_merges(self, now):
+    events = []
+    heads = sorted(h for h in self.clusters.heads(0)
+                   if self.state.node(h).alive)
+    head_set = set(heads)
+    self._merge_attempted = {p for p in self._merge_attempted
+                             if p <= head_set}
+    for i, h1 in enumerate(heads):
+        for h2 in heads[i + 1:]:
+            if h2 in self.state.neighbors(h1, 0):
+                if frozenset((h1, h2)) not in self._merge_attempted:
+                    events.append(MembershipEvent(
+                        "heads_in_range", 0, head=h1, other=h2))
+    return events
+
+
+def reference_build_adjacency(self, level):
+    members = []
+    for nid, attrs in self.nodes.items():
+        if attrs.alive and attrs.supports(level):
+            x, y = attrs.position
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"non-finite coordinate on node {nid}")
+            members.append((nid, x, y, attrs.range_at(level)))
+    cell = max((m[3] for m in members), default=0.0) * (1.0 + 1e-9)
+    if not cell > 0.0:
+        cell = 1.0
+    grid = defaultdict(list)
+    for i, (_, x, y, r) in enumerate(members):
+        grid[(math.floor(x / cell), math.floor(y / cell))].append((i, x, y, r))
+    found = [[] for _ in members]
+    for (cx, cy), here in grid.items():
+        after = [m for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy),
+                               (cx + 1, cy + 1))
+                 for m in grid.get(key, ())]
+        for k, (i, ax, ay, ra) in enumerate(here):
+            for j, bx, by, rb in here[k + 1:] + after:
+                if math.hypot(ax - bx, ay - by) <= min(ra, rb):
+                    found[i].append(j)
+                    found[j].append(i)
+    adj = {}
+    for i, (nid, _, _, _) in enumerate(members):
+        found[i].sort()
+        adj[nid] = frozenset(set(members[j][0] for j in found[i]))
+    return adj
+
+
+def _clustered_layout(seed, n, span, dead_share):
+    """Random mixed-level layout, elected on all three levels, then some
+    nodes drained or killed without re-election (as between two beacon
+    cycles), so members can outweigh their heads."""
+    rng = random.Random(seed)
+    state = make_state()
+    for nid in range(n):
+        add_node(state, nid, (rng.uniform(0, span), rng.uniform(0, span)),
+                 level=rng.choice([0, 0, 1, 1, 2]),
+                 energy=rng.uniform(1.0, 100.0),
+                 mobility=rng.uniform(0.0, 5.0))
+    clusters = select_cluster_heads(state, 0, WeightParams(), rng)
+    form_hierarchy(state, clusters, WeightParams(), rng)
+    for nid, attrs in state.nodes.items():
+        attrs.energy *= rng.choice([1.0, 0.05])
+        if rng.random() < dead_share:
+            attrs.alive = False
+    state.touch()
+    return state, clusters, rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       span=st.sampled_from([150.0, 400.0, 900.0]),
+       dead_share=st.sampled_from([0.0, 0.2]),
+       theta_w=st.sampled_from([-math.inf, -0.1, 0.0, 0.2, 0.5]),
+       join_levels=st.sets(st.sampled_from([0, 1, 2])))
+def test_reelection_triggers_match_full_tables(seed, n, span, dead_share,
+                                               theta_w, join_levels):
+    state, clusters, rng = _clustered_layout(seed, n, span, dead_share)
+    joins = []
+    for level in sorted(join_levels):
+        for head, members in sorted(clusters.levels.get(level, {}).items()):
+            # Members the head really has, and nodes from elsewhere.
+            for node in sorted(members) + rng.sample(sorted(state.nodes), 1):
+                if rng.random() < 0.5:
+                    joins.append((level, head, node))
+    p = WeightParams(theta_w=theta_w)
+    expected = reference_check_reelection_triggers(state, clusters, p, joins)
+    assert check_reelection_triggers(state, clusters, p, joins) == expected
+    assert check_reelection_triggers(state, clusters, p, iter(joins)) == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       span=st.sampled_from([100.0, 300.0, 800.0]),
+       head_share=st.sampled_from([0.3, 0.6, 1.0]),
+       attempted=st.integers(0, 12))
+def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
+                                          attempted):
+    rng = random.Random(seed)
+    state = make_state()
+    for nid in rng.sample(range(4 * n), n):
+        add_node(state, nid, (rng.uniform(0, span), rng.uniform(0, span)),
+                 level=rng.choice([0, 1, 2]))
+        state.nodes[nid].alive = rng.random() > 0.15
+    state.touch()
+    ids = sorted(state.nodes)
+    heads = [nid for nid in ids if rng.random() < head_share]
+    clusters = manual_clusters({0: {h: set() for h in heads}})
+    # Earlier attempts: pairs of live heads in range, and pairs that a
+    # dead head or a non-head must drop from the list.
+    linked = [frozenset((a, b)) for a in heads for b in heads
+              if a < b and b in state.neighbors(a, 0)]
+    others = [frozenset(rng.sample(ids, 2)) for _ in range(3)] if n > 1 else []
+    pool = linked + others
+    tried = set(rng.sample(pool, min(attempted, len(pool))))
+
+    def run(detect):
+        mgr = MaintenanceManager(state, clusters, None, WeightParams(),
+                                 random.Random(0))
+        mgr._merge_attempted = set(tried)
+        return detect(mgr, 0.0), mgr._merge_attempted
+
+    events, kept = run(MaintenanceManager.detect_head_merges)
+    assert (events, kept) == run(reference_detect_head_merges)
+    if linked and not tried:
+        assert events
+
+
+def _mobile_config(theta_w):
+    return ScenarioConfig(
+        seed=21, duration=60.0, arena=Arena(500, 500),
+        groups=[NodeGroup(count=30, max_level=0, energy=0.008),
+                NodeGroup(count=20, max_level=1),
+                NodeGroup(count=10, max_level=2)],
+        weights=WeightParams(theta_w=theta_w),
+        mobility=MobilityConfig(enabled=True, speed_min=1.0, speed_max=6.0,
+                                pause=1.0),
+        energy_costs=EnergyCosts(tx_packet=0.002, tx_bit=1e-7,
+                                 rx_packet=0.001, rx_bit=5e-8,
+                                 beacon=0.0002),
+        flows=[FlowConfig(src=s, dst=d, start=1.0 + i, packets=10,
+                          interval=4.0)
+               for i, (s, d) in enumerate([(0, 59), (31, 45), (50, 12),
+                                           (5, 40), (22, 55), (33, 58)])])
+
+
+def _trace(theta_w):
+    lines = []
+    stats = run_scenario(_mobile_config(theta_w),
+                         trace=lambda r: lines.append(format_record(r)))
+    return lines, stats.to_dict()
+
+
+@pytest.mark.parametrize("theta_w", [-math.inf, 0.0])
+def test_mobile_run_matches_references(monkeypatch, theta_w):
+    fast, fast_stats = _trace(theta_w)
+    monkeypatch.setattr(clustering, "check_reelection_triggers",
+                        reference_check_reelection_triggers)
+    monkeypatch.setattr(MaintenanceManager, "detect_head_merges",
+                        reference_detect_head_merges)
+    monkeypatch.setattr(NetworkState, "_build_adjacency",
+                        reference_build_adjacency)
+    ref, ref_stats = _trace(theta_w)
+    assert fast_stats == ref_stats
+    assert fast == ref
+    # The run exercises joins (case 2), merges (case 3) and re-elections.
+    cases = "\n".join(fast)
+    for case in ('"case":"2"', '"case":"3"', '"case":"reelect"'):
+        assert case in cases
+    assert fast_stats["deaths"] > 0
