@@ -19,6 +19,12 @@ from .routing import PreferenceParams, QosRequirement
 
 DEFAULT_TX_RANGE = {0: (100.0,), 1: (100.0, 250.0), 2: (100.0, 250.0, 600.0)}
 
+# libyaml's parser with PyYAML's safe constructor and resolver, so a document
+# both parsers accept loads to the same values as under SafeLoader (where they
+# part is pinned in tests/test_config_cli.py); the pure-Python loader is used
+# only when PyYAML was built without libyaml.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass
 class Arena:
@@ -312,8 +318,10 @@ def _tx_range(ctx, data, path, max_level):
 def parse_scenario(text):
     """Parse and validate scenario text; raises ScenarioError on problems."""
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        data = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # libyaml encodes the text to UTF-8 first, so a lone surrogate
+        # fails there instead of in PyYAML's reader.
         raise ScenarioError([("<document>", "yaml", str(exc))]) from None
     if data is None:
         data = {}

@@ -135,9 +135,14 @@ class RunStats:
         }
 
 
+# One encoder for every record: json.dumps with these arguments would build
+# a new JSONEncoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def format_record(record):
     """Canonical one-line encoding used for golden-trace comparisons."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 class Simulator:

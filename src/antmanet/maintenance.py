@@ -82,8 +82,11 @@ class MaintenanceManager:
         self._count("beacon_packets")
         self._count("control_packets")
         heard = []
+        # A member's debit can kill only that member, which changes no
+        # head-to-other-member link, so one lookup serves the whole loop.
+        near = self.state.neighbors(head, level)
         for m in sorted(self.clusters.members_of(head, level)):
-            if self.state.node(m).alive and m in self.state.neighbors(head, level):
+            if self.state.node(m).alive and m in near:
                 self.beacon.last_heard[(level, head, m)] = now
                 self._debit(m, "beacon")
                 self._count("beacon_packets")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from antmanet import config
 from antmanet.cli import main
 from antmanet.config import parse_scenario, serialize
 from antmanet.errors import ScenarioError
@@ -138,6 +139,107 @@ class TestNonFinite:
         assert cfg.weights.theta_w == math.inf
         assert cfg.weights.theta_tau == -math.inf
         assert cfg.flows[0].qos.max_delay == math.inf
+
+
+SCENARIO_FILES = sorted(
+    (Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+
+# Documents on which libyaml and the pure-Python parser could disagree.
+YAML_EDGE_CASES = [
+    "a: &x [1, 2]\nb: *x\nc: {<<: {k: 1}, j: 2}",
+    "sexagesimal: 1:30:00\nfloat60: 1:30.5",
+    "octal: 0o17\nold_octal: 017\nhex: 0x1F\nbin: 0b101\nsep: 1_000",
+    "date: 2002-12-14\nstamp: 2001-12-14t21:59:43.10-05:00",
+    "pinf: .inf\nninf: -.Inf\nnan: .NaN\nexp: 6.8523015e+5",
+    "bools: [yes, No, on, OFF, true, ~, null, '']",
+    "dup: 1\ndup: 2",
+    "'a\tb': \"c\td\"",
+    "key: 'single'\nother: \"d\\u00e9j\\xe0\"\nu: n\u0153ud",
+    "- [1, 2]\n- {x: 1}\n- |\n  block\n  text\n- >\n  folded\n  text\n",
+    "{unclosed",
+    "a: [1, 2",
+    "a: b: c",
+    "key: @reserved",
+    "--- 1\n--- 2",
+    "!!python/object:os.system {}",
+    "",
+]
+
+# Where the parsers part: libyaml reads a tab between tokens on a line as a
+# space, where PyYAML's scanner raises, and it rejects a %YAML version other
+# than 1.1 or 1.2 and an unknown directive, which PyYAML accepts.
+YAML_DIVERGENCES = [
+    ("a:\tb", {"a": "b"}, yaml.scanner.ScannerError),
+    ("a: b\t# c\nd:\t[1,\t2]", {"a": "b", "d": [1, 2]},
+     yaml.scanner.ScannerError),
+    ("%YAML 1.3\n--- a", yaml.parser.ParserError, "a"),
+    ("%FOO bar\n--- a", yaml.scanner.ScannerError, "a"),
+]
+
+
+@pytest.fixture(params=[config._LOADER, yaml.SafeLoader],
+                ids=lambda loader: loader.__name__)
+def loader(request, monkeypatch):
+    """Run the test under the production loader, then under SafeLoader."""
+    monkeypatch.setattr(config, "_LOADER", request.param)
+    return request.param
+
+
+class TestLoaderEquivalence:
+    def test_production_loader_is_libyaml_when_available(self):
+        if yaml.__with_libyaml__:
+            assert config._LOADER is yaml.CSafeLoader
+        else:
+            assert config._LOADER is yaml.SafeLoader
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES,
+                             ids=[p.name for p in SCENARIO_FILES])
+    def test_committed_scenarios(self, loader, path, monkeypatch):
+        text = path.read_text(encoding="utf-8")
+        with monkeypatch.context() as m:
+            m.setattr(config, "_LOADER", yaml.SafeLoader)
+            expected = parse_scenario(text)
+        assert parse_scenario(text) == expected
+
+    @pytest.mark.parametrize("text, path", NON_FINITE,
+                             ids=[path for _, path in NON_FINITE])
+    def test_non_finite_issues(self, loader, text, path):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert [(p, c) for p, c, _ in exc.value.issues] == [(path, "non-finite")]
+
+    def test_infinite_defaults(self, loader):
+        TestNonFinite().test_infinite_defaults_may_stay_infinite()
+
+    @pytest.mark.parametrize("text", ["{unclosed", "a: \ud800"],
+                             ids=["unclosed", "lone-surrogate"])
+    def test_unreadable_document(self, loader, text):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert [(p, c) for p, c, _ in exc.value.issues] == [("<document>", "yaml")]
+
+    @pytest.mark.parametrize("text", YAML_EDGE_CASES)
+    def test_edge_documents(self, text):
+        assert (_load_or_error(text, config._LOADER)
+                == _load_or_error(text, yaml.SafeLoader))
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks libyaml")
+    @pytest.mark.parametrize("text, libyaml, pure", YAML_DIVERGENCES)
+    def test_known_divergences(self, text, libyaml, pure):
+        for loader, expected in ((yaml.CSafeLoader, libyaml),
+                                 (yaml.SafeLoader, pure)):
+            if isinstance(expected, type):
+                assert _load_or_error(text, loader) is expected
+            else:
+                assert yaml.load(text, Loader=loader) == expected
+
+
+def _load_or_error(text, loader):
+    """repr of the document, or the class of the YAMLError it raises."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError as exc:
+        return type(exc)
 
 
 class TestSerialization:

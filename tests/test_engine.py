@@ -1,10 +1,13 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
-                             NodeGroup, Placement, ScenarioConfig)
+                             NodeGroup, Placement, ScenarioConfig,
+                             load_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, energy_debit,
                              format_record, mobility_update, run_scenario)
 from antmanet.model import NodeAttributes
@@ -154,3 +157,50 @@ class TestSimulator:
             rec = json.loads(line)
             assert "kind" in rec
             assert "\n" not in line
+
+
+def dumps(record):
+    """The canonical encoding spelled out with json.dumps."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+class TestFormatRecord:
+    @pytest.mark.parametrize("record", [
+        {"kind": "deliver", "t": 1.5, "node": 3, "path": [0, 2, 3]},
+        {"z": {"b": [1, {"y": None, "x": True}], "a": False}, "a": [[], {}]},
+        {"inf": math.inf, "ninf": -math.inf, "nan": math.nan,
+         "floats": [0.1 + 0.2, -0.0, 1e300, 5e-324]},
+        {"name": "n\u0153ud \u00e9t\u00e9", "ant": "\U0001f41c",
+         "ctl": "a\tb\n\"c\"\\"},
+        {"elections": {2: 1, 10: 3}, "big": 2 ** 70, "tuple": (1, 2)},
+        "a bare string",
+        [1, "two", None],
+    ], ids=["flat", "nested", "non-finite", "non-ascii", "int-keys",
+            "string", "list"])
+    def test_matches_json_dumps(self, record):
+        assert format_record(record) == dumps(record)
+
+    @pytest.mark.parametrize("record", [
+        {"x": object()}, {"k": {1, 2}}, {(1, 2): "tuple key"}])
+    def test_unencodable_raises_like_json_dumps(self, record):
+        with pytest.raises(TypeError):
+            dumps(record)
+        with pytest.raises(TypeError):
+            format_record(record)
+
+    def test_circular_record_raises(self):
+        record = {"a": []}
+        record["a"].append(record)
+        with pytest.raises(ValueError):
+            format_record(record)
+
+    def test_reference_trace_matches_json_dumps(self):
+        root = Path(__file__).resolve().parents[1]
+        pairs = []
+        Simulator(load_scenario(root / "scenarios" / "reference.yaml"),
+                  trace=lambda r: pairs.append((format_record(r), dumps(r)))).run()
+        golden = (root / "tests" / "data" / "reference.trace").read_text(
+            encoding="utf-8").splitlines()
+        assert len(pairs) == len(golden)
+        for ours, reference in pairs:
+            assert ours == reference
