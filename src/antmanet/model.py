@@ -27,6 +27,10 @@ def distance(a, b):
     return math.hypot(ax - bx, ay - by)
 
 
+# Transmission ranges by max_level: one entry per supported level.
+DEFAULT_TX_RANGE = {0: (100.0,), 1: (100.0, 250.0), 2: (100.0, 250.0, 600.0)}
+
+
 @dataclass
 class NodeAttributes:
     position: tuple
@@ -34,7 +38,7 @@ class NodeAttributes:
     energy: float = 100.0
     mobility: float = 0.0  # running-average speed, m/s
     max_level: int = 0
-    tx_range: tuple = (100.0,)  # one entry per supported level, increasing
+    tx_range: tuple = DEFAULT_TX_RANGE[0]  # one entry per level, increasing
     node_delay: float = 0.001  # processing + queuing delay, seconds
     alive: bool = True
 

@@ -53,45 +53,14 @@ def _path_links(route, state, levels=None):
     return links
 
 
-def path_delay(route, state, levels=None):
-    if not route:
-        raise BrokenPathError("empty route")
-    links = _path_links(route, state, levels)
-    return sum(l.delay for l in links) + sum(state.node(n).node_delay for n in route)
-
-
-def path_bandwidth(route, state, levels=None):
-    links = _path_links(route, state, levels)
-    if not links:
-        raise BrokenPathError("bandwidth undefined for a zero-hop route")
-    return min(l.bandwidth for l in links)
-
-
-def path_let(route, state, levels=None):
-    links = _path_links(route, state, levels)
-    if not links:
-        raise BrokenPathError("link expiration undefined for a zero-hop route")
-    return min(l.let for l in links)
-
-
-def path_energy(route, state):
-    if not route:
-        raise BrokenPathError("empty route")
-    return min(state.node(n).energy for n in route)
-
-
-def hop_count(route):
-    if not route:
-        raise BrokenPathError("empty route")
-    return len(route)
-
-
 def path_metrics(route, state, levels=None):
-    """All five aggregates from one walk over the links.
+    """Delay, bandwidth, energy, LET and hop count of `route`.
 
-    Single-node routes have no links.  The sums (link delays, then node
-    delays) and minima equal those of path_delay, path_bandwidth,
-    path_energy and path_let.
+    Delay sums the link delays, then the node delays of every node on the
+    route; bandwidth and LET are minima over the links, energy the minimum
+    over the nodes, and hop count the number of nodes.  A single-node route
+    has no links, so its bandwidth and LET are infinite.  Raises
+    BrokenPathError for an empty route or a missing link.
     """
     if not route:
         raise BrokenPathError("empty route")

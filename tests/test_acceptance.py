@@ -25,8 +25,7 @@ from antmanet.config import load_scenario
 from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import MaintenanceManager
 from antmanet.model import NetworkState, NodeAttributes
-from antmanet.qos import (DepositParams, PathMetrics, hop_count,
-                          path_bandwidth, path_delay, path_energy, path_let,
+from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams, Router,
                               path_preference_probability)
@@ -117,17 +116,16 @@ def test_formula_fidelity():
             state.set_link_params(i, i + 1, 0, delay=d, bandwidth=b)
         route = list(range(n))
         node_delays = [state.nodes[i].node_delay for i in route]
-        assert abs(path_delay(route, state)
-                   - (sum(delays) + sum(node_delays))) < 1e-9
-        assert abs(path_bandwidth(route, state) - min(bws)) < 1e-9
-        assert abs(path_energy(route, state)
-                   - min(state.nodes[i].energy for i in route)) < 1e-9
-        assert hop_count(route) == n
+        m = path_metrics(route, state)
+        assert abs(m.delay - (sum(delays) + sum(node_delays))) < 1e-9
+        assert abs(m.bandwidth - min(bws)) < 1e-9
+        assert abs(m.energy - min(state.nodes[i].energy for i in route)) < 1e-9
+        assert m.hop_count == n
         lets = [_let_oracle(state.nodes[i].position, state.nodes[i].velocity,
                             state.nodes[i + 1].position,
                             state.nodes[i + 1].velocity, 80.0)
                 for i in range(n - 1)]
-        got = path_let(route, state)
+        got = m.let
         want = min(lets)
         assert got == want or abs(got - want) < 1e-9
 
@@ -275,7 +273,7 @@ def test_routing_matches_min_delay_oracle():
         weight = lambda u, v, d: d["delay"] + state.node(v).node_delay
         best = nx.shortest_path_length(g, src, dst, weight=weight) \
             + state.node(src).node_delay
-        got = path_delay(path, state)
+        got = path_metrics(path, state).delay
         if abs(got - best) < 1e-12:
             matches += 1
     assert matches >= 45, f"matched the oracle in only {matches}/50 graphs"

@@ -1,5 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -7,7 +13,8 @@ import yaml
 
 from antmanet import config
 from antmanet.cli import main
-from antmanet.config import parse_scenario, serialize
+from antmanet.config import (FlowConfig, NodeGroup, Placement, ScenarioConfig,
+                             parse_scenario, serialize)
 from antmanet.errors import ScenarioError
 
 
@@ -100,6 +107,91 @@ class TestParsing:
     def test_yaml_syntax_error(self):
         with pytest.raises(ScenarioError):
             parse_scenario("{unclosed")
+
+    @pytest.mark.parametrize("text", [
+        "groups: [{count: 1, max_level: 3}]",
+        "placements: [{id: 0, position: [0, 0], max_level: -1}]"])
+    def test_max_level_out_of_range_reported(self, text):
+        # Without a tx_range there is no default one to fall back on.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert codes(exc) == {"range"}
+
+    def test_missing_required_keys_reported(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("placements: [{}]\nflows: [{}]")
+        assert [(p, c) for p, c, _ in exc.value.issues] == [
+            ("placements[0].id", "missing"),
+            ("placements[0].position", "missing"),
+            ("flows[0].src", "missing"), ("flows[0].dst", "missing")]
+
+
+# One valid item per list section, so that its fields can be mutated.
+ITEMS = {"groups": {"count": 1}, "placements": {"id": 0, "position": [0, 0]},
+         "flows": {"src": 0, "dst": 1},
+         "links": {"a": 0, "b": 1, "level": 0, "delay": 0.01,
+                   "bandwidth": 1e6}}
+# links[] entries are plain dicts, so their numbers are listed by hand.
+LINK_NUMBERS = [("links", 0, key)
+                for key in ("a", "b", "level", "delay", "bandwidth")]
+
+
+def numeric_fields(cls=ScenarioConfig, prefix=()):
+    """Key path of every int or float field below cls (0 indexes a list)."""
+    for f in dataclasses.fields(cls):
+        keys = prefix + (f.name,)
+        if f.type in (int, float):
+            yield keys
+        elif dataclasses.is_dataclass(f.type):
+            yield from numeric_fields(f.type, keys)
+        elif typing.get_origin(f.type) is list:
+            yield from numeric_fields(typing.get_args(f.type)[0], keys + (0,))
+
+
+def yaml_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in keys).lstrip(".")
+
+
+NUMERIC_FIELDS = list(numeric_fields()) + LINK_NUMBERS
+
+
+class TestSingleHome:
+    def test_empty_document_is_the_dataclass_default(self):
+        assert parse_scenario("") == ScenarioConfig()
+
+    def test_items_from_required_keys_equal_their_dataclass(self):
+        cfg = parse_scenario("groups: [{}]\n"
+                             "placements: [{id: 0, position: [1, 2]}]\n"
+                             "flows: [{src: 0, dst: 1}]")
+        assert cfg.groups == [NodeGroup()]
+        assert cfg.node_ids() == {0, 1}
+        assert cfg.placements == [Placement(id=0, position=(1.0, 2.0))]
+        assert cfg.flows == [FlowConfig(src=0, dst=1)]
+
+    def test_every_section_has_numbers(self):
+        sections = {keys[0] for keys in NUMERIC_FIELDS if len(keys) > 1}
+        assert sections == {f.name for f in dataclasses.fields(ScenarioConfig)
+                            if f.type not in (int, float)}
+
+    def test_bounds_name_numeric_fields(self):
+        # A misspelt path in the table would drop its bound silently.
+        patterns = {yaml_path(k).replace("[0]", "[]") for k in NUMERIC_FIELDS}
+        assert set(config._BOUNDS) <= patterns
+
+    @pytest.mark.parametrize("keys", NUMERIC_FIELDS,
+                             ids=[yaml_path(k) for k in NUMERIC_FIELDS])
+    def test_string_is_one_type_issue(self, keys):
+        doc = {name: [dict(item)] for name, item in ITEMS.items()}
+        parse_scenario(yaml.safe_dump(doc))
+        node = doc
+        for k in keys[:-1]:
+            node = node.setdefault(k, {}) if isinstance(k, str) else node[k]
+        node[keys[-1]] = "x"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(yaml.safe_dump(doc))
+        assert [(p, c) for p, c, _ in exc.value.issues] == [
+            (yaml_path(keys), "type")]
 
 
 ONE_NODE = "placements: [{id: 0, position: [0, 0]}]\n"
@@ -262,6 +354,13 @@ class TestSerialization:
         committed = yaml.safe_load(path.read_text(encoding="utf-8"))
         assert yaml.safe_load(serialize(parse_scenario(""))) == committed
 
+    def test_defaults_file_is_serialized_defaults_under_header(self):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "defaults.yaml"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = [l for l in lines if l.startswith("#")]
+        assert lines[:len(header)] == header
+        assert "".join(lines[len(header):]) == serialize(parse_scenario(""))
+
 
 @pytest.fixture
 def scenario_file(tmp_path):
@@ -286,6 +385,14 @@ class TestCli:
         bad.write_text("seed: .inf", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
         assert "seed: [non-finite]" in capsys.readouterr().err
+
+    def test_validate_non_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"seed: \xff\n")
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: <document>: [encoding] ")
+        assert err.count("\n") == 1
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
@@ -350,3 +457,38 @@ class TestCli:
                      "--out", str(out)]) == 0
         report = json.loads((out / "mini.sweep.json").read_text())
         assert report["seeds"] == [4, 9]
+
+
+SOAK = Path(__file__).resolve().parents[1] / "scenarios" / "soak.yaml"
+
+
+class TestDeterminism:
+    def test_trace_independent_of_hash_seed(self, tmp_path):
+        src = Path(config.__file__).resolve().parents[1]
+        digests = set()
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(src))
+            subprocess.run([sys.executable, "-m", "antmanet.cli", "trace",
+                            str(SOAK), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            trace = (out / "soak.trace").read_bytes()
+            digests.add(hashlib.sha256(trace).hexdigest())
+        assert len(digests) == 1
+
+    def test_run_trace_and_sweep_agree(self, tmp_path, capsys):
+        for cmd, seed in (("run", "--seed"), ("trace", "--seed"),
+                          ("sweep", "--seeds")):
+            assert main([cmd, str(SOAK), seed, "3",
+                         "--out", str(tmp_path / cmd)]) == 0
+
+        def summary(cmd, name):
+            s = json.loads((tmp_path / cmd / name).read_text())
+            del s["scenario"]
+            return s
+
+        run = summary("run", "soak.summary.json")
+        assert run["seed"] == 3 and run["packets_sent"] > 0
+        assert summary("trace", "soak.summary.json") == run
+        assert summary("sweep", "soak.seed3.summary.json") == run

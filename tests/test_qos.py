@@ -4,9 +4,8 @@ import random
 import pytest
 
 from antmanet.errors import BrokenPathError, DegenerateRouteError
-from antmanet.qos import (DepositParams, PathMetrics, hop_count,
-                          path_bandwidth, path_delay, path_energy, path_let,
-                          path_metrics, pheromone_deposit)
+from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
+                          pheromone_deposit)
 
 from helpers import add_node, line_state, make_state
 
@@ -27,11 +26,11 @@ class TestPathDelay:
     def test_single_node(self):
         s = make_state()
         add_node(s, 0, (0, 0), node_delay=0.5)
-        assert path_delay([0], s) == 0.5
+        assert path_metrics([0], s).delay == 0.5
 
     def test_three_node_sum(self):
         s = pinned_line([2.0, 3.0], [1e6, 1e6], node_delay=1.0)
-        assert path_delay([0, 1, 2], s) == pytest.approx(8.0)
+        assert path_metrics([0, 1, 2], s).delay == pytest.approx(8.0)
 
     def test_random_path_matches_fold(self):
         rng = random.Random(5)
@@ -39,41 +38,41 @@ class TestPathDelay:
         s = pinned_line(delays, [1e6] * 6, node_delay=0.25)
         route = list(range(7))
         expected = sum(delays) + 0.25 * 7
-        assert path_delay(route, s) == pytest.approx(expected, abs=1e-12)
+        assert path_metrics(route, s).delay == pytest.approx(expected, abs=1e-12)
 
     def test_broken_path_names_link(self):
         s = line_state(4)
         with pytest.raises(BrokenPathError, match="0 and 2"):
-            path_delay([0, 2, 3], s)
+            path_metrics([0, 2, 3], s)
 
 
 class TestBottleneckMetrics:
     def test_bandwidth_constant_min(self):
         s = pinned_line([1, 1, 1], [5e6, 5e6, 5e6])
-        assert path_bandwidth([0, 1, 2, 3], s) == 5e6
+        assert path_metrics([0, 1, 2, 3], s).bandwidth == 5e6
 
     def test_bandwidth_min_fold(self):
         s = pinned_line([1, 1, 1], [10e6, 2e6, 7e6])
-        assert path_bandwidth([0, 1, 2, 3], s) == 2e6
+        assert path_metrics([0, 1, 2, 3], s).bandwidth == 2e6
 
     def test_bandwidth_random_matches_enumeration(self):
         rng = random.Random(8)
         bws = [rng.uniform(1e5, 1e7) for _ in range(5)]
         s = pinned_line([1] * 5, bws)
-        assert path_bandwidth(list(range(6)), s) == min(bws)
+        assert path_metrics(list(range(6)), s).bandwidth == min(bws)
 
-    def test_bandwidth_zero_hop_error(self):
-        s = line_state(2)
-        with pytest.raises(BrokenPathError):
-            path_bandwidth([0], s)
+    def test_bandwidth_zero_hop_unbounded(self):
+        # A single-node route has no link to bound bandwidth or LET.
+        m = path_metrics([0], line_state(2))
+        assert m.bandwidth == math.inf and m.let == math.inf
 
     def test_energy_constant_min(self):
         s = pinned_line([1, 1], [1e6, 1e6], energies=[3.0, 3.0, 3.0])
-        assert path_energy([0, 1, 2], s) == 3.0
+        assert path_metrics([0, 1, 2], s).energy == 3.0
 
     def test_energy_min_fold(self):
         s = pinned_line([1, 1], [1e6, 1e6], energies=[5.0, 2.0, 9.0])
-        assert path_energy([0, 1, 2], s) == 2.0
+        assert path_metrics([0, 1, 2], s).energy == 2.0
 
     def test_let_min_fold(self):
         s = make_state()
@@ -82,31 +81,16 @@ class TestBottleneckMetrics:
         add_node(s, 1, (0, 0), vel=(1.0, 0.0), tx_range=(10.0,))
         add_node(s, 2, (0, 0), vel=(3.5, 0.0), tx_range=(10.0,))
         lets = [s.link(0, 1, 0).let, s.link(1, 2, 0).let]
-        assert path_let([0, 1, 2], s) == min(lets)
+        assert path_metrics([0, 1, 2], s).let == min(lets)
 
     def test_hop_count_is_node_count(self):
-        assert hop_count([4, 7, 1, 9]) == 4
+        s = line_state(10, spacing=10.0)
+        assert path_metrics([4, 5, 6, 7], s).hop_count == 4
         with pytest.raises(BrokenPathError):
-            hop_count([])
+            path_metrics([], s)
 
 
 class TestPathMetrics:
-    def test_equals_per_metric_functions(self):
-        rng = random.Random(12)
-        for _ in range(20):
-            n = rng.randint(2, 8)
-            s = make_state(link_jitter=0.4, seed=rng.randint(0, 99))
-            for i in range(n):
-                add_node(s, i, (i * 40.0 + rng.uniform(-5, 5), rng.uniform(-5, 5)),
-                         vel=(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                         energy=rng.uniform(1, 100),
-                         node_delay=rng.uniform(1e-4, 1e-2))
-            route = list(range(n))
-            assert path_metrics(route, s) == PathMetrics(
-                delay=path_delay(route, s), bandwidth=path_bandwidth(route, s),
-                energy=path_energy(route, s), let=path_let(route, s),
-                hop_count=hop_count(route))
-
     def test_broken_path_raises(self):
         s = line_state(4)
         with pytest.raises(BrokenPathError, match="0 and 2"):
