@@ -7,7 +7,7 @@ import pytest
 
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, Placement, ScenarioConfig,
-                             load_scenario)
+                             load_scenario, parse_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, energy_debit,
                              format_record, mobility_update, run_scenario)
 from antmanet.model import NodeAttributes
@@ -157,6 +157,60 @@ class TestSimulator:
             rec = json.loads(line)
             assert "kind" in rec
             assert "\n" not in line
+
+
+# Node 1 relays flow 0 and heads the cluster {0, 1, 2}.  Its energy lasts
+# for two relayed packets: the second send is a cache hit, the third kills
+# node 1 on receipt and is dropped, the two after it find no route, and the
+# head's loss triggers a re-election at t = 4.  Flow 1's bandwidth floor
+# rejects both its sends, and flow 2's destination is out of everyone's
+# range.
+PIN_SCENARIO = """
+seed: 3
+duration: 8
+placements:
+  - {id: 0, position: [0, 0]}
+  - {id: 1, position: [80, 0], energy: 0.045}
+  - {id: 2, position: [160, 0]}
+  - {id: 3, position: [900, 900]}
+energy_costs: {tx_packet: 0.01, rx_packet: 0.01}
+flows:
+  - {src: 0, dst: 2, start: 1, packets: 5, interval: 1}
+  - {src: 0, dst: 1, start: 1.5, packets: 2,
+     qos: {min_bandwidth: 1000000000000}}
+  - {src: 2, dst: 3, start: 2.5}
+"""
+
+PIN_SUMMARY = {
+    "packets_sent": 3, "packets_delivered": 2, "packets_dropped": 1,
+    "packets_in_flight": 0, "mean_delay": 0.005999999999999561,
+    "control_packets": 34, "elections": {"0": 4, "1": 0, "2": 0},
+    "discovery_failures": 3, "admission_rejections": 2, "deaths": 1,
+    "cache_hits": 2,
+    "flows": [
+        {"flow": 0, "src": 0, "dst": 2, "sent": 3, "delivered": 2,
+         "dropped": 1, "rejected": 0, "failed": 2},
+        {"flow": 1, "src": 0, "dst": 1, "sent": 0, "delivered": 0,
+         "dropped": 0, "rejected": 2, "failed": 0},
+        {"flow": 2, "src": 2, "dst": 3, "sent": 0, "delivered": 0,
+         "dropped": 0, "rejected": 0, "failed": 1}],
+}
+
+
+class TestSummary:
+    def _run(self):
+        records = []
+        sim = Simulator(parse_scenario(PIN_SCENARIO), trace=records.append)
+        result = sim.run()
+        return sim, result, records
+
+    def test_every_counter_pinned(self):
+        _, _, records = self._run()
+        summary = dict(records[-1])
+        assert (summary.pop("kind"), summary.pop("t")) == ("summary", 8.0)
+        assert summary == PIN_SUMMARY
+        assert [r["t"] for r in records if r["kind"] == "election"
+                and r["case"] != "initial"] == [4.0]
 
 
 def dumps(record):
