@@ -44,9 +44,8 @@ def _write_atomic(path, text):
 def _run_one(cfg, stem, out_dir, with_trace):
     lines = []
     trace = lines.append if with_trace else None
-    sim = Simulator(cfg, trace=trace)
-    stats = sim.run()
-    summary = {"scenario": stem, "seed": cfg.seed, **stats.to_dict()}
+    summary = {"scenario": stem, "seed": cfg.seed,
+               **Simulator(cfg, trace=trace).run()}
     _write_atomic(out_dir / f"{stem}.summary.json",
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
     if with_trace:

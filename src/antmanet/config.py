@@ -76,6 +76,16 @@ class Placement(NodeSettings):
 
 
 @dataclass
+class LinkOverride:
+    """Pinned delay and bandwidth for one link; None keeps the level's."""
+    a: int
+    b: int
+    level: int
+    delay: float = None
+    bandwidth: float = None
+
+
+@dataclass
 class LinkConfig:
     delay: dict = field(default_factory=lambda: dict(DEFAULT_LINK_DELAY))
     bandwidth: dict = field(default_factory=lambda: dict(DEFAULT_LINK_BANDWIDTH))
@@ -139,7 +149,7 @@ class ScenarioConfig:
     arena: Arena = field(default_factory=Arena)
     groups: list[NodeGroup] = field(default_factory=list)
     placements: list[Placement] = field(default_factory=list)
-    links: list = field(default_factory=list)  # {a, b, level[, delay, bandwidth]}
+    links: list[LinkOverride] = field(default_factory=list)
     link: LinkConfig = field(default_factory=LinkConfig)
     weights: WeightParams = field(default_factory=WeightParams)
     deposit: DepositParams = field(default_factory=DepositParams)
@@ -161,14 +171,15 @@ class ScenarioConfig:
         return ids
 
     def to_dict(self):
-        """Plain YAML-ready data: level maps keyed l0/l1/l2, tuples as lists."""
+        """Plain YAML-ready data: level maps keyed l0/l1/l2, tuples as lists,
+        unset (None) fields left out."""
         return _plain(asdict(self))
 
 
 def _plain(value):
     if isinstance(value, dict):
         return {f"l{k}" if isinstance(k, int) else k: _plain(v)
-                for k, v in value.items()}
+                for k, v in value.items() if v is not None}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
@@ -256,7 +267,7 @@ def _join(path, key):
 # None after reporting an issue (the field then keeps its default).
 # `parsed` holds the fields of the same mapping parsed so far.
 
-def _number(ctx, v, path, arg, parsed=None):
+def _number(ctx, v, path, arg, parsed):
     integer, open_ended, lo, hi, lo_open, hi_open, code = arg
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         ctx.err(path, "type", "expected a number")
@@ -363,27 +374,6 @@ def _items(ctx, raw, path, spec, parsed):
             for i, item in enumerate(_list(ctx, raw, path))]
 
 
-# links[] entries stay plain dicts: a missing end or level reads as 0, and a
-# missing delay or bandwidth leaves the level's default.
-_LINK_ARGS = {key: _number_arg(f"links[].{key}", key in ("a", "b", "level"), 0)
-              for key in ("a", "b", "level", "delay", "bandwidth")}
-
-
-def _links(ctx, raw, path, arg, parsed):
-    links = []
-    for i, lk in enumerate(_list(ctx, raw, path)):
-        at = f"{path}[{i}]"
-        lk = _map(ctx, lk, at, _LINK_ARGS, ())
-        entry = {"a": 0, "b": 0, "level": 0}
-        for key, num in _LINK_ARGS.items():
-            if key in lk:
-                v = _number(ctx, lk[key], f"{at}.{key}", num)
-                if v is not None:
-                    entry[key] = v
-        links.append(entry)
-    return links
-
-
 def _map(ctx, data, path, keys, required):
     if data is None:
         data = {}
@@ -461,8 +451,6 @@ class _Spec:
                 parse, arg = (_tx_range if f.name == "tx_range" else _pair), None
             elif typing.get_origin(t) is list:
                 parse, arg = _items, _Spec(typing.get_args(t)[0], path + "[]")
-            elif t is list:
-                parse, arg = _links, None
             else:
                 assert is_dataclass(t), f"no parser for {path}: {t}"
                 parse, arg = _section, _Spec(t, path)
@@ -500,17 +488,13 @@ def parse_scenario(text):
     cfg = _section(ctx, data, "", _SCENARIO)
 
     valid_ids = cfg.node_ids()
-    for i, f in enumerate(cfg.flows):
-        for end in ("src", "dst"):
-            nid = getattr(f, end)
-            if nid is not None and nid not in valid_ids:
-                ctx.err(f"flows[{i}].{end}", "node-ref",
-                        f"node {nid} does not exist")
-    for i, lk in enumerate(cfg.links):
-        for end in ("a", "b"):
-            if lk[end] not in valid_ids:
-                ctx.err(f"links[{i}].{end}", "node-ref",
-                        f"node {lk[end]} does not exist")
+    for name, ends in (("flows", ("src", "dst")), ("links", ("a", "b"))):
+        for i, item in enumerate(getattr(cfg, name)):
+            for end in ends:
+                nid = getattr(item, end)
+                if nid is not None and nid not in valid_ids:
+                    ctx.err(f"{name}[{i}].{end}", "node-ref",
+                            f"node {nid} does not exist")
 
     if ctx.issues:
         raise ScenarioError(ctx.issues)

@@ -11,7 +11,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
 
 from . import clustering
 from .errors import NoAdmissibleRouteError, RoutingError
@@ -36,7 +36,7 @@ def energy_debit(attrs, action, size_bits, costs):
     return max(0.0, attrs.energy - cost)
 
 
-def mobility_update(attrs, waypoint, speed, dt, window=10.0):
+def mobility_update(attrs, waypoint, speed, dt, window):
     """Advance toward the waypoint at constant speed for dt seconds.
 
     Returns (new_position, arrived) and refreshes the node's running
@@ -98,43 +98,6 @@ class RandomWaypoint:
             self.targets[nid] = (wp, sp, now + dt + self.pause)
 
 
-@dataclass
-class RunStats:
-    packets_sent: int = 0
-    packets_delivered: int = 0
-    packets_dropped: int = 0
-    packets_in_flight: int = 0
-    total_delay: float = 0.0
-    control_packets: int = 0
-    elections: dict = field(default_factory=dict)  # level -> cluster count
-    discovery_failures: int = 0
-    admission_rejections: int = 0
-    deaths: int = 0
-    cache_hits: int = 0
-    flows: list = field(default_factory=list)
-
-    @property
-    def mean_delay(self):
-        return self.total_delay / self.packets_delivered \
-            if self.packets_delivered else 0.0
-
-    def to_dict(self):
-        return {
-            "packets_sent": self.packets_sent,
-            "packets_delivered": self.packets_delivered,
-            "packets_dropped": self.packets_dropped,
-            "packets_in_flight": self.packets_in_flight,
-            "mean_delay": self.mean_delay,
-            "control_packets": self.control_packets,
-            "elections": {str(k): v for k, v in sorted(self.elections.items())},
-            "discovery_failures": self.discovery_failures,
-            "admission_rejections": self.admission_rejections,
-            "deaths": self.deaths,
-            "cache_hits": self.cache_hits,
-            "flows": self.flows,
-        }
-
-
 # One encoder for every record: json.dumps with these arguments would build
 # a new JSONEncoder per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -156,7 +119,9 @@ class Simulator:
         self.now = 0.0
         self._seq = 0
         self._queue = []
-        self.stats = RunStats()
+        # The run's one counter store, shared with the router and the
+        # maintenance manager.
+        self.stats = Counter()
         self._flow_stats = []
         self.state = self._build_state()
         self.clusters = None
@@ -190,8 +155,8 @@ class Simulator:
                     tx_range=g.tx_range, node_delay=g.node_delay))
                 next_id += 1
         for lk in cfg.links:
-            state.set_link_params(lk["a"], lk["b"], lk["level"],
-                                  lk.get("delay"), lk.get("bandwidth"))
+            state.set_link_params(lk.a, lk.b, lk.level, lk.delay,
+                                  lk.bandwidth)
         return state
 
     # -- infrastructure ----------------------------------------------------
@@ -213,7 +178,7 @@ class Simulator:
         if attrs.energy == 0.0 and attrs.alive:
             attrs.alive = False
             self.state.touch()
-            self.stats.deaths += 1
+            self.stats["deaths"] += 1
             self.router.purge_node(nid)
             self._emit({"kind": "node_death", "t": self.now, "node": nid})
 
@@ -227,8 +192,7 @@ class Simulator:
                                   self.rng_election)
         for level in sorted(self.clusters.levels):
             heads = sorted(self.clusters.levels[level])
-            self.stats.elections[level] = \
-                self.stats.elections.get(level, 0) + len(heads)
+            self.stats[f"elections_l{level}"] += len(heads)
             self._emit({"kind": "election", "t": self.now, "level": level,
                         "case": "initial", "heads": heads})
 
@@ -254,17 +218,14 @@ class Simulator:
             path, metrics = self.router.discover_route(
                 flow.src, flow.dst, flow.qos, now=self.now, use_cache=True)
         except NoAdmissibleRouteError:
-            self.stats.admission_rejections += 1
             fstats["rejected"] += 1
             self._emit({"kind": "admission_rejected", "t": self.now,
                         "flow": flow_idx})
             return
         except RoutingError:
-            self.stats.discovery_failures += 1
             fstats["failed"] += 1
             self._emit({"kind": "no_route", "t": self.now, "flow": flow_idx})
             return
-        self.stats.packets_sent += 1
         fstats["sent"] += 1
         entry = self.router.caches[flow.src].lookup(flow.dst, self.now, flow.qos)
         levels = entry.levels if entry is not None and list(entry.path) == path \
@@ -279,8 +240,7 @@ class Simulator:
         bits = self.config.packet_size_bits
         if idx == len(path) - 1:
             delay = self.now - payload["sent_at"]
-            self.stats.packets_delivered += 1
-            self.stats.total_delay += delay
+            self.stats["total_delay"] += delay
             self._flow_stats[flow_idx]["delivered"] += 1
             self._emit({"kind": "delivered", "t": self.now, "flow": flow_idx,
                         "dst": path[idx], "delay": delay})
@@ -291,7 +251,6 @@ class Simulator:
         link = self.state.link(a, b, level) \
             if self.state.node(a).alive and self.state.node(b).alive else None
         if link is None:
-            self.stats.packets_dropped += 1
             self._flow_stats[flow_idx]["dropped"] += 1
             self._emit({"kind": "dropped", "t": self.now, "flow": flow_idx,
                         "at": a, "next": b})
@@ -310,19 +269,19 @@ class Simulator:
                     "duration": cfg.duration,
                     "nodes": len(self.state.nodes), "version": cfg.version})
         self._initial_clustering()
-        mgr_stats = {}
-        self.manager = MaintenanceManager(
-            self.state, self.clusters, None, cfg.weights, self.rng_election,
-            beacon=BeaconState(cfg.beacon.interval, cfg.beacon.miss_threshold),
-            trace=self._emit, stats=mgr_stats,
-            energy_debit=lambda nid, action: self._apply_energy(nid, action))
         self.router = Router(
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,
             tau_initial=cfg.pheromone.initial,
             cache_capacity=cfg.cache.capacity,
-            cache_max_age=cfg.cache.max_age, trace=self._emit)
-        self.manager.router = self.router
+            cache_max_age=cfg.cache.max_age, trace=self._emit,
+            stats=self.stats)
+        self.manager = MaintenanceManager(
+            self.state, self.clusters, self.router, cfg.weights,
+            self.rng_election,
+            BeaconState(cfg.beacon.interval, cfg.beacon.miss_threshold),
+            trace=self._emit, stats=self.stats,
+            energy_debit=lambda nid, action: self._apply_energy(nid, action))
         self.manager.sync_last_heard(0.0)
 
         t = cfg.beacon.interval
@@ -364,24 +323,36 @@ class Simulator:
             self.now = t
             handlers[kind](payload)
 
-        self.stats.packets_in_flight = (self.stats.packets_sent
-                                        - self.stats.packets_delivered
-                                        - self.stats.packets_dropped)
-        self.stats.control_packets = (
-            self.router.stats.get("control_packets", 0)
-            + mgr_stats.get("control_packets", 0))
-        self.stats.cache_hits = self.router.stats.get("cache_hits", 0)
-        for level in (0, 1, 2):
-            extra = mgr_stats.get(f"elections_l{level}", 0)
-            if extra:
-                self.stats.elections[level] = \
-                    self.stats.elections.get(level, 0) + extra
-        self.stats.flows = self._flow_stats
-        self._emit({"kind": "summary", "t": cfg.duration,
-                    **self.stats.to_dict()})
-        return self.stats
+        summary = self.summary()
+        self._emit({"kind": "summary", "t": cfg.duration, **summary})
+        return summary
+
+    def summary(self):
+        """The run's summary, built from `stats` and the per-flow rows."""
+        stats, flows = self.stats, self._flow_stats
+        sent, delivered, dropped, rejected, failed = (
+            sum(f[key] for f in flows)
+            for key in ("sent", "delivered", "dropped", "rejected", "failed"))
+        return {
+            "packets_sent": sent,
+            "packets_delivered": delivered,
+            "packets_dropped": dropped,
+            "packets_in_flight": sent - delivered - dropped,
+            "mean_delay": (stats["total_delay"] / delivered if delivered
+                           else 0.0),
+            "control_packets": (stats["route_ants"] + stats["request_forwards"]
+                                + stats["reply_hops"]
+                                + stats["beacon_packets"]),
+            "elections": {str(level): stats[f"elections_l{level}"]
+                          for level in (0, 1, 2)},
+            "discovery_failures": failed,
+            "admission_rejections": rejected,
+            "deaths": stats["deaths"],
+            "cache_hits": stats["cache_hits"],
+            "flows": flows,
+        }
 
 
 def run_scenario(config, trace=None):
-    """Convenience wrapper: build a simulator, run it, return RunStats."""
+    """Convenience wrapper: build a simulator, run it, return its summary."""
     return Simulator(config, trace=trace).run()

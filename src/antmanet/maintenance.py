@@ -7,6 +7,7 @@ adoption or re-election, cluster merges when two heads drift into mutual
 range, and the upward ripple when level-0/1 headship changes.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import clustering
@@ -15,8 +16,8 @@ from .errors import ElectionError
 
 @dataclass
 class BeaconState:
-    interval: float = 1.0
-    miss_threshold: int = 3
+    interval: float
+    miss_threshold: int
     last_heard: dict = field(default_factory=dict)  # (level, head, member) -> t
 
     def __post_init__(self):
@@ -38,16 +39,16 @@ class MembershipEvent:
 
 
 class MaintenanceManager:
-    def __init__(self, state, clusters, router, wparams, rng, beacon=None,
+    def __init__(self, state, clusters, router, wparams, rng, beacon,
                  trace=None, stats=None, energy_debit=None):
         self.state = state
         self.clusters = clusters
         self.router = router
         self.wparams = wparams
         self.rng = rng
-        self.beacon = beacon or BeaconState()
+        self.beacon = beacon
         self.trace = trace
-        self.stats = stats if stats is not None else {}
+        self.stats = Counter() if stats is None else stats
         self.energy_debit = energy_debit  # fn(node, action) or None
         self._merge_attempted = set()
         self._recent_joins = []
@@ -57,9 +58,6 @@ class MaintenanceManager:
     def _emit(self, **record):
         if self.trace is not None:
             self.trace(record)
-
-    def _count(self, key, n=1):
-        self.stats[key] = self.stats.get(key, 0) + n
 
     def _debit(self, node, action):
         if self.energy_debit is not None:
@@ -79,8 +77,7 @@ class MaintenanceManager:
         if not self.state.node(head).alive:
             return []
         self._debit(head, "beacon")
-        self._count("beacon_packets")
-        self._count("control_packets")
+        self.stats["beacon_packets"] += 1
         heard = []
         # A member's debit can kill only that member, which changes no
         # head-to-other-member link, so one lookup serves the whole loop.
@@ -89,8 +86,7 @@ class MaintenanceManager:
             if self.state.node(m).alive and m in near:
                 self.beacon.last_heard[(level, head, m)] = now
                 self._debit(m, "beacon")
-                self._count("beacon_packets")
-                self._count("control_packets")
+                self.stats["beacon_packets"] += 1
                 heard.append(m)
         return heard
 
@@ -290,7 +286,7 @@ class MaintenanceManager:
             for m in members:
                 self.beacon.last_heard[(level, h, m)] = now
         self.clusters.tau.setdefault(level, {}).update(temp.tau[level])
-        self._count(f"elections_l{level}", len(temp.levels[level]))
+        self.stats[f"elections_l{level}"] += len(temp.levels[level])
         self._emit(kind="election", t=now, level=level, case=case,
                    heads=sorted(temp.levels[level]))
 
@@ -325,7 +321,11 @@ class MaintenanceManager:
     # -- the per-interval cycle ---------------------------------------------
 
     def run_cycle(self, now, max_rounds=8):
-        """One full beacon interval: beacon, detect, process to quiescence."""
+        """One full beacon interval: beacon, detect, process to quiescence.
+
+        A cycle that is still changing after `max_rounds` rounds stops
+        there and counts one ``round_cap_hits``.
+        """
         for level in sorted(self.clusters.levels):
             for head in sorted(self.clusters.heads(level)):
                 self.beacon_tick(head, level, now)
@@ -344,3 +344,5 @@ class MaintenanceManager:
             self.check_reelection(now)
             if not changed:
                 break
+        else:
+            self.stats["round_cap_hits"] += 1

@@ -16,7 +16,7 @@ wins, gets a pheromone deposit, and is cached.
 
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
@@ -36,7 +36,7 @@ FLOOD_BUDGET = 20000
 class PheromoneTable:
     """tau[(next hop, destination)] with multiplicative evaporation."""
 
-    def __init__(self, q=0.1, initial=1.0):
+    def __init__(self, q, initial):
         if not (0.0 < q <= 1.0):
             raise ConfigError("q must lie in (0, 1]")
         self.q = q
@@ -84,7 +84,7 @@ class RouteCacheEntry:
 
 
 class RouteCache:
-    def __init__(self, capacity=64):
+    def __init__(self, capacity):
         self.capacity = capacity
         self.entries = []
 
@@ -168,9 +168,9 @@ class Router:
     member-to-member trails, levels 1 and 2 hold head-overlay trails.
     """
 
-    def __init__(self, state, clusters, pref=None, deposit=None, q=0.1,
-                 tau_initial=1.0, cache_capacity=64, cache_max_age=30.0,
-                 trace=None):
+    def __init__(self, state, clusters, pref=None, deposit=None, *, q,
+                 tau_initial, cache_capacity, cache_max_age, trace=None,
+                 stats=None):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -182,7 +182,7 @@ class Router:
         self.tables = defaultdict(
             lambda: PheromoneTable(q=self.q, initial=self.tau_initial))
         self.caches = defaultdict(lambda: RouteCache(cache_capacity))
-        self.stats = defaultdict(int)
+        self.stats = Counter() if stats is None else stats
         self.max_deposit = 0.0
 
     def table(self, level, node):
@@ -218,7 +218,7 @@ class Router:
         seq = 1
         pops = 0
         found = []
-        expansions = defaultdict(int)
+        expansions = {}
         while heap and len(found) < MAX_REPLIES and pops < FLOOD_BUDGET:
             cum, _, path = heapq.heappop(heap)
             pops += 1
@@ -226,9 +226,10 @@ class Router:
             if node == dst:
                 found.append(path)
                 continue
-            if expansions[node] >= FANOUT_CAP:
+            n = expansions.get(node, 0)
+            if n >= FANOUT_CAP:
                 continue
-            expansions[node] += 1
+            expansions[node] = n + 1
             for nb in sorted(self.state.neighbors(node, level)):
                 if nb not in scope or nb in path:
                     continue
@@ -237,7 +238,6 @@ class Router:
                 heapq.heappush(heap, (cum + link.delay + nd, seq, path + (nb,)))
                 seq += 1
                 self.stats["request_forwards"] += 1
-                self.stats["control_packets"] += 1
         if not found:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
@@ -250,7 +250,7 @@ class Router:
             m = path_metrics(path, self.state, levels=(level,) * (len(path) - 1))
             replies.append((path, m))
             self.stats["reply_packets"] += 1
-            self.stats["control_packets"] += len(path) - 1
+            self.stats["reply_hops"] += len(path) - 1
             self._emit({"kind": f"reply_{kind}_ant", "t": now, "packet": {
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
@@ -303,7 +303,6 @@ class Router:
         """Record one Route ant; `flag` is 1 once a head confirms the
         destination in its tables."""
         self.stats["route_ants"] += 1
-        self.stats["control_packets"] += 1
         self._emit({"kind": "route_ant", "t": now,
                     "packet": {"src": src, "dst": dst, "flag": flag}})
 

@@ -1,9 +1,28 @@
 """Shared builders for hand-crafted network and cluster fixtures."""
 
 from antmanet.clustering import ClusterState
+from antmanet.config import ScenarioConfig
+from antmanet.maintenance import BeaconState
 from antmanet.model import NetworkState, NodeAttributes
+from antmanet.routing import Router
 
 RANGES = {0: (100.0,), 1: (100.0, 250.0), 2: (100.0, 250.0, 600.0)}
+
+# The config dataclasses' defaults, for objects built without a scenario.
+DEFAULTS = ScenarioConfig()
+
+
+def make_router(state, clusters, **kw):
+    """A Router with the default pheromone and cache settings."""
+    kw = {"q": DEFAULTS.pheromone.q, "tau_initial": DEFAULTS.pheromone.initial,
+          "cache_capacity": DEFAULTS.cache.capacity,
+          "cache_max_age": DEFAULTS.cache.max_age, **kw}
+    return Router(state, clusters, **kw)
+
+
+def make_beacon(interval=DEFAULTS.beacon.interval,
+                miss_threshold=DEFAULTS.beacon.miss_threshold):
+    return BeaconState(interval, miss_threshold)
 
 
 def make_state(**kw):

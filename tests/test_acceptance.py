@@ -27,10 +27,11 @@ from antmanet.maintenance import MaintenanceManager
 from antmanet.model import NetworkState, NodeAttributes
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
-from antmanet.routing import (PheromoneTable, PreferenceParams, Router,
+from antmanet.routing import (PheromoneTable, PreferenceParams,
                               path_preference_probability)
 
-from helpers import add_node, make_state, manual_clusters
+from helpers import (DEFAULTS, add_node, make_beacon, make_router, make_state,
+                     manual_clusters)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -162,7 +163,7 @@ def test_formula_fidelity():
     for _ in range(100):
         q = rng.uniform(0.01, 1.0)
         tau = rng.uniform(0, 10)
-        t = PheromoneTable(q=q)
+        t = PheromoneTable(q=q, initial=DEFAULTS.pheromone.initial)
         t.entries[(0, 1)] = tau
         t.evaporate()
         assert abs(t.entries[(0, 1)] - (1 - q) * tau) < 1e-9
@@ -262,8 +263,8 @@ def test_routing_matches_min_delay_oracle():
     for seed in range(50):
         state, g, n = _connected_graph(seed)
         clusters = manual_clusters({0: {0: set(range(1, n))}, 1: {}, 2: {}})
-        router = Router(state, clusters, pref=delay_only,
-                        deposit=DepositParams())
+        router = make_router(state, clusters, pref=delay_only,
+                             deposit=DepositParams())
         src, dst = 0, n - 1
         path = None
         for round_no in range(30):
@@ -308,7 +309,7 @@ def three_region_world():
 @report("5 (hierarchical reachability)")
 def test_hierarchical_reachability():
     state, clusters = three_region_world()
-    router = Router(state, clusters, deposit=DepositParams())
+    router = make_router(state, clusters, deposit=DepositParams())
     nodes = sorted(state.nodes)
 
     def region(n):
@@ -347,9 +348,9 @@ def test_hierarchical_reachability():
 
 
 def _manager_for(state, clusters, seed=11):
-    router = Router(state, clusters)
+    router = make_router(state, clusters)
     mgr = MaintenanceManager(state, clusters, router, WeightParams(),
-                             random.Random(seed))
+                             random.Random(seed), make_beacon())
     mgr.sync_last_heard(0.0)
     return mgr
 
@@ -518,12 +519,12 @@ def test_conservation_and_safety(monkeypatch):
             replies.append(rec["packet"]["to_visit"])
 
     sim = Simulator(cfg, trace=trace)
-    stats = sim.run()
+    summary = sim.run()
 
-    assert stats.packets_sent == (stats.packets_delivered
-                                  + stats.packets_dropped
-                                  + stats.packets_in_flight)
-    assert stats.packets_delivered > 0
+    assert summary["packets_sent"] == (summary["packets_delivered"]
+                                       + summary["packets_dropped"]
+                                       + summary["packets_in_flight"])
+    assert summary["packets_delivered"] > 0
     assert all(n.energy >= 0.0 for n in sim.state.nodes.values())
     assert replies, "no ants were emitted"
     for stack in replies:

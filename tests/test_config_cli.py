@@ -125,15 +125,19 @@ class TestParsing:
             ("placements[0].position", "missing"),
             ("flows[0].src", "missing"), ("flows[0].dst", "missing")]
 
+    def test_link_without_end_or_level_reported(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("groups: [{count: 4}]\nlinks: [{b: 3, delay: 0.5}]")
+        assert exc.value.issues == [
+            ("links[0].a", "missing", "required key"),
+            ("links[0].level", "missing", "required key")]
+
 
 # One valid item per list section, so that its fields can be mutated.
 ITEMS = {"groups": {"count": 1}, "placements": {"id": 0, "position": [0, 0]},
          "flows": {"src": 0, "dst": 1},
          "links": {"a": 0, "b": 1, "level": 0, "delay": 0.01,
                    "bandwidth": 1e6}}
-# links[] entries are plain dicts, so their numbers are listed by hand.
-LINK_NUMBERS = [("links", 0, key)
-                for key in ("a", "b", "level", "delay", "bandwidth")]
 
 
 def numeric_fields(cls=ScenarioConfig, prefix=()):
@@ -153,7 +157,7 @@ def yaml_path(keys):
                    for k in keys).lstrip(".")
 
 
-NUMERIC_FIELDS = list(numeric_fields()) + LINK_NUMBERS
+NUMERIC_FIELDS = list(numeric_fields())
 
 
 class TestSingleHome:
@@ -339,6 +343,14 @@ class TestSerialization:
         cfg = parse_scenario(MINIMAL)
         again = parse_scenario(serialize(cfg))
         assert again == cfg
+
+    def test_round_trip_with_links(self):
+        cfg = parse_scenario(
+            "groups: [{count: 3}]\n"
+            "links: [{a: 0, b: 1, level: 0}, {a: 1, b: 2, level: 0, "
+            "delay: 0.5, bandwidth: 1000}]")
+        assert cfg.links[0].delay is None and cfg.links[1].delay == 0.5
+        assert parse_scenario(serialize(cfg)) == cfg
 
     def test_round_trip_of_defaults(self):
         cfg = parse_scenario("")

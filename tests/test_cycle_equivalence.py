@@ -25,7 +25,7 @@ from antmanet.engine import format_record, run_scenario
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState
 
-from helpers import add_node, make_state, manual_clusters
+from helpers import add_node, make_beacon, make_state, manual_clusters
 
 
 def reference_check_reelection_triggers(state, clusters, p, joins=None):
@@ -164,7 +164,7 @@ def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
 
     def run(detect):
         mgr = MaintenanceManager(state, clusters, None, WeightParams(),
-                                 random.Random(0))
+                                 random.Random(0), make_beacon())
         mgr._merge_attempted = set(tried)
         return detect(mgr, 0.0), mgr._merge_attempted
 
@@ -194,9 +194,9 @@ def _mobile_config(theta_w):
 
 def _trace(theta_w):
     lines = []
-    stats = run_scenario(_mobile_config(theta_w),
-                         trace=lambda r: lines.append(format_record(r)))
-    return lines, stats.to_dict()
+    summary = run_scenario(_mobile_config(theta_w),
+                           trace=lambda r: lines.append(format_record(r)))
+    return lines, summary
 
 
 @pytest.mark.parametrize("theta_w", [-math.inf, 0.0])

@@ -12,6 +12,8 @@ from antmanet.engine import (RandomWaypoint, Simulator, energy_debit,
                              format_record, mobility_update, run_scenario)
 from antmanet.model import NodeAttributes
 
+from helpers import DEFAULTS
+
 
 def attrs(pos=(0.0, 0.0), energy=100.0):
     return NodeAttributes(position=pos, energy=energy)
@@ -44,21 +46,24 @@ class TestEnergyDebit:
 class TestMobilityUpdate:
     def test_partial_step_toward_waypoint(self):
         a = attrs(pos=(0.0, 0.0))
-        pos, arrived = mobility_update(a, (10.0, 0.0), speed=2.0, dt=1.0)
+        pos, arrived = mobility_update(a, (10.0, 0.0), speed=2.0, dt=1.0,
+                                       window=DEFAULTS.mobility.window)
         assert pos == pytest.approx((2.0, 0.0))
         assert not arrived
         assert a.velocity == pytest.approx((2.0, 0.0))
 
     def test_arrival_snaps_to_waypoint(self):
         a = attrs(pos=(0.0, 0.0))
-        pos, arrived = mobility_update(a, (1.0, 0.0), speed=2.0, dt=1.0)
+        pos, arrived = mobility_update(a, (1.0, 0.0), speed=2.0, dt=1.0,
+                                       window=DEFAULTS.mobility.window)
         assert pos == (1.0, 0.0)
         assert arrived
 
     def test_mobility_average_tracks_speed(self):
         a = attrs(pos=(0.0, 0.0))
         for _ in range(200):
-            mobility_update(a, (1e6, 0.0), speed=3.0, dt=1.0, window=10.0)
+            mobility_update(a, (1e6, 0.0), speed=3.0, dt=1.0,
+                            window=DEFAULTS.mobility.window)
         assert a.mobility == pytest.approx(3.0, abs=1e-6)
 
     def test_waypoints_stay_inside_arena(self):
@@ -85,39 +90,39 @@ class TestSimulator:
         cfg = ScenarioConfig(seed=2, duration=5.0, arena=Arena(300, 300),
                              groups=[NodeGroup(count=10)])
         sim = Simulator(cfg)
-        stats = sim.run()
-        assert stats.packets_sent == 0
-        assert stats.packets_delivered == 0
-        assert stats.elections.get(0, 0) >= len(sim.clusters.levels[0])
+        summary = sim.run()
+        assert summary["packets_sent"] == 0
+        assert summary["packets_delivered"] == 0
+        assert summary["elections"].get("0", 0) >= len(sim.clusters.levels[0])
         assert len(sim.clusters.levels[0]) >= 1
 
     def test_two_node_delay_hand_computed(self):
-        stats = run_scenario(two_node_config())
-        assert stats.packets_sent == 3
-        assert stats.packets_delivered == 3
+        summary = run_scenario(two_node_config())
+        assert summary["packets_sent"] == 3
+        assert summary["packets_delivered"] == 3
         # One hop: default level-0 link delay plus receiver processing.
-        assert stats.mean_delay == pytest.approx(0.002 + 0.001, abs=1e-12)
+        assert summary["mean_delay"] == pytest.approx(0.002 + 0.001, abs=1e-12)
 
     def test_conservation(self):
-        stats = run_scenario(two_node_config())
-        assert stats.packets_sent == (stats.packets_delivered
-                                      + stats.packets_dropped
-                                      + stats.packets_in_flight)
+        summary = run_scenario(two_node_config())
+        assert summary["packets_sent"] == (summary["packets_delivered"]
+                                           + summary["packets_dropped"]
+                                           + summary["packets_in_flight"])
 
     def test_energy_depletion_single_death(self):
         cfg = two_node_config(energy_costs=EnergyCosts(tx_packet=40.0))
         cfg.flows = [FlowConfig(src=0, dst=1, start=1.0, packets=5,
                                 interval=1.0)]
         sim = Simulator(cfg)
-        stats = sim.run()
-        assert stats.deaths == 1
+        summary = sim.run()
+        assert summary["deaths"] == 1
         assert not sim.state.nodes[0].alive
         assert all(n.energy >= 0.0 for n in sim.state.nodes.values())
         # Sender died mid-run, so later sends fail to find a route.
-        assert stats.discovery_failures >= 1
-        assert stats.packets_sent == (stats.packets_delivered
-                                      + stats.packets_dropped
-                                      + stats.packets_in_flight)
+        assert summary["discovery_failures"] >= 1
+        assert summary["packets_sent"] == (summary["packets_delivered"]
+                                           + summary["packets_dropped"]
+                                           + summary["packets_in_flight"])
 
     def _mobile_config(self, seed):
         return ScenarioConfig(
@@ -205,12 +210,18 @@ class TestSummary:
         return sim, result, records
 
     def test_every_counter_pinned(self):
-        _, _, records = self._run()
-        summary = dict(records[-1])
-        assert (summary.pop("kind"), summary.pop("t")) == ("summary", 8.0)
+        _, summary, records = self._run()
         assert summary == PIN_SUMMARY
         assert [r["t"] for r in records if r["kind"] == "election"
                 and r["case"] != "initial"] == [4.0]
+
+    def test_trace_record_is_the_returned_summary(self):
+        _, summary, records = self._run()
+        assert records[-1] == {"kind": "summary", "t": 8.0, **summary}
+
+    def test_one_counter_store(self):
+        sim, _, _ = self._run()
+        assert sim.stats is sim.router.stats is sim.manager.stats
 
 
 def dumps(record):

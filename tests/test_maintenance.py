@@ -4,17 +4,16 @@ import pytest
 
 from antmanet import clustering
 from antmanet.clustering import WeightParams
-from antmanet.maintenance import (BeaconState, MaintenanceManager,
-                                  MembershipEvent)
-from antmanet.routing import Router
+from antmanet.maintenance import MaintenanceManager, MembershipEvent
 
-from helpers import add_node, clique_state, make_state, manual_clusters
+from helpers import (add_node, clique_state, make_beacon, make_router,
+                     make_state, manual_clusters)
 
 
-def manager(state, clusters, beacon=None, seed=7):
-    router = Router(state, clusters)
-    return MaintenanceManager(state, clusters, router, WeightParams(),
-                              random.Random(seed), beacon=beacon)
+def manager(state, clusters, seed=7):
+    return MaintenanceManager(state, clusters, make_router(state, clusters),
+                              WeightParams(), random.Random(seed),
+                              make_beacon())
 
 
 def walkaway_world():
@@ -55,7 +54,7 @@ class TestBeaconing:
 
     def test_invalid_miss_threshold(self):
         with pytest.raises(ValueError):
-            BeaconState(miss_threshold=0)
+            make_beacon(miss_threshold=0)
 
 
 class TestMemberWalkAway:
@@ -147,6 +146,25 @@ class TestHeadMerge:
             mgr.run_cycle(t)
         assert {h: set(m) for h, m in clusters.levels[0].items()} == snapshot
         assert mgr.stats.get("elections_l0", 0) == elections.get("elections_l0", 0)
+
+    def _merging(self):
+        state, clusters, mgr = self._world()
+        state.nodes[2].position = (20.0, 0.0)
+        state.nodes[3].position = (25.0, 0.0)
+        state.touch()
+        return mgr
+
+    def test_round_cap_hit_is_counted(self):
+        # The merge changes the structure in the first round, so a cycle
+        # capped at one round ends before it settles.
+        mgr = self._merging()
+        mgr.run_cycle(1.0, max_rounds=1)
+        assert mgr.stats["round_cap_hits"] == 1
+
+    def test_settled_cycle_counts_no_cap_hit(self):
+        mgr = self._merging()
+        mgr.run_cycle(1.0)
+        assert mgr.stats["round_cap_hits"] == 0
 
 
 def hierarchy_world():

@@ -7,9 +7,10 @@ from antmanet.errors import NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import DepositParams, PathMetrics, path_metrics
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               QosRequirement, RouteCache, RouteCacheEntry,
-                              Router, path_preference_probability)
+                              path_preference_probability)
 
-from helpers import add_node, line_state, make_state, manual_clusters
+from helpers import (DEFAULTS, add_node, line_state, make_router, make_state,
+                     manual_clusters)
 
 
 def metrics(delay=1.0, bw=2.0, energy=3.0, let=4.0, hops=2):
@@ -59,7 +60,7 @@ class TestPreferenceProbability:
 
 class TestPheromoneTable:
     def test_zero_deposit_only_evaporates(self):
-        t = PheromoneTable(q=0.5)
+        t = PheromoneTable(q=0.5, initial=DEFAULTS.pheromone.initial)
         t.deposit(1, 9, 1.0)
         before = t.get(1, 9)
         t.deposit(1, 9, 0.0)
@@ -77,19 +78,19 @@ class TestPheromoneTable:
         assert t.get(3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
 
     def test_evaporate_full(self):
-        t = PheromoneTable(q=1.0)
+        t = PheromoneTable(q=1.0, initial=DEFAULTS.pheromone.initial)
         t.entries[(1, 2)] = 5.0
         t.evaporate()
         assert t.get(1, 2) == 0.0
 
     def test_evaporate_substitution(self):
-        t = PheromoneTable(q=0.25)
+        t = PheromoneTable(q=0.25, initial=DEFAULTS.pheromone.initial)
         t.entries[(1, 2)] = 4.0
         t.evaporate()
         assert t.get(1, 2) == pytest.approx(3.0)
 
     def test_evaporate_closed_form(self):
-        t = PheromoneTable(q=0.1)
+        t = PheromoneTable(q=0.1, initial=DEFAULTS.pheromone.initial)
         t.entries[(1, 2)] = 7.0
         for _ in range(12):
             t.evaporate()
@@ -112,7 +113,7 @@ def test_ant_trace_records():
     clusters = manual_clusters({0: {10: {0, 1}, 20: {3}}, 1: {20: {10}},
                                 2: {}})
     records = []
-    r = Router(state, clusters, trace=records.append)
+    r = make_router(state, clusters, trace=records.append)
     r.discover_route(0, 1, now=1.0)
     r.discover_route(0, 3, now=2.0)
     ants = [(rec["kind"], rec["t"], rec["packet"]) for rec in records
@@ -138,7 +139,7 @@ class TestAnts:
     @staticmethod
     def replies(state, level, src, dst, kind):
         records = []
-        r = Router(state, manual_clusters({0: {}}), trace=records.append)
+        r = make_router(state, manual_clusters({0: {}}), trace=records.append)
         r._flood(state.nodes, level, src, dst, now=0.0, kind=kind)
         return [rec for rec in records if rec["kind"].startswith("reply_")]
 
@@ -178,16 +179,16 @@ class TestRouteCache:
                                expires_at=expires)
 
     def test_empty_lookup(self):
-        assert RouteCache().lookup(9, 0.0) is None
+        assert RouteCache(DEFAULTS.cache.capacity).lookup(9, 0.0) is None
 
     def test_max_preference_wins(self):
-        c = RouteCache()
+        c = RouteCache(DEFAULTS.cache.capacity)
         c.insert(self.entry(pref=0.3, path=(1, 9)))
         c.insert(self.entry(pref=0.6, path=(1, 2, 9)))
         assert c.lookup(9, 0.0).preference == 0.6
 
     def test_expired_skipped(self):
-        c = RouteCache()
+        c = RouteCache(DEFAULTS.cache.capacity)
         c.insert(self.entry(expires=5.0))
         assert c.lookup(9, 6.0) is None
 
@@ -200,7 +201,7 @@ class TestRouteCache:
         assert all(e.expires_at != 1.0 for e in c.entries)
 
     def test_qos_filter(self):
-        c = RouteCache()
+        c = RouteCache(DEFAULTS.cache.capacity)
         c.insert(self.entry())
         strict = QosRequirement(min_bandwidth=100.0)
         assert c.lookup(9, 0.0, strict) is None
@@ -216,7 +217,7 @@ class TestDiscovery:
     def test_direct_neighbor_no_ants(self):
         state = line_state(3)
         clusters = manual_clusters({0: {1: {0, 2}}, 1: {}, 2: {}})
-        r = Router(state, clusters, deposit=DepositParams())
+        r = make_router(state, clusters, deposit=DepositParams())
         path, m = r.discover_route(0, 1, now=0.0)
         assert path == [0, 1]
         assert r.stats["route_ants"] == 0
@@ -224,7 +225,7 @@ class TestDiscovery:
 
     def test_intra_cluster_line_unique_path(self):
         state, clusters = single_cluster_line(5)
-        r = Router(state, clusters, deposit=DepositParams())
+        r = make_router(state, clusters, deposit=DepositParams())
         path, m = r.discover_route(0, 4, now=0.0)
         assert path == [0, 1, 2, 3, 4]
         ref = path_metrics((0, 1, 2, 3, 4), state, levels=(0,) * 4)
@@ -238,20 +239,20 @@ class TestDiscovery:
         add_node(state, 1, (0, 5))
         add_node(state, 2, (1000, 1000))
         clusters = manual_clusters({0: {0: {1}, 2: set()}, 1: {}, 2: {}})
-        r = Router(state, clusters)
+        r = make_router(state, clusters)
         with pytest.raises(NoRouteError):
             r.discover_route(0, 2, now=0.0)
 
     def test_qos_floor_violation_distinct_error(self):
         state, clusters = single_cluster_line(4)
-        r = Router(state, clusters)
+        r = make_router(state, clusters)
         qos = QosRequirement(min_bandwidth=1e12)
         with pytest.raises(NoAdmissibleRouteError):
             r.discover_route(0, 3, qos=qos, now=0.0)
 
     def test_admission_soundness(self):
         state, clusters = single_cluster_line(5)
-        r = Router(state, clusters, deposit=DepositParams())
+        r = make_router(state, clusters, deposit=DepositParams())
         qos = QosRequirement(min_bandwidth=1e5, min_energy=1.0,
                              min_let=0.0, max_delay=1.0)
         path, m = r.discover_route(0, 4, qos=qos, now=0.0)
@@ -262,7 +263,7 @@ class TestDiscovery:
 
     def test_cache_round_trip(self):
         state, clusters = single_cluster_line(5)
-        r = Router(state, clusters, deposit=DepositParams())
+        r = make_router(state, clusters, deposit=DepositParams())
         p1, _ = r.discover_route(0, 4, now=0.0)
         p2, _ = r.discover_route(0, 4, now=0.1)
         assert p1 == p2
@@ -297,7 +298,7 @@ def two_region_world(cross_region):
 class TestHierarchicalDiscovery:
     def test_same_region_via_head_overlay(self):
         state, clusters = two_region_world(cross_region=False)
-        r = Router(state, clusters, deposit=DepositParams())
+        r = make_router(state, clusters, deposit=DepositParams())
         path, m = r.discover_route(0, 3, now=0.0)
         assert path == [0, 10, 20, 3]
         # Inter-head hop rides the level-1 overlay.
@@ -305,7 +306,7 @@ class TestHierarchicalDiscovery:
 
     def test_cross_region_single_level2_relay(self):
         state, clusters = two_region_world(cross_region=True)
-        r = Router(state, clusters, deposit=DepositParams())
+        r = make_router(state, clusters, deposit=DepositParams())
         path, m = r.discover_route(0, 3, now=0.0)
         assert path == [0, 10, 20, 3]
         assert 20 not in state.neighbors(10, 1)
@@ -313,7 +314,7 @@ class TestHierarchicalDiscovery:
 
     def test_pheromone_positive_and_bounded_after_traffic(self):
         state, clusters = single_cluster_line(5)
-        r = Router(state, clusters, deposit=DepositParams(), q=0.2)
+        r = make_router(state, clusters, deposit=DepositParams(), q=0.2)
         for i in range(40):
             r.discover_route(0, 4, now=float(i), use_cache=False)
             if i % 3 == 0:

@@ -249,15 +249,15 @@ def _mobile_energy_config():
 def _run_trace(monkeypatch, state_cls):
     monkeypatch.setattr(engine, "NetworkState", state_cls)
     lines = []
-    stats = run_scenario(_mobile_energy_config(),
-                         trace=lambda r: lines.append(format_record(r)))
-    return "\n".join(lines), stats
+    summary = run_scenario(_mobile_energy_config(),
+                           trace=lambda r: lines.append(format_record(r)))
+    return "\n".join(lines), summary
 
 
 def test_trace_matches_brute_force(monkeypatch):
     fast, fast_stats = _run_trace(monkeypatch, NetworkState)
     brute, brute_stats = _run_trace(monkeypatch, BruteForceState)
-    assert fast_stats.deaths > 0
-    assert fast_stats.packets_delivered > 0
-    assert fast_stats.to_dict() == brute_stats.to_dict()
+    assert fast_stats["deaths"] > 0
+    assert fast_stats["packets_delivered"] > 0
+    assert fast_stats == brute_stats
     assert fast == brute
