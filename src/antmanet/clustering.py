@@ -123,15 +123,16 @@ class ClusterState:
             self.tau.get(level, {}).pop(node, None)
 
 
-def _weighted_draw(rng, items, weights):
+def _weighted_draw(rng, weights):
+    """Index drawn with probability proportional to its weight."""
     total = sum(weights)
     x = rng.random() * total
     acc = 0.0
-    for item, w in zip(items, weights):
+    for k, w in enumerate(weights):
         acc += w
         if x <= acc:
-            return item
-    return items[-1]
+            return k
+    return len(weights) - 1
 
 
 def _elect(state, level, p, rng, participants, tau, weights):
@@ -143,10 +144,12 @@ def _elect(state, level, p, rng, participants, tau, weights):
         seed = rng.choice(sorted(uncovered))
         cand = ({seed} | (state.neighbors(seed, level) & pset)) & uncovered
         order = sorted(cand)
-        if sum(tau[n] for n in order) > 0:
+        taus = [tau[n] for n in order]
+        if sum(taus) > 0:
             for _ in range(p.n_iter):
-                pick = _weighted_draw(rng, order, [tau[n] for n in order])
-                tau[pick] = ch_pheromone_update(tau[pick], p.rho, weights[pick])
+                k = _weighted_draw(rng, taus)
+                taus[k] = ch_pheromone_update(taus[k], p.rho, weights[order[k]])
+                tau[order[k]] = taus[k]
         eligible = [n for n in order
                     if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
         if not eligible:
@@ -161,8 +164,9 @@ def _elect(state, level, p, rng, participants, tau, weights):
     for n in participants:
         if n in head_set:
             continue
-        in_range = [h for h in heads if n in state.neighbors(h, level)]
-        best = max(in_range, key=lambda h: (weights[h], -h))
+        # The key is a total order, so the set's iteration order is moot.
+        best = max(state.neighbors(n, level) & head_set,
+                   key=lambda h: (weights[h], -h))
         clusters[best].add(n)
     return clusters
 

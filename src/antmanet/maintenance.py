@@ -224,16 +224,13 @@ class MaintenanceManager:
         attrs = self.state.node(node)
         if not (attrs.alive and attrs.supports(level)):
             return False
-        return level == 0 or node in self.clusters.heads(level - 1)
+        return level == 0 or node in self.clusters.levels.get(level - 1, {})
 
     def _best_head_in_range(self, level, node):
-        heads = [h for h in sorted(self.clusters.heads(level))
-                 if self.state.node(h).alive
-                 and node in self.state.neighbors(h, level)]
+        heads = self.state.neighbors(node, level) & self.clusters.heads(level)
         if not heads:
             return None
-        participants = sorted(set(heads) | {node})
-        weights = clustering.weight_table(self.state, level, participants,
+        weights = clustering.weight_table(self.state, level, heads | {node},
                                           self.wparams)
         return max(heads, key=lambda h: (weights[h], -h))
 

@@ -4,14 +4,22 @@ Nodes live on a 2-D plane and carry up to three radio interfaces (levels
 0..2).  A node with max_level L supports every level <= L; transmission
 range grows strictly with the level.  Links are derived from positions,
 velocities, ranges and liveness.  ``NetworkState`` caches them per
-topology version: a per-level adjacency built in one grid pass, and the
-attributes of every link looked up.  ``touch()`` starts a new version.
+topology version: a per-level adjacency, and the attributes of every link
+looked up.  ``touch()`` starts a new version.
+
+A level's adjacency is carried across versions, as a neighbor list with a
+skin (Verlet, Phys. Rev. 159, 1967).  A full grid build keeps every pair
+within its range plus the skin, sorted by how far it is from flipping.
+While the nodes have moved less than the skin since that build, a new
+version re-tests only the pairs that the movement could have flipped.
 """
 
 import math
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ConfigError, UnknownNodeError
 
@@ -97,15 +105,52 @@ DEFAULT_LINK_DELAY = {0: 0.002, 1: 0.0015, 2: 0.001}
 DEFAULT_LINK_BANDWIDTH = {0: 2e6, 1: 5e6, 2: 10e6}
 
 
+# A level's skin, as a fraction of its largest range.  A wider skin
+# rebuilds less often but keeps, and re-tests, more pairs; on soak and
+# dense, 0.2 and 0.3 cost about the same and 0.1 more.
+SKIN = 0.2
+
+
+class _Reference:
+    """A level's last full build, against which later versions refresh.
+
+    ``pairs`` holds (i, j, linked) for every member pair within its range
+    plus ``skin``, in the order of ``slack``, the pair's distance from its
+    range.  ``flipped`` holds the indices of the pairs whose link differs
+    from the build in ``adj``, the adjacency of the latest version.
+    ``margin`` covers rounding: a rounded distance can move by an ulp or
+    so more than the rounded displacements that moved it.
+    """
+
+    __slots__ = ("ids", "index", "ranges", "positions", "skin", "margin",
+                 "slack", "pairs", "flipped", "adj")
+
+    def __init__(self, ids, ranges, positions, skin, margin, near, adj):
+        near.sort(key=itemgetter(0))
+        self.ids, self.ranges, self.positions = ids, ranges, positions
+        self.index = {nid: i for i, nid in enumerate(ids)}
+        self.skin, self.margin = skin, margin
+        self.slack = [pair[0] for pair in near]
+        self.pairs = [pair[1:] for pair in near]
+        self.flipped = set()
+        self.adj = adj
+
+
 class NetworkState:
     """World state: nodes plus a cached snapshot of the level-scoped links.
 
-    Each topology version caches, per level, the neighbor sets of every
-    live node, and the ``LinkAttributes`` of every (pair, level) looked up.
-    Links depend on positions, velocities (through the link expiration
-    time), ranges and liveness, so a change to any of these must be
-    followed by ``touch()``, which starts a new version.  Energy does not
-    enter a link, so energy changes need no ``touch()``.
+    Each topology version caches, per level, the neighbor set of every
+    node (empty for a dead node or one without the level's interface), and
+    the ``LinkAttributes`` of every (pair, level) looked up.  Links depend
+    on positions, velocities (through the link expiration time), ranges
+    and liveness, so a change to any of these must be followed by
+    ``touch()``, which starts a new version.  Energy does not enter a
+    link, so energy changes need no ``touch()``.
+
+    The first lookup at a level in a new version refreshes the level's
+    previous adjacency when it can (``_refresh``) and builds it from
+    scratch otherwise (``_build_adjacency``).  Both give the same sets,
+    iterating in the same order.
     """
 
     def __init__(self, link_delay=None, link_bandwidth=None, link_jitter=0.0, seed=0):
@@ -117,6 +162,7 @@ class NetworkState:
         self._overrides = {}  # (lo, hi, level) -> (delay, bandwidth)
         self._jitter_cache = {}
         self._adjacency = {}  # level -> {nid: frozenset of linked peers}
+        self._references = {}  # level -> _Reference of the last full build
         self._links = {}  # (lo, hi, level) -> LinkAttributes, or None if unlinked
 
     def add_node(self, nid, attrs):
@@ -146,14 +192,16 @@ class NetworkState:
         self._links.pop((lo, hi, level), None)
 
     def _build_adjacency(self, level):
-        """Neighbor sets of every live node supporting `level`, in one pass.
+        """Neighbor sets of every node at `level`, in one grid pass.
 
-        Nodes are bucketed into square cells a little wider than the
-        level's largest range, so every linked pair lies in the same or an
-        adjacent cell.  The margin absorbs rounding in the cell index; it
-        holds for coordinates within about 10**6 ranges of the origin.
-        Each set is built in ``self.nodes`` order, as a full scan would
-        build it, because callers sum floats in set-iteration order.
+        Live nodes supporting `level` are bucketed into square cells a
+        little wider than the level's largest range plus its skin, so every
+        pair within that reach lies in the same or an adjacent cell.  The
+        margin absorbs rounding in the cell index; it holds for coordinates
+        within about 10**6 ranges of the origin.  Each set is built in
+        ``self.nodes`` order, as a full scan would build it, because
+        callers sum floats in set-iteration order.  The build becomes the
+        level's reference for ``_refresh``.
         """
         members = []
         for nid, attrs in self.nodes.items():
@@ -162,59 +210,128 @@ class NetworkState:
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError(f"non-finite coordinate on node {nid}")
                 members.append((nid, x, y, attrs.range_at(level)))
-        cell = max((m[3] for m in members), default=0.0) * (1.0 + 1e-9)
+        largest = max((m[3] for m in members), default=0.0)
+        skin = largest * SKIN
+        reach = largest + skin
+        cell = reach * (1.0 + 1e-9)
         if not cell > 0.0:
             cell = 1.0
         grid = defaultdict(list)
         for i, (_, x, y, r) in enumerate(members):
-            grid[(math.floor(x / cell), math.floor(y / cell))].append((i, x, y, r))
+            grid[(math.floor(x / cell), math.floor(y / cell))].append(
+                (i, x, y, r, r + skin))
         hypot = math.hypot
         found = [[] for _ in members]
+        near = []  # (slack, i, j, linked) for each pair within range + skin
         for (cx, cy), here in grid.items():
             # Test each pair once: within this cell, and against the four
             # adjacent cells that come after it in x, then y.
             after = [m for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy),
                                    (cx + 1, cy + 1))
                      for m in grid.get(key, ())]
-            for k, (i, ax, ay, ra) in enumerate(here):
-                found_i = found[i]
-                for j, bx, by, rb in here[k + 1:]:
-                    d = hypot(ax - bx, ay - by)
-                    if d <= ra and d <= rb:
-                        found_i.append(j)
-                        found[j].append(i)
-                for j, bx, by, rb in after:
-                    d = hypot(ax - bx, ay - by)
-                    if d <= ra and d <= rb:
-                        found_i.append(j)
-                        found[j].append(i)
+            for k, (i, ax, ay, ra, ra_skin) in enumerate(here):
+                for others in (here[k + 1:], after):
+                    for j, bx, by, rb, rb_skin in others:
+                        d = hypot(ax - bx, ay - by)
+                        if d <= ra_skin and d <= rb_skin:
+                            if d <= ra and d <= rb:
+                                found[i].append(j)
+                                found[j].append(i)
+                                near.append((min(ra, rb) - d, i, j, True))
+                            else:
+                                near.append((d - min(ra, rb), i, j, False))
         ids = [m[0] for m in members]
-        adj = {}
+        adj = dict.fromkeys(self.nodes, frozenset())
         for nid, found_i in zip(ids, found):
             found_i.sort()
             # Copying a set grown one id at a time, not a list, gives the
             # frozenset the same table, and so the same order, as a scan.
             adj[nid] = frozenset({ids[j] for j in found_i})
+        self._references[level] = _Reference(
+            ids, [m[3] for m in members], [(m[1], m[2]) for m in members],
+            skin, reach * 1e-9, near, adj)
+        return adj
+
+    def _refresh(self, level, ref):
+        """The level's adjacency, updated from its reference build.
+
+        No pair moves by more than the sum of the two largest node
+        displacements since the build, so only the pairs whose slack is
+        within that sum (plus a float margin) are re-tested.  Returns None
+        when the reference cannot bound the change: the node sequence or a
+        range differs from the build, or the displacements reach the skin.
+        """
+        # The same tests as the build's supports() and range_at().
+        nodes = self.nodes
+        ids = [nid for nid, attrs in nodes.items()
+               if attrs.alive and attrs.max_level >= level]
+        if len(nodes) != len(ref.adj) or ids != ref.ids:
+            return None
+        live = [nodes[nid] for nid in ids]
+        if [attrs.tx_range[level] for attrs in live] != ref.ranges:
+            return None
+        positions = [attrs.position for attrs in live]
+        steps = sorted(map(math.dist, positions, ref.positions))
+        if not math.isfinite(sum(steps)):
+            for nid, (x, y) in zip(ids, positions):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"non-finite coordinate on node {nid}")
+            return None
+        bound = sum(steps[-2:]) + ref.margin
+        if not bound < ref.skin:
+            return None
+        hypot, ranges = math.hypot, ref.ranges
+        flipped = set()
+        for k in range(bisect_right(ref.slack, bound)):
+            i, j, linked = ref.pairs[k]
+            ax, ay = positions[i]
+            bx, by = positions[j]
+            d = hypot(ax - bx, ay - by)
+            if (d <= ranges[i] and d <= ranges[j]) != linked:
+                flipped.add(k)
+        toggles = defaultdict(list)
+        for k in flipped ^ ref.flipped:
+            i, j, _ = ref.pairs[k]
+            toggles[i].append(j)
+            toggles[j].append(i)
+        ref.flipped = flipped
+        adj = ref.adj
+        index = ref.index
+        for i, peers in toggles.items():
+            found_i = {index[nid] for nid in adj[ids[i]]}
+            found_i.symmetric_difference_update(peers)
+            adj[ids[i]] = frozenset({ids[j] for j in sorted(found_i)})
+        return adj
+
+    def _snapshot(self, level):
+        """The level's adjacency in this topology version."""
+        adj = self._adjacency.get(level)
+        if adj is None:
+            ref = self._references.get(level)
+            if ref is not None:
+                adj = self._refresh(level, ref)
+            if adj is None:
+                adj = self._build_adjacency(level)
+            self._adjacency[level] = adj
         return adj
 
     def neighbors(self, nid, level):
-        """All peers linked to `nid` at `level`; empty if level unsupported."""
-        attrs = self.node(nid)
-        if not attrs.supports(level) or not attrs.alive:
-            return frozenset()
-        adj = self._adjacency.get(level)
-        if adj is None:
-            adj = self._adjacency[level] = self._build_adjacency(level)
-        return adj[nid]
+        """All peers linked to `nid` at `level`; empty if dead or unsupported."""
+        adj = self._snapshot(level)
+        try:
+            return adj[nid]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node id {nid}") from None
 
     def linked(self, a, b, level):
-        na, nb = self.node(a), self.node(b)
-        if not (na.alive and nb.alive and na.supports(level) and nb.supports(level)):
-            return False
-        adj = self._adjacency.get(level)
-        if adj is None:
-            adj = self._adjacency[level] = self._build_adjacency(level)
-        return a == b or b in adj[a]
+        adj = self._snapshot(level)
+        for nid in (a, b):
+            if nid not in adj:
+                raise UnknownNodeError(f"unknown node id {nid}")
+        if a == b:
+            attrs = self.nodes[a]
+            return attrs.alive and attrs.supports(level)
+        return b in adj[a]
 
     def link_level(self, a, b):
         """Lowest level at which a and b are currently linked, else None."""

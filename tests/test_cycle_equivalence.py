@@ -1,10 +1,11 @@
 """The beacon cycle's fast paths against test-local copies of the full scans.
 
 ``reference_check_reelection_triggers`` builds every level's weight table
-on every call, ``reference_detect_head_merges`` tests every head pair, and
+on every call, ``reference_detect_head_merges`` tests every head pair,
 ``reference_build_adjacency`` concatenates the candidate lists per node and
-tests ``d <= min(ra, rb)``.  Each must give the same result, in the same
-order, as the code it stands in for.
+tests ``d <= min(ra, rb)``, and ``reference_elect`` and
+``reference_best_head_in_range`` test every head for each node.  Each must
+give the same result, in the same order, as the code it stands in for.
 """
 
 import math
@@ -87,11 +88,65 @@ def reference_build_adjacency(self, level):
                 if math.hypot(ax - bx, ay - by) <= min(ra, rb):
                     found[i].append(j)
                     found[j].append(i)
-    adj = {}
+    adj = dict.fromkeys(self.nodes, frozenset())
     for i, (nid, _, _, _) in enumerate(members):
         found[i].sort()
         adj[nid] = frozenset(set(members[j][0] for j in found[i]))
     return adj
+
+
+def reference_weighted_draw(rng, items, weights):
+    total = sum(weights)
+    x = rng.random() * total
+    acc = 0.0
+    for item, w in zip(items, weights):
+        acc += w
+        if x <= acc:
+            return item
+    return items[-1]
+
+
+def reference_elect(state, level, p, rng, participants, tau, weights):
+    uncovered = set(participants)
+    pset = set(participants)
+    heads = []
+    while uncovered:
+        seed = rng.choice(sorted(uncovered))
+        cand = ({seed} | (state.neighbors(seed, level) & pset)) & uncovered
+        order = sorted(cand)
+        if sum(tau[n] for n in order) > 0:
+            for _ in range(p.n_iter):
+                pick = reference_weighted_draw(rng, order,
+                                               [tau[n] for n in order])
+                tau[pick] = clustering.ch_pheromone_update(tau[pick], p.rho,
+                                                           weights[pick])
+        eligible = [n for n in order
+                    if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
+        if not eligible:
+            raise clustering.ElectionError("no candidate")
+        head = max(eligible, key=lambda n: (weights[n], tau[n], -n))
+        heads.append(head)
+        uncovered -= {head} | (state.neighbors(head, level) & uncovered)
+    clusters = {h: set() for h in heads}
+    head_set = set(heads)
+    for n in participants:
+        if n in head_set:
+            continue
+        in_range = [h for h in heads if n in state.neighbors(h, level)]
+        best = max(in_range, key=lambda h: (weights[h], -h))
+        clusters[best].add(n)
+    return clusters
+
+
+def reference_best_head_in_range(self, level, node):
+    heads = [h for h in sorted(self.clusters.heads(level))
+             if self.state.node(h).alive
+             and node in self.state.neighbors(h, level)]
+    if not heads:
+        return None
+    participants = sorted(set(heads) | {node})
+    weights = weight_table(self.state, level, participants, self.wparams)
+    return max(heads, key=lambda h: (weights[h], -h))
 
 
 def _clustered_layout(seed, n, span, dead_share):
@@ -172,6 +227,38 @@ def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
     assert (events, kept) == run(reference_detect_head_merges)
     if linked and not tried:
         assert events
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       span=st.sampled_from([150.0, 400.0, 900.0]),
+       dead_share=st.sampled_from([0.0, 0.2]),
+       tau_scale=st.sampled_from([None, 0.5, 3.0]))
+def test_elections_match_head_scans(seed, n, span, dead_share, tau_scale):
+    state, clusters, rng = _clustered_layout(seed, n, span, dead_share)
+    p = WeightParams(n_iter=20)
+    for level in (0, 1, 2):
+        participants = sorted(nid for nid in state.alive_ids()
+                              if state.node(nid).supports(level))
+        if not participants:
+            continue
+        weights = weight_table(state, level, participants, p)
+        tau = {nid: (weights[nid] if tau_scale is None
+                     else tau_scale * rng.random()) for nid in participants}
+        runs = []
+        for elect in (clustering._elect, reference_elect):
+            draws, run_tau = random.Random(seed), dict(tau)
+            got = elect(state, level, p, draws, participants, run_tau, weights)
+            runs.append((got, [(h, list(m)) for h, m in got.items()],
+                         list(run_tau.items()), draws.random()))
+        assert runs[0] == runs[1]
+
+    mgr = MaintenanceManager(state, clusters, None, WeightParams(),
+                             random.Random(0), make_beacon())
+    for level in (0, 1, 2):
+        for nid in sorted(state.nodes):
+            assert (mgr._best_head_in_range(level, nid)
+                    == reference_best_head_in_range(mgr, level, nid))
 
 
 def _mobile_config(theta_w):

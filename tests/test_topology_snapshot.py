@@ -16,6 +16,7 @@ from antmanet import engine
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
 from antmanet.engine import format_record, run_scenario
+from antmanet.errors import UnknownNodeError
 from antmanet.model import (LinkAttributes, NetworkState, NodeAttributes,
                             link_expiration_time)
 
@@ -225,6 +226,206 @@ def test_non_finite_position_raises(bad):
     s.touch()
     with pytest.raises(ValueError):
         s.neighbors(1, 0)
+
+
+def test_unknown_id_raises_with_snapshot_built():
+    s = NetworkState()
+    s.add_node(0, NodeAttributes(position=(0.0, 0.0)))
+    s.add_node(1, NodeAttributes(position=(1.0, 0.0), alive=False))
+    s.add_node(2, NodeAttributes(position=(2.0, 0.0), max_level=1,
+                                 tx_range=(100.0, 250.0)))
+    # Dead and unsupported nodes are in the snapshot, with no peers.
+    assert s.neighbors(1, 0) == frozenset()
+    assert s.neighbors(0, 1) == frozenset()
+    assert s.neighbors(0, 0) == {2}
+    for call in (lambda: s.neighbors(9, 0), lambda: s.linked(9, 0, 0),
+                 lambda: s.linked(0, 9, 0), lambda: s.linked(9, 9, 1),
+                 lambda: s.link(0, 9, 0), lambda: s.link_level(9, 2)):
+        with pytest.raises(UnknownNodeError, match="unknown node id 9"):
+            call()
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = NetworkState._build_adjacency
+
+    def counted(self, level):
+        builds.append(level)
+        return build(self, level)
+
+    monkeypatch.setattr(NetworkState, "_build_adjacency", counted)
+    return builds
+
+
+def _move(states, nid, position):
+    for state in states:
+        state.nodes[nid].position = position
+
+
+def _touch(states):
+    for state in states:
+        state.touch()
+
+
+def _random_step(states, rng, step):
+    """Move every node up to `step` in a random direction, then touch."""
+    for nid in sorted(states[0].nodes):
+        x, y = states[0].nodes[nid].position
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        length = rng.uniform(0.0, step)
+        _move(states, nid, (x + length * math.cos(angle),
+                            y + length * math.sin(angle)))
+    _touch(states)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
+       span=st.sampled_from([5.0, 100.0, 400.0]),
+       step=st.sampled_from([0.001, 0.02, 0.3]))
+def test_random_walks_match_brute_force(seed, n, span, step):
+    # Steps of 0.1% and 2% of the span stay below the skin for several
+    # ticks; 30% steps pass it on most ticks.
+    rng = random.Random(seed)
+    nodes = _random_nodes(rng, n, span)
+    states = (NetworkState(link_jitter=0.3, seed=seed),
+              BruteForceState(link_jitter=0.3, seed=seed))
+    _populate(states, nodes)
+    _assert_same_topology(*states)
+    for _ in range(6):
+        _random_step(states, rng, step * span)
+        _assert_same_topology(*states)
+
+
+def _walk_world():
+    """Twelve level-0/1 nodes on a 300 m square, ranges 100/250 m."""
+    rng = random.Random(3)
+    nodes = [(nid, dict(position=(rng.uniform(0, 300), rng.uniform(0, 300)),
+                        max_level=nid % 2, tx_range=(100.0, 250.0)[:nid % 2 + 1]))
+             for nid in range(12)]
+    states = (NetworkState(), BruteForceState())
+    _populate(states, nodes)
+    return states, rng
+
+
+def test_small_steps_refresh_without_rebuilding(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    states, rng = _walk_world()
+    _assert_same_topology(*states)
+    # Level 2 has no members, so no skin, and is rebuilt on every version.
+    assert builds.count(0) == builds.count(1) == 1
+    for _ in range(10):
+        _random_step(states, rng, 0.5)
+        _assert_same_topology(*states)
+    # Ten ticks of at most 0.5 m move no pair by the 20 m level-0 skin.
+    assert builds.count(0) == builds.count(1) == 1
+    for _ in range(3):
+        _random_step(states, rng, 60.0)
+        _assert_same_topology(*states)
+    assert builds.count(0) > 1 and builds.count(1) > 1
+
+
+def test_skin_steps_rebuild(monkeypatch):
+    # Two nodes 25 m apart beyond their range, more than the 20 m skin:
+    # the pair is not kept, so closing the gap in one step must rebuild.
+    builds = _count_builds(monkeypatch)
+    states = (NetworkState(), BruteForceState())
+    _populate(states, [(0, dict(position=(0.0, 0.0))),
+                       (1, dict(position=(125.0, 0.0))),
+                       (2, dict(position=(500.0, 0.0)))])
+    _assert_same_topology(*states)
+    _move(states, 1, (100.0, 0.0))
+    _touch(states)
+    _assert_same_topology(*states)
+    assert states[0].neighbors(0, 0) == {1}
+    assert builds.count(0) == 2
+
+
+def test_node_parked_exactly_at_range():
+    states, rng = _walk_world()
+    # Node 0 (range 100) is parked exactly 100 m from node 2 while
+    # everything else walks, and steps a micrometre out and back.
+    for position in ((10.0, 20.0), (10.0, 20.0), (10.0, 20.0 - 1e-6),
+                     (10.0, 20.0), (10.0 - 1e-6, 20.0), (10.0, 20.0)):
+        _random_step(states, rng, 0.5)
+        _move(states, 0, position)
+        _move(states, 2, (70.0, 100.0))
+        _touch(states)
+        _assert_same_topology(*states)
+        assert (2 in states[0].neighbors(0, 0)) == (position == (10.0, 20.0))
+
+
+def test_one_ulp_step_across_range():
+    # Node 1 moves one ulp of x toward node 0, 7e-15 m, and the rounded
+    # distance drops by one ulp of itself, 1.4e-14 m, onto the range: a
+    # link appears across a slack twice the computed displacement, which
+    # only the refresh's float margin covers.
+    rng = random.Random(5)
+    cases = 0
+    while cases < 20:
+        x, y = rng.uniform(33.0, 63.0), rng.uniform(33.0, 63.0)
+        x1 = math.nextafter(x, 0.0)
+        before, after = math.hypot(x, y), math.hypot(x1, y)
+        if not 64.0 <= after < before:
+            continue
+        cases += 1
+        states = (NetworkState(), BruteForceState())
+        _populate(states, [(0, dict(position=(0.0, 0.0), tx_range=(after,))),
+                           (1, dict(position=(x, y), tx_range=(after,)))])
+        _assert_same_topology(*states)
+        _move(states, 1, (x1, y))
+        _touch(states)
+        _assert_same_topology(*states)
+        assert states[0].linked(0, 1, 0)
+
+
+def test_death_and_revival_mid_walk(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    states, rng = _walk_world()
+    _assert_same_topology(*states)
+    victim = max(states[0].nodes, key=lambda n: len(states[0].neighbors(n, 0)))
+    for tick in range(8):
+        _random_step(states, rng, 0.5)
+        if tick in (2, 5):
+            for state in states:
+                state.nodes[victim].alive = tick == 5
+                state.touch()
+        before = len(builds)
+        _assert_same_topology(*states)
+        if tick in (2, 5):
+            assert len(builds) > before
+        assert (states[0].neighbors(victim, 0) == frozenset()) == (2 <= tick < 5)
+
+
+def test_node_added_after_first_build():
+    states, rng = _walk_world()
+    _assert_same_topology(*states)
+    _random_step(states, rng, 0.5)
+    _assert_same_topology(*states)
+    x, y = states[0].nodes[3].position
+    _populate(states, [(50, dict(position=(x + 5.0, y), max_level=1,
+                                 tx_range=(100.0, 250.0))),
+                       (51, dict(position=(x, y + 5.0), alive=False))])
+    _assert_same_topology(*states)
+    assert 50 in states[0].neighbors(3, 0)
+    assert states[0].neighbors(51, 0) == frozenset()
+    for _ in range(3):
+        _random_step(states, rng, 0.5)
+        _assert_same_topology(*states)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_position_after_refresh_raises(bad):
+    states, rng = _walk_world()
+    _assert_same_topology(*states)
+    _random_step(states, rng, 0.5)
+    _assert_same_topology(*states)
+    state = states[0]
+    x, y = state.nodes[5].position
+    state.nodes[5].position = (x, bad)
+    state.touch()
+    for level in (0, 1):
+        with pytest.raises(ValueError, match="non-finite coordinate on node 5"):
+            state.neighbors(0, level)
 
 
 def _mobile_energy_config():
