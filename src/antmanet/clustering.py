@@ -84,6 +84,22 @@ def weight_table(state, level, participants, p):
     return weights
 
 
+def eligible(state, clusters, node, level):
+    """The participation rule: a node may take part at `level` when it is
+    alive, has the level's interface and, above level 0, heads a cluster
+    of the level below."""
+    attrs = state.node(node)
+    return (attrs.alive and attrs.supports(level)
+            and (level == 0 or node in clusters.levels.get(level - 1, {})))
+
+
+def candidates(state, clusters, level):
+    """The set of nodes eligible at `level`.  Above level 0 only the lower
+    level's heads can qualify, so only they are scanned."""
+    pool = state.alive_ids() if level == 0 else clusters.levels.get(level - 1, {})
+    return {n for n in pool if eligible(state, clusters, n, level)}
+
+
 class ClusterState:
     """Per-level head -> member tables plus the election pheromone vectors."""
 
@@ -96,6 +112,10 @@ class ClusterState:
 
     def members_of(self, head, level):
         return self.levels.get(level, {}).get(head, set())
+
+    def cluster(self, head, level):
+        """The head plus its members."""
+        return {head} | self.members_of(head, level)
 
     def participants(self, level):
         out = set()
@@ -112,15 +132,6 @@ class ClusterState:
             if node in members:
                 return head
         return None
-
-    def remove_node(self, node):
-        """Drop a node from every role at every level."""
-        for level in list(self.levels):
-            table = self.levels[level]
-            table.pop(node, None)
-            for members in table.values():
-                members.discard(node)
-            self.tau.get(level, {}).pop(node, None)
 
 
 def _weighted_draw(rng, weights):
@@ -150,12 +161,12 @@ def _elect(state, level, p, rng, participants, tau, weights):
                 k = _weighted_draw(rng, taus)
                 taus[k] = ch_pheromone_update(taus[k], p.rho, weights[order[k]])
                 tau[order[k]] = taus[k]
-        eligible = [n for n in order
-                    if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
-        if not eligible:
+        qualified = [n for n in order
+                     if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
+        if not qualified:
             raise ElectionError(
                 f"no level-{level} candidate clears the thresholds")
-        head = max(eligible, key=lambda n: (weights[n], tau[n], -n))
+        head = max(qualified, key=lambda n: (weights[n], tau[n], -n))
         heads.append(head)
         uncovered -= {head} | (state.neighbors(head, level) & uncovered)
 
@@ -175,15 +186,16 @@ def select_cluster_heads(state, level, p, rng, participants=None,
                          prior_tau=None, into=None):
     """Run one level's election and return the updated ClusterState.
 
-    `participants` restricts the election (hierarchy levels, merges,
-    orphan re-elections); `prior_tau` seeds pheromone from a previous
-    state instead of the cold-start value (the node's own weight).
+    `participants` defaults to the level's `candidates` in `into`;
+    merges and orphan re-elections restrict it.  `prior_tau` seeds
+    pheromone from a previous state instead of the cold-start value (the
+    node's own weight).
     """
     p.validate()
-    if participants is None:
-        participants = [n for n in state.alive_ids() if state.node(n).supports(level)]
-    participants = sorted(participants)
     clusters = into if into is not None else ClusterState()
+    if participants is None:
+        participants = candidates(state, clusters, level)
+    participants = sorted(participants)
     weights = weight_table(state, level, participants, p)
     tau = {n: (prior_tau[n] if prior_tau and n in prior_tau else weights[n])
            for n in participants}
@@ -195,12 +207,8 @@ def select_cluster_heads(state, level, p, rng, participants=None,
 
 def form_hierarchy(state, clusters, p, rng):
     """Elect level-1 among multi-interface level-0 heads, then level-2."""
-    l1_nodes = [h for h in clusters.heads(0)
-                if state.node(h).alive and state.node(h).supports(1)]
-    select_cluster_heads(state, 1, p, rng, participants=l1_nodes, into=clusters)
-    l2_nodes = [h for h in clusters.heads(1)
-                if state.node(h).alive and state.node(h).supports(2)]
-    select_cluster_heads(state, 2, p, rng, participants=l2_nodes, into=clusters)
+    for level in (1, 2):
+        select_cluster_heads(state, level, p, rng, into=clusters)
     return clusters
 
 

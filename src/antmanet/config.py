@@ -104,6 +104,11 @@ class BeaconConfig:
     interval: float = 1.0
     miss_threshold: int = 3
 
+    @property
+    def detection_bound(self):
+        """How long a silent membership lasts before it is declared broken."""
+        return self.miss_threshold * self.interval
+
 
 @dataclass
 class MobilityConfig:

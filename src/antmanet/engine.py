@@ -15,7 +15,7 @@ from collections import Counter
 
 from . import clustering
 from .errors import NoAdmissibleRouteError, RoutingError
-from .maintenance import BeaconState, MaintenanceManager
+from .maintenance import MaintenanceManager
 from .model import NetworkState, NodeAttributes
 from .routing import Router
 
@@ -278,9 +278,7 @@ class Simulator:
             stats=self.stats)
         self.manager = MaintenanceManager(
             self.state, self.clusters, self.router, cfg.weights,
-            self.rng_election,
-            BeaconState(cfg.beacon.interval, cfg.beacon.miss_threshold),
-            trace=self._emit, stats=self.stats,
+            self.rng_election, cfg.beacon, trace=self._emit, stats=self.stats,
             energy_debit=lambda nid, action: self._apply_energy(nid, action))
         self.manager.sync_last_heard(0.0)
 

@@ -5,28 +5,24 @@ not heard from each other for miss_threshold intervals is declared
 broken, which drives the structural-change cases: member removal, orphan
 adoption or re-election, cluster merges when two heads drift into mutual
 range, and the upward ripple when level-0/1 headship changes.
+
+After the initial election, membership changes only through the three
+writers `join`, `leave` and `dissolve`; each writes or drops the
+membership's last-heard stamp with it.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import clustering
 from .errors import ElectionError
 
-
-@dataclass
-class BeaconState:
-    interval: float
-    miss_threshold: int
-    last_heard: dict = field(default_factory=dict)  # (level, head, member) -> t
-
-    def __post_init__(self):
-        if self.miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
-
-    @property
-    def detection_bound(self):
-        return self.miss_threshold * self.interval
+# Trace case code of each structural change, indexed by level.
+CASES = {
+    "member_left": ("1.1", "4.2", "6.2"),
+    "head_left": ("1.2", "4.1", "6.1"),
+    "member_joined": ("2", "5", "7"),
+}
 
 
 @dataclass
@@ -41,12 +37,15 @@ class MembershipEvent:
 class MaintenanceManager:
     def __init__(self, state, clusters, router, wparams, rng, beacon,
                  trace=None, stats=None, energy_debit=None):
+        if beacon.miss_threshold < 1:
+            raise ValueError("miss_threshold must be >= 1")
         self.state = state
         self.clusters = clusters
         self.router = router
         self.wparams = wparams
         self.rng = rng
-        self.beacon = beacon
+        self.beacon = beacon  # a config.BeaconConfig
+        self.last_heard = {}  # (level, head, member) -> t
         self.trace = trace
         self.stats = Counter() if stats is None else stats
         self.energy_debit = energy_debit  # fn(node, action) or None
@@ -68,7 +67,24 @@ class MaintenanceManager:
         for level in self.clusters.levels:
             for head, members in self.clusters.levels[level].items():
                 for m in members:
-                    self.beacon.last_heard[(level, head, m)] = now
+                    self.last_heard[(level, head, m)] = now
+
+    # -- the membership writers ------------------------------------------
+
+    def join(self, level, head, nodes, now):
+        """Add `nodes` to `head`'s cluster, founding it if new; heard now."""
+        self.clusters.levels.setdefault(level, {}).setdefault(
+            head, set()).update(nodes)
+        for n in nodes:
+            self.last_heard[(level, head, n)] = now
+
+    def leave(self, level, head, node):
+        self.clusters.levels[level][head].discard(node)
+        self.last_heard.pop((level, head, node), None)
+
+    def dissolve(self, level, head):
+        for m in self.clusters.levels[level].pop(head):
+            self.last_heard.pop((level, head, m), None)
 
     # -- beaconing and detection -----------------------------------------
 
@@ -84,7 +100,7 @@ class MaintenanceManager:
         near = self.state.neighbors(head, level)
         for m in sorted(self.clusters.members_of(head, level)):
             if self.state.node(m).alive and m in near:
-                self.beacon.last_heard[(level, head, m)] = now
+                self.last_heard[(level, head, m)] = now
                 self._debit(m, "beacon")
                 self.stats["beacon_packets"] += 1
                 heard.append(m)
@@ -102,7 +118,7 @@ class MaintenanceManager:
                     continue
                 head_stale_to_all = bool(members)
                 for m in sorted(members):
-                    t = self.beacon.last_heard.get((level, head, m), now)
+                    t = self.last_heard.get((level, head, m), now)
                     if now - t >= bound:
                         events.append(MembershipEvent(
                             "member_left", level, head=head, node=m))
@@ -122,32 +138,29 @@ class MaintenanceManager:
     def handle_membership_change(self, event, now):
         """Apply one structural change; returns True if anything changed."""
         level = event.level
-        table = self.clusters.levels.setdefault(level, {})
+        table = self.clusters.levels.get(level, {})
         if event.kind == "member_left":
-            members = table.get(event.head)
-            if members is None or event.node not in members:
+            if event.node not in table.get(event.head, ()):
                 return False
-            members.discard(event.node)
-            self.beacon.last_heard.pop((level, event.head, event.node), None)
+            self.leave(level, event.head, event.node)
             self.router.purge_node(event.node)
-            case = {0: "1.1", 1: "4.2", 2: "6.2"}[level]
+            case = CASES[event.kind][level]
             self._emit(kind="maintenance", t=now, case=case, level=level,
                        head=event.head, node=event.node)
             if level > 0:
                 # The departed member heads a lower-level cluster that must
                 # re-elect (it drifted away with or from its own members).
-                self._reelect_cluster(level - 1, event.node, now,
-                                      case={1: "4.2", 2: "6.2"}[level])
+                self._scoped_election(
+                    level - 1, self.clusters.cluster(event.node, level - 1),
+                    now, case=case)
             return True
 
         if event.kind == "head_left":
-            orphans = table.pop(event.head, None)
-            if orphans is None:
+            if event.head not in table:
                 return False
-            for m in orphans:
-                self.beacon.last_heard.pop((level, event.head, m), None)
+            self.dissolve(level, event.head)
             self.router.purge_node(event.head)
-            case = {0: "1.2", 1: "4.1", 2: "6.1"}[level]
+            case = CASES[event.kind][level]
             self._emit(kind="maintenance", t=now, case=case, level=level,
                        head=event.head)
             self._cover_orphans(level, now, case=case)
@@ -158,11 +171,9 @@ class MaintenanceManager:
             head = self._best_head_in_range(level, node)
             if head is None:
                 return False
-            table.setdefault(head, set()).add(node)
-            self.beacon.last_heard[(level, head, node)] = now
-            case = {0: "2", 1: "5", 2: "7"}[level]
-            self._emit(kind="maintenance", t=now, case=case, level=level,
-                       head=head, node=node)
+            self.join(level, head, (node,), now)
+            self._emit(kind="maintenance", t=now, case=CASES[event.kind][level],
+                       level=level, head=head, node=node)
             self._recent_joins.append((level, head, node))
             return True
 
@@ -171,12 +182,12 @@ class MaintenanceManager:
             if pair in self._merge_attempted:
                 return False
             self._merge_attempted.add(pair)
-            union = (self._cluster_nodes(level, event.head)
-                     | self._cluster_nodes(level, event.other))
-            union = {n for n in union if self.state.node(n).alive}
             self._emit(kind="maintenance", t=now, case="3", level=level,
                        head=event.head, node=event.other)
-            self._scoped_election(level, union, now, case="3")
+            self._scoped_election(
+                level, (self.clusters.cluster(event.head, level)
+                        | self.clusters.cluster(event.other, level)),
+                now, case="3")
             return True
 
         raise ValueError(f"unknown event kind {event.kind}")
@@ -184,47 +195,32 @@ class MaintenanceManager:
     def propagate_hierarchy_change(self, now):
         """Reconcile levels 1 and 2 with the current lower-level head sets.
 
-        Removes entries whose node no longer heads the level below
-        (cases 4.1/4.2/6.1/6.2) and adopts or elects uncovered capable
-        heads (cases 5 and 7).
+        Removes entries whose node is no longer eligible (cases
+        4.1/4.2/6.1/6.2) and adopts or elects uncovered eligible heads
+        (cases 5 and 7).
         """
         for level in (1, 2):
-            lower_heads = {h for h in self.clusters.heads(level - 1)
-                           if self.state.node(h).alive
-                           and self.state.node(h).supports(level)}
-            table = self.clusters.levels.setdefault(level, {})
-            for head in sorted(list(table)):
-                if head not in lower_heads:
-                    orphans = table.pop(head)
-                    for m in orphans:
-                        self.beacon.last_heard.pop((level, head, m), None)
-                    case = "4.1" if level == 1 else "6.1"
-                    self._emit(kind="maintenance", t=now, case=case,
-                               level=level, head=head)
-                else:
-                    for m in sorted(list(table[head])):
-                        if m not in lower_heads:
-                            table[head].discard(m)
-                            self.beacon.last_heard.pop((level, head, m), None)
-                            case = "4.2" if level == 1 else "6.2"
-                            self._emit(kind="maintenance", t=now, case=case,
-                                       level=level, head=head, node=m)
-            uncovered = lower_heads - self.clusters.participants(level)
+            eligible = clustering.candidates(self.state, self.clusters, level)
+            table = self.clusters.levels.get(level, {})
+            for head in sorted(table):
+                if head not in eligible:
+                    self.dissolve(level, head)
+                    self._emit(kind="maintenance", t=now,
+                               case=CASES["head_left"][level], level=level,
+                               head=head)
+                    continue
+                for m in sorted(table[head] - eligible):
+                    self.leave(level, head, m)
+                    self._emit(kind="maintenance", t=now,
+                               case=CASES["member_left"][level], level=level,
+                               head=head, node=m)
+            uncovered = eligible - self.clusters.participants(level)
             if uncovered:
                 self._cover_orphans(level, now,
-                                    case="5" if level == 1 else "7",
+                                    case=CASES["member_joined"][level],
                                     orphans=uncovered)
 
     # -- helpers -----------------------------------------------------------
-
-    def _cluster_nodes(self, level, head):
-        return {head} | set(self.clusters.members_of(head, level))
-
-    def _participant_ok(self, level, node):
-        attrs = self.state.node(node)
-        if not (attrs.alive and attrs.supports(level)):
-            return False
-        return level == 0 or node in self.clusters.levels.get(level - 1, {})
 
     def _best_head_in_range(self, level, node):
         heads = self.state.neighbors(node, level) & self.clusters.heads(level)
@@ -235,53 +231,47 @@ class MaintenanceManager:
         return max(heads, key=lambda h: (weights[h], -h))
 
     def _cover_orphans(self, level, now, case, orphans=None):
-        """Adoption first, election for the remainder."""
+        """Adoption first, election for the remainder.
+
+        `orphans` defaults to every eligible node the level leaves
+        uncovered.
+        """
         if orphans is None:
-            covered = self.clusters.participants(level)
-            orphans = {n for n in self.state.alive_ids()
-                       if self._participant_ok(level, n) and n not in covered}
+            orphans = (clustering.candidates(self.state, self.clusters, level)
+                       - self.clusters.participants(level))
         remainder = set()
         for n in sorted(orphans):
-            if not self._participant_ok(level, n):
-                continue
             ev = MembershipEvent("member_joined", level, node=n)
             if not self.handle_membership_change(ev, now):
                 remainder.add(n)
         if remainder:
             self._scoped_election(level, remainder, now, case=case)
 
-    def _reelect_cluster(self, level, head, now, case):
-        nodes = {n for n in self._cluster_nodes(level, head)
-                 if self.state.node(n).alive}
-        if nodes:
-            self._scoped_election(level, nodes, now, case=case)
-
     def _scoped_election(self, level, nodes, now, case):
-        nodes = sorted(n for n in nodes if self._participant_ok(level, n))
+        """Re-elect the eligible share of `nodes` and install the result."""
+        nodes = sorted(n for n in nodes
+                       if clustering.eligible(self.state, self.clusters, n,
+                                              level))
         if not nodes:
             return
-        prior = dict(self.clusters.tau.get(level, {}))
         try:
             temp = clustering.select_cluster_heads(
                 self.state, level, self.wparams, self.rng,
-                participants=nodes, prior_tau=prior)
+                participants=nodes, prior_tau=self.clusters.tau.get(level))
         except ElectionError:
             self._emit(kind="maintenance", t=now, case=case, level=level,
                        error="election-failed")
             return
-        table = self.clusters.levels.setdefault(level, {})
         node_set = set(nodes)
+        table = self.clusters.levels.get(level, {})
         for h in list(table):
             if h in node_set:
-                orphaned = table.pop(h)
-                for m in orphaned:
-                    self.beacon.last_heard.pop((level, h, m), None)
+                self.dissolve(level, h)
             else:
-                table[h] -= node_set
+                for m in table[h] & node_set:
+                    self.leave(level, h, m)
         for h, members in temp.levels[level].items():
-            table[h] = set(members)
-            for m in members:
-                self.beacon.last_heard[(level, h, m)] = now
+            self.join(level, h, members, now)
         self.clusters.tau.setdefault(level, {}).update(temp.tau[level])
         self.stats[f"elections_l{level}"] += len(temp.levels[level])
         self._emit(kind="election", t=now, level=level, case=case,
@@ -313,7 +303,8 @@ class MaintenanceManager:
         for level, head in sorted(flagged):
             self._emit(kind="maintenance", t=now, case="reelect", level=level,
                        head=head)
-            self._reelect_cluster(level, head, now, case="reelect")
+            self._scoped_election(level, self.clusters.cluster(head, level),
+                                  now, case="reelect")
 
     # -- the per-interval cycle ---------------------------------------------
 
@@ -333,7 +324,7 @@ class MaintenanceManager:
                 changed |= self.handle_membership_change(ev, now)
             # Cover newly arrived or orphaned level-0 nodes (case 2 / 1.2).
             before = len(self.clusters.participants(0))
-            self._cover_orphans(0, now, case="1.2")
+            self._cover_orphans(0, now, case=CASES["head_left"][0])
             changed |= len(self.clusters.participants(0)) != before
             for ev in self.detect_head_merges(now):
                 changed |= self.handle_membership_change(ev, now)

@@ -306,12 +306,6 @@ class Router:
         self._emit({"kind": "route_ant", "t": now,
                     "packet": {"src": src, "dst": dst, "flag": flag}})
 
-    def _cluster_scope(self, head):
-        return {head} | set(self.clusters.members_of(head, 0))
-
-    def _region_scope(self, l1_head):
-        return {l1_head} | set(self.clusters.members_of(l1_head, 1))
-
     def _finalize(self, src, dst, path, levels, qos, now):
         try:
             m = path_metrics(path, self.state, levels=levels)
@@ -378,7 +372,7 @@ class Router:
 
         # Ask the cluster head whether the destination is local.
         self._route_ant(src, h_s, now)
-        scope = self._cluster_scope(h_s)
+        scope = self.clusters.cluster(h_s, 0)
         if dst in scope:
             self._route_ant(h_s, src, now, flag=1)
             path, m, _ = self._segment(scope, 0, src, dst, dst, qos, now, "knave")
@@ -395,9 +389,8 @@ class Router:
         if h1_d == h1_s:
             # Same region: head-overlay discovery from CH(S) to CH(D).
             self._route_ant(h1_s, h_s, now, flag=1)
-            overlay_scope = self._region_scope(h1_s)
-            seg, _, _ = self._segment(overlay_scope, 1, h_s, h_d, dst, qos,
-                                      now, "king")
+            seg, _, _ = self._segment(self.clusters.cluster(h1_s, 1), 1, h_s,
+                                      h_d, dst, qos, now, "king")
             path, levels = _stitch([((src,), 0), (seg, 1), ((dst,), 0)])
             return self._finalize(src, dst, path, levels, qos, now)
 
@@ -411,13 +404,13 @@ class Router:
         self._route_ant(h1_s, h2_s, now)
         self._route_ant(h2_s, h1_s, now, flag=1)
 
-        seg_s, _, _ = self._segment(self._region_scope(h1_s), 1, h_s, h1_s,
-                                    dst, qos, now, "king")
-        l2_scope = {h2_s} | set(self.clusters.members_of(h2_s, 2))
-        seg_2, _, _ = self._segment(l2_scope, 2, h1_s, h1_d, dst, qos, now,
-                                    "king")
-        seg_d, _, _ = self._segment(self._region_scope(h1_d), 1, h1_d, h_d,
-                                    dst, qos, now, "king")
+        cluster = self.clusters.cluster
+        seg_s, _, _ = self._segment(cluster(h1_s, 1), 1, h_s, h1_s, dst, qos,
+                                    now, "king")
+        seg_2, _, _ = self._segment(cluster(h2_s, 2), 2, h1_s, h1_d, dst, qos,
+                                    now, "king")
+        seg_d, _, _ = self._segment(cluster(h1_d, 1), 1, h1_d, h_d, dst, qos,
+                                    now, "king")
         path, levels = _stitch([((src,), 0), (seg_s, 1), (seg_2, 2),
                                 (seg_d, 1), ((dst,), 0)])
         return self._finalize(src, dst, path, levels, qos, now)

@@ -2,7 +2,6 @@
 
 from antmanet.clustering import ClusterState
 from antmanet.config import ScenarioConfig
-from antmanet.maintenance import BeaconState
 from antmanet.model import NetworkState, NodeAttributes
 from antmanet.routing import Router
 
@@ -18,11 +17,6 @@ def make_router(state, clusters, **kw):
           "cache_capacity": DEFAULTS.cache.capacity,
           "cache_max_age": DEFAULTS.cache.max_age, **kw}
     return Router(state, clusters, **kw)
-
-
-def make_beacon(interval=DEFAULTS.beacon.interval,
-                miss_threshold=DEFAULTS.beacon.miss_threshold):
-    return BeaconState(interval, miss_threshold)
 
 
 def make_state(**kw):

@@ -21,7 +21,7 @@ from antmanet import clustering, routing
 from antmanet.clustering import (WeightParams, ch_pheromone_update,
                                  ch_selection_probability, form_hierarchy,
                                  node_weight, select_cluster_heads)
-from antmanet.config import load_scenario
+from antmanet.config import BeaconConfig, load_scenario
 from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import MaintenanceManager
 from antmanet.model import NetworkState, NodeAttributes
@@ -30,7 +30,7 @@ from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               path_preference_probability)
 
-from helpers import (DEFAULTS, add_node, make_beacon, make_router, make_state,
+from helpers import (DEFAULTS, add_node, make_router, make_state,
                      manual_clusters)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -350,7 +350,7 @@ def test_hierarchical_reachability():
 def _manager_for(state, clusters, seed=11):
     router = make_router(state, clusters)
     mgr = MaintenanceManager(state, clusters, router, WeightParams(),
-                             random.Random(seed), make_beacon())
+                             random.Random(seed), BeaconConfig())
     mgr.sync_last_heard(0.0)
     return mgr
 
@@ -465,8 +465,7 @@ def test_maintenance_closure():
     # Case 7: an uncovered capable level-1 head rejoins level 2.
     state, clusters = three_region_world()
     mgr = _manager_for(state, clusters)
-    clusters.levels[2][100].discard(300)
-    mgr.beacon.last_heard.pop((2, 100, 300), None)
+    mgr.leave(2, 100, 300)
     _cycle_until(mgr, bound)
     assert clusters.head_of(300, 2) is not None
     clustering.check_invariants(state, clusters)

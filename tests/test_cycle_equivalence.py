@@ -20,13 +20,13 @@ from antmanet import clustering
 from antmanet.clustering import (WeightParams, check_reelection_triggers,
                                  form_hierarchy, select_cluster_heads,
                                  weight_table)
-from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
+from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
 from antmanet.engine import format_record, run_scenario
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState
 
-from helpers import add_node, make_beacon, make_state, manual_clusters
+from helpers import add_node, make_state, manual_clusters
 
 
 def reference_check_reelection_triggers(state, clusters, p, joins=None):
@@ -219,7 +219,7 @@ def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
 
     def run(detect):
         mgr = MaintenanceManager(state, clusters, None, WeightParams(),
-                                 random.Random(0), make_beacon())
+                                 random.Random(0), BeaconConfig())
         mgr._merge_attempted = set(tried)
         return detect(mgr, 0.0), mgr._merge_attempted
 
@@ -254,7 +254,7 @@ def test_elections_match_head_scans(seed, n, span, dead_share, tau_scale):
         assert runs[0] == runs[1]
 
     mgr = MaintenanceManager(state, clusters, None, WeightParams(),
-                             random.Random(0), make_beacon())
+                             random.Random(0), BeaconConfig())
     for level in (0, 1, 2):
         for nid in sorted(state.nodes):
             assert (mgr._best_head_in_range(level, nid)

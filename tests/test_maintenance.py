@@ -4,16 +4,17 @@ import pytest
 
 from antmanet import clustering
 from antmanet.clustering import WeightParams
+from antmanet.config import BeaconConfig
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 
-from helpers import (add_node, clique_state, make_beacon, make_router,
-                     make_state, manual_clusters)
+from helpers import (add_node, clique_state, make_router, make_state,
+                     manual_clusters)
 
 
 def manager(state, clusters, seed=7):
     return MaintenanceManager(state, clusters, make_router(state, clusters),
                               WeightParams(), random.Random(seed),
-                              make_beacon())
+                              BeaconConfig())
 
 
 def walkaway_world():
@@ -29,14 +30,14 @@ class TestBeaconing:
         state, clusters, mgr = walkaway_world()
         heard = mgr.beacon_tick(1, 0, 5.0)
         assert heard == [0, 2, 3]
-        assert all(mgr.beacon.last_heard[(0, 1, m)] == 5.0 for m in heard)
+        assert all(mgr.last_heard[(0, 1, m)] == 5.0 for m in heard)
 
     def test_tick_skips_out_of_range_member(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[3].position = (5000.0, 0.0)
         state.touch()
         assert mgr.beacon_tick(1, 0, 5.0) == [0, 2]
-        assert mgr.beacon.last_heard[(0, 1, 3)] == 0.0
+        assert mgr.last_heard[(0, 1, 3)] == 0.0
 
     def test_dead_head_does_not_beacon(self):
         state, clusters, mgr = walkaway_world()
@@ -53,8 +54,12 @@ class TestBeaconing:
         assert len(calls) == 4  # head plus three acking members
 
     def test_invalid_miss_threshold(self):
+        state = clique_state(2)
+        clusters = manual_clusters({0: {1: {0}}})
         with pytest.raises(ValueError):
-            make_beacon(miss_threshold=0)
+            MaintenanceManager(state, clusters, make_router(state, clusters),
+                               WeightParams(), random.Random(0),
+                               BeaconConfig(miss_threshold=0))
 
 
 class TestMemberWalkAway:
