@@ -221,8 +221,6 @@ _BOUNDS = {
     "deposit.ref_bandwidth": _POSITIVE, "deposit.ref_energy": _POSITIVE,
     "deposit.ref_let": _POSITIVE, "deposit.ref_delay": _POSITIVE,
     "deposit.let_cap": _POSITIVE,
-    "preference.ref_delay": _POSITIVE, "preference.ref_bandwidth": _POSITIVE,
-    "preference.ref_energy": _POSITIVE, "preference.ref_let": _POSITIVE,
     "preference.let_cap": _POSITIVE,
     "preference.theta_p": _FRACTION,
     "pheromone.q": {"lo": 0, "hi": 1, "lo_open": True, "code": "q-range"},

@@ -121,24 +121,19 @@ class PreferenceParams:
     alpha4: float = 1.0  # bandwidth
     alpha5: float = 1.0  # energy
     alpha6: float = 1.0  # link expiration time
-    ref_delay: float = 1.0
-    ref_bandwidth: float = 1.0
-    ref_energy: float = 1.0
-    ref_let: float = 1.0
     let_cap: float = 1e6
     theta_p: float = 0.0  # minimum acceptable preference
 
 
 def _preference_score(m, tau, p):
-    d = m.delay / p.ref_delay
-    if d <= 0 or m.hop_count <= 0:
+    if m.delay <= 0 or m.hop_count <= 0:
         raise ConfigError("delay and hop count must be positive")
     return (tau ** p.alpha1
-            * (1.0 / d) ** p.alpha2
+            * (1.0 / m.delay) ** p.alpha2
             * m.hop_visibility ** p.alpha3
-            * (m.bandwidth / p.ref_bandwidth) ** p.alpha4
-            * (m.energy / p.ref_energy) ** p.alpha5
-            * (min(m.let, p.let_cap) / p.ref_let) ** p.alpha6)
+            * m.bandwidth ** p.alpha4
+            * m.energy ** p.alpha5
+            * min(m.let, p.let_cap) ** p.alpha6)
 
 
 def path_preference_probability(candidates, p=None):

@@ -81,6 +81,16 @@ class TestParsing:
             parse_scenario("pheronome: {q: 0.5}")
         assert "unknown-key" in codes(exc)
 
+    @pytest.mark.parametrize("key", ["ref_delay", "ref_bandwidth",
+                                     "ref_energy", "ref_let"])
+    def test_preference_scale_is_unknown_key(self, key):
+        # One scale on every candidate's score cannot change a route, so
+        # the preference section has none.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"preference: {{{key}: 2.0}}")
+        assert [(p, c) for p, c, _ in exc.value.issues] == [
+            (f"preference.{key}", "unknown-key")]
+
     def test_tx_range_must_increase(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(
