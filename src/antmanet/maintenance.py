@@ -311,26 +311,27 @@ class MaintenanceManager:
     def run_cycle(self, now, max_rounds=8):
         """One full beacon interval: beacon, detect, process to quiescence.
 
-        A cycle that is still changing after `max_rounds` rounds stops
-        there and counts one ``round_cap_hits``.
+        A round is quiescent when it leaves every cluster table as it found
+        it, re-elections that re-form the same clusters included.  A cycle
+        that is still changing after `max_rounds` rounds stops there and
+        counts one ``round_cap_hits``.
         """
         for level in sorted(self.clusters.levels):
             for head in sorted(self.clusters.heads(level)):
                 self.beacon_tick(head, level, now)
         for _ in range(max_rounds):
-            events = self.detect_changes(now)
-            changed = False
-            for ev in events:
-                changed |= self.handle_membership_change(ev, now)
+            before = {level: {head: set(members)
+                              for head, members in table.items()}
+                      for level, table in self.clusters.levels.items()}
+            for ev in self.detect_changes(now):
+                self.handle_membership_change(ev, now)
             # Cover newly arrived or orphaned level-0 nodes (case 2 / 1.2).
-            before = len(self.clusters.participants(0))
             self._cover_orphans(0, now, case=CASES["head_left"][0])
-            changed |= len(self.clusters.participants(0)) != before
             for ev in self.detect_head_merges(now):
-                changed |= self.handle_membership_change(ev, now)
+                self.handle_membership_change(ev, now)
             self.propagate_hierarchy_change(now)
             self.check_reelection(now)
-            if not changed:
+            if self.clusters.levels == before:
                 break
         else:
             self.stats["round_cap_hits"] += 1
