@@ -20,8 +20,8 @@ from antmanet import clustering
 from antmanet.clustering import (WeightParams, check_reelection_triggers,
                                  form_hierarchy, select_cluster_heads,
                                  weight_table)
-from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig, MobilityConfig,
-                             NodeGroup, ScenarioConfig)
+from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
+                             MobilityConfig, NodeGroup, ScenarioConfig)
 from antmanet.engine import format_record, run_scenario
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState

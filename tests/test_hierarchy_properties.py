@@ -41,7 +41,8 @@ class CheckedSimulator(Simulator):
 
     def __init__(self, config):
         super().__init__(config)
-        self.stray_since = {}  # (level, head, member) -> first cycle out of range
+        # (level, head, member) -> the first cycle that found it out of range
+        self.stray_since = {}
 
     def _handle_beacon(self, payload):
         super()._handle_beacon(payload)
@@ -65,7 +66,7 @@ class CheckedSimulator(Simulator):
                                         self.clusters)
         except AssertionError as exc:
             raise AssertionError(f"t={self.now}: {exc}") from None
-        assert self.stats["round_cap_hits"] == 0, f"t={self.now}: round cap hit"
+        assert self.stats["round_cap_hits"] == 0, f"t={self.now}: round cap"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
