@@ -215,8 +215,8 @@ class Simulator:
         flow = self.config.flows[flow_idx]
         fstats = self._flow_stats[flow_idx]
         try:
-            path, metrics = self.router.discover_route(
-                flow.src, flow.dst, flow.qos, now=self.now, use_cache=True)
+            route = self.router.discover_route(flow.src, flow.dst, flow.qos,
+                                               now=self.now)
         except NoAdmissibleRouteError:
             fstats["rejected"] += 1
             self._emit({"kind": "admission_rejected", "t": self.now,
@@ -228,9 +228,9 @@ class Simulator:
             return
         fstats["sent"] += 1
         entry = self.router.caches[flow.src].lookup(flow.dst, self.now, flow.qos)
-        levels = entry.levels if entry is not None and list(entry.path) == path \
+        levels = entry.levels if entry is not None and entry.path == route.path \
             else None
-        self.schedule(self.now, "packet_at", flow=flow_idx, path=tuple(path),
+        self.schedule(self.now, "packet_at", flow=flow_idx, path=route.path,
                       levels=levels, idx=0, sent_at=self.now)
 
     def _handle_packet_at(self, payload):

@@ -73,13 +73,14 @@ class QosRequirement:
                 and m.let >= self.min_let and m.delay <= self.max_delay)
 
 
-@dataclass
-class RouteCacheEntry:
+@dataclass(frozen=True)
+class Route:
+    """A discovered route: its nodes, the level of each hop, its QoS
+    metrics, and the time its cached copy expires."""
     destination: int
     path: tuple
     levels: tuple
     metrics: PathMetrics
-    preference: float
     expires_at: float
 
 
@@ -95,16 +96,12 @@ class RouteCache:
         self.entries.append(entry)
 
     def lookup(self, dst, now, qos=None):
-        """Best unexpired admissible entry toward dst, or None."""
-        best = None
+        """Oldest unexpired admissible entry toward dst, or None."""
         for e in self.entries:
-            if e.destination != dst or e.expires_at < now:
-                continue
-            if qos is not None and not qos.admits(e.metrics):
-                continue
-            if best is None or e.preference > best.preference:
-                best = e
-        return best
+            if (e.destination == dst and e.expires_at >= now
+                    and (qos is None or qos.admits(e.metrics))):
+                return e
+        return None
 
     def purge_node(self, node):
         self.entries = [e for e in self.entries if node not in e.path]
@@ -253,7 +250,7 @@ class Router:
         return replies
 
     def _choose(self, replies, level, src, dst, pher_dst, qos):
-        """Pick the best admissible path by preference probability.
+        """The best admissible path by preference probability.
 
         `replies` holds the (path, PathMetrics) pairs that `_flood` returns.
         """
@@ -282,13 +279,13 @@ class Router:
         if probs[best_j] < self.pref.theta_p:
             raise NoAdmissibleRouteError(
                 f"best preference {probs[best_j]:.3g} below threshold")
-        _, path, m, _ = best_per_hop[best_j]
-        return path, m, probs[best_j]
+        return best_per_hop[best_j][1]
 
     def _segment(self, scope, level, src, dst, pher_dst, qos, now, kind):
+        """The chosen path of one discovery segment."""
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
-            return (src,), path_metrics((src,), self.state), 1.0
+            return (src,)
         replies = self._flood(scope, level, src, dst, now, kind=kind)
         return self._choose(replies, level, src, dst, pher_dst, qos)
 
@@ -302,6 +299,7 @@ class Router:
                     "packet": {"src": src, "dst": dst, "flag": flag}})
 
     def _finalize(self, src, dst, path, levels, qos, now):
+        """Score, reward and cache an assembled route; returns its Route."""
         try:
             m = path_metrics(path, self.state, levels=levels)
         except BrokenPathError as exc:
@@ -316,24 +314,21 @@ class Router:
             self.max_deposit = max(self.max_deposit, dtau)
             for (i, j), level in zip(zip(path, path[1:]), levels):
                 self.table(level, i).deposit(j, dst, dtau)
-        entry = RouteCacheEntry(
-            destination=dst, path=tuple(path), levels=tuple(levels),
-            metrics=m, preference=1.0,
-            expires_at=now + min(m.let, self.cache_max_age))
-        self.caches[src].insert(entry)
+        route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
+                      metrics=m, expires_at=now + min(m.let, self.cache_max_age))
+        self.caches[src].insert(route)
         # Intermediate nodes remember the suffix toward the destination.
         for idx in range(1, len(path) - 1):
-            suffix = tuple(path[idx:])
-            sm = path_metrics(suffix, self.state, levels=levels[idx:])
-            self.caches[path[idx]].insert(RouteCacheEntry(
-                destination=dst, path=suffix, levels=tuple(levels[idx:]),
-                metrics=sm, preference=1.0,
+            suffix, sl = route.path[idx:], route.levels[idx:]
+            sm = path_metrics(suffix, self.state, levels=sl)
+            self.caches[path[idx]].insert(Route(
+                destination=dst, path=suffix, levels=sl, metrics=sm,
                 expires_at=now + min(sm.let, self.cache_max_age)))
         self._emit({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,
                     "energy": m.energy, "let": m.let, "hops": m.hop_count})
-        return list(path), m
+        return route
 
     def _cache_valid(self, entry):
         for (a, b), level in zip(zip(entry.path, entry.path[1:]), entry.levels):
@@ -341,8 +336,12 @@ class Router:
                 return False
         return True
 
-    def discover_route(self, src, dst, qos=None, now=0.0, use_cache=True):
-        """Full hierarchical route discovery; returns (path, PathMetrics)."""
+    def discover_route(self, src, dst, qos=None, now=0.0):
+        """Full hierarchical route discovery; returns the Route.
+
+        A valid cached route is returned as it is; otherwise the cascade
+        discovers, caches and returns a new one.
+        """
         state = self.state
         if not state.node(src).alive or not state.node(dst).alive:
             raise NoRouteError(f"endpoint dead: {src} -> {dst}")
@@ -354,11 +353,10 @@ class Router:
         if level is not None:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
-        if use_cache:
-            hit = self.caches[src].lookup(dst, now, qos)
-            if hit is not None and self._cache_valid(hit):
-                self.stats["cache_hits"] += 1
-                return list(hit.path), hit.metrics
+        hit = self.caches[src].lookup(dst, now, qos)
+        if hit is not None and self._cache_valid(hit):
+            self.stats["cache_hits"] += 1
+            return hit
 
         h_s = self.clusters.head_of(src, 0)
         h_d = self.clusters.head_of(dst, 0)
@@ -370,7 +368,7 @@ class Router:
         scope = self.clusters.cluster(h_s, 0)
         if dst in scope:
             self._route_ant(h_s, src, now, flag=1)
-            path, m, _ = self._segment(scope, 0, src, dst, dst, qos, now, "knave")
+            path = self._segment(scope, 0, src, dst, dst, qos, now, "knave")
             return self._finalize(src, dst, path, (0,) * (len(path) - 1), qos, now)
 
         # Escalate to the level-1 head of the region.
@@ -384,8 +382,8 @@ class Router:
         if h1_d == h1_s:
             # Same region: head-overlay discovery from CH(S) to CH(D).
             self._route_ant(h1_s, h_s, now, flag=1)
-            seg, _, _ = self._segment(self.clusters.cluster(h1_s, 1), 1, h_s,
-                                      h_d, dst, qos, now, "king")
+            seg = self._segment(self.clusters.cluster(h1_s, 1), 1, h_s, h_d,
+                                dst, qos, now, "king")
             path, levels = _stitch([((src,), 0), (seg, 1), ((dst,), 0)])
             return self._finalize(src, dst, path, levels, qos, now)
 
@@ -400,12 +398,12 @@ class Router:
         self._route_ant(h2_s, h1_s, now, flag=1)
 
         cluster = self.clusters.cluster
-        seg_s, _, _ = self._segment(cluster(h1_s, 1), 1, h_s, h1_s, dst, qos,
-                                    now, "king")
-        seg_2, _, _ = self._segment(cluster(h2_s, 2), 2, h1_s, h1_d, dst, qos,
-                                    now, "king")
-        seg_d, _, _ = self._segment(cluster(h1_d, 1), 1, h1_d, h_d, dst, qos,
-                                    now, "king")
+        seg_s = self._segment(cluster(h1_s, 1), 1, h_s, h1_s, dst, qos, now,
+                              "king")
+        seg_2 = self._segment(cluster(h2_s, 2), 2, h1_s, h1_d, dst, qos, now,
+                              "king")
+        seg_d = self._segment(cluster(h1_d, 1), 1, h1_d, h_d, dst, qos, now,
+                              "king")
         path, levels = _stitch([((src,), 0), (seg_s, 1), (seg_2, 2),
                                 (seg_d, 1), ((dst,), 0)])
         return self._finalize(src, dst, path, levels, qos, now)

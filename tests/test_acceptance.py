@@ -263,18 +263,18 @@ def test_routing_matches_min_delay_oracle():
     for seed in range(50):
         state, g, n = _connected_graph(seed)
         clusters = manual_clusters({0: {0: set(range(1, n))}, 1: {}, 2: {}})
+        # Each cached route expires before the next round rediscovers.
         router = make_router(state, clusters, pref=delay_only,
-                             deposit=DepositParams())
+                             deposit=DepositParams(), cache_max_age=0.5)
         src, dst = 0, n - 1
-        path = None
+        route = None
         for round_no in range(30):
-            path, metrics = router.discover_route(src, dst, now=float(round_no),
-                                                  use_cache=False)
+            route = router.discover_route(src, dst, now=float(round_no))
         # Oracle: additive delay over links and every node on the path.
         weight = lambda u, v, d: d["delay"] + state.node(v).node_delay
         best = nx.shortest_path_length(g, src, dst, weight=weight) \
             + state.node(src).node_delay
-        got = path_metrics(path, state).delay
+        got = path_metrics(route.path, state, levels=route.levels).delay
         if abs(got - best) < 1e-12:
             matches += 1
     assert matches >= 45, f"matched the oracle in only {matches}/50 graphs"
@@ -309,8 +309,12 @@ def three_region_world():
 @report("5 (hierarchical reachability)")
 def test_hierarchical_reachability():
     state, clusters = three_region_world()
-    router = make_router(state, clusters, deposit=DepositParams())
+    # Each pair is discovered a second later, after every cached route
+    # has expired.
+    router = make_router(state, clusters, deposit=DepositParams(),
+                         cache_max_age=0.5)
     nodes = sorted(state.nodes)
+    now = 0.0
 
     def region(n):
         return clusters.head_of(clusters.head_of(n, 0), 1)
@@ -320,11 +324,9 @@ def test_hierarchical_reachability():
         for dst in nodes:
             if src == dst or clusters.head_of(src, 0) == clusters.head_of(dst, 0):
                 continue
-            path, metrics = router.discover_route(src, dst, now=0.0,
-                                                  use_cache=False)
-            entry = router.caches[src].lookup(dst, 0.0)
-            assert list(entry.path) == path
-            levels = entry.levels
+            now += 1.0
+            route = router.discover_route(src, dst, now=now)
+            path, levels = route.path, route.levels
             assert path[0] == src and path[-1] == dst
             for (a, b), level in zip(zip(path, path[1:]), levels):
                 assert state.linked(a, b, level)

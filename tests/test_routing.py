@@ -6,7 +6,7 @@ import pytest
 from antmanet.errors import NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import DepositParams, PathMetrics, path_metrics
 from antmanet.routing import (PheromoneTable, PreferenceParams,
-                              QosRequirement, RouteCache, RouteCacheEntry,
+                              QosRequirement, Route, RouteCache,
                               path_preference_probability)
 
 from helpers import (DEFAULTS, add_node, line_state, make_router, make_state,
@@ -172,20 +172,19 @@ class TestAnts:
 
 
 class TestRouteCache:
-    def entry(self, dst=9, pref=0.5, expires=10.0, path=(1, 2, 9)):
-        return RouteCacheEntry(destination=dst, path=path,
-                               levels=(0,) * (len(path) - 1),
-                               metrics=metrics(), preference=pref,
-                               expires_at=expires)
+    def entry(self, dst=9, expires=10.0, path=(1, 2, 9)):
+        return Route(destination=dst, path=path, levels=(0,) * (len(path) - 1),
+                     metrics=metrics(), expires_at=expires)
 
     def test_empty_lookup(self):
         assert RouteCache(DEFAULTS.cache.capacity).lookup(9, 0.0) is None
 
-    def test_max_preference_wins(self):
+    def test_oldest_entry_wins(self):
         c = RouteCache(DEFAULTS.cache.capacity)
-        c.insert(self.entry(pref=0.3, path=(1, 9)))
-        c.insert(self.entry(pref=0.6, path=(1, 2, 9)))
-        assert c.lookup(9, 0.0).preference == 0.6
+        first = self.entry(path=(1, 2, 9))
+        c.insert(first)
+        c.insert(self.entry(path=(1, 9)))
+        assert c.lookup(9, 0.0) is first
 
     def test_expired_skipped(self):
         c = RouteCache(DEFAULTS.cache.capacity)
@@ -194,9 +193,9 @@ class TestRouteCache:
 
     def test_eviction_by_earliest_expiry(self):
         c = RouteCache(capacity=2)
-        c.insert(self.entry(expires=1.0, pref=0.9))
-        c.insert(self.entry(expires=9.0, pref=0.1))
-        c.insert(self.entry(expires=5.0, pref=0.2))
+        c.insert(self.entry(expires=1.0))
+        c.insert(self.entry(expires=9.0))
+        c.insert(self.entry(expires=5.0))
         assert len(c.entries) == 2
         assert all(e.expires_at != 1.0 for e in c.entries)
 
@@ -218,19 +217,19 @@ class TestDiscovery:
         state = line_state(3)
         clusters = manual_clusters({0: {1: {0, 2}}, 1: {}, 2: {}})
         r = make_router(state, clusters, deposit=DepositParams())
-        path, m = r.discover_route(0, 1, now=0.0)
-        assert path == [0, 1]
+        route = r.discover_route(0, 1, now=0.0)
+        assert (route.path, route.levels) == ((0, 1), (0,))
         assert r.stats["route_ants"] == 0
         assert r.stats["request_forwards"] == 0
 
     def test_intra_cluster_line_unique_path(self):
         state, clusters = single_cluster_line(5)
         r = make_router(state, clusters, deposit=DepositParams())
-        path, m = r.discover_route(0, 4, now=0.0)
-        assert path == [0, 1, 2, 3, 4]
-        ref = path_metrics((0, 1, 2, 3, 4), state, levels=(0,) * 4)
-        assert m.delay == pytest.approx(ref.delay)
-        assert m.bandwidth == ref.bandwidth
+        route = r.discover_route(0, 4, now=0.0)
+        assert (route.path, route.levels) == ((0, 1, 2, 3, 4), (0,) * 4)
+        ref = path_metrics(route.path, state, levels=route.levels)
+        assert route.metrics.delay == pytest.approx(ref.delay)
+        assert route.metrics.bandwidth == ref.bandwidth
         assert r.stats["route_ants"] >= 1
 
     def test_unreachable_raises_no_route(self):
@@ -255,8 +254,8 @@ class TestDiscovery:
         r = make_router(state, clusters, deposit=DepositParams())
         qos = QosRequirement(min_bandwidth=1e5, min_energy=1.0,
                              min_let=0.0, max_delay=1.0)
-        path, m = r.discover_route(0, 4, qos=qos, now=0.0)
-        ref = path_metrics(tuple(path), state, levels=(0,) * (len(path) - 1))
+        route = r.discover_route(0, 4, qos=qos, now=0.0)
+        ref = path_metrics(route.path, state, levels=route.levels)
         assert ref.bandwidth >= qos.min_bandwidth
         assert ref.energy >= qos.min_energy
         assert ref.delay <= qos.max_delay
@@ -264,9 +263,8 @@ class TestDiscovery:
     def test_cache_round_trip(self):
         state, clusters = single_cluster_line(5)
         r = make_router(state, clusters, deposit=DepositParams())
-        p1, _ = r.discover_route(0, 4, now=0.0)
-        p2, _ = r.discover_route(0, 4, now=0.1)
-        assert p1 == p2
+        first = r.discover_route(0, 4, now=0.0)
+        assert r.discover_route(0, 4, now=0.1) is first
         assert r.stats["cache_hits"] == 1
 
 
@@ -299,24 +297,26 @@ class TestHierarchicalDiscovery:
     def test_same_region_via_head_overlay(self):
         state, clusters = two_region_world(cross_region=False)
         r = make_router(state, clusters, deposit=DepositParams())
-        path, m = r.discover_route(0, 3, now=0.0)
-        assert path == [0, 10, 20, 3]
+        route = r.discover_route(0, 3, now=0.0)
+        assert (route.path, route.levels) == ((0, 10, 20, 3), (0, 1, 0))
         # Inter-head hop rides the level-1 overlay.
         assert 20 in state.neighbors(10, 1)
 
     def test_cross_region_single_level2_relay(self):
         state, clusters = two_region_world(cross_region=True)
         r = make_router(state, clusters, deposit=DepositParams())
-        path, m = r.discover_route(0, 3, now=0.0)
-        assert path == [0, 10, 20, 3]
+        route = r.discover_route(0, 3, now=0.0)
+        assert (route.path, route.levels) == ((0, 10, 20, 3), (0, 2, 0))
         assert 20 not in state.neighbors(10, 1)
         assert 20 in state.neighbors(10, 2)
 
     def test_pheromone_positive_and_bounded_after_traffic(self):
         state, clusters = single_cluster_line(5)
-        r = make_router(state, clusters, deposit=DepositParams(), q=0.2)
+        # Each cached route expires before the next discovery.
+        r = make_router(state, clusters, deposit=DepositParams(), q=0.2,
+                        cache_max_age=0.5)
         for i in range(40):
-            r.discover_route(0, 4, now=float(i), use_cache=False)
+            r.discover_route(0, 4, now=float(i))
             if i % 3 == 0:
                 r.evaporate_all()
         bound = r.max_deposit / r.q + r.tau_initial
