@@ -116,21 +116,17 @@ class MaintenanceManager:
                 if not self.state.node(head).alive:
                     events.append(MembershipEvent("head_left", level, head=head))
                     continue
-                head_stale_to_all = bool(members)
-                for m in sorted(members):
-                    t = self.last_heard.get((level, head, m), now)
-                    if now - t >= bound:
-                        events.append(MembershipEvent(
-                            "member_left", level, head=head, node=m))
-                    else:
-                        head_stale_to_all = False
-                if head_stale_to_all:
+                stale = [m for m in sorted(members)
+                         if now - self.last_heard.get((level, head, m), now)
+                         >= bound]
+                if stale and len(stale) == len(members):
                     # Every member lost the head simultaneously: the head
                     # (not the members) is the one that moved away.
-                    events = [e for e in events
-                              if not (e.kind == "member_left" and e.head == head
-                                      and e.level == level)]
                     events.append(MembershipEvent("head_left", level, head=head))
+                else:
+                    events.extend(MembershipEvent("member_left", level,
+                                                  head=head, node=m)
+                                  for m in stale)
         return events
 
     # -- change handling ---------------------------------------------------
