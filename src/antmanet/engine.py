@@ -227,13 +227,11 @@ class Simulator:
             self._emit({"kind": "no_route", "t": self.now, "flow": flow_idx})
             return
         fstats["sent"] += 1
-        entry = self.router.caches[flow.src].lookup(flow.dst, self.now, flow.qos)
-        levels = entry.levels if entry is not None and entry.path == route.path \
-            else None
         self.schedule(self.now, "packet_at", flow=flow_idx, path=route.path,
-                      levels=levels, idx=0, sent_at=self.now)
+                      levels=route.levels, idx=0, sent_at=self.now)
 
     def _handle_packet_at(self, payload):
+        """Deliver, or forward one hop on the level discovery chose."""
         path = payload["path"]
         idx = payload["idx"]
         flow_idx = payload["flow"]
@@ -246,9 +244,7 @@ class Simulator:
                         "dst": path[idx], "delay": delay})
             return
         a, b = path[idx], path[idx + 1]
-        levels = payload["levels"]
-        level = levels[idx] if levels is not None else None
-        link = self.state.link(a, b, level) \
+        link = self.state.link(a, b, payload["levels"][idx]) \
             if self.state.node(a).alive and self.state.node(b).alive else None
         if link is None:
             self._flow_stats[flow_idx]["dropped"] += 1
@@ -259,7 +255,8 @@ class Simulator:
         self._apply_energy(b, "rx", bits)
         arrival = self.now + link.delay + self.state.node(b).node_delay
         self.schedule(arrival, "packet_at", flow=flow_idx, path=path,
-                      levels=levels, idx=idx + 1, sent_at=payload["sent_at"])
+                      levels=payload["levels"], idx=idx + 1,
+                      sent_at=payload["sent_at"])
 
     # -- run -----------------------------------------------------------------
 

@@ -348,17 +348,14 @@ class NetworkState:
             self._jitter_cache[key] = u
         return 1.0 + self.link_jitter * u
 
-    def link(self, a, b, level=None):
-        """LinkAttributes for the (a, b) link, or None if no such link.
+    def link(self, a, b, level):
+        """LinkAttributes for the level-`level` (a, b) link, or None if no
+        such link.
 
         The result is shared by every lookup of the link in this topology
         version; link expiration time is symmetric, so (a, b) and (b, a)
         give the same attributes.
         """
-        if level is None:
-            level = self.link_level(a, b)
-            if level is None:
-                return None
         lo, hi = (a, b) if a < b else (b, a)
         key = (lo, hi, level)
         if key in self._links:

@@ -1,8 +1,8 @@
 """Route-level QoS metric aggregation and pheromone deposit.
 
-A route is an ordered node list.  Delay is additive over links and nodes;
-bandwidth, energy and link expiration time are bottleneck (min) metrics;
-hop count is the number of nodes on the path.
+A route is an ordered node list plus the level of each hop.  Delay is
+additive over links and nodes; bandwidth, energy and link expiration time
+are bottleneck (min) metrics; hop count is the number of nodes on the path.
 """
 
 import math
@@ -42,10 +42,9 @@ class DepositParams:
     let_cap: float = 1e6
 
 
-def _path_links(route, state, levels=None):
+def _path_links(route, state, levels):
     links = []
-    for idx, (a, b) in enumerate(zip(route, route[1:])):
-        level = levels[idx] if levels is not None else None
+    for a, b, level in zip(route[:-1], route[1:], levels, strict=True):
         link = state.link(a, b, level)
         if link is None:
             raise BrokenPathError(f"no link between {a} and {b}")
@@ -53,8 +52,9 @@ def _path_links(route, state, levels=None):
     return links
 
 
-def path_metrics(route, state, levels=None):
-    """Delay, bandwidth, energy, LET and hop count of `route`.
+def path_metrics(route, state, levels):
+    """Delay, bandwidth, energy, LET and hop count of `route`, whose hop
+    i runs at level levels[i].
 
     Delay sums the link delays, then the node delays of every node on the
     route; bandwidth and LET are minima over the links, energy the minimum

@@ -117,7 +117,7 @@ def test_formula_fidelity():
             state.set_link_params(i, i + 1, 0, delay=d, bandwidth=b)
         route = list(range(n))
         node_delays = [state.nodes[i].node_delay for i in route]
-        m = path_metrics(route, state)
+        m = path_metrics(route, state, levels=(0,) * (n - 1))
         assert abs(m.delay - (sum(delays) + sum(node_delays))) < 1e-9
         assert abs(m.bandwidth - min(bws)) < 1e-9
         assert abs(m.energy - min(state.nodes[i].energy for i in route)) < 1e-9

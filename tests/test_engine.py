@@ -103,6 +103,50 @@ class TestSimulator:
         # One hop: default level-0 link delay plus receiver processing.
         assert summary["mean_delay"] == pytest.approx(0.002 + 0.001, abs=1e-12)
 
+    def test_packet_travels_on_rediscovered_route(self):
+        """After the cached route goes stale, the next packet travels on the
+        path and hop levels of the route discovery chose instead."""
+        class Probe(Simulator):
+            def __init__(self, cfg):
+                self.selected, self.sends = [], []
+                super().__init__(cfg, trace=self.record)
+
+            def record(self, rec):
+                if rec["kind"] == "route_selected":
+                    self.selected.append(rec)
+
+            def schedule(self, t, kind, **payload):
+                if kind == "packet_at" and payload["idx"] == 0:
+                    self.sends.append(payload)
+                super().schedule(t, kind, **payload)
+
+            def _handle_packet_send(self, payload):
+                if self.selected:
+                    # Move the first route's relay out of everyone's range;
+                    # its cached route stays unexpired but goes stale.
+                    relay = self.selected[0]["path"][1]
+                    self.state.nodes[relay].position = (60.0, 280.0)
+                    self.state.touch()
+                super()._handle_packet_send(payload)
+
+        # Source 0 and destination 3 reach each other through relay 1 or 2.
+        cfg = ScenarioConfig(
+            seed=1, duration=2.0, arena=Arena(300, 300),
+            placements=[Placement(id=0, position=(0.0, 0.0)),
+                        Placement(id=1, position=(60.0, 0.0)),
+                        Placement(id=2, position=(60.0, 30.0)),
+                        Placement(id=3, position=(120.0, 0.0))],
+            flows=[FlowConfig(src=0, dst=3, start=0.5, packets=2,
+                              interval=0.2)])
+        sim = Probe(cfg)
+        summary = sim.run()
+        assert summary["packets_delivered"] == 2
+        first, second = sim.selected
+        assert first["path"] != second["path"]
+        for send, route in zip(sim.sends, sim.selected, strict=True):
+            assert send["path"] == tuple(route["path"])
+            assert send["levels"] == tuple(route["levels"])
+
     def test_conservation(self):
         summary = run_scenario(two_node_config())
         assert summary["packets_sent"] == (summary["packets_delivered"]

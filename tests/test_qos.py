@@ -22,15 +22,20 @@ def pinned_line(delays, bandwidths, node_delay=1.0, energies=None):
     return s
 
 
+def level0(route, state):
+    """path_metrics of `route` with every hop at level 0."""
+    return path_metrics(route, state, levels=(0,) * (len(route) - 1))
+
+
 class TestPathDelay:
     def test_single_node(self):
         s = make_state()
         add_node(s, 0, (0, 0), node_delay=0.5)
-        assert path_metrics([0], s).delay == 0.5
+        assert level0([0], s).delay == 0.5
 
     def test_three_node_sum(self):
         s = pinned_line([2.0, 3.0], [1e6, 1e6], node_delay=1.0)
-        assert path_metrics([0, 1, 2], s).delay == pytest.approx(8.0)
+        assert level0([0, 1, 2], s).delay == pytest.approx(8.0)
 
     def test_random_path_matches_fold(self):
         rng = random.Random(5)
@@ -38,41 +43,41 @@ class TestPathDelay:
         s = pinned_line(delays, [1e6] * 6, node_delay=0.25)
         route = list(range(7))
         expected = sum(delays) + 0.25 * 7
-        assert path_metrics(route, s).delay == pytest.approx(expected, abs=1e-12)
+        assert level0(route, s).delay == pytest.approx(expected, abs=1e-12)
 
     def test_broken_path_names_link(self):
         s = line_state(4)
         with pytest.raises(BrokenPathError, match="0 and 2"):
-            path_metrics([0, 2, 3], s)
+            level0([0, 2, 3], s)
 
 
 class TestBottleneckMetrics:
     def test_bandwidth_constant_min(self):
         s = pinned_line([1, 1, 1], [5e6, 5e6, 5e6])
-        assert path_metrics([0, 1, 2, 3], s).bandwidth == 5e6
+        assert level0([0, 1, 2, 3], s).bandwidth == 5e6
 
     def test_bandwidth_min_fold(self):
         s = pinned_line([1, 1, 1], [10e6, 2e6, 7e6])
-        assert path_metrics([0, 1, 2, 3], s).bandwidth == 2e6
+        assert level0([0, 1, 2, 3], s).bandwidth == 2e6
 
     def test_bandwidth_random_matches_enumeration(self):
         rng = random.Random(8)
         bws = [rng.uniform(1e5, 1e7) for _ in range(5)]
         s = pinned_line([1] * 5, bws)
-        assert path_metrics(list(range(6)), s).bandwidth == min(bws)
+        assert level0(list(range(6)), s).bandwidth == min(bws)
 
     def test_bandwidth_zero_hop_unbounded(self):
         # A single-node route has no link to bound bandwidth or LET.
-        m = path_metrics([0], line_state(2))
+        m = level0([0], line_state(2))
         assert m.bandwidth == math.inf and m.let == math.inf
 
     def test_energy_constant_min(self):
         s = pinned_line([1, 1], [1e6, 1e6], energies=[3.0, 3.0, 3.0])
-        assert path_metrics([0, 1, 2], s).energy == 3.0
+        assert level0([0, 1, 2], s).energy == 3.0
 
     def test_energy_min_fold(self):
         s = pinned_line([1, 1], [1e6, 1e6], energies=[5.0, 2.0, 9.0])
-        assert path_metrics([0, 1, 2], s).energy == 2.0
+        assert level0([0, 1, 2], s).energy == 2.0
 
     def test_let_min_fold(self):
         s = make_state()
@@ -81,20 +86,30 @@ class TestBottleneckMetrics:
         add_node(s, 1, (0, 0), vel=(1.0, 0.0), tx_range=(10.0,))
         add_node(s, 2, (0, 0), vel=(3.5, 0.0), tx_range=(10.0,))
         lets = [s.link(0, 1, 0).let, s.link(1, 2, 0).let]
-        assert path_metrics([0, 1, 2], s).let == min(lets)
+        assert level0([0, 1, 2], s).let == min(lets)
 
     def test_hop_count_is_node_count(self):
         s = line_state(10, spacing=10.0)
-        assert path_metrics([4, 5, 6, 7], s).hop_count == 4
+        assert level0([4, 5, 6, 7], s).hop_count == 4
         with pytest.raises(BrokenPathError):
-            path_metrics([], s)
+            level0([], s)
 
 
 class TestPathMetrics:
     def test_broken_path_raises(self):
         s = line_state(4)
         with pytest.raises(BrokenPathError, match="0 and 2"):
-            path_metrics([0, 2, 3], s)
+            level0([0, 2, 3], s)
+
+    def test_hop_runs_on_its_level(self):
+        # Two level-1 heads 200 m apart: linked at level 1 only.
+        s = make_state()
+        add_node(s, 0, (0, 0), level=1)
+        add_node(s, 1, (200, 0), level=1)
+        m = path_metrics([0, 1], s, levels=(1,))
+        assert m.delay == s.link(0, 1, 1).delay + 2 * 0.001
+        with pytest.raises(BrokenPathError, match="0 and 1"):
+            path_metrics([0, 1], s, levels=(0,))
 
 
 class TestPheromoneDeposit:
@@ -153,8 +168,8 @@ class TestConcatenation:
     def test_subpath_bounds_full_path(self):
         s = pinned_line([0.5, 0.7, 0.9], [3e6, 1e6, 2e6],
                         energies=[9, 4, 7, 6])
-        full = path_metrics([0, 1, 2, 3], s)
-        sub = path_metrics([1, 2], s)
+        full = level0([0, 1, 2, 3], s)
+        sub = level0([1, 2], s)
         assert full.bandwidth <= sub.bandwidth
         assert full.energy <= sub.energy
         assert full.let <= sub.let

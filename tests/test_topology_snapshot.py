@@ -52,12 +52,8 @@ class BruteForceState(NetworkState):
             return False
         return _in_range(na, nb, level)
 
-    def link(self, a, b, level=None):
-        if level is None:
-            level = self.link_level(a, b)
-            if level is None:
-                return None
-        elif not self.linked(a, b, level):
+    def link(self, a, b, level):
+        if not self.linked(a, b, level):
             return None
         lo, hi = (a, b) if a < b else (b, a)
         delay, bandwidth = self._overrides.get((lo, hi, level), (None, None))
@@ -110,7 +106,6 @@ def _assert_same_topology(real, ref):
     for a in ids:
         for b in ids:
             assert real.link_level(a, b) == ref.link_level(a, b)
-            assert real.link(a, b) == ref.link(a, b)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -178,11 +173,11 @@ def test_link_follows_position_change_after_touch():
     s.nodes[1].position = (80.0, 0.0)
     s.touch()
     assert s.link(0, 1, 0).let == pytest.approx(20.0)
-    assert s.link(1, 0).let == s.link(0, 1, 0).let
+    assert s.link(1, 0, 0).let == s.link(0, 1, 0).let
     s.nodes[1].position = (150.0, 0.0)
     s.touch()
     assert s.link(0, 1, 0) is None
-    assert s.link(0, 1) is None
+    assert s.link_level(0, 1) is None
     assert s.neighbors(0, 0) == frozenset()
 
 
