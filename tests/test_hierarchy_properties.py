@@ -8,7 +8,7 @@ memberships.  Election thresholds stay at their defaults: a finite
 ``theta_w`` may leave nodes uncovered on purpose (``election-failed``).
 """
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from antmanet import clustering
@@ -69,7 +69,11 @@ class CheckedSimulator(Simulator):
         assert self.stats["round_cap_hits"] == 0, f"t={self.now}: round cap"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# No shrink phase: shrinking re-runs whole 120-s simulations, which turns a
+# 6-s pass into minutes before a failure is reported.  The first falsifying
+# example is still printed.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=[p for p in Phase if p is not Phase.shrink])
 @given(seed=st.integers(0, 2**16), nodes=st.integers(10, 80),
        mix=st.sampled_from([(0.7, 0.22), (0.4, 0.4), (0.2, 0.3), (0.9, 0.1)]),
        speed=st.sampled_from([1.0, 3.0, 8.0]),
