@@ -116,17 +116,18 @@ class MaintenanceManager:
                 if not self.state.node(head).alive:
                     events.append(MembershipEvent("head_left", level, head=head))
                     continue
-                stale = [m for m in sorted(members)
-                         if now - self.last_heard.get((level, head, m), now)
-                         >= bound]
+                stale = []
+                for m in sorted(members):
+                    if now - self.last_heard.get((level, head, m), now) >= bound:
+                        stale.append(m)
                 if stale and len(stale) == len(members):
                     # Every member lost the head simultaneously: the head
                     # (not the members) is the one that moved away.
                     events.append(MembershipEvent("head_left", level, head=head))
-                else:
-                    events.extend(MembershipEvent("member_left", level,
-                                                  head=head, node=m)
-                                  for m in stale)
+                    continue
+                for m in stale:
+                    events.append(MembershipEvent(
+                        "member_left", level, head=head, node=m))
         return events
 
     # -- change handling ---------------------------------------------------
