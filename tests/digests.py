@@ -1,0 +1,51 @@
+"""The trace-digest corpus: small scenarios whose traces are pinned.
+
+``tests/data/digests.json`` records, for every scenario under
+``tests/data/digest/``, the sha256 of its trace, its delivered count and
+its discovery failures.  ``test_digests.py`` checks the table.  A change
+that moves a trace regenerates it, in a commit of its own:
+
+    PYTHONPATH=src python tests/digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from antmanet.config import load_scenario
+from antmanet.engine import Simulator, format_record
+
+DATA = Path(__file__).parent / "data"
+CORPUS = sorted((DATA / "digest").glob("*.yaml"))
+TABLE = DATA / "digests.json"
+
+
+def run(path):
+    """(trace text, simulator) of one run of the scenario at `path`."""
+    lines = []
+    sim = Simulator(load_scenario(path),
+                    trace=lambda r: lines.append(format_record(r)))
+    sim.run()
+    return "".join(line + "\n" for line in lines), sim
+
+
+def digest(path):
+    text, sim = run(path)
+    summary = sim.summary()
+    return {"trace_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "delivered": summary["packets_delivered"],
+            "discovery_failures": summary["discovery_failures"]}
+
+
+def table():
+    return {path.stem: digest(path) for path in CORPUS}
+
+
+def main():
+    text = json.dumps(table(), sort_keys=True, indent=2) + "\n"
+    TABLE.write_text(text, encoding="utf-8")
+    print(text, end="")
+
+
+if __name__ == "__main__":
+    main()
