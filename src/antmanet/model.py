@@ -5,7 +5,7 @@ Nodes live on a 2-D plane and carry up to three radio interfaces (levels
 range grows strictly with the level.  Links are derived from positions,
 velocities, ranges and liveness.  ``NetworkState`` caches them per
 topology version: a per-level adjacency, and the attributes of every link
-looked up.  ``touch()`` starts a new version.
+looked up.  ``touch()`` starts a new version, and ``version`` counts them.
 
 A level's adjacency is carried across versions, as a neighbor list with a
 skin (Verlet, Phys. Rev. 159, 1967).  A full grid build keeps every pair
@@ -144,8 +144,15 @@ class NetworkState:
     the ``LinkAttributes`` of every (pair, level) looked up.  Links depend
     on positions, velocities (through the link expiration time), ranges
     and liveness, so a change to any of these must be followed by
-    ``touch()``, which starts a new version.  Energy does not enter a
-    link, so energy changes need no ``touch()``.
+    ``touch()``, which starts a new version.  A node's ``node_delay``, like
+    its position, velocity, range and liveness, changes only with a
+    ``touch()``.  Energy does not enter a link, so energy changes need no
+    ``touch()``.
+
+    ``version`` counts the topology versions: ``touch()`` and
+    ``set_link_params`` each increment it.  A value derived from the
+    adjacency, the link attributes and the node delays holds while
+    ``version`` is unchanged.
 
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
@@ -164,6 +171,7 @@ class NetworkState:
         self._adjacency = {}  # level -> {nid: frozenset of linked peers}
         self._references = {}  # level -> _Reference of the last full build
         self._links = {}  # (lo, hi, level) -> LinkAttributes, or None if unlinked
+        self.version = 0
 
     def add_node(self, nid, attrs):
         if nid in self.nodes:
@@ -181,6 +189,7 @@ class NetworkState:
         """Start a new topology version: drop the cached adjacency and links."""
         self._adjacency.clear()
         self._links.clear()
+        self.version += 1
 
     def alive_ids(self):
         return [n for n, a in self.nodes.items() if a.alive]
@@ -190,6 +199,7 @@ class NetworkState:
         lo, hi = (a, b) if a < b else (b, a)
         self._overrides[(lo, hi, level)] = (delay, bandwidth)
         self._links.pop((lo, hi, level), None)
+        self.version += 1
 
     def _build_adjacency(self, level):
         """Neighbor sets of every node at `level`, in one grid pass.

@@ -12,6 +12,12 @@ Every node scores the candidate next hops with the multiplicative
 preference rule (pheromone x 1/delay x 1/hops x bandwidth x energy x
 expiry, each under a tunable exponent) and the best admissible path
 wins, gets a pheromone deposit, and is cached.
+
+The flood's expansion reads only the topology, so the router memoizes it
+per topology version (``NetworkState.version``), scope and endpoints;
+each entry carries its paths' delay sums and bandwidth and LET minima.
+A repeated flood replays the entry, reading energy afresh, and emits the
+same records and counters as a new one.
 """
 
 import heapq
@@ -176,6 +182,10 @@ class Router:
         self.caches = defaultdict(lambda: RouteCache(cache_capacity))
         self.stats = Counter() if stats is None else stats
         self.max_deposit = 0.0
+        # _expand's results in the topology version _floods_version, keyed
+        # by (level, src, dst, frozenset(scope)).
+        self._floods = {}
+        self._floods_version = None
 
     def table(self, level, node):
         return self.tables[(level, node)]
@@ -197,39 +207,24 @@ class Router:
     # -- ant flood -----------------------------------------------------
 
     def _flood(self, scope, level, src, dst, now, kind="knave"):
-        """Loop-free delay-ordered expansion.
+        """Replay the request ants of one discovery segment.
 
-        Returns (path, PathMetrics) pairs in arrival order.  Models
-        concurrent request ants: the priority queue key is the accumulated
-        path delay, so the first path to reach the destination is the
-        minimum-delay one.
+        Returns (path, PathMetrics) pairs in arrival order, and emits one
+        reply record per pair.  The expansion depends only on the
+        topology version, the scope and the endpoints, so it is memoized
+        per version; energy does not, so it is read here on every call.
         """
-        scope = set(scope)
-        start = self.state.node(src).node_delay
-        heap = [(start, 0, (src,))]
-        seq = 1
-        pops = 0
-        found = []
-        expansions = {}
-        while heap and len(found) < MAX_REPLIES and pops < FLOOD_BUDGET:
-            cum, _, path = heapq.heappop(heap)
-            pops += 1
-            node = path[-1]
-            if node == dst:
-                found.append(path)
-                continue
-            n = expansions.get(node, 0)
-            if n >= FANOUT_CAP:
-                continue
-            expansions[node] = n + 1
-            for nb in sorted(self.state.neighbors(node, level)):
-                if nb not in scope or nb in path:
-                    continue
-                link = self.state.link(node, nb, level)
-                nd = self.state.node(nb).node_delay
-                heapq.heappush(heap, (cum + link.delay + nd, seq, path + (nb,)))
-                seq += 1
-                self.stats["request_forwards"] += 1
+        state = self.state
+        if self._floods_version != state.version:
+            self._floods.clear()
+            self._floods_version = state.version
+        key = (level, src, dst, frozenset(scope))
+        expansion = self._floods.get(key)
+        if expansion is None:
+            expansion = self._floods[key] = self._expand(key[3], level, src,
+                                                         dst)
+        found, forwards = expansion
+        self.stats["request_forwards"] += forwards
         if not found:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
@@ -237,9 +232,12 @@ class Router:
         # visited stack in reverse, carrying the path's QoS values.
         ends = (("src_member", "dst_member") if kind == "knave"
                 else ("src_head", "dst_head"))
+        node = state.node
         replies = []
-        for path in found:
-            m = path_metrics(path, self.state, levels=(level,) * (len(path) - 1))
+        for path, link_delay, node_delay, bandwidth, let in found:
+            m = PathMetrics(delay=link_delay + node_delay, bandwidth=bandwidth,
+                            energy=min(node(n).energy for n in path), let=let,
+                            hop_count=len(path))
             replies.append((path, m))
             self.stats["reply_packets"] += 1
             self.stats["reply_hops"] += len(path) - 1
@@ -248,6 +246,54 @@ class Router:
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
                 "to_visit": list(reversed(path))}})
         return replies
+
+    def _expand(self, scope, level, src, dst):
+        """Loop-free delay-ordered expansion from src toward dst.
+
+        Models concurrent request ants: the priority queue key is the
+        accumulated path delay, so the first path to reach the destination
+        is the minimum-delay one.  Each heap entry also carries what
+        `path_metrics` would compute for its path: the link-delay and
+        node-delay sums, each added left to right from 0, and the
+        bandwidth and LET minima, replaced only by a strictly smaller
+        value as `min` does.
+
+        Returns ([(path, link-delay sum, node-delay sum, bandwidth, LET)]
+        in arrival order, number of request forwards).
+        """
+        state = self.state
+        start = state.node(src).node_delay
+        heap = [(start, 0, (src,), 0, 0 + start, math.inf, math.inf)]
+        seq = 1
+        pops = 0
+        forwards = 0
+        found = []
+        expansions = {}
+        while heap and len(found) < MAX_REPLIES and pops < FLOOD_BUDGET:
+            cum, _, path, link_delay, node_delay, bandwidth, let = \
+                heapq.heappop(heap)
+            pops += 1
+            node = path[-1]
+            if node == dst:
+                found.append((path, link_delay, node_delay, bandwidth, let))
+                continue
+            n = expansions.get(node, 0)
+            if n >= FANOUT_CAP:
+                continue
+            expansions[node] = n + 1
+            for nb in sorted(state.neighbors(node, level)):
+                if nb not in scope or nb in path:
+                    continue
+                link = state.link(node, nb, level)
+                nd = state.node(nb).node_delay
+                heapq.heappush(heap, (
+                    cum + link.delay + nd, seq, path + (nb,),
+                    link_delay + link.delay, node_delay + nd,
+                    link.bandwidth if link.bandwidth < bandwidth else bandwidth,
+                    link.let if link.let < let else let))
+                seq += 1
+                forwards += 1
+        return found, forwards
 
     def _choose(self, replies, level, src, dst, pher_dst, qos):
         """The best admissible path by preference probability.

@@ -268,6 +268,79 @@ class TestDiscovery:
         assert r.stats["cache_hits"] == 1
 
 
+def diamond():
+    """0 reaches 3 over 1 or over 2, with equal delays; head 1's cluster
+    holds all four nodes.  Ties go to the lower neighbor id, so 1."""
+    state = make_state()
+    for nid, pos in ((0, (0.0, 0.0)), (1, (70.0, 60.0)), (2, (70.0, -60.0)),
+                     (3, (140.0, 0.0))):
+        add_node(state, nid, pos)
+    clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}})
+    return state, clusters
+
+
+class TestFloodMemo:
+    """A discovery after a topology change floods the new topology.
+
+    The second discovery comes after the first route's cache entry has
+    expired, so it floods again; the memo of the first flood must not
+    survive the change."""
+
+    def test_repeated_discovery_replays_the_flood(self):
+        state, clusters = diamond()
+        records = []
+        r = make_router(state, clusters, cache_max_age=0.5,
+                        trace=records.append)
+        first = r.discover_route(0, 3, now=0.0)
+        second = r.discover_route(0, 3, now=1.0)
+        assert len(r._floods) == 1
+        assert second.metrics == first.metrics
+        replies = [(rec["t"], rec["packet"]["to_visit"]) for rec in records
+                   if rec["kind"] == "reply_knave_ant"]
+        assert replies == [(0.0, [3, 1, 0]), (0.0, [3, 2, 0]),
+                           (1.0, [3, 1, 0]), (1.0, [3, 2, 0])]
+        assert r.stats["request_forwards"] == 2 * 4
+
+    def test_pinned_link_params_reroute(self):
+        state, clusters = diamond()
+        r = make_router(state, clusters, cache_max_age=0.5)
+        assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
+        state.set_link_params(1, 3, 0, delay=0.05, bandwidth=1e3)
+        route = r.discover_route(0, 3, now=1.0)
+        assert route.path == (0, 2, 3)
+        assert route.metrics == path_metrics(route.path, state,
+                                             levels=route.levels)
+
+    def test_moved_node_reroutes_with_new_let(self):
+        state, clusters = diamond()
+        r = make_router(state, clusters, cache_max_age=0.5)
+        first = r.discover_route(0, 3, now=0.0)
+        assert first.path == (0, 1, 3)
+        assert first.metrics.let == math.inf
+        state.nodes[1].position = (70.0, 90.0)  # out of range of 0 and 3
+        state.nodes[2].velocity = (1.0, 0.0)
+        state.touch()
+        route = r.discover_route(0, 3, now=1.0)
+        assert route.path == (0, 2, 3)
+        assert math.isfinite(route.metrics.let)
+        assert route.metrics == path_metrics(route.path, state,
+                                             levels=route.levels)
+
+    def test_energy_is_read_at_every_flood(self):
+        state, clusters = diamond()
+        records = []
+        r = make_router(state, clusters, cache_max_age=0.5,
+                        trace=records.append)
+        r.discover_route(0, 3, now=0.0)
+        state.nodes[1].energy = 5.0  # no touch(): links do not change
+        route = r.discover_route(0, 3, now=1.0)
+        energies = [rec["packet"]["energy"] for rec in records
+                    if rec["kind"] == "reply_knave_ant"]
+        assert energies == [100.0, 100.0, 5.0, 100.0]
+        assert route.metrics == path_metrics(route.path, state,
+                                             levels=route.levels)
+
+
 def two_region_world(cross_region):
     """Two level-0 clusters; heads 10 and 20 are level-2 capable."""
     state = make_state()
