@@ -42,7 +42,9 @@ class DepositParams:
     let_cap: float = 1e6
 
 
-def _path_links(route, state, levels):
+def path_links(route, state, levels):
+    """The LinkAttributes of each hop of `route`, whose hop i runs at level
+    levels[i]; raises BrokenPathError for a missing link."""
     links = []
     for a, b, level in zip(route[:-1], route[1:], levels, strict=True):
         link = state.link(a, b, level)
@@ -56,11 +58,8 @@ def path_metrics(route, state, levels):
     """Delay, bandwidth, energy, LET and hop count of `route`, whose hop
     i runs at level levels[i].
 
-    Delay sums the link delays, then the node delays of every node on the
-    route; bandwidth and LET are minima over the links, energy the minimum
-    over the nodes, and hop count the number of nodes.  A single-node route
-    has no links, so its bandwidth and LET are infinite.  Raises
-    BrokenPathError for an empty route or a missing link.
+    A single-node route has no links, so its bandwidth and LET are
+    infinite.  Raises BrokenPathError for an empty route or a missing link.
     """
     if not route:
         raise BrokenPathError("empty route")
@@ -68,14 +67,24 @@ def path_metrics(route, state, levels):
         return PathMetrics(delay=state.node(route[0]).node_delay,
                            bandwidth=math.inf, energy=state.node(route[0]).energy,
                            let=math.inf, hop_count=1)
-    links = _path_links(route, state, levels)
-    nodes = [state.node(n) for n in route]
+    return link_metrics(path_links(route, state, levels),
+                        [state.node(n) for n in route])
+
+
+def link_metrics(links, nodes):
+    """The PathMetrics of a route of at least one link, from its links'
+    LinkAttributes and its nodes' NodeAttributes, each in route order.
+
+    Delay sums the link delays, then the node delays, each left to right
+    from 0; bandwidth and LET are minima over the links, energy the minimum
+    over the nodes, and hop count the number of nodes.
+    """
     delay = sum(l.delay for l in links) + sum(a.node_delay for a in nodes)
     return PathMetrics(delay=delay,
                        bandwidth=min(l.bandwidth for l in links),
                        energy=min(a.energy for a in nodes),
                        let=min(l.let for l in links),
-                       hop_count=len(route))
+                       hop_count=len(nodes))
 
 
 def pheromone_deposit(m, p=None):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
-from .qos import PathMetrics, path_metrics, pheromone_deposit
+from .qos import (PathMetrics, link_metrics, path_links, path_metrics,
+                  pheromone_deposit)
 
 # Flood limits per discovery segment: replies collected, expansions per
 # node, and heap pops in total.
@@ -363,13 +364,15 @@ class Router:
         route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
                       metrics=m, expires_at=now + min(m.let, self.cache_max_age))
         self.caches[src].insert(route)
-        # Intermediate nodes remember the suffix toward the destination.
+        # Intermediate nodes remember the suffix toward the destination,
+        # scored from the route's links and nodes, looked up once.
+        links = path_links(path, self.state, levels)
+        nodes = [self.state.node(n) for n in path]
         for idx in range(1, len(path) - 1):
-            suffix, sl = route.path[idx:], route.levels[idx:]
-            sm = path_metrics(suffix, self.state, levels=sl)
+            sm = link_metrics(links[idx:], nodes[idx:])
             self.caches[path[idx]].insert(Route(
-                destination=dst, path=suffix, levels=sl, metrics=sm,
-                expires_at=now + min(sm.let, self.cache_max_age)))
+                destination=dst, path=route.path[idx:], levels=route.levels[idx:],
+                metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)))
         self._emit({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,

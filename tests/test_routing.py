@@ -232,6 +232,23 @@ class TestDiscovery:
         assert route.metrics.bandwidth == ref.bandwidth
         assert r.stats["route_ants"] >= 1
 
+    def test_suffix_routes_carry_their_path_metrics(self):
+        # A drifting node makes the LET finite and differ along the line.
+        state, clusters = single_cluster_line(6)
+        state.nodes[3].velocity = (4.0, 0.0)
+        state.nodes[4].energy = 7.0
+        state.touch()
+        r = make_router(state, clusters, deposit=DepositParams())
+        route = r.discover_route(0, 5, now=0.0)
+        assert route.path == (0, 1, 2, 3, 4, 5)
+        assert math.isfinite(route.metrics.let)
+        for idx in range(1, len(route.path) - 1):
+            [cached] = r.caches[route.path[idx]].entries
+            assert cached.path == route.path[idx:]
+            assert cached.levels == route.levels[idx:]
+            assert cached.metrics == path_metrics(cached.path, state,
+                                                  levels=cached.levels)
+
     def test_unreachable_raises_no_route(self):
         state = make_state()
         add_node(state, 0, (0, 0))
