@@ -227,9 +227,8 @@ class TestDiscovery:
         r = make_router(state, clusters, deposit=DepositParams())
         route = r.discover_route(0, 4, now=0.0)
         assert (route.path, route.levels) == ((0, 1, 2, 3, 4), (0,) * 4)
-        ref = path_metrics(route.path, state, levels=route.levels)
-        assert route.metrics.delay == pytest.approx(ref.delay)
-        assert route.metrics.bandwidth == ref.bandwidth
+        assert route.metrics == path_metrics(route.path, state,
+                                             levels=route.levels)
         assert r.stats["route_ants"] >= 1
 
     def test_suffix_routes_carry_their_path_metrics(self):
