@@ -302,6 +302,19 @@ class TestFloodMemo:
     expired, so it floods again; the memo of the first flood must not
     survive the change."""
 
+    @staticmethod
+    def check_replies(records, state, t):
+        """Every reply sent at time t carries its path's metrics."""
+        replies = [rec["packet"] for rec in records
+                   if rec["kind"] == "reply_knave_ant" and rec["t"] == t]
+        assert replies
+        for p in replies:
+            path = p["to_visit"][::-1]
+            m = path_metrics(path, state, levels=(0,) * (len(path) - 1))
+            assert (p["delay"], p["bandwidth"], p["energy"], p["let"],
+                    p["hop_count"]) == (m.delay, m.bandwidth, m.energy,
+                                        m.let, m.hop_count)
+
     def test_repeated_discovery_replays_the_flood(self):
         state, clusters = diamond()
         records = []
@@ -319,17 +332,22 @@ class TestFloodMemo:
 
     def test_pinned_link_params_reroute(self):
         state, clusters = diamond()
-        r = make_router(state, clusters, cache_max_age=0.5)
+        records = []
+        r = make_router(state, clusters, cache_max_age=0.5,
+                        trace=records.append)
         assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
         state.set_link_params(1, 3, 0, delay=0.05, bandwidth=1e3)
         route = r.discover_route(0, 3, now=1.0)
         assert route.path == (0, 2, 3)
         assert route.metrics == path_metrics(route.path, state,
                                              levels=route.levels)
+        self.check_replies(records, state, 1.0)
 
     def test_moved_node_reroutes_with_new_let(self):
         state, clusters = diamond()
-        r = make_router(state, clusters, cache_max_age=0.5)
+        records = []
+        r = make_router(state, clusters, cache_max_age=0.5,
+                        trace=records.append)
         first = r.discover_route(0, 3, now=0.0)
         assert first.path == (0, 1, 3)
         assert first.metrics.let == math.inf
@@ -341,6 +359,7 @@ class TestFloodMemo:
         assert math.isfinite(route.metrics.let)
         assert route.metrics == path_metrics(route.path, state,
                                              levels=route.levels)
+        self.check_replies(records, state, 1.0)
 
     def test_energy_is_read_at_every_flood(self):
         state, clusters = diamond()
@@ -355,6 +374,7 @@ class TestFloodMemo:
         assert energies == [100.0, 100.0, 5.0, 100.0]
         assert route.metrics == path_metrics(route.path, state,
                                              levels=route.levels)
+        self.check_replies(records, state, 1.0)
 
 
 def two_region_world(cross_region):
