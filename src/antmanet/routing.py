@@ -213,17 +213,18 @@ class Router:
         Returns (path, PathMetrics) pairs in arrival order, and emits one
         reply record per pair.  The expansion depends only on the
         topology version, the scope and the endpoints, so it is memoized
-        per version; energy does not, so it is read here on every call.
+        per version.  Energy changes within a version, so it is read here
+        on every call.
         """
         state = self.state
         if self._floods_version != state.version:
             self._floods.clear()
             self._floods_version = state.version
-        key = (level, src, dst, frozenset(scope))
+        scope = frozenset(scope)
+        key = (level, src, dst, scope)
         expansion = self._floods.get(key)
         if expansion is None:
-            expansion = self._floods[key] = self._expand(key[3], level, src,
-                                                         dst)
+            expansion = self._floods[key] = self._expand(scope, level, src, dst)
         found, forwards = expansion
         self.stats["request_forwards"] += forwards
         if not found:
