@@ -122,7 +122,6 @@ class MobilityConfig:
 
 @dataclass
 class CacheConfig:
-    capacity: int = 64
     max_age: float = 30.0
 
 
@@ -231,7 +230,7 @@ _BOUNDS = {
     "mobility.speed_min": _NON_NEGATIVE, "mobility.speed_max": _NON_NEGATIVE,
     "mobility.pause": _NON_NEGATIVE,
     "mobility.update_interval": _POSITIVE, "mobility.window": _POSITIVE,
-    "cache.capacity": _AT_LEAST_ONE, "cache.max_age": _POSITIVE,
+    "cache.max_age": _POSITIVE,
     "energy_costs.tx_packet": _NON_NEGATIVE,
     "energy_costs.tx_bit": _NON_NEGATIVE,
     "energy_costs.rx_packet": _NON_NEGATIVE,

@@ -270,7 +270,6 @@ class Simulator:
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,
             tau_initial=cfg.pheromone.initial,
-            cache_capacity=cfg.cache.capacity,
             cache_max_age=cfg.cache.max_age, trace=self._emit,
             stats=self.stats)
         self.manager = MaintenanceManager(

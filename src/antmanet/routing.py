@@ -92,26 +92,33 @@ class Route:
 
 
 class RouteCache:
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.entries = []
+    """One node's routes per destination, oldest first.
 
-    def insert(self, entry):
-        if len(self.entries) >= self.capacity:
-            victim = min(self.entries, key=lambda e: e.expires_at)
-            self.entries.remove(victim)
-        self.entries.append(entry)
+    ``routes[destination]`` maps (path, levels) to the Route, so inserting
+    a route already held refreshes it in place.  Both `insert` and
+    `lookup` first drop the destination's expired routes.
+    """
+
+    def __init__(self):
+        self.routes = {}
+
+    def _unexpired(self, dst, now):
+        self.routes[dst] = routes = {
+            k: r for k, r in self.routes.get(dst, {}).items()
+            if r.expires_at >= now}
+        return routes
+
+    def insert(self, route, now):
+        self._unexpired(route.destination, now)[route.path, route.levels] = route
 
     def lookup(self, dst, now, qos=None):
-        """Oldest unexpired admissible entry toward dst, or None."""
-        for e in self.entries:
-            if (e.destination == dst and e.expires_at >= now
-                    and (qos is None or qos.admits(e.metrics))):
-                return e
-        return None
+        """Oldest unexpired admissible route toward dst, or None."""
+        return next((r for r in self._unexpired(dst, now).values()
+                     if qos is None or qos.admits(r.metrics)), None)
 
     def purge_node(self, node):
-        self.entries = [e for e in self.entries if node not in e.path]
+        self.routes = {dst: {k: r for k, r in routes.items() if node not in r.path}
+                       for dst, routes in self.routes.items()}
 
 
 # --------------------------------------------------------------------------
@@ -168,8 +175,7 @@ class Router:
     """
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
-                 tau_initial, cache_capacity, cache_max_age, trace=None,
-                 stats=None):
+                 tau_initial, cache_max_age, trace=None, stats=None):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -180,7 +186,7 @@ class Router:
         self.trace = trace
         self.tables = defaultdict(
             lambda: PheromoneTable(q=self.q, initial=self.tau_initial))
-        self.caches = defaultdict(lambda: RouteCache(cache_capacity))
+        self.caches = defaultdict(RouteCache)
         self.stats = Counter() if stats is None else stats
         self.max_deposit = 0.0
         # _expand's results in the topology version _floods_version, keyed
@@ -364,7 +370,7 @@ class Router:
                 self.table(level, i).deposit(j, dst, dtau)
         route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
                       metrics=m, expires_at=now + min(m.let, self.cache_max_age))
-        self.caches[src].insert(route)
+        self.caches[src].insert(route, now)
         # Intermediate nodes remember the suffix toward the destination,
         # scored from the route's links and nodes, looked up once.
         links = path_links(path, self.state, levels)
@@ -373,7 +379,8 @@ class Router:
             sm = link_metrics(links[idx:], nodes[idx:])
             self.caches[path[idx]].insert(Route(
                 destination=dst, path=route.path[idx:], levels=route.levels[idx:],
-                metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)))
+                metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)),
+                now)
         self._emit({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,

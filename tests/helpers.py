@@ -14,7 +14,6 @@ DEFAULTS = ScenarioConfig()
 def make_router(state, clusters, **kw):
     """A Router with the default pheromone and cache settings."""
     kw = {"q": DEFAULTS.pheromone.q, "tau_initial": DEFAULTS.pheromone.initial,
-          "cache_capacity": DEFAULTS.cache.capacity,
           "cache_max_age": DEFAULTS.cache.max_age, **kw}
     return Router(state, clusters, **kw)
 

@@ -81,15 +81,20 @@ class TestParsing:
             parse_scenario("pheronome: {q: 0.5}")
         assert "unknown-key" in codes(exc)
 
-    @pytest.mark.parametrize("key", ["ref_delay", "ref_bandwidth",
-                                     "ref_energy", "ref_let"])
-    def test_preference_scale_is_unknown_key(self, key):
+    @pytest.mark.parametrize(
+        "path", ["preference.ref_delay", "preference.ref_bandwidth",
+                 "preference.ref_energy", "preference.ref_let",
+                 "cache.capacity"],
+        ids=lambda path: path.removeprefix("preference."))
+    def test_preference_scale_is_unknown_key(self, path):
         # One scale on every candidate's score cannot change a route, so
-        # the preference section has none.
+        # the preference section has none; a route cache holds one route
+        # per path and drops expired ones, so it has no capacity.
+        section, key = path.split(".")
         with pytest.raises(ScenarioError) as exc:
-            parse_scenario(f"preference: {{{key}: 2.0}}")
+            parse_scenario(f"{section}: {{{key}: 2}}")
         assert [(p, c) for p, c, _ in exc.value.issues] == [
-            (f"preference.{key}", "unknown-key")]
+            (path, "unknown-key")]
 
     def test_tx_range_must_increase(self):
         with pytest.raises(ScenarioError) as exc:

@@ -1,11 +1,13 @@
-"""The digest corpus's traces match the committed table, and replaying
-ant floods from the router's memo changes none of them."""
+"""The digest corpus's traces match the committed table, replaying ant
+floods from the router's memo changes none of them, and route caches
+hold no duplicate."""
 
 import json
+from collections import Counter
 
 from antmanet.routing import Router
 
-from digests import CORPUS, TABLE, run, table
+from digests import CORPUS, DATA, TABLE, run, table
 
 
 def test_corpus_matches_digest_table():
@@ -46,3 +48,14 @@ def test_flood_memo_changes_no_trace_byte(monkeypatch):
             for kept, fresh in zip(expansions[:n], expansions[n:])]
     # Every scenario replays some floods, the static ones most of them.
     assert all(h > 0 for h in hits), dict(zip((p.stem for p in CORPUS), hits))
+
+
+def test_route_caches_hold_no_duplicate():
+    """No node caches two routes with the same destination, path and
+    levels after a run whose flows rediscover the same routes."""
+    _, sim = run(DATA / "digest" / "static-cache.yaml")
+    for node, cache in sim.router.caches.items():
+        held = Counter((r.destination, r.path, r.levels)
+                       for routes in cache.routes.values()
+                       for r in routes.values())
+        assert max(held.values(), default=1) == 1, node

@@ -172,36 +172,48 @@ class TestAnts:
 
 
 class TestRouteCache:
-    def entry(self, dst=9, expires=10.0, path=(1, 2, 9)):
+    def entry(self, dst=9, expires=10.0, path=(1, 2, 9), bw=2.0):
         return Route(destination=dst, path=path, levels=(0,) * (len(path) - 1),
-                     metrics=metrics(), expires_at=expires)
+                     metrics=metrics(bw=bw), expires_at=expires)
 
     def test_empty_lookup(self):
-        assert RouteCache(DEFAULTS.cache.capacity).lookup(9, 0.0) is None
+        assert RouteCache().lookup(9, 0.0) is None
 
     def test_oldest_entry_wins(self):
-        c = RouteCache(DEFAULTS.cache.capacity)
+        c = RouteCache()
         first = self.entry(path=(1, 2, 9))
-        c.insert(first)
-        c.insert(self.entry(path=(1, 9)))
+        c.insert(first, 0.0)
+        c.insert(self.entry(path=(1, 9)), 0.0)
         assert c.lookup(9, 0.0) is first
 
     def test_expired_skipped(self):
-        c = RouteCache(DEFAULTS.cache.capacity)
-        c.insert(self.entry(expires=5.0))
+        c = RouteCache()
+        c.insert(self.entry(expires=5.0), 0.0)
         assert c.lookup(9, 6.0) is None
 
-    def test_eviction_by_earliest_expiry(self):
-        c = RouteCache(capacity=2)
-        c.insert(self.entry(expires=1.0))
-        c.insert(self.entry(expires=9.0))
-        c.insert(self.entry(expires=5.0))
-        assert len(c.entries) == 2
-        assert all(e.expires_at != 1.0 for e in c.entries)
+    def test_same_path_refreshed_in_place(self):
+        c = RouteCache()
+        c.insert(self.entry(path=(1, 2, 9), expires=5.0, bw=1.0), 0.0)
+        c.insert(self.entry(path=(1, 9)), 0.0)
+        newer = self.entry(path=(1, 2, 9), expires=8.0, bw=6.0)
+        c.insert(newer, 1.0)
+        assert [r.path for r in c.routes[9].values()] == [(1, 2, 9), (1, 9)]
+        assert c.lookup(9, 1.0) is newer
+
+    def test_expired_routes_dropped(self):
+        c = RouteCache()
+        c.insert(self.entry(path=(1, 2, 9), expires=1.0), 0.0)
+        c.insert(self.entry(path=(1, 9), expires=5.0), 0.0)
+        c.insert(self.entry(dst=8, path=(1, 8), expires=1.0), 0.0)
+        c.insert(self.entry(dst=8, path=(1, 3, 8), expires=9.0), 2.0)
+        assert [r.path for r in c.routes[8].values()] == [(1, 3, 8)]
+        assert [r.path for r in c.routes[9].values()] == [(1, 2, 9), (1, 9)]
+        assert c.lookup(9, 2.0).path == (1, 9)
+        assert [r.path for r in c.routes[9].values()] == [(1, 9)]
 
     def test_qos_filter(self):
-        c = RouteCache(DEFAULTS.cache.capacity)
-        c.insert(self.entry())
+        c = RouteCache()
+        c.insert(self.entry(), 0.0)
         strict = QosRequirement(min_bandwidth=100.0)
         assert c.lookup(9, 0.0, strict) is None
 
@@ -242,7 +254,7 @@ class TestDiscovery:
         assert route.path == (0, 1, 2, 3, 4, 5)
         assert math.isfinite(route.metrics.let)
         for idx in range(1, len(route.path) - 1):
-            [cached] = r.caches[route.path[idx]].entries
+            [cached] = r.caches[route.path[idx]].routes[5].values()
             assert cached.path == route.path[idx:]
             assert cached.levels == route.levels[idx:]
             assert cached.metrics == path_metrics(cached.path, state,
