@@ -81,20 +81,30 @@ def cmd_trace(args):
     return 0
 
 
-def _parse_seed_range(spec):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",")]
+def _seed_spec(spec):
+    """The seeds of a --seeds spec, lo..hi or a comma list; an empty or
+    malformed spec is an argparse error (exit 2)."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"no seeds in {spec!r}: expected lo..hi with lo <= hi, or a "
+            "comma list such as 3,5,9")
+    return seeds
 
 
 def cmd_sweep(args):
     base = _load(args)
     out_dir = _out_dir(args)
     stem = Path(args.scenario).stem
-    seeds = _parse_seed_range(args.seeds)
     summaries = []
-    for seed in seeds:
+    for seed in args.seeds:
         cfg = dataclasses.replace(base, seed=seed)
         summaries.append(_run_one(cfg, f"{stem}.seed{seed}", out_dir, False))
 
@@ -108,7 +118,7 @@ def cmd_sweep(args):
 
     report = {
         "scenario": stem,
-        "seeds": seeds,
+        "seeds": args.seeds,
         "runs": len(summaries),
         "delivery_ratio": agg([ratio(s) for s in summaries]),
         "mean_delay": agg([s["mean_delay"] for s in summaries]),
@@ -132,7 +142,7 @@ def build_parser():
         p.add_argument("--out", help="output directory (default $ANTMANET_OUT)")
         p.add_argument("--duration", type=float, help="override duration")
         if seeds:
-            p.add_argument("--seeds", required=True,
+            p.add_argument("--seeds", required=True, type=_seed_spec,
                            help="seed range, e.g. 1..20 or 3,5,9")
         else:
             p.add_argument("--seed", type=int, help="override scenario seed")

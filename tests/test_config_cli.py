@@ -485,6 +485,17 @@ class TestCli:
         report = json.loads((out / "mini.sweep.json").read_text())
         assert report["seeds"] == [4, 9]
 
+    @pytest.mark.parametrize("spec", ["5..3", "x", "1..y", "3,,5"])
+    def test_sweep_bad_seed_spec_exit_2(self, scenario_file, tmp_path,
+                                        capsys, spec):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(scenario_file), "--seeds", spec,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"no seeds in {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SOAK = Path(__file__).resolve().parents[1] / "scenarios" / "soak.yaml"
 
