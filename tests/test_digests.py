@@ -1,10 +1,11 @@
 """The digest corpus's traces match the committed table, replaying ant
-floods from the router's memo changes none of them, and route caches
-hold no duplicate."""
+floods from the router's memo changes none of them, the corpus meets
+every maintenance case code, and route caches hold no duplicate."""
 
 import json
 from collections import Counter
 
+from antmanet.maintenance import CASES
 from antmanet.routing import Router
 
 from digests import CORPUS, DATA, TABLE, run, table
@@ -48,6 +49,19 @@ def test_flood_memo_changes_no_trace_byte(monkeypatch):
             for kept, fresh in zip(expansions[:n], expansions[n:])]
     # Every scenario replays some floods, the static ones most of them.
     assert all(h > 0 for h in hits), dict(zip((p.stem for p in CORPUS), hits))
+
+
+def test_corpus_meets_every_case_code():
+    codes = {code for per_level in CASES.values() for code in per_level}
+    codes |= {"3", "reelect"}
+    seen = set()
+    for path in CORPUS:
+        text, _ = run(path)
+        for line in text.splitlines():
+            record = json.loads(line)
+            if record["kind"] in ("maintenance", "election"):
+                seen.add(record["case"])
+    assert codes <= seen, sorted(codes - seen)
 
 
 def test_route_caches_hold_no_duplicate():
