@@ -1,10 +1,15 @@
 """The digest corpus's traces match the committed table, replaying ant
 floods from the router's memo changes none of them, the corpus meets
-every maintenance case code, and route caches hold no duplicate."""
+every maintenance case code, its finite weight threshold moves its
+trace, and route caches hold no duplicate."""
 
+import dataclasses
 import json
+import math
 from collections import Counter
 
+from antmanet.config import load_scenario
+from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import CASES
 from antmanet.routing import Router
 
@@ -12,7 +17,7 @@ from digests import CORPUS, DATA, TABLE, run, table
 
 
 def test_corpus_matches_digest_table():
-    assert len(CORPUS) == 3
+    assert len(CORPUS) == 4
     assert table() == json.loads(TABLE.read_text(encoding="utf-8"))
 
 
@@ -62,6 +67,22 @@ def test_corpus_meets_every_case_code():
             if record["kind"] in ("maintenance", "election"):
                 seen.add(record["case"])
     assert codes <= seen, sorted(codes - seen)
+
+
+def test_theta_w_flags_heads():
+    """theta-w.yaml's threshold flags heads for re-election: its trace
+    differs from the same run with theta_w at -inf."""
+    traces = []
+    cfg = load_scenario(DATA / "digest" / "theta-w.yaml")
+    assert math.isfinite(cfg.weights.theta_w)
+    for weights in (cfg.weights,
+                    dataclasses.replace(cfg.weights, theta_w=-math.inf)):
+        lines = []
+        Simulator(dataclasses.replace(cfg, weights=weights),
+                  trace=lambda r: lines.append(format_record(r))).run()
+        traces.append(lines)
+    assert '"reelect"' in "".join(traces[0])
+    assert traces[0] != traces[1]
 
 
 def test_route_caches_hold_no_duplicate():
