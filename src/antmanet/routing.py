@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
-from .qos import (PathMetrics, link_metrics, path_links, path_metrics,
-                  pheromone_deposit)
+from .qos import PathMetrics, link_metrics, path_links, pheromone_deposit
 
 # Flood limits per discovery segment: replies collected, expansions per
 # node, and heap pops in total.
@@ -343,7 +342,7 @@ class Router:
         replies = self._flood(scope, level, src, dst, now, kind=kind)
         return self._choose(replies, level, src, dst, pher_dst, qos)
 
-    # -- discovery cascade ----------------------------------------------
+    # -- discovery -------------------------------------------------------
 
     def _route_ant(self, src, dst, now, flag=0):
         """Record one Route ant; `flag` is 1 once a head confirms the
@@ -355,11 +354,14 @@ class Router:
     def _finalize(self, src, dst, path, levels, qos, now):
         """Score, reward and cache an assembled route; returns its Route."""
         try:
-            m = path_metrics(path, self.state, levels=levels)
+            links = path_links(path, self.state, levels)
         except BrokenPathError as exc:
-            # A stitched member-head hop can go stale between beacon cycles;
-            # treat the assembled route as undiscoverable this attempt.
+            # A member-head hop at either end can go stale between beacon
+            # cycles; treat the assembled route as undiscoverable this attempt.
             raise NoRouteError(str(exc)) from None
+        # The route and each suffix are scored from these links and nodes.
+        nodes = [self.state.node(n) for n in path]
+        m = link_metrics(links, nodes)
         if qos is not None and not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
@@ -371,10 +373,7 @@ class Router:
         route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
                       metrics=m, expires_at=now + min(m.let, self.cache_max_age))
         self.caches[src].insert(route, now)
-        # Intermediate nodes remember the suffix toward the destination,
-        # scored from the route's links and nodes, looked up once.
-        links = path_links(path, self.state, levels)
-        nodes = [self.state.node(n) for n in path]
+        # Intermediate nodes remember the suffix toward the destination.
         for idx in range(1, len(path) - 1):
             sm = link_metrics(links[idx:], nodes[idx:])
             self.caches[path[idx]].insert(Route(
@@ -396,8 +395,8 @@ class Router:
     def discover_route(self, src, dst, qos=None, now=0.0):
         """Full hierarchical route discovery; returns the Route.
 
-        A valid cached route is returned as it is; otherwise the cascade
-        discovers, caches and returns a new one.
+        A valid cached route is returned as it is; otherwise a climb up
+        both endpoints' head chains discovers, caches and returns a new one.
         """
         state = self.state
         if not state.node(src).alive or not state.node(dst).alive:
@@ -415,84 +414,47 @@ class Router:
             self.stats["cache_hits"] += 1
             return hit
 
-        h_s = self.clusters.head_of(src, 0)
-        h_d = self.clusters.head_of(dst, 0)
-        if h_s is None or h_d is None:
-            raise NoRouteError(f"unclustered endpoint: {src} -> {dst}")
+        # Climb both endpoints' head chains until they meet: up[i + 1] is
+        # the level-i head of up[i], and down likewise from dst.  At each
+        # level a Route ant asks the source chain's new head; level 2 is
+        # the top, so there the two heads must be one.
+        up, down = [src], [dst]
+        for level in (0, 1, 2):
+            for chain in (up, down):
+                head = self.clusters.head_of(chain[-1], level)
+                if head is None:
+                    raise NoRouteError(
+                        f"node {chain[-1]} has no level-{level} head")
+                chain.append(head)
+            if level == 2 and up[-1] != down[-1]:
+                raise NoRouteError(
+                    f"level-2 heads {up[-1]} and {down[-1]} differ")
+            self._route_ant(up[-2], up[-1], now)
+            if up[-1] == down[-1]:
+                break
+        self._route_ant(up[-1], up[-2], now, flag=1)
 
-        # Ask the cluster head whether the destination is local.
-        self._route_ant(src, h_s, now)
-        scope = self.clusters.cluster(h_s, 0)
-        if dst in scope:
-            self._route_ant(h_s, src, now, flag=1)
-            path = self._segment(scope, 0, src, dst, dst, qos, now, "knave")
-            return self._finalize(src, dst, path, (0,) * (len(path) - 1), qos, now)
-
-        # Escalate to the level-1 head of the region.
-        h1_s = self.clusters.head_of(h_s, 1)
-        h1_d = self.clusters.head_of(h_d, 1)
-        if h1_s is None or h1_d is None:
-            raise NoRouteError(
-                f"no level-1 coverage between {src} and {dst}")
-        self._route_ant(h_s, h1_s, now)
-
-        if h1_d == h1_s:
-            # Same region: head-overlay discovery from CH(S) to CH(D).
-            self._route_ant(h1_s, h_s, now, flag=1)
-            seg = self._segment(self.clusters.cluster(h1_s, 1), 1, h_s, h_d,
-                                dst, qos, now, "king")
-            path, levels = _stitch([((src,), 0), (seg, 1), ((dst,), 0)])
-            return self._finalize(src, dst, path, levels, qos, now)
-
-        # Cross region: escalate to the level-2 head and relay over one
-        # level-2 hop between the two regions' level-1 heads.
-        h2_s = self.clusters.head_of(h1_s, 2)
-        h2_d = self.clusters.head_of(h1_d, 2)
-        if h2_s is None or h2_d is None or h2_s != h2_d:
-            raise NoRouteError(
-                f"regions of {src} and {dst} share no level-2 head")
-        self._route_ant(h1_s, h2_s, now)
-        self._route_ant(h2_s, h1_s, now, flag=1)
-
-        cluster = self.clusters.cluster
-        seg_s = self._segment(cluster(h1_s, 1), 1, h_s, h1_s, dst, qos, now,
-                              "king")
-        seg_2 = self._segment(cluster(h2_s, 2), 2, h1_s, h1_d, dst, qos, now,
-                              "king")
-        seg_d = self._segment(cluster(h1_d, 1), 1, h1_d, h_d, dst, qos, now,
-                              "king")
-        path, levels = _stitch([((src,), 0), (seg_s, 1), (seg_2, 2),
-                                (seg_d, 1), ((dst,), 0)])
+        # The chains meet at `level`.  Legs (scope head, level, from, to)
+        # run up the source's chain, across the meeting head's cluster and
+        # down the destination's chain; consecutive legs share end nodes.
+        legs = ([(up[i + 1], i, up[i], up[i + 1]) for i in range(1, level)]
+                + [(up[level + 1], level, up[level], down[level])]
+                + [(down[i + 1], i, down[i + 1], down[i])
+                   for i in reversed(range(1, level))])
+        kind = "king" if level else "knave"
+        path, levels = [src], []
+        for head, lvl, a, b in legs:
+            if path[-1] != a:
+                # The member-to-head hop onto the first leg.
+                path.append(a)
+                levels.append(0)
+            seg = self._segment(self.clusters.cluster(head, lvl), lvl, a, b,
+                                dst, qos, now, kind)
+            path += seg[1:]
+            levels += [lvl] * (len(seg) - 1)
+        if path[-1] != dst:
+            path.append(dst)
+            levels.append(0)
+        if len(set(path)) != len(path):
+            raise RoutingLoopError(f"assembled route revisits a node: {path}")
         return self._finalize(src, dst, path, levels, qos, now)
-
-
-def _stitch(segments):
-    """Join path segments into one (path, hop-levels) pair.
-
-    Segments sharing an endpoint are merged; a hop bridging two disjoint
-    segments (member to head, head to member) runs at the lower of the
-    two segment levels.
-    """
-    nodes = []
-    levels = []
-    prev_level = None
-    for seg, level in segments:
-        seg = list(seg)
-        if not nodes:
-            nodes.extend(seg)
-            levels.extend([level] * (len(seg) - 1))
-        else:
-            if nodes[-1] == seg[0]:
-                seg = seg[1:]
-                if seg:
-                    levels.extend([level] * len(seg))
-                    nodes.extend(seg)
-            elif seg:
-                levels.append(min(prev_level, level))
-                nodes.append(seg[0])
-                levels.extend([level] * (len(seg) - 1))
-                nodes.extend(seg[1:])
-        prev_level = level
-    if len(set(nodes)) != len(nodes):
-        raise RoutingLoopError(f"stitched route revisits a node: {nodes}")
-    return tuple(nodes), tuple(levels)

@@ -431,24 +431,24 @@ class TestHierarchicalDiscovery:
         assert 20 not in state.neighbors(10, 1)
         assert 20 in state.neighbors(10, 2)
 
-    @pytest.mark.parametrize("edit, ants", [
+    @pytest.mark.parametrize("edit, ants, error", [
         # A discovered route: each chain climbs to level 2, where 10 heads
         # both regions, so every ant but the first is self-addressed.
-        (None, [(0, 10, 0), (10, 10, 0), (10, 10, 0), (10, 10, 1)]),
-        # Node 3 has no level-0 head.
-        (lambda levels: levels[0][20].discard(3), []),
-        # Level-0 head 20 has no level-1 head.
-        (lambda levels: levels[1].pop(20), [(0, 10, 0)]),
-        # Level-1 head 20 has no level-2 head.
-        (lambda levels: levels[2][10].discard(20), [(0, 10, 0), (10, 10, 0)]),
-        # The level-1 heads have different level-2 heads.
+        (None, [(0, 10, 0), (10, 10, 0), (10, 10, 0), (10, 10, 1)], None),
+        (lambda levels: levels[0][20].discard(3), [],
+         "node 3 has no level-0 head"),
+        (lambda levels: levels[1].pop(20), [(0, 10, 0)],
+         "node 20 has no level-1 head"),
+        (lambda levels: levels[2][10].discard(20), [(0, 10, 0), (10, 10, 0)],
+         "node 20 has no level-2 head"),
         (lambda levels: levels[2].update({10: set(), 20: set()}),
-         [(0, 10, 0), (10, 10, 0)]),
+         [(0, 10, 0), (10, 10, 0)], "level-2 heads 10 and 20 differ"),
     ], ids=["found", "no_l0_head", "no_l1_head", "no_l2_head",
             "different_l2_heads"])
-    def test_cross_region_route_ants(self, edit, ants):
-        """The exact route ants of each exit of cross-region discovery: a
-        missing or differing head stops it before that level's ant."""
+    def test_cross_region_route_ants(self, edit, ants, error):
+        """The exact route ants and failure message of each exit of
+        cross-region discovery: a missing or differing head stops it
+        before that level's ant."""
         state, clusters = two_region_world(cross_region=True)
         records = []
         r = make_router(state, clusters, trace=records.append)
@@ -456,7 +456,7 @@ class TestHierarchicalDiscovery:
             r.discover_route(0, 3, now=1.0)
         else:
             edit(clusters.levels)
-            with pytest.raises(NoRouteError):
+            with pytest.raises(NoRouteError, match=f"^{error}$"):
                 r.discover_route(0, 3, now=1.0)
         assert [rec for rec in records if rec["kind"] == "route_ant"] == [
             {"kind": "route_ant", "t": 1.0,
