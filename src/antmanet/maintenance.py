@@ -211,11 +211,7 @@ class MaintenanceManager:
                     self._emit(kind="maintenance", t=now,
                                case=CASES["member_left"][level], level=level,
                                head=head, node=m)
-            uncovered = eligible - self.clusters.participants(level)
-            if uncovered:
-                self._cover_orphans(level, now,
-                                    case=CASES["member_joined"][level],
-                                    orphans=uncovered)
+            self._cover_orphans(level, now, case=CASES["member_joined"][level])
 
     # -- helpers -----------------------------------------------------------
 
@@ -227,15 +223,11 @@ class MaintenanceManager:
                                           self.wparams)
         return max(heads, key=lambda h: (weights[h], -h))
 
-    def _cover_orphans(self, level, now, case, orphans=None):
-        """Adoption first, election for the remainder.
-
-        `orphans` defaults to every eligible node the level leaves
-        uncovered.
-        """
-        if orphans is None:
-            orphans = (clustering.candidates(self.state, self.clusters, level)
-                       - self.clusters.participants(level))
+    def _cover_orphans(self, level, now, case):
+        """Adoption first, election for the remainder, of every eligible
+        node the level leaves uncovered."""
+        orphans = (clustering.candidates(self.state, self.clusters, level)
+                   - self.clusters.participants(level))
         remainder = set()
         for n in sorted(orphans):
             ev = MembershipEvent("member_joined", level, node=n)
