@@ -83,7 +83,7 @@ def cmd_trace(args):
 
 def _seed_spec(spec):
     """The seeds of a --seeds spec, lo..hi or a comma list; an empty or
-    malformed spec is an argparse error (exit 2)."""
+    malformed spec, or a repeated seed, is an argparse error (exit 2)."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
@@ -96,6 +96,10 @@ def _seed_spec(spec):
         raise argparse.ArgumentTypeError(
             f"no seeds in {spec!r}: expected lo..hi with lo <= hi, or a "
             "comma list such as 3,5,9")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"seed {repeated[0]} repeated in {spec!r}: each seed runs once")
     return seeds
 
 

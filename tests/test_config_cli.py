@@ -496,6 +496,17 @@ class TestCli:
         assert f"no seeds in {spec!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, seed", [("3,3", 3), ("4,9,4", 4)])
+    def test_sweep_repeated_seed_exit_2(self, scenario_file, tmp_path,
+                                        capsys, spec, seed):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(scenario_file), "--seeds", spec,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"seed {seed} repeated in {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SOAK = Path(__file__).resolve().parents[1] / "scenarios" / "soak.yaml"
 
