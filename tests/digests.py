@@ -20,11 +20,13 @@ CORPUS = sorted((DATA / "digest").glob("*.yaml"))
 TABLE = DATA / "digests.json"
 
 
-def run(path):
-    """(trace text, simulator) of one run of the scenario at `path`."""
+def run(scenario):
+    """(trace text, simulator) of one run of `scenario`: a path to a
+    scenario file or a loaded config."""
+    if isinstance(scenario, Path):
+        scenario = load_scenario(scenario)
     lines = []
-    sim = Simulator(load_scenario(path),
-                    trace=lambda r: lines.append(format_record(r)))
+    sim = Simulator(scenario, trace=lambda r: lines.append(format_record(r)))
     sim.run()
     return "".join(line + "\n" for line in lines), sim
 

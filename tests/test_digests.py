@@ -9,7 +9,6 @@ import math
 from collections import Counter
 
 from antmanet.config import load_scenario
-from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import CASES
 from antmanet.routing import Router
 
@@ -71,18 +70,19 @@ def test_corpus_meets_every_case_code():
 
 def test_theta_w_flags_heads():
     """theta-w.yaml's threshold flags heads for re-election: its trace
-    differs from the same run with theta_w at -inf."""
-    traces = []
+    and the same run's with theta_w at -inf agree up to a reelect record
+    that only the finite threshold emits."""
     cfg = load_scenario(DATA / "digest" / "theta-w.yaml")
     assert math.isfinite(cfg.weights.theta_w)
-    for weights in (cfg.weights,
-                    dataclasses.replace(cfg.weights, theta_w=-math.inf)):
-        lines = []
-        Simulator(dataclasses.replace(cfg, weights=weights),
-                  trace=lambda r: lines.append(format_record(r))).run()
-        traces.append(lines)
-    assert '"reelect"' in "".join(traces[0])
-    assert traces[0] != traces[1]
+    traces = []
+    for theta_w in (cfg.weights.theta_w, -math.inf):
+        weights = dataclasses.replace(cfg.weights, theta_w=theta_w)
+        text, _ = run(dataclasses.replace(cfg, weights=weights))
+        traces.append(text.splitlines())
+    differing = [a for a, b in zip(*traces) if a != b]
+    assert differing
+    record = json.loads(differing[0])
+    assert (record["kind"], record["case"]) == ("maintenance", "reelect")
 
 
 def test_route_caches_hold_no_duplicate():
