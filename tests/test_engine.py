@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from antmanet import engine
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, Placement, ScenarioConfig,
                              load_scenario, parse_scenario)
@@ -286,7 +287,10 @@ class TestFormatRecord:
         [1, "two", None],
     ], ids=["flat", "nested", "non-finite", "non-ascii", "int-keys",
             "string", "list"])
-    def test_matches_json_dumps(self, record):
+    def test_matches_json_dumps(self, record, monkeypatch):
+        assert format_record(record) == dumps(record)
+        # The fallback taken where json has no C encoder.
+        monkeypatch.setattr(engine, "_iterencode", None)
         assert format_record(record) == dumps(record)
 
     @pytest.mark.parametrize("record", [
@@ -302,6 +306,17 @@ class TestFormatRecord:
         record["a"].append(record)
         with pytest.raises(ValueError):
             format_record(record)
+        record["a"].pop()
+        assert format_record(record) == dumps(record)
+
+    def test_encodes_again_after_a_failure(self):
+        """A failed encode leaves nothing behind: the same containers,
+        mended in place, encode as json.dumps does."""
+        record = {"a": {"b": object()}}
+        with pytest.raises(TypeError):
+            format_record(record)
+        record["a"]["b"] = 1
+        assert format_record(record) == dumps(record)
 
     def test_reference_trace_matches_json_dumps(self):
         root = Path(__file__).resolve().parents[1]
