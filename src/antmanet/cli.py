@@ -3,15 +3,18 @@
 Outputs land in --out (or $ANTMANET_OUT, or the working directory): a
 one-record JSON summary per run, plus a line-delimited trace when
 requested.  Exit status 0 means the run completed and all outputs were
-written.
+written.  The trace is written record by record as the run emits them;
+a failed run leaves no trace file and any earlier one as it was.
 """
 
 import argparse
 import dataclasses
 import json
 import os
+import shutil
 import statistics
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .config import load_scenario
@@ -35,22 +38,41 @@ def _load(args):
     return cfg
 
 
-def _write_atomic(path, text):
+@contextmanager
+def _atomic(path):
+    """A text file opened as `<path>.tmp` and renamed onto `path` when the
+    block completes; if the block fails, the file is removed and `path`
+    is left as it was."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_atomic(path, text):
+    with _atomic(path) as f:
+        f.write(text)
 
 
 def _run_one(cfg, stem, out_dir, with_trace):
-    lines = []
-    trace = lines.append if with_trace else None
-    summary = {"scenario": stem, "seed": cfg.seed,
-               **Simulator(cfg, trace=trace).run()}
-    _write_atomic(out_dir / f"{stem}.summary.json",
-                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    if with_trace:
-        text = "".join(format_record(r) + "\n" for r in lines)
-        _write_atomic(out_dir / f"{stem}.trace", text)
+    """Run one scenario and write its summary; with `with_trace`, each
+    record is written to the trace file as the run emits it."""
+    with (_atomic(out_dir / f"{stem}.trace") if with_trace
+          else nullcontext()) as f:
+        trace = None
+        if with_trace:
+            write = f.write
+
+            def trace(record):
+                write(format_record(record) + "\n")
+        summary = {"scenario": stem, "seed": cfg.seed,
+                   **Simulator(cfg, trace=trace).run()}
+        _write_atomic(out_dir / f"{stem}.summary.json",
+                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -75,7 +97,8 @@ def cmd_trace(args):
     _run_one(cfg, stem, out_dir, with_trace=True)
     trace_path = out_dir / f"{stem}.trace"
     if args.stdout:
-        sys.stdout.write(trace_path.read_text(encoding="utf-8"))
+        with open(trace_path, encoding="utf-8") as f:
+            shutil.copyfileobj(f, sys.stdout)
     else:
         print(trace_path)
     return 0

@@ -15,7 +15,8 @@ from antmanet import config
 from antmanet.cli import main
 from antmanet.config import (FlowConfig, NodeGroup, Placement, ScenarioConfig,
                              parse_scenario, serialize)
-from antmanet.errors import ScenarioError
+from antmanet.engine import Simulator
+from antmanet.errors import AntManetError, ScenarioError
 
 
 MINIMAL = """
@@ -396,6 +397,11 @@ def scenario_file(tmp_path):
     return path
 
 
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "scenarios" / "reference.yaml"
+GOLDEN = ROOT / "tests" / "data" / "reference.trace"
+
+
 class TestCli:
     def test_validate_ok(self, scenario_file, capsys):
         assert main(["validate", str(scenario_file)]) == 0
@@ -457,6 +463,39 @@ class TestCli:
         assert lines
         kinds = {json.loads(l)["kind"] for l in lines}
         assert "scenario" in kinds and "summary" in kinds
+
+    def test_trace_matches_golden(self, tmp_path, capsys):
+        assert main(["trace", str(REFERENCE), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "reference.trace").read_bytes() == \
+            GOLDEN.read_bytes()
+        assert capsys.readouterr().out == f"{tmp_path / 'reference.trace'}\n"
+
+    def test_trace_stdout_matches_golden(self, tmp_path, capsysbinary):
+        assert main(["trace", str(REFERENCE), "--stdout",
+                     "--out", str(tmp_path)]) == 0
+        assert capsysbinary.readouterr().out == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["trace"], ["run", "--trace"]])
+    def test_failed_run_keeps_earlier_trace(self, scenario_file, tmp_path,
+                                            capsys, monkeypatch, argv):
+        """A run that fails after records were streamed leaves no temp
+        file and the previous trace byte for byte."""
+        out = tmp_path / "out"
+        args = [*argv, str(scenario_file), "--out", str(out)]
+        assert main(args) == 0
+        before = (out / "mini.trace").read_bytes()
+        streaming = []
+
+        def fail(sim, payload):
+            streaming.append((out / "mini.trace.tmp").exists())
+            raise AntManetError("handler failed")
+
+        monkeypatch.setattr(Simulator, "_handle_packet_send", fail)
+        assert main(args) == 1
+        assert "error: handler failed" in capsys.readouterr().err
+        assert streaming == [True]
+        assert not (out / "mini.trace.tmp").exists()
+        assert (out / "mini.trace").read_bytes() == before
 
     def test_sweep_aggregates_recomputed(self, scenario_file, tmp_path,
                                          capsys):
