@@ -98,20 +98,24 @@ class RouteCache:
 
     ``routes[destination]`` maps (path, levels) to the Route, so inserting
     a route already held refreshes it in place.  Both `insert` and
-    `lookup` first drop the destination's expired routes.
+    `lookup` first drop the destination's expired routes.  A destination
+    with no route left has no entry.
     """
 
     def __init__(self):
         self.routes = {}
 
     def _unexpired(self, dst, now):
-        self.routes[dst] = routes = {
-            k: r for k, r in self.routes.get(dst, {}).items()
-            if r.expires_at >= now}
+        routes = {k: r for k, r in self.routes.pop(dst, {}).items()
+                  if r.expires_at >= now}
+        if routes:
+            self.routes[dst] = routes
         return routes
 
     def insert(self, route, now):
-        self._unexpired(route.destination, now)[route.path, route.levels] = route
+        routes = self._unexpired(route.destination, now)
+        routes[route.path, route.levels] = route
+        self.routes[route.destination] = routes
 
     def lookup(self, dst, now, qos=None):
         """Oldest unexpired admissible route toward dst, or None."""
@@ -119,8 +123,9 @@ class RouteCache:
                      if qos is None or qos.admits(r.metrics)), None)
 
     def purge_node(self, node):
-        self.routes = {dst: {k: r for k, r in routes.items() if node not in r.path}
-                       for dst, routes in self.routes.items()}
+        kept = ((dst, {k: r for k, r in routes.items() if node not in r.path})
+                for dst, routes in self.routes.items())
+        self.routes = {dst: routes for dst, routes in kept if routes}
 
 
 # --------------------------------------------------------------------------

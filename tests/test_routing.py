@@ -211,6 +211,22 @@ class TestRouteCache:
         assert c.lookup(9, 2.0).path == (1, 9)
         assert [r.path for r in c.routes[9].values()] == [(1, 9)]
 
+    def test_miss_leaves_routes_unchanged(self):
+        c = RouteCache()
+        c.insert(self.entry(), 0.0)
+        held = {dst: dict(routes) for dst, routes in c.routes.items()}
+        assert c.lookup(8, 0.0) is None
+        assert c.routes == held
+
+    def test_destination_without_routes_has_no_entry(self):
+        c = RouteCache()
+        c.insert(self.entry(dst=9, path=(1, 9), expires=5.0), 0.0)
+        c.insert(self.entry(dst=8, path=(1, 2, 8)), 0.0)
+        assert c.lookup(9, 6.0) is None
+        assert list(c.routes) == [8]
+        c.purge_node(2)
+        assert c.routes == {}
+
     def test_qos_filter(self):
         c = RouteCache()
         c.insert(self.entry(), 0.0)
