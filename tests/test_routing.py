@@ -323,6 +323,42 @@ def diamond():
     return state, clusters
 
 
+class TestChoice:
+    def test_first_of_equal_replies_per_next_hop_wins(self):
+        # 0 - 1 - {2, 3} - 4 in head 1's cluster: both replies leave 0 over
+        # 1 with equal metrics, and 2 - 3 are out of range of each other.
+        state = make_state()
+        for nid, pos in ((0, (0.0, 0.0)), (1, (80.0, 0.0)),
+                         (2, (150.0, 55.0)), (3, (150.0, -55.0)),
+                         (4, (220.0, 0.0))):
+            add_node(state, nid, pos)
+        clusters = manual_clusters({0: {1: {0, 2, 3, 4}}, 1: {}, 2: {}})
+        records = []
+        r = make_router(state, clusters, trace=records.append)
+        route = r.discover_route(0, 4, now=0.0)
+        replies = [rec["packet"] for rec in records
+                   if rec["kind"] == "reply_knave_ant"]
+        assert [p["to_visit"] for p in replies] == [[4, 2, 1, 0], [4, 3, 1, 0]]
+        assert replies[0] == {**replies[1], "to_visit": [4, 2, 1, 0]}
+        assert route.path == (0, 1, 2, 4)
+
+    @pytest.mark.parametrize("theta_p, path", [(0.6, None), (0.5, (0, 1, 3))])
+    def test_theta_p_floors_the_best_probability(self, theta_p, path):
+        # Both next hops of the diamond score alike: probability 0.5 each.
+        state, clusters = diamond()
+        records = []
+        r = make_router(state, clusters, pref=PreferenceParams(theta_p=theta_p),
+                        trace=records.append)
+        if path is None:
+            with pytest.raises(NoAdmissibleRouteError,
+                               match="best preference 0.5 below threshold"):
+                r.discover_route(0, 3, now=0.0)
+        else:
+            assert r.discover_route(0, 3, now=0.0).path == path
+        assert [rec["packet"]["to_visit"] for rec in records
+                if rec["kind"] == "reply_knave_ant"] == [[3, 1, 0], [3, 2, 0]]
+
+
 class TestFloodMemo:
     """A discovery after a topology change floods the new topology.
 
