@@ -218,49 +218,7 @@ class Router:
         if self.trace is not None:
             self.trace(record)
 
-    # -- ant flood -----------------------------------------------------
-
-    def _flood(self, scope, level, src, dst, now, kind="knave"):
-        """Replay the request ants of one discovery segment.
-
-        Returns (path, PathMetrics) pairs in arrival order, and emits one
-        reply record per pair.  The expansion depends only on the
-        topology version, the scope and the endpoints, so it is memoized
-        per version.  Energy changes within a version, so it is read here
-        on every call.
-        """
-        state = self.state
-        if self._floods_version != state.version:
-            self._floods.clear()
-            self._floods_version = state.version
-        scope = frozenset(scope)
-        key = (level, src, dst, scope)
-        expansion = self._floods.get(key)
-        if expansion is None:
-            expansion = self._floods[key] = self._expand(scope, level, src, dst)
-        found, forwards = expansion
-        self.stats["request_forwards"] += forwards
-        if not found:
-            raise NoRouteError(
-                f"no level-{level} path from {src} to {dst} within scope")
-        # Each delivered request ant turns into a reply that retraces its
-        # visited stack in reverse, carrying the path's QoS values.
-        ends = (("src_member", "dst_member") if kind == "knave"
-                else ("src_head", "dst_head"))
-        node = state.node
-        replies = []
-        for path, link_delay, node_delay, bandwidth, let in found:
-            m = PathMetrics(delay=link_delay + node_delay, bandwidth=bandwidth,
-                            energy=min(node(n).energy for n in path), let=let,
-                            hop_count=len(path))
-            replies.append((path, m))
-            self.stats["reply_packets"] += 1
-            self.stats["reply_hops"] += len(path) - 1
-            self._emit({"kind": f"reply_{kind}_ant", "t": now, "packet": {
-                "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
-                "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
-                "to_visit": list(reversed(path))}})
-        return replies
+    # -- discovery segment ---------------------------------------------
 
     def _expand(self, scope, level, src, dst):
         """Loop-free delay-ordered expansion from src toward dst.
@@ -310,28 +268,62 @@ class Router:
                 forwards += 1
         return found, forwards
 
-    def _choose(self, replies, level, src, dst, pher_dst, qos):
-        """The best admissible path by preference probability.
+    def _segment(self, scope, level, src, dst, pher_dst, qos, now, kind):
+        """Replay the request ants of one discovery segment and return the
+        chosen path.
 
-        `replies` holds the (path, PathMetrics) pairs that `_flood` returns.
+        Emits one reply record per path the flood finds.  The expansion
+        depends only on the topology version, the scope and the endpoints,
+        so it is memoized per version.  Energy changes within a version, so
+        it is read here on every call.  Per next hop the first best-scoring
+        admissible reply is kept; the next hop with the highest preference
+        probability (ties to the lower id) wins unless it is below
+        `theta_p`.
         """
+        if src == dst:
+            # Trivial segment (a head routing to itself); no ants needed.
+            return (src,)
+        state = self.state
+        if self._floods_version != state.version:
+            self._floods.clear()
+            self._floods_version = state.version
+        scope = frozenset(scope)
+        key = (level, src, dst, scope)
+        expansion = self._floods.get(key)
+        if expansion is None:
+            expansion = self._floods[key] = self._expand(scope, level, src, dst)
+        found, forwards = expansion
+        self.stats["request_forwards"] += forwards
+        if not found:
+            raise NoRouteError(
+                f"no level-{level} path from {src} to {dst} within scope")
+        # Each delivered request ant turns into a reply that retraces its
+        # visited stack in reverse, carrying the path's QoS values.
+        ends = (("src_member", "dst_member") if kind == "knave"
+                else ("src_head", "dst_head"))
+        node = state.node
         best_per_hop = {}
-        had_any = False
-        for path, m in replies:
-            had_any = True
+        for path, link_delay, node_delay, bandwidth, let in found:
+            m = PathMetrics(delay=link_delay + node_delay, bandwidth=bandwidth,
+                            energy=min(node(n).energy for n in path), let=let,
+                            hop_count=len(path))
+            self.stats["reply_packets"] += 1
+            self.stats["reply_hops"] += len(path) - 1
+            self._emit({"kind": f"reply_{kind}_ant", "t": now, "packet": {
+                "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
+                "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
+                "to_visit": list(reversed(path))}})
             if qos is not None and not qos.admits(m):
                 continue
-            j = path[1] if len(path) > 1 else path[0]
+            j = path[1]
             tau = self.table(level, src).get(j, pher_dst)
             score = _preference_score(m, tau, self.pref)
             prev = best_per_hop.get(j)
             if prev is None or score > prev[0]:
                 best_per_hop[j] = (score, path, m, tau)
         if not best_per_hop:
-            if had_any:
-                raise NoAdmissibleRouteError(
-                    f"no admissible route from {src} to {dst} under the QoS floors")
-            raise NoRouteError(f"no route from {src} to {dst}")
+            raise NoAdmissibleRouteError(
+                f"no admissible route from {src} to {dst} under the QoS floors")
         probs = path_preference_probability(
             [(j, v[2], v[3]) for j, v in best_per_hop.items()], self.pref)
         if abs(sum(probs.values()) - 1.0) > 1e-9:
@@ -341,14 +333,6 @@ class Router:
             raise NoAdmissibleRouteError(
                 f"best preference {probs[best_j]:.3g} below threshold")
         return best_per_hop[best_j][1]
-
-    def _segment(self, scope, level, src, dst, pher_dst, qos, now, kind):
-        """The chosen path of one discovery segment."""
-        if src == dst:
-            # Trivial segment (a head routing to itself); no ants needed.
-            return (src,)
-        replies = self._flood(scope, level, src, dst, now, kind=kind)
-        return self._choose(replies, level, src, dst, pher_dst, qos)
 
     # -- discovery -------------------------------------------------------
 

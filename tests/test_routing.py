@@ -140,7 +140,7 @@ class TestAnts:
     def replies(state, level, src, dst, kind):
         records = []
         r = make_router(state, manual_clusters({0: {}}), trace=records.append)
-        r._flood(state.nodes, level, src, dst, now=0.0, kind=kind)
+        r._segment(state.nodes, level, src, dst, dst, None, 0.0, kind)
         return [rec for rec in records if rec["kind"].startswith("reply_")]
 
     def test_reply_retraces_in_reverse(self):
