@@ -212,7 +212,7 @@ _BOUNDS = {
     "placements[].node_delay": _NON_NEGATIVE,
     "links[].a": _NON_NEGATIVE, "links[].b": _NON_NEGATIVE,
     "links[].level": _LEVEL,
-    "links[].delay": _NON_NEGATIVE, "links[].bandwidth": _POSITIVE,
+    "links[].delay": _POSITIVE, "links[].bandwidth": _POSITIVE,
     "link.jitter": _FRACTION,
     "weights.rho": {"lo": 0, "hi": 1, "lo_open": True, "hi_open": True,
                     "code": "rho-range"},
@@ -497,6 +497,10 @@ def parse_scenario(text):
                 if nid is not None and nid not in valid_ids:
                     ctx.err(f"{name}[{i}].{end}", "node-ref",
                             f"node {nid} does not exist")
+            a, b = (getattr(item, end) for end in ends)
+            if a is not None and a == b:
+                ctx.err(f"{name}[{i}].{ends[1]}", "node-ref",
+                        f"{ends[1]} is node {a}, the same as {ends[0]}")
 
     if ctx.issues:
         raise ScenarioError(ctx.issues)

@@ -110,6 +110,24 @@ class TestParsing:
                 "flows: [{src: 0, dst: 9}]")
         assert "node-ref" in codes(exc)
 
+    def test_zero_link_delay_reported(self):
+        # A path of zero delay has no preference score.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("groups: [{count: 2}]\n"
+                           "links: [{a: 0, b: 1, level: 0, delay: 0}]")
+        assert [(p, c) for p, c, _ in exc.value.issues] == [
+            ("links[0].delay", "range")]
+
+    @pytest.mark.parametrize("text, path, message", [
+        ("flows: [{src: 1, dst: 1}]", "flows[0].dst",
+         "dst is node 1, the same as src"),
+        ("links: [{a: 1, b: 1, level: 0}]", "links[0].b",
+         "b is node 1, the same as a")], ids=["flow", "link"])
+    def test_same_node_at_both_ends_reported(self, text, path, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("groups: [{count: 2}]\n" + text)
+        assert exc.value.issues == [(path, "node-ref", message)]
+
     def test_multiple_issues_reported_together(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("weights: {rho: 2.0}\npheromone: {q: 0.0}")
@@ -214,7 +232,7 @@ class TestSingleHome:
             (yaml_path(keys), "type")]
 
 
-ONE_NODE = "placements: [{id: 0, position: [0, 0]}]\n"
+TWO_NODES = "groups: [{count: 2}]\n"
 
 
 # (scenario text, path of the one issue it raises)
@@ -231,7 +249,7 @@ NON_FINITE = [
     ("link: {bandwidth: {l2: .inf}}", "link.bandwidth.l2"),
     ("weights: {theta_w: .nan}", "weights.theta_w"),
     ("weights: {theta_tau: .nan}", "weights.theta_tau"),
-    (ONE_NODE + "flows: [{src: 0, dst: 0, qos: {max_delay: .nan}}]",
+    (TWO_NODES + "flows: [{src: 0, dst: 1, qos: {max_delay: .nan}}]",
      "flows[0].qos.max_delay"),
 ]
 
@@ -246,8 +264,8 @@ class TestNonFinite:
 
     def test_infinite_defaults_may_stay_infinite(self):
         cfg = parse_scenario(
-            ONE_NODE + "weights: {theta_w: .inf, theta_tau: -.inf}\n"
-            "flows: [{src: 0, dst: 0, qos: {max_delay: .inf}}]")
+            TWO_NODES + "weights: {theta_w: .inf, theta_tau: -.inf}\n"
+            "flows: [{src: 0, dst: 1, qos: {max_delay: .inf}}]")
         assert cfg.weights.theta_w == math.inf
         assert cfg.weights.theta_tau == -math.inf
         assert cfg.flows[0].qos.max_delay == math.inf
@@ -426,6 +444,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: <document>: [encoding] ")
         assert err.count("\n") == 1
+
+    def test_zero_delay_path_exit_2(self, tmp_path, capsys):
+        # Zero node and link delays on the only path from 0 to 2.
+        bad = tmp_path / "zero.yaml"
+        bad.write_text(
+            "placements:\n"
+            + "".join(f"  - {{id: {i}, position: [{60 * i}, 0], node_delay: 0}}\n"
+                      for i in range(3))
+            + "links:\n"
+            + "".join(f"  - {{a: {i}, b: {i + 1}, level: 0, delay: 0}}\n"
+                      for i in range(2))
+            + "flows: [{src: 0, dst: 2, start: 1.0, packets: 2}]\n",
+            encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([argv[0], str(bad), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert "links[0].delay: [range]" in err
+            assert "links[1].delay: [range]" in err
+        assert not list(tmp_path.glob("zero.*.json"))
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
