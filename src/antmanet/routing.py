@@ -401,7 +401,8 @@ class Router:
         if level is not None:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
-        hit = self.caches[src].lookup(dst, now, qos)
+        cache = self.caches.get(src)
+        hit = None if cache is None else cache.lookup(dst, now, qos)
         if hit is not None and self._cache_valid(hit):
             self.stats["cache_hits"] += 1
             return hit

@@ -285,6 +285,8 @@ class TestDiscovery:
         r = make_router(state, clusters)
         with pytest.raises(NoRouteError):
             r.discover_route(0, 2, now=0.0)
+        # The cache lookup made no cache for the source.
+        assert 0 not in r.caches
 
     def test_qos_floor_violation_distinct_error(self):
         state, clusters = single_cluster_line(4)
@@ -342,7 +344,8 @@ class TestChoice:
         assert replies[0] == {**replies[1], "to_visit": [4, 2, 1, 0]}
         assert route.path == (0, 1, 2, 4)
 
-    @pytest.mark.parametrize("theta_p, path", [(0.6, None), (0.5, (0, 1, 3))])
+    @pytest.mark.parametrize("theta_p, path", [(0.6, None), (0.5, (0, 1, 3))],
+                             ids=["below", "at"])
     def test_theta_p_floors_the_best_probability(self, theta_p, path):
         # Both next hops of the diamond score alike: probability 0.5 each.
         state, clusters = diamond()
