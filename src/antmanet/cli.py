@@ -1,8 +1,8 @@
 """Command-line harness: validate, run, trace and sweep scenarios.
 
 Outputs land in --out (or $ANTMANET_OUT, or the working directory): a
-one-record JSON summary per run, plus a line-delimited trace when
-requested.  Exit status 0 means the run completed and all outputs were
+one-record JSON summary per run, plus a line-delimited trace for
+`trace`.  Exit status 0 means the run completed and all outputs were
 written.  The trace is written record by record as the run emits them;
 a failed run leaves no trace file and any earlier one as it was.
 """
@@ -85,7 +85,7 @@ def cmd_run(args):
     cfg = _load(args)
     out_dir = _out_dir(args)
     stem = Path(args.scenario).stem
-    summary = _run_one(cfg, stem, out_dir, args.trace)
+    summary = _run_one(cfg, stem, out_dir, False)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
@@ -136,8 +136,11 @@ def cmd_sweep(args):
         summaries.append(_run_one(cfg, f"{stem}.seed{seed}", out_dir, False))
 
     def ratio(s):
-        return s["packets_delivered"] / s["packets_sent"] \
-            if s["packets_sent"] else 0.0
+        # Over every send attempt: a packet whose discovery failed or was
+        # rejected was never sent, but it was not delivered either.
+        attempts = (s["packets_sent"] + s["discovery_failures"]
+                    + s["admission_rejections"])
+        return s["packets_delivered"] / attempts if attempts else 0.0
 
     def agg(values):
         return {"mean": statistics.fmean(values),
@@ -180,11 +183,10 @@ def build_parser():
 
     p = sub.add_parser("run", help="execute one scenario")
     common(p)
-    p.add_argument("--trace", action="store_true",
-                   help="also write the full event trace")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("trace", help="run with full trace emission")
+    p = sub.add_parser(
+        "trace", help="execute one scenario; write its summary and trace")
     common(p)
     p.add_argument("--stdout", action="store_true",
                    help="print the trace to stdout")

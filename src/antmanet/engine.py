@@ -88,9 +88,7 @@ class RandomWaypoint:
             self.targets[nid] = entry
         waypoint, speed, pause_until = entry
         if now < pause_until:
-            attrs.velocity = (0.0, 0.0)
-            attrs.mobility += (min(dt / self.window, 1.0) if self.window > 0
-                               else 1.0) * (0.0 - attrs.mobility)
+            mobility_update(attrs, attrs.position, 0.0, dt, self.window)
             return
         _, arrived = mobility_update(attrs, waypoint, speed, dt, self.window)
         if arrived:
@@ -136,7 +134,8 @@ def format_record(record):
 class Simulator:
     def __init__(self, config, trace=None):
         self.config = config
-        self.trace = trace
+        # The record sink shared with the router and the maintenance manager.
+        self.trace = trace if trace is not None else (lambda record: None)
         seed = config.seed
         self.rng_election = random.Random(f"{seed}:election")
         self.rng_mobility = random.Random(f"{seed}:mobility")
@@ -186,10 +185,6 @@ class Simulator:
 
     # -- infrastructure ----------------------------------------------------
 
-    def _emit(self, record):
-        if self.trace is not None:
-            self.trace(record)
-
     def schedule(self, t, kind, **payload):
         heapq.heappush(self._queue, (t, self._seq, kind, payload))
         self._seq += 1
@@ -200,12 +195,12 @@ class Simulator:
             return
         # Links do not depend on energy, so only a death changes the topology.
         attrs.energy = energy_debit(attrs, action, bits, self.config.energy_costs)
-        if attrs.energy == 0.0 and attrs.alive:
+        if attrs.energy == 0.0:
             attrs.alive = False
             self.state.touch()
             self.stats["deaths"] += 1
             self.router.purge_node(nid)
-            self._emit({"kind": "node_death", "t": self.now, "node": nid})
+            self.trace({"kind": "node_death", "t": self.now, "node": nid})
 
     # -- handlers -----------------------------------------------------------
 
@@ -218,14 +213,14 @@ class Simulator:
         for level in sorted(self.clusters.levels):
             heads = sorted(self.clusters.levels[level])
             self.stats[f"elections_l{level}"] += len(heads)
-            self._emit({"kind": "election", "t": self.now, "level": level,
+            self.trace({"kind": "election", "t": self.now, "level": level,
                         "case": "initial", "heads": heads})
 
     def _handle_beacon(self, payload):
         self.manager.run_cycle(self.now)
 
     def _handle_mobility(self, payload):
-        dt = payload["dt"]
+        dt = self.config.mobility.update_interval
         for nid in sorted(self.state.nodes):
             attrs = self.state.nodes[nid]
             if attrs.alive:
@@ -244,12 +239,12 @@ class Simulator:
                                                now=self.now)
         except NoAdmissibleRouteError:
             fstats["rejected"] += 1
-            self._emit({"kind": "admission_rejected", "t": self.now,
+            self.trace({"kind": "admission_rejected", "t": self.now,
                         "flow": flow_idx})
             return
         except RoutingError:
             fstats["failed"] += 1
-            self._emit({"kind": "no_route", "t": self.now, "flow": flow_idx})
+            self.trace({"kind": "no_route", "t": self.now, "flow": flow_idx})
             return
         fstats["sent"] += 1
         self.schedule(self.now, "packet_at", flow=flow_idx, path=route.path,
@@ -265,15 +260,14 @@ class Simulator:
             delay = self.now - payload["sent_at"]
             self.stats["total_delay"] += delay
             self._flow_stats[flow_idx]["delivered"] += 1
-            self._emit({"kind": "delivered", "t": self.now, "flow": flow_idx,
+            self.trace({"kind": "delivered", "t": self.now, "flow": flow_idx,
                         "dst": path[idx], "delay": delay})
             return
         a, b = path[idx], path[idx + 1]
-        link = self.state.link(a, b, payload["levels"][idx]) \
-            if self.state.node(a).alive and self.state.node(b).alive else None
+        link = self.state.link(a, b, payload["levels"][idx])
         if link is None:
             self._flow_stats[flow_idx]["dropped"] += 1
-            self._emit({"kind": "dropped", "t": self.now, "flow": flow_idx,
+            self.trace({"kind": "dropped", "t": self.now, "flow": flow_idx,
                         "at": a, "next": b})
             return
         self._apply_energy(a, "tx", bits)
@@ -287,7 +281,7 @@ class Simulator:
 
     def run(self):
         cfg = self.config
-        self._emit({"kind": "scenario", "seed": cfg.seed,
+        self.trace({"kind": "scenario", "seed": cfg.seed,
                     "duration": cfg.duration,
                     "nodes": len(self.state.nodes), "version": cfg.version})
         self._initial_clustering()
@@ -295,28 +289,23 @@ class Simulator:
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,
             tau_initial=cfg.pheromone.initial,
-            cache_max_age=cfg.cache.max_age, trace=self._emit,
+            cache_max_age=cfg.cache.max_age, trace=self.trace,
             stats=self.stats)
         self.manager = MaintenanceManager(
             self.state, self.clusters, self.router, cfg.weights,
-            self.rng_election, cfg.beacon, trace=self._emit, stats=self.stats,
-            energy_debit=lambda nid, action: self._apply_energy(nid, action))
+            self.rng_election, cfg.beacon, trace=self.trace, stats=self.stats,
+            energy_debit=self._apply_energy)
         self.manager.sync_last_heard(0.0)
 
-        t = cfg.beacon.interval
-        while t <= cfg.duration:
-            self.schedule(t, "beacon")
-            t += cfg.beacon.interval
-        t = cfg.pheromone.evaporation_interval
-        while t <= cfg.duration:
-            self.schedule(t, "evaporate")
-            t += cfg.pheromone.evaporation_interval
+        periodic = [("beacon", cfg.beacon.interval),
+                    ("evaporate", cfg.pheromone.evaporation_interval)]
         if self.waypoints is not None:
-            dt = cfg.mobility.update_interval
-            t = dt
+            periodic.append(("mobility", cfg.mobility.update_interval))
+        for kind, interval in periodic:
+            t = interval
             while t <= cfg.duration:
-                self.schedule(t, "mobility", dt=dt)
-                t += dt
+                self.schedule(t, kind)
+                t += interval
         for i, flow in enumerate(cfg.flows):
             self._flow_stats.append({
                 "flow": i, "src": flow.src, "dst": flow.dst,
@@ -343,7 +332,7 @@ class Simulator:
             handlers[kind](payload)
 
         summary = self.summary()
-        self._emit({"kind": "summary", "t": cfg.duration, **summary})
+        self.trace({"kind": "summary", "t": cfg.duration, **summary})
         return summary
 
     def summary(self):
@@ -370,8 +359,3 @@ class Simulator:
             "cache_hits": stats["cache_hits"],
             "flows": flows,
         }
-
-
-def run_scenario(config, trace=None):
-    """Convenience wrapper: build a simulator, run it, return its summary."""
-    return Simulator(config, trace=trace).run()

@@ -36,7 +36,8 @@ class MembershipEvent:
 
 class MaintenanceManager:
     def __init__(self, state, clusters, router, wparams, rng, beacon,
-                 trace=None, stats=None, energy_debit=None):
+                 trace=lambda record: None, stats=None,
+                 energy_debit=lambda node, action: None):
         if beacon.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.state = state
@@ -48,19 +49,14 @@ class MaintenanceManager:
         self.last_heard = {}  # (level, head, member) -> t
         self.trace = trace
         self.stats = Counter() if stats is None else stats
-        self.energy_debit = energy_debit  # fn(node, action) or None
+        self.energy_debit = energy_debit  # fn(node, action)
         self._merge_attempted = set()
         self._recent_joins = []
 
     # -- plumbing --------------------------------------------------------
 
     def _emit(self, **record):
-        if self.trace is not None:
-            self.trace(record)
-
-    def _debit(self, node, action):
-        if self.energy_debit is not None:
-            self.energy_debit(node, action)
+        self.trace(record)
 
     def sync_last_heard(self, now):
         """Mark every current membership as freshly heard (initial state)."""
@@ -91,20 +87,17 @@ class MaintenanceManager:
     def beacon_tick(self, head, level, now):
         """One head's beacon round: refresh last_heard for reachable members."""
         if not self.state.node(head).alive:
-            return []
-        self._debit(head, "beacon")
+            return
+        self.energy_debit(head, "beacon")
         self.stats["beacon_packets"] += 1
-        heard = []
         # A member's debit can kill only that member, which changes no
         # head-to-other-member link, so one lookup serves the whole loop.
         near = self.state.neighbors(head, level)
         for m in sorted(self.clusters.members_of(head, level)):
             if self.state.node(m).alive and m in near:
                 self.last_heard[(level, head, m)] = now
-                self._debit(m, "beacon")
+                self.energy_debit(m, "beacon")
                 self.stats["beacon_packets"] += 1
-                heard.append(m)
-        return heard
 
     def detect_changes(self, now):
         """Stale pairs and head losses, judged purely from beacon history."""
@@ -118,7 +111,7 @@ class MaintenanceManager:
                     continue
                 stale = []
                 for m in sorted(members):
-                    if now - self.last_heard.get((level, head, m), now) >= bound:
+                    if now - self.last_heard[(level, head, m)] >= bound:
                         stale.append(m)
                 if stale and len(stale) == len(members):
                     # Every member lost the head simultaneously: the head
@@ -175,10 +168,7 @@ class MaintenanceManager:
             return True
 
         if event.kind == "heads_in_range":
-            pair = frozenset((event.head, event.other))
-            if pair in self._merge_attempted:
-                return False
-            self._merge_attempted.add(pair)
+            self._merge_attempted.add(frozenset((event.head, event.other)))
             self._emit(kind="maintenance", t=now, case="3", level=level,
                        head=event.head, node=event.other)
             self._scoped_election(

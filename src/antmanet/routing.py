@@ -182,7 +182,8 @@ class Router:
     """
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
-                 tau_initial, cache_max_age, trace=None, stats=None):
+                 tau_initial, cache_max_age, trace=lambda record: None,
+                 stats=None):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -195,7 +196,6 @@ class Router:
             lambda: PheromoneTable(q=self.q, initial=self.tau_initial))
         self.caches = defaultdict(RouteCache)
         self.stats = Counter() if stats is None else stats
-        self.max_deposit = 0.0
         # _expand's results in the topology version _floods_version, keyed
         # by (level, src, dst, frozenset(scope)).
         self._floods = {}
@@ -213,10 +213,6 @@ class Router:
             t.purge_node(node)
         for c in self.caches.values():
             c.purge_node(node)
-
-    def _emit(self, record):
-        if self.trace is not None:
-            self.trace(record)
 
     # -- discovery segment ---------------------------------------------
 
@@ -268,7 +264,7 @@ class Router:
                 forwards += 1
         return found, forwards
 
-    def _segment(self, scope, level, src, dst, pher_dst, qos, now, kind):
+    def _segment(self, scope, level, src, dst, pher_dst, qos, now):
         """Replay the request ants of one discovery segment and return the
         chosen path.
 
@@ -298,9 +294,11 @@ class Router:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
         # Each delivered request ant turns into a reply that retraces its
-        # visited stack in reverse, carrying the path's QoS values.
-        ends = (("src_member", "dst_member") if kind == "knave"
-                else ("src_head", "dst_head"))
+        # visited stack in reverse, carrying the path's QoS values.  Level 0
+        # segments run inside one cluster (Knave ants), the rest across the
+        # head overlay (King ants).
+        kind, ends = (("king", ("src_head", "dst_head")) if level
+                      else ("knave", ("src_member", "dst_member")))
         node = state.node
         best_per_hop = {}
         for path, link_delay, node_delay, bandwidth, let in found:
@@ -309,7 +307,7 @@ class Router:
                             hop_count=len(path))
             self.stats["reply_packets"] += 1
             self.stats["reply_hops"] += len(path) - 1
-            self._emit({"kind": f"reply_{kind}_ant", "t": now, "packet": {
+            self.trace({"kind": f"reply_{kind}_ant", "t": now, "packet": {
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
                 "to_visit": list(reversed(path))}})
@@ -340,7 +338,7 @@ class Router:
         """Record one Route ant; `flag` is 1 once a head confirms the
         destination in its tables."""
         self.stats["route_ants"] += 1
-        self._emit({"kind": "route_ant", "t": now,
+        self.trace({"kind": "route_ant", "t": now,
                     "packet": {"src": src, "dst": dst, "flag": flag}})
 
     def _finalize(self, src, dst, path, levels, qos, now):
@@ -359,7 +357,6 @@ class Router:
                 f"assembled route from {src} to {dst} misses the QoS floors")
         if self.deposit_params is not None:
             dtau = pheromone_deposit(m, self.deposit_params)
-            self.max_deposit = max(self.max_deposit, dtau)
             for (i, j), level in zip(zip(path, path[1:]), levels):
                 self.table(level, i).deposit(j, dst, dtau)
         route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
@@ -372,7 +369,7 @@ class Router:
                 destination=dst, path=route.path[idx:], levels=route.levels[idx:],
                 metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)),
                 now)
-        self._emit({"kind": "route_selected", "t": now, "src": src, "dst": dst,
+        self.trace({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,
                     "energy": m.energy, "let": m.let, "hops": m.hop_count})
@@ -434,7 +431,6 @@ class Router:
                 + [(up[level + 1], level, up[level], down[level])]
                 + [(down[i + 1], i, down[i + 1], down[i])
                    for i in reversed(range(1, level))])
-        kind = "king" if level else "knave"
         path, levels = [src], []
         for head, lvl, a, b in legs:
             if path[-1] != a:
@@ -442,7 +438,7 @@ class Router:
                 path.append(a)
                 levels.append(0)
             seg = self._segment(self.clusters.cluster(head, lvl), lvl, a, b,
-                                dst, qos, now, kind)
+                                dst, qos, now)
             path += seg[1:]
             levels += [lvl] * (len(seg) - 1)
         if path[-1] != dst:

@@ -77,6 +77,26 @@ class TestSelectionProbability:
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert all(0.0 <= x <= 1.0 for x in probs)
 
+    def test_election_draw_follows_the_probabilities(self):
+        # The election draws heads with _weighted_draw, not with
+        # ch_selection_probability: a uniform value at the midpoint of
+        # interval k of the cumulative probabilities must draw index k.
+        class Fixed:
+            def random(self):
+                return self.u
+
+        rng, stub = random.Random(11), Fixed()
+        checked = 0
+        for _ in range(1000):
+            tau = [rng.uniform(0.01, 5) for _ in range(rng.randint(1, 16))]
+            lo = 0.0
+            for k, p in enumerate(ch_selection_probability(tau)):
+                stub.u = lo + p / 2
+                assert clustering._weighted_draw(stub, tau) == k
+                lo += p
+                checked += 1
+        assert checked > 5000
+
 
 class TestPheromoneUpdate:
     def test_fixed_point(self):

@@ -479,8 +479,8 @@ class TestCli:
     def test_run_twice_identical_outputs(self, scenario_file, tmp_path,
                                          capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["run", str(scenario_file), "--trace", "--out", str(out1)])
-        main(["run", str(scenario_file), "--trace", "--out", str(out2)])
+        main(["trace", str(scenario_file), "--out", str(out1)])
+        main(["trace", str(scenario_file), "--out", str(out2)])
         assert (out1 / "mini.summary.json").read_bytes() == \
             (out2 / "mini.summary.json").read_bytes()
         assert (out1 / "mini.trace").read_bytes() == \
@@ -512,13 +512,12 @@ class TestCli:
                      "--out", str(tmp_path)]) == 0
         assert capsysbinary.readouterr().out == GOLDEN.read_bytes()
 
-    @pytest.mark.parametrize("argv", [["trace"], ["run", "--trace"]])
     def test_failed_run_keeps_earlier_trace(self, scenario_file, tmp_path,
-                                            capsys, monkeypatch, argv):
+                                            capsys, monkeypatch):
         """A run that fails after records were streamed leaves no temp
         file and the previous trace byte for byte."""
         out = tmp_path / "out"
-        args = [*argv, str(scenario_file), "--out", str(out)]
+        args = ["trace", str(scenario_file), "--out", str(out)]
         assert main(args) == 0
         before = (out / "mini.trace").read_bytes()
         streaming = []
@@ -546,13 +545,32 @@ class TestCli:
         for seed in (1, 2, 3):
             s = json.loads(
                 (out / f"mini.seed{seed}.summary.json").read_text())
-            ratios.append(s["packets_delivered"] / s["packets_sent"]
-                          if s["packets_sent"] else 0.0)
+            attempts = (s["packets_sent"] + s["discovery_failures"]
+                        + s["admission_rejections"])
+            ratios.append(s["packets_delivered"] / attempts
+                          if attempts else 0.0)
             delays.append(s["mean_delay"])
         assert report["delivery_ratio"]["mean"] == \
             pytest.approx(sum(ratios) / 3, abs=1e-12)
         assert report["mean_delay"]["mean"] == \
             pytest.approx(sum(delays) / 3, abs=1e-12)
+
+    def test_sweep_ratio_counts_failed_discoveries(self, tmp_path, capsys):
+        # Node 2 is out of everyone's range: its two packets fail discovery
+        # and are never sent, so two of four attempts are delivered.
+        path = tmp_path / "gap.yaml"
+        path.write_text(MINIMAL.replace(
+            "flows:\n", "  - {id: 2, position: [900, 0]}\nflows:\n"
+            "  - {src: 0, dst: 2, start: 1.0, packets: 2}\n"),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--seeds", "1",
+                     "--out", str(out)]) == 0
+        s = json.loads((out / "gap.seed1.summary.json").read_text())
+        assert (s["packets_sent"], s["packets_delivered"],
+                s["discovery_failures"]) == (2, 2, 2)
+        report = json.loads((out / "gap.sweep.json").read_text())
+        assert report["delivery_ratio"]["mean"] == 0.5
 
     def test_sweep_comma_seed_list(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"

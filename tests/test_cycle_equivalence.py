@@ -22,7 +22,7 @@ from antmanet.clustering import (WeightParams, check_reelection_triggers,
                                  weight_table)
 from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, ScenarioConfig)
-from antmanet.engine import format_record, run_scenario
+from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState
 
@@ -281,8 +281,8 @@ def _mobile_config(theta_w):
 
 def _trace(theta_w):
     lines = []
-    summary = run_scenario(_mobile_config(theta_w),
-                           trace=lambda r: lines.append(format_record(r)))
+    summary = Simulator(_mobile_config(theta_w),
+                        trace=lambda r: lines.append(format_record(r))).run()
     return lines, summary
 
 

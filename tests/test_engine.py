@@ -10,7 +10,7 @@ from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, Placement, ScenarioConfig,
                              load_scenario, parse_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, energy_debit,
-                             format_record, mobility_update, run_scenario)
+                             format_record, mobility_update)
 from antmanet.model import NodeAttributes
 
 from helpers import DEFAULTS
@@ -98,7 +98,7 @@ class TestSimulator:
         assert len(sim.clusters.levels[0]) >= 1
 
     def test_two_node_delay_hand_computed(self):
-        summary = run_scenario(two_node_config())
+        summary = Simulator(two_node_config()).run()
         assert summary["packets_sent"] == 3
         assert summary["packets_delivered"] == 3
         # One hop: default level-0 link delay plus receiver processing.
@@ -149,7 +149,7 @@ class TestSimulator:
             assert send["levels"] == tuple(route["levels"])
 
     def test_conservation(self):
-        summary = run_scenario(two_node_config())
+        summary = Simulator(two_node_config()).run()
         assert summary["packets_sent"] == (summary["packets_delivered"]
                                            + summary["packets_dropped"]
                                            + summary["packets_in_flight"])
@@ -181,8 +181,8 @@ class TestSimulator:
     def test_byte_identical_traces(self):
         def run_once():
             lines = []
-            run_scenario(self._mobile_config(9),
-                         trace=lambda r: lines.append(format_record(r)))
+            Simulator(self._mobile_config(9),
+                      trace=lambda r: lines.append(format_record(r))).run()
             return "\n".join(lines)
 
         t1, t2 = run_once(), run_once()
@@ -192,8 +192,8 @@ class TestSimulator:
     def test_seed_changes_trace(self):
         def run_once(seed):
             lines = []
-            run_scenario(self._mobile_config(seed),
-                         trace=lambda r: lines.append(format_record(r)))
+            Simulator(self._mobile_config(seed),
+                      trace=lambda r: lines.append(format_record(r))).run()
             return "\n".join(lines)
 
         assert run_once(9) != run_once(10)
@@ -201,8 +201,8 @@ class TestSimulator:
     def test_trace_records_are_json_lines(self):
         import json
         lines = []
-        run_scenario(two_node_config(),
-                     trace=lambda r: lines.append(format_record(r)))
+        Simulator(two_node_config(),
+                  trace=lambda r: lines.append(format_record(r))).run()
         for line in lines:
             rec = json.loads(line)
             assert "kind" in rec

@@ -28,22 +28,26 @@ def walkaway_world():
 class TestBeaconing:
     def test_tick_refreshes_reachable_members(self):
         state, clusters, mgr = walkaway_world()
-        heard = mgr.beacon_tick(1, 0, 5.0)
-        assert heard == [0, 2, 3]
-        assert all(mgr.last_heard[(0, 1, m)] == 5.0 for m in heard)
+        mgr.beacon_tick(1, 0, 5.0)
+        assert mgr.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
+                                  (0, 1, 3): 5.0}
 
     def test_tick_skips_out_of_range_member(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[3].position = (5000.0, 0.0)
         state.touch()
-        assert mgr.beacon_tick(1, 0, 5.0) == [0, 2]
-        assert mgr.last_heard[(0, 1, 3)] == 0.0
+        mgr.beacon_tick(1, 0, 5.0)
+        assert mgr.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
+                                  (0, 1, 3): 0.0}
 
     def test_dead_head_does_not_beacon(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[1].alive = False
         state.touch()
-        assert mgr.beacon_tick(1, 0, 5.0) == []
+        mgr.beacon_tick(1, 0, 5.0)
+        assert mgr.last_heard == {(0, 1, 0): 0.0, (0, 1, 2): 0.0,
+                                  (0, 1, 3): 0.0}
+        assert mgr.stats["beacon_packets"] == 0
 
     def test_energy_debit_callback(self):
         state, clusters, mgr = walkaway_world()

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from antmanet.errors import NoAdmissibleRouteError, NoRouteError
-from antmanet.qos import DepositParams, PathMetrics, path_metrics
+from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
+                          pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               QosRequirement, Route, RouteCache,
                               path_preference_probability)
@@ -137,10 +138,10 @@ def test_ant_trace_records():
 
 class TestAnts:
     @staticmethod
-    def replies(state, level, src, dst, kind):
+    def replies(state, level, src, dst):
         records = []
         r = make_router(state, manual_clusters({0: {}}), trace=records.append)
-        r._segment(state.nodes, level, src, dst, dst, None, 0.0, kind)
+        r._segment(state.nodes, level, src, dst, dst, None, 0.0)
         return [rec for rec in records if rec["kind"].startswith("reply_")]
 
     def test_reply_retraces_in_reverse(self):
@@ -148,7 +149,7 @@ class TestAnts:
         state = make_state()
         for i in range(1, 5):
             add_node(state, i, (i * 200.0, 0.0), level=1)
-        [rec] = self.replies(state, 1, 1, 4, "king")
+        [rec] = self.replies(state, 1, 1, 4)
         assert rec["kind"] == "reply_king_ant"
         assert rec["packet"]["to_visit"] == [4, 3, 2, 1]
         assert rec["packet"]["src_head"] == 1
@@ -160,7 +161,7 @@ class TestAnts:
         for nid, energy, vel in ((0, 9.0, (0.0, 0.0)), (1, 30.0, (5.0, 0.0)),
                                  (2, 20.0, (0.0, 0.0))):
             add_node(state, nid, (nid * 80.0, 0.0), energy=energy, vel=vel)
-        [rec] = self.replies(state, 0, 0, 2, "knave")
+        [rec] = self.replies(state, 0, 0, 2)
         assert rec["kind"] == "reply_knave_ant"
         m = path_metrics((0, 1, 2), state, levels=(0, 0))
         assert math.isfinite(m.let)
@@ -361,6 +362,19 @@ class TestChoice:
         assert [rec["packet"]["to_visit"] for rec in records
                 if rec["kind"] == "reply_knave_ant"] == [[3, 1, 0], [3, 2, 0]]
 
+    @pytest.mark.parametrize("alpha1, path", [(1.0, (0, 2, 3)),
+                                              (0.0, (0, 1, 3))],
+                             ids=["pheromone", "blind"])
+    def test_pheromone_flips_the_choice(self, alpha1, path):
+        # The two next hops tie on every QoS term, so a deposit on 0 -> 2
+        # decides the segment unless the pheromone's exponent is 0.
+        state, clusters = diamond()
+        assert make_router(state, clusters).discover_route(
+            0, 3, now=0.0).path == (0, 1, 3)
+        r = make_router(state, clusters, pref=PreferenceParams(alpha1=alpha1))
+        r.table(0, 0).deposit(2, 3, 1.0)
+        assert r.discover_route(0, 3, now=0.0).path == path
+
 
 class TestFloodMemo:
     """A discovery after a topology change floods the new topology.
@@ -523,11 +537,13 @@ class TestHierarchicalDiscovery:
         # Each cached route expires before the next discovery.
         r = make_router(state, clusters, deposit=DepositParams(), q=0.2,
                         cache_max_age=0.5)
+        deposits = []
         for i in range(40):
-            r.discover_route(0, 4, now=float(i))
+            route = r.discover_route(0, 4, now=float(i))
+            deposits.append(pheromone_deposit(route.metrics, r.deposit_params))
             if i % 3 == 0:
                 r.evaporate_all()
-        bound = r.max_deposit / r.q + r.tau_initial
+        bound = max(deposits) / r.q + r.tau_initial
         for table in r.tables.values():
             for tau in table.entries.values():
                 assert 0.0 <= tau <= bound + 1e-9

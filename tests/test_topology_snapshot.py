@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from antmanet import engine
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
-from antmanet.engine import format_record, run_scenario
+from antmanet.engine import Simulator, format_record
 from antmanet.errors import UnknownNodeError
 from antmanet.model import (LinkAttributes, NetworkState, NodeAttributes,
                             link_expiration_time)
@@ -445,8 +445,8 @@ def _mobile_energy_config():
 def _run_trace(monkeypatch, state_cls):
     monkeypatch.setattr(engine, "NetworkState", state_cls)
     lines = []
-    summary = run_scenario(_mobile_energy_config(),
-                           trace=lambda r: lines.append(format_record(r)))
+    summary = Simulator(_mobile_energy_config(),
+                        trace=lambda r: lines.append(format_record(r))).run()
     return "\n".join(lines), summary
 
 
