@@ -15,14 +15,14 @@ wins, gets a pheromone deposit, and is cached.
 
 The flood's expansion reads only the topology, so the router memoizes it
 per topology version (``NetworkState.version``), scope and endpoints;
-each entry carries its paths' delay sums and bandwidth and LET minima.
+each entry carries its paths' `link_metrics`.
 A repeated flood replays the entry, reading energy afresh, and emits the
 same records and counters as a new one.
 """
 
 import heapq
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
@@ -40,10 +40,12 @@ FLOOD_BUDGET = 20000
 
 
 # --------------------------------------------------------------------------
-# Per-node routing state
+# Routing state of every node
 
 class PheromoneTable:
-    """tau[(next hop, destination)] with multiplicative evaporation."""
+    """tau[(level, node, next hop, destination)] with multiplicative
+    evaporation.  Each hierarchy level keeps its own plane: level 0 holds
+    member-to-member trails, levels 1 and 2 head-overlay trails."""
 
     def __init__(self, q, initial):
         if not (0.0 < q <= 1.0):
@@ -52,22 +54,25 @@ class PheromoneTable:
         self.initial = initial
         self.entries = {}
 
-    def get(self, j, d):
-        return self.entries.get((j, d), self.initial)
+    def get(self, level, i, j, d):
+        return self.entries.get((level, i, j, d), self.initial)
 
-    def deposit(self, j, d, dtau):
+    def deposit(self, level, i, j, d, dtau):
         if dtau < 0:
             raise ConfigError("deposit must be >= 0")
-        tau = self.entries.get((j, d), self.initial)
-        self.entries[(j, d)] = (1.0 - self.q) * tau + dtau
+        key = (level, i, j, d)
+        tau = self.entries.get(key, self.initial)
+        self.entries[key] = (1.0 - self.q) * tau + dtau
 
     def evaporate(self):
         for key in self.entries:
             self.entries[key] *= (1.0 - self.q)
 
     def purge_node(self, node):
+        """Drop the trails whose next hop or destination is `node`; the
+        node's own trails stay."""
         self.entries = {k: v for k, v in self.entries.items()
-                        if node not in k}
+                        if node != k[2] and node != k[3]}
 
 
 @dataclass
@@ -94,38 +99,40 @@ class Route:
 
 
 class RouteCache:
-    """One node's routes per destination, oldest first.
+    """Every node's routes per destination, oldest first.
 
-    ``routes[destination]`` maps (path, levels) to the Route, so inserting
-    a route already held refreshes it in place.  Both `insert` and
-    `lookup` first drop the destination's expired routes.  A destination
-    with no route left has no entry.
+    ``routes[node, destination]`` maps (path, levels) to the Route, so
+    inserting a route already held refreshes it in place.  Both `insert`
+    and `lookup` first drop the pair's expired routes.  A pair with no
+    route left has no entry.
     """
 
     def __init__(self):
         self.routes = {}
 
-    def _unexpired(self, dst, now):
-        routes = {k: r for k, r in self.routes.pop(dst, {}).items()
+    def _unexpired(self, key, now):
+        routes = {k: r for k, r in self.routes.pop(key, {}).items()
                   if r.expires_at >= now}
         if routes:
-            self.routes[dst] = routes
+            self.routes[key] = routes
         return routes
 
-    def insert(self, route, now):
-        routes = self._unexpired(route.destination, now)
+    def insert(self, node, route, now):
+        key = (node, route.destination)
+        routes = self._unexpired(key, now)
         routes[route.path, route.levels] = route
-        self.routes[route.destination] = routes
+        self.routes[key] = routes
 
-    def lookup(self, dst, now, qos=None):
-        """Oldest unexpired admissible route toward dst, or None."""
-        return next((r for r in self._unexpired(dst, now).values()
+    def lookup(self, node, dst, now, qos=None):
+        """Oldest unexpired admissible route from node toward dst, or
+        None."""
+        return next((r for r in self._unexpired((node, dst), now).values()
                      if qos is None or qos.admits(r.metrics)), None)
 
     def purge_node(self, node):
-        kept = ((dst, {k: r for k, r in routes.items() if node not in r.path})
-                for dst, routes in self.routes.items())
-        self.routes = {dst: routes for dst, routes in kept if routes}
+        kept = ((key, {k: r for k, r in routes.items() if node not in r.path})
+                for key, routes in self.routes.items())
+        self.routes = {key: routes for key, routes in kept if routes}
 
 
 # --------------------------------------------------------------------------
@@ -175,11 +182,7 @@ def path_preference_probability(candidates, p=None):
 # Router
 
 class Router:
-    """Owns every node's pheromone tables and route caches.
-
-    Pheromone planes are kept separate per hierarchy level: level 0 holds
-    member-to-member trails, levels 1 and 2 hold head-overlay trails.
-    """
+    """Owns the pheromone table and the route cache of every node."""
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
                  tau_initial, cache_max_age, trace=lambda record: None,
@@ -188,31 +191,22 @@ class Router:
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
         self.deposit_params = deposit
-        self.q = q
-        self.tau_initial = tau_initial
         self.cache_max_age = cache_max_age
         self.trace = trace
-        self.tables = defaultdict(
-            lambda: PheromoneTable(q=self.q, initial=self.tau_initial))
-        self.caches = defaultdict(RouteCache)
+        self.pheromone = PheromoneTable(q, tau_initial)
+        self.cache = RouteCache()
         self.stats = Counter() if stats is None else stats
         # _expand's results in the topology version _floods_version, keyed
         # by (level, src, dst, frozenset(scope)).
         self._floods = {}
         self._floods_version = None
 
-    def table(self, level, node):
-        return self.tables[(level, node)]
-
     def evaporate_all(self):
-        for t in self.tables.values():
-            t.evaporate()
+        self.pheromone.evaporate()
 
     def purge_node(self, node):
-        for t in self.tables.values():
-            t.purge_node(node)
-        for c in self.caches.values():
-            c.purge_node(node)
+        self.pheromone.purge_node(node)
+        self.cache.purge_node(node)
 
     # -- discovery segment ---------------------------------------------
 
@@ -221,30 +215,26 @@ class Router:
 
         Models concurrent request ants: the priority queue key is the
         accumulated path delay, so the first path to reach the destination
-        is the minimum-delay one.  Each heap entry also carries what
-        `path_metrics` would compute for its path: the link-delay and
-        node-delay sums, each added left to right from 0, and the
-        bandwidth and LET minima, replaced only by a strictly smaller
-        value as `min` does.
+        is the minimum-delay one.
 
-        Returns ([(path, link-delay sum, node-delay sum, bandwidth, LET)]
-        in arrival order, number of request forwards).
+        Returns ([(path, its link_metrics)] in arrival order, number of
+        request forwards).
         """
         state = self.state
-        start = state.node(src).node_delay
-        heap = [(start, 0, (src,), 0, 0 + start, math.inf, math.inf)]
+        heap = [(state.node(src).node_delay, 0, (src,))]
         seq = 1
         pops = 0
         forwards = 0
         found = []
         expansions = {}
         while heap and len(found) < MAX_REPLIES and pops < FLOOD_BUDGET:
-            cum, _, path, link_delay, node_delay, bandwidth, let = \
-                heapq.heappop(heap)
+            cum, _, path = heapq.heappop(heap)
             pops += 1
             node = path[-1]
             if node == dst:
-                found.append((path, link_delay, node_delay, bandwidth, let))
+                links = path_links(path, state, (level,) * (len(path) - 1))
+                found.append((path, link_metrics(
+                    links, [state.node(n) for n in path])))
                 continue
             n = expansions.get(node, 0)
             if n >= FANOUT_CAP:
@@ -255,11 +245,7 @@ class Router:
                     continue
                 link = state.link(node, nb, level)
                 nd = state.node(nb).node_delay
-                heapq.heappush(heap, (
-                    cum + link.delay + nd, seq, path + (nb,),
-                    link_delay + link.delay, node_delay + nd,
-                    link.bandwidth if link.bandwidth < bandwidth else bandwidth,
-                    link.let if link.let < let else let))
+                heapq.heappush(heap, (cum + link.delay + nd, seq, path + (nb,)))
                 seq += 1
                 forwards += 1
         return found, forwards
@@ -301,10 +287,10 @@ class Router:
                       else ("knave", ("src_member", "dst_member")))
         node = state.node
         best_per_hop = {}
-        for path, link_delay, node_delay, bandwidth, let in found:
-            m = PathMetrics(delay=link_delay + node_delay, bandwidth=bandwidth,
-                            energy=min(node(n).energy for n in path), let=let,
-                            hop_count=len(path))
+        for path, fm in found:
+            m = PathMetrics(delay=fm.delay, bandwidth=fm.bandwidth,
+                            energy=min(node(n).energy for n in path),
+                            let=fm.let, hop_count=fm.hop_count)
             self.stats["reply_packets"] += 1
             self.stats["reply_hops"] += len(path) - 1
             self.trace({"kind": f"reply_{kind}_ant", "t": now, "packet": {
@@ -314,7 +300,7 @@ class Router:
             if qos is not None and not qos.admits(m):
                 continue
             j = path[1]
-            tau = self.table(level, src).get(j, pher_dst)
+            tau = self.pheromone.get(level, src, j, pher_dst)
             score = _preference_score(m, tau, self.pref)
             prev = best_per_hop.get(j)
             if prev is None or score > prev[0]:
@@ -358,14 +344,14 @@ class Router:
         if self.deposit_params is not None:
             dtau = pheromone_deposit(m, self.deposit_params)
             for (i, j), level in zip(zip(path, path[1:]), levels):
-                self.table(level, i).deposit(j, dst, dtau)
+                self.pheromone.deposit(level, i, j, dst, dtau)
         route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
                       metrics=m, expires_at=now + min(m.let, self.cache_max_age))
-        self.caches[src].insert(route, now)
+        self.cache.insert(src, route, now)
         # Intermediate nodes remember the suffix toward the destination.
         for idx in range(1, len(path) - 1):
             sm = link_metrics(links[idx:], nodes[idx:])
-            self.caches[path[idx]].insert(Route(
+            self.cache.insert(path[idx], Route(
                 destination=dst, path=route.path[idx:], levels=route.levels[idx:],
                 metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)),
                 now)
@@ -398,8 +384,7 @@ class Router:
         if level is not None:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
-        cache = self.caches.get(src)
-        hit = None if cache is None else cache.lookup(dst, now, qos)
+        hit = self.cache.lookup(src, dst, now, qos)
         if hit is not None and self._cache_valid(hit):
             self.stats["cache_hits"] += 1
             return hit

@@ -164,9 +164,9 @@ def test_formula_fidelity():
         q = rng.uniform(0.01, 1.0)
         tau = rng.uniform(0, 10)
         t = PheromoneTable(q=q, initial=DEFAULTS.pheromone.initial)
-        t.entries[(0, 1)] = tau
+        t.entries[(0, 0, 0, 1)] = tau
         t.evaporate()
-        assert abs(t.entries[(0, 1)] - (1 - q) * tau) < 1e-9
+        assert abs(t.entries[(0, 0, 0, 1)] - (1 - q) * tau) < 1e-9
 
     assert time.monotonic() - started < 5.0
 

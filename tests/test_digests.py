@@ -89,8 +89,7 @@ def test_route_caches_hold_no_duplicate():
     """No node caches two routes with the same destination, path and
     levels after a run whose flows rediscover the same routes."""
     _, sim = run(DATA / "digest" / "static-cache.yaml")
-    for node, cache in sim.router.caches.items():
-        held = Counter((r.destination, r.path, r.levels)
-                       for routes in cache.routes.values()
-                       for r in routes.values())
-        assert max(held.values(), default=1) == 1, node
+    held = Counter((node, r.destination, r.path, r.levels)
+                   for (node, _), routes in sim.router.cache.routes.items()
+                   for r in routes.values())
+    assert max(held.values(), default=1) == 1

@@ -85,10 +85,10 @@ class TestMemberWalkAway:
 
     def test_pheromone_purged_for_departed_member(self):
         state, clusters, mgr = walkaway_world()
-        mgr.router.table(0, 0).deposit(3, 3, 1.0)
+        mgr.router.pheromone.deposit(0, 0, 3, 3, 1.0)
         ev = MembershipEvent("member_left", 0, head=1, node=3)
         assert mgr.handle_membership_change(ev, 10.0)
-        assert mgr.router.table(0, 0).entries == {}
+        assert mgr.router.pheromone.entries == {}
 
 
 class TestHeadLoss:

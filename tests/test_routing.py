@@ -62,40 +62,47 @@ class TestPreferenceProbability:
 class TestPheromoneTable:
     def test_zero_deposit_only_evaporates(self):
         t = PheromoneTable(q=0.5, initial=DEFAULTS.pheromone.initial)
-        t.deposit(1, 9, 1.0)
-        before = t.get(1, 9)
-        t.deposit(1, 9, 0.0)
-        assert t.get(1, 9) == pytest.approx(0.5 * before)
+        t.deposit(0, 0, 1, 9, 1.0)
+        before = t.get(0, 0, 1, 9)
+        t.deposit(0, 0, 1, 9, 0.0)
+        assert t.get(0, 0, 1, 9) == pytest.approx(0.5 * before)
 
     def test_direct_substitution(self):
         t = PheromoneTable(q=0.5, initial=1.0)
-        t.deposit(3, 9, 2.0)
-        assert t.get(3, 9) == pytest.approx(2.5)
+        t.deposit(0, 0, 3, 9, 2.0)
+        assert t.get(0, 0, 3, 9) == pytest.approx(2.5)
 
     def test_repeated_deposits_converge_to_ratio(self):
         t = PheromoneTable(q=0.25, initial=1.0)
         for _ in range(100):
-            t.deposit(3, 9, 2.0)
-        assert t.get(3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
+            t.deposit(0, 0, 3, 9, 2.0)
+        assert t.get(0, 0, 3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
 
     def test_evaporate_full(self):
         t = PheromoneTable(q=1.0, initial=DEFAULTS.pheromone.initial)
-        t.entries[(1, 2)] = 5.0
+        t.entries[(0, 0, 1, 2)] = 5.0
         t.evaporate()
-        assert t.get(1, 2) == 0.0
+        assert t.get(0, 0, 1, 2) == 0.0
 
     def test_evaporate_substitution(self):
         t = PheromoneTable(q=0.25, initial=DEFAULTS.pheromone.initial)
-        t.entries[(1, 2)] = 4.0
+        t.entries[(0, 0, 1, 2)] = 4.0
         t.evaporate()
-        assert t.get(1, 2) == pytest.approx(3.0)
+        assert t.get(0, 0, 1, 2) == pytest.approx(3.0)
 
     def test_evaporate_closed_form(self):
         t = PheromoneTable(q=0.1, initial=DEFAULTS.pheromone.initial)
-        t.entries[(1, 2)] = 7.0
+        t.entries[(0, 0, 1, 2)] = 7.0
         for _ in range(12):
             t.evaporate()
-        assert t.get(1, 2) == pytest.approx(7.0 * 0.9 ** 12, abs=1e-12)
+        assert t.get(0, 0, 1, 2) == pytest.approx(7.0 * 0.9 ** 12, abs=1e-12)
+
+    def test_purge_keeps_the_departed_nodes_own_trails(self):
+        t = PheromoneTable(q=0.5, initial=1.0)
+        for key in ((0, 1, 3, 9), (1, 1, 9, 3), (0, 3, 1, 9), (2, 3, 9, 1)):
+            t.deposit(*key, 2.0)
+        t.purge_node(3)
+        assert list(t.entries) == [(0, 3, 1, 9), (2, 3, 9, 1)]
 
 
 def test_ant_trace_records():
@@ -178,61 +185,61 @@ class TestRouteCache:
                      metrics=metrics(bw=bw), expires_at=expires)
 
     def test_empty_lookup(self):
-        assert RouteCache().lookup(9, 0.0) is None
+        assert RouteCache().lookup(1, 9, 0.0) is None
 
     def test_oldest_entry_wins(self):
         c = RouteCache()
         first = self.entry(path=(1, 2, 9))
-        c.insert(first, 0.0)
-        c.insert(self.entry(path=(1, 9)), 0.0)
-        assert c.lookup(9, 0.0) is first
+        c.insert(1, first, 0.0)
+        c.insert(1, self.entry(path=(1, 9)), 0.0)
+        assert c.lookup(1, 9, 0.0) is first
 
     def test_expired_skipped(self):
         c = RouteCache()
-        c.insert(self.entry(expires=5.0), 0.0)
-        assert c.lookup(9, 6.0) is None
+        c.insert(1, self.entry(expires=5.0), 0.0)
+        assert c.lookup(1, 9, 6.0) is None
 
     def test_same_path_refreshed_in_place(self):
         c = RouteCache()
-        c.insert(self.entry(path=(1, 2, 9), expires=5.0, bw=1.0), 0.0)
-        c.insert(self.entry(path=(1, 9)), 0.0)
+        c.insert(1, self.entry(path=(1, 2, 9), expires=5.0, bw=1.0), 0.0)
+        c.insert(1, self.entry(path=(1, 9)), 0.0)
         newer = self.entry(path=(1, 2, 9), expires=8.0, bw=6.0)
-        c.insert(newer, 1.0)
-        assert [r.path for r in c.routes[9].values()] == [(1, 2, 9), (1, 9)]
-        assert c.lookup(9, 1.0) is newer
+        c.insert(1, newer, 1.0)
+        assert [r.path for r in c.routes[1, 9].values()] == [(1, 2, 9), (1, 9)]
+        assert c.lookup(1, 9, 1.0) is newer
 
     def test_expired_routes_dropped(self):
         c = RouteCache()
-        c.insert(self.entry(path=(1, 2, 9), expires=1.0), 0.0)
-        c.insert(self.entry(path=(1, 9), expires=5.0), 0.0)
-        c.insert(self.entry(dst=8, path=(1, 8), expires=1.0), 0.0)
-        c.insert(self.entry(dst=8, path=(1, 3, 8), expires=9.0), 2.0)
-        assert [r.path for r in c.routes[8].values()] == [(1, 3, 8)]
-        assert [r.path for r in c.routes[9].values()] == [(1, 2, 9), (1, 9)]
-        assert c.lookup(9, 2.0).path == (1, 9)
-        assert [r.path for r in c.routes[9].values()] == [(1, 9)]
+        c.insert(1, self.entry(path=(1, 2, 9), expires=1.0), 0.0)
+        c.insert(1, self.entry(path=(1, 9), expires=5.0), 0.0)
+        c.insert(1, self.entry(dst=8, path=(1, 8), expires=1.0), 0.0)
+        c.insert(1, self.entry(dst=8, path=(1, 3, 8), expires=9.0), 2.0)
+        assert [r.path for r in c.routes[1, 8].values()] == [(1, 3, 8)]
+        assert [r.path for r in c.routes[1, 9].values()] == [(1, 2, 9), (1, 9)]
+        assert c.lookup(1, 9, 2.0).path == (1, 9)
+        assert [r.path for r in c.routes[1, 9].values()] == [(1, 9)]
 
     def test_miss_leaves_routes_unchanged(self):
         c = RouteCache()
-        c.insert(self.entry(), 0.0)
-        held = {dst: dict(routes) for dst, routes in c.routes.items()}
-        assert c.lookup(8, 0.0) is None
+        c.insert(1, self.entry(), 0.0)
+        held = {key: dict(routes) for key, routes in c.routes.items()}
+        assert c.lookup(1, 8, 0.0) is None
         assert c.routes == held
 
     def test_destination_without_routes_has_no_entry(self):
         c = RouteCache()
-        c.insert(self.entry(dst=9, path=(1, 9), expires=5.0), 0.0)
-        c.insert(self.entry(dst=8, path=(1, 2, 8)), 0.0)
-        assert c.lookup(9, 6.0) is None
-        assert list(c.routes) == [8]
+        c.insert(1, self.entry(dst=9, path=(1, 9), expires=5.0), 0.0)
+        c.insert(1, self.entry(dst=8, path=(1, 2, 8)), 0.0)
+        assert c.lookup(1, 9, 6.0) is None
+        assert list(c.routes) == [(1, 8)]
         c.purge_node(2)
         assert c.routes == {}
 
     def test_qos_filter(self):
         c = RouteCache()
-        c.insert(self.entry(), 0.0)
+        c.insert(1, self.entry(), 0.0)
         strict = QosRequirement(min_bandwidth=100.0)
-        assert c.lookup(9, 0.0, strict) is None
+        assert c.lookup(1, 9, 0.0, strict) is None
 
 
 def single_cluster_line(n=5):
@@ -271,7 +278,7 @@ class TestDiscovery:
         assert route.path == (0, 1, 2, 3, 4, 5)
         assert math.isfinite(route.metrics.let)
         for idx in range(1, len(route.path) - 1):
-            [cached] = r.caches[route.path[idx]].routes[5].values()
+            [cached] = r.cache.routes[route.path[idx], 5].values()
             assert cached.path == route.path[idx:]
             assert cached.levels == route.levels[idx:]
             assert cached.metrics == path_metrics(cached.path, state,
@@ -286,8 +293,8 @@ class TestDiscovery:
         r = make_router(state, clusters)
         with pytest.raises(NoRouteError):
             r.discover_route(0, 2, now=0.0)
-        # The cache lookup made no cache for the source.
-        assert 0 not in r.caches
+        # The cache lookup added no entry.
+        assert r.cache.routes == {}
 
     def test_qos_floor_violation_distinct_error(self):
         state, clusters = single_cluster_line(4)
@@ -372,7 +379,7 @@ class TestChoice:
         assert make_router(state, clusters).discover_route(
             0, 3, now=0.0).path == (0, 1, 3)
         r = make_router(state, clusters, pref=PreferenceParams(alpha1=alpha1))
-        r.table(0, 0).deposit(2, 3, 1.0)
+        r.pheromone.deposit(0, 0, 2, 3, 1.0)
         assert r.discover_route(0, 3, now=0.0).path == path
 
 
@@ -543,7 +550,6 @@ class TestHierarchicalDiscovery:
             deposits.append(pheromone_deposit(route.metrics, r.deposit_params))
             if i % 3 == 0:
                 r.evaporate_all()
-        bound = max(deposits) / r.q + r.tau_initial
-        for table in r.tables.values():
-            for tau in table.entries.values():
-                assert 0.0 <= tau <= bound + 1e-9
+        bound = max(deposits) / r.pheromone.q + r.pheromone.initial
+        for tau in r.pheromone.entries.values():
+            assert 0.0 <= tau <= bound + 1e-9
