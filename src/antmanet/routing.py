@@ -123,11 +123,11 @@ class RouteCache:
         routes[route.path, route.levels] = route
         self.routes[key] = routes
 
-    def lookup(self, node, dst, now, qos=None):
-        """Oldest unexpired admissible route from node toward dst, or
-        None."""
+    def lookup(self, node, dst, now, usable=None):
+        """Oldest unexpired route from node toward dst that `usable`
+        accepts (any, if it is None), or None."""
         return next((r for r in self._unexpired((node, dst), now).values()
-                     if qos is None or qos.admits(r.metrics)), None)
+                     if usable is None or usable(r)), None)
 
     def purge_node(self, node):
         kept = ((key, {k: r for k, r in routes.items() if node not in r.path})
@@ -361,17 +361,14 @@ class Router:
                     "energy": m.energy, "let": m.let, "hops": m.hop_count})
         return route
 
-    def _cache_valid(self, entry):
-        for (a, b), level in zip(zip(entry.path, entry.path[1:]), entry.levels):
-            if self.state.link(a, b, level) is None:
-                return False
-        return True
-
     def discover_route(self, src, dst, qos=None, now=0.0):
         """Full hierarchical route discovery; returns the Route.
 
-        A valid cached route is returned as it is; otherwise a climb up
-        both endpoints' head chains discovers, caches and returns a new one.
+        The source's oldest cached route that meets the QoS floors and
+        whose every hop's link exists is returned as it is; otherwise a
+        climb up both endpoints' head chains discovers, caches and returns
+        a new one.  A cached route with a missing link is skipped, not
+        dropped: the link can come back before the route expires.
         """
         state = self.state
         if not state.node(src).alive or not state.node(dst).alive:
@@ -384,8 +381,13 @@ class Router:
         if level is not None:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
-        hit = self.cache.lookup(src, dst, now, qos)
-        if hit is not None and self._cache_valid(hit):
+        def usable(route):
+            return ((qos is None or qos.admits(route.metrics))
+                    and all(state.link(a, b, lvl) is not None for a, b, lvl
+                            in zip(route.path, route.path[1:], route.levels)))
+
+        hit = self.cache.lookup(src, dst, now, usable)
+        if hit is not None:
             self.stats["cache_hits"] += 1
             return hit
 

@@ -86,6 +86,46 @@ def two_node_config(**kw):
         **kw)
 
 
+def relay_config(packets):
+    """Source 0 and destination 3 reach each other through relay 1 or 2;
+    flow 0 sends every 0.2 s from t = 0.5 s."""
+    return ScenarioConfig(
+        seed=1, duration=2.0, arena=Arena(300, 300),
+        placements=[Placement(id=0, position=(0.0, 0.0)),
+                    Placement(id=1, position=(60.0, 0.0)),
+                    Placement(id=2, position=(60.0, 30.0)),
+                    Placement(id=3, position=(120.0, 0.0))],
+        flows=[FlowConfig(src=0, dst=3, start=0.5, packets=packets,
+                          interval=0.2)])
+
+
+class RelayProbe(Simulator):
+    """Records the selected routes and each packet's first hop, and moves
+    the first route's relay out of everyone's range once, at the first
+    send after that route was selected: its cached route stays unexpired
+    but goes stale."""
+
+    def __init__(self, cfg):
+        self.selected, self.sends = [], []
+        super().__init__(cfg, trace=self.record)
+
+    def record(self, rec):
+        if rec["kind"] == "route_selected":
+            self.selected.append(rec)
+
+    def schedule(self, t, kind, **payload):
+        if kind == "packet_at" and payload["idx"] == 0:
+            self.sends.append(payload)
+        super().schedule(t, kind, **payload)
+
+    def _handle_packet_send(self, payload):
+        if len(self.selected) == 1:
+            relay = self.selected[0]["path"][1]
+            self.state.nodes[relay].position = (60.0, 280.0)
+            self.state.touch()
+        super()._handle_packet_send(payload)
+
+
 class TestSimulator:
     def test_idle_network_runs_elections_only(self):
         cfg = ScenarioConfig(seed=2, duration=5.0, arena=Arena(300, 300),
@@ -107,39 +147,7 @@ class TestSimulator:
     def test_packet_travels_on_rediscovered_route(self):
         """After the cached route goes stale, the next packet travels on the
         path and hop levels of the route discovery chose instead."""
-        class Probe(Simulator):
-            def __init__(self, cfg):
-                self.selected, self.sends = [], []
-                super().__init__(cfg, trace=self.record)
-
-            def record(self, rec):
-                if rec["kind"] == "route_selected":
-                    self.selected.append(rec)
-
-            def schedule(self, t, kind, **payload):
-                if kind == "packet_at" and payload["idx"] == 0:
-                    self.sends.append(payload)
-                super().schedule(t, kind, **payload)
-
-            def _handle_packet_send(self, payload):
-                if self.selected:
-                    # Move the first route's relay out of everyone's range;
-                    # its cached route stays unexpired but goes stale.
-                    relay = self.selected[0]["path"][1]
-                    self.state.nodes[relay].position = (60.0, 280.0)
-                    self.state.touch()
-                super()._handle_packet_send(payload)
-
-        # Source 0 and destination 3 reach each other through relay 1 or 2.
-        cfg = ScenarioConfig(
-            seed=1, duration=2.0, arena=Arena(300, 300),
-            placements=[Placement(id=0, position=(0.0, 0.0)),
-                        Placement(id=1, position=(60.0, 0.0)),
-                        Placement(id=2, position=(60.0, 30.0)),
-                        Placement(id=3, position=(120.0, 0.0))],
-            flows=[FlowConfig(src=0, dst=3, start=0.5, packets=2,
-                              interval=0.2)])
-        sim = Probe(cfg)
+        sim = RelayProbe(relay_config(packets=2))
         summary = sim.run()
         assert summary["packets_delivered"] == 2
         first, second = sim.selected
@@ -147,6 +155,16 @@ class TestSimulator:
         for send, route in zip(sim.sends, sim.selected, strict=True):
             assert send["path"] == tuple(route["path"])
             assert send["levels"] == tuple(route["levels"])
+
+    def test_stale_cached_route_does_not_shadow_a_newer_one(self):
+        """A cached route with a missing link is skipped, not returned:
+        after one rediscovery, later packets ride the newer cached route
+        although the stale one has not expired."""
+        sim = RelayProbe(relay_config(packets=6))
+        summary = sim.run()
+        assert summary["packets_delivered"] == 6
+        assert [rec["path"] for rec in sim.selected] == [[0, 1, 3], [0, 2, 3]]
+        assert summary["cache_hits"] == 4
 
     def test_conservation(self):
         summary = Simulator(two_node_config()).run()

@@ -239,7 +239,15 @@ class TestRouteCache:
         c = RouteCache()
         c.insert(1, self.entry(), 0.0)
         strict = QosRequirement(min_bandwidth=100.0)
-        assert c.lookup(1, 9, 0.0, strict) is None
+        assert c.lookup(1, 9, 0.0, lambda r: strict.admits(r.metrics)) is None
+
+    def test_rejected_route_skipped_not_dropped(self):
+        c = RouteCache()
+        stale = self.entry(path=(1, 2, 9))
+        c.insert(1, stale, 0.0)
+        c.insert(1, self.entry(path=(1, 9)), 0.0)
+        assert c.lookup(1, 9, 0.0, lambda r: 2 not in r.path).path == (1, 9)
+        assert c.lookup(1, 9, 0.0) is stale
 
 
 def single_cluster_line(n=5):
