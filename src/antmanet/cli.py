@@ -33,8 +33,6 @@ def _load(args):
     cfg = load_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "duration", None) is not None:
-        cfg.duration = args.duration
     return cfg
 
 
@@ -170,7 +168,6 @@ def build_parser():
     def common(p, seeds=False):
         p.add_argument("scenario", help="scenario file path")
         p.add_argument("--out", help="output directory (default $ANTMANET_OUT)")
-        p.add_argument("--duration", type=float, help="override duration")
         if seeds:
             p.add_argument("--seeds", required=True, type=_seed_spec,
                            help="seed range, e.g. 1..20 or 3,5,9")

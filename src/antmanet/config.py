@@ -166,13 +166,17 @@ class ScenarioConfig:
     packet_size_bits: int = 8192
     flows: list[FlowConfig] = field(default_factory=list)
 
-    def node_ids(self):
-        ids = {p.id for p in self.placements}
-        next_id = max(ids, default=-1) + 1
+    def nodes(self):
+        """(id, settings) of every node, settings being its Placement or
+        its NodeGroup: placements keep their ids, then the groups' nodes
+        are numbered on from the largest placement id plus 1."""
+        for p in self.placements:
+            yield p.id, p
+        next_id = max((p.id for p in self.placements), default=-1) + 1
         for g in self.groups:
-            ids.update(range(next_id, next_id + g.count))
-            next_id += g.count
-        return ids
+            for _ in range(g.count):
+                yield next_id, g
+                next_id += 1
 
     def to_dict(self):
         """Plain YAML-ready data: level maps keyed l0/l1/l2, tuples as lists,
@@ -489,7 +493,7 @@ def parse_scenario(text):
     ctx = _Ctx()
     cfg = _section(ctx, data, "", _SCENARIO)
 
-    valid_ids = cfg.node_ids()
+    valid_ids = {nid for nid, _ in cfg.nodes()}
     for name, ends in (("flows", ("src", "dst")), ("links", ("a", "b"))):
         for i, item in enumerate(getattr(cfg, name)):
             for end in ends:

@@ -14,6 +14,7 @@ import random
 from collections import Counter
 
 from . import clustering
+from .config import Placement
 from .errors import NoAdmissibleRouteError, RoutingError
 from .maintenance import MaintenanceManager
 from .model import NetworkState, NodeAttributes
@@ -164,20 +165,18 @@ class Simulator:
         state = NetworkState(link_delay=cfg.link.delay,
                              link_bandwidth=cfg.link.bandwidth,
                              link_jitter=cfg.link.jitter, seed=cfg.seed)
-        for p in cfg.placements:
-            state.add_node(p.id, NodeAttributes(
-                position=p.position, velocity=p.velocity, energy=p.energy,
-                max_level=p.max_level, tx_range=p.tx_range,
-                node_delay=p.node_delay))
-        next_id = max((p.id for p in cfg.placements), default=-1) + 1
-        for g in cfg.groups:
-            for _ in range(g.count):
-                pos = (self.rng_topology.uniform(0.0, cfg.arena.width),
-                       self.rng_topology.uniform(0.0, cfg.arena.height))
-                state.add_node(next_id, NodeAttributes(
-                    position=pos, energy=g.energy, max_level=g.max_level,
-                    tx_range=g.tx_range, node_delay=g.node_delay))
-                next_id += 1
+        for nid, s in cfg.nodes():
+            if isinstance(s, Placement):
+                position, velocity = s.position, s.velocity
+            else:
+                # A group's node is placed uniformly at random, at rest.
+                position = (self.rng_topology.uniform(0.0, cfg.arena.width),
+                            self.rng_topology.uniform(0.0, cfg.arena.height))
+                velocity = NodeAttributes.velocity
+            state.add_node(nid, NodeAttributes(
+                position=position, velocity=velocity, energy=s.energy,
+                max_level=s.max_level, tx_range=s.tx_range,
+                node_delay=s.node_delay))
         for lk in cfg.links:
             state.set_link_params(lk.a, lk.b, lk.level, lk.delay,
                                   lk.bandwidth)

@@ -511,7 +511,7 @@ def test_conservation_and_safety(monkeypatch):
 
     cfg = load_scenario(SCENARIOS / "soak.yaml")
     assert cfg.duration == 500.0
-    assert len(cfg.node_ids()) == 50
+    assert len(list(cfg.nodes())) == 50
     assert len(cfg.flows) == 10
 
     replies = []

@@ -54,13 +54,13 @@ class TestParsing:
 
     def test_empty_document(self):
         cfg = parse_scenario("")
-        assert cfg.node_ids() == set()
+        assert list(cfg.nodes()) == []
 
     def test_group_ids_follow_placements(self):
         cfg = parse_scenario(
             "placements: [{id: 3, position: [0, 0]}]\n"
             "groups: [{count: 2}]")
-        assert cfg.node_ids() == {3, 4, 5}
+        assert [nid for nid, _ in cfg.nodes()] == [3, 4, 5]
 
     def test_weight_sum_rejected(self):
         with pytest.raises(ScenarioError) as exc:
@@ -203,7 +203,7 @@ class TestSingleHome:
                              "placements: [{id: 0, position: [1, 2]}]\n"
                              "flows: [{src: 0, dst: 1}]")
         assert cfg.groups == [NodeGroup()]
-        assert cfg.node_ids() == {0, 1}
+        assert [nid for nid, _ in cfg.nodes()] == [0, 1]
         assert cfg.placements == [Placement(id=0, position=(1.0, 2.0))]
         assert cfg.flows == [FlowConfig(src=0, dst=1)]
 
