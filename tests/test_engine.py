@@ -187,6 +187,27 @@ class TestSimulator:
                                            + summary["packets_dropped"]
                                            + summary["packets_in_flight"])
 
+    def test_packet_in_flight_at_duration_is_not_delivered(self):
+        # Sent at the last instant: its one hop lands 3 ms after the end.
+        cfg = two_node_config()
+        cfg.flows = [FlowConfig(src=0, dst=1, start=cfg.duration)]
+        records = []
+        summary = Simulator(cfg, trace=records.append).run()
+        assert (summary["packets_sent"], summary["packets_in_flight"],
+                summary["packets_delivered"]) == (1, 1, 0)
+        assert not [r for r in records if r["kind"] == "delivered"]
+
+    def test_debiting_a_dead_node_counts_no_second_death(self):
+        # The source's first send kills it; debit it once more afterwards.
+        sim = Simulator(two_node_config(
+            energy_costs=EnergyCosts(tx_packet=500.0)))
+        assert sim.run()["deaths"] == 1
+        assert not sim.state.nodes[0].alive
+        version = sim.state.version
+        sim._apply_energy(0, "tx")
+        assert sim.stats["deaths"] == 1
+        assert sim.state.version == version
+
     def _mobile_config(self, seed):
         return ScenarioConfig(
             seed=seed, duration=20.0, arena=Arena(250, 250),

@@ -90,6 +90,26 @@ class TestMemberWalkAway:
         assert mgr.handle_membership_change(ev, 10.0)
         assert mgr.router.pheromone.entries == {}
 
+    @pytest.mark.parametrize("event", [
+        MembershipEvent("member_left", 0, head=1, node=3),
+        MembershipEvent("head_left", 0, head=3)],
+        ids=["member_left", "head_left"])
+    def test_event_the_tables_no_longer_hold_changes_nothing(self, event):
+        # Node 3 has already left head 1's cluster and heads none.
+        state, clusters, mgr = walkaway_world()
+        assert mgr.handle_membership_change(
+            MembershipEvent("member_left", 0, head=1, node=3), 10.0)
+        records = []
+        mgr.trace = records.append
+        mgr.router.pheromone.deposit(0, 0, 3, 3, 1.0)
+        levels = {lvl: {h: set(m) for h, m in table.items()}
+                  for lvl, table in clusters.levels.items()}
+        pheromone = dict(mgr.router.pheromone.entries)
+        assert mgr.handle_membership_change(event, 11.0) is False
+        assert records == []
+        assert clusters.levels == levels
+        assert mgr.router.pheromone.entries == pheromone
+
 
 class TestHeadLoss:
     def test_dead_head_orphans_recovered(self):

@@ -304,6 +304,12 @@ class TestDiscovery:
         # The cache lookup added no entry.
         assert r.cache.routes == {}
 
+    def test_source_equals_destination_raises_no_route(self):
+        state, clusters = single_cluster_line(3)
+        r = make_router(state, clusters)
+        with pytest.raises(NoRouteError, match="^source equals destination$"):
+            r.discover_route(1, 1, now=0.0)
+
     def test_qos_floor_violation_distinct_error(self):
         state, clusters = single_cluster_line(4)
         r = make_router(state, clusters)

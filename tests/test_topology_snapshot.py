@@ -391,6 +391,23 @@ def test_death_and_revival_mid_walk(monkeypatch):
         assert (states[0].neighbors(victim, 0) == frozenset()) == (2 <= tick < 5)
 
 
+def test_range_change_rebuilds(monkeypatch):
+    # Node 0's range shrinks below every distance while no node moves
+    # more than 0.5 m: the displacements alone would let the refresh
+    # keep node 0's links.
+    builds = _count_builds(monkeypatch)
+    states, rng = _walk_world()
+    _assert_same_topology(*states)
+    assert states[0].neighbors(0, 0)
+    _random_step(states, rng, 0.5)
+    for state in states:
+        state.nodes[0].tx_range = (1e-3,)
+    _touch(states)
+    _assert_same_topology(*states)
+    assert states[0].neighbors(0, 0) == frozenset()
+    assert builds.count(0) == 2
+
+
 def test_node_added_after_first_build():
     states, rng = _walk_world()
     _assert_same_topology(*states)
