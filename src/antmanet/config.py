@@ -199,10 +199,10 @@ _AT_LEAST_ONE = {"lo": 1}
 _FRACTION = {"lo": 0, "hi": 1}
 _LEVEL = {"lo": 0, "hi": 2}
 
-# Bounds on numbers, keyed by YAML path ("[]" stands for any list index).
-# A number not listed may take any finite value.  An "_open" end excludes
-# the bound itself; "code" is the issue code for a value outside (default
-# "range").
+# Bounds on numbers, keyed by YAML path ("[]" stands for any list index or
+# per-level key l0-l2).  A number not listed may take any finite value.  An
+# "_open" end excludes the bound itself; "code" is the issue code for a
+# value outside (default "range").
 _BOUNDS = {
     "duration": _POSITIVE,
     "packet_size_bits": _AT_LEAST_ONE,
@@ -210,6 +210,8 @@ _BOUNDS = {
     "groups[].count": _AT_LEAST_ONE,
     "groups[].max_level": _LEVEL,
     "groups[].energy": _NON_NEGATIVE, "groups[].node_delay": _NON_NEGATIVE,
+    "groups[].tx_range[]": {"lo": 0, "lo_open": True, "code": "tx-range"},
+    "placements[].tx_range[]": {"lo": 0, "lo_open": True, "code": "tx-range"},
     "placements[].id": _NON_NEGATIVE,
     "placements[].max_level": _LEVEL,
     "placements[].energy": _NON_NEGATIVE,
@@ -217,6 +219,7 @@ _BOUNDS = {
     "links[].a": _NON_NEGATIVE, "links[].b": _NON_NEGATIVE,
     "links[].level": _LEVEL,
     "links[].delay": _POSITIVE, "links[].bandwidth": _POSITIVE,
+    "link.delay[]": _POSITIVE, "link.bandwidth[]": _POSITIVE,
     "link.jitter": _FRACTION,
     "weights.rho": {"lo": 0, "hi": 1, "lo_open": True, "hi_open": True,
                     "code": "rho-range"},
@@ -258,13 +261,6 @@ class _Ctx:
         self.issues.append((path, code, msg))
 
 
-def _finite(v):
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _join(path, key):
     return f"{path}.{key}" if path else key
 
@@ -278,8 +274,12 @@ def _number(ctx, v, path, arg, parsed):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         ctx.err(path, "type", "expected a number")
         return None
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        finite = False
     # Only a field that defaults to an infinity may be set to one.
-    if not (_finite(v) or (open_ended and isinstance(v, float) and math.isinf(v))):
+    if not (finite or (open_ended and isinstance(v, float) and math.isinf(v))):
         ctx.err(path, "non-finite",
                 "must be finite or +-.inf" if open_ended else "must be finite")
         return None
@@ -311,20 +311,29 @@ def _boolean(ctx, v, path, arg, parsed):
     return v
 
 
-def _pair(ctx, v, path, arg, parsed):
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
+def _entries(ctx, raw, path, arg):
+    """The numbers in list `raw`, or None after the issue of its first bad
+    entry, which is reported at the list's path."""
+    issues = len(ctx.issues)
+    out = []
+    for x in raw:
+        out.append(_number(ctx, x, path, arg, None))
+        if len(ctx.issues) > issues:
+            return None
+    return tuple(out)
+
+
+def _pair(ctx, raw, path, arg, parsed):
+    if not isinstance(raw, list) or len(raw) != 2:
         ctx.err(path, "type", "expected [x, y]")
         return None
-    if not all(_finite(x) for x in v):
-        ctx.err(path, "non-finite", "coordinates must be finite")
-        return None
-    return tuple(float(x) for x in v)
+    return _entries(ctx, raw, path, arg)
 
 
-def _levels(ctx, raw, path, default, parsed):
-    """A per-level map written as {l0: .., l1: .., l2: ..}."""
-    out = dict(default)
+def _levels(ctx, raw, path, arg, parsed):
+    """A per-level map written as {l0: .., l1: .., l2: ..}; `arg` is its
+    default and its entries' _number arg."""
+    out, number = dict(arg[0]), arg[1]
     if raw is None:
         return out
     if not isinstance(raw, dict):
@@ -334,38 +343,25 @@ def _levels(ctx, raw, path, default, parsed):
         if k not in ("l0", "l1", "l2"):
             ctx.err(f"{path}.{k}", "unknown-key", "expected l0, l1 or l2")
             continue
-        if not isinstance(v, (int, float)) or v <= 0:
-            ctx.err(f"{path}.{k}", "range", "must be > 0")
-            continue
-        if not _finite(v):
-            ctx.err(f"{path}.{k}", "non-finite", "must be finite")
-            continue
-        out[int(k[1])] = float(v)
+        v = _number(ctx, v, f"{path}.{k}", number, None)
+        if v is not None:
+            out[int(k[1])] = v
     return out
 
 
 def _tx_range(ctx, raw, path, arg, parsed):
     if raw is None:
         return None
-    max_level = parsed["max_level"]
-    if (not isinstance(raw, (list, tuple))
-            or not all(isinstance(x, (int, float)) for x in raw)):
+    if not isinstance(raw, list):
         ctx.err(path, "type", "expected a list of ranges")
         return None
-    if not all(_finite(x) for x in raw):
-        ctx.err(path, "non-finite", "ranges must be finite")
-        return None
-    if len(raw) != max_level + 1:
-        ctx.err(path, "tx-range", f"needs {max_level + 1} entries")
-        return None
-    for lo, hi in zip(raw, raw[1:]):
-        if hi <= lo:
-            ctx.err(path, "tx-range", "must increase strictly with level")
-            return None
-    if any(x <= 0 for x in raw):
-        ctx.err(path, "tx-range", "ranges must be > 0")
-        return None
-    return tuple(float(x) for x in raw)
+    ranges = _entries(ctx, raw, path, arg)
+    n = parsed["max_level"] + 1
+    if ranges is not None and len(ranges) != n:
+        ctx.err(path, "tx-range", f"needs {n} entries")
+    elif ranges and any(hi <= lo for lo, hi in zip(ranges, ranges[1:])):
+        ctx.err(path, "tx-range", "must increase strictly with level")
+    return ranges
 
 
 def _list(ctx, raw, path):
@@ -452,9 +448,11 @@ class _Spec:
             elif t is bool:
                 parse, arg = _boolean, None
             elif t is dict:
-                parse, arg = _levels, f.default_factory()
+                parse, arg = _levels, (f.default_factory(), _number_arg(
+                    path + "[]", False, None))
             elif t is tuple:
-                parse, arg = (_tx_range if f.name == "tx_range" else _pair), None
+                parse = _tx_range if f.name == "tx_range" else _pair
+                arg = _number_arg(path + "[]", False, None)
             elif typing.get_origin(t) is list:
                 parse, arg = _items, _Spec(typing.get_args(t)[0], path + "[]")
             else:

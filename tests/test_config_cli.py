@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -168,18 +170,27 @@ class TestParsing:
 
 
 # One valid item per list section, so that its fields can be mutated.
-ITEMS = {"groups": {"count": 1}, "placements": {"id": 0, "position": [0, 0]},
+ITEMS = {"groups": {"count": 1, "tx_range": [100]},
+         "placements": {"id": 0, "position": [0, 0], "velocity": [0, 0],
+                        "tx_range": [100]},
          "flows": {"src": 0, "dst": 1},
          "links": {"a": 0, "b": 1, "level": 0, "delay": 0.01,
                    "bandwidth": 1e6}}
 
 
 def numeric_fields(cls=ScenarioConfig, prefix=()):
-    """Key path of every int or float field below cls (0 indexes a list)."""
+    """Key path of every number below cls (0 indexes a list): each int or
+    float field, each entry l0-l2 of a per-level map, and each entry of a
+    tx_range (one, at max_level 0), position or velocity."""
     for f in dataclasses.fields(cls):
         keys = prefix + (f.name,)
         if f.type in (int, float):
             yield keys
+        elif f.type is dict:
+            yield from (keys + (f"l{level}",) for level in range(3))
+        elif f.type is tuple:
+            yield from (keys + (i,)
+                        for i in range(1 if f.name == "tx_range" else 2))
         elif dataclasses.is_dataclass(f.type):
             yield from numeric_fields(f.type, keys)
         elif typing.get_origin(f.type) is list:
@@ -191,7 +202,26 @@ def yaml_path(keys):
                    for k in keys).lstrip(".")
 
 
+def issue_path(keys):
+    """Where a bad number at `keys` is reported: a list entry at its list."""
+    return yaml_path(keys[:-1] if isinstance(keys[-1], int) else keys)
+
+
 NUMERIC_FIELDS = list(numeric_fields())
+
+
+def issues_with(keys, text):
+    """(path, code) of each issue of a valid document whose number at
+    `keys` is written as the YAML scalar `text`."""
+    doc = {name: [copy.deepcopy(item)] for name, item in ITEMS.items()}
+    parse_scenario(yaml.safe_dump(doc))
+    node = doc
+    for k in keys[:-1]:
+        node = node.setdefault(k, {}) if isinstance(k, str) else node[k]
+    node[keys[-1]] = "VALUE"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(yaml.safe_dump(doc).replace("VALUE", text))
+    return [(p, c) for p, c, _ in exc.value.issues]
 
 
 class TestSingleHome:
@@ -213,23 +243,23 @@ class TestSingleHome:
                             if f.type not in (int, float)}
 
     def test_bounds_name_numeric_fields(self):
-        # A misspelt path in the table would drop its bound silently.
-        patterns = {yaml_path(k).replace("[0]", "[]") for k in NUMERIC_FIELDS}
+        # A misspelt path in the table would drop its bound silently.  An
+        # entry of a list or of a per-level map is named by "[]".
+        patterns = {re.sub(r"\[\d+\]|\.l\d$", "[]", yaml_path(k))
+                    for k in NUMERIC_FIELDS}
         assert set(config._BOUNDS) <= patterns
 
     @pytest.mark.parametrize("keys", NUMERIC_FIELDS,
                              ids=[yaml_path(k) for k in NUMERIC_FIELDS])
     def test_string_is_one_type_issue(self, keys):
-        doc = {name: [dict(item)] for name, item in ITEMS.items()}
-        parse_scenario(yaml.safe_dump(doc))
-        node = doc
-        for k in keys[:-1]:
-            node = node.setdefault(k, {}) if isinstance(k, str) else node[k]
-        node[keys[-1]] = "x"
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(yaml.safe_dump(doc))
-        assert [(p, c) for p, c, _ in exc.value.issues] == [
-            (yaml_path(keys), "type")]
+        assert issues_with(keys, "x") == [(issue_path(keys), "type")]
+
+    @pytest.mark.parametrize("keys", NUMERIC_FIELDS,
+                             ids=[yaml_path(k) for k in NUMERIC_FIELDS])
+    def test_boolean_is_one_type_issue(self, keys):
+        # YAML 1.1 reads true, on and yes as booleans, which no number is.
+        for text in ("true", "on", "yes"):
+            assert issues_with(keys, text) == [(issue_path(keys), "type")]
 
 
 TWO_NODES = "groups: [{count: 2}]\n"
@@ -436,6 +466,20 @@ class TestCli:
         bad.write_text("seed: .inf", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
         assert "seed: [non-finite]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, path", [
+        ("link: {delay: {l0: on}}", "link.delay.l0"),
+        ("groups: [{count: 1, max_level: 1, tx_range: [on, 250]}]",
+         "groups[0].tx_range"),
+        ("placements: [{id: 0, position: [0, 0], velocity: [0, yes]}]",
+         "placements[0].velocity")], ids=["link", "tx_range", "velocity"])
+    def test_validate_boolean_number_exit_2(self, tmp_path, capsys, text,
+                                            path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [type] expected a number\n")
 
     def test_validate_non_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
