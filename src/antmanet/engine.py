@@ -312,8 +312,9 @@ class Simulator:
                 "rejected": 0, "failed": 0})
             for k in range(flow.packets):
                 st = flow.start + k * flow.interval
-                if st <= cfg.duration:
-                    self.schedule(st, "packet_send", flow=i)
+                if st > cfg.duration:  # so is every later send
+                    break
+                self.schedule(st, "packet_send", flow=i)
 
         handlers = {"beacon": self._handle_beacon,
                     "mobility": self._handle_mobility,

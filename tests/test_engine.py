@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,6 +199,24 @@ class TestSimulator:
         assert (summary["packets_sent"], summary["packets_in_flight"],
                 summary["packets_delivered"]) == (1, 1, 0)
         assert not [r for r in records if r["kind"] == "delivered"]
+
+    def test_sends_past_duration_cost_nothing(self, tmp_path):
+        # In a subprocess, so that a loop over all 10**12 packets of the
+        # flow is stopped by the timeout instead of running for ever.
+        path = tmp_path / "long.yaml"
+        path.write_text(
+            "duration: 5\n"
+            "placements: [{id: 0, position: [0, 0]},"
+            " {id: 1, position: [50, 0]}]\n"
+            "flows: [{src: 0, dst: 1, start: 0, packets: 1000000000000}]\n",
+            encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(engine.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "antmanet.cli", "run",
+                        str(path), "--out", str(tmp_path)],
+                       env=env, check=True, capture_output=True, timeout=60)
+        summary = json.loads((tmp_path / "long.summary.json").read_text())
+        assert summary["packets_sent"] == 6
 
     def test_debiting_a_dead_node_counts_no_second_death(self):
         # The source's first send kills it; debit it once more afterwards.
