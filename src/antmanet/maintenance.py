@@ -55,9 +55,6 @@ class MaintenanceManager:
 
     # -- plumbing --------------------------------------------------------
 
-    def _emit(self, **record):
-        self.trace(record)
-
     def sync_last_heard(self, now):
         """Mark every current membership as freshly heard (initial state)."""
         for level in self.clusters.levels:
@@ -135,8 +132,9 @@ class MaintenanceManager:
             self.leave(level, event.head, event.node)
             self.router.purge_node(event.node)
             case = CASES[event.kind][level]
-            self._emit(kind="maintenance", t=now, case=case, level=level,
-                       head=event.head, node=event.node)
+            self.trace({"kind": "maintenance", "t": now, "case": case,
+                        "level": level, "head": event.head,
+                        "node": event.node})
             if level > 0:
                 # The departed member heads a lower-level cluster that must
                 # re-elect (it drifted away with or from its own members).
@@ -151,8 +149,8 @@ class MaintenanceManager:
             self.dissolve(level, event.head)
             self.router.purge_node(event.head)
             case = CASES[event.kind][level]
-            self._emit(kind="maintenance", t=now, case=case, level=level,
-                       head=event.head)
+            self.trace({"kind": "maintenance", "t": now, "case": case,
+                        "level": level, "head": event.head})
             self._cover_orphans(level, now, case=case)
             return True
 
@@ -162,15 +160,17 @@ class MaintenanceManager:
             if head is None:
                 return False
             self.join(level, head, (node,), now)
-            self._emit(kind="maintenance", t=now, case=CASES[event.kind][level],
-                       level=level, head=head, node=node)
+            self.trace({"kind": "maintenance", "t": now,
+                        "case": CASES[event.kind][level], "level": level,
+                        "head": head, "node": node})
             self._recent_joins.append((level, head, node))
             return True
 
         if event.kind == "heads_in_range":
             self._merge_attempted.add(frozenset((event.head, event.other)))
-            self._emit(kind="maintenance", t=now, case="3", level=level,
-                       head=event.head, node=event.other)
+            self.trace({"kind": "maintenance", "t": now, "case": "3",
+                        "level": level, "head": event.head,
+                        "node": event.other})
             self._scoped_election(
                 level, (self.clusters.cluster(event.head, level)
                         | self.clusters.cluster(event.other, level)),
@@ -187,20 +187,22 @@ class MaintenanceManager:
         (cases 5 and 7).
         """
         for level in (1, 2):
-            eligible = clustering.candidates(self.state, self.clusters, level)
+            def eligible(node):
+                return clustering.eligible(self.state, self.clusters, node,
+                                           level)
             table = self.clusters.levels.get(level, {})
             for head in sorted(table):
-                if head not in eligible:
+                if not eligible(head):
                     self.dissolve(level, head)
-                    self._emit(kind="maintenance", t=now,
-                               case=CASES["head_left"][level], level=level,
-                               head=head)
+                    self.trace({"kind": "maintenance", "t": now,
+                                "case": CASES["head_left"][level],
+                                "level": level, "head": head})
                     continue
-                for m in sorted(table[head] - eligible):
+                for m in sorted(m for m in table[head] if not eligible(m)):
                     self.leave(level, head, m)
-                    self._emit(kind="maintenance", t=now,
-                               case=CASES["member_left"][level], level=level,
-                               head=head, node=m)
+                    self.trace({"kind": "maintenance", "t": now,
+                                "case": CASES["member_left"][level],
+                                "level": level, "head": head, "node": m})
             self._cover_orphans(level, now, case=CASES["member_joined"][level])
 
     # -- helpers -----------------------------------------------------------
@@ -238,8 +240,8 @@ class MaintenanceManager:
                 self.state, level, self.wparams, self.rng,
                 participants=nodes, prior_tau=self.clusters.tau.get(level))
         except ElectionError:
-            self._emit(kind="maintenance", t=now, case=case, level=level,
-                       error="election-failed")
+            self.trace({"kind": "maintenance", "t": now, "case": case,
+                        "level": level, "error": "election-failed"})
             return
         node_set = set(nodes)
         table = self.clusters.levels.get(level, {})
@@ -253,8 +255,8 @@ class MaintenanceManager:
             self.join(level, h, members, now)
         self.clusters.tau.setdefault(level, {}).update(temp.tau[level])
         self.stats[f"elections_l{level}"] += len(temp.levels[level])
-        self._emit(kind="election", t=now, level=level, case=case,
-                   heads=sorted(temp.levels[level]))
+        self.trace({"kind": "election", "t": now, "level": level,
+                    "case": case, "heads": sorted(temp.levels[level])})
 
     def detect_head_merges(self, now):
         """Case 3: two level-0 heads in mutual transmission range."""
@@ -280,8 +282,8 @@ class MaintenanceManager:
             self.state, self.clusters, self.wparams, joins=self._recent_joins)
         self._recent_joins = []
         for level, head in sorted(flagged):
-            self._emit(kind="maintenance", t=now, case="reelect", level=level,
-                       head=head)
+            self.trace({"kind": "maintenance", "t": now, "case": "reelect",
+                        "level": level, "head": head})
             self._scoped_election(level, self.clusters.cluster(head, level),
                                   now, case="reelect")
 
