@@ -16,7 +16,7 @@ from digests import CORPUS, DATA, TABLE, run, table
 
 
 def test_corpus_matches_digest_table():
-    assert len(CORPUS) == 4
+    assert len(CORPUS) == 5
     assert table() == json.loads(TABLE.read_text(encoding="utf-8"))
 
 
