@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ElectionError
-from .model import distance
+from .model import left_sum
 
 
 @dataclass
@@ -47,7 +47,7 @@ def node_weight(c_i, e_i, m_i, d_i, p):
 def ch_selection_probability(tau):
     """Normalize a pheromone vector into selection probabilities."""
     tau = list(tau)
-    total = sum(tau)
+    total = left_sum(tau)
     if any(t < 0 for t in tau):
         raise ValueError("negative pheromone")
     if total <= 0:
@@ -62,6 +62,20 @@ def ch_pheromone_update(tau_i, rho, weight_i):
     return (1.0 - rho) * tau_i + rho * weight_i
 
 
+def _distance_sum(nodes, node, nbrs):
+    """The summed distance from `node` to each of `nbrs`, in set order."""
+    x, y = nodes[node].position
+    positions = (nodes[m].position for m in nbrs)
+    return left_sum(math.hypot(x - mx, y - my) for mx, my in positions)
+
+
+def _weight(raw, maxima, p):
+    """The combined weight of raw inputs (c, e, m, d), each divided by its
+    group maximum (0 where the maximum is not positive)."""
+    c, e, m, d = (v / top if top > 0 else 0.0 for v, top in zip(raw, maxima))
+    return node_weight(c, e, m, d, p)
+
+
 def weight_table(state, level, participants, p):
     """Alg-1 weights for every participant, inputs rescaled by group maxima.
 
@@ -70,18 +84,59 @@ def weight_table(state, level, participants, p):
     """
     participants = sorted(participants)
     pset = set(participants)
+    nodes = state.nodes
     raw = {}
     for n in participants:
-        attrs = state.node(n)
+        attrs = nodes[n]
         nbrs = state.neighbors(n, level) & pset
-        d = sum(distance(attrs.position, state.node(m).position) for m in nbrs)
-        raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility, d)
-    maxima = [max((raw[n][k] for n in participants), default=0.0) for k in range(4)]
-    weights = {}
+        raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility,
+                  _distance_sum(nodes, n, nbrs))
+    maxima = [max((inputs[k] for inputs in raw.values()), default=0.0)
+              for k in range(4)]
+    return {n: _weight(inputs, maxima, p) for n, inputs in raw.items()}
+
+
+def _weights_of(state, level, participants, nodes_to_weigh, p):
+    """`weight_table(state, level, participants, p)` restricted to
+    `nodes_to_weigh`, without summing every participant's distances.
+
+    The connectivity, energy and mobility maxima are plain scans.  The
+    distance-sum maximum starts from the weighed nodes' exact sums, then
+    visits the other participants in decreasing order of an upper bound
+    on their sum, and stops once no bound can beat the best exact sum.  A
+    linked neighbor lies within the node's own range, so degree times
+    range bounds the sum; the relative 1e-9 pads it against the rounding
+    of the distances and of their sum.
+    """
+    nodes = state.nodes
+    neighbors = state.neighbors
+    participants = sorted(participants)
+    pset = set(participants)
+    degree = {}
     for n in participants:
-        c, e, m, d = (raw[n][k] / maxima[k] if maxima[k] > 0 else 0.0 for k in range(4))
-        weights[n] = node_weight(c, e, m, d, p)
-    return weights
+        nbrs = neighbors(n, level)
+        degree[n] = len(nbrs) if nbrs <= pset else len(nbrs & pset)
+    # The sets `weight_table` sums over, built as it builds them.
+    sums = {n: _distance_sum(nodes, n, neighbors(n, level) & pset)
+            for n in nodes_to_weigh}
+    best = max(sums.values())
+    pad = 1.0 + 1e-9
+    above = []
+    for n, deg in degree.items():
+        bound = deg * nodes[n].tx_range[level] * pad if deg else 0.0
+        if bound > best and n not in sums:
+            above.append((bound, n))
+    for bound, n in sorted(above, reverse=True):
+        if bound <= best:
+            break
+        best = max(best, _distance_sum(nodes, n, neighbors(n, level) & pset))
+    maxima = (float(max(degree.values())),
+              max(nodes[n].energy for n in participants),
+              max(nodes[n].mobility for n in participants),
+              best)
+    return {n: _weight((float(degree[n]), nodes[n].energy, nodes[n].mobility,
+                        sums[n]), maxima, p)
+            for n in nodes_to_weigh}
 
 
 def eligible(state, clusters, node, level):
@@ -101,11 +156,53 @@ def candidates(state, clusters, level):
 
 
 class ClusterState:
-    """Per-level head -> member tables plus the election pheromone vectors."""
+    """Per-level head -> member tables, a node -> head index kept in step
+    with them, and the election pheromone vectors.
+
+    ``levels`` is read, never written, outside this class: `install`,
+    `join`, `leave` and `dissolve` are its only writers, and each keeps the
+    index in step, so `head_of` is a lookup and `participants` a copy.
+    """
 
     def __init__(self):
         self.levels = {}  # level -> {head: set(member ids)}
+        self._index = {}  # level -> {node: its head; a head maps to itself}
         self.tau = {}  # level -> {node: pheromone}
+
+    # -- the writers -----------------------------------------------------
+
+    def install(self, level, table):
+        """Make `table` ({head: set of members}) the level's table, as it
+        is: an election's result replaces the level's clusters."""
+        self.levels[level] = table
+        index = self._index[level] = {}
+        for head, members in table.items():
+            index[head] = head
+            index.update(dict.fromkeys(members, head))
+
+    def join(self, level, head, nodes):
+        """Add `nodes` to `head`'s cluster, founding it if new."""
+        nodes = tuple(nodes)
+        self.levels.setdefault(level, {}).setdefault(head, set()).update(nodes)
+        index = self._index.setdefault(level, {})
+        index[head] = head
+        index.update(dict.fromkeys(nodes, head))
+
+    def leave(self, level, head, node):
+        self.levels[level][head].discard(node)
+        if self._index[level].get(node) == head:
+            del self._index[level][node]
+
+    def dissolve(self, level, head):
+        """Drop `head`'s cluster; returns its former members."""
+        members = self.levels[level].pop(head)
+        index = self._index[level]
+        for n in (head, *members):
+            if index.get(n) == head:
+                del index[n]
+        return members
+
+    # -- reads -------------------------------------------------------------
 
     def heads(self, level):
         return set(self.levels.get(level, {}))
@@ -118,25 +215,18 @@ class ClusterState:
         return {head} | self.members_of(head, level)
 
     def participants(self, level):
-        out = set()
-        for head, members in self.levels.get(level, {}).items():
-            out.add(head)
-            out.update(members)
-        return out
+        """Every head and member at `level`."""
+        return set(self._index.get(level, ()))
 
     def head_of(self, node, level):
-        table = self.levels.get(level, {})
-        if node in table:
-            return node
-        for head, members in table.items():
-            if node in members:
-                return head
-        return None
+        """The head of `node`'s level-`level` cluster (itself if it heads
+        one), or None if the level does not cover it."""
+        return self._index.get(level, {}).get(node)
 
 
 def _weighted_draw(rng, weights):
     """Index drawn with probability proportional to its weight."""
-    total = sum(weights)
+    total = left_sum(weights)
     x = rng.random() * total
     acc = 0.0
     for k, w in enumerate(weights):
@@ -156,7 +246,7 @@ def _elect(state, level, p, rng, participants, tau, weights):
         cand = ({seed} | (state.neighbors(seed, level) & pset)) & uncovered
         order = sorted(cand)
         taus = [tau[n] for n in order]
-        if sum(taus) > 0:
+        if left_sum(taus) > 0:
             for _ in range(p.n_iter):
                 k = _weighted_draw(rng, taus)
                 taus[k] = ch_pheromone_update(taus[k], p.rho, weights[order[k]])
@@ -199,8 +289,8 @@ def select_cluster_heads(state, level, p, rng, participants=None,
     weights = weight_table(state, level, participants, p)
     tau = {n: (prior_tau[n] if prior_tau and n in prior_tau else weights[n])
            for n in participants}
-    assignment = _elect(state, level, p, rng, participants, tau, weights)
-    clusters.levels[level] = assignment
+    clusters.install(level, _elect(state, level, p, rng, participants, tau,
+                                   weights))
     clusters.tau.setdefault(level, {}).update(tau)
     return clusters
 
@@ -219,28 +309,36 @@ def check_reelection_triggers(state, clusters, p, joins=None):
     clusters that gained a node outweighing their head.  `joins` is an
     iterable of (level, head, node) recording recent arrivals.  Returns a
     set of (level, head) pairs.
+
+    Weights are those of a level's full `weight_table` over its live
+    participants, but only the nodes compared are weighed: the joined
+    pairs, and every head when theta_w is above -inf.
     """
     joins = list(joins or ())
+    nodes = state.nodes
+    check_heads = p.theta_w != -math.inf
     flagged = set()
     for level in sorted(clusters.levels):
         level_joins = [(head, node) for jlevel, head, node in joins
                        if jlevel == level]
         # With theta_w at -inf no weight falls below it, so only a join can
-        # flag this level, and a level without one needs no weight table.
-        if p.theta_w == -math.inf and not level_joins:
+        # flag this level, and a level without one needs no weights.
+        if not check_heads and not level_joins:
             continue
-        participants = clusters.participants(level)
-        participants = [n for n in participants if state.node(n).alive]
-        if not participants:
+        live = {n for n in clusters.participants(level) if nodes[n].alive}
+        heads = sorted(live & clusters.heads(level)) if check_heads else []
+        level_joins = [(head, node) for head, node in level_joins
+                       if head in live and node in live]
+        compared = set(heads).union(*level_joins)
+        if not compared:
             continue
-        weights = weight_table(state, level, participants, p)
-        for head in clusters.heads(level):
-            if head in weights and weights[head] < p.theta_w:
+        weights = _weights_of(state, level, live, compared, p)
+        for head in heads:
+            if weights[head] < p.theta_w:
                 flagged.add((level, head))
         for head, node in level_joins:
-            if head in weights and node in weights:
-                if weights[node] > weights[head]:
-                    flagged.add((level, head))
+            if weights[node] > weights[head]:
+                flagged.add((level, head))
     return flagged
 
 
@@ -259,11 +357,16 @@ def check_invariants(state, clusters):
                 seen[m] = head
         overlap = set(table) & set(seen)
         assert not overlap, f"heads also listed as members at level {level}: {overlap}"
+        index = clusters._index.get(level, {})
+        assert index == {**seen, **{h: h for h in table}}, \
+            f"level-{level} head index out of step with the cluster table"
         if level == 0:
             covered = set(table) | set(seen)
             alive = set(state.alive_ids())
             assert alive <= covered, \
                 f"uncovered nodes at level 0: {alive - covered}"
+    assert set(clusters._index) == set(clusters.levels), \
+        "the head index and the cluster tables cover different levels"
     # Level containment: every higher-level participant heads the level below.
     for upper in (1, 2):
         lower_heads = clusters.heads(upper - 1)

@@ -7,8 +7,9 @@ adoption or re-election, cluster merges when two heads drift into mutual
 range, and the upward ripple when level-0/1 headship changes.
 
 After the initial election, membership changes only through the three
-writers `join`, `leave` and `dissolve`; each writes or drops the
-membership's last-heard stamp with it.
+writers `join`, `leave` and `dissolve`.  Each calls the ClusterState
+writer of the same name, which keeps the node-to-head index in step, and
+writes or drops the membership's last-heard stamp with it.
 """
 
 from collections import Counter
@@ -63,20 +64,20 @@ class MaintenanceManager:
                     self.last_heard[(level, head, m)] = now
 
     # -- the membership writers ------------------------------------------
+    # The ClusterState writers of the same names, plus the stamps.
 
     def join(self, level, head, nodes, now):
         """Add `nodes` to `head`'s cluster, founding it if new; heard now."""
-        self.clusters.levels.setdefault(level, {}).setdefault(
-            head, set()).update(nodes)
+        self.clusters.join(level, head, nodes)
         for n in nodes:
             self.last_heard[(level, head, n)] = now
 
     def leave(self, level, head, node):
-        self.clusters.levels[level][head].discard(node)
+        self.clusters.leave(level, head, node)
         self.last_heard.pop((level, head, node), None)
 
     def dissolve(self, level, head):
-        for m in self.clusters.levels[level].pop(head):
+        for m in self.clusters.dissolve(level, head):
             self.last_heard.pop((level, head, m), None)
 
     # -- beaconing and detection -----------------------------------------
@@ -86,15 +87,15 @@ class MaintenanceManager:
         if not self.state.node(head).alive:
             return
         self.energy_debit(head, "beacon")
-        self.stats["beacon_packets"] += 1
         # A member's debit can kill only that member, which changes no
         # head-to-other-member link, so one lookup serves the whole loop.
+        # A dead node has no link, so `near` holds live members only.
         near = self.state.neighbors(head, level)
-        for m in sorted(self.clusters.members_of(head, level)):
-            if self.state.node(m).alive and m in near:
-                self.last_heard[(level, head, m)] = now
-                self.energy_debit(m, "beacon")
-                self.stats["beacon_packets"] += 1
+        heard = sorted(near & self.clusters.members_of(head, level))
+        for m in heard:
+            self.last_heard[(level, head, m)] = now
+            self.energy_debit(m, "beacon")
+        self.stats["beacon_packets"] += 1 + len(heard)
 
     def detect_changes(self, now):
         """Stale pairs and head losses, judged purely from beacon history."""
@@ -218,10 +219,15 @@ class MaintenanceManager:
     def _cover_orphans(self, level, now, case):
         """Adoption first, election for the remainder, of every eligible
         node the level leaves uncovered."""
-        orphans = (clustering.candidates(self.state, self.clusters, level)
-                   - self.clusters.participants(level))
+        # `candidates(level)` less the level's participants, testing only
+        # the uncovered nodes for eligibility.
+        state, clusters = self.state, self.clusters
+        covered = clusters.participants(level)
+        pool = state.nodes if level == 0 else clusters.levels.get(level - 1, {})
+        orphans = sorted(n for n in pool if n not in covered
+                         and clustering.eligible(state, clusters, n, level))
         remainder = set()
-        for n in sorted(orphans):
+        for n in orphans:
             ev = MembershipEvent("member_joined", level, node=n)
             if not self.handle_membership_change(ev, now):
                 remainder.add(n)

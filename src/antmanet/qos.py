@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BrokenPathError, DegenerateRouteError
+from .model import left_sum
 
 
 @dataclass
@@ -79,7 +80,8 @@ def link_metrics(links, nodes):
     from 0; bandwidth and LET are minima over the links, energy the minimum
     over the nodes, and hop count the number of nodes.
     """
-    delay = sum(l.delay for l in links) + sum(a.node_delay for a in nodes)
+    delay = (left_sum(l.delay for l in links)
+             + left_sum(a.node_delay for a in nodes))
     return PathMetrics(delay=delay,
                        bandwidth=min(l.bandwidth for l in links),
                        energy=min(a.energy for a in nodes),

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
+from .model import left_sum
 # path_metrics is bound here though unused: bench/test_bench.py checks
 # the profiler's wrapping of from-imported names through it.
 from .qos import (PathMetrics, link_metrics, path_links,  # noqa: F401
@@ -111,22 +112,33 @@ class RouteCache:
         self.routes = {}
 
     def _unexpired(self, key, now):
-        routes = {k: r for k, r in self.routes.pop(key, {}).items()
-                  if r.expires_at >= now}
-        if routes:
+        """The pair's held routes, less the expired ones, or None if none
+        is left.  The held dict is returned as it is unless one expired."""
+        routes = self.routes.get(key)
+        if routes is None:
+            return None
+        if any(r.expires_at < now for r in routes.values()):
+            routes = {k: r for k, r in routes.items() if r.expires_at >= now}
+            if not routes:
+                del self.routes[key]
+                return None
             self.routes[key] = routes
         return routes
 
     def insert(self, node, route, now):
         key = (node, route.destination)
         routes = self._unexpired(key, now)
+        if routes is None:
+            routes = self.routes[key] = {}
         routes[route.path, route.levels] = route
-        self.routes[key] = routes
 
     def lookup(self, node, dst, now, usable=None):
         """Oldest unexpired route from node toward dst that `usable`
         accepts (any, if it is None), or None."""
-        return next((r for r in self._unexpired((node, dst), now).values()
+        routes = self._unexpired((node, dst), now)
+        if routes is None:
+            return None
+        return next((r for r in routes.values()
                      if usable is None or usable(r)), None)
 
     def purge_node(self, node):
@@ -172,7 +184,7 @@ def path_preference_probability(candidates, p=None):
     if not candidates:
         raise NoRouteError("empty candidate set")
     scores = {j: _preference_score(m, tau, p) for j, m, tau in candidates}
-    total = sum(scores.values())
+    total = left_sum(scores.values())
     if total <= 0:
         raise NoAdmissibleRouteError("all candidates degenerate")
     return {j: s / total for j, s in scores.items()}
@@ -310,7 +322,7 @@ class Router:
                 f"no admissible route from {src} to {dst} under the QoS floors")
         probs = path_preference_probability(
             [(j, v[2], v[3]) for j, v in best_per_hop.items()], self.pref)
-        if abs(sum(probs.values()) - 1.0) > 1e-9:
+        if abs(left_sum(probs.values()) - 1.0) > 1e-9:
             raise AssertionError("preference probabilities do not normalize")
         best_j = max(sorted(probs), key=lambda j: probs[j])
         if probs[best_j] < self.pref.theta_p:

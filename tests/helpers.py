@@ -49,7 +49,7 @@ def clique_state(n, **node_kw):
 
 def manual_clusters(levels, tau=None):
     cs = ClusterState()
-    cs.levels = {lvl: {h: set(m) for h, m in table.items()}
-                 for lvl, table in levels.items()}
+    for lvl, table in levels.items():
+        cs.install(lvl, {h: set(m) for h, m in table.items()})
     cs.tau = tau or {}
     return cs

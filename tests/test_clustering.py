@@ -215,7 +215,7 @@ class TestReelectionTriggers:
     def test_stronger_newcomer_flagged(self):
         s, cs, p = self._elected()
         add_node(s, 9, (2.0, 0.0), energy=99.0)
-        cs.levels[0][1].add(9)
+        cs.join(0, 1, (9,))
         flagged = check_reelection_triggers(s, cs, p, joins=[(0, 1, 9)])
         assert (0, 1) in flagged
 
@@ -230,3 +230,27 @@ class TestReelectionTriggers:
         cs = manual_clusters({0: {0: {1}, 2: {3}}, 1: {0: {2}}})
         joins = (j for j in [(1, 0, 2)])
         assert check_reelection_triggers(s, cs, ENERGY_ONLY, joins=joins) == {(1, 0)}
+
+
+class TestClusterState:
+    def test_writers_keep_the_head_index(self):
+        s = clique_state(5)
+        cs = manual_clusters({0: {0: {1, 2}}})
+        cs.join(0, 3, (4,))
+        assert [cs.head_of(n, 0) for n in range(5)] == [0, 0, 0, 3, 3]
+        cs.leave(0, 0, 2)
+        assert cs.head_of(2, 0) is None
+        assert cs.dissolve(0, 3) == {4}
+        assert cs.participants(0) == {0, 1}
+        assert cs.head_of(3, 0) is None and cs.head_of(4, 1) is None
+        cs.join(0, 0, (2, 3, 4))
+        clustering.check_invariants(s, cs)
+
+    def test_invariants_catch_an_edit_past_the_writers(self):
+        s = clique_state(3)
+        cs = manual_clusters({0: {0: {1, 2}}})
+        clustering.check_invariants(s, cs)
+        cs.levels[0][0].discard(2)
+        cs.levels[0][2] = set()
+        with pytest.raises(AssertionError, match="head index out of step"):
+            clustering.check_invariants(s, cs)

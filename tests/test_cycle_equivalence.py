@@ -4,8 +4,12 @@
 on every call, ``reference_detect_head_merges`` tests every head pair,
 ``reference_build_adjacency`` concatenates the candidate lists per node and
 tests ``d <= min(ra, rb)``, and ``reference_elect`` and
-``reference_best_head_in_range`` test every head for each node.  Each must
-give the same result, in the same order, as the code it stands in for.
+``reference_best_head_in_range`` test every head for each node.
+``reference_head_of`` and ``reference_participants`` scan the cluster
+tables instead of reading the head index, ``reference_cover_orphans``
+tests every live node's eligibility, and ``reference_beacon_tick`` tests
+each member's liveness and counts its packets one by one.  Each must give
+the same result, in the same order, as the code it stands in for.
 """
 
 import math
@@ -17,14 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antmanet import clustering
-from antmanet.clustering import (WeightParams, check_reelection_triggers,
-                                 form_hierarchy, select_cluster_heads,
-                                 weight_table)
+from antmanet.clustering import (ClusterState, WeightParams,
+                                 check_reelection_triggers, form_hierarchy,
+                                 select_cluster_heads, weight_table)
 from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, ScenarioConfig)
 from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
-from antmanet.model import NetworkState
+from antmanet.model import NetworkState, distance
 
 from helpers import add_node, make_state, manual_clusters
 
@@ -46,6 +50,49 @@ def reference_check_reelection_triggers(state, clusters, p, joins=None):
                     if weights[node] > weights[head]:
                         flagged.add((level, head))
     return flagged
+
+
+def reference_head_of(self, node, level):
+    table = self.levels.get(level, {})
+    if node in table:
+        return node
+    for head, members in table.items():
+        if node in members:
+            return head
+    return None
+
+
+def reference_participants(self, level):
+    out = set()
+    for head, members in self.levels.get(level, {}).items():
+        out.add(head)
+        out.update(members)
+    return out
+
+
+def reference_cover_orphans(self, level, now, case):
+    orphans = (clustering.candidates(self.state, self.clusters, level)
+               - self.clusters.participants(level))
+    remainder = set()
+    for n in sorted(orphans):
+        ev = MembershipEvent("member_joined", level, node=n)
+        if not self.handle_membership_change(ev, now):
+            remainder.add(n)
+    if remainder:
+        self._scoped_election(level, remainder, now, case=case)
+
+
+def reference_beacon_tick(self, head, level, now):
+    if not self.state.node(head).alive:
+        return
+    self.energy_debit(head, "beacon")
+    self.stats["beacon_packets"] += 1
+    near = self.state.neighbors(head, level)
+    for m in sorted(self.clusters.members_of(head, level)):
+        if self.state.node(m).alive and m in near:
+            self.last_heard[(level, head, m)] = now
+            self.energy_debit(m, "beacon")
+            self.stats["beacon_packets"] += 1
 
 
 def reference_detect_head_merges(self, now):
@@ -170,26 +217,67 @@ def _clustered_layout(seed, n, span, dead_share):
     return state, clusters, rng
 
 
+def _farthest(state, clusters, level):
+    """The live level-`level` participant with the largest summed distance
+    to its linked live participants (the lowest id on a tie), or None."""
+    live = {n for n in clusters.participants(level) if state.node(n).alive}
+    sums = {n: sum(distance(state.node(n).position, state.node(m).position)
+                   for m in state.neighbors(n, level) & live)
+            for n in live}
+    return max(sorted(sums), key=lambda n: sums[n], default=None)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
        span=st.sampled_from([150.0, 400.0, 900.0]),
        dead_share=st.sampled_from([0.0, 0.2]),
        theta_w=st.sampled_from([-math.inf, -0.1, 0.0, 0.2, 0.5]),
-       join_levels=st.sets(st.sampled_from([0, 1, 2])))
+       join_levels=st.sets(st.sampled_from([0, 1, 2])),
+       spare_farthest=st.booleans())
 def test_reelection_triggers_match_full_tables(seed, n, span, dead_share,
-                                               theta_w, join_levels):
+                                               theta_w, join_levels,
+                                               spare_farthest):
+    """With `spare_farthest`, no join names the node with a level's
+    largest distance sum, so unless it heads a cluster, only the group
+    maximum sees its sum."""
     state, clusters, rng = _clustered_layout(seed, n, span, dead_share)
     joins = []
     for level in sorted(join_levels):
+        far = _farthest(state, clusters, level) if spare_farthest else None
         for head, members in sorted(clusters.levels.get(level, {}).items()):
             # Members the head really has, and nodes from elsewhere.
             for node in sorted(members) + rng.sample(sorted(state.nodes), 1):
-                if rng.random() < 0.5:
+                if rng.random() < 0.5 and far not in (head, node):
                     joins.append((level, head, node))
     p = WeightParams(theta_w=theta_w)
     expected = reference_check_reelection_triggers(state, clusters, p, joins)
     assert check_reelection_triggers(state, clusters, p, joins) == expected
     assert check_reelection_triggers(state, clusters, p, iter(joins)) == expected
+
+
+def test_reelection_triggers_count_an_uncompared_farthest_node():
+    """Layouts where the largest distance sum belongs to a live member
+    that neither joined nor heads a cluster: the triggers still divide
+    by it, as the full tables do, and flag the same heads."""
+    cases = flagged = 0
+    for seed in range(30):
+        state, clusters, rng = _clustered_layout(seed, 40, 400.0, 0.2)
+        for level in sorted(clusters.levels):
+            far = _farthest(state, clusters, level)
+            if far is None or far in clusters.heads(level):
+                continue
+            pairs = [(level, head, m)
+                     for head, members in sorted(clusters.levels[level].items())
+                     for m in sorted(members) if m != far]
+            joins = rng.sample(pairs, min(3, len(pairs)))
+            for theta_w in (-math.inf, 0.0, 0.3):
+                p = WeightParams(theta_w=theta_w)
+                got = check_reelection_triggers(state, clusters, p, joins)
+                assert got == reference_check_reelection_triggers(
+                    state, clusters, p, joins), (seed, level, theta_w)
+                flagged += bool(got)
+            cases += 1
+    assert cases >= 20 and flagged >= 10, (cases, flagged)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -295,6 +383,12 @@ def test_mobile_run_matches_references(monkeypatch, theta_w):
                         reference_detect_head_merges)
     monkeypatch.setattr(NetworkState, "_build_adjacency",
                         reference_build_adjacency)
+    monkeypatch.setattr(ClusterState, "head_of", reference_head_of)
+    monkeypatch.setattr(ClusterState, "participants", reference_participants)
+    monkeypatch.setattr(MaintenanceManager, "_cover_orphans",
+                        reference_cover_orphans)
+    monkeypatch.setattr(MaintenanceManager, "beacon_tick",
+                        reference_beacon_tick)
     ref, ref_stats = _trace(theta_w)
     assert fast_stats == ref_stats
     assert fast == ref

@@ -237,8 +237,7 @@ class TestHierarchyPropagation:
 
     def test_new_capable_head_adopted_at_level_one(self):
         state, clusters, mgr = hierarchy_world()
-        del clusters.levels[1][10]
-        clusters.levels[1][10] = {20}  # node 30 starts uncovered
+        mgr.leave(1, 10, 30)  # node 30 starts uncovered
         mgr.run_cycle(1.0)
         assert clusters.head_of(30, 1) is not None
         clustering.check_invariants(state, clusters)

@@ -45,6 +45,16 @@ class TestPathDelay:
         expected = sum(delays) + 0.25 * 7
         assert level0(route, s).delay == pytest.approx(expected, abs=1e-12)
 
+    def test_delay_sums_left_to_right(self):
+        """Ten 0.1 s links sum to the left-to-right float total on every
+        interpreter; CPython 3.12's compensated sum() would give 1.0."""
+        s = pinned_line([0.1] * 10, [1e6] * 10, node_delay=0.0)
+        expected = 0.0
+        for _ in range(10):
+            expected += 0.1
+        assert expected != 1.0
+        assert level0(list(range(11)), s).delay == expected
+
     def test_broken_path_names_link(self):
         s = line_state(4)
         with pytest.raises(BrokenPathError, match="0 and 2"):

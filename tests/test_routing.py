@@ -226,6 +226,19 @@ class TestRouteCache:
         assert c.lookup(1, 8, 0.0) is None
         assert c.routes == held
 
+    def test_unexpired_routes_kept_in_the_held_dict(self):
+        """A lookup or insert that finds nothing expired keeps the pair's
+        dict, and one that finds no pair creates none."""
+        c = RouteCache()
+        c.insert(1, self.entry(path=(1, 2, 9)), 0.0)
+        held = c.routes[1, 9]
+        assert c.lookup(1, 9, 1.0).path == (1, 2, 9)
+        c.insert(1, self.entry(path=(1, 9)), 2.0)
+        assert c.routes[1, 9] is held
+        assert list(held) == [((1, 2, 9), (0, 0)), ((1, 9), (0,))]
+        assert c.lookup(1, 8, 2.0) is None
+        assert list(c.routes) == [(1, 9)]
+
     def test_destination_without_routes_has_no_entry(self):
         c = RouteCache()
         c.insert(1, self.entry(dst=9, path=(1, 9), expires=5.0), 0.0)
@@ -525,13 +538,13 @@ class TestHierarchicalDiscovery:
         # A discovered route: each chain climbs to level 2, where 10 heads
         # both regions, so every ant but the first is self-addressed.
         (None, [(0, 10, 0), (10, 10, 0), (10, 10, 0), (10, 10, 1)], None),
-        (lambda levels: levels[0][20].discard(3), [],
+        (lambda clusters: clusters.leave(0, 20, 3), [],
          "node 3 has no level-0 head"),
-        (lambda levels: levels[1].pop(20), [(0, 10, 0)],
+        (lambda clusters: clusters.dissolve(1, 20), [(0, 10, 0)],
          "node 20 has no level-1 head"),
-        (lambda levels: levels[2][10].discard(20), [(0, 10, 0), (10, 10, 0)],
+        (lambda clusters: clusters.leave(2, 10, 20), [(0, 10, 0), (10, 10, 0)],
          "node 20 has no level-2 head"),
-        (lambda levels: levels[2].update({10: set(), 20: set()}),
+        (lambda clusters: clusters.install(2, {10: set(), 20: set()}),
          [(0, 10, 0), (10, 10, 0)], "level-2 heads 10 and 20 differ"),
     ], ids=["found", "no_l0_head", "no_l1_head", "no_l2_head",
             "different_l2_heads"])
@@ -545,7 +558,7 @@ class TestHierarchicalDiscovery:
         if edit is None:
             r.discover_route(0, 3, now=1.0)
         else:
-            edit(clusters.levels)
+            edit(clusters)
             with pytest.raises(NoRouteError, match=f"^{error}$"):
                 r.discover_route(0, 3, now=1.0)
         assert [rec for rec in records if rec["kind"] == "route_ant"] == [
