@@ -7,6 +7,9 @@ the drawn node's pheromone toward its weight, and the final head is the
 eligible node with the best (weight, pheromone) pair.  Level-1 runs the
 same procedure among level-0 heads with a second interface, level-2 among
 level-1 heads with a third.
+
+`ClusterState` alone stores the memberships, their head index and their
+last-heard stamps, and installs the tables `select_cluster_heads` returns.
 """
 
 import math
@@ -156,40 +159,45 @@ def candidates(state, clusters, level):
 
 
 class ClusterState:
-    """Per-level head -> member tables, a node -> head index kept in step
-    with them, and the election pheromone vectors.
-
-    ``levels`` is read, never written, outside this class: `install`,
-    `join`, `leave` and `dissolve` are its only writers, and each keeps the
-    index in step, so `head_of` is a lookup and `participants` a copy.
-    """
+    """Per-level head -> member tables, a node -> head index and a
+    last-heard stamp per membership kept in step with them, and the
+    election pheromone vectors.  Only `install`, `join`, `leave`,
+    `dissolve` and `refresh` (a beacon's re-stamp) write the first three,
+    so `head_of` is a lookup, `participants` a copy, and each membership
+    has one stamp."""
 
     def __init__(self):
         self.levels = {}  # level -> {head: set(member ids)}
         self._index = {}  # level -> {node: its head; a head maps to itself}
+        self.last_heard = {}  # (level, head, member) -> t
         self.tau = {}  # level -> {node: pheromone}
 
     # -- the writers -----------------------------------------------------
 
-    def install(self, level, table):
+    def install(self, level, table, now):
         """Make `table` ({head: set of members}) the level's table, as it
-        is: an election's result replaces the level's clusters."""
+        is, every membership heard at `now`."""
+        self.last_heard = {k: t for k, t in self.last_heard.items()
+                           if k[0] != level}
         self.levels[level] = table
         index = self._index[level] = {}
         for head, members in table.items():
             index[head] = head
             index.update(dict.fromkeys(members, head))
+            self.refresh(level, head, members, now)
 
-    def join(self, level, head, nodes):
-        """Add `nodes` to `head`'s cluster, founding it if new."""
+    def join(self, level, head, nodes, now):
+        """Add `nodes` to `head`'s cluster, founding it if new; heard now."""
         nodes = tuple(nodes)
         self.levels.setdefault(level, {}).setdefault(head, set()).update(nodes)
         index = self._index.setdefault(level, {})
         index[head] = head
         index.update(dict.fromkeys(nodes, head))
+        self.refresh(level, head, nodes, now)
 
     def leave(self, level, head, node):
         self.levels[level][head].discard(node)
+        self.last_heard.pop((level, head, node), None)
         if self._index[level].get(node) == head:
             del self._index[level][node]
 
@@ -198,9 +206,15 @@ class ClusterState:
         members = self.levels[level].pop(head)
         index = self._index[level]
         for n in (head, *members):
+            self.last_heard.pop((level, head, n), None)
             if index.get(n) == head:
                 del index[n]
         return members
+
+    def refresh(self, level, head, members, now):
+        """Stamp each of `members` of `head`'s cluster as heard at `now`."""
+        for m in members:
+            self.last_heard[(level, head, m)] = now
 
     # -- reads -------------------------------------------------------------
 
@@ -272,33 +286,33 @@ def _elect(state, level, p, rng, participants, tau, weights):
     return clusters
 
 
-def select_cluster_heads(state, level, p, rng, participants=None,
-                         prior_tau=None, into=None):
-    """Run one level's election and return the updated ClusterState.
+def select_cluster_heads(state, clusters, level, p, rng, participants=None):
+    """Run one level's election; returns its {head: set of members} table.
 
-    `participants` defaults to the level's `candidates` in `into`;
-    merges and orphan re-elections restrict it.  `prior_tau` seeds
-    pheromone from a previous state instead of the cold-start value (the
-    node's own weight).
+    `participants` defaults to the level's `candidates` in `clusters`;
+    merges and orphan re-elections restrict it.  Pheromone starts from
+    `clusters.tau` where it holds a node, else from the node's own weight
+    (the cold start), and is written back only once the election succeeds.
     """
     p.validate()
-    clusters = into if into is not None else ClusterState()
     if participants is None:
         participants = candidates(state, clusters, level)
     participants = sorted(participants)
     weights = weight_table(state, level, participants, p)
-    tau = {n: (prior_tau[n] if prior_tau and n in prior_tau else weights[n])
-           for n in participants}
-    clusters.install(level, _elect(state, level, p, rng, participants, tau,
-                                   weights))
+    prior = clusters.tau.get(level, {})
+    tau = {n: prior.get(n, weights[n]) for n in participants}
+    table = _elect(state, level, p, rng, participants, tau, weights)
     clusters.tau.setdefault(level, {}).update(tau)
-    return clusters
+    return table
 
 
-def form_hierarchy(state, clusters, p, rng):
-    """Elect level-1 among multi-interface level-0 heads, then level-2."""
-    for level in (1, 2):
-        select_cluster_heads(state, level, p, rng, into=clusters)
+def form_hierarchy(state, p, rng, now=0.0):
+    """Elect and install level 0, then level 1 among its multi-interface
+    heads, then level 2; returns the new ClusterState."""
+    clusters = ClusterState()
+    for level in (0, 1, 2):
+        clusters.install(level, select_cluster_heads(state, clusters, level,
+                                                     p, rng), now)
     return clusters
 
 
@@ -344,6 +358,7 @@ def check_reelection_triggers(state, clusters, p, joins=None):
 
 def check_invariants(state, clusters):
     """Raise AssertionError if any structural invariant is violated."""
+    memberships = set()
     for level in sorted(clusters.levels):
         table = clusters.levels[level]
         seen = {}
@@ -355,6 +370,7 @@ def check_invariants(state, clusters):
                     f"member {m} not one-hop from head {head} at level {level}"
                 assert m not in seen, f"node {m} in two level-{level} clusters"
                 seen[m] = head
+                memberships.add((level, head, m))
         overlap = set(table) & set(seen)
         assert not overlap, f"heads also listed as members at level {level}: {overlap}"
         index = clusters._index.get(level, {})
@@ -367,6 +383,9 @@ def check_invariants(state, clusters):
                 f"uncovered nodes at level 0: {alive - covered}"
     assert set(clusters._index) == set(clusters.levels), \
         "the head index and the cluster tables cover different levels"
+    stamps = set(clusters.last_heard)
+    assert stamps == memberships, "last-heard stamps out of step: stray " \
+        f"{sorted(stamps - memberships)}, missing {sorted(memberships - stamps)}"
     # Level containment: every higher-level participant heads the level below.
     for upper in (1, 2):
         lower_heads = clusters.heads(upper - 1)

@@ -18,6 +18,7 @@ comment header.
 """
 
 import math
+import re
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
@@ -269,10 +270,23 @@ def _join(path, key):
 # None after reporting an issue (the field then keeps its default).
 # `parsed` holds the fields of the same mapping parsed so far.
 
+def _not_a_number(v):
+    """The `type` message for `v`.  YAML 1.1 reads a float only with a dot
+    and a signed exponent, so `1e5` and `1.0e5` reach here as strings."""
+    m = isinstance(v, str) and re.fullmatch(
+        r"([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?)(\d+)", v)
+    # A finite exponent literal, unless quoted in the form YAML reads.
+    if not m or not math.isfinite(float(v)) or "." in m[1] and m[2]:
+        return "expected a number"
+    written = f"{m[1]}{'' if '.' in m[1] else '.0'}e{m[2] or '+'}{m[3]}"
+    return (f"expected a number: YAML 1.1 reads {v} as a string, as its "
+            f"floats need a dot and a signed exponent; write {written}")
+
+
 def _number(ctx, v, path, arg, parsed):
     integer, open_ended, lo, hi, lo_open, hi_open, code = arg
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        ctx.err(path, "type", "expected a number")
+        ctx.err(path, "type", _not_a_number(v))
         return None
     try:
         finite = math.isfinite(v)

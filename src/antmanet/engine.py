@@ -203,18 +203,6 @@ class Simulator:
 
     # -- handlers -----------------------------------------------------------
 
-    def _initial_clustering(self):
-        cfg = self.config
-        self.clusters = clustering.select_cluster_heads(
-            self.state, 0, cfg.weights, self.rng_election)
-        clustering.form_hierarchy(self.state, self.clusters, cfg.weights,
-                                  self.rng_election)
-        for level in sorted(self.clusters.levels):
-            heads = sorted(self.clusters.levels[level])
-            self.stats[f"elections_l{level}"] += len(heads)
-            self.trace({"kind": "election", "t": self.now, "level": level,
-                        "case": "initial", "heads": heads})
-
     def _handle_beacon(self, payload):
         self.manager.run_cycle(self.now)
 
@@ -283,7 +271,13 @@ class Simulator:
         self.trace({"kind": "scenario", "seed": cfg.seed,
                     "duration": cfg.duration,
                     "nodes": len(self.state.nodes), "version": cfg.version})
-        self._initial_clustering()
+        self.clusters = clustering.form_hierarchy(
+            self.state, cfg.weights, self.rng_election, self.now)
+        for level in sorted(self.clusters.levels):
+            heads = sorted(self.clusters.levels[level])
+            self.stats[f"elections_l{level}"] += len(heads)
+            self.trace({"kind": "election", "t": self.now, "level": level,
+                        "case": "initial", "heads": heads})
         self.router = Router(
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,
@@ -294,7 +288,6 @@ class Simulator:
             self.state, self.clusters, self.router, cfg.weights,
             self.rng_election, cfg.beacon, trace=self.trace, stats=self.stats,
             energy_debit=self._apply_energy)
-        self.manager.sync_last_heard(0.0)
 
         periodic = [("beacon", cfg.beacon.interval),
                     ("evaporate", cfg.pheromone.evaporation_interval)]

@@ -6,10 +6,10 @@ broken, which drives the structural-change cases: member removal, orphan
 adoption or re-election, cluster merges when two heads drift into mutual
 range, and the upward ripple when level-0/1 headship changes.
 
-After the initial election, membership changes only through the three
-writers `join`, `leave` and `dissolve`.  Each calls the ClusterState
-writer of the same name, which keeps the node-to-head index in step, and
-writes or drops the membership's last-heard stamp with it.
+The last-heard stamps live in ClusterState with the tables.  After the
+initial election, membership changes only through its writers `join`,
+`leave` and `dissolve`, which write or drop the stamps with the
+memberships; a beacon re-stamps the members it reaches through `refresh`.
 """
 
 from collections import Counter
@@ -47,43 +47,16 @@ class MaintenanceManager:
         self.wparams = wparams
         self.rng = rng
         self.beacon = beacon  # a config.BeaconConfig
-        self.last_heard = {}  # (level, head, member) -> t
         self.trace = trace
         self.stats = Counter() if stats is None else stats
         self.energy_debit = energy_debit  # fn(node, action)
         self._merge_attempted = set()
         self._recent_joins = []
 
-    # -- plumbing --------------------------------------------------------
-
-    def sync_last_heard(self, now):
-        """Mark every current membership as freshly heard (initial state)."""
-        for level in self.clusters.levels:
-            for head, members in self.clusters.levels[level].items():
-                for m in members:
-                    self.last_heard[(level, head, m)] = now
-
-    # -- the membership writers ------------------------------------------
-    # The ClusterState writers of the same names, plus the stamps.
-
-    def join(self, level, head, nodes, now):
-        """Add `nodes` to `head`'s cluster, founding it if new; heard now."""
-        self.clusters.join(level, head, nodes)
-        for n in nodes:
-            self.last_heard[(level, head, n)] = now
-
-    def leave(self, level, head, node):
-        self.clusters.leave(level, head, node)
-        self.last_heard.pop((level, head, node), None)
-
-    def dissolve(self, level, head):
-        for m in self.clusters.dissolve(level, head):
-            self.last_heard.pop((level, head, m), None)
-
     # -- beaconing and detection -----------------------------------------
 
     def beacon_tick(self, head, level, now):
-        """One head's beacon round: refresh last_heard for reachable members."""
+        """One head's beacon round: re-stamp the members it reaches."""
         if not self.state.node(head).alive:
             return
         self.energy_debit(head, "beacon")
@@ -92,8 +65,8 @@ class MaintenanceManager:
         # A dead node has no link, so `near` holds live members only.
         near = self.state.neighbors(head, level)
         heard = sorted(near & self.clusters.members_of(head, level))
+        self.clusters.refresh(level, head, heard, now)
         for m in heard:
-            self.last_heard[(level, head, m)] = now
             self.energy_debit(m, "beacon")
         self.stats["beacon_packets"] += 1 + len(heard)
 
@@ -101,6 +74,7 @@ class MaintenanceManager:
         """Stale pairs and head losses, judged purely from beacon history."""
         events = []
         bound = self.beacon.detection_bound
+        last_heard = self.clusters.last_heard
         for level in sorted(self.clusters.levels):
             for head in sorted(self.clusters.heads(level)):
                 members = self.clusters.members_of(head, level)
@@ -109,7 +83,7 @@ class MaintenanceManager:
                     continue
                 stale = []
                 for m in sorted(members):
-                    if now - self.last_heard[(level, head, m)] >= bound:
+                    if now - last_heard[(level, head, m)] >= bound:
                         stale.append(m)
                 if stale and len(stale) == len(members):
                     # Every member lost the head simultaneously: the head
@@ -130,7 +104,7 @@ class MaintenanceManager:
         if event.kind == "member_left":
             if event.node not in table.get(event.head, ()):
                 return False
-            self.leave(level, event.head, event.node)
+            self.clusters.leave(level, event.head, event.node)
             self.router.purge_node(event.node)
             case = CASES[event.kind][level]
             self.trace({"kind": "maintenance", "t": now, "case": case,
@@ -147,7 +121,7 @@ class MaintenanceManager:
         if event.kind == "head_left":
             if event.head not in table:
                 return False
-            self.dissolve(level, event.head)
+            self.clusters.dissolve(level, event.head)
             self.router.purge_node(event.head)
             case = CASES[event.kind][level]
             self.trace({"kind": "maintenance", "t": now, "case": case,
@@ -160,7 +134,7 @@ class MaintenanceManager:
             head = self._best_head_in_range(level, node)
             if head is None:
                 return False
-            self.join(level, head, (node,), now)
+            self.clusters.join(level, head, (node,), now)
             self.trace({"kind": "maintenance", "t": now,
                         "case": CASES[event.kind][level], "level": level,
                         "head": head, "node": node})
@@ -194,13 +168,13 @@ class MaintenanceManager:
             table = self.clusters.levels.get(level, {})
             for head in sorted(table):
                 if not eligible(head):
-                    self.dissolve(level, head)
+                    self.clusters.dissolve(level, head)
                     self.trace({"kind": "maintenance", "t": now,
                                 "case": CASES["head_left"][level],
                                 "level": level, "head": head})
                     continue
                 for m in sorted(m for m in table[head] if not eligible(m)):
-                    self.leave(level, head, m)
+                    self.clusters.leave(level, head, m)
                     self.trace({"kind": "maintenance", "t": now,
                                 "case": CASES["member_left"][level],
                                 "level": level, "head": head, "node": m})
@@ -236,33 +210,32 @@ class MaintenanceManager:
 
     def _scoped_election(self, level, nodes, now, case):
         """Re-elect the eligible share of `nodes` and install the result."""
+        clusters = self.clusters
         nodes = sorted(n for n in nodes
-                       if clustering.eligible(self.state, self.clusters, n,
-                                              level))
+                       if clustering.eligible(self.state, clusters, n, level))
         if not nodes:
             return
         try:
-            temp = clustering.select_cluster_heads(
-                self.state, level, self.wparams, self.rng,
-                participants=nodes, prior_tau=self.clusters.tau.get(level))
+            elected = clustering.select_cluster_heads(
+                self.state, clusters, level, self.wparams, self.rng,
+                participants=nodes)
         except ElectionError:
             self.trace({"kind": "maintenance", "t": now, "case": case,
                         "level": level, "error": "election-failed"})
             return
         node_set = set(nodes)
-        table = self.clusters.levels.get(level, {})
+        table = clusters.levels.get(level, {})
         for h in list(table):
             if h in node_set:
-                self.dissolve(level, h)
+                clusters.dissolve(level, h)
             else:
                 for m in table[h] & node_set:
-                    self.leave(level, h, m)
-        for h, members in temp.levels[level].items():
-            self.join(level, h, members, now)
-        self.clusters.tau.setdefault(level, {}).update(temp.tau[level])
-        self.stats[f"elections_l{level}"] += len(temp.levels[level])
+                    clusters.leave(level, h, m)
+        for h, members in elected.items():
+            clusters.join(level, h, members, now)
+        self.stats[f"elections_l{level}"] += len(elected)
         self.trace({"kind": "election", "t": now, "level": level,
-                    "case": case, "heads": sorted(temp.levels[level])})
+                    "case": case, "heads": sorted(elected)})
 
     def detect_head_merges(self, now):
         """Case 3: two level-0 heads in mutual transmission range."""

@@ -48,8 +48,9 @@ def clique_state(n, **node_kw):
 
 
 def manual_clusters(levels, tau=None):
+    """A ClusterState holding `levels`, every membership heard at 0.0."""
     cs = ClusterState()
     for lvl, table in levels.items():
-        cs.install(lvl, {h: set(m) for h, m in table.items()})
+        cs.install(lvl, {h: set(m) for h, m in table.items()}, 0.0)
     cs.tau = tau or {}
     return cs

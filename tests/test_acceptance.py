@@ -18,7 +18,8 @@ import networkx as nx
 import pytest
 
 from antmanet import clustering, routing
-from antmanet.clustering import (WeightParams, ch_pheromone_update,
+from antmanet.clustering import (ClusterState, WeightParams,
+                                 ch_pheromone_update,
                                  ch_selection_probability, form_hierarchy,
                                  node_weight, select_cluster_heads)
 from antmanet.config import BeaconConfig, load_scenario
@@ -187,9 +188,7 @@ def test_clustering_coverage():
             add_node(state, i, (rng.uniform(0, arena), rng.uniform(0, arena)),
                      level=rng.choice([0, 0, 0, 1, 2]),
                      energy=rng.uniform(5, 100))
-        clusters = select_cluster_heads(state, 0, WeightParams(),
-                                        random.Random(seed))
-        form_hierarchy(state, clusters, WeightParams(), random.Random(seed))
+        clusters = form_hierarchy(state, WeightParams(), random.Random(seed))
         clustering.check_invariants(state, clusters)
     assert time.monotonic() - started < 30.0
 
@@ -209,9 +208,9 @@ def test_argmax_election():
         for i, e in enumerate(energies):
             add_node(state, i, (i * 5.0, 0.0), energy=float(e))
         best = max(range(5), key=lambda i: energies[i])
-        clusters = select_cluster_heads(state, 0, energy_only,
-                                        random.Random(seed))
-        if set(clusters.levels[0]) == {best}:
+        table = select_cluster_heads(state, ClusterState(), 0, energy_only,
+                                     random.Random(seed))
+        if set(table) == {best}:
             wins += 1
     assert wins >= 95, f"maximal-weight node elected in only {wins}/100 runs"
 
@@ -353,7 +352,6 @@ def _manager_for(state, clusters, seed=11):
     router = make_router(state, clusters)
     mgr = MaintenanceManager(state, clusters, router, WeightParams(),
                              random.Random(seed), BeaconConfig())
-    mgr.sync_last_heard(0.0)
     return mgr
 
 
@@ -467,7 +465,7 @@ def test_maintenance_closure():
     # Case 7: an uncovered capable level-1 head rejoins level 2.
     state, clusters = three_region_world()
     mgr = _manager_for(state, clusters)
-    mgr.leave(2, 100, 300)
+    clusters.leave(2, 100, 300)
     _cycle_until(mgr, bound)
     assert clusters.head_of(300, 2) is not None
     clustering.check_invariants(state, clusters)

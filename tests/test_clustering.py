@@ -4,7 +4,8 @@ import random
 import pytest
 
 from antmanet import clustering
-from antmanet.clustering import (WeightParams, ch_pheromone_update,
+from antmanet.clustering import (ClusterState, WeightParams,
+                                 ch_pheromone_update,
                                  ch_selection_probability,
                                  check_reelection_triggers, form_hierarchy,
                                  node_weight, select_cluster_heads)
@@ -14,6 +15,13 @@ from helpers import add_node, clique_state, make_state, manual_clusters
 
 
 ENERGY_ONLY = WeightParams(w1=0.0, w2=1.0, w3=0.0, w4=0.0)
+
+
+def elect_level0(s, p, rng):
+    """A ClusterState holding one level-0 election's result."""
+    cs = ClusterState()
+    cs.install(0, select_cluster_heads(s, cs, 0, p, rng), 0.0)
+    return cs
 
 
 def random_geometric_state(rng, n, arena=300.0, mixed=True):
@@ -129,7 +137,7 @@ class TestElection:
     def test_isolated_node_heads_itself(self):
         s = make_state()
         add_node(s, 5, (0, 0))
-        cs = select_cluster_heads(s, 0, WeightParams(), random.Random(1))
+        cs = elect_level0(s, WeightParams(), random.Random(1))
         assert cs.levels[0] == {5: set()}
         assert 5 in cs.heads(0)
 
@@ -140,7 +148,7 @@ class TestElection:
             s.nodes[0].energy = 1.0
             s.nodes[1].energy = 5.0
             s.nodes[2].energy = 2.0
-            cs = select_cluster_heads(s, 0, ENERGY_ONLY, random.Random(seed))
+            cs = elect_level0(s, ENERGY_ONLY, random.Random(seed))
             if set(cs.levels[0]) == {1}:
                 wins += 1
         assert wins >= 95
@@ -149,7 +157,7 @@ class TestElection:
         for seed in range(20):
             rng = random.Random(seed)
             s = random_geometric_state(rng, 30)
-            cs = select_cluster_heads(s, 0, WeightParams(), random.Random(seed))
+            cs = elect_level0(s, WeightParams(), random.Random(seed))
             clustering.check_invariants(s, cs)
 
     def test_determinism(self):
@@ -157,23 +165,22 @@ class TestElection:
         rng2 = random.Random(99)
         s1 = random_geometric_state(random.Random(42), 25)
         s2 = random_geometric_state(random.Random(42), 25)
-        cs1 = select_cluster_heads(s1, 0, WeightParams(), rng1)
-        cs2 = select_cluster_heads(s2, 0, WeightParams(), rng2)
+        cs1 = elect_level0(s1, WeightParams(), rng1)
+        cs2 = elect_level0(s2, WeightParams(), rng2)
         assert cs1.levels == cs2.levels
         assert cs1.tau == cs2.tau
 
     def test_addressing(self):
         s = clique_state(3)
         s.nodes[2].energy = 500.0
-        cs = select_cluster_heads(s, 0, ENERGY_ONLY, random.Random(0))
+        cs = elect_level0(s, ENERGY_ONLY, random.Random(0))
         assert cs.head_of(0, 0) == 2
 
 
 class TestHierarchy:
     def test_all_l0_yields_empty_upper_levels(self):
         s = clique_state(6)
-        cs = select_cluster_heads(s, 0, WeightParams(), random.Random(3))
-        form_hierarchy(s, cs, WeightParams(), random.Random(3))
+        cs = form_hierarchy(s, WeightParams(), random.Random(3))
         assert cs.levels[1] == {}
         assert cs.levels[2] == {}
 
@@ -181,8 +188,7 @@ class TestHierarchy:
         for seed in range(10):
             rng = random.Random(seed)
             s = random_geometric_state(rng, 40)
-            cs = select_cluster_heads(s, 0, WeightParams(), random.Random(seed))
-            form_hierarchy(s, cs, WeightParams(), random.Random(seed))
+            cs = form_hierarchy(s, WeightParams(), random.Random(seed))
             clustering.check_invariants(s, cs)
             for n in cs.participants(1):
                 assert n in cs.heads(0)
@@ -198,7 +204,7 @@ class TestReelectionTriggers:
         for i, e in enumerate([10.0, 40.0, 20.0, 30.0]):
             s.nodes[i].energy = e
         p = WeightParams(w1=0.0, w2=1.0, w3=0.0, w4=0.0, theta_w=0.5)
-        cs = select_cluster_heads(s, 0, p, random.Random(5))
+        cs = elect_level0(s, p, random.Random(5))
         assert set(cs.levels[0]) == {1}
         return s, cs, p
 
@@ -215,7 +221,7 @@ class TestReelectionTriggers:
     def test_stronger_newcomer_flagged(self):
         s, cs, p = self._elected()
         add_node(s, 9, (2.0, 0.0), energy=99.0)
-        cs.join(0, 1, (9,))
+        cs.join(0, 1, (9,), 0.0)
         flagged = check_reelection_triggers(s, cs, p, joins=[(0, 1, 9)])
         assert (0, 1) in flagged
 
@@ -236,14 +242,28 @@ class TestClusterState:
     def test_writers_keep_the_head_index(self):
         s = clique_state(5)
         cs = manual_clusters({0: {0: {1, 2}}})
-        cs.join(0, 3, (4,))
+        cs.join(0, 3, (4,), 0.0)
         assert [cs.head_of(n, 0) for n in range(5)] == [0, 0, 0, 3, 3]
         cs.leave(0, 0, 2)
         assert cs.head_of(2, 0) is None
         assert cs.dissolve(0, 3) == {4}
         assert cs.participants(0) == {0, 1}
         assert cs.head_of(3, 0) is None and cs.head_of(4, 1) is None
-        cs.join(0, 0, (2, 3, 4))
+        cs.join(0, 0, (2, 3, 4), 0.0)
+        clustering.check_invariants(s, cs)
+
+    def test_writers_keep_the_stamps(self):
+        s = clique_state(5)
+        cs = manual_clusters({0: {0: {1, 2}}})
+        cs.join(0, 3, (4,), 2.0)
+        assert cs.last_heard == {(0, 0, 1): 0.0, (0, 0, 2): 0.0,
+                                 (0, 3, 4): 2.0}
+        cs.refresh(0, 0, (2,), 3.0)
+        cs.leave(0, 0, 1)
+        cs.dissolve(0, 3)
+        assert cs.last_heard == {(0, 0, 2): 3.0}
+        cs.install(0, {1: {0, 2, 3, 4}}, 4.0)
+        assert cs.last_heard == {(0, 1, m): 4.0 for m in (0, 2, 3, 4)}
         clustering.check_invariants(s, cs)
 
     def test_invariants_catch_an_edit_past_the_writers(self):
@@ -253,4 +273,17 @@ class TestClusterState:
         cs.levels[0][0].discard(2)
         cs.levels[0][2] = set()
         with pytest.raises(AssertionError, match="head index out of step"):
+            clustering.check_invariants(s, cs)
+
+    def test_invariants_catch_a_stray_or_missing_stamp(self):
+        s = clique_state(3)
+        cs = manual_clusters({0: {0: {1, 2}}})
+        cs.refresh(0, 1, (2,), 1.0)  # node 1 heads no cluster
+        with pytest.raises(AssertionError,
+                           match=r"stray \[\(0, 1, 2\)\], missing \[\]$"):
+            clustering.check_invariants(s, cs)
+        cs = manual_clusters({0: {0: {1, 2}}})
+        del cs.last_heard[(0, 0, 2)]
+        with pytest.raises(AssertionError,
+                           match=r"stray \[\], missing \[\(0, 0, 2\)\]$"):
             clustering.check_invariants(s, cs)

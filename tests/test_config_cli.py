@@ -58,6 +58,28 @@ class TestParsing:
         cfg = parse_scenario("")
         assert list(cfg.nodes()) == []
 
+    @pytest.mark.parametrize("template, literal, path, written", [
+        ("duration: @", "1e3", "duration", "1.0e+3"),
+        (MINIMAL.replace("packets: 2}", "packets: 2, qos: {min_bandwidth: @}}"),
+         "1.5e5", "flows[0].qos.min_bandwidth", "1.5e+5"),
+        (MINIMAL.replace("packets: 2}", "packets: 2, qos: {max_delay: @}}"),
+         "5E-2", "flows[0].qos.max_delay", "5.0e-2"),
+    ], ids=["duration", "min_bandwidth", "max_delay"])
+    def test_exponent_literal_names_the_yaml_rule(self, template, literal,
+                                                  path, written):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(template.replace("@", literal))
+        assert exc.value.issues == [(
+            path, "type",
+            f"expected a number: YAML 1.1 reads {literal} as a string, as "
+            f"its floats need a dot and a signed exponent; write {written}")]
+        parse_scenario(template.replace("@", written))
+
+    def test_quoted_number_is_only_a_type_issue(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario('duration: "1.0e+3"')
+        assert exc.value.issues == [("duration", "type", "expected a number")]
+
     def test_group_ids_follow_placements(self):
         cfg = parse_scenario(
             "placements: [{id: 3, position: [0, 0]}]\n"
@@ -448,6 +470,14 @@ def scenario_file(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "scenarios" / "reference.yaml"
 GOLDEN = ROOT / "tests" / "data" / "reference.trace"
+
+
+def test_readme_yaml_blocks_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_scenario(block)
 
 
 class TestCli:

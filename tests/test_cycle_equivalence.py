@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from antmanet import clustering
 from antmanet.clustering import (ClusterState, WeightParams,
                                  check_reelection_triggers, form_hierarchy,
-                                 select_cluster_heads, weight_table)
+                                 weight_table)
 from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, ScenarioConfig)
 from antmanet.engine import Simulator, format_record
@@ -90,7 +90,7 @@ def reference_beacon_tick(self, head, level, now):
     near = self.state.neighbors(head, level)
     for m in sorted(self.clusters.members_of(head, level)):
         if self.state.node(m).alive and m in near:
-            self.last_heard[(level, head, m)] = now
+            self.clusters.refresh(level, head, (m,), now)
             self.energy_debit(m, "beacon")
             self.stats["beacon_packets"] += 1
 
@@ -207,8 +207,7 @@ def _clustered_layout(seed, n, span, dead_share):
                  level=rng.choice([0, 0, 1, 1, 2]),
                  energy=rng.uniform(1.0, 100.0),
                  mobility=rng.uniform(0.0, 5.0))
-    clusters = select_cluster_heads(state, 0, WeightParams(), rng)
-    form_hierarchy(state, clusters, WeightParams(), rng)
+    clusters = form_hierarchy(state, WeightParams(), rng)
     for nid, attrs in state.nodes.items():
         attrs.energy *= rng.choice([1.0, 0.05])
         if rng.random() < dead_share:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -21,7 +22,6 @@ def walkaway_world():
     state = clique_state(4)
     clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}})
     mgr = manager(state, clusters)
-    mgr.sync_last_heard(0.0)
     return state, clusters, mgr
 
 
@@ -29,7 +29,7 @@ class TestBeaconing:
     def test_tick_refreshes_reachable_members(self):
         state, clusters, mgr = walkaway_world()
         mgr.beacon_tick(1, 0, 5.0)
-        assert mgr.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
+        assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
                                   (0, 1, 3): 5.0}
 
     def test_tick_skips_out_of_range_member(self):
@@ -37,7 +37,7 @@ class TestBeaconing:
         state.nodes[3].position = (5000.0, 0.0)
         state.touch()
         mgr.beacon_tick(1, 0, 5.0)
-        assert mgr.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
+        assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
                                   (0, 1, 3): 0.0}
 
     def test_dead_head_does_not_beacon(self):
@@ -45,7 +45,7 @@ class TestBeaconing:
         state.nodes[1].alive = False
         state.touch()
         mgr.beacon_tick(1, 0, 5.0)
-        assert mgr.last_heard == {(0, 1, 0): 0.0, (0, 1, 2): 0.0,
+        assert clusters.last_heard == {(0, 1, 0): 0.0, (0, 1, 2): 0.0,
                                   (0, 1, 3): 0.0}
         assert mgr.stats["beacon_packets"] == 0
 
@@ -111,12 +111,35 @@ class TestMemberWalkAway:
         assert mgr.router.pheromone.entries == pheromone
 
 
+class TestFailedElection:
+    def test_failed_reelection_changes_no_cluster_state(self):
+        # No weight reaches theta_w, so the re-election of head 1 runs its
+        # pheromone draws and then raises ElectionError.
+        state = clique_state(4)
+        clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}},
+                                   tau={0: dict.fromkeys(range(4), 0.5)})
+        records = []
+        mgr = MaintenanceManager(state, clusters,
+                                 make_router(state, clusters),
+                                 WeightParams(theta_w=2.0), random.Random(7),
+                                 BeaconConfig(), trace=records.append)
+        mgr.beacon_tick(1, 0, 3.0)
+        # The tables, the head index, the stamps and the pheromone.
+        before = copy.deepcopy(vars(clusters))
+        mgr.check_reelection(5.0)
+        assert records == [
+            {"kind": "maintenance", "t": 5.0, "case": "reelect", "level": 0,
+             "head": 1},
+            {"kind": "maintenance", "t": 5.0, "case": "reelect", "level": 0,
+             "error": "election-failed"}]
+        assert vars(clusters) == before
+
+
 class TestHeadLoss:
     def test_dead_head_orphans_recovered(self):
         state = clique_state(5)
         clusters = manual_clusters({0: {2: {0, 1, 3, 4}}, 1: {}, 2: {}})
         mgr = manager(state, clusters)
-        mgr.sync_last_heard(0.0)
         state.nodes[2].alive = False
         state.touch()
         mgr.run_cycle(1.0)
@@ -131,7 +154,6 @@ class TestHeadLoss:
         state = clique_state(4)
         clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}})
         mgr = manager(state, clusters)
-        mgr.sync_last_heard(0.0)
         state.nodes[1].position = (5000.0, 0.0)
         state.touch()
         events = mgr.detect_changes(mgr.beacon.detection_bound)
@@ -149,7 +171,6 @@ class TestHeadMerge:
         add_node(state, 3, (505.0, 0.0))
         clusters = manual_clusters({0: {0: {1}, 2: {3}}, 1: {}, 2: {}})
         mgr = manager(state, clusters)
-        mgr.sync_last_heard(0.0)
         return state, clusters, mgr
 
     def test_heads_in_range_merge_into_one_cluster(self):
@@ -208,7 +229,6 @@ def hierarchy_world():
     clusters = manual_clusters({0: {10: {11}, 20: {21}, 30: {31}},
                                 1: {10: {20, 30}}, 2: {}})
     mgr = manager(state, clusters)
-    mgr.sync_last_heard(0.0)
     return state, clusters, mgr
 
 
@@ -237,7 +257,7 @@ class TestHierarchyPropagation:
 
     def test_new_capable_head_adopted_at_level_one(self):
         state, clusters, mgr = hierarchy_world()
-        mgr.leave(1, 10, 30)  # node 30 starts uncovered
+        clusters.leave(1, 10, 30)  # node 30 starts uncovered
         mgr.run_cycle(1.0)
         assert clusters.head_of(30, 1) is not None
         clustering.check_invariants(state, clusters)

@@ -544,7 +544,7 @@ class TestHierarchicalDiscovery:
          "node 20 has no level-1 head"),
         (lambda clusters: clusters.leave(2, 10, 20), [(0, 10, 0), (10, 10, 0)],
          "node 20 has no level-2 head"),
-        (lambda clusters: clusters.install(2, {10: set(), 20: set()}),
+        (lambda clusters: clusters.install(2, {10: set(), 20: set()}, 1.0),
          [(0, 10, 0), (10, 10, 0)], "level-2 heads 10 and 20 differ"),
     ], ids=["found", "no_l0_head", "no_l1_head", "no_l2_head",
             "different_l2_heads"])
