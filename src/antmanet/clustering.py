@@ -72,74 +72,51 @@ def _distance_sum(nodes, node, nbrs):
     return left_sum(math.hypot(x - mx, y - my) for mx, my in positions)
 
 
-def _weight(raw, maxima, p):
-    """The combined weight of raw inputs (c, e, m, d), each divided by its
-    group maximum (0 where the maximum is not positive)."""
-    c, e, m, d = (v / top if top > 0 else 0.0 for v, top in zip(raw, maxima))
-    return node_weight(c, e, m, d, p)
-
-
-def weight_table(state, level, participants, p):
-    """Alg-1 weights for every participant, inputs rescaled by group maxima.
+def weight_table(state, level, participants, p, nodes=None):
+    """Alg-1 weights of `nodes` (every participant by default), each input
+    divided by its maximum over the participants; {} for no participants.
 
     Connectivity and distances are computed against other participants
-    only, so overlay elections ignore plain members.
+    only, so overlay elections ignore plain members.  The connectivity,
+    energy and mobility maxima are plain scans.  The distance-sum maximum
+    starts from the weighed nodes' exact sums, then visits the other
+    participants in decreasing order of an upper bound on their sum, and
+    stops once no bound can beat the best exact sum, so with every
+    participant weighed it visits none.  A linked neighbor lies within the
+    node's own range, so degree times range bounds the sum; the relative
+    1e-9 pads it against the rounding of the distances and of their sum.
     """
     participants = sorted(participants)
+    if not participants:
+        return {}
+    attrs = state.nodes
     pset = set(participants)
-    nodes = state.nodes
-    raw = {}
-    for n in participants:
-        attrs = nodes[n]
-        nbrs = state.neighbors(n, level) & pset
-        raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility,
-                  _distance_sum(nodes, n, nbrs))
-    maxima = [max((inputs[k] for inputs in raw.values()), default=0.0)
-              for k in range(4)]
-    return {n: _weight(inputs, maxima, p) for n, inputs in raw.items()}
-
-
-def _weights_of(state, level, participants, nodes_to_weigh, p):
-    """`weight_table(state, level, participants, p)` restricted to
-    `nodes_to_weigh`, without summing every participant's distances.
-
-    The connectivity, energy and mobility maxima are plain scans.  The
-    distance-sum maximum starts from the weighed nodes' exact sums, then
-    visits the other participants in decreasing order of an upper bound
-    on their sum, and stops once no bound can beat the best exact sum.  A
-    linked neighbor lies within the node's own range, so degree times
-    range bounds the sum; the relative 1e-9 pads it against the rounding
-    of the distances and of their sum.
-    """
-    nodes = state.nodes
-    neighbors = state.neighbors
-    participants = sorted(participants)
-    pset = set(participants)
-    degree = {}
-    for n in participants:
-        nbrs = neighbors(n, level)
-        degree[n] = len(nbrs) if nbrs <= pset else len(nbrs & pset)
-    # The sets `weight_table` sums over, built as it builds them.
-    sums = {n: _distance_sum(nodes, n, neighbors(n, level) & pset)
-            for n in nodes_to_weigh}
-    best = max(sums.values())
+    linked = {n: state.neighbors(n, level) & pset for n in participants}
+    weighed = participants if nodes is None else nodes
+    sums = {n: _distance_sum(attrs, n, linked[n]) for n in weighed}
+    best = max(sums.values(), default=0.0)
     pad = 1.0 + 1e-9
     above = []
-    for n, deg in degree.items():
-        bound = deg * nodes[n].tx_range[level] * pad if deg else 0.0
+    for n in participants:
+        bound = len(linked[n]) * attrs[n].tx_range[level] * pad
         if bound > best and n not in sums:
             above.append((bound, n))
     for bound, n in sorted(above, reverse=True):
         if bound <= best:
             break
-        best = max(best, _distance_sum(nodes, n, neighbors(n, level) & pset))
-    maxima = (float(max(degree.values())),
-              max(nodes[n].energy for n in participants),
-              max(nodes[n].mobility for n in participants),
+        best = max(best, _distance_sum(attrs, n, linked[n]))
+    maxima = (float(max(len(nbrs) for nbrs in linked.values())),
+              max(attrs[n].energy for n in participants),
+              max(attrs[n].mobility for n in participants),
               best)
-    return {n: _weight((float(degree[n]), nodes[n].energy, nodes[n].mobility,
-                        sums[n]), maxima, p)
-            for n in nodes_to_weigh}
+    weights = {}
+    for n in weighed:
+        raw = (float(len(linked[n])), attrs[n].energy, attrs[n].mobility,
+               sums[n])
+        # Each input over its maximum, 0 where the maximum is not positive.
+        weights[n] = node_weight(*(v / top if top > 0 else 0.0
+                                   for v, top in zip(raw, maxima)), p)
+    return weights
 
 
 def eligible(state, clusters, node, level):
@@ -151,11 +128,12 @@ def eligible(state, clusters, node, level):
             and (level == 0 or node in clusters.levels.get(level - 1, {})))
 
 
-def candidates(state, clusters, level):
-    """The set of nodes eligible at `level`.  Above level 0 only the lower
-    level's heads can qualify, so only they are scanned."""
-    pool = state.alive_ids() if level == 0 else clusters.levels.get(level - 1, {})
-    return {n for n in pool if eligible(state, clusters, n, level)}
+def candidates(state, clusters, level, skip=frozenset()):
+    """The set of nodes eligible at `level`, less `skip`.  Above level 0
+    only the lower level's heads can qualify, so only they are scanned."""
+    pool = state.nodes if level == 0 else clusters.levels.get(level - 1, {})
+    return {n for n in pool
+            if n not in skip and eligible(state, clusters, n, level)}
 
 
 class ClusterState:
@@ -286,17 +264,15 @@ def _elect(state, level, p, rng, participants, tau, weights):
     return clusters
 
 
-def select_cluster_heads(state, clusters, level, p, rng, participants=None):
-    """Run one level's election; returns its {head: set of members} table.
+def select_cluster_heads(state, clusters, level, p, rng, participants):
+    """Run one level's election among `participants`; returns its
+    {head: set of members} table.
 
-    `participants` defaults to the level's `candidates` in `clusters`;
-    merges and orphan re-elections restrict it.  Pheromone starts from
+    Pheromone starts from
     `clusters.tau` where it holds a node, else from the node's own weight
     (the cold start), and is written back only once the election succeeds.
     """
     p.validate()
-    if participants is None:
-        participants = candidates(state, clusters, level)
     participants = sorted(participants)
     weights = weight_table(state, level, participants, p)
     prior = clusters.tau.get(level, {})
@@ -311,8 +287,9 @@ def form_hierarchy(state, p, rng, now=0.0):
     heads, then level 2; returns the new ClusterState."""
     clusters = ClusterState()
     for level in (0, 1, 2):
-        clusters.install(level, select_cluster_heads(state, clusters, level,
-                                                     p, rng), now)
+        table = select_cluster_heads(state, clusters, level, p, rng,
+                                     candidates(state, clusters, level))
+        clusters.install(level, table, now)
     return clusters
 
 
@@ -324,9 +301,9 @@ def check_reelection_triggers(state, clusters, p, joins=None):
     iterable of (level, head, node) recording recent arrivals.  Returns a
     set of (level, head) pairs.
 
-    Weights are those of a level's full `weight_table` over its live
-    participants, but only the nodes compared are weighed: the joined
-    pairs, and every head when theta_w is above -inf.
+    Weights are those of a level's `weight_table` over its live
+    participants, of the nodes compared only: the joined pairs, and every
+    head when theta_w is above -inf.
     """
     joins = list(joins or ())
     nodes = state.nodes
@@ -346,7 +323,7 @@ def check_reelection_triggers(state, clusters, p, joins=None):
         compared = set(heads).union(*level_joins)
         if not compared:
             continue
-        weights = _weights_of(state, level, live, compared, p)
+        weights = weight_table(state, level, live, p, compared)
         for head in heads:
             if weights[head] < p.theta_w:
                 flagged.add((level, head))

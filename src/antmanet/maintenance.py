@@ -193,13 +193,9 @@ class MaintenanceManager:
     def _cover_orphans(self, level, now, case):
         """Adoption first, election for the remainder, of every eligible
         node the level leaves uncovered."""
-        # `candidates(level)` less the level's participants, testing only
-        # the uncovered nodes for eligibility.
-        state, clusters = self.state, self.clusters
-        covered = clusters.participants(level)
-        pool = state.nodes if level == 0 else clusters.levels.get(level - 1, {})
-        orphans = sorted(n for n in pool if n not in covered
-                         and clustering.eligible(state, clusters, n, level))
+        orphans = sorted(clustering.candidates(
+            self.state, self.clusters, level,
+            skip=self.clusters.participants(level)))
         remainder = set()
         for n in orphans:
             ev = MembershipEvent("member_joined", level, node=n)

@@ -209,7 +209,7 @@ def test_argmax_election():
             add_node(state, i, (i * 5.0, 0.0), energy=float(e))
         best = max(range(5), key=lambda i: energies[i])
         table = select_cluster_heads(state, ClusterState(), 0, energy_only,
-                                     random.Random(seed))
+                                     random.Random(seed), range(5))
         if set(table) == {best}:
             wins += 1
     assert wins >= 95, f"maximal-weight node elected in only {wins}/100 runs"

@@ -20,7 +20,8 @@ ENERGY_ONLY = WeightParams(w1=0.0, w2=1.0, w3=0.0, w4=0.0)
 def elect_level0(s, p, rng):
     """A ClusterState holding one level-0 election's result."""
     cs = ClusterState()
-    cs.install(0, select_cluster_heads(s, cs, 0, p, rng), 0.0)
+    cs.install(0, select_cluster_heads(s, cs, 0, p, rng,
+                                       clustering.candidates(s, cs, 0)), 0.0)
     return cs
 
 

@@ -1,7 +1,8 @@
 """The beacon cycle's fast paths against test-local copies of the full scans.
 
-``reference_check_reelection_triggers`` builds every level's weight table
-on every call, ``reference_detect_head_merges`` tests every head pair,
+``reference_weight_table`` sums every participant's distances for the
+group maximum, ``reference_check_reelection_triggers`` builds every
+level's full weight table on every call, ``reference_detect_head_merges`` tests every head pair,
 ``reference_build_adjacency`` concatenates the candidate lists per node and
 tests ``d <= min(ra, rb)``, and ``reference_elect`` and
 ``reference_best_head_in_range`` test every head for each node.
@@ -28,9 +29,28 @@ from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, ScenarioConfig)
 from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
-from antmanet.model import NetworkState, distance
+from antmanet.model import NetworkState
 
 from helpers import add_node, make_state, manual_clusters
+
+
+def reference_weight_table(state, level, participants, p):
+    participants = sorted(participants)
+    pset = set(participants)
+    raw = {}
+    for n in participants:
+        attrs = state.node(n)
+        nbrs = state.neighbors(n, level) & pset
+        total = 0.0
+        for m in nbrs:
+            total += math.dist(attrs.position, state.node(m).position)
+        raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility, total)
+    maxima = [max((inputs[k] for inputs in raw.values()), default=0.0)
+              for k in range(4)]
+    return {n: clustering.node_weight(
+                *(v / top if top > 0 else 0.0 for v, top in zip(inputs, maxima)),
+                p)
+            for n, inputs in raw.items()}
 
 
 def reference_check_reelection_triggers(state, clusters, p, joins=None):
@@ -40,7 +60,7 @@ def reference_check_reelection_triggers(state, clusters, p, joins=None):
         participants = [n for n in participants if state.node(n).alive]
         if not participants:
             continue
-        weights = weight_table(state, level, participants, p)
+        weights = reference_weight_table(state, level, participants, p)
         for head in clusters.heads(level):
             if head in weights and weights[head] < p.theta_w:
                 flagged.add((level, head))
@@ -192,7 +212,8 @@ def reference_best_head_in_range(self, level, node):
     if not heads:
         return None
     participants = sorted(set(heads) | {node})
-    weights = weight_table(self.state, level, participants, self.wparams)
+    weights = reference_weight_table(self.state, level, participants,
+                                     self.wparams)
     return max(heads, key=lambda h: (weights[h], -h))
 
 
@@ -220,7 +241,7 @@ def _farthest(state, clusters, level):
     """The live level-`level` participant with the largest summed distance
     to its linked live participants (the lowest id on a tie), or None."""
     live = {n for n in clusters.participants(level) if state.node(n).alive}
-    sums = {n: sum(distance(state.node(n).position, state.node(m).position)
+    sums = {n: sum(math.dist(state.node(n).position, state.node(m).position)
                    for m in state.neighbors(n, level) & live)
             for n in live}
     return max(sorted(sums), key=lambda n: sums[n], default=None)
@@ -236,9 +257,9 @@ def _farthest(state, clusters, level):
 def test_reelection_triggers_match_full_tables(seed, n, span, dead_share,
                                                theta_w, join_levels,
                                                spare_farthest):
-    """With `spare_farthest`, no join names the node with a level's
-    largest distance sum, so unless it heads a cluster, only the group
-    maximum sees its sum."""
+    """With `spare_farthest`, no join and no weighed subset names the node
+    with a level's largest distance sum, so unless it heads a cluster,
+    only the group maximum sees its sum."""
     state, clusters, rng = _clustered_layout(seed, n, span, dead_share)
     joins = []
     for level in sorted(join_levels):
@@ -252,6 +273,17 @@ def test_reelection_triggers_match_full_tables(seed, n, span, dead_share,
     expected = reference_check_reelection_triggers(state, clusters, p, joins)
     assert check_reelection_triggers(state, clusters, p, joins) == expected
     assert check_reelection_triggers(state, clusters, p, iter(joins)) == expected
+    # The weights of every participant, and of a random subset of them.
+    for level in (0, 1, 2):
+        live = {n for n in clusters.participants(level)
+                if state.node(n).alive}
+        full = reference_weight_table(state, level, live, p)
+        assert weight_table(state, level, live, p) == full
+        far = _farthest(state, clusters, level) if spare_farthest else None
+        pool = sorted(live - {far})
+        subset = set(rng.sample(pool, rng.randint(0, len(pool))))
+        assert weight_table(state, level, live, p, subset) == {
+            n: full[n] for n in subset}
 
 
 def test_reelection_triggers_count_an_uncompared_farthest_node():
