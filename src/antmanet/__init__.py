@@ -6,7 +6,7 @@ from .clustering import (ClusterState, WeightParams, ch_pheromone_update,
                          node_weight, select_cluster_heads)
 from .config import ScenarioConfig, load_scenario, parse_scenario, serialize
 from .engine import Simulator
-from .model import (LinkAttributes, NetworkState, NodeAttributes, distance,
+from .model import (LinkAttributes, NetworkState, NodeAttributes,
                     link_expiration_time)
 from .qos import DepositParams, PathMetrics, path_metrics, pheromone_deposit
 from .routing import (PheromoneTable, PreferenceParams, QosRequirement,

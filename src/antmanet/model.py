@@ -25,17 +25,6 @@ from operator import add, itemgetter
 from .errors import ConfigError, UnknownNodeError
 
 
-def distance(a, b):
-    """Euclidean distance between two 2-D points.
-
-    Coordinates are not checked here: scenario parsing rejects non-finite
-    ones, and ``NetworkState`` checks every position it builds links from.
-    """
-    ax, ay = a
-    bx, by = b
-    return math.hypot(ax - bx, ay - by)
-
-
 def left_sum(values):
     """The float sum of `values`, added strictly left to right from 0.0.
 

@@ -4,26 +4,9 @@ import random
 import pytest
 
 from antmanet.errors import UnknownNodeError
-from antmanet.model import NodeAttributes, distance, link_expiration_time
+from antmanet.model import NodeAttributes, link_expiration_time
 
 from helpers import add_node, make_state
-
-
-class TestDistance:
-    def test_identity(self):
-        assert distance((0, 0), (0, 0)) == 0.0
-
-    def test_3_4_5(self):
-        assert distance((0, 0), (3, 4)) == 5.0
-
-    def test_random_pairs_match_reference(self):
-        rng = random.Random(1)
-        for _ in range(100):
-            a = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
-            b = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
-            ref = math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
-            assert distance(a, b) == pytest.approx(ref, abs=1e-12)
-            assert distance(a, b) == distance(b, a)
 
 
 class TestNeighbors:
@@ -67,7 +50,7 @@ class TestNeighbors:
                         if j == i or not b.supports(level):
                             continue
                         r = min(a.range_at(level), b.range_at(level))
-                        if distance(a.position, b.position) <= r:
+                        if math.dist(a.position, b.position) <= r:
                             expected.add(j)
                 assert s.neighbors(i, level) == expected
 
@@ -87,7 +70,7 @@ class TestNeighbors:
         # A level-2 link implies level-0/1 links whenever ranges permit.
         for i in s.nodes:
             for j in s.neighbors(i, 2):
-                d = distance(s.nodes[i].position, s.nodes[j].position)
+                d = math.dist(s.nodes[i].position, s.nodes[j].position)
                 for lvl in (0, 1):
                     r = min(s.nodes[i].range_at(lvl), s.nodes[j].range_at(lvl))
                     assert (j in s.neighbors(i, lvl)) == (d <= r)
@@ -159,4 +142,4 @@ class TestLinkExpirationTime:
                   a.position[1] + t * a.velocity[1])
             pb = (b.position[0] + t * b.velocity[0],
                   b.position[1] + t * b.velocity[1])
-            assert distance(pa, pb) == pytest.approx(r, abs=1e-6)
+            assert math.dist(pa, pb) == pytest.approx(r, abs=1e-6)
