@@ -76,8 +76,9 @@ class PheromoneTable:
                         if node != k[2] and node != k[3]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class QosRequirement:
+    """A flow's QoS floors; the defaults admit every path."""
     min_bandwidth: float = 0.0
     min_energy: float = 0.0
     min_let: float = 0.0
@@ -309,7 +310,7 @@ class Router:
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
                 "to_visit": list(reversed(path))}})
-            if qos is not None and not qos.admits(m):
+            if not qos.admits(m):
                 continue
             j = path[1]
             tau = self.pheromone.get(level, src, j, pher_dst)
@@ -350,7 +351,7 @@ class Router:
         # The route and each suffix are scored from these links and nodes.
         nodes = [self.state.node(n) for n in path]
         m = link_metrics(links, nodes)
-        if qos is not None and not qos.admits(m):
+        if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
         if self.deposit_params is not None:
@@ -373,7 +374,7 @@ class Router:
                     "energy": m.energy, "let": m.let, "hops": m.hop_count})
         return route
 
-    def discover_route(self, src, dst, qos=None, now=0.0):
+    def discover_route(self, src, dst, qos=QosRequirement(), now=0.0):
         """Full hierarchical route discovery; returns the Route.
 
         The source's oldest cached route that meets the QoS floors and
@@ -394,7 +395,7 @@ class Router:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
         def usable(route):
-            return ((qos is None or qos.admits(route.metrics))
+            return (qos.admits(route.metrics)
                     and all(state.link(a, b, lvl) is not None for a, b, lvl
                             in zip(route.path, route.path[1:], route.levels)))
 
