@@ -2,8 +2,10 @@
 
 ``tests/data/digests.json`` records, for every scenario under
 ``tests/data/digest/``, the sha256 of its trace, its delivered count and
-its discovery failures.  ``test_digests.py`` checks the table.  A change
-that moves a trace regenerates it, in a commit of its own:
+its discovery failures.  ``test_digests.py`` checks the table.  Running
+this file rewrites the table and the golden trace,
+``tests/data/reference.trace`` (the trace of ``scenarios/reference.yaml``),
+so a change that moves traces regenerates both with one command:
 
     PYTHONPATH=src python tests/digests.py
 """
@@ -18,6 +20,8 @@ from antmanet.engine import Simulator, format_record
 DATA = Path(__file__).parent / "data"
 CORPUS = sorted((DATA / "digest").glob("*.yaml"))
 TABLE = DATA / "digests.json"
+GOLDEN = DATA / "reference.trace"
+REFERENCE = DATA.parents[1] / "scenarios" / "reference.yaml"
 
 
 def run(scenario):
@@ -46,6 +50,7 @@ def table():
 def main():
     text = json.dumps(table(), sort_keys=True, indent=2) + "\n"
     TABLE.write_text(text, encoding="utf-8")
+    GOLDEN.write_bytes(run(REFERENCE)[0].encode("utf-8"))
     print(text, end="")
 
 
