@@ -335,7 +335,9 @@ class Router:
 
     def _route_ant(self, src, dst, now, flag=0):
         """Record one Route ant; `flag` is 1 once a head confirms the
-        destination in its tables."""
+        destination in its tables.  A head asking itself sends none."""
+        if src == dst:
+            return
         self.stats["route_ants"] += 1
         self.trace({"kind": "route_ant", "t": now,
                     "packet": {"src": src, "dst": dst, "flag": flag}})
@@ -406,8 +408,9 @@ class Router:
 
         # Climb both endpoints' head chains until they meet: up[i + 1] is
         # the level-i head of up[i], and down likewise from dst.  At each
-        # level a Route ant asks the source chain's new head; level 2 is
-        # the top, so there the two heads must be one.
+        # level a Route ant asks the source chain's new head, unless that
+        # head is the asker; level 2 is the top, so there the two heads
+        # must be one.
         up, down = [src], [dst]
         for level in (0, 1, 2):
             for chain in (up, down):

@@ -1,7 +1,8 @@
 """The digest corpus's traces match the committed table, replaying ant
 floods from the router's memo changes none of them, the corpus meets
-every maintenance case code, its finite weight threshold moves its
-trace, and route caches hold no duplicate."""
+every maintenance case code, no route ant goes from a head to itself,
+its finite weight threshold moves its trace, and route caches hold no
+duplicate."""
 
 import dataclasses
 import json
@@ -66,6 +67,21 @@ def test_corpus_meets_every_case_code():
             if record["kind"] in ("maintenance", "election"):
                 seen.add(record["case"])
     assert codes <= seen, sorted(codes - seen)
+
+
+def test_no_route_ant_addresses_its_sender():
+    """A head that is also the next head up its chain sends no route ant
+    to itself, so none in the corpus has the same src and dst."""
+    asked = 0
+    for path in CORPUS:
+        text, _ = run(path)
+        for line in text.splitlines():
+            record = json.loads(line)
+            if record["kind"] == "route_ant":
+                asked += 1
+                packet = record["packet"]
+                assert packet["src"] != packet["dst"], (path.stem, record)
+    assert asked
 
 
 def test_theta_w_flags_heads():

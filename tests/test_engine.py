@@ -294,7 +294,7 @@ flows:
 PIN_SUMMARY = {
     "packets_sent": 3, "packets_delivered": 2, "packets_dropped": 1,
     "packets_in_flight": 0, "mean_delay": 0.005999999999999561,
-    "control_packets": 34, "elections": {"0": 4, "1": 0, "2": 0},
+    "control_packets": 32, "elections": {"0": 4, "1": 0, "2": 0},
     "discovery_failures": 3, "admission_rejections": 2, "deaths": 1,
     "cache_hits": 2,
     "flows": [

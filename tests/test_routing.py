@@ -536,16 +536,17 @@ class TestHierarchicalDiscovery:
 
     @pytest.mark.parametrize("edit, ants, error", [
         # A discovered route: each chain climbs to level 2, where 10 heads
-        # both regions, so every ant but the first is self-addressed.
-        (None, [(0, 10, 0), (10, 10, 0), (10, 10, 0), (10, 10, 1)], None),
+        # both regions; 10 heads the source's chain from level 0 up, so it
+        # would address every later ant to itself, and sends none of them.
+        (None, [(0, 10, 0)], None),
         (lambda clusters: clusters.leave(0, 20, 3), [],
          "node 3 has no level-0 head"),
         (lambda clusters: clusters.dissolve(1, 20), [(0, 10, 0)],
          "node 20 has no level-1 head"),
-        (lambda clusters: clusters.leave(2, 10, 20), [(0, 10, 0), (10, 10, 0)],
+        (lambda clusters: clusters.leave(2, 10, 20), [(0, 10, 0)],
          "node 20 has no level-2 head"),
         (lambda clusters: clusters.install(2, {10: set(), 20: set()}, 1.0),
-         [(0, 10, 0), (10, 10, 0)], "level-2 heads 10 and 20 differ"),
+         [(0, 10, 0)], "level-2 heads 10 and 20 differ"),
     ], ids=["found", "no_l0_head", "no_l1_head", "no_l2_head",
             "different_l2_heads"])
     def test_cross_region_route_ants(self, edit, ants, error):
