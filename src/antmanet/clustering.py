@@ -268,9 +268,9 @@ def select_cluster_heads(state, clusters, level, p, rng, participants):
     """Run one level's election among `participants`; returns its
     {head: set of members} table.
 
-    Pheromone starts from
-    `clusters.tau` where it holds a node, else from the node's own weight
-    (the cold start), and is written back only once the election succeeds.
+    Pheromone starts from `clusters.tau` where it holds a node, else from
+    the node's own weight (the cold start), and is written back only once
+    the election succeeds.
     """
     p.validate()
     participants = sorted(participants)
