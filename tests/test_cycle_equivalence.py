@@ -2,15 +2,16 @@
 
 ``reference_weight_table`` sums every participant's distances for the
 group maximum, ``reference_check_reelection_triggers`` builds every
-level's full weight table on every call, ``reference_detect_head_merges`` tests every head pair,
-``reference_build_adjacency`` concatenates the candidate lists per node and
-tests ``d <= min(ra, rb)``, and ``reference_elect`` and
-``reference_best_head_in_range`` test every head for each node.
-``reference_head_of`` and ``reference_participants`` scan the cluster
-tables instead of reading the head index, ``reference_cover_orphans``
-tests every live node's eligibility, and ``reference_beacon_tick`` tests
-each member's liveness and counts its packets one by one.  Each must give
-the same result, in the same order, as the code it stands in for.
+level's full weight table on every call, ``reference_detect_head_merges``
+tests every head pair, ``reference_build_adjacency`` concatenates the
+candidate lists per node and tests ``d <= min(ra, rb)``, and
+``reference_elect`` and ``reference_best_head_in_range`` test every head
+for each node.  ``reference_head_of`` and ``reference_participants`` scan
+the cluster tables instead of reading the head index,
+``reference_cover_orphans`` tests every live node's eligibility, and
+``reference_beacon_tick`` tests each member's liveness and counts its
+packets one by one.  Each must give the same result, in the same order,
+as the code it stands in for.
 """
 
 import math
@@ -47,10 +48,11 @@ def reference_weight_table(state, level, participants, p):
         raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility, total)
     maxima = [max((inputs[k] for inputs in raw.values()), default=0.0)
               for k in range(4)]
-    return {n: clustering.node_weight(
-                *(v / top if top > 0 else 0.0 for v, top in zip(inputs, maxima)),
-                p)
-            for n, inputs in raw.items()}
+    weights = {}
+    for n, inputs in raw.items():
+        scaled = [v / top if top > 0 else 0.0 for v, top in zip(inputs, maxima)]
+        weights[n] = clustering.node_weight(*scaled, p)
+    return weights
 
 
 def reference_check_reelection_triggers(state, clusters, p, joins=None):
