@@ -142,19 +142,26 @@ class ClusterState:
     election pheromone vectors.  Only `install`, `join`, `leave`,
     `dissolve` and `refresh` (a beacon's re-stamp) write the first three,
     so `head_of` is a lookup, `participants` a copy, and each membership
-    has one stamp."""
+    has one stamp.
+
+    ``epoch`` counts the writes that can change a table or the index:
+    `install`, `join`, `leave` and `dissolve` each increment it, `refresh`
+    does not.  A value derived from the tables holds while ``epoch`` is
+    unchanged."""
 
     def __init__(self):
         self.levels = {}  # level -> {head: set(member ids)}
         self._index = {}  # level -> {node: its head; a head maps to itself}
         self.last_heard = {}  # (level, head, member) -> t
         self.tau = {}  # level -> {node: pheromone}
+        self.epoch = 0
 
     # -- the writers -----------------------------------------------------
 
     def install(self, level, table, now):
         """Make `table` ({head: set of members}) the level's table, as it
         is, every membership heard at `now`."""
+        self.epoch += 1
         self.last_heard = {k: t for k, t in self.last_heard.items()
                            if k[0] != level}
         self.levels[level] = table
@@ -166,6 +173,7 @@ class ClusterState:
 
     def join(self, level, head, nodes, now):
         """Add `nodes` to `head`'s cluster, founding it if new; heard now."""
+        self.epoch += 1
         nodes = tuple(nodes)
         self.levels.setdefault(level, {}).setdefault(head, set()).update(nodes)
         index = self._index.setdefault(level, {})
@@ -174,6 +182,7 @@ class ClusterState:
         self.refresh(level, head, nodes, now)
 
     def leave(self, level, head, node):
+        self.epoch += 1
         self.levels[level][head].discard(node)
         self.last_heard.pop((level, head, node), None)
         if self._index[level].get(node) == head:
@@ -181,6 +190,7 @@ class ClusterState:
 
     def dissolve(self, level, head):
         """Drop `head`'s cluster; returns its former members."""
+        self.epoch += 1
         members = self.levels[level].pop(head)
         index = self._index[level]
         for n in (head, *members):

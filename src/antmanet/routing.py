@@ -13,11 +13,17 @@ preference rule (pheromone x 1/delay x 1/hops x bandwidth x energy x
 expiry, each under a tunable exponent) and the best admissible path
 wins, gets a pheromone deposit, and is cached.
 
-The flood's expansion reads only the topology, so the router memoizes it
-per topology version (``NetworkState.version``), scope and endpoints;
-each entry carries its paths' `link_metrics`.
-A repeated flood replays the entry, reading energy afresh, and emits the
-same records and counters as a new one.
+Discovery re-derives much from the topology and the cluster tables
+alone, so the router keeps one memo of it, cleared whenever the topology
+version (``NetworkState.version``) or the hierarchy epoch
+(``ClusterState.epoch``) changes.  It holds, per endpoint pair, the
+discovery plan: their link level, or the climb's route ants followed by
+its failure or its legs, each leg's scope frozen; per flood, the
+expansion with each path's link metrics and nodes; and per route, the
+link metrics of the route and of each suffix, or its broken link.  Every
+call still reads the endpoints' liveness, the route cache, pheromone,
+the time and energy afresh, and emits the same records and counters as a
+call with an empty memo.
 """
 
 import heapq
@@ -191,6 +197,14 @@ def path_preference_probability(candidates, p=None):
     return {j: s / total for j, s in scores.items()}
 
 
+def _with_energy(m, nodes):
+    """`m`, the link_metrics over `nodes`, with their energy read afresh:
+    within a topology version, energy is all that can move it."""
+    return PathMetrics(delay=m.delay, bandwidth=m.bandwidth,
+                       energy=min(a.energy for a in nodes), let=m.let,
+                       hop_count=m.hop_count)
+
+
 # --------------------------------------------------------------------------
 # Router
 
@@ -209,10 +223,13 @@ class Router:
         self.pheromone = PheromoneTable(q, tau_initial)
         self.cache = RouteCache()
         self.stats = Counter() if stats is None else stats
-        # _expand's results in the topology version _floods_version, keyed
-        # by (level, src, dst, frozenset(scope)).
-        self._floods = {}
-        self._floods_version = None
+        # What discovery derives from the topology and the cluster tables,
+        # valid while (state.version, clusters.epoch) is _memo_stamp.  The
+        # key shapes tell its entries apart: (src, dst) -> _plan's plan,
+        # (level, src, dst, scope) -> _expand's flood, and
+        # (path, levels) -> _route_metrics' metrics.
+        self._memo = {}
+        self._memo_stamp = None
 
     def evaporate_all(self):
         self.pheromone.evaporate()
@@ -220,6 +237,14 @@ class Router:
     def purge_node(self, node):
         self.pheromone.purge_node(node)
         self.cache.purge_node(node)
+
+    def _current_memo(self):
+        """The memo, emptied first if the topology or the hierarchy moved."""
+        stamp = (self.state.version, self.clusters.epoch)
+        if stamp != self._memo_stamp:
+            self._memo.clear()
+            self._memo_stamp = stamp
+        return self._memo
 
     # -- discovery segment ---------------------------------------------
 
@@ -230,8 +255,8 @@ class Router:
         accumulated path delay, so the first path to reach the destination
         is the minimum-delay one.
 
-        Returns ([(path, its link_metrics)] in arrival order, number of
-        request forwards).
+        Returns ([(path, its link_metrics, its NodeAttributes)] in arrival
+        order, number of request forwards, summed hops of the paths).
         """
         state = self.state
         heap = [(state.node(src).node_delay, 0, (src,))]
@@ -246,8 +271,8 @@ class Router:
             node = path[-1]
             if node == dst:
                 links = path_links(path, state, (level,) * (len(path) - 1))
-                found.append((path, link_metrics(
-                    links, [state.node(n) for n in path])))
+                nodes = [state.node(n) for n in path]
+                found.append((path, link_metrics(links, nodes), nodes))
                 continue
             n = expansions.get(node, 0)
             if n >= FANOUT_CAP:
@@ -261,16 +286,17 @@ class Router:
                 heapq.heappush(heap, (cum + link.delay + nd, seq, path + (nb,)))
                 seq += 1
                 forwards += 1
-        return found, forwards
+        return found, forwards, sum(len(p) - 1 for p, _, _ in found)
 
     def _segment(self, scope, level, src, dst, pher_dst, qos, now):
         """Replay the request ants of one discovery segment and return the
         chosen path.
 
-        Emits one reply record per path the flood finds.  The expansion
-        depends only on the topology version, the scope and the endpoints,
-        so it is memoized per version.  Energy changes within a version, so
-        it is read here on every call.  Per next hop the first best-scoring
+        Emits one reply record per path the flood finds.  The expansion,
+        with each path's link metrics and nodes, depends only on the
+        topology version, the scope and the endpoints, so it comes from
+        the memo.  Energy changes within a version, so each path's metrics
+        take it afresh on every call.  Per next hop the first best-scoring
         admissible reply is kept; the next hop with the highest preference
         probability (ties to the lower id) wins unless it is below
         `theta_p`.
@@ -278,34 +304,28 @@ class Router:
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
-        state = self.state
-        if self._floods_version != state.version:
-            self._floods.clear()
-            self._floods_version = state.version
+        memo = self._current_memo()
         scope = frozenset(scope)
         key = (level, src, dst, scope)
-        expansion = self._floods.get(key)
-        if expansion is None:
-            expansion = self._floods[key] = self._expand(scope, level, src, dst)
-        found, forwards = expansion
+        flood = memo.get(key)
+        if flood is None:
+            flood = memo[key] = self._expand(scope, level, src, dst)
+        found, forwards, reply_hops = flood
         self.stats["request_forwards"] += forwards
         if not found:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
+        self.stats["reply_packets"] += len(found)
+        self.stats["reply_hops"] += reply_hops
         # Each delivered request ant turns into a reply that retraces its
         # visited stack in reverse, carrying the path's QoS values.  Level 0
         # segments run inside one cluster (Knave ants), the rest across the
         # head overlay (King ants).
         kind, ends = (("king", ("src_head", "dst_head")) if level
                       else ("knave", ("src_member", "dst_member")))
-        node = state.node
         best_per_hop = {}
-        for path, fm in found:
-            m = PathMetrics(delay=fm.delay, bandwidth=fm.bandwidth,
-                            energy=min(node(n).energy for n in path),
-                            let=fm.let, hop_count=fm.hop_count)
-            self.stats["reply_packets"] += 1
-            self.stats["reply_hops"] += len(path) - 1
+        for path, fm, nodes in found:
+            m = _with_energy(fm, nodes)
             self.trace({"kind": f"reply_{kind}_ant", "t": now, "packet": {
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
@@ -333,26 +353,86 @@ class Router:
 
     # -- discovery -------------------------------------------------------
 
-    def _route_ant(self, src, dst, now, flag=0):
-        """Record one Route ant; `flag` is 1 once a head confirms the
-        destination in its tables.  A head asking itself sends none."""
-        if src == dst:
-            return
-        self.stats["route_ants"] += 1
-        self.trace({"kind": "route_ant", "t": now,
-                    "packet": {"src": src, "dst": dst, "flag": flag}})
+    def _plan(self, src, dst):
+        """How discovery from src to dst proceeds under this topology and
+        hierarchy: (link level, route ants, failure, legs).
 
-    def _finalize(self, src, dst, path, levels, qos, now):
-        """Score, reward and cache an assembled route; returns its Route."""
+        Linked endpoints get their lowest link level, and nothing else.
+        Otherwise a climb up both endpoints' head chains gives the Route
+        ants (sender, target, flag) to record, then either the message of
+        the NoRouteError that stops it or its legs (scope, level, from,
+        to).
+        """
+        level = self.state.link_level(src, dst)
+        if level is not None:
+            return level, (), None, ()
+        # Climb both endpoints' head chains until they meet: up[i + 1] is
+        # the level-i head of up[i], and down likewise from dst.  At each
+        # level a Route ant asks the source chain's new head, unless that
+        # head is the asker; level 2 is the top, so there the two heads
+        # must be one.  Once a head confirms the destination in its
+        # tables, a Route ant with flag 1 answers back down.
+        clusters = self.clusters
+        ants = []
+        up, down = [src], [dst]
+        for level in (0, 1, 2):
+            for chain in (up, down):
+                head = clusters.head_of(chain[-1], level)
+                if head is None:
+                    return (None, ants,
+                            f"node {chain[-1]} has no level-{level} head", ())
+                chain.append(head)
+            if level == 2 and up[-1] != down[-1]:
+                return (None, ants,
+                        f"level-2 heads {up[-1]} and {down[-1]} differ", ())
+            if up[-2] != up[-1]:
+                ants.append((up[-2], up[-1], 0))
+            if up[-1] == down[-1]:
+                break
+        if up[-1] != up[-2]:
+            ants.append((up[-1], up[-2], 1))
+
+        # The chains meet at `level`.  Legs run up the source's chain,
+        # across the meeting head's cluster and down the destination's
+        # chain, each within its scope head's cluster; consecutive legs
+        # share end nodes.
+        legs = ([(up[i + 1], i, up[i], up[i + 1]) for i in range(1, level)]
+                + [(up[level + 1], level, up[level], down[level])]
+                + [(down[i + 1], i, down[i + 1], down[i])
+                   for i in reversed(range(1, level))])
+        return None, ants, None, tuple(
+            (frozenset(clusters.cluster(head, lvl)), lvl, a, b)
+            for head, lvl, a, b in legs)
+
+    def _route_metrics(self, path, levels):
+        """The route's NodeAttributes and the link_metrics of the route and
+        of each suffix of one hop or more, longest first; or the message
+        of the missing link, if one is missing."""
         try:
             links = path_links(path, self.state, levels)
         except BrokenPathError as exc:
+            return str(exc)
+        nodes = [self.state.node(n) for n in path]
+        return nodes, [link_metrics(links[i:], nodes[i:])
+                       for i in range(len(links))]
+
+    def _finalize(self, src, dst, path, levels, qos, now):
+        """Score, reward and cache an assembled route (tuples `path` and
+        `levels`); returns its Route.
+
+        The link metrics of the route and of its suffixes come from the
+        memo, each with its energy read afresh."""
+        memo = self._current_memo()
+        key = (path, levels)
+        metrics = memo.get(key)
+        if metrics is None:
+            metrics = memo[key] = self._route_metrics(path, levels)
+        if isinstance(metrics, str):
             # A member-head hop at either end can go stale between beacon
             # cycles; treat the assembled route as undiscoverable this attempt.
-            raise NoRouteError(str(exc)) from None
-        # The route and each suffix are scored from these links and nodes.
-        nodes = [self.state.node(n) for n in path]
-        m = link_metrics(links, nodes)
+            raise NoRouteError(metrics)
+        nodes, suffixes = metrics
+        m = _with_energy(suffixes[0], nodes)
         if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
@@ -360,14 +440,14 @@ class Router:
             dtau = pheromone_deposit(m, self.deposit_params)
             for (i, j), level in zip(zip(path, path[1:]), levels):
                 self.pheromone.deposit(level, i, j, dst, dtau)
-        route = Route(destination=dst, path=tuple(path), levels=tuple(levels),
-                      metrics=m, expires_at=now + min(m.let, self.cache_max_age))
+        route = Route(destination=dst, path=path, levels=levels, metrics=m,
+                      expires_at=now + min(m.let, self.cache_max_age))
         self.cache.insert(src, route, now)
         # Intermediate nodes remember the suffix toward the destination.
         for idx in range(1, len(path) - 1):
-            sm = link_metrics(links[idx:], nodes[idx:])
+            sm = _with_energy(suffixes[idx], nodes[idx:])
             self.cache.insert(path[idx], Route(
-                destination=dst, path=route.path[idx:], levels=route.levels[idx:],
+                destination=dst, path=path[idx:], levels=levels[idx:],
                 metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)),
                 now)
         self.trace({"kind": "route_selected", "t": now, "src": src, "dst": dst,
@@ -379,20 +459,25 @@ class Router:
     def discover_route(self, src, dst, qos=QosRequirement(), now=0.0):
         """Full hierarchical route discovery; returns the Route.
 
-        The source's oldest cached route that meets the QoS floors and
-        whose every hop's link exists is returned as it is; otherwise a
-        climb up both endpoints' head chains discovers, caches and returns
-        a new one.  A cached route with a missing link is skipped, not
-        dropped: the link can come back before the route expires.
+        Linked endpoints get their direct route.  Otherwise the source's
+        oldest cached route that meets the QoS floors and whose every
+        hop's link exists is returned as it is; failing that, a climb up
+        both endpoints' head chains discovers, caches and returns a new
+        one.  A cached route with a missing link is skipped, not dropped:
+        the link can come back before the route expires.
         """
         state = self.state
         if not state.node(src).alive or not state.node(dst).alive:
             raise NoRouteError(f"endpoint dead: {src} -> {dst}")
         if src == dst:
             raise NoRouteError("source equals destination")
+        memo = self._current_memo()
+        plan = memo.get((src, dst))
+        if plan is None:
+            plan = memo[src, dst] = self._plan(src, dst)
+        level, ants, failure, legs = plan
 
         # Direct neighbor: deliver without emitting any ants.
-        level = state.link_level(src, dst)
         if level is not None:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
@@ -406,42 +491,19 @@ class Router:
             self.stats["cache_hits"] += 1
             return hit
 
-        # Climb both endpoints' head chains until they meet: up[i + 1] is
-        # the level-i head of up[i], and down likewise from dst.  At each
-        # level a Route ant asks the source chain's new head, unless that
-        # head is the asker; level 2 is the top, so there the two heads
-        # must be one.
-        up, down = [src], [dst]
-        for level in (0, 1, 2):
-            for chain in (up, down):
-                head = self.clusters.head_of(chain[-1], level)
-                if head is None:
-                    raise NoRouteError(
-                        f"node {chain[-1]} has no level-{level} head")
-                chain.append(head)
-            if level == 2 and up[-1] != down[-1]:
-                raise NoRouteError(
-                    f"level-2 heads {up[-1]} and {down[-1]} differ")
-            self._route_ant(up[-2], up[-1], now)
-            if up[-1] == down[-1]:
-                break
-        self._route_ant(up[-1], up[-2], now, flag=1)
-
-        # The chains meet at `level`.  Legs (scope head, level, from, to)
-        # run up the source's chain, across the meeting head's cluster and
-        # down the destination's chain; consecutive legs share end nodes.
-        legs = ([(up[i + 1], i, up[i], up[i + 1]) for i in range(1, level)]
-                + [(up[level + 1], level, up[level], down[level])]
-                + [(down[i + 1], i, down[i + 1], down[i])
-                   for i in reversed(range(1, level))])
+        for sender, target, flag in ants:
+            self.stats["route_ants"] += 1
+            self.trace({"kind": "route_ant", "t": now,
+                        "packet": {"src": sender, "dst": target, "flag": flag}})
+        if failure is not None:
+            raise NoRouteError(failure)
         path, levels = [src], []
-        for head, lvl, a, b in legs:
+        for scope, lvl, a, b in legs:
             if path[-1] != a:
                 # The member-to-head hop onto the first leg.
                 path.append(a)
                 levels.append(0)
-            seg = self._segment(self.clusters.cluster(head, lvl), lvl, a, b,
-                                dst, qos, now)
+            seg = self._segment(scope, lvl, a, b, dst, qos, now)
             path += seg[1:]
             levels += [lvl] * (len(seg) - 1)
         if path[-1] != dst:
@@ -449,4 +511,4 @@ class Router:
             levels.append(0)
         if len(set(path)) != len(path):
             raise RoutingLoopError(f"assembled route revisits a node: {path}")
-        return self._finalize(src, dst, path, levels, qos, now)
+        return self._finalize(src, dst, tuple(path), tuple(levels), qos, now)

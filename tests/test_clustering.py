@@ -267,6 +267,21 @@ class TestClusterState:
         assert cs.last_heard == {(0, 1, m): 4.0 for m in (0, 2, 3, 4)}
         clustering.check_invariants(s, cs)
 
+    @pytest.mark.parametrize("write, bumps", [
+        (lambda cs: cs.install(0, {1: {0, 2}}, 1.0), 1),
+        (lambda cs: cs.join(0, 0, (3,), 1.0), 1),
+        (lambda cs: cs.leave(0, 0, 1), 1),
+        (lambda cs: cs.dissolve(0, 0), 1),
+        (lambda cs: cs.refresh(0, 0, (1, 2), 1.0), 0),
+    ], ids=["install", "join", "leave", "dissolve", "refresh"])
+    def test_writers_bump_the_epoch(self, write, bumps):
+        """Each writer that can change a table or the index starts a new
+        epoch; a beacon's re-stamp does not."""
+        cs = manual_clusters({0: {0: {1, 2}}})
+        before = cs.epoch
+        write(cs)
+        assert cs.epoch == before + bumps
+
     def test_invariants_catch_an_edit_past_the_writers(self):
         s = clique_state(3)
         cs = manual_clusters({0: {0: {1, 2}}})

@@ -437,7 +437,8 @@ class TestFloodMemo:
                         trace=records.append)
         first = r.discover_route(0, 3, now=0.0)
         second = r.discover_route(0, 3, now=1.0)
-        assert len(r._floods) == 1
+        floods = [key for key in r._memo if isinstance(key[-1], frozenset)]
+        assert floods == [(0, 0, 3, frozenset(range(4)))]
         assert second.metrics == first.metrics
         replies = [(rec["t"], rec["packet"]["to_visit"]) for rec in records
                    if rec["kind"] == "reply_knave_ant"]
@@ -566,6 +567,24 @@ class TestHierarchicalDiscovery:
             {"kind": "route_ant", "t": 1.0,
              "packet": {"src": s, "dst": d, "flag": flag}}
             for s, d, flag in ants]
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda clusters: clusters.dissolve(1, 20),
+         "node 20 has no level-1 head"),
+        (lambda clusters: clusters.leave(2, 10, 20),
+         "node 20 has no level-2 head"),
+    ], ids=["dissolve", "leave"])
+    def test_hierarchy_change_climbs_afresh(self, edit, error):
+        """Once a head of a memoized plan loses its cluster, the next
+        discovery climbs the changed chains instead of replaying the plan,
+        though the topology is unchanged."""
+        state, clusters = two_region_world(cross_region=True)
+        r = make_router(state, clusters, cache_max_age=0.5)
+        r.discover_route(0, 3, now=1.0)
+        assert (0, 3) in r._memo
+        edit(clusters)
+        with pytest.raises(NoRouteError, match=f"^{error}$"):
+            r.discover_route(0, 3, now=2.0)
 
     def test_pheromone_positive_and_bounded_after_traffic(self):
         state, clusters = single_cluster_line(5)
