@@ -238,6 +238,36 @@ def _weighted_draw(rng, weights):
     return len(weights) - 1
 
 
+def _reinforce(rng, taus, weights, rho, n_iter):
+    """Run a candidate set's `n_iter` draws on `taus` in place: each draws
+    an index in proportion to tau and moves its tau toward its weight.
+
+    A tau that its step leaves as it is, a zero's sign included, stays so,
+    since only its own step can change it.  Once no tau can move, the
+    remaining draws change nothing but the RNG, so each only consumes its
+    one random number.
+    """
+    copysign = math.copysign
+    # steps[k] is taus[k] after its next step; tau k can move while the
+    # two differ.  The comparisons are inline: this is the election's
+    # inner loop.
+    steps = [ch_pheromone_update(t, rho, w) for t, w in zip(taus, weights)]
+    movable = sum(s != t or copysign(1.0, s) != copysign(1.0, t)
+                  for s, t in zip(steps, taus))
+    for i in range(n_iter):
+        if not movable:
+            for _ in range(n_iter - i):
+                rng.random()
+            return
+        k = _weighted_draw(rng, taus)
+        t, s = taus[k], steps[k]
+        if s != t or copysign(1.0, s) != copysign(1.0, t):
+            taus[k] = s
+            steps[k] = after = ch_pheromone_update(s, rho, weights[k])
+            if after == s and copysign(1.0, after) == copysign(1.0, s):
+                movable -= 1
+
+
 def _elect(state, level, p, rng, participants, tau, weights):
     """Core election loop; returns head -> member-set over participants."""
     uncovered = set(participants)
@@ -249,10 +279,8 @@ def _elect(state, level, p, rng, participants, tau, weights):
         order = sorted(cand)
         taus = [tau[n] for n in order]
         if left_sum(taus) > 0:
-            for _ in range(p.n_iter):
-                k = _weighted_draw(rng, taus)
-                taus[k] = ch_pheromone_update(taus[k], p.rho, weights[order[k]])
-                tau[order[k]] = taus[k]
+            _reinforce(rng, taus, [weights[n] for n in order], p.rho, p.n_iter)
+            tau.update(zip(order, taus))
         qualified = [n for n in order
                      if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
         if not qualified:

@@ -177,6 +177,25 @@ class TestElection:
         cs = elect_level0(s, ENERGY_ONLY, random.Random(0))
         assert cs.head_of(0, 0) == 2
 
+    def test_cold_start_only_advances_the_rng(self, monkeypatch):
+        # Under rho 0.5 a tau equal to its weight is a fixed point, so a
+        # cold start's draws can move nothing: none is drawn, and each
+        # still consumes its one random number.
+        draws = []
+        draw = clustering._weighted_draw
+        monkeypatch.setattr(clustering, "_weighted_draw",
+                            lambda rng, w: draws.append(w) or draw(rng, w))
+        rng, twin = random.Random(5), random.Random(5)
+        taus = [0.5, 0.25, 0.25]
+        clustering._reinforce(rng, taus, list(taus), 0.5, 100)
+        assert draws == [] and taus == [0.5, 0.25, 0.25]
+        for _ in range(100):
+            twin.random()
+        assert rng.getstate() == twin.getstate()
+        # A tau away from its weight is drawn until no tau can move.
+        clustering._reinforce(rng, taus, [0.5, 0.25, 1.0], 0.5, 100)
+        assert 0 < len(draws) < 100 and taus == [0.5, 0.25, 1.0]
+
 
 class TestHierarchy:
     def test_all_l0_yields_empty_upper_levels(self):

@@ -6,7 +6,8 @@ level's full weight table on every call, ``reference_detect_head_merges``
 tests every head pair, ``reference_build_adjacency`` concatenates the
 candidate lists per node and tests ``d <= min(ra, rb)``, and
 ``reference_elect`` and ``reference_best_head_in_range`` test every head
-for each node.  ``reference_head_of`` and ``reference_participants`` scan
+for each node, and ``reference_reinforce`` draws and updates on every one
+of an election's draws.  ``reference_head_of`` and ``reference_participants`` scan
 the cluster tables instead of reading the head index,
 ``reference_cover_orphans`` tests every live node's eligibility, and
 ``reference_beacon_tick`` tests each member's liveness and counts its
@@ -173,6 +174,12 @@ def reference_weighted_draw(rng, items, weights):
         if x <= acc:
             return item
     return items[-1]
+
+
+def reference_reinforce(rng, taus, weights, rho, n_iter):
+    for _ in range(n_iter):
+        k = clustering._weighted_draw(rng, taus)
+        taus[k] = clustering.ch_pheromone_update(taus[k], rho, weights[k])
 
 
 def reference_elect(state, level, p, rng, participants, tau, weights):
@@ -380,6 +387,31 @@ def test_elections_match_head_scans(seed, n, span, dead_share, tau_scale):
         for nid in sorted(state.nodes):
             assert (mgr._best_head_in_range(level, nid)
                     == reference_best_head_in_range(mgr, level, nid))
+
+
+PHEROMONE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
+                      st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(PHEROMONE, PHEROMONE), min_size=1,
+                      max_size=12),
+       cold=st.booleans(),
+       rho=st.one_of(st.just(0.5),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+       n_iter=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+def test_reinforce_matches_every_draw(pairs, cold, rho, n_iter, seed):
+    """Skipping the draws that can move no tau leaves the same taus, bit
+    for bit, and the same RNG state as drawing and updating on each.
+    With `cold`, every tau starts at its weight, as in a cold start."""
+    taus = [t for t, _ in pairs]
+    weights = list(taus) if cold else [w for _, w in pairs]
+    runs = []
+    for reinforce in (clustering._reinforce, reference_reinforce):
+        rng, run_taus = random.Random(seed), list(taus)
+        reinforce(rng, run_taus, weights, rho, n_iter)
+        runs.append(([t.hex() for t in run_taus], rng.getstate()))
+    assert runs[0] == runs[1]
 
 
 def _mobile_config(theta_w):
