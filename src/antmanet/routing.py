@@ -289,8 +289,8 @@ class Router:
         return found, forwards, sum(len(p) - 1 for p, _, _ in found)
 
     def _segment(self, scope, level, src, dst, pher_dst, qos, now):
-        """Replay the request ants of one discovery segment and return the
-        chosen path.
+        """Replay the request ants of one discovery segment, confined to the
+        frozenset `scope`, and return the chosen path.
 
         Emits one reply record per path the flood finds.  The expansion,
         with each path's link metrics and nodes, depends only on the
@@ -305,7 +305,6 @@ class Router:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
         memo = self._current_memo()
-        scope = frozenset(scope)
         key = (level, src, dst, scope)
         flood = memo.get(key)
         if flood is None:

@@ -20,7 +20,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antmanet import clustering
@@ -400,6 +400,8 @@ PHEROMONE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
        rho=st.one_of(st.just(0.5),
                      st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
        n_iter=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+# A step that only flips a zero's sign still moves the tau.
+@example(pairs=[(-0.0, 0.0)], cold=False, rho=0.5, n_iter=1, seed=0)
 def test_reinforce_matches_every_draw(pairs, cold, rho, n_iter, seed):
     """Skipping the draws that can move no tau leaves the same taus, bit
     for bit, and the same RNG state as drawing and updating on each.

@@ -148,7 +148,8 @@ class TestAnts:
     def replies(state, level, src, dst):
         records = []
         r = make_router(state, manual_clusters({0: {}}), trace=records.append)
-        r._segment(state.nodes, level, src, dst, dst, QosRequirement(), 0.0)
+        r._segment(frozenset(state.nodes), level, src, dst, dst,
+                   QosRequirement(), 0.0)
         return [rec for rec in records if rec["kind"].startswith("reply_")]
 
     def test_reply_retraces_in_reverse(self):
