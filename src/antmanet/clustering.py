@@ -139,15 +139,16 @@ def candidates(state, clusters, level, skip=frozenset()):
 class ClusterState:
     """Per-level head -> member tables, a node -> head index and a
     last-heard stamp per membership kept in step with them, and the
-    election pheromone vectors.  Only `install`, `join`, `leave`,
-    `dissolve` and `refresh` (a beacon's re-stamp) write the first three,
-    so `head_of` is a lookup, `participants` a copy, and each membership
-    has one stamp.
+    election pheromone vectors.  Only `join`, `leave`, `dissolve` and
+    `refresh` (a beacon's re-stamp) write the first three, so `head_of` is
+    a lookup, `participants` a copy, and each membership has one stamp.
+    `install`, the one writer of an election's result, writes through
+    them, save for founding an empty level.
 
-    ``epoch`` counts the writes that can change a table or the index:
-    `install`, `join`, `leave` and `dissolve` each increment it, `refresh`
-    does not.  A value derived from the tables holds while ``epoch`` is
-    unchanged."""
+    ``epoch`` counts the writes that change a table or the index: `join`,
+    `leave` and `dissolve` each increment it, `refresh` and an `install`
+    of the clusters already held do not.  A value derived from the tables
+    holds while ``epoch`` is unchanged."""
 
     def __init__(self):
         self.levels = {}  # level -> {head: set(member ids)}
@@ -159,17 +160,30 @@ class ClusterState:
     # -- the writers -----------------------------------------------------
 
     def install(self, level, table, now):
-        """Make `table` ({head: set of members}) the level's table, as it
-        is, every membership heard at `now`."""
-        self.epoch += 1
-        self.last_heard = {k: t for k, t in self.last_heard.items()
-                           if k[0] != level}
-        self.levels[level] = table
-        index = self._index[level] = {}
+        """Make `table` ({head: set of members}), an election's result, the
+        clusters of its nodes, every membership heard at `now`.
+
+        Each node of `table` leaves the cluster it was in, and a cluster
+        headed by one of them is dissolved with its members, before the
+        table's clusters join.  Clusters outside its nodes stay as they
+        are.  A level that already holds `table` is only re-stamped, so
+        ``epoch`` moves only when a table changes.  The level exists
+        afterwards, even for an empty table."""
+        held = self.levels.setdefault(level, {})
+        self._index.setdefault(level, {})
+        if all(held.get(head) == members for head, members in table.items()):
+            for head, members in table.items():
+                self.refresh(level, head, members, now)
+            return
+        nodes = set(table).union(*table.values())
+        for head in list(held):
+            if head in nodes:
+                self.dissolve(level, head)
+            else:
+                for m in held[head] & nodes:
+                    self.leave(level, head, m)
         for head, members in table.items():
-            index[head] = head
-            index.update(dict.fromkeys(members, head))
-            self.refresh(level, head, members, now)
+            self.join(level, head, members, now)
 
     def join(self, level, head, nodes, now):
         """Add `nodes` to `head`'s cluster, founding it if new; heard now."""
@@ -242,30 +256,21 @@ def _reinforce(rng, taus, weights, rho, n_iter):
     """Run a candidate set's `n_iter` draws on `taus` in place: each draws
     an index in proportion to tau and moves its tau toward its weight.
 
-    A tau that its step leaves as it is, a zero's sign included, stays so,
-    since only its own step can change it.  Once no tau can move, the
-    remaining draws change nothing but the RNG, so each only consumes its
-    one random number.
+    The draws are all or nothing.  When no tau's step changes it, a
+    zero's sign included, no draw can change any tau, so each only
+    consumes its one random number; this skips every draw of a cold start
+    under rho 0.5.  Otherwise all `n_iter` draws run.
     """
     copysign = math.copysign
-    # steps[k] is taus[k] after its next step; tau k can move while the
-    # two differ.  The comparisons are inline: this is the election's
-    # inner loop.
-    steps = [ch_pheromone_update(t, rho, w) for t, w in zip(taus, weights)]
-    movable = sum(s != t or copysign(1.0, s) != copysign(1.0, t)
-                  for s, t in zip(steps, taus))
-    for i in range(n_iter):
-        if not movable:
-            for _ in range(n_iter - i):
-                rng.random()
-            return
+    steps = (ch_pheromone_update(t, rho, w) for t, w in zip(taus, weights))
+    if all(s == t and copysign(1.0, s) == copysign(1.0, t)
+           for s, t in zip(steps, taus)):
+        for _ in range(n_iter):
+            rng.random()
+        return
+    for _ in range(n_iter):
         k = _weighted_draw(rng, taus)
-        t, s = taus[k], steps[k]
-        if s != t or copysign(1.0, s) != copysign(1.0, t):
-            taus[k] = s
-            steps[k] = after = ch_pheromone_update(s, rho, weights[k])
-            if after == s and copysign(1.0, after) == copysign(1.0, s):
-                movable -= 1
+        taus[k] = ch_pheromone_update(taus[k], rho, weights[k])
 
 
 def _elect(state, level, p, rng, participants, tau, weights):

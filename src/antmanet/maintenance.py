@@ -6,10 +6,11 @@ broken, which drives the structural-change cases: member removal, orphan
 adoption or re-election, cluster merges when two heads drift into mutual
 range, and the upward ripple when level-0/1 headship changes.
 
-The last-heard stamps live in ClusterState with the tables.  After the
-initial election, membership changes only through its writers `join`,
-`leave` and `dissolve`, which write or drop the stamps with the
-memberships; a beacon re-stamps the members it reaches through `refresh`.
+The last-heard stamps live in ClusterState with the tables.  Membership
+changes only through its writers `join`, `leave` and `dissolve`, which
+write or drop the stamps with the memberships; `install` writes every
+election's result through them, and a beacon re-stamps the members it
+reaches through `refresh`.
 """
 
 from collections import Counter
@@ -219,16 +220,7 @@ class MaintenanceManager:
             self.trace({"kind": "maintenance", "t": now, "case": case,
                         "level": level, "error": "election-failed"})
             return
-        node_set = set(nodes)
-        table = clusters.levels.get(level, {})
-        for h in list(table):
-            if h in node_set:
-                clusters.dissolve(level, h)
-            else:
-                for m in table[h] & node_set:
-                    clusters.leave(level, h, m)
-        for h, members in elected.items():
-            clusters.join(level, h, members, now)
+        clusters.install(level, elected, now)
         self.stats[f"elections_l{level}"] += len(elected)
         self.trace({"kind": "election", "t": now, "level": level,
                     "case": case, "heads": sorted(elected)})
@@ -267,18 +259,16 @@ class MaintenanceManager:
     def run_cycle(self, now, max_rounds=8):
         """One full beacon interval: beacon, detect, process to quiescence.
 
-        A round is quiescent when it leaves every cluster table as it found
-        it, re-elections that re-form the same clusters included.  A cycle
-        that is still changing after `max_rounds` rounds stops there and
-        counts one ``round_cap_hits``.
+        A round is quiescent when it leaves the hierarchy epoch where it
+        found it: no table changed, since a re-election that re-forms the
+        same clusters moves no epoch.  A cycle that is still changing after
+        `max_rounds` rounds stops there and counts one ``round_cap_hits``.
         """
         for level in sorted(self.clusters.levels):
             for head in sorted(self.clusters.heads(level)):
                 self.beacon_tick(head, level, now)
         for _ in range(max_rounds):
-            before = {level: {head: set(members)
-                              for head, members in table.items()}
-                      for level, table in self.clusters.levels.items()}
+            before = self.clusters.epoch
             for ev in self.detect_changes(now):
                 self.handle_membership_change(ev, now)
             # Cover newly arrived or orphaned level-0 nodes (case 2 / 1.2).
@@ -287,7 +277,7 @@ class MaintenanceManager:
                 self.handle_membership_change(ev, now)
             self.propagate_hierarchy_change(now)
             self.check_reelection(now)
-            if self.clusters.levels == before:
+            if self.clusters.epoch == before:
                 break
         else:
             self.stats["round_cap_hits"] += 1

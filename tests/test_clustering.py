@@ -192,9 +192,9 @@ class TestElection:
         for _ in range(100):
             twin.random()
         assert rng.getstate() == twin.getstate()
-        # A tau away from its weight is drawn until no tau can move.
+        # With one tau away from its weight, every draw runs.
         clustering._reinforce(rng, taus, [0.5, 0.25, 1.0], 0.5, 100)
-        assert 0 < len(draws) < 100 and taus == [0.5, 0.25, 1.0]
+        assert len(draws) == 100 and taus == [0.5, 0.25, 1.0]
 
 
 class TestHierarchy:
@@ -287,19 +287,53 @@ class TestClusterState:
         clustering.check_invariants(s, cs)
 
     @pytest.mark.parametrize("write, bumps", [
-        (lambda cs: cs.install(0, {1: {0, 2}}, 1.0), 1),
+        # Dissolve head 0's cluster, then join head 1's.
+        (lambda cs: cs.install(0, {1: {0, 2}}, 1.0), 2),
+        (lambda cs: cs.install(0, {0: {1, 2}}, 1.0), 0),
         (lambda cs: cs.join(0, 0, (3,), 1.0), 1),
         (lambda cs: cs.leave(0, 0, 1), 1),
         (lambda cs: cs.dissolve(0, 0), 1),
         (lambda cs: cs.refresh(0, 0, (1, 2), 1.0), 0),
-    ], ids=["install", "join", "leave", "dissolve", "refresh"])
+    ], ids=["install", "install_held", "join", "leave", "dissolve",
+            "refresh"])
     def test_writers_bump_the_epoch(self, write, bumps):
-        """Each writer that can change a table or the index starts a new
-        epoch; a beacon's re-stamp does not."""
+        """Each write that changes a table or the index starts a new
+        epoch; a beacon's re-stamp, or an install of the clusters already
+        held, does not."""
         cs = manual_clusters({0: {0: {1, 2}}})
         before = cs.epoch
         write(cs)
         assert cs.epoch == before + bumps
+
+    def test_install_of_the_held_table_only_restamps(self):
+        s = clique_state(4)
+        cs = manual_clusters({0: {0: {1, 2}, 3: set()}})
+        before = cs.epoch
+        cs.install(0, {0: {1, 2}}, 5.0)
+        assert cs.epoch == before
+        assert cs.levels == {0: {0: {1, 2}, 3: set()}}
+        assert cs.last_heard == {(0, 0, 1): 5.0, (0, 0, 2): 5.0}
+        clustering.check_invariants(s, cs)
+
+    def test_install_leaves_clusters_outside_its_nodes(self):
+        """Node 2 leaves head 0 for head 5, and head 3's cluster is
+        dissolved with its member 4; head 6's cluster stays as it was."""
+        cs = manual_clusters({0: {0: {1, 2}, 3: {4}, 6: {7}}})
+        cs.install(0, {5: {2, 3}}, 2.0)
+        assert cs.levels == {0: {0: {1}, 6: {7}, 5: {2, 3}}}
+        assert cs.last_heard == {(0, 0, 1): 0.0, (0, 6, 7): 0.0,
+                                 (0, 5, 2): 2.0, (0, 5, 3): 2.0}
+        assert [cs.head_of(n, 0) for n in range(8)] == [0, 0, 5, 5, None,
+                                                       5, 6, 6]
+
+    def test_install_of_nothing_creates_the_level(self):
+        s = clique_state(2)
+        cs = manual_clusters({0: {0: {1}}})
+        before = cs.epoch
+        cs.install(1, {}, 1.0)
+        assert cs.epoch == before and cs.levels[1] == {}
+        assert cs.participants(1) == set()
+        clustering.check_invariants(s, cs)
 
     def test_invariants_catch_an_edit_past_the_writers(self):
         s = clique_state(3)

@@ -11,8 +11,12 @@ of an election's draws.  ``reference_head_of`` and ``reference_participants`` sc
 the cluster tables instead of reading the head index,
 ``reference_cover_orphans`` tests every live node's eligibility, and
 ``reference_beacon_tick`` tests each member's liveness and counts its
-packets one by one.  Each must give the same result, in the same order,
-as the code it stands in for.
+packets one by one.  ``reference_scoped_election`` writes its election's
+result by its own dissolve, leave and join calls instead of through
+`ClusterState.install`, and ``reference_run_cycle`` ends a repair round
+when a copy of every cluster table taken before it compares equal after
+it, instead of reading the hierarchy epoch.  Each must give the same
+result, in the same order, as the code it stands in for.
 """
 
 import math
@@ -30,7 +34,7 @@ from antmanet.clustering import (ClusterState, WeightParams,
 from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, ScenarioConfig)
 from antmanet.engine import Simulator, format_record
-from antmanet.maintenance import MaintenanceManager, MembershipEvent
+from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState
 
 from helpers import add_node, make_state, manual_clusters
@@ -224,6 +228,56 @@ def reference_best_head_in_range(self, level, node):
     weights = reference_weight_table(self.state, level, participants,
                                      self.wparams)
     return max(heads, key=lambda h: (weights[h], -h))
+
+
+def reference_scoped_election(self, level, nodes, now, case):
+    clusters = self.clusters
+    nodes = sorted(n for n in nodes
+                   if clustering.eligible(self.state, clusters, n, level))
+    if not nodes:
+        return
+    try:
+        elected = clustering.select_cluster_heads(
+            self.state, clusters, level, self.wparams, self.rng,
+            participants=nodes)
+    except clustering.ElectionError:
+        self.trace({"kind": "maintenance", "t": now, "case": case,
+                    "level": level, "error": "election-failed"})
+        return
+    node_set = set(nodes)
+    table = clusters.levels.get(level, {})
+    for h in list(table):
+        if h in node_set:
+            clusters.dissolve(level, h)
+        else:
+            for m in table[h] & node_set:
+                clusters.leave(level, h, m)
+    for h, members in elected.items():
+        clusters.join(level, h, members, now)
+    self.stats[f"elections_l{level}"] += len(elected)
+    self.trace({"kind": "election", "t": now, "level": level,
+                "case": case, "heads": sorted(elected)})
+
+
+def reference_run_cycle(self, now, max_rounds=8):
+    for level in sorted(self.clusters.levels):
+        for head in sorted(self.clusters.heads(level)):
+            self.beacon_tick(head, level, now)
+    for _ in range(max_rounds):
+        before = {level: {head: set(members)
+                          for head, members in table.items()}
+                  for level, table in self.clusters.levels.items()}
+        for ev in self.detect_changes(now):
+            self.handle_membership_change(ev, now)
+        self._cover_orphans(0, now, case=CASES["head_left"][0])
+        for ev in self.detect_head_merges(now):
+            self.handle_membership_change(ev, now)
+        self.propagate_hierarchy_change(now)
+        self.check_reelection(now)
+        if self.clusters.levels == before:
+            break
+    else:
+        self.stats["round_cap_hits"] += 1
 
 
 def _clustered_layout(seed, n, span, dead_share):
@@ -456,6 +510,9 @@ def test_mobile_run_matches_references(monkeypatch, theta_w):
                         reference_cover_orphans)
     monkeypatch.setattr(MaintenanceManager, "beacon_tick",
                         reference_beacon_tick)
+    monkeypatch.setattr(MaintenanceManager, "_scoped_election",
+                        reference_scoped_election)
+    monkeypatch.setattr(MaintenanceManager, "run_cycle", reference_run_cycle)
     ref, ref_stats = _trace(theta_w)
     assert fast_stats == ref_stats
     assert fast == ref
