@@ -83,21 +83,24 @@ def link_expiration_time(a, b, range_m):
     """Time until two nodes moving at constant velocity drift out of range.
 
     Solves |dp + t*dv| = range_m for the positive root; returns +inf when
-    the relative velocity is zero.  The pair must currently be in range.
+    the relative velocity is zero.  The pair must currently be in range, to
+    within a relative 1e-9 of range_m**2: a pair that `hypot` puts in range
+    can have a squared distance a few ulps of range_m**2 beyond it.
     """
     dpx = a.position[0] - b.position[0]
     dpy = a.position[1] - b.position[1]
     dvx = a.velocity[0] - b.velocity[0]
     dvy = a.velocity[1] - b.velocity[1]
-    c = dpx * dpx + dpy * dpy - range_m * range_m
-    if c > 1e-9:
+    r2 = range_m * range_m
+    c = dpx * dpx + dpy * dpy - r2
+    if c > 1e-9 * r2:
         raise ValueError("nodes are not currently within range")
     a2 = dvx * dvx + dvy * dvy
     if a2 == 0.0:
         return math.inf
     bq = 2.0 * (dpx * dvx + dpy * dvy)
     disc = bq * bq - 4.0 * a2 * c
-    t = (-bq + math.sqrt(disc)) / (2.0 * a2)
+    t = (-bq + math.sqrt(max(disc, 0.0))) / (2.0 * a2)
     return max(t, 0.0)
 
 

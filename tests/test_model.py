@@ -112,6 +112,21 @@ class TestLinkExpirationTime:
         with pytest.raises(ValueError):
             link_expiration_time(a, b, 10.0)
 
+    @pytest.mark.parametrize("moving, let", [(False, math.inf), (True, 0.0)],
+                             ids=["at_rest", "moving_tangentially"])
+    def test_linked_pair_at_a_large_range(self, moving, let):
+        """`hypot` puts this pair within 20 km, but its squared distance
+        lies an ulp of r**2 beyond, far more than 1e-9 m**2.  Moving at
+        right angles to their offset, the pair's discriminant is that ulp
+        below 0."""
+        x, y = 17531.363696268392, -9625.553851553826
+        s = make_state()
+        add_node(s, 0, (0.0, 0.0), tx_range=(20000.0,))
+        add_node(s, 1, (x, y), tx_range=(20000.0,),
+                 vel=(-y, x) if moving else (0.0, 0.0))
+        assert s.linked(0, 1, 0)
+        assert s.link(0, 1, 0).let == let
+
     def test_random_kinematics_match_bisection(self):
         rng = random.Random(3)
         for _ in range(50):
