@@ -2,10 +2,8 @@
 
 from antmanet.clustering import ClusterState
 from antmanet.config import ScenarioConfig
-from antmanet.model import NetworkState, NodeAttributes
+from antmanet.model import DEFAULT_TX_RANGE, NetworkState, NodeAttributes
 from antmanet.routing import Router
-
-RANGES = {0: (100.0,), 1: (100.0, 250.0), 2: (100.0, 250.0, 600.0)}
 
 # The config dataclasses' defaults, for objects built without a scenario.
 DEFAULTS = ScenarioConfig()
@@ -26,7 +24,7 @@ def add_node(state, nid, pos, level=0, energy=100.0, vel=(0.0, 0.0),
              node_delay=0.001, tx_range=None, mobility=0.0):
     state.add_node(nid, NodeAttributes(
         position=pos, velocity=vel, energy=energy, mobility=mobility,
-        max_level=level, tx_range=tx_range or RANGES[level],
+        max_level=level, tx_range=tx_range or DEFAULT_TX_RANGE[level],
         node_delay=node_delay))
     return state
 
