@@ -1,8 +1,7 @@
 """Hierarchical ant-based QoS-aware routing for MANETs, with a
 deterministic discrete-event simulator and CLI harness."""
 
-from .clustering import (ClusterState, WeightParams, ch_pheromone_update,
-                         ch_selection_probability, form_hierarchy,
+from .clustering import (ClusterState, WeightParams, form_hierarchy,
                          node_weight, select_cluster_heads)
 from .config import ScenarioConfig, load_scenario, parse_scenario, serialize
 from .engine import Simulator

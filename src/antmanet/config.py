@@ -201,8 +201,8 @@ _FRACTION = {"lo": 0, "hi": 1}
 _LEVEL = {"lo": 0, "hi": 2}
 
 # Bounds on numbers, keyed by YAML path ("[]" stands for any list index or
-# per-level key l0-l2).  A number not listed may take any finite value.  An
-# "_open" end excludes the bound itself; "code" is the issue code for a
+# per-level key l0-l2).  A number not listed may take any finite value.
+# "lo_open" excludes the lower bound itself; "code" is the issue code for a
 # value outside (default "range").
 _BOUNDS = {
     "duration": _POSITIVE,
@@ -222,9 +222,6 @@ _BOUNDS = {
     "links[].delay": _POSITIVE, "links[].bandwidth": _POSITIVE,
     "link.delay[]": _POSITIVE, "link.bandwidth[]": _POSITIVE,
     "link.jitter": _FRACTION,
-    "weights.rho": {"lo": 0, "hi": 1, "lo_open": True, "hi_open": True,
-                    "code": "rho-range"},
-    "weights.n_iter": _AT_LEAST_ONE,
     "deposit.ref_bandwidth": _POSITIVE, "deposit.ref_energy": _POSITIVE,
     "deposit.ref_let": _POSITIVE, "deposit.ref_delay": _POSITIVE,
     "deposit.let_cap": _POSITIVE,
@@ -284,7 +281,7 @@ def _not_a_number(v):
 
 
 def _number(ctx, v, path, arg, parsed):
-    integer, open_ended, lo, hi, lo_open, hi_open, code = arg
+    integer, open_ended, lo, hi, lo_open, code = arg
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         ctx.err(path, "type", _not_a_number(v))
         return None
@@ -302,8 +299,8 @@ def _number(ctx, v, path, arg, parsed):
         return None
     if lo is not None and (v <= lo if lo_open else v < lo):
         ctx.err(path, code, f"must be {'>' if lo_open else '>='} {lo}")
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        ctx.err(path, code, f"must be {'<' if hi_open else '<='} {hi}")
+    if hi is not None and v > hi:
+        ctx.err(path, code, f"must be <= {hi}")
     return int(v) if integer else float(v)
 
 
@@ -314,8 +311,7 @@ def _number_arg(pattern, integer, default):
     lo, hi = b.get("lo"), b.get("hi")
     return (integer, isinstance(default, float) and math.isinf(default),
             None if lo is None else kind(lo), None if hi is None else kind(hi),
-            b.get("lo_open", False), b.get("hi_open", False),
-            b.get("code", "range"))
+            b.get("lo_open", False), b.get("code", "range"))
 
 
 def _boolean(ctx, v, path, arg, parsed):

@@ -214,8 +214,7 @@ class MaintenanceManager:
             return
         try:
             elected = clustering.select_cluster_heads(
-                self.state, clusters, level, self.wparams, self.rng,
-                participants=nodes)
+                self.state, level, self.wparams, self.rng, participants=nodes)
         except ElectionError:
             self.trace({"kind": "maintenance", "t": now, "case": case,
                         "level": level, "error": "election-failed"})

@@ -45,10 +45,9 @@ def clique_state(n, **node_kw):
     return state
 
 
-def manual_clusters(levels, tau=None):
+def manual_clusters(levels):
     """A ClusterState holding `levels`, every membership heard at 0.0."""
     cs = ClusterState()
     for lvl, table in levels.items():
         cs.install(lvl, {h: set(m) for h, m in table.items()}, 0.0)
-    cs.tau = tau or {}
     return cs

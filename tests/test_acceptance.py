@@ -18,10 +18,8 @@ import networkx as nx
 import pytest
 
 from antmanet import clustering, routing
-from antmanet.clustering import (ClusterState, WeightParams,
-                                 ch_pheromone_update,
-                                 ch_selection_probability, form_hierarchy,
-                                 node_weight, select_cluster_heads)
+from antmanet.clustering import (WeightParams, form_hierarchy, node_weight,
+                                 select_cluster_heads)
 from antmanet.config import BeaconConfig, load_scenario
 from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import MaintenanceManager
@@ -89,17 +87,6 @@ def test_formula_fidelity():
         c, e, m, d = (rng.uniform(0, 10) for _ in range(4))
         got = node_weight(c, e, m, d, WeightParams(*ws))
         assert abs(got - (ws[0] * c + ws[1] * e - ws[2] * m + ws[3] * d)) < 1e-9
-
-    for _ in range(100):
-        tau = [rng.uniform(0.01, 5) for _ in range(rng.randint(1, 10))]
-        probs = ch_selection_probability(tau)
-        s = sum(tau)
-        assert all(abs(p - t / s) < 1e-9 for p, t in zip(probs, tau))
-
-    for _ in range(100):
-        tau, rho, w = rng.uniform(0, 10), rng.uniform(0.01, 0.99), rng.uniform(0, 10)
-        assert abs(ch_pheromone_update(tau, rho, w)
-                   - ((1 - rho) * tau + rho * w)) < 1e-9
 
     for _ in range(100):
         n = rng.randint(2, 8)
@@ -194,13 +181,12 @@ def test_clustering_coverage():
 
 
 # ---------------------------------------------------------------------------
-# 3. Argmax election and pheromone convergence
+# 3. Argmax election
 
 
 @report("3 (argmax election)")
 def test_argmax_election():
     energy_only = WeightParams(w1=0.0, w2=1.0, w3=0.0, w4=0.0)
-    wins = 0
     for seed in range(100):
         rng = random.Random(seed)
         state = make_state()
@@ -208,26 +194,9 @@ def test_argmax_election():
         for i, e in enumerate(energies):
             add_node(state, i, (i * 5.0, 0.0), energy=float(e))
         best = max(range(5), key=lambda i: energies[i])
-        table = select_cluster_heads(state, ClusterState(), 0, energy_only,
+        table = select_cluster_heads(state, 0, energy_only,
                                      random.Random(seed), range(5))
-        if set(table) == {best}:
-            wins += 1
-    assert wins >= 95, f"maximal-weight node elected in only {wins}/100 runs"
-
-    # Closed-form geometric oracle for the reinforcement recurrence.
-    rng = random.Random(5)
-    for _ in range(50):
-        tau0, w = rng.uniform(0, 10), rng.uniform(0, 10)
-        rho = rng.uniform(0.2, 0.95)  # (1-rho)^100 * 10 < 1e-6 needs rho >= 0.15
-        tau = tau0
-        converged = None
-        for n in range(1, 101):
-            tau = ch_pheromone_update(tau, rho, w)
-            closed = w + (1 - rho) ** n * (tau0 - w)
-            assert abs(tau - closed) < 1e-9
-            if converged is None and abs(tau - w) < 1e-6:
-                converged = n
-        assert converged is not None and converged <= 100
+        assert set(table) == {best}, f"seed {seed} elected {sorted(table)}"
 
 
 # ---------------------------------------------------------------------------

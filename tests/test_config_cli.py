@@ -91,11 +91,6 @@ class TestParsing:
             parse_scenario("weights: {w1: 0.5, w2: 0.5, w3: 0.5, w4: 0.5}")
         assert "weight-sum" in codes(exc)
 
-    def test_rho_range_rejected(self):
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario("weights: {rho: 1.5}")
-        assert "rho-range" in codes(exc)
-
     def test_q_range_rejected(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("pheromone: {q: 0.0}")
@@ -120,6 +115,18 @@ class TestParsing:
             parse_scenario(f"{section}: {{{key}: 2}}")
         assert [(p, c) for p, c, _ in exc.value.issues] == [
             (path, "unknown-key")]
+
+    @pytest.mark.parametrize("text", ["rho: 0.5", "n_iter: 100",
+                                      "theta_tau: 0"],
+                             ids=lambda text: text.split(":")[0])
+    def test_election_colony_key_is_unknown_key(self, text):
+        # Heads are elected by weight alone, so the election has no
+        # pheromone and a scenario that still tunes it fails loudly.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"weights: {{{text}}}")
+        key = text.split(":")[0]
+        assert [(p, c) for p, c, _ in exc.value.issues] == [
+            (f"weights.{key}", "unknown-key")]
 
     def test_tx_range_must_increase(self):
         with pytest.raises(ScenarioError) as exc:
@@ -154,8 +161,8 @@ class TestParsing:
 
     def test_multiple_issues_reported_together(self):
         with pytest.raises(ScenarioError) as exc:
-            parse_scenario("weights: {rho: 2.0}\npheromone: {q: 0.0}")
-        assert {"rho-range", "q-range"} <= codes(exc)
+            parse_scenario("beacon: {miss_threshold: 0}\npheromone: {q: 0.0}")
+        assert {"miss-threshold", "q-range"} <= codes(exc)
 
     def test_version_gate(self):
         with pytest.raises(ScenarioError) as exc:
@@ -300,7 +307,6 @@ NON_FINITE = [
     ("link: {delay: {l0: .nan}}", "link.delay.l0"),
     ("link: {bandwidth: {l2: .inf}}", "link.bandwidth.l2"),
     ("weights: {theta_w: .nan}", "weights.theta_w"),
-    ("weights: {theta_tau: .nan}", "weights.theta_tau"),
     (TWO_NODES + "flows: [{src: 0, dst: 1, qos: {max_delay: .nan}}]",
      "flows[0].qos.max_delay"),
 ]
@@ -316,10 +322,9 @@ class TestNonFinite:
 
     def test_infinite_defaults_may_stay_infinite(self):
         cfg = parse_scenario(
-            TWO_NODES + "weights: {theta_w: .inf, theta_tau: -.inf}\n"
+            TWO_NODES + "weights: {theta_w: .inf}\n"
             "flows: [{src: 0, dst: 1, qos: {max_delay: .inf}}]")
         assert cfg.weights.theta_w == math.inf
-        assert cfg.weights.theta_tau == -math.inf
         assert cfg.flows[0].qos.max_delay == math.inf
 
 

@@ -6,8 +6,7 @@ level's full weight table on every call, ``reference_detect_head_merges``
 tests every head pair, ``reference_build_adjacency`` concatenates the
 candidate lists per node and tests ``d <= min(ra, rb)``, and
 ``reference_elect`` and ``reference_best_head_in_range`` test every head
-for each node, and ``reference_reinforce`` draws and updates on every one
-of an election's draws.  ``reference_head_of`` and ``reference_participants`` scan
+for each node.  ``reference_head_of`` and ``reference_participants`` scan
 the cluster tables instead of reading the head index,
 ``reference_cover_orphans`` tests every live node's eligibility, and
 ``reference_beacon_tick`` tests each member's liveness and counts its
@@ -24,7 +23,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antmanet import clustering
@@ -169,42 +168,17 @@ def reference_build_adjacency(self, level):
     return adj
 
 
-def reference_weighted_draw(rng, items, weights):
-    total = sum(weights)
-    x = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if x <= acc:
-            return item
-    return items[-1]
-
-
-def reference_reinforce(rng, taus, weights, rho, n_iter):
-    for _ in range(n_iter):
-        k = clustering._weighted_draw(rng, taus)
-        taus[k] = clustering.ch_pheromone_update(taus[k], rho, weights[k])
-
-
-def reference_elect(state, level, p, rng, participants, tau, weights):
+def reference_elect(state, level, p, rng, participants, weights):
     uncovered = set(participants)
     pset = set(participants)
     heads = []
     while uncovered:
         seed = rng.choice(sorted(uncovered))
         cand = ({seed} | (state.neighbors(seed, level) & pset)) & uncovered
-        order = sorted(cand)
-        if sum(tau[n] for n in order) > 0:
-            for _ in range(p.n_iter):
-                pick = reference_weighted_draw(rng, order,
-                                               [tau[n] for n in order])
-                tau[pick] = clustering.ch_pheromone_update(tau[pick], p.rho,
-                                                           weights[pick])
-        eligible = [n for n in order
-                    if weights[n] >= p.theta_w and tau[n] >= p.theta_tau]
+        eligible = [n for n in sorted(cand) if weights[n] >= p.theta_w]
         if not eligible:
             raise clustering.ElectionError("no candidate")
-        head = max(eligible, key=lambda n: (weights[n], tau[n], -n))
+        head = max(eligible, key=lambda n: (weights[n], -n))
         heads.append(head)
         uncovered -= {head} | (state.neighbors(head, level) & uncovered)
     clusters = {h: set() for h in heads}
@@ -238,8 +212,7 @@ def reference_scoped_election(self, level, nodes, now, case):
         return
     try:
         elected = clustering.select_cluster_heads(
-            self.state, clusters, level, self.wparams, self.rng,
-            participants=nodes)
+            self.state, level, self.wparams, self.rng, participants=nodes)
     except clustering.ElectionError:
         self.trace({"kind": "maintenance", "t": now, "case": case,
                     "level": level, "error": "election-failed"})
@@ -414,25 +387,22 @@ def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
        span=st.sampled_from([150.0, 400.0, 900.0]),
-       dead_share=st.sampled_from([0.0, 0.2]),
-       tau_scale=st.sampled_from([None, 0.5, 3.0]))
-def test_elections_match_head_scans(seed, n, span, dead_share, tau_scale):
-    state, clusters, rng = _clustered_layout(seed, n, span, dead_share)
-    p = WeightParams(n_iter=20)
+       dead_share=st.sampled_from([0.0, 0.2]))
+def test_elections_match_head_scans(seed, n, span, dead_share):
+    state, clusters, _ = _clustered_layout(seed, n, span, dead_share)
+    p = WeightParams()
     for level in (0, 1, 2):
         participants = sorted(nid for nid in state.alive_ids()
                               if state.node(nid).supports(level))
         if not participants:
             continue
         weights = weight_table(state, level, participants, p)
-        tau = {nid: (weights[nid] if tau_scale is None
-                     else tau_scale * rng.random()) for nid in participants}
         runs = []
         for elect in (clustering._elect, reference_elect):
-            draws, run_tau = random.Random(seed), dict(tau)
-            got = elect(state, level, p, draws, participants, run_tau, weights)
+            draws = random.Random(seed)
+            got = elect(state, level, p, draws, participants, weights)
             runs.append((got, [(h, list(m)) for h, m in got.items()],
-                         list(run_tau.items()), draws.random()))
+                         draws.random()))
         assert runs[0] == runs[1]
 
     mgr = MaintenanceManager(state, clusters, None, WeightParams(),
@@ -441,33 +411,6 @@ def test_elections_match_head_scans(seed, n, span, dead_share, tau_scale):
         for nid in sorted(state.nodes):
             assert (mgr._best_head_in_range(level, nid)
                     == reference_best_head_in_range(mgr, level, nid))
-
-
-PHEROMONE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
-                      st.floats(-10.0, 10.0))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(pairs=st.lists(st.tuples(PHEROMONE, PHEROMONE), min_size=1,
-                      max_size=12),
-       cold=st.booleans(),
-       rho=st.one_of(st.just(0.5),
-                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-       n_iter=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
-# A step that only flips a zero's sign still moves the tau.
-@example(pairs=[(-0.0, 0.0)], cold=False, rho=0.5, n_iter=1, seed=0)
-def test_reinforce_matches_every_draw(pairs, cold, rho, n_iter, seed):
-    """Skipping the draws that can move no tau leaves the same taus, bit
-    for bit, and the same RNG state as drawing and updating on each.
-    With `cold`, every tau starts at its weight, as in a cold start."""
-    taus = [t for t, _ in pairs]
-    weights = list(taus) if cold else [w for _, w in pairs]
-    runs = []
-    for reinforce in (clustering._reinforce, reference_reinforce):
-        rng, run_taus = random.Random(seed), list(taus)
-        reinforce(rng, run_taus, weights, rho, n_iter)
-        runs.append(([t.hex() for t in run_taus], rng.getstate()))
-    assert runs[0] == runs[1]
 
 
 def _mobile_config(theta_w):

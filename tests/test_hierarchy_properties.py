@@ -4,7 +4,7 @@ After each cycle, ``check_invariants`` must hold, except that a membership
 may stay out of range for less than the beacon detection bound: that is
 how long maintenance takes to notice it.  No cycle may stop at the round
 cap.  ``check_invariants`` also checks that the last-heard stamps cover
-exactly the current memberships.  Election thresholds stay at their defaults: a finite
+exactly the current memberships.  The election threshold stays at its default: a finite
 ``theta_w`` may leave nodes uncovered on purpose (``election-failed``).
 """
 

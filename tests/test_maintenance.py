@@ -113,18 +113,17 @@ class TestMemberWalkAway:
 
 class TestFailedElection:
     def test_failed_reelection_changes_no_cluster_state(self):
-        # No weight reaches theta_w, so the re-election of head 1 runs its
-        # pheromone draws and then raises ElectionError.
+        # No weight reaches theta_w, so the re-election of head 1 raises
+        # ElectionError.
         state = clique_state(4)
-        clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}},
-                                   tau={0: dict.fromkeys(range(4), 0.5)})
+        clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}})
         records = []
         mgr = MaintenanceManager(state, clusters,
                                  make_router(state, clusters),
                                  WeightParams(theta_w=2.0), random.Random(7),
                                  BeaconConfig(), trace=records.append)
         mgr.beacon_tick(1, 0, 3.0)
-        # The tables, the head index, the stamps and the pheromone.
+        # The tables, the head index and the stamps.
         before = copy.deepcopy(vars(clusters))
         mgr.check_reelection(5.0)
         assert records == [
