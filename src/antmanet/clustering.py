@@ -2,11 +2,13 @@
 
 Each node gets a combined weight from connectivity, residual energy,
 mobility and neighbor distance (mobility counts against it), and the
-election is weight-based clustering as in WCA: per candidate cluster, a
-seeded draw picks an uncovered node, and the head is the heaviest node of
-it and its uncovered neighbors whose weight clears theta_w, the lower id
-on a tie.  Level-1 runs the same procedure among level-0 heads with a
-second interface, level-2 among level-1 heads with a third.
+election is weight-based clustering as in DCA and WCA: walking the
+participants from heaviest to lightest (the lower id on a tie), each node
+not yet covered heads a cluster, which covers its uncovered neighbors, and
+each other node joins its heaviest neighboring head.  A head below
+theta_w fails the election.  No random number is drawn.  Level-1 runs the
+same procedure among level-0 heads with a second interface, level-2 among
+level-1 heads with a third.
 
 `ClusterState` alone stores the memberships, their head index and their
 last-heard stamps, and installs the tables `select_cluster_heads` returns.
@@ -213,48 +215,41 @@ class ClusterState:
         return self._index.get(level, {}).get(node)
 
 
-def _elect(state, level, p, rng, participants, weights):
-    """Core election loop; returns head -> member-set over participants."""
-    uncovered = set(participants)
-    pset = set(participants)
-    heads = []
-    while uncovered:
-        seed = rng.choice(sorted(uncovered))
-        cand = ({seed} | (state.neighbors(seed, level) & pset)) & uncovered
-        qualified = [n for n in cand if weights[n] >= p.theta_w]
-        if not qualified:
-            raise ElectionError(
-                f"no level-{level} candidate clears theta_w")
-        # Both keys are total orders, so a set's iteration order is moot.
-        head = max(qualified, key=lambda n: (weights[n], -n))
-        heads.append(head)
-        uncovered -= {head} | (state.neighbors(head, level) & uncovered)
+def select_cluster_heads(state, level, p, participants):
+    """Run one level's election among `participants`; returns its
+    {head: set of members} table.
 
-    clusters = {h: set() for h in heads}
-    head_set = set(heads)
-    for n in participants:
-        if n in head_set:
+    A greedy walk in (-weight, id) order: each node still uncovered heads
+    a cluster and covers its uncovered neighbors, so a node heads one when
+    no uncovered neighbor outweighs it.  Each other node then joins its
+    heaviest neighboring head, the lower id on a tie."""
+    participants = sorted(participants)
+    weights = weight_table(state, level, participants, p)
+    clusters = {}
+    covered = set()
+    for n in sorted(participants, key=lambda n: (-weights[n], n)):
+        if n in covered:
             continue
-        best = max(state.neighbors(n, level) & head_set,
-                   key=lambda h: (weights[h], -h))
-        clusters[best].add(n)
+        if weights[n] < p.theta_w:
+            raise ElectionError(f"no level-{level} candidate clears theta_w")
+        clusters[n] = set()
+        covered |= state.neighbors(n, level)
+
+    head_set = set(clusters)
+    for n in participants:
+        if n not in head_set:
+            best = max(state.neighbors(n, level) & head_set,
+                       key=lambda h: (weights[h], -h))
+            clusters[best].add(n)
     return clusters
 
 
-def select_cluster_heads(state, level, p, rng, participants):
-    """Run one level's election among `participants`; returns its
-    {head: set of members} table."""
-    participants = sorted(participants)
-    return _elect(state, level, p, rng, participants,
-                  weight_table(state, level, participants, p))
-
-
-def form_hierarchy(state, p, rng, now=0.0):
+def form_hierarchy(state, p, now=0.0):
     """Elect and install level 0, then level 1 among its multi-interface
     heads, then level 2; returns the new ClusterState."""
     clusters = ClusterState()
     for level in (0, 1, 2):
-        table = select_cluster_heads(state, level, p, rng,
+        table = select_cluster_heads(state, level, p,
                                      candidates(state, clusters, level))
         clusters.install(level, table, now)
     return clusters

@@ -2,8 +2,9 @@
 
 A single heap-ordered event queue drives elections, beacons, mobility,
 pheromone evaporation and traffic.  All randomness comes from one seed,
-forked per subsystem by fixed labels so adding draws to one subsystem
-never perturbs the others.  Given (config, seed) the trace byte stream is
+forked by fixed labels into the mobility and topology streams (and the
+per-link jitter), so adding draws to one never perturbs the others;
+elections draw none.  Given (config, seed) the trace byte stream is
 identical across runs.
 """
 
@@ -138,7 +139,6 @@ class Simulator:
         # The record sink shared with the router and the maintenance manager.
         self.trace = trace if trace is not None else (lambda record: None)
         seed = config.seed
-        self.rng_election = random.Random(f"{seed}:election")
         self.rng_mobility = random.Random(f"{seed}:mobility")
         self.rng_topology = random.Random(f"{seed}:topology")
         self.now = 0.0
@@ -271,8 +271,8 @@ class Simulator:
         self.trace({"kind": "scenario", "seed": cfg.seed,
                     "duration": cfg.duration,
                     "nodes": len(self.state.nodes), "version": cfg.version})
-        self.clusters = clustering.form_hierarchy(
-            self.state, cfg.weights, self.rng_election, self.now)
+        self.clusters = clustering.form_hierarchy(self.state, cfg.weights,
+                                                  self.now)
         for level in sorted(self.clusters.levels):
             heads = sorted(self.clusters.levels[level])
             self.stats[f"elections_l{level}"] += len(heads)
@@ -285,9 +285,8 @@ class Simulator:
             cache_max_age=cfg.cache.max_age, trace=self.trace,
             stats=self.stats)
         self.manager = MaintenanceManager(
-            self.state, self.clusters, self.router, cfg.weights,
-            self.rng_election, cfg.beacon, trace=self.trace, stats=self.stats,
-            energy_debit=self._apply_energy)
+            self.state, self.clusters, self.router, cfg.weights, cfg.beacon,
+            trace=self.trace, stats=self.stats, energy_debit=self._apply_energy)
 
         periodic = [("beacon", cfg.beacon.interval),
                     ("evaporate", cfg.pheromone.evaporation_interval)]

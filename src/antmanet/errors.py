@@ -35,7 +35,8 @@ class DegenerateRouteError(AntManetError):
 
 
 class ElectionError(AntManetError):
-    """Cluster-head election could not cover all nodes within budget."""
+    """A node left uncovered by a cluster-head election is too light to
+    head a cluster: its weight is below theta_w."""
 
 
 class RoutingError(AntManetError):

@@ -37,7 +37,7 @@ class MembershipEvent:
 
 
 class MaintenanceManager:
-    def __init__(self, state, clusters, router, wparams, rng, beacon,
+    def __init__(self, state, clusters, router, wparams, beacon,
                  trace=lambda record: None, stats=None,
                  energy_debit=lambda node, action: None):
         if beacon.miss_threshold < 1:
@@ -46,7 +46,6 @@ class MaintenanceManager:
         self.clusters = clusters
         self.router = router
         self.wparams = wparams
-        self.rng = rng
         self.beacon = beacon  # a config.BeaconConfig
         self.trace = trace
         self.stats = Counter() if stats is None else stats
@@ -214,7 +213,7 @@ class MaintenanceManager:
             return
         try:
             elected = clustering.select_cluster_heads(
-                self.state, level, self.wparams, self.rng, participants=nodes)
+                self.state, level, self.wparams, participants=nodes)
         except ElectionError:
             self.trace({"kind": "maintenance", "t": now, "case": case,
                         "level": level, "error": "election-failed"})

@@ -1,6 +1,12 @@
-"""Shared builders for hand-crafted network and cluster fixtures."""
+"""Shared builders for hand-crafted network and cluster fixtures, and the
+election oracle."""
 
-from antmanet.clustering import ClusterState
+import dataclasses
+import math
+
+from antmanet.clustering import (ClusterState, select_cluster_heads,
+                                 weight_table)
+from antmanet.errors import ElectionError
 from antmanet.config import ScenarioConfig
 from antmanet.model import DEFAULT_TX_RANGE, NetworkState, NodeAttributes
 from antmanet.routing import Router
@@ -51,3 +57,51 @@ def manual_clusters(levels):
     for lvl, table in levels.items():
         cs.install(lvl, {h: set(m) for h, m in table.items()}, 0.0)
     return cs
+
+
+def checked_election(state, level, p, participants):
+    """`select_cluster_heads`, its result checked against the rule rather
+    than against the loop.  Under the order (weight, -id):
+
+    - the heads form an independent set;
+    - each participant is a head or a member of exactly one head's cluster,
+      the heaviest head among its neighbors;
+    - a neighbor that outweighs a head belongs to a head that outweighs it.
+
+    These single out one table: the heaviest participant must head, and so,
+    in decreasing order, must each one no heavier head neighbors.  Every
+    head clears theta_w, and the election fails only when the one without
+    a threshold has a head that does not."""
+    participants = sorted(participants)
+    try:
+        table = select_cluster_heads(state, level, p, participants)
+    except ElectionError:
+        free = checked_election(state, level,
+                                dataclasses.replace(p, theta_w=-math.inf),
+                                participants)
+        weights = weight_table(state, level, participants, p)
+        assert min(weights[h] for h in free) < p.theta_w
+        raise
+    weights = weight_table(state, level, participants, p)
+
+    def key(n):
+        return (weights[n], -n)
+
+    pset = set(participants)
+    heads = set(table)
+    head_of = {m: h for h, members in table.items() for m in members}
+    assert sorted([*heads, *head_of]) == participants
+    assert sum(map(len, table.values())) == len(head_of)
+    for h in heads:
+        assert weights[h] >= p.theta_w
+        near = state.neighbors(h, level) & pset
+        assert not near & heads, f"adjacent heads at level {level}"
+        for m in near:
+            if key(m) > key(h):
+                assert key(head_of[m]) > key(m), \
+                    f"{m} outweighs head {h} and its own head"
+    for m, h in head_of.items():
+        near = state.neighbors(m, level) & heads
+        assert h == max(near, key=key, default=None), \
+            f"member {m} of {h} is not with its heaviest neighboring head"
+    return table

@@ -175,7 +175,7 @@ def test_clustering_coverage():
             add_node(state, i, (rng.uniform(0, arena), rng.uniform(0, arena)),
                      level=rng.choice([0, 0, 0, 1, 2]),
                      energy=rng.uniform(5, 100))
-        clusters = form_hierarchy(state, WeightParams(), random.Random(seed))
+        clusters = form_hierarchy(state, WeightParams())
         clustering.check_invariants(state, clusters)
     assert time.monotonic() - started < 30.0
 
@@ -194,8 +194,7 @@ def test_argmax_election():
         for i, e in enumerate(energies):
             add_node(state, i, (i * 5.0, 0.0), energy=float(e))
         best = max(range(5), key=lambda i: energies[i])
-        table = select_cluster_heads(state, 0, energy_only,
-                                     random.Random(seed), range(5))
+        table = select_cluster_heads(state, 0, energy_only, range(5))
         assert set(table) == {best}, f"seed {seed} elected {sorted(table)}"
 
 
@@ -317,11 +316,10 @@ def test_hierarchical_reachability():
 # 6. Maintenance closure for every structural case
 
 
-def _manager_for(state, clusters, seed=11):
+def _manager_for(state, clusters):
     router = make_router(state, clusters)
-    mgr = MaintenanceManager(state, clusters, router, WeightParams(),
-                             random.Random(seed), BeaconConfig())
-    return mgr
+    return MaintenanceManager(state, clusters, router, WeightParams(),
+                              BeaconConfig())
 
 
 def _cycle_until(mgr, bound):

@@ -5,8 +5,7 @@ group maximum, ``reference_check_reelection_triggers`` builds every
 level's full weight table on every call, ``reference_detect_head_merges``
 tests every head pair, ``reference_build_adjacency`` concatenates the
 candidate lists per node and tests ``d <= min(ra, rb)``, and
-``reference_elect`` and ``reference_best_head_in_range`` test every head
-for each node.  ``reference_head_of`` and ``reference_participants`` scan
+``reference_best_head_in_range`` tests every head for each node.  ``reference_head_of`` and ``reference_participants`` scan
 the cluster tables instead of reading the head index,
 ``reference_cover_orphans`` tests every live node's eligibility, and
 ``reference_beacon_tick`` tests each member's liveness and counts its
@@ -16,6 +15,10 @@ result by its own dissolve, leave and join calls instead of through
 when a copy of every cluster table taken before it compares equal after
 it, instead of reading the hierarchy epoch.  Each must give the same
 result, in the same order, as the code it stands in for.
+
+Elections have no reference loop: ``helpers.checked_election`` checks each
+table against the rule it implements, on random layouts and on every
+election of the mobile runs.
 """
 
 import math
@@ -36,7 +39,7 @@ from antmanet.engine import Simulator, format_record
 from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState
 
-from helpers import add_node, make_state, manual_clusters
+from helpers import add_node, checked_election, make_state, manual_clusters
 
 
 def reference_weight_table(state, level, participants, p):
@@ -168,30 +171,6 @@ def reference_build_adjacency(self, level):
     return adj
 
 
-def reference_elect(state, level, p, rng, participants, weights):
-    uncovered = set(participants)
-    pset = set(participants)
-    heads = []
-    while uncovered:
-        seed = rng.choice(sorted(uncovered))
-        cand = ({seed} | (state.neighbors(seed, level) & pset)) & uncovered
-        eligible = [n for n in sorted(cand) if weights[n] >= p.theta_w]
-        if not eligible:
-            raise clustering.ElectionError("no candidate")
-        head = max(eligible, key=lambda n: (weights[n], -n))
-        heads.append(head)
-        uncovered -= {head} | (state.neighbors(head, level) & uncovered)
-    clusters = {h: set() for h in heads}
-    head_set = set(heads)
-    for n in participants:
-        if n in head_set:
-            continue
-        in_range = [h for h in heads if n in state.neighbors(h, level)]
-        best = max(in_range, key=lambda h: (weights[h], -h))
-        clusters[best].add(n)
-    return clusters
-
-
 def reference_best_head_in_range(self, level, node):
     heads = [h for h in sorted(self.clusters.heads(level))
              if self.state.node(h).alive
@@ -212,7 +191,7 @@ def reference_scoped_election(self, level, nodes, now, case):
         return
     try:
         elected = clustering.select_cluster_heads(
-            self.state, level, self.wparams, self.rng, participants=nodes)
+            self.state, level, self.wparams, participants=nodes)
     except clustering.ElectionError:
         self.trace({"kind": "maintenance", "t": now, "case": case,
                     "level": level, "error": "election-failed"})
@@ -264,7 +243,7 @@ def _clustered_layout(seed, n, span, dead_share):
                  level=rng.choice([0, 0, 1, 1, 2]),
                  energy=rng.uniform(1.0, 100.0),
                  mobility=rng.uniform(0.0, 5.0))
-    clusters = form_hierarchy(state, WeightParams(), rng)
+    clusters = form_hierarchy(state, WeightParams())
     for nid, attrs in state.nodes.items():
         attrs.energy *= rng.choice([1.0, 0.05])
         if rng.random() < dead_share:
@@ -374,7 +353,7 @@ def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
 
     def run(detect):
         mgr = MaintenanceManager(state, clusters, None, WeightParams(),
-                                 random.Random(0), BeaconConfig())
+                                 BeaconConfig())
         mgr._merge_attempted = set(tried)
         return detect(mgr, 0.0), mgr._merge_attempted
 
@@ -387,26 +366,25 @@ def test_head_merges_match_all_pairs_scan(seed, n, span, head_share,
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
        span=st.sampled_from([150.0, 400.0, 900.0]),
-       dead_share=st.sampled_from([0.0, 0.2]))
-def test_elections_match_head_scans(seed, n, span, dead_share):
+       dead_share=st.sampled_from([0.0, 0.2]),
+       theta_w=st.sampled_from([-math.inf, 0.0, 0.3]))
+def test_elections_match_head_scans(seed, n, span, dead_share, theta_w):
+    """Each level's election over the live nodes with its interface obeys
+    the rule, and orphan adoption picks the head a scan of every head
+    picks."""
     state, clusters, _ = _clustered_layout(seed, n, span, dead_share)
-    p = WeightParams()
+    p = WeightParams(theta_w=theta_w)
     for level in (0, 1, 2):
-        participants = sorted(nid for nid in state.alive_ids()
-                              if state.node(nid).supports(level))
-        if not participants:
-            continue
-        weights = weight_table(state, level, participants, p)
-        runs = []
-        for elect in (clustering._elect, reference_elect):
-            draws = random.Random(seed)
-            got = elect(state, level, p, draws, participants, weights)
-            runs.append((got, [(h, list(m)) for h, m in got.items()],
-                         draws.random()))
-        assert runs[0] == runs[1]
+        participants = [nid for nid in state.alive_ids()
+                        if state.node(nid).supports(level)]
+        if participants:
+            try:
+                checked_election(state, level, p, participants)
+            except clustering.ElectionError:
+                pass
 
     mgr = MaintenanceManager(state, clusters, None, WeightParams(),
-                             random.Random(0), BeaconConfig())
+                             BeaconConfig())
     for level in (0, 1, 2):
         for nid in sorted(state.nodes):
             assert (mgr._best_head_in_range(level, nid)
@@ -456,6 +434,7 @@ def test_mobile_run_matches_references(monkeypatch, theta_w):
     monkeypatch.setattr(MaintenanceManager, "_scoped_election",
                         reference_scoped_election)
     monkeypatch.setattr(MaintenanceManager, "run_cycle", reference_run_cycle)
+    monkeypatch.setattr(clustering, "select_cluster_heads", checked_election)
     ref, ref_stats = _trace(theta_w)
     assert fast_stats == ref_stats
     assert fast == ref

@@ -4,9 +4,13 @@ After each cycle, ``check_invariants`` must hold, except that a membership
 may stay out of range for less than the beacon detection bound: that is
 how long maintenance takes to notice it.  No cycle may stop at the round
 cap.  ``check_invariants`` also checks that the last-heard stamps cover
-exactly the current memberships.  The election threshold stays at its default: a finite
-``theta_w`` may leave nodes uncovered on purpose (``election-failed``).
+exactly the current memberships.  Every election, the initial ones and
+maintenance's, must obey the rule ``helpers.checked_election`` checks.
+The election threshold stays at its default: a finite ``theta_w`` may
+leave nodes uncovered on purpose (``election-failed``).
 """
+
+from unittest import mock
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,8 @@ from antmanet import clustering
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
 from antmanet.engine import Simulator
+
+from helpers import checked_election
 
 
 class StrayTolerantState:
@@ -37,12 +43,18 @@ class StrayTolerantState:
 
 
 class CheckedSimulator(Simulator):
-    """Checks the hierarchy after every beacon cycle."""
+    """Checks every election, and the hierarchy after every beacon
+    cycle."""
 
     def __init__(self, config):
         super().__init__(config)
         # (level, head, member) -> the first cycle that found it out of range
         self.stray_since = {}
+
+    def run(self):
+        with mock.patch.object(clustering, "select_cluster_heads",
+                               checked_election):
+            return super().run()
 
     def _handle_beacon(self, payload):
         super()._handle_beacon(payload)

@@ -1,5 +1,4 @@
 import copy
-import random
 
 import pytest
 
@@ -12,10 +11,9 @@ from helpers import (add_node, clique_state, make_router, make_state,
                      manual_clusters)
 
 
-def manager(state, clusters, seed=7):
+def manager(state, clusters):
     return MaintenanceManager(state, clusters, make_router(state, clusters),
-                              WeightParams(), random.Random(seed),
-                              BeaconConfig())
+                              WeightParams(), BeaconConfig())
 
 
 def walkaway_world():
@@ -62,8 +60,7 @@ class TestBeaconing:
         clusters = manual_clusters({0: {1: {0}}})
         with pytest.raises(ValueError):
             MaintenanceManager(state, clusters, make_router(state, clusters),
-                               WeightParams(), random.Random(0),
-                               BeaconConfig(miss_threshold=0))
+                               WeightParams(), BeaconConfig(miss_threshold=0))
 
 
 class TestMemberWalkAway:
@@ -120,8 +117,8 @@ class TestFailedElection:
         records = []
         mgr = MaintenanceManager(state, clusters,
                                  make_router(state, clusters),
-                                 WeightParams(theta_w=2.0), random.Random(7),
-                                 BeaconConfig(), trace=records.append)
+                                 WeightParams(theta_w=2.0), BeaconConfig(),
+                                 trace=records.append)
         mgr.beacon_tick(1, 0, 3.0)
         # The tables, the head index and the stamps.
         before = copy.deepcopy(vars(clusters))
