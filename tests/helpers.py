@@ -6,8 +6,8 @@ import math
 
 from antmanet.clustering import (ClusterState, select_cluster_heads,
                                  weight_table)
-from antmanet.errors import ElectionError
 from antmanet.config import ScenarioConfig
+from antmanet.errors import ElectionError
 from antmanet.model import DEFAULT_TX_RANGE, NetworkState, NodeAttributes
 from antmanet.routing import Router
 

@@ -5,8 +5,9 @@ group maximum, ``reference_check_reelection_triggers`` builds every
 level's full weight table on every call, ``reference_detect_head_merges``
 tests every head pair, ``reference_build_adjacency`` concatenates the
 candidate lists per node and tests ``d <= min(ra, rb)``, and
-``reference_best_head_in_range`` tests every head for each node.  ``reference_head_of`` and ``reference_participants`` scan
-the cluster tables instead of reading the head index,
+``reference_best_head_in_range`` tests every head for each node.
+``reference_head_of`` and ``reference_participants`` scan the cluster
+tables instead of reading the head index,
 ``reference_cover_orphans`` tests every live node's eligibility, and
 ``reference_beacon_tick`` tests each member's liveness and counts its
 packets one by one.  ``reference_scoped_election`` writes its election's
@@ -377,11 +378,10 @@ def test_elections_match_head_scans(seed, n, span, dead_share, theta_w):
     for level in (0, 1, 2):
         participants = [nid for nid in state.alive_ids()
                         if state.node(nid).supports(level)]
-        if participants:
-            try:
-                checked_election(state, level, p, participants)
-            except clustering.ElectionError:
-                pass
+        try:
+            checked_election(state, level, p, participants)
+        except clustering.ElectionError:
+            pass
 
     mgr = MaintenanceManager(state, clusters, None, WeightParams(),
                              BeaconConfig())
