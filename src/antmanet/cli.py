@@ -18,7 +18,10 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .config import load_scenario
-from .engine import Simulator, format_record
+from .engine import Simulator, TraceWriter
+# Still a name of this module, so that code which wraps or calls
+# cli.format_record keeps working; the trace goes through TraceWriter.
+from .engine import format_record  # noqa: F401
 from .errors import AntManetError, ScenarioError
 
 
@@ -61,12 +64,7 @@ def _run_one(cfg, stem, out_dir, with_trace):
     record is written to the trace file as the run emits it."""
     with (_atomic(out_dir / f"{stem}.trace") if with_trace
           else nullcontext()) as f:
-        trace = None
-        if with_trace:
-            write = f.write
-
-            def trace(record):
-                write(format_record(record) + "\n")
+        trace = TraceWriter(f.write) if with_trace else None
         summary = {"scenario": stem, "seed": cfg.seed,
                    **Simulator(cfg, trace=trace).run()}
         _write_atomic(out_dir / f"{stem}.summary.json",

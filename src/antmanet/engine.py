@@ -119,7 +119,10 @@ _iterencode = _c_encoder()
 
 
 def format_record(record):
-    """Canonical one-line encoding used for golden-trace comparisons."""
+    """Canonical one-line encoding of a trace record: sorted keys, no
+    spaces, ASCII only, as ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` writes it.  `TraceWriter` encodes each line
+    of a trace through here, a repeated record only once per run."""
     global _iterencode
     if _iterencode is None:
         return _ENCODER.encode(record)
@@ -133,11 +136,57 @@ def format_record(record):
         raise
 
 
+class TraceWriter:
+    """The trace sink that writes each record as one line, `format_record`
+    of it and a newline, through `write`.
+
+    A sink is called as ``sink(record, key=None)``.  A keyed record has the
+    same fields and values as every earlier record with its key, apart
+    from "t"; "t" is its largest key and a float (not a subclass) that is
+    finite.  So the first record with a key is encoded up to "t", and every
+    record with that key is written as that text and its own "t".  The
+    cache lasts as long as the writer, which serves one run.
+    """
+
+    def __init__(self, write):
+        self._write = write
+        self._heads = {}  # key -> the record's line up to the value of "t"
+        # The last "t" seen and the text that ends its lines.  The records
+        # of one event share the clock's float object, so it recurs.
+        self._t = object()
+        self._t_end = None
+
+    def __call__(self, record, key=None):
+        if key is None:
+            self._write(format_record(record) + "\n")
+            return
+        head = self._heads.get(key)
+        if head is None:
+            if max(record) != "t":
+                raise ValueError(
+                    f'"t" is not the largest key of keyed record {record!r}')
+            rest = record.copy()
+            del rest["t"]
+            head = format_record(rest)[:-1] + (',"t":' if rest else '"t":')
+            self._heads[key] = head
+        t = record["t"]
+        if t is not self._t:
+            # json writes a finite float as repr does, but not an int, a
+            # non-finite float or a float subclass with its own repr.
+            if not (type(t) is float and math.isfinite(t)):
+                raise ValueError(f'"t" of keyed record {record!r} is not a '
+                                 "finite float")
+            self._t, self._t_end = t, repr(t) + "}\n"
+        self._write(head + self._t_end)
+
+
 class Simulator:
     def __init__(self, config, trace=None):
         self.config = config
-        # The record sink shared with the router and the maintenance manager.
-        self.trace = trace if trace is not None else (lambda record: None)
+        # The record sink shared with the router and the maintenance
+        # manager, called as trace(record, key=None); see TraceWriter.
+        self.trace = (trace if trace is not None
+                      else (lambda record, key=None: None))
         seed = config.seed
         self.rng_mobility = random.Random(f"{seed}:mobility")
         self.rng_topology = random.Random(f"{seed}:topology")
@@ -231,7 +280,8 @@ class Simulator:
             return
         except RoutingError:
             fstats["failed"] += 1
-            self.trace({"kind": "no_route", "t": self.now, "flow": flow_idx})
+            self.trace({"kind": "no_route", "t": self.now, "flow": flow_idx},
+                       ("no_route", flow_idx))
             return
         fstats["sent"] += 1
         self.schedule(self.now, "packet_at", flow=flow_idx, path=route.path,

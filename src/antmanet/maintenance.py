@@ -38,7 +38,7 @@ class MembershipEvent:
 
 class MaintenanceManager:
     def __init__(self, state, clusters, router, wparams, beacon,
-                 trace=lambda record: None, stats=None,
+                 trace=lambda record, key=None: None, stats=None,
                  energy_debit=lambda node, action: None):
         if beacon.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")

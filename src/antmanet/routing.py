@@ -212,8 +212,8 @@ class Router:
     """Owns the pheromone table and the route cache of every node."""
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
-                 tau_initial, cache_max_age, trace=lambda record: None,
-                 stats=None):
+                 tau_initial, cache_max_age,
+                 trace=lambda record, key=None: None, stats=None):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -320,15 +320,17 @@ class Router:
         # visited stack in reverse, carrying the path's QoS values.  Level 0
         # segments run inside one cluster (Knave ants), the rest across the
         # head overlay (King ants).
-        kind, ends = (("king", ("src_head", "dst_head")) if level
-                      else ("knave", ("src_member", "dst_member")))
+        kind, ends = (("reply_king_ant", ("src_head", "dst_head")) if level
+                      else ("reply_knave_ant", ("src_member", "dst_member")))
         best_per_hop = {}
         for path, fm, nodes in found:
             m = _with_energy(fm, nodes)
-            self.trace({"kind": f"reply_{kind}_ant", "t": now, "packet": {
+            self.trace({"kind": kind, "t": now, "packet": {
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
-                "to_visit": list(reversed(path))}})
+                "to_visit": list(reversed(path))}},
+                (kind, src, dst, path, m.hop_count, m.delay, m.energy, m.let,
+                 m.bandwidth))
             if not qos.admits(m):
                 continue
             j = path[1]
@@ -452,7 +454,9 @@ class Router:
         self.trace({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,
-                    "energy": m.energy, "let": m.let, "hops": m.hop_count})
+                    "energy": m.energy, "let": m.let, "hops": m.hop_count},
+                   ("route_selected", src, dst, path, levels, m.delay,
+                    m.bandwidth, m.energy, m.let, m.hop_count))
         return route
 
     def discover_route(self, src, dst, qos=QosRequirement(), now=0.0):
@@ -492,8 +496,9 @@ class Router:
 
         for sender, target, flag in ants:
             self.stats["route_ants"] += 1
-            self.trace({"kind": "route_ant", "t": now,
-                        "packet": {"src": sender, "dst": target, "flag": flag}})
+            self.trace({"kind": "route_ant", "t": now, "packet": {
+                "src": sender, "dst": target, "flag": flag}},
+                ("route_ant", sender, target, flag))
         if failure is not None:
             raise NoRouteError(failure)
         path, levels = [src], []

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from antmanet.config import load_scenario
-from antmanet.engine import Simulator, format_record
+from antmanet.engine import Simulator, TraceWriter
 
 DATA = Path(__file__).parent / "data"
 CORPUS = sorted((DATA / "digest").glob("*.yaml"))
@@ -30,9 +30,9 @@ def run(scenario):
     if isinstance(scenario, Path):
         scenario = load_scenario(scenario)
     lines = []
-    sim = Simulator(scenario, trace=lambda r: lines.append(format_record(r)))
+    sim = Simulator(scenario, trace=TraceWriter(lines.append))
     sim.run()
-    return "".join(line + "\n" for line in lines), sim
+    return "".join(lines), sim
 
 
 def digest(path):

@@ -15,6 +15,13 @@ from antmanet.routing import Router
 DEFAULTS = ScenarioConfig()
 
 
+def record_sink(records):
+    """A trace sink that appends each record, as its dict, to `records`."""
+    def sink(record, key=None):
+        records.append(record)
+    return sink
+
+
 def make_router(state, clusters, **kw):
     """A Router with the default pheromone and cache settings."""
     kw = {"q": DEFAULTS.pheromone.q, "tau_initial": DEFAULTS.pheromone.initial,

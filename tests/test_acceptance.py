@@ -21,7 +21,7 @@ from antmanet import clustering, routing
 from antmanet.clustering import (WeightParams, form_hierarchy, node_weight,
                                  select_cluster_heads)
 from antmanet.config import BeaconConfig, load_scenario
-from antmanet.engine import Simulator, format_record
+from antmanet.engine import Simulator, TraceWriter
 from antmanet.maintenance import MaintenanceManager
 from antmanet.model import NetworkState, NodeAttributes
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
@@ -30,7 +30,7 @@ from antmanet.routing import (PheromoneTable, PreferenceParams,
                               path_preference_probability)
 
 from helpers import (DEFAULTS, add_node, make_router, make_state,
-                     manual_clusters)
+                     manual_clusters, record_sink)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -445,8 +445,8 @@ def test_maintenance_closure():
 def _run_reference():
     cfg = load_scenario(SCENARIOS / "reference.yaml")
     lines = []
-    Simulator(cfg, trace=lambda r: lines.append(format_record(r))).run()
-    return "".join(line + "\n" for line in lines)
+    Simulator(cfg, trace=TraceWriter(lines.append)).run()
+    return "".join(lines)
 
 
 @report("7 (determinism)")
@@ -479,12 +479,8 @@ def test_conservation_and_safety(monkeypatch):
     assert len(list(cfg.nodes())) == 50
     assert len(cfg.flows) == 10
 
-    replies = []
-    def trace(rec):
-        if rec.get("kind", "").startswith("reply_"):
-            replies.append(rec["packet"]["to_visit"])
-
-    sim = Simulator(cfg, trace=trace)
+    records = []
+    sim = Simulator(cfg, trace=record_sink(records))
     summary = sim.run()
 
     assert summary["packets_sent"] == (summary["packets_delivered"]
@@ -492,6 +488,8 @@ def test_conservation_and_safety(monkeypatch):
                                        + summary["packets_in_flight"])
     assert summary["packets_delivered"] > 0
     assert all(n.energy >= 0.0 for n in sim.state.nodes.values())
+    replies = [rec["packet"]["to_visit"] for rec in records
+               if rec.get("kind", "").startswith("reply_")]
     assert replies, "no ants were emitted"
     for stack in replies:
         assert len(stack) == len(set(stack)), f"duplicate visit in {stack}"

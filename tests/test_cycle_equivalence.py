@@ -36,7 +36,7 @@ from antmanet.clustering import (ClusterState, WeightParams,
                                  weight_table)
 from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, ScenarioConfig)
-from antmanet.engine import Simulator, format_record
+from antmanet.engine import Simulator, TraceWriter
 from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
 from antmanet.model import NetworkState
 
@@ -412,7 +412,7 @@ def _mobile_config(theta_w):
 def _trace(theta_w):
     lines = []
     summary = Simulator(_mobile_config(theta_w),
-                        trace=lambda r: lines.append(format_record(r))).run()
+                        trace=TraceWriter(lines.append)).run()
     return lines, summary
 
 
@@ -439,7 +439,7 @@ def test_mobile_run_matches_references(monkeypatch, theta_w):
     assert fast_stats == ref_stats
     assert fast == ref
     # The run exercises joins (case 2), merges (case 3) and re-elections.
-    cases = "\n".join(fast)
+    cases = "".join(fast)
     for case in ('"case":"2"', '"case":"3"', '"case":"reelect"'):
         assert case in cases
     assert fast_stats["deaths"] > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,11 +13,11 @@ from antmanet import engine
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, Placement, ScenarioConfig,
                              load_scenario, parse_scenario)
-from antmanet.engine import (RandomWaypoint, Simulator, energy_debit,
-                             format_record, mobility_update)
+from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
+                             energy_debit, format_record, mobility_update)
 from antmanet.model import NodeAttributes
 
-from helpers import DEFAULTS
+from helpers import DEFAULTS, record_sink
 
 
 def attrs(pos=(0.0, 0.0), energy=100.0):
@@ -112,7 +113,7 @@ class RelayProbe(Simulator):
         self.selected, self.sends = [], []
         super().__init__(cfg, trace=self.record)
 
-    def record(self, rec):
+    def record(self, rec, key=None):
         if rec["kind"] == "route_selected":
             self.selected.append(rec)
 
@@ -195,7 +196,7 @@ class TestSimulator:
         cfg = two_node_config()
         cfg.flows = [FlowConfig(src=0, dst=1, start=cfg.duration)]
         records = []
-        summary = Simulator(cfg, trace=records.append).run()
+        summary = Simulator(cfg, trace=record_sink(records)).run()
         assert (summary["packets_sent"], summary["packets_in_flight"],
                 summary["packets_delivered"]) == (1, 1, 0)
         assert not [r for r in records if r["kind"] == "delivered"]
@@ -242,8 +243,8 @@ class TestSimulator:
         def run_once():
             lines = []
             Simulator(self._mobile_config(9),
-                      trace=lambda r: lines.append(format_record(r))).run()
-            return "\n".join(lines)
+                      trace=TraceWriter(lines.append)).run()
+            return "".join(lines)
 
         t1, t2 = run_once(), run_once()
         assert t1 == t2
@@ -253,20 +254,37 @@ class TestSimulator:
         def run_once(seed):
             lines = []
             Simulator(self._mobile_config(seed),
-                      trace=lambda r: lines.append(format_record(r))).run()
-            return "\n".join(lines)
+                      trace=TraceWriter(lines.append)).run()
+            return "".join(lines)
 
         assert run_once(9) != run_once(10)
 
     def test_trace_records_are_json_lines(self):
         import json
         lines = []
-        Simulator(two_node_config(),
-                  trace=lambda r: lines.append(format_record(r))).run()
+        Simulator(two_node_config(), trace=TraceWriter(lines.append)).run()
         for line in lines:
             rec = json.loads(line)
             assert "kind" in rec
-            assert "\n" not in line
+            assert line.endswith("\n")
+            assert "\n" not in line[:-1]
+
+    def test_integer_energy_traces_as_a_float(self):
+        # The first route is selected at t = 0, before any beacon debits
+        # energy; the later ones repeat its trace key.
+        cfg = two_node_config()
+        cfg.placements = [dataclasses.replace(p, energy=100)
+                          for p in cfg.placements]
+        cfg.flows = [FlowConfig(src=0, dst=1, start=0.0, packets=3,
+                                interval=1.0)]
+        lines = []
+        Simulator(cfg, trace=TraceWriter(lines.append)).run()
+        selected = [json.loads(line) for line in lines
+                    if '"kind":"route_selected"' in line]
+        assert [r["t"] for r in selected] == [0.0, 1.0, 2.0]
+        for line in lines:
+            if '"kind":"route_selected"' in line:
+                assert '"energy":100.0,' in line
 
 
 # Node 1 relays flow 0 and heads the cluster {0, 1, 2}.  Its energy lasts
@@ -310,7 +328,8 @@ PIN_SUMMARY = {
 class TestSummary:
     def _run(self):
         records = []
-        sim = Simulator(parse_scenario(PIN_SCENARIO), trace=records.append)
+        sim = Simulator(parse_scenario(PIN_SCENARIO),
+                        trace=record_sink(records))
         result = sim.run()
         return sim, result, records
 
@@ -380,9 +399,10 @@ class TestFormatRecord:
 
     def test_reference_trace_matches_json_dumps(self):
         root = Path(__file__).resolve().parents[1]
-        pairs = []
+        records = []
         Simulator(load_scenario(root / "scenarios" / "reference.yaml"),
-                  trace=lambda r: pairs.append((format_record(r), dumps(r)))).run()
+                  trace=record_sink(records)).run()
+        pairs = [(format_record(r), dumps(r)) for r in records]
         golden = (root / "tests" / "data" / "reference.trace").read_text(
             encoding="utf-8").splitlines()
         assert len(pairs) == len(golden)

@@ -8,7 +8,7 @@ from antmanet.config import BeaconConfig
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 
 from helpers import (add_node, clique_state, make_router, make_state,
-                     manual_clusters)
+                     manual_clusters, record_sink)
 
 
 def manager(state, clusters):
@@ -97,7 +97,7 @@ class TestMemberWalkAway:
         assert mgr.handle_membership_change(
             MembershipEvent("member_left", 0, head=1, node=3), 10.0)
         records = []
-        mgr.trace = records.append
+        mgr.trace = record_sink(records)
         mgr.router.pheromone.deposit(0, 0, 3, 3, 1.0)
         levels = {lvl: {h: set(m) for h, m in table.items()}
                   for lvl, table in clusters.levels.items()}
@@ -118,7 +118,7 @@ class TestFailedElection:
         mgr = MaintenanceManager(state, clusters,
                                  make_router(state, clusters),
                                  WeightParams(theta_w=2.0), BeaconConfig(),
-                                 trace=records.append)
+                                 trace=record_sink(records))
         mgr.beacon_tick(1, 0, 3.0)
         # The tables, the head index and the stamps.
         before = copy.deepcopy(vars(clusters))

@@ -9,6 +9,15 @@ from antmanet.model import NodeAttributes, link_expiration_time
 from helpers import add_node, make_state
 
 
+class TestNodeAttributes:
+    @pytest.mark.parametrize("energy", [100, 100.0, -0.0, 0])
+    def test_energy_is_a_float_and_never_negative_zero(self, energy):
+        stored = NodeAttributes(position=(0, 0), energy=energy).energy
+        assert type(stored) is float
+        assert stored == energy
+        assert math.copysign(1.0, stored) == 1.0
+
+
 class TestNeighbors:
     def test_within_range_symmetric(self):
         s = make_state()

@@ -11,7 +11,7 @@ from antmanet.routing import (PheromoneTable, PreferenceParams,
                               path_preference_probability)
 
 from helpers import (DEFAULTS, add_node, line_state, make_router, make_state,
-                     manual_clusters)
+                     manual_clusters, record_sink)
 
 
 def metrics(delay=1.0, bw=2.0, energy=3.0, let=4.0, hops=2):
@@ -121,7 +121,7 @@ def test_ant_trace_records():
     clusters = manual_clusters({0: {10: {0, 1}, 20: {3}}, 1: {20: {10}},
                                 2: {}})
     records = []
-    r = make_router(state, clusters, trace=records.append)
+    r = make_router(state, clusters, trace=record_sink(records))
     r.discover_route(0, 1, now=1.0)
     r.discover_route(0, 3, now=2.0)
     ants = [(rec["kind"], rec["t"], rec["packet"]) for rec in records
@@ -147,7 +147,8 @@ class TestAnts:
     @staticmethod
     def replies(state, level, src, dst):
         records = []
-        r = make_router(state, manual_clusters({0: {}}), trace=records.append)
+        r = make_router(state, manual_clusters({0: {}}),
+                        trace=record_sink(records))
         r._segment(frozenset(state.nodes), level, src, dst, dst,
                    QosRequirement(), 0.0)
         return [rec for rec in records if rec["kind"].startswith("reply_")]
@@ -372,7 +373,7 @@ class TestChoice:
             add_node(state, nid, pos)
         clusters = manual_clusters({0: {1: {0, 2, 3, 4}}, 1: {}, 2: {}})
         records = []
-        r = make_router(state, clusters, trace=records.append)
+        r = make_router(state, clusters, trace=record_sink(records))
         route = r.discover_route(0, 4, now=0.0)
         replies = [rec["packet"] for rec in records
                    if rec["kind"] == "reply_knave_ant"]
@@ -387,7 +388,7 @@ class TestChoice:
         state, clusters = diamond()
         records = []
         r = make_router(state, clusters, pref=PreferenceParams(theta_p=theta_p),
-                        trace=records.append)
+                        trace=record_sink(records))
         if path is None:
             with pytest.raises(NoAdmissibleRouteError,
                                match="best preference 0.5 below threshold"):
@@ -435,7 +436,7 @@ class TestFloodMemo:
         state, clusters = diamond()
         records = []
         r = make_router(state, clusters, cache_max_age=0.5,
-                        trace=records.append)
+                        trace=record_sink(records))
         first = r.discover_route(0, 3, now=0.0)
         second = r.discover_route(0, 3, now=1.0)
         floods = [key for key in r._memo if isinstance(key[-1], frozenset)]
@@ -451,7 +452,7 @@ class TestFloodMemo:
         state, clusters = diamond()
         records = []
         r = make_router(state, clusters, cache_max_age=0.5,
-                        trace=records.append)
+                        trace=record_sink(records))
         assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
         state.set_link_params(1, 3, 0, delay=0.05, bandwidth=1e3)
         route = r.discover_route(0, 3, now=1.0)
@@ -464,7 +465,7 @@ class TestFloodMemo:
         state, clusters = diamond()
         records = []
         r = make_router(state, clusters, cache_max_age=0.5,
-                        trace=records.append)
+                        trace=record_sink(records))
         first = r.discover_route(0, 3, now=0.0)
         assert first.path == (0, 1, 3)
         assert first.metrics.let == math.inf
@@ -482,7 +483,7 @@ class TestFloodMemo:
         state, clusters = diamond()
         records = []
         r = make_router(state, clusters, cache_max_age=0.5,
-                        trace=records.append)
+                        trace=record_sink(records))
         r.discover_route(0, 3, now=0.0)
         state.nodes[1].energy = 5.0  # no touch(): links do not change
         route = r.discover_route(0, 3, now=1.0)
@@ -557,7 +558,7 @@ class TestHierarchicalDiscovery:
         before that level's ant."""
         state, clusters = two_region_world(cross_region=True)
         records = []
-        r = make_router(state, clusters, trace=records.append)
+        r = make_router(state, clusters, trace=record_sink(records))
         if edit is None:
             r.discover_route(0, 3, now=1.0)
         else:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from antmanet import engine
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
-from antmanet.engine import Simulator, format_record
+from antmanet.engine import Simulator, TraceWriter
 from antmanet.errors import UnknownNodeError
 from antmanet.model import (LinkAttributes, NetworkState, NodeAttributes,
                             link_expiration_time)
@@ -463,8 +463,8 @@ def _run_trace(monkeypatch, state_cls):
     monkeypatch.setattr(engine, "NetworkState", state_cls)
     lines = []
     summary = Simulator(_mobile_energy_config(),
-                        trace=lambda r: lines.append(format_record(r))).run()
-    return "\n".join(lines), summary
+                        trace=TraceWriter(lines.append)).run()
+    return "".join(lines), summary
 
 
 def test_trace_matches_brute_force(monkeypatch):
