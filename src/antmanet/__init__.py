@@ -9,6 +9,7 @@ from .model import (LinkAttributes, NetworkState, NodeAttributes,
                     link_expiration_time)
 from .qos import DepositParams, PathMetrics, path_metrics, pheromone_deposit
 from .routing import (PheromoneTable, PreferenceParams, QosRequirement,
-                      RouteCache, Router, path_preference_probability)
+                      RouteCache, Router, path_preference_probability,
+                      preference_score)
 
 __version__ = "0.1.0"

@@ -8,10 +8,10 @@ destination each surviving copy is converted to a reply that retraces the
 visited stack in reverse.  Ants exist only as trace records: one
 ``route_ant`` per Route ant and one ``reply_knave_ant``/``reply_king_ant``
 per reply; the delay-ordered flood stands in for the request ants.
-Every node scores the candidate next hops with the multiplicative
-preference rule (pheromone x 1/delay x 1/hops x bandwidth x energy x
+Every node scores each admissible reply once with the multiplicative
+``preference_score`` (pheromone x 1/delay x 1/hops x bandwidth x energy x
 expiry, each under a tunable exponent) and the best admissible path
-wins, gets a pheromone deposit, and is cached.
+wins, gets a pheromone deposit, and is cached if it has two hops or more.
 
 Discovery re-derives much from the topology and the cluster tables
 alone, so the router keeps one memo of it, cleared whenever the topology
@@ -169,7 +169,9 @@ class PreferenceParams:
     theta_p: float = 0.0  # minimum acceptable preference
 
 
-def _preference_score(m, tau, p):
+def preference_score(m, tau, p):
+    """The preference of a path with metrics `m` and pheromone `tau`: the
+    product of its terms, each under its exponent in `p`."""
     if m.delay <= 0 or m.hop_count <= 0:
         raise ConfigError("delay and hop count must be positive")
     return (tau ** p.alpha1
@@ -180,17 +182,11 @@ def _preference_score(m, tau, p):
             * min(m.let, p.let_cap) ** p.alpha6)
 
 
-def path_preference_probability(candidates, p=None):
-    """Normalized preference per candidate next hop.
-
-    `candidates` is an iterable of (j, PathMetrics, tau_ij); returns a dict
-    j -> probability summing to 1.
-    """
-    p = p or PreferenceParams()
-    candidates = list(candidates)
-    if not candidates:
+def path_preference_probability(scores):
+    """Each next hop's share of the summed scores: `scores` maps j to its
+    preference_score; returns j -> probability summing to 1."""
+    if not scores:
         raise NoRouteError("empty candidate set")
-    scores = {j: _preference_score(m, tau, p) for j, m, tau in candidates}
     total = left_sum(scores.values())
     if total <= 0:
         raise NoAdmissibleRouteError("all candidates degenerate")
@@ -335,15 +331,15 @@ class Router:
                 continue
             j = path[1]
             tau = self.pheromone.get(level, src, j, pher_dst)
-            score = _preference_score(m, tau, self.pref)
+            score = preference_score(m, tau, self.pref)
             prev = best_per_hop.get(j)
             if prev is None or score > prev[0]:
-                best_per_hop[j] = (score, path, m, tau)
+                best_per_hop[j] = (score, path)
         if not best_per_hop:
             raise NoAdmissibleRouteError(
                 f"no admissible route from {src} to {dst} under the QoS floors")
         probs = path_preference_probability(
-            [(j, v[2], v[3]) for j, v in best_per_hop.items()], self.pref)
+            {j: score for j, (score, _) in best_per_hop.items()})
         if abs(left_sum(probs.values()) - 1.0) > 1e-9:
             raise AssertionError("preference probabilities do not normalize")
         best_j = max(sorted(probs), key=lambda j: probs[j])
@@ -407,7 +403,7 @@ class Router:
 
     def _route_metrics(self, path, levels):
         """The route's NodeAttributes and the link_metrics of the route and
-        of each suffix of one hop or more, longest first; or the message
+        of each suffix of two hops or more, longest first; or the message
         of the missing link, if one is missing."""
         try:
             links = path_links(path, self.state, levels)
@@ -415,11 +411,11 @@ class Router:
             return str(exc)
         nodes = [self.state.node(n) for n in path]
         return nodes, [link_metrics(links[i:], nodes[i:])
-                       for i in range(len(links))]
+                       for i in range(max(1, len(links) - 1))]
 
     def _finalize(self, src, dst, path, levels, qos, now):
         """Score, reward and cache an assembled route (tuples `path` and
-        `levels`); returns its Route.
+        `levels`) and its relays' suffixes; returns its Route.
 
         The link metrics of the route and of its suffixes come from the
         memo, each with its energy read afresh."""
@@ -443,9 +439,11 @@ class Router:
                 self.pheromone.deposit(level, i, j, dst, dtau)
         route = Route(destination=dst, path=path, levels=levels, metrics=m,
                       expires_at=now + min(m.let, self.cache_max_age))
-        self.cache.insert(src, route, now)
-        # Intermediate nodes remember the suffix toward the destination.
-        for idx in range(1, len(path) - 1):
+        # Only routes of two hops or more are cached: a linked pair gets its
+        # direct route before discover_route reads the cache.
+        if len(path) > 2:
+            self.cache.insert(src, route, now)
+        for idx in range(1, len(path) - 2):
             sm = _with_energy(suffixes[idx], nodes[idx:])
             self.cache.insert(path[idx], Route(
                 destination=dst, path=path[idx:], levels=levels[idx:],

@@ -27,7 +27,7 @@ from antmanet.model import NetworkState, NodeAttributes
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams,
-                              path_preference_probability)
+                              path_preference_probability, preference_score)
 
 from helpers import (DEFAULTS, add_node, make_router, make_state,
                      manual_clusters, record_sink)
@@ -142,7 +142,9 @@ def test_formula_fidelity():
                              let=rng.uniform(0.1, 5),
                              hop_count=rng.randint(1, 6))
             cands.append((j, mm, rng.uniform(0.1, 5)))
-        probs = path_preference_probability(cands)
+        probs = path_preference_probability(
+            {j: preference_score(mm, tau, PreferenceParams())
+             for j, mm, tau in cands})
         scores = {j: tau / mm.delay / mm.hop_count * mm.bandwidth
                   * mm.energy * mm.let for j, mm, tau in cands}
         s = sum(scores.values())
@@ -467,8 +469,8 @@ def test_conservation_and_safety(monkeypatch):
     sums = []
     original = routing.path_preference_probability
 
-    def recording(candidates, p=None):
-        probs = original(candidates, p)
+    def recording(scores):
+        probs = original(scores)
         sums.append(sum(probs.values()))
         return probs
 
@@ -488,6 +490,8 @@ def test_conservation_and_safety(monkeypatch):
                                        + summary["packets_in_flight"])
     assert summary["packets_delivered"] > 0
     assert all(n.energy >= 0.0 for n in sim.state.nodes.values())
+    assert all(len(r.path) > 2 for routes in sim.router.cache.routes.values()
+               for r in routes.values())
     replies = [rec["packet"]["to_visit"] for rec in records
                if rec.get("kind", "").startswith("reply_")]
     assert replies, "no ants were emitted"

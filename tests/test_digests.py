@@ -1,7 +1,7 @@
 """The digest corpus's traces match the committed table, the corpus
 meets every maintenance case code, no route ant goes from a head to
 itself, its finite weight threshold moves its trace, and route caches
-hold no duplicate."""
+hold no duplicate and no one-hop route."""
 
 import dataclasses
 import json
@@ -66,9 +66,12 @@ def test_theta_w_flags_heads():
 
 def test_route_caches_hold_no_duplicate():
     """No node caches two routes with the same destination, path and
-    levels after a run whose flows rediscover the same routes."""
+    levels after a run whose flows rediscover the same routes, and none
+    caches a route of one hop."""
     _, sim = run(DATA / "digest" / "static-cache.yaml")
     held = Counter((node, r.destination, r.path, r.levels)
                    for (node, _), routes in sim.router.cache.routes.items()
                    for r in routes.values())
     assert max(held.values(), default=1) == 1
+    assert held
+    assert all(len(path) > 2 for _, _, path, _ in held)

@@ -6,9 +6,10 @@ import pytest
 from antmanet.errors import NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
+from antmanet import routing
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               QosRequirement, Route, RouteCache,
-                              path_preference_probability)
+                              path_preference_probability, preference_score)
 
 from helpers import (DEFAULTS, add_node, line_state, make_router, make_state,
                      manual_clusters, record_sink)
@@ -19,14 +20,19 @@ def metrics(delay=1.0, bw=2.0, energy=3.0, let=4.0, hops=2):
                        hop_count=hops)
 
 
+def score_map(cands, p=PreferenceParams()):
+    """The score map of (next hop, metrics, tau) candidates."""
+    return {j: preference_score(m, tau, p) for j, m, tau in cands}
+
+
 class TestPreferenceProbability:
     def test_singleton(self):
-        probs = path_preference_probability([(7, metrics(), 1.0)])
+        probs = path_preference_probability(score_map([(7, metrics(), 1.0)]))
         assert probs == {7: 1.0}
 
     def test_symmetry(self):
         probs = path_preference_probability(
-            [(1, metrics(), 2.0), (2, metrics(), 2.0)])
+            score_map([(1, metrics(), 2.0), (2, metrics(), 2.0)]))
         assert probs[1] == pytest.approx(0.5)
         assert probs[2] == pytest.approx(0.5)
 
@@ -40,7 +46,7 @@ class TestPreferenceProbability:
                             energy=rng.uniform(0.1, 5),
                             let=rng.uniform(0.1, 5), hops=rng.randint(1, 6))
                 cands.append((j, m, rng.uniform(0.1, 5)))
-            probs = path_preference_probability(cands, p)
+            probs = path_preference_probability(score_map(cands, p))
             scores = {}
             for j, m, tau in cands:
                 scores[j] = (tau * (1.0 / m.delay) * (1.0 / m.hop_count)
@@ -52,11 +58,11 @@ class TestPreferenceProbability:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(NoRouteError):
-            path_preference_probability([])
+            path_preference_probability({})
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(NoAdmissibleRouteError):
-            path_preference_probability([(1, metrics(bw=0.0), 0.0)])
+            path_preference_probability(score_map([(1, metrics(bw=0.0), 0.0)]))
 
 
 class TestPheromoneTable:
@@ -281,6 +287,14 @@ class TestDiscovery:
         assert r.stats["route_ants"] == 0
         assert r.stats["request_forwards"] == 0
 
+    def test_linked_discovery_caches_nothing(self):
+        # discover_route returns a linked pair's direct route before it
+        # reads the cache, so a one-hop route is never cached.
+        state, clusters = single_cluster_line(3)
+        r = make_router(state, clusters, deposit=DepositParams())
+        assert r.discover_route(1, 2, now=0.0).path == (1, 2)
+        assert r.cache.routes == {}
+
     def test_intra_cluster_line_unique_path(self):
         state, clusters = single_cluster_line(5)
         r = make_router(state, clusters, deposit=DepositParams())
@@ -300,12 +314,14 @@ class TestDiscovery:
         route = r.discover_route(0, 5, now=0.0)
         assert route.path == (0, 1, 2, 3, 4, 5)
         assert math.isfinite(route.metrics.let)
-        for idx in range(1, len(route.path) - 1):
+        for idx in range(1, len(route.path) - 2):
             [cached] = r.cache.routes[route.path[idx], 5].values()
             assert cached.path == route.path[idx:]
             assert cached.levels == route.levels[idx:]
             assert cached.metrics == path_metrics(cached.path, state,
                                                   levels=cached.levels)
+        # The last relay's suffix is one hop, so it is not cached.
+        assert (4, 5) not in r.cache.routes
 
     def test_unreachable_raises_no_route(self):
         state = make_state()
@@ -410,6 +426,23 @@ class TestChoice:
         r = make_router(state, clusters, pref=PreferenceParams(alpha1=alpha1))
         r.pheromone.deposit(0, 0, 2, 3, 1.0)
         assert r.discover_route(0, 3, now=0.0).path == path
+
+    def test_each_admissible_reply_is_scored_once(self, monkeypatch):
+        # The diamond's one segment finds two admissible replies.
+        state, clusters = diamond()
+        records, scored = [], []
+
+        def counting(m, tau, p):
+            scored.append(m.hop_count)
+            return preference_score(m, tau, p)
+
+        monkeypatch.setattr(routing, "preference_score", counting)
+        r = make_router(state, clusters, trace=record_sink(records))
+        assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
+        replies = [rec["packet"] for rec in records
+                   if rec["kind"] == "reply_knave_ant"]
+        assert len(replies) == 2
+        assert scored == [p["hop_count"] for p in replies]
 
 
 class TestFloodMemo:
