@@ -288,24 +288,28 @@ class Simulator:
                       levels=route.levels, idx=0, sent_at=self.now)
 
     def _handle_packet_at(self, payload):
-        """Deliver, or forward one hop on the level discovery chose."""
+        """Deliver, or forward one hop on the level discovery chose.  A
+        packet is dropped at a dead destination or before a missing link;
+        a dead relay has no links."""
         path = payload["path"]
         idx = payload["idx"]
         flow_idx = payload["flow"]
         bits = self.config.packet_size_bits
+        a = path[idx]
         if idx == len(path) - 1:
+            if not self.state.node(a).alive:
+                self._drop(flow_idx, at=a)
+                return
             delay = self.now - payload["sent_at"]
             self.stats["total_delay"] += delay
             self._flow_stats[flow_idx]["delivered"] += 1
             self.trace({"kind": "delivered", "t": self.now, "flow": flow_idx,
-                        "dst": path[idx], "delay": delay})
+                        "dst": a, "delay": delay})
             return
-        a, b = path[idx], path[idx + 1]
+        b = path[idx + 1]
         link = self.state.link(a, b, payload["levels"][idx])
         if link is None:
-            self._flow_stats[flow_idx]["dropped"] += 1
-            self.trace({"kind": "dropped", "t": self.now, "flow": flow_idx,
-                        "at": a, "next": b})
+            self._drop(flow_idx, at=a, next=b)
             return
         self._apply_energy(a, "tx", bits)
         self._apply_energy(b, "rx", bits)
@@ -313,6 +317,11 @@ class Simulator:
         self.schedule(arrival, "packet_at", flow=flow_idx, path=path,
                       levels=payload["levels"], idx=idx + 1,
                       sent_at=payload["sent_at"])
+
+    def _drop(self, flow_idx, **where):
+        self._flow_stats[flow_idx]["dropped"] += 1
+        self.trace({"kind": "dropped", "t": self.now, "flow": flow_idx,
+                    **where})
 
     # -- run -----------------------------------------------------------------
 

@@ -191,6 +191,19 @@ class TestSimulator:
                                            + summary["packets_dropped"]
                                            + summary["packets_in_flight"])
 
+    def test_destination_killed_on_receipt_is_not_delivered(self):
+        # The receive debit of the one packet empties the destination.
+        cfg = two_node_config(energy_costs=EnergyCosts(rx_packet=500.0))
+        cfg.flows = [FlowConfig(src=0, dst=1, start=1.0)]
+        records = []
+        sim = Simulator(cfg, trace=record_sink(records))
+        summary = sim.run()
+        assert (summary["packets_sent"], summary["packets_delivered"],
+                summary["packets_dropped"], summary["deaths"]) == (1, 0, 1, 1)
+        assert not sim.state.nodes[1].alive
+        [dropped] = [r for r in records if r["kind"] == "dropped"]
+        assert dropped == {"kind": "dropped", "t": 1.003, "flow": 0, "at": 1}
+
     def test_packet_in_flight_at_duration_is_not_delivered(self):
         # Sent at the last instant: its one hop lands 3 ms after the end.
         cfg = two_node_config()
