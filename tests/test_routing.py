@@ -286,13 +286,8 @@ class TestDiscovery:
         assert (route.path, route.levels) == ((0, 1), (0,))
         assert r.stats["route_ants"] == 0
         assert r.stats["request_forwards"] == 0
-
-    def test_linked_discovery_caches_nothing(self):
-        # discover_route returns a linked pair's direct route before it
-        # reads the cache, so a one-hop route is never cached.
-        state, clusters = single_cluster_line(3)
-        r = make_router(state, clusters, deposit=DepositParams())
-        assert r.discover_route(1, 2, now=0.0).path == (1, 2)
+        # A linked pair gets its direct route before the cache is read, so
+        # the one-hop route is not cached.
         assert r.cache.routes == {}
 
     def test_intra_cluster_line_unique_path(self):
