@@ -107,51 +107,29 @@ class Route:
 
 
 class RouteCache:
-    """Every node's routes per destination, oldest first.
+    """Every node's latest route per destination.
 
-    ``routes[node, destination]`` maps (path, levels) to the Route, so
-    inserting a route already held refreshes it in place.  Both `insert`
-    and `lookup` first drop the pair's expired routes.  A pair with no
-    route left has no entry.
+    ``routes[node, destination]`` is the Route last inserted for the pair;
+    an insert replaces it.  A lookup that finds it expired drops it.
     """
 
     def __init__(self):
         self.routes = {}
 
-    def _unexpired(self, key, now):
-        """The pair's held routes, less the expired ones, or None if none
-        is left.  The held dict is returned as it is unless one expired."""
-        routes = self.routes.get(key)
-        if routes is None:
-            return None
-        if any(r.expires_at < now for r in routes.values()):
-            routes = {k: r for k, r in routes.items() if r.expires_at >= now}
-            if not routes:
-                del self.routes[key]
-                return None
-            self.routes[key] = routes
-        return routes
+    def insert(self, node, route):
+        self.routes[node, route.destination] = route
 
-    def insert(self, node, route, now):
-        key = (node, route.destination)
-        routes = self._unexpired(key, now)
-        if routes is None:
-            routes = self.routes[key] = {}
-        routes[route.path, route.levels] = route
-
-    def lookup(self, node, dst, now, usable=None):
-        """Oldest unexpired route from node toward dst that `usable`
-        accepts (any, if it is None), or None."""
-        routes = self._unexpired((node, dst), now)
-        if routes is None:
+    def lookup(self, node, dst, now):
+        """The pair's unexpired route, or None."""
+        route = self.routes.get((node, dst))
+        if route is not None and route.expires_at < now:
+            del self.routes[node, dst]
             return None
-        return next((r for r in routes.values()
-                     if usable is None or usable(r)), None)
+        return route
 
     def purge_node(self, node):
-        kept = ((key, {k: r for k, r in routes.items() if node not in r.path})
-                for key, routes in self.routes.items())
-        self.routes = {key: routes for key, routes in kept if routes}
+        self.routes = {key: r for key, r in self.routes.items()
+                       if node not in r.path}
 
 
 # --------------------------------------------------------------------------
@@ -442,13 +420,12 @@ class Router:
         # Only routes of two hops or more are cached: a linked pair gets its
         # direct route before discover_route reads the cache.
         if len(path) > 2:
-            self.cache.insert(src, route, now)
+            self.cache.insert(src, route)
         for idx in range(1, len(path) - 2):
             sm = _with_energy(suffixes[idx], nodes[idx:])
             self.cache.insert(path[idx], Route(
                 destination=dst, path=path[idx:], levels=levels[idx:],
-                metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)),
-                now)
+                metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)))
         self.trace({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,
@@ -461,11 +438,11 @@ class Router:
         """Full hierarchical route discovery; returns the Route.
 
         Linked endpoints get their direct route.  Otherwise the source's
-        oldest cached route that meets the QoS floors and whose every
-        hop's link exists is returned as it is; failing that, a climb up
-        both endpoints' head chains discovers, caches and returns a new
-        one.  A cached route with a missing link is skipped, not dropped:
-        the link can come back before the route expires.
+        cached route is returned as it is if it meets the QoS floors and
+        every hop's link exists; failing that, a climb up both endpoints'
+        head chains discovers a new one, which replaces it in the cache.
+        A cached route that fails the check is kept, not dropped, until
+        a new discovery replaces it or it expires: the link can come back.
         """
         state = self.state
         if not state.node(src).alive or not state.node(dst).alive:
@@ -482,13 +459,10 @@ class Router:
         if level is not None:
             return self._finalize(src, dst, (src, dst), (level,), qos, now)
 
-        def usable(route):
-            return (qos.admits(route.metrics)
-                    and all(state.link(a, b, lvl) is not None for a, b, lvl
-                            in zip(route.path, route.path[1:], route.levels)))
-
-        hit = self.cache.lookup(src, dst, now, usable)
-        if hit is not None:
+        hit = self.cache.lookup(src, dst, now)
+        if (hit is not None and qos.admits(hit.metrics)
+                and all(state.link(a, b, lvl) is not None for a, b, lvl
+                        in zip(hit.path, hit.path[1:], hit.levels))):
             self.stats["cache_hits"] += 1
             return hit
 

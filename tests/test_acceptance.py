@@ -490,8 +490,7 @@ def test_conservation_and_safety(monkeypatch):
                                        + summary["packets_in_flight"])
     assert summary["packets_delivered"] > 0
     assert all(n.energy >= 0.0 for n in sim.state.nodes.values())
-    assert all(len(r.path) > 2 for routes in sim.router.cache.routes.values()
-               for r in routes.values())
+    assert all(len(r.path) > 2 for r in sim.router.cache.routes.values())
     replies = [rec["packet"]["to_visit"] for rec in records
                if rec.get("kind", "").startswith("reply_")]
     assert replies, "no ants were emitted"

@@ -188,87 +188,94 @@ class TestAnts:
 
 
 class TestRouteCache:
-    def entry(self, dst=9, expires=10.0, path=(1, 2, 9), bw=2.0):
+    def entry(self, dst=9, expires=10.0, path=(1, 2, 9)):
         return Route(destination=dst, path=path, levels=(0,) * (len(path) - 1),
-                     metrics=metrics(bw=bw), expires_at=expires)
+                     metrics=metrics(), expires_at=expires)
 
     def test_empty_lookup(self):
         assert RouteCache().lookup(1, 9, 0.0) is None
 
-    def test_oldest_entry_wins(self):
+    def test_insert_replaces(self):
         c = RouteCache()
-        first = self.entry(path=(1, 2, 9))
-        c.insert(1, first, 0.0)
-        c.insert(1, self.entry(path=(1, 9)), 0.0)
-        assert c.lookup(1, 9, 0.0) is first
+        c.insert(1, self.entry(path=(1, 2, 9)))
+        latest = self.entry(path=(1, 3, 9), expires=5.0)
+        c.insert(1, latest)
+        assert c.routes == {(1, 9): latest}
+        assert c.lookup(1, 9, 0.0) is latest
 
     def test_expired_skipped(self):
         c = RouteCache()
-        c.insert(1, self.entry(expires=5.0), 0.0)
+        held = self.entry(expires=5.0)
+        c.insert(1, held)
+        assert c.lookup(1, 9, 5.0) is held
         assert c.lookup(1, 9, 6.0) is None
 
-    def test_same_path_refreshed_in_place(self):
-        c = RouteCache()
-        c.insert(1, self.entry(path=(1, 2, 9), expires=5.0, bw=1.0), 0.0)
-        c.insert(1, self.entry(path=(1, 9)), 0.0)
-        newer = self.entry(path=(1, 2, 9), expires=8.0, bw=6.0)
-        c.insert(1, newer, 1.0)
-        assert [r.path for r in c.routes[1, 9].values()] == [(1, 2, 9), (1, 9)]
-        assert c.lookup(1, 9, 1.0) is newer
-
     def test_expired_routes_dropped(self):
+        # Only the pair looked up is dropped; the other expired one waits
+        # for its own lookup.
         c = RouteCache()
-        c.insert(1, self.entry(path=(1, 2, 9), expires=1.0), 0.0)
-        c.insert(1, self.entry(path=(1, 9), expires=5.0), 0.0)
-        c.insert(1, self.entry(dst=8, path=(1, 8), expires=1.0), 0.0)
-        c.insert(1, self.entry(dst=8, path=(1, 3, 8), expires=9.0), 2.0)
-        assert [r.path for r in c.routes[1, 8].values()] == [(1, 3, 8)]
-        assert [r.path for r in c.routes[1, 9].values()] == [(1, 2, 9), (1, 9)]
-        assert c.lookup(1, 9, 2.0).path == (1, 9)
-        assert [r.path for r in c.routes[1, 9].values()] == [(1, 9)]
+        c.insert(1, self.entry(dst=9, expires=1.0))
+        other = self.entry(dst=8, path=(1, 2, 8), expires=1.0)
+        c.insert(1, other)
+        assert c.lookup(1, 9, 2.0) is None
+        assert c.routes == {(1, 8): other}
 
     def test_miss_leaves_routes_unchanged(self):
         c = RouteCache()
-        c.insert(1, self.entry(), 0.0)
-        held = {key: dict(routes) for key, routes in c.routes.items()}
+        held = self.entry()
+        c.insert(1, held)
         assert c.lookup(1, 8, 0.0) is None
-        assert c.routes == held
-
-    def test_unexpired_routes_kept_in_the_held_dict(self):
-        """A lookup or insert that finds nothing expired keeps the pair's
-        dict, and one that finds no pair creates none."""
-        c = RouteCache()
-        c.insert(1, self.entry(path=(1, 2, 9)), 0.0)
-        held = c.routes[1, 9]
-        assert c.lookup(1, 9, 1.0).path == (1, 2, 9)
-        c.insert(1, self.entry(path=(1, 9)), 2.0)
-        assert c.routes[1, 9] is held
-        assert list(held) == [((1, 2, 9), (0, 0)), ((1, 9), (0,))]
-        assert c.lookup(1, 8, 2.0) is None
-        assert list(c.routes) == [(1, 9)]
+        assert c.lookup(2, 9, 0.0) is None
+        assert c.routes == {(1, 9): held}
 
     def test_destination_without_routes_has_no_entry(self):
         c = RouteCache()
-        c.insert(1, self.entry(dst=9, path=(1, 9), expires=5.0), 0.0)
-        c.insert(1, self.entry(dst=8, path=(1, 2, 8)), 0.0)
+        c.insert(1, self.entry(dst=9, path=(1, 3, 9), expires=5.0))
+        c.insert(1, self.entry(dst=8, path=(1, 2, 8)))
         assert c.lookup(1, 9, 6.0) is None
         assert list(c.routes) == [(1, 8)]
         c.purge_node(2)
         assert c.routes == {}
 
-    def test_qos_filter(self):
+    def test_purge_drops_every_route_through_the_node(self):
         c = RouteCache()
-        c.insert(1, self.entry(), 0.0)
-        strict = QosRequirement(min_bandwidth=100.0)
-        assert c.lookup(1, 9, 0.0, lambda r: strict.admits(r.metrics)) is None
+        kept = self.entry(dst=8, path=(1, 3, 8))
+        for node, route in ((1, self.entry(path=(1, 2, 9))), (1, kept),
+                            (2, self.entry(path=(2, 3, 9))),
+                            (4, self.entry(dst=2, path=(4, 3, 2)))):
+            c.insert(node, route)
+        c.purge_node(2)
+        assert c.routes == {(1, 8): kept}
+
+    def test_qos_filter(self):
+        # discover_route serves no cached route below its QoS floors; the
+        # rediscovery fails too, and the route stays.
+        state, clusters = single_cluster_line(5)
+        r = make_router(state, clusters)
+        route = r.discover_route(0, 4, now=0.0)
+        strict = QosRequirement(min_bandwidth=2 * route.metrics.bandwidth)
+        with pytest.raises(NoAdmissibleRouteError):
+            r.discover_route(0, 4, qos=strict, now=1.0)
+        assert r.stats["cache_hits"] == 0
+        assert r.cache.routes[0, 4] is route
 
     def test_rejected_route_skipped_not_dropped(self):
-        c = RouteCache()
-        stale = self.entry(path=(1, 2, 9))
-        c.insert(1, stale, 0.0)
-        c.insert(1, self.entry(path=(1, 9)), 0.0)
-        assert c.lookup(1, 9, 0.0, lambda r: 2 not in r.path).path == (1, 9)
-        assert c.lookup(1, 9, 0.0) is stale
+        # A cached route with a missing link is not served, but it stays
+        # and is served again once the link is back.
+        state, clusters = single_cluster_line(5)
+        r = make_router(state, clusters)
+        route = r.discover_route(0, 4, now=0.0)
+        home = state.nodes[3].position
+        state.nodes[3].position = (150.0, 1000.0)
+        state.touch()
+        with pytest.raises(NoRouteError):
+            r.discover_route(0, 4, now=1.0)
+        assert r.stats["cache_hits"] == 0
+        assert r.cache.routes[0, 4] is route
+        state.nodes[3].position = home
+        state.touch()
+        assert r.discover_route(0, 4, now=2.0) is route
+        assert r.stats["cache_hits"] == 1
 
 
 def single_cluster_line(n=5):
@@ -310,13 +317,43 @@ class TestDiscovery:
         assert route.path == (0, 1, 2, 3, 4, 5)
         assert math.isfinite(route.metrics.let)
         for idx in range(1, len(route.path) - 2):
-            [cached] = r.cache.routes[route.path[idx], 5].values()
+            cached = r.cache.routes[route.path[idx], 5]
             assert cached.path == route.path[idx:]
             assert cached.levels == route.levels[idx:]
             assert cached.metrics == path_metrics(cached.path, state,
                                                   levels=cached.levels)
         # The last relay's suffix is one hop, so it is not cached.
         assert (4, 5) not in r.cache.routes
+
+    def test_relay_suffix_served_as_a_cache_hit(self):
+        state, clusters = single_cluster_line(6)
+        records = []
+        r = make_router(state, clusters, trace=record_sink(records))
+        r.discover_route(0, 5, now=0.0)
+        seen = len(records)
+        route = r.discover_route(2, 5, now=0.1)
+        assert route is r.cache.routes[2, 5]
+        assert route.path == (2, 3, 4, 5)
+        assert r.stats["cache_hits"] == 1
+        assert records[seen:] == []
+
+    def test_unusable_route_replaced_by_the_rediscovered_one(self):
+        # The diamond's route over 1 loses its links; the route over 2
+        # that discovery finds instead replaces it, and is still the one
+        # served once node 1 is back.
+        state, clusters = diamond()
+        r = make_router(state, clusters)
+        assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
+        home = state.nodes[1].position
+        state.nodes[1].position = (70.0, 1000.0)
+        state.touch()
+        detour = r.discover_route(0, 3, now=1.0)
+        assert detour.path == (0, 2, 3)
+        assert r.cache.routes == {(0, 3): detour}
+        state.nodes[1].position = home
+        state.touch()
+        assert r.discover_route(0, 3, now=2.0) is detour
+        assert r.stats["cache_hits"] == 1
 
     def test_unreachable_raises_no_route(self):
         state = make_state()
