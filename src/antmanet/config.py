@@ -514,6 +514,20 @@ def parse_scenario(text):
                 ctx.err(f"{name}[{i}].{ends[1]}", "node-ref",
                         f"{ends[1]} is node {a}, the same as {ends[0]}")
 
+    # A link at a level one of its ends lacks would never exist, so its
+    # override would be silently ignored.
+    settings = dict(cfg.nodes())
+    reported = {path for path, _, _ in ctx.issues}
+    for i, lk in enumerate(cfg.links):
+        if any(f"links[{i}].{key}" in reported for key in ("a", "b", "level")):
+            continue
+        for end in ("a", "b"):
+            nid = getattr(lk, end)
+            if settings[nid].max_level < lk.level:
+                ctx.err(f"links[{i}].level", "level",
+                        f"{end} is node {nid}, which has no level-{lk.level} "
+                        f"interface (max_level {settings[nid].max_level})")
+
     if ctx.issues:
         raise ScenarioError(ctx.issues)
     return cfg

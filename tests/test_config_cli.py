@@ -159,6 +159,29 @@ class TestParsing:
             parse_scenario("groups: [{count: 2}]\n" + text)
         assert exc.value.issues == [(path, "node-ref", message)]
 
+    def test_link_above_an_ends_max_level_reported(self):
+        # Such a link never exists, so its override would be ignored.
+        # Entries whose a, b or level is already reported are skipped.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(
+                "placements:\n"
+                "  - {id: 0, position: [0, 0], max_level: 2}\n"
+                "  - {id: 1, position: [10, 0]}\n"
+                "  - {id: 2, position: [20, 0], max_level: 1}\n"
+                "links:\n"
+                "  - {a: 0, b: 1, level: 2, delay: 0.5}\n"
+                "  - {a: 2, b: 0, level: 2}\n"
+                "  - {a: 1, b: 9, level: 2}\n"
+                "  - {a: 1, b: 2, level: 3}\n"
+                "  - {a: 0, b: 2, level: 1}")
+        assert exc.value.issues == [
+            ("links[3].level", "range", "must be <= 2"),
+            ("links[2].b", "node-ref", "node 9 does not exist"),
+            ("links[0].level", "level",
+             "b is node 1, which has no level-2 interface (max_level 0)"),
+            ("links[1].level", "level",
+             "a is node 2, which has no level-2 interface (max_level 1)")]
+
     def test_multiple_issues_reported_together(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("beacon: {miss_threshold: 0}\npheromone: {q: 0.0}")
