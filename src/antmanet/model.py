@@ -181,9 +181,10 @@ class NetworkState:
         self.version = 0
 
     def add_node(self, nid, attrs):
+        nid = int(nid)
         if nid in self.nodes:
             raise ConfigError(f"duplicate node id {nid}")
-        self.nodes[int(nid)] = attrs
+        self.nodes[nid] = attrs
         self.touch()
 
     def node(self, nid):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from antmanet.errors import UnknownNodeError
+from antmanet.errors import ConfigError, UnknownNodeError
 from antmanet.model import NodeAttributes, link_expiration_time
 
 from helpers import add_node, make_state
@@ -16,6 +16,17 @@ class TestNodeAttributes:
         assert type(stored) is float
         assert stored == energy
         assert math.copysign(1.0, stored) == 1.0
+
+
+class TestAddNode:
+    def test_id_converted_before_the_duplicate_check(self):
+        s = make_state()
+        add_node(s, 3, (0, 0))
+        first = s.node(3)
+        with pytest.raises(ConfigError, match="^duplicate node id 3$"):
+            add_node(s, "3", (10, 0))
+        assert list(s.nodes) == [3]
+        assert s.node(3) is first
 
 
 class TestNeighbors:
