@@ -490,6 +490,20 @@ def _section(ctx, raw, path, spec, parsed=None):
 _SCENARIO = _Spec(ScenarioConfig, "")
 
 
+def _check_link_level(ctx, i, lk, settings):
+    """A link at a level one of its ends lacks would never exist, so its
+    override would be silently ignored.  A missing or out-of-range level
+    is reported already."""
+    if lk.level is None or not _LEVEL["lo"] <= lk.level <= _LEVEL["hi"]:
+        return
+    for end in ("a", "b"):
+        nid = getattr(lk, end)
+        if settings[nid].max_level < lk.level:
+            ctx.err(f"links[{i}].level", "level",
+                    f"{end} is node {nid}, which has no level-{lk.level} "
+                    f"interface (max_level {settings[nid].max_level})")
+
+
 def parse_scenario(text):
     """Parse and validate scenario text; raises ScenarioError on problems."""
     try:
@@ -501,32 +515,20 @@ def parse_scenario(text):
     ctx = _Ctx()
     cfg = _section(ctx, data, "", _SCENARIO)
 
-    valid_ids = {nid for nid, _ in cfg.nodes()}
+    settings = dict(cfg.nodes())
     for name, ends in (("flows", ("src", "dst")), ("links", ("a", "b"))):
         for i, item in enumerate(getattr(cfg, name)):
             for end in ends:
                 nid = getattr(item, end)
-                if nid is not None and nid not in valid_ids:
+                if nid is not None and nid not in settings:
                     ctx.err(f"{name}[{i}].{end}", "node-ref",
                             f"node {nid} does not exist")
             a, b = (getattr(item, end) for end in ends)
             if a is not None and a == b:
                 ctx.err(f"{name}[{i}].{ends[1]}", "node-ref",
                         f"{ends[1]} is node {a}, the same as {ends[0]}")
-
-    # A link at a level one of its ends lacks would never exist, so its
-    # override would be silently ignored.
-    settings = dict(cfg.nodes())
-    reported = {path for path, _, _ in ctx.issues}
-    for i, lk in enumerate(cfg.links):
-        if any(f"links[{i}].{key}" in reported for key in ("a", "b", "level")):
-            continue
-        for end in ("a", "b"):
-            nid = getattr(lk, end)
-            if settings[nid].max_level < lk.level:
-                ctx.err(f"links[{i}].level", "level",
-                        f"{end} is node {nid}, which has no level-{lk.level} "
-                        f"interface (max_level {settings[nid].max_level})")
+            elif name == "links" and a in settings and b in settings:
+                _check_link_level(ctx, i, item, settings)
 
     if ctx.issues:
         raise ScenarioError(ctx.issues)

@@ -176,11 +176,16 @@ class TestParsing:
                 "  - {a: 0, b: 2, level: 1}")
         assert exc.value.issues == [
             ("links[3].level", "range", "must be <= 2"),
-            ("links[2].b", "node-ref", "node 9 does not exist"),
             ("links[0].level", "level",
              "b is node 1, which has no level-2 interface (max_level 0)"),
             ("links[1].level", "level",
-             "a is node 2, which has no level-2 interface (max_level 1)")]
+             "a is node 2, which has no level-2 interface (max_level 1)"),
+            ("links[2].b", "node-ref", "node 9 does not exist")]
+
+    def test_link_that_is_not_a_mapping_reported_once(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("links: [5]")
+        assert exc.value.issues == [("links[0]", "type", "expected a mapping")]
 
     def test_multiple_issues_reported_together(self):
         with pytest.raises(ScenarioError) as exc:
