@@ -42,9 +42,9 @@ def node_weight(c_i, e_i, m_i, d_i, p):
 
 
 def _distance_sum(nodes, node, nbrs):
-    """The summed distance from `node` to each of `nbrs`, in set order."""
+    """The summed distance from `node` to each of `nbrs`, in id order."""
     x, y = nodes[node].position
-    positions = (nodes[m].position for m in nbrs)
+    positions = (nodes[m].position for m in sorted(nbrs))
     return left_sum(math.hypot(x - mx, y - my) for mx, my in positions)
 
 

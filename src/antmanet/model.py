@@ -129,13 +129,12 @@ class _Reference:
     so more than the rounded displacements that moved it.
     """
 
-    __slots__ = ("ids", "index", "ranges", "positions", "skin", "margin",
-                 "slack", "pairs", "flipped", "adj")
+    __slots__ = ("ids", "ranges", "positions", "skin", "margin", "slack",
+                 "pairs", "flipped", "adj")
 
     def __init__(self, ids, ranges, positions, skin, margin, near, adj):
         near.sort(key=itemgetter(0))
         self.ids, self.ranges, self.positions = ids, ranges, positions
-        self.index = {nid: i for i, nid in enumerate(ids)}
         self.skin, self.margin = skin, margin
         self.slack = [pair[0] for pair in near]
         self.pairs = [pair[1:] for pair in near]
@@ -163,8 +162,7 @@ class NetworkState:
 
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
-    scratch otherwise (``_build_adjacency``).  Both give the same sets,
-    iterating in the same order.
+    scratch otherwise (``_build_adjacency``).  Both give the same sets.
     """
 
     def __init__(self, link_delay=None, link_bandwidth=None, link_jitter=0.0, seed=0):
@@ -216,9 +214,7 @@ class NetworkState:
         little wider than the level's largest range plus its skin, so every
         pair within that reach lies in the same or an adjacent cell.  The
         margin absorbs rounding in the cell index; it holds for coordinates
-        within about 10**6 ranges of the origin.  Each set is built in
-        ``self.nodes`` order, as a full scan would build it, because
-        callers sum floats in set-iteration order.  The build becomes the
+        within about 10**6 ranges of the origin.  The build becomes the
         level's reference for ``_refresh``.
         """
         members = []
@@ -261,10 +257,7 @@ class NetworkState:
         ids = [m[0] for m in members]
         adj = dict.fromkeys(self.nodes, frozenset())
         for nid, found_i in zip(ids, found):
-            found_i.sort()
-            # Copying a set grown one id at a time, not a list, gives the
-            # frozenset the same table, and so the same order, as a scan.
-            adj[nid] = frozenset({ids[j] for j in found_i})
+            adj[nid] = frozenset(ids[j] for j in found_i)
         self._references[level] = _Reference(
             ids, [m[3] for m in members], [(m[1], m[2]) for m in members],
             skin, reach * 1e-9, near, adj)
@@ -307,18 +300,13 @@ class NetworkState:
             d = hypot(ax - bx, ay - by)
             if (d <= ranges[i] and d <= ranges[j]) != linked:
                 flipped.add(k)
-        toggles = defaultdict(list)
+        adj = ref.adj
         for k in flipped ^ ref.flipped:
             i, j, _ = ref.pairs[k]
-            toggles[i].append(j)
-            toggles[j].append(i)
+            a, b = ids[i], ids[j]
+            adj[a] = adj[a] ^ {b}
+            adj[b] = adj[b] ^ {a}
         ref.flipped = flipped
-        adj = ref.adj
-        index = ref.index
-        for i, peers in toggles.items():
-            found_i = {index[nid] for nid in adj[ids[i]]}
-            found_i.symmetric_difference_update(peers)
-            adj[ids[i]] = frozenset({ids[j] for j in sorted(found_i)})
         return adj
 
     def _snapshot(self, level):

@@ -51,7 +51,7 @@ def reference_weight_table(state, level, participants, p):
         attrs = state.node(n)
         nbrs = state.neighbors(n, level) & pset
         total = 0.0
-        for m in nbrs:
+        for m in sorted(nbrs):
             total += math.dist(attrs.position, state.node(m).position)
         raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility, total)
     maxima = [max((inputs[k] for inputs in raw.values()), default=0.0)
@@ -167,8 +167,7 @@ def reference_build_adjacency(self, level):
                     found[j].append(i)
     adj = dict.fromkeys(self.nodes, frozenset())
     for i, (nid, _, _, _) in enumerate(members):
-        found[i].sort()
-        adj[nid] = frozenset(set(members[j][0] for j in found[i]))
+        adj[nid] = frozenset(members[j][0] for j in found[i])
     return adj
 
 
