@@ -31,11 +31,31 @@ from .model import (DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_DELAY,
 from .qos import DepositParams
 from .routing import PreferenceParams, QosRequirement
 
-# libyaml's parser with PyYAML's safe constructor and resolver, so a document
-# both parsers accept loads to the same values as under SafeLoader (where they
-# part is pinned in tests/test_config_cli.py); the pure-Python loader is used
-# only when PyYAML was built without libyaml.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser with PyYAML's safe constructor and resolver, so a
+    document both parsers accept loads to the same values as under
+    SafeLoader (where they part is pinned in tests/test_config_cli.py); the
+    pure-Python loader is used only when PyYAML was built without libyaml.
+
+    A scalar key repeated in one mapping is an error, where PyYAML keeps
+    its last value.  Merge keys (``<<``) still merge, and a key of the
+    mapping itself overrides a merged one.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if (not isinstance(key_node, yaml.ScalarNode)
+                        or key_node.tag == "tag:yaml.org,2002:merge"):
+                    continue
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 @dataclass
@@ -210,12 +230,12 @@ _BOUNDS = {
     "arena.width": _POSITIVE, "arena.height": _POSITIVE,
     "groups[].count": _AT_LEAST_ONE,
     "groups[].max_level": _LEVEL,
-    "groups[].energy": _NON_NEGATIVE, "groups[].node_delay": _NON_NEGATIVE,
+    "groups[].energy": _POSITIVE, "groups[].node_delay": _NON_NEGATIVE,
     "groups[].tx_range[]": {"lo": 0, "lo_open": True, "code": "tx-range"},
     "placements[].tx_range[]": {"lo": 0, "lo_open": True, "code": "tx-range"},
     "placements[].id": _NON_NEGATIVE,
     "placements[].max_level": _LEVEL,
-    "placements[].energy": _NON_NEGATIVE,
+    "placements[].energy": _POSITIVE,
     "placements[].node_delay": _NON_NEGATIVE,
     "links[].a": _NON_NEGATIVE, "links[].b": _NON_NEGATIVE,
     "links[].level": _LEVEL,
@@ -490,18 +510,30 @@ def _section(ctx, raw, path, spec, parsed=None):
 _SCENARIO = _Spec(ScenarioConfig, "")
 
 
-def _check_link_level(ctx, i, lk, settings):
-    """A link at a level one of its ends lacks would never exist, so its
-    override would be silently ignored.  A missing or out-of-range level
-    is reported already."""
+def _check_link(ctx, i, lk, settings, pinned):
+    """A link at a level one of its ends lacks would never exist, and of
+    two entries for one link only the later would be applied, so either
+    override would be silently ignored.  `pinned` maps each link entered
+    so far, as (lower end, higher end, level), to its entry's index.  A
+    missing or out-of-range level is reported already."""
     if lk.level is None or not _LEVEL["lo"] <= lk.level <= _LEVEL["hi"]:
         return
+    lacking = False
     for end in ("a", "b"):
         nid = getattr(lk, end)
         if settings[nid].max_level < lk.level:
+            lacking = True
             ctx.err(f"links[{i}].level", "level",
                     f"{end} is node {nid}, which has no level-{lk.level} "
                     f"interface (max_level {settings[nid].max_level})")
+    if lacking:
+        return
+    lo, hi = sorted((lk.a, lk.b))
+    first = pinned.setdefault((lo, hi, lk.level), i)
+    if first != i:
+        ctx.err(f"links[{i}]", "duplicate",
+                f"links[{first}] already sets the level-{lk.level} link "
+                f"between nodes {lo} and {hi}")
 
 
 def parse_scenario(text):
@@ -516,6 +548,7 @@ def parse_scenario(text):
     cfg = _section(ctx, data, "", _SCENARIO)
 
     settings = dict(cfg.nodes())
+    pinned = {}
     for name, ends in (("flows", ("src", "dst")), ("links", ("a", "b"))):
         for i, item in enumerate(getattr(cfg, name)):
             for end in ends:
@@ -528,7 +561,7 @@ def parse_scenario(text):
                 ctx.err(f"{name}[{i}].{ends[1]}", "node-ref",
                         f"{ends[1]} is node {a}, the same as {ends[0]}")
             elif name == "links" and a in settings and b in settings:
-                _check_link_level(ctx, i, item, settings)
+                _check_link(ctx, i, item, settings, pinned)
 
     if ctx.issues:
         raise ScenarioError(ctx.issues)

@@ -182,6 +182,34 @@ class TestParsing:
              "a is node 2, which has no level-2 interface (max_level 1)"),
             ("links[2].b", "node-ref", "node 9 does not exist")]
 
+    def test_link_entered_twice_reported(self):
+        # Only the later entry would be applied, so the first one's pin
+        # would be lost.  The same ends at another level are another link.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(
+                "placements:\n"
+                "  - {id: 0, position: [0, 0], max_level: 1}\n"
+                "  - {id: 1, position: [10, 0], max_level: 1}\n"
+                "links:\n"
+                "  - {a: 0, b: 1, level: 0, delay: 0.5}\n"
+                "  - {a: 0, b: 1, level: 1, delay: 0.5}\n"
+                "  - {a: 1, b: 0, level: 0, bandwidth: 1000}")
+        assert exc.value.issues == [
+            ("links[2]", "duplicate",
+             "links[0] already sets the level-0 link between nodes 0 and 1")]
+
+    @pytest.mark.parametrize("text", [
+        "groups: [{count: 3, energy: 0}]",
+        "placements: [{id: 0, position: [0, 0], energy: 0.0}]"],
+        ids=["group", "placement"])
+    def test_zero_starting_energy_reported(self, text):
+        # A node with no energy dies on its first radio action, even when
+        # every energy cost is zero.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert [(p, c) for p, c, _ in exc.value.issues] == [
+            (text.split(":")[0] + "[0].energy", "range")]
+
     def test_link_that_is_not_a_mapping_reported_once(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("links: [5]")
@@ -367,7 +395,6 @@ YAML_EDGE_CASES = [
     "date: 2002-12-14\nstamp: 2001-12-14t21:59:43.10-05:00",
     "pinf: .inf\nninf: -.Inf\nnan: .NaN\nexp: 6.8523015e+5",
     "bools: [yes, No, on, OFF, true, ~, null, '']",
-    "dup: 1\ndup: 2",
     "'a\tb': \"c\td\"",
     "key: 'single'\nother: \"d\\u00e9j\\xe0\"\nu: n\u0153ud",
     "- [1, 2]\n- {x: 1}\n- |\n  block\n  text\n- >\n  folded\n  text\n",
@@ -403,9 +430,33 @@ def loader(request, monkeypatch):
 class TestLoaderEquivalence:
     def test_production_loader_is_libyaml_when_available(self):
         if yaml.__with_libyaml__:
-            assert config._LOADER is yaml.CSafeLoader
+            assert issubclass(config._LOADER, yaml.CSafeLoader)
         else:
-            assert config._LOADER is yaml.SafeLoader
+            assert issubclass(config._LOADER, yaml.SafeLoader)
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("dup: 1\ndup: 2", "'dup'", 2),
+        ("seed: 1\nseed: 2\n", "'seed'", 2),
+        ("flows: [{src: 0, dst: 1}]\nseed: 3\nflows: []\n", "'flows'", 3),
+        ("arena: {width: 10,\n        width: 20}", "'width'", 2),
+        ("yes: 1\ntrue: 2", "True", 2)],
+        ids=["dup", "seed", "flows", "nested", "same-value"])
+    def test_repeated_key_reported(self, text, key, line):
+        # SafeLoader keeps a repeated key's last value, so the first would
+        # be silently lost.
+        with pytest.raises(yaml.constructor.ConstructorError):
+            yaml.load(text, Loader=config._LOADER)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        [(path, code, msg)] = exc.value.issues
+        assert (path, code) == ("<document>", "yaml")
+        assert f"found duplicate key {key}\n" in msg
+        assert f"line {line}," in msg.split("found duplicate key")[1]
+
+    def test_merge_key_may_be_overridden(self):
+        text = "a: &x {k: 1, j: 1}\nc: {<<: *x, k: 2}"
+        assert yaml.load(text, Loader=config._LOADER) == {
+            "a": {"k": 1, "j": 1}, "c": {"k": 2, "j": 1}}
 
     @pytest.mark.parametrize("path", SCENARIO_FILES,
                              ids=[p.name for p in SCENARIO_FILES])
