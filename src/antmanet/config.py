@@ -33,28 +33,23 @@ from .routing import PreferenceParams, QosRequirement
 
 class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser with PyYAML's safe constructor and resolver, so a
-    document both parsers accept loads to the same values as under
-    SafeLoader (where they part is pinned in tests/test_config_cli.py); the
-    pure-Python loader is used only when PyYAML was built without libyaml.
-
-    A scalar key repeated in one mapping is an error, where PyYAML keeps
-    its last value.  Merge keys (``<<``) still merge, and a key of the
-    mapping itself overrides a merged one.
-    """
+    document both parsers accept loads as under SafeLoader (where they part
+    is pinned in tests/test_config_cli.py), save that a scalar key repeated
+    in one mapping is an error, not a new value.  Merge keys (``<<``) still
+    merge.  Without libyaml the parser is PyYAML's own."""
 
     def construct_mapping(self, node, deep=False):
         if isinstance(node, yaml.MappingNode):
             seen = set()
             for key_node, _ in node.value:
-                if (not isinstance(key_node, yaml.ScalarNode)
-                        or key_node.tag == "tag:yaml.org,2002:merge"):
-                    continue
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
         return super().construct_mapping(node, deep)
 
 
@@ -518,22 +513,18 @@ def _check_link(ctx, i, lk, settings, pinned):
     missing or out-of-range level is reported already."""
     if lk.level is None or not _LEVEL["lo"] <= lk.level <= _LEVEL["hi"]:
         return
-    lacking = False
-    for end in ("a", "b"):
-        nid = getattr(lk, end)
-        if settings[nid].max_level < lk.level:
-            lacking = True
-            ctx.err(f"links[{i}].level", "level",
-                    f"{end} is node {nid}, which has no level-{lk.level} "
-                    f"interface (max_level {settings[nid].max_level})")
-    if lacking:
-        return
     lo, hi = sorted((lk.a, lk.b))
     first = pinned.setdefault((lo, hi, lk.level), i)
     if first != i:
         ctx.err(f"links[{i}]", "duplicate",
                 f"links[{first}] already sets the level-{lk.level} link "
                 f"between nodes {lo} and {hi}")
+    for end in ("a", "b"):
+        nid = getattr(lk, end)
+        if settings[nid].max_level < lk.level:
+            ctx.err(f"links[{i}].level", "level",
+                    f"{end} is node {nid}, which has no level-{lk.level} "
+                    f"interface (max_level {settings[nid].max_level})")
 
 
 def parse_scenario(text):
