@@ -421,9 +421,10 @@ YAML_DIVERGENCES = [
 
 
 @pytest.fixture(params=[config._LOADER, yaml.SafeLoader],
-                ids=lambda loader: loader.__name__)
+                ids=[config._LOADER.__base__.__name__, "SafeLoader"])
 def loader(request, monkeypatch):
-    """Run the test under the production loader, then under SafeLoader."""
+    """Run the test under the production loader, then under SafeLoader.
+    The production loader's id is the PyYAML loader it extends."""
     monkeypatch.setattr(config, "_LOADER", request.param)
     return request.param
 
