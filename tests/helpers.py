@@ -1,5 +1,5 @@
-"""Shared builders for hand-crafted network and cluster fixtures, and the
-election oracle."""
+"""Shared builders for hand-crafted network and cluster fixtures, the
+election oracle and the hierarchy's structural invariants."""
 
 import dataclasses
 import math
@@ -112,3 +112,41 @@ def checked_election(state, level, p, participants):
         assert h == max(near, key=key, default=None), \
             f"member {m} of {h} is not with its heaviest neighboring head"
     return table
+
+
+def check_invariants(state, clusters):
+    """Raise AssertionError if any structural invariant is violated."""
+    memberships = set()
+    for level in sorted(clusters.levels):
+        table = clusters.levels[level]
+        seen = {}
+        for head, members in table.items():
+            assert state.node(head).supports(level), \
+                f"head {head} lacks a level-{level} interface"
+            for m in members:
+                assert m in state.neighbors(head, level), \
+                    f"member {m} not one-hop from head {head} at level {level}"
+                assert m not in seen, f"node {m} in two level-{level} clusters"
+                seen[m] = head
+                memberships.add((level, head, m))
+        overlap = set(table) & set(seen)
+        assert not overlap, f"heads also listed as members at level {level}: {overlap}"
+        index = clusters._index.get(level, {})
+        assert index == {**seen, **{h: h for h in table}}, \
+            f"level-{level} head index out of step with the cluster table"
+        if level == 0:
+            covered = set(table) | set(seen)
+            alive = set(state.alive_ids())
+            assert alive <= covered, \
+                f"uncovered nodes at level 0: {alive - covered}"
+    assert set(clusters._index) == set(clusters.levels), \
+        "the head index and the cluster tables cover different levels"
+    stamps = set(clusters.last_heard)
+    assert stamps == memberships, "last-heard stamps out of step: stray " \
+        f"{sorted(stamps - memberships)}, missing {sorted(memberships - stamps)}"
+    # Level containment: every higher-level participant heads the level below.
+    for upper in (1, 2):
+        lower_heads = clusters.heads(upper - 1)
+        for n in clusters.participants(upper):
+            assert n in lower_heads, \
+                f"level-{upper} participant {n} is not a level-{upper - 1} head"

@@ -17,7 +17,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from antmanet import clustering, routing
+from antmanet import routing
 from antmanet.clustering import (WeightParams, form_hierarchy, node_weight,
                                  select_cluster_heads)
 from antmanet.config import BeaconConfig, load_scenario
@@ -29,8 +29,8 @@ from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               path_preference_probability, preference_score)
 
-from helpers import (DEFAULTS, add_node, make_router, make_state,
-                     manual_clusters, record_sink)
+from helpers import (DEFAULTS, add_node, check_invariants, make_router,
+                     make_state, manual_clusters, record_sink)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -178,7 +178,7 @@ def test_clustering_coverage():
                      level=rng.choice([0, 0, 0, 1, 2]),
                      energy=rng.uniform(5, 100))
         clusters = form_hierarchy(state, WeightParams())
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
     assert time.monotonic() - started < 30.0
 
 
@@ -346,7 +346,7 @@ def test_maintenance_closure():
         t += mgr.beacon.interval
     mgr.run_cycle(bound)
     assert 101 not in clusters.members_of(100, 0)
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 1.2: a level-0 head dies; orphans re-covered.
     state, clusters = three_region_world()
@@ -356,7 +356,7 @@ def test_maintenance_closure():
     _cycle_until(mgr, bound)
     assert 110 not in clusters.participants(0)
     assert clusters.head_of(111, 0) is not None
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 2: a newcomer in head range joins that cluster.
     state, clusters = three_region_world()
@@ -364,7 +364,7 @@ def test_maintenance_closure():
     add_node(state, 999, (15.0, 0.0))
     _cycle_until(mgr, bound)
     assert clusters.head_of(999, 0) is not None
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 3: two level-0 heads drift into mutual range and merge.
     state, clusters = three_region_world()
@@ -378,7 +378,7 @@ def test_maintenance_closure():
     assert len(heads_in_group) == 1, f"merge left heads {heads_in_group}"
     head = next(iter(heads_in_group))
     assert clusters.members_of(head, 0) == group - {head}
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 4.1 (+6.2): a level-1 head dies; its region re-forms and the
     # level-2 cluster drops the dead member.
@@ -391,7 +391,7 @@ def test_maintenance_closure():
     assert 200 not in clusters.participants(1)
     assert 200 not in clusters.participants(2)
     assert clusters.head_of(210, 1) is not None
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 4.2: a level-0 head drifts out of its level-1 head's range with
     # its whole cluster; removal happens exactly at the bound.
@@ -409,7 +409,7 @@ def test_maintenance_closure():
     mgr.run_cycle(bound)
     assert 110 not in clusters.members_of(100, 1)
     assert clusters.head_of(110, 1) is not None  # re-covered in its own region
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 5: a new level-1-capable head is adopted into the overlay.
     state, clusters = three_region_world()
@@ -418,7 +418,7 @@ def test_maintenance_closure():
     _cycle_until(mgr, bound)
     assert clusters.head_of(888, 0) == 888
     assert clusters.head_of(888, 1) is not None
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 6.1: the level-2 head dies; surviving regions rebuild level 2.
     state, clusters = three_region_world()
@@ -429,7 +429,7 @@ def test_maintenance_closure():
     assert 100 not in clusters.participants(2)
     for h in (200, 300):
         assert clusters.head_of(h, 2) is not None
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
     # Case 7: an uncovered capable level-1 head rejoins level 2.
     state, clusters = three_region_world()
@@ -437,7 +437,7 @@ def test_maintenance_closure():
     clusters.leave(2, 100, 300)
     _cycle_until(mgr, bound)
     assert clusters.head_of(300, 2) is not None
-    clustering.check_invariants(state, clusters)
+    check_invariants(state, clusters)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from antmanet.clustering import (ClusterState, WeightParams,
                                  weight_table)
 from antmanet.errors import ConfigError
 
-from helpers import add_node, clique_state, make_state, manual_clusters
+from helpers import (add_node, check_invariants, clique_state, make_state,
+                     manual_clusters)
 
 
 ENERGY_ONLY = WeightParams(w1=0.0, w2=1.0, w3=0.0, w4=0.0)
@@ -81,7 +82,7 @@ class TestElection:
             rng = random.Random(seed)
             s = random_geometric_state(rng, 30)
             cs = elect_level0(s, WeightParams())
-            clustering.check_invariants(s, cs)
+            check_invariants(s, cs)
 
     def test_determinism(self):
         # The election draws no random number: the same layout and weights
@@ -111,7 +112,7 @@ class TestHierarchy:
             rng = random.Random(seed)
             s = random_geometric_state(rng, 40)
             cs = form_hierarchy(s, WeightParams())
-            clustering.check_invariants(s, cs)
+            check_invariants(s, cs)
             for n in cs.participants(1):
                 assert n in cs.heads(0)
                 assert s.nodes[n].max_level >= 1
@@ -172,7 +173,7 @@ class TestClusterState:
         assert cs.participants(0) == {0, 1}
         assert cs.head_of(3, 0) is None and cs.head_of(4, 1) is None
         cs.join(0, 0, (2, 3, 4), 0.0)
-        clustering.check_invariants(s, cs)
+        check_invariants(s, cs)
 
     def test_writers_keep_the_stamps(self):
         s = clique_state(5)
@@ -186,7 +187,7 @@ class TestClusterState:
         assert cs.last_heard == {(0, 0, 2): 3.0}
         cs.install(0, {1: {0, 2, 3, 4}}, 4.0)
         assert cs.last_heard == {(0, 1, m): 4.0 for m in (0, 2, 3, 4)}
-        clustering.check_invariants(s, cs)
+        check_invariants(s, cs)
 
     @pytest.mark.parametrize("write, bumps", [
         # Dissolve head 0's cluster, then join head 1's.
@@ -215,7 +216,7 @@ class TestClusterState:
         assert cs.epoch == before
         assert cs.levels == {0: {0: {1, 2}, 3: set()}}
         assert cs.last_heard == {(0, 0, 1): 5.0, (0, 0, 2): 5.0}
-        clustering.check_invariants(s, cs)
+        check_invariants(s, cs)
 
     def test_install_leaves_clusters_outside_its_nodes(self):
         """Node 2 leaves head 0 for head 5, and head 3's cluster is
@@ -235,16 +236,16 @@ class TestClusterState:
         cs.install(1, {}, 1.0)
         assert cs.epoch == before and cs.levels[1] == {}
         assert cs.participants(1) == set()
-        clustering.check_invariants(s, cs)
+        check_invariants(s, cs)
 
     def test_invariants_catch_an_edit_past_the_writers(self):
         s = clique_state(3)
         cs = manual_clusters({0: {0: {1, 2}}})
-        clustering.check_invariants(s, cs)
+        check_invariants(s, cs)
         cs.levels[0][0].discard(2)
         cs.levels[0][2] = set()
         with pytest.raises(AssertionError, match="head index out of step"):
-            clustering.check_invariants(s, cs)
+            check_invariants(s, cs)
 
     def test_invariants_catch_a_stray_or_missing_stamp(self):
         s = clique_state(3)
@@ -252,9 +253,9 @@ class TestClusterState:
         cs.refresh(0, 1, (2,), 1.0)  # node 1 heads no cluster
         with pytest.raises(AssertionError,
                            match=r"stray \[\(0, 1, 2\)\], missing \[\]$"):
-            clustering.check_invariants(s, cs)
+            check_invariants(s, cs)
         cs = manual_clusters({0: {0: {1, 2}}})
         del cs.last_heard[(0, 0, 2)]
         with pytest.raises(AssertionError,
                            match=r"stray \[\], missing \[\(0, 0, 2\)\]$"):
-            clustering.check_invariants(s, cs)
+            check_invariants(s, cs)

@@ -20,7 +20,7 @@ from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
 from antmanet.engine import Simulator
 
-from helpers import checked_election
+from helpers import check_invariants, checked_election
 
 
 class StrayTolerantState:
@@ -70,8 +70,7 @@ class CheckedSimulator(Simulator):
             assert self.now - since < mgr.beacon.detection_bound, (
                 f"t={self.now}: membership {key} out of range since {since}")
         try:
-            clustering.check_invariants(StrayTolerantState(state, stray),
-                                        self.clusters)
+            check_invariants(StrayTolerantState(state, stray), self.clusters)
         except AssertionError as exc:
             raise AssertionError(f"t={self.now}: {exc}") from None
         assert self.stats["round_cap_hits"] == 0, f"t={self.now}: round cap"

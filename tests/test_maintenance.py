@@ -2,13 +2,12 @@ import copy
 
 import pytest
 
-from antmanet import clustering
 from antmanet.clustering import WeightParams
 from antmanet.config import BeaconConfig
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 
-from helpers import (add_node, clique_state, make_router, make_state,
-                     manual_clusters, record_sink)
+from helpers import (add_node, check_invariants, clique_state, make_router,
+                     make_state, manual_clusters, record_sink)
 
 
 def manager(state, clusters):
@@ -76,7 +75,7 @@ class TestMemberWalkAway:
             t += mgr.beacon.interval
         mgr.run_cycle(bound)
         assert 3 not in clusters.members_of(1, 0)
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
         # The stray node is re-covered, here as its own head.
         assert clusters.head_of(3, 0) == 3
 
@@ -142,7 +141,7 @@ class TestHeadLoss:
         assert 2 not in clusters.participants(0)
         for n in (0, 1, 3, 4):
             assert clusters.head_of(n, 0) is not None
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
 
     def test_head_walkaway_flips_to_head_left(self):
         # When the head drifts from every member at once, the members stay
@@ -178,7 +177,7 @@ class TestHeadMerge:
         assert len(clusters.levels[0]) == 1
         head = next(iter(clusters.levels[0]))
         assert clusters.levels[0][head] == {0, 1, 2, 3} - {head}
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
 
     def test_merge_not_retried_when_structure_is_stable(self):
         state, clusters, mgr = self._world()
@@ -237,7 +236,7 @@ class TestHierarchyPropagation:
         assert 20 not in clusters.participants(0)
         assert 20 not in clusters.participants(1)
         assert clusters.head_of(21, 0) is not None
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
 
     def test_upper_head_loss_reforms_overlay(self):
         state, clusters, mgr = hierarchy_world()
@@ -249,14 +248,14 @@ class TestHierarchyPropagation:
         for h in clusters.heads(0):
             if state.nodes[h].supports(1):
                 assert clusters.head_of(h, 1) is not None
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
 
     def test_new_capable_head_adopted_at_level_one(self):
         state, clusters, mgr = hierarchy_world()
         clusters.leave(1, 10, 30)  # node 30 starts uncovered
         mgr.run_cycle(1.0)
         assert clusters.head_of(30, 1) is not None
-        clustering.check_invariants(state, clusters)
+        check_invariants(state, clusters)
 
     def test_quiescent_network_is_untouched(self):
         state, clusters, mgr = hierarchy_world()
