@@ -13,6 +13,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import astuple
 
 from . import clustering
 from .config import Placement
@@ -36,6 +37,13 @@ def energy_debit(attrs, action, size_bits, costs):
     else:
         raise ValueError(f"unknown action {action}")
     return max(0.0, attrs.energy - cost)
+
+
+def energy_is_fixed(costs):
+    """Whether no radio action costs energy under `costs`, a
+    ``config.EnergyCosts``.  Costs are >= 0 and starting energy is > 0,
+    so then no debit changes a node's energy or kills it."""
+    return not any(astuple(costs))
 
 
 def mobility_update(attrs, waypoint, speed, dt, window):
@@ -201,6 +209,7 @@ class Simulator:
         self.clusters = None
         self.router = None
         self.manager = None
+        self.fixed_energy = None
         mob = config.mobility
         self.waypoints = RandomWaypoint(
             (config.arena.width, config.arena.height),
@@ -294,7 +303,6 @@ class Simulator:
         path = payload["path"]
         idx = payload["idx"]
         flow_idx = payload["flow"]
-        bits = self.config.packet_size_bits
         a = path[idx]
         if idx == len(path) - 1:
             if not self.state.node(a).alive:
@@ -311,8 +319,10 @@ class Simulator:
         if link is None:
             self._drop(flow_idx, at=a, next=b)
             return
-        self._apply_energy(a, "tx", bits)
-        self._apply_energy(b, "rx", bits)
+        if not self.fixed_energy:
+            bits = self.config.packet_size_bits
+            self._apply_energy(a, "tx", bits)
+            self._apply_energy(b, "rx", bits)
         arrival = self.now + link.delay + self.state.node(b).node_delay
         self.schedule(arrival, "packet_at", flow=flow_idx, path=path,
                       levels=payload["levels"], idx=idx + 1,
@@ -337,15 +347,20 @@ class Simulator:
             self.stats[f"elections_l{level}"] += len(heads)
             self.trace({"kind": "election", "t": self.now, "level": level,
                         "case": "initial", "heads": heads})
+        # Decided here, not at construction, so that setup does not pay for
+        # it: with every cost 0 no radio action is debited, and routing
+        # takes each path's energy from its memoized link metrics.
+        self.fixed_energy = energy_is_fixed(cfg.energy_costs)
         self.router = Router(
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,
             tau_initial=cfg.pheromone.initial,
             cache_max_age=cfg.cache.max_age, trace=self.trace,
-            stats=self.stats)
+            stats=self.stats, fixed_energy=self.fixed_energy)
         self.manager = MaintenanceManager(
             self.state, self.clusters, self.router, cfg.weights, cfg.beacon,
-            trace=self.trace, stats=self.stats, energy_debit=self._apply_energy)
+            trace=self.trace, stats=self.stats,
+            energy_debit=None if self.fixed_energy else self._apply_energy)
 
         periodic = [("beacon", cfg.beacon.interval),
                     ("evaporate", cfg.pheromone.evaporation_interval)]

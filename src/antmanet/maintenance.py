@@ -39,7 +39,7 @@ class MembershipEvent:
 class MaintenanceManager:
     def __init__(self, state, clusters, router, wparams, beacon,
                  trace=lambda record, key=None: None, stats=None,
-                 energy_debit=lambda node, action: None):
+                 energy_debit=None):
         if beacon.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.state = state
@@ -49,7 +49,8 @@ class MaintenanceManager:
         self.beacon = beacon  # a config.BeaconConfig
         self.trace = trace
         self.stats = Counter() if stats is None else stats
-        self.energy_debit = energy_debit  # fn(node, action)
+        # fn(node, action), or None where no beacon costs energy.
+        self.energy_debit = energy_debit
         self._merge_attempted = set()
         self._recent_joins = []
 
@@ -59,15 +60,18 @@ class MaintenanceManager:
         """One head's beacon round: re-stamp the members it reaches."""
         if not self.state.node(head).alive:
             return
-        self.energy_debit(head, "beacon")
+        debit = self.energy_debit
+        if debit is not None:
+            debit(head, "beacon")
         # A member's debit can kill only that member, which changes no
         # head-to-other-member link, so one lookup serves the whole loop.
         # A dead node has no link, so `near` holds live members only.
         near = self.state.neighbors(head, level)
         heard = sorted(near & self.clusters.members_of(head, level))
         self.clusters.refresh(level, head, heard, now)
-        for m in heard:
-            self.energy_debit(m, "beacon")
+        if debit is not None:
+            for m in heard:
+                debit(m, "beacon")
         self.stats["beacon_packets"] += 1 + len(heard)
 
     def detect_changes(self, now):

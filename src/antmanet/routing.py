@@ -23,7 +23,8 @@ expansion with each path's link metrics and nodes; and per route, the
 link metrics of the route and of each suffix, or its broken link.  Every
 call still reads the endpoints' liveness, the route cache, pheromone,
 the time and energy afresh, and emits the same records and counters as a
-call with an empty memo.
+call with an empty memo.  A router built with ``fixed_energy`` serves a
+run where no energy moves, so it takes the memoized metrics as they are.
 """
 
 import heapq
@@ -187,7 +188,8 @@ class Router:
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
                  tau_initial, cache_max_age,
-                 trace=lambda record, key=None: None, stats=None):
+                 trace=lambda record, key=None: None, stats=None,
+                 fixed_energy=False):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -197,6 +199,9 @@ class Router:
         self.pheromone = PheromoneTable(q, tau_initial)
         self.cache = RouteCache()
         self.stats = Counter() if stats is None else stats
+        # True when no node's energy changes during the run: the energy
+        # minimum link_metrics took when the memo was filled still holds.
+        self.fixed_energy = fixed_energy
         # What discovery derives from the topology and the cluster tables,
         # valid while (state.version, clusters.epoch) is _memo_stamp.  The
         # key shapes tell its entries apart: (src, dst) -> _plan's plan,
@@ -270,7 +275,7 @@ class Router:
         with each path's link metrics and nodes, depends only on the
         topology version, the scope and the endpoints, so it comes from
         the memo.  Energy changes within a version, so each path's metrics
-        take it afresh on every call.  Per next hop the first best-scoring
+        take it afresh on every call, unless it is fixed.  Per next hop the first best-scoring
         admissible reply is kept; the next hop with the highest preference
         probability (ties to the lower id) wins unless it is below
         `theta_p`.
@@ -297,8 +302,9 @@ class Router:
         kind, ends = (("reply_king_ant", ("src_head", "dst_head")) if level
                       else ("reply_knave_ant", ("src_member", "dst_member")))
         best_per_hop = {}
+        fixed = self.fixed_energy
         for path, fm, nodes in found:
-            m = _with_energy(fm, nodes)
+            m = fm if fixed else _with_energy(fm, nodes)
             self.trace({"kind": kind, "t": now, "packet": {
                 "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
                 "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
@@ -396,7 +402,7 @@ class Router:
         `levels`) and its relays' suffixes; returns its Route.
 
         The link metrics of the route and of its suffixes come from the
-        memo, each with its energy read afresh."""
+        memo, each with its energy read afresh unless it is fixed."""
         memo = self._current_memo()
         key = (path, levels)
         metrics = memo.get(key)
@@ -407,7 +413,8 @@ class Router:
             # cycles; treat the assembled route as undiscoverable this attempt.
             raise NoRouteError(metrics)
         nodes, suffixes = metrics
-        m = _with_energy(suffixes[0], nodes)
+        fixed = self.fixed_energy
+        m = suffixes[0] if fixed else _with_energy(suffixes[0], nodes)
         if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
@@ -422,7 +429,8 @@ class Router:
         if len(path) > 2:
             self.cache.insert(src, route)
         for idx in range(1, len(path) - 2):
-            sm = _with_energy(suffixes[idx], nodes[idx:])
+            sm = (suffixes[idx] if fixed
+                  else _with_energy(suffixes[idx], nodes[idx:]))
             self.cache.insert(path[idx], Route(
                 destination=dst, path=path[idx:], levels=levels[idx:],
                 metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)))
