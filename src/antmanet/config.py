@@ -17,6 +17,7 @@ serialize(parse(x)) always reparses to an equal config.
 comment header.
 """
 
+import io
 import math
 import re
 import typing
@@ -528,7 +529,11 @@ def _check_link(ctx, i, lk, settings, pinned):
 
 
 def parse_scenario(text):
-    """Parse and validate scenario text; raises ScenarioError on problems."""
+    """Parse and validate scenario text; raises ScenarioError on problems.
+
+    `text` may also be a text stream: a YAML issue then gives its `name`
+    where it would give ``"<unicode string>"``.
+    """
     try:
         data = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
@@ -567,7 +572,9 @@ def load_scenario(path):
     except UnicodeDecodeError as exc:
         raise ScenarioError([("<document>", "encoding",
                               f"not valid UTF-8: {exc}")]) from None
-    return parse_scenario(text)
+    stream = io.StringIO(text)
+    stream.name = str(path)
+    return parse_scenario(stream)
 
 
 def serialize(config):

@@ -16,7 +16,7 @@ import yaml
 from antmanet import config
 from antmanet.cli import main
 from antmanet.config import (FlowConfig, NodeGroup, Placement, ScenarioConfig,
-                             parse_scenario, serialize)
+                             load_scenario, parse_scenario, serialize)
 from antmanet.engine import Simulator
 from antmanet.errors import AntManetError, ScenarioError
 
@@ -480,6 +480,18 @@ class TestLoaderEquivalence:
             parse_scenario(text)
         assert [(p, c) for p, c, _ in exc.value.issues] == [("<document>", "yaml")]
 
+    def test_yaml_issue_names_the_file(self, loader, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: 1\n{unclosed", encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        [(where, code, msg)] = exc.value.issues
+        assert (where, code) == ("<document>", "yaml")
+        assert f'in "{path}", line 2,' in msg
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(path.read_text(encoding="utf-8"))
+        assert 'in "<unicode string>", line 2,' in exc.value.issues[0][2]
+
     @pytest.mark.parametrize("text", YAML_EDGE_CASES)
     def test_edge_documents(self, text):
         assert (_load_or_error(text, config._LOADER)
@@ -590,6 +602,16 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: [type] expected a number\n")
+
+    def test_validate_repeated_key_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("{seed: 1, seed: 2}\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: <document>: [yaml] ")
+        assert (f'found duplicate key \'seed\'\n  in "{bad}", line 1, column 11'
+                in err)
+        assert "<unicode string>" not in err
 
     def test_validate_non_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
