@@ -275,10 +275,10 @@ class Router:
         with each path's link metrics and nodes, depends only on the
         topology version, the scope and the endpoints, so it comes from
         the memo.  Energy changes within a version, so each path's metrics
-        take it afresh on every call, unless it is fixed.  Per next hop the first best-scoring
-        admissible reply is kept; the next hop with the highest preference
-        probability (ties to the lower id) wins unless it is below
-        `theta_p`.
+        take it afresh on every call, unless it is fixed.  Per next hop the
+        first best-scoring admissible reply is kept; the next hop with the
+        highest preference probability (ties to the lower id) wins unless
+        it is below `theta_p`.
         """
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
