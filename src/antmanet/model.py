@@ -197,9 +197,6 @@ class NetworkState:
         self._links.clear()
         self.version += 1
 
-    def alive_ids(self):
-        return [n for n, a in self.nodes.items() if a.alive]
-
     def set_link_params(self, a, b, level, delay=None, bandwidth=None):
         """Pin explicit delay/bandwidth for one link (crafted scenarios)."""
         lo, hi = (a, b) if a < b else (b, a)

@@ -136,7 +136,7 @@ def check_invariants(state, clusters):
             f"level-{level} head index out of step with the cluster table"
         if level == 0:
             covered = set(table) | set(seen)
-            alive = set(state.alive_ids())
+            alive = {n for n, attrs in state.nodes.items() if attrs.alive}
             assert alive <= covered, \
                 f"uncovered nodes at level 0: {alive - covered}"
     assert set(clusters._index) == set(clusters.levels), \

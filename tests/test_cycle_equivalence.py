@@ -1,235 +1,22 @@
-"""The beacon cycle's fast paths against test-local copies of the full scans.
-
-``reference_weight_table`` sums every participant's distances for the
-group maximum, ``reference_check_reelection_triggers`` builds every
-level's full weight table on every call, ``reference_detect_head_merges``
-tests every head pair, ``reference_build_adjacency`` concatenates the
-candidate lists per node and tests ``d <= min(ra, rb)``, and
-``reference_best_head_in_range`` tests every head for each node.
-``reference_head_of`` and ``reference_participants`` scan the cluster
-tables instead of reading the head index,
-``reference_cover_orphans`` tests every live node's eligibility, and
-``reference_beacon_tick`` tests each member's liveness and counts its
-packets one by one.  ``reference_scoped_election`` writes its election's
-result by its own dissolve, leave and join calls instead of through
-`ClusterState.install`, and ``reference_run_cycle`` ends a repair round
-when a copy of every cluster table taken before it compares equal after
-it, instead of reading the hierarchy epoch.  Each must give the same
-result, in the same order, as the code it stands in for.
-
-Elections have no reference loop: ``helpers.checked_election`` checks each
-table against the rule it implements, on random layouts and on every
-election of the mobile runs.
-"""
+"""Unit-level comparisons of the beacon cycle's fast paths with the
+references in ``reference.py``, on random clustered layouts."""
 
 import math
 import random
-from collections import defaultdict
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antmanet import clustering
-from antmanet.clustering import (ClusterState, WeightParams,
-                                 check_reelection_triggers, form_hierarchy,
-                                 weight_table)
-from antmanet.config import (Arena, BeaconConfig, EnergyCosts, FlowConfig,
-                             MobilityConfig, NodeGroup, ScenarioConfig)
-from antmanet.engine import Simulator, TraceWriter
-from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
-from antmanet.model import NetworkState
+from antmanet.clustering import (WeightParams, check_reelection_triggers,
+                                 form_hierarchy, weight_table)
+from antmanet.config import BeaconConfig
+from antmanet.maintenance import MaintenanceManager
 
 from helpers import add_node, checked_election, make_state, manual_clusters
-
-
-def reference_weight_table(state, level, participants, p):
-    participants = sorted(participants)
-    pset = set(participants)
-    raw = {}
-    for n in participants:
-        attrs = state.node(n)
-        nbrs = state.neighbors(n, level) & pset
-        total = 0.0
-        for m in sorted(nbrs):
-            total += math.dist(attrs.position, state.node(m).position)
-        raw[n] = (float(len(nbrs)), attrs.energy, attrs.mobility, total)
-    maxima = [max((inputs[k] for inputs in raw.values()), default=0.0)
-              for k in range(4)]
-    weights = {}
-    for n, inputs in raw.items():
-        scaled = [v / top if top > 0 else 0.0 for v, top in zip(inputs, maxima)]
-        weights[n] = clustering.node_weight(*scaled, p)
-    return weights
-
-
-def reference_check_reelection_triggers(state, clusters, p, joins=None):
-    flagged = set()
-    for level in sorted(clusters.levels):
-        participants = clusters.participants(level)
-        participants = [n for n in participants if state.node(n).alive]
-        if not participants:
-            continue
-        weights = reference_weight_table(state, level, participants, p)
-        for head in clusters.heads(level):
-            if head in weights and weights[head] < p.theta_w:
-                flagged.add((level, head))
-        if joins:
-            for jlevel, head, node in joins:
-                if jlevel == level and head in weights and node in weights:
-                    if weights[node] > weights[head]:
-                        flagged.add((level, head))
-    return flagged
-
-
-def reference_head_of(self, node, level):
-    table = self.levels.get(level, {})
-    if node in table:
-        return node
-    for head, members in table.items():
-        if node in members:
-            return head
-    return None
-
-
-def reference_participants(self, level):
-    out = set()
-    for head, members in self.levels.get(level, {}).items():
-        out.add(head)
-        out.update(members)
-    return out
-
-
-def reference_cover_orphans(self, level, now, case):
-    orphans = (clustering.candidates(self.state, self.clusters, level)
-               - self.clusters.participants(level))
-    remainder = set()
-    for n in sorted(orphans):
-        ev = MembershipEvent("member_joined", level, node=n)
-        if not self.handle_membership_change(ev, now):
-            remainder.add(n)
-    if remainder:
-        self._scoped_election(level, remainder, now, case=case)
-
-
-def reference_beacon_tick(self, head, level, now):
-    if not self.state.node(head).alive:
-        return
-    self.energy_debit(head, "beacon")
-    self.stats["beacon_packets"] += 1
-    near = self.state.neighbors(head, level)
-    for m in sorted(self.clusters.members_of(head, level)):
-        if self.state.node(m).alive and m in near:
-            self.clusters.refresh(level, head, (m,), now)
-            self.energy_debit(m, "beacon")
-            self.stats["beacon_packets"] += 1
-
-
-def reference_detect_head_merges(self, now):
-    events = []
-    heads = sorted(h for h in self.clusters.heads(0)
-                   if self.state.node(h).alive)
-    head_set = set(heads)
-    self._merge_attempted = {p for p in self._merge_attempted
-                             if p <= head_set}
-    for i, h1 in enumerate(heads):
-        for h2 in heads[i + 1:]:
-            if h2 in self.state.neighbors(h1, 0):
-                if frozenset((h1, h2)) not in self._merge_attempted:
-                    events.append(MembershipEvent(
-                        "heads_in_range", 0, head=h1, other=h2))
-    return events
-
-
-def reference_build_adjacency(self, level):
-    members = []
-    for nid, attrs in self.nodes.items():
-        if attrs.alive and attrs.supports(level):
-            x, y = attrs.position
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite coordinate on node {nid}")
-            members.append((nid, x, y, attrs.range_at(level)))
-    cell = max((m[3] for m in members), default=0.0) * (1.0 + 1e-9)
-    if not cell > 0.0:
-        cell = 1.0
-    grid = defaultdict(list)
-    for i, (_, x, y, r) in enumerate(members):
-        grid[(math.floor(x / cell), math.floor(y / cell))].append((i, x, y, r))
-    found = [[] for _ in members]
-    for (cx, cy), here in grid.items():
-        after = [m for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy),
-                               (cx + 1, cy + 1))
-                 for m in grid.get(key, ())]
-        for k, (i, ax, ay, ra) in enumerate(here):
-            for j, bx, by, rb in here[k + 1:] + after:
-                if math.hypot(ax - bx, ay - by) <= min(ra, rb):
-                    found[i].append(j)
-                    found[j].append(i)
-    adj = dict.fromkeys(self.nodes, frozenset())
-    for i, (nid, _, _, _) in enumerate(members):
-        adj[nid] = frozenset(members[j][0] for j in found[i])
-    return adj
-
-
-def reference_best_head_in_range(self, level, node):
-    heads = [h for h in sorted(self.clusters.heads(level))
-             if self.state.node(h).alive
-             and node in self.state.neighbors(h, level)]
-    if not heads:
-        return None
-    participants = sorted(set(heads) | {node})
-    weights = reference_weight_table(self.state, level, participants,
-                                     self.wparams)
-    return max(heads, key=lambda h: (weights[h], -h))
-
-
-def reference_scoped_election(self, level, nodes, now, case):
-    clusters = self.clusters
-    nodes = sorted(n for n in nodes
-                   if clustering.eligible(self.state, clusters, n, level))
-    if not nodes:
-        return
-    try:
-        elected = clustering.select_cluster_heads(
-            self.state, level, self.wparams, participants=nodes)
-    except clustering.ElectionError:
-        self.trace({"kind": "maintenance", "t": now, "case": case,
-                    "level": level, "error": "election-failed"})
-        return
-    node_set = set(nodes)
-    table = clusters.levels.get(level, {})
-    for h in list(table):
-        if h in node_set:
-            clusters.dissolve(level, h)
-        else:
-            for m in table[h] & node_set:
-                clusters.leave(level, h, m)
-    for h, members in elected.items():
-        clusters.join(level, h, members, now)
-    self.stats[f"elections_l{level}"] += len(elected)
-    self.trace({"kind": "election", "t": now, "level": level,
-                "case": case, "heads": sorted(elected)})
-
-
-def reference_run_cycle(self, now, max_rounds=8):
-    for level in sorted(self.clusters.levels):
-        for head in sorted(self.clusters.heads(level)):
-            self.beacon_tick(head, level, now)
-    for _ in range(max_rounds):
-        before = {level: {head: set(members)
-                          for head, members in table.items()}
-                  for level, table in self.clusters.levels.items()}
-        for ev in self.detect_changes(now):
-            self.handle_membership_change(ev, now)
-        self._cover_orphans(0, now, case=CASES["head_left"][0])
-        for ev in self.detect_head_merges(now):
-            self.handle_membership_change(ev, now)
-        self.propagate_hierarchy_change(now)
-        self.check_reelection(now)
-        if self.clusters.levels == before:
-            break
-    else:
-        self.stats["round_cap_hits"] += 1
+from reference import (reference_best_head_in_range,
+                       reference_check_reelection_triggers,
+                       reference_detect_head_merges, reference_weight_table)
 
 
 def _clustered_layout(seed, n, span, dead_share):
@@ -375,8 +162,8 @@ def test_elections_match_head_scans(seed, n, span, dead_share, theta_w):
     state, clusters, _ = _clustered_layout(seed, n, span, dead_share)
     p = WeightParams(theta_w=theta_w)
     for level in (0, 1, 2):
-        participants = [nid for nid in state.alive_ids()
-                        if state.node(nid).supports(level)]
+        participants = [nid for nid, attrs in state.nodes.items()
+                        if attrs.alive and attrs.supports(level)]
         try:
             checked_election(state, level, p, participants)
         except clustering.ElectionError:
@@ -388,57 +175,3 @@ def test_elections_match_head_scans(seed, n, span, dead_share, theta_w):
         for nid in sorted(state.nodes):
             assert (mgr._best_head_in_range(level, nid)
                     == reference_best_head_in_range(mgr, level, nid))
-
-
-def _mobile_config(theta_w):
-    return ScenarioConfig(
-        seed=21, duration=60.0, arena=Arena(500, 500),
-        groups=[NodeGroup(count=30, max_level=0, energy=0.008),
-                NodeGroup(count=20, max_level=1),
-                NodeGroup(count=10, max_level=2)],
-        weights=WeightParams(theta_w=theta_w),
-        mobility=MobilityConfig(enabled=True, speed_min=1.0, speed_max=6.0,
-                                pause=1.0),
-        energy_costs=EnergyCosts(tx_packet=0.002, tx_bit=1e-7,
-                                 rx_packet=0.001, rx_bit=5e-8,
-                                 beacon=0.0002),
-        flows=[FlowConfig(src=s, dst=d, start=1.0 + i, packets=10,
-                          interval=4.0)
-               for i, (s, d) in enumerate([(0, 59), (31, 45), (50, 12),
-                                           (5, 40), (22, 55), (33, 58)])])
-
-
-def _trace(theta_w):
-    lines = []
-    summary = Simulator(_mobile_config(theta_w),
-                        trace=TraceWriter(lines.append)).run()
-    return lines, summary
-
-
-@pytest.mark.parametrize("theta_w", [-math.inf, 0.0])
-def test_mobile_run_matches_references(monkeypatch, theta_w):
-    fast, fast_stats = _trace(theta_w)
-    monkeypatch.setattr(clustering, "check_reelection_triggers",
-                        reference_check_reelection_triggers)
-    monkeypatch.setattr(MaintenanceManager, "detect_head_merges",
-                        reference_detect_head_merges)
-    monkeypatch.setattr(NetworkState, "_build_adjacency",
-                        reference_build_adjacency)
-    monkeypatch.setattr(ClusterState, "head_of", reference_head_of)
-    monkeypatch.setattr(ClusterState, "participants", reference_participants)
-    monkeypatch.setattr(MaintenanceManager, "_cover_orphans",
-                        reference_cover_orphans)
-    monkeypatch.setattr(MaintenanceManager, "beacon_tick",
-                        reference_beacon_tick)
-    monkeypatch.setattr(MaintenanceManager, "_scoped_election",
-                        reference_scoped_election)
-    monkeypatch.setattr(MaintenanceManager, "run_cycle", reference_run_cycle)
-    monkeypatch.setattr(clustering, "select_cluster_heads", checked_election)
-    ref, ref_stats = _trace(theta_w)
-    assert fast_stats == ref_stats
-    assert fast == ref
-    # The run exercises joins (case 2), merges (case 3) and re-elections.
-    cases = "".join(fast)
-    for case in ('"case":"2"', '"case":"3"', '"case":"reelect"'):
-        assert case in cases
-    assert fast_stats["deaths"] > 0

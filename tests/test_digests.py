@@ -1,14 +1,17 @@
 """The digest corpus's traces match the committed table, the corpus
 meets every maintenance case code, no route ant goes from a head to
-itself, its finite weight threshold moves its trace, and route caches
-hold one route per node and destination and no one-hop route."""
+itself, its finite weight threshold moves its trace, route caches hold
+one route per node and destination and no one-hop route, and every
+scenario replays some of discovery's memo."""
 
 import dataclasses
 import json
 import math
+from collections import Counter
 
 from antmanet.config import load_scenario
 from antmanet.maintenance import CASES
+from antmanet.routing import Router
 
 from digests import CORPUS, DATA, TABLE, run, table
 
@@ -72,3 +75,19 @@ def test_route_caches_hold_no_duplicate():
     assert held
     assert all((r.path[0], r.destination) == key and len(r.path) > 2
                for key, r in held.items())
+
+
+def test_every_scenario_replays_memo_entries(monkeypatch):
+    """Each scenario looks up discovery's plans, floods and route metrics
+    in the router's memo more often than it derives them."""
+    counts = Counter()
+    for name in ("_current_memo", "_plan", "_expand", "_route_metrics"):
+        def counted(self, *args, method=getattr(Router, name),
+                    kind="lookups" if name == "_current_memo" else "derived"):
+            counts[kind] += 1
+            return method(self, *args)
+        monkeypatch.setattr(Router, name, counted)
+    for path in CORPUS:
+        counts.clear()
+        run(path)
+        assert 0 < counts["derived"] < counts["lookups"], (path.stem, counts)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from antmanet import engine
-from antmanet.config import (Arena, CacheConfig, EnergyCosts, FlowConfig,
+from antmanet.config import (Arena, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, Placement,
                              ScenarioConfig, load_scenario, parse_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
@@ -361,67 +361,10 @@ class TestSummary:
         assert sim.stats is sim.router.stats is sim.manager.stats
 
 
-DIGEST = Path(__file__).resolve().parent / "data" / "digest"
-
-
-def flood_layout():
-    """A generated static 100-node layout at flood's density with a 40/40/20
-    interface mix, every cost 0 and a 0.5 s cache, so each 1 packet/s flow
-    rediscovers its route over an unchanging topology."""
-    rng = random.Random("fixed-energy-flood")
-    flows = []
-    for _ in range(60):
-        src, dst = rng.sample(range(100), 2)
-        flows.append(FlowConfig(src=src, dst=dst,
-                                start=round(rng.uniform(0.0, 2.0), 3),
-                                packets=8, interval=1.0))
-    return ScenarioConfig(
-        seed=7, duration=10.0, arena=Arena(850.0, 850.0),
-        groups=[NodeGroup(count=40, max_level=0),
-                NodeGroup(count=40, max_level=1),
-                NodeGroup(count=20, max_level=2)],
-        cache=CacheConfig(max_age=0.5), flows=flows)
-
-
 class TestFixedEnergy:
-    """With every energy cost 0 a run debits nothing and routing takes the
-    memoized path metrics as they are; the result must be the run that
-    debits every action and re-reads energy on every discovery."""
-
-    @staticmethod
-    def _run(cfg):
-        lines = []
-        sim = Simulator(cfg, trace=TraceWriter(lines.append))
-        summary = sim.run()
-        return sim, "".join(lines), summary
-
-    @pytest.mark.parametrize("cfg", [
-        pytest.param(lambda: load_scenario(DIGEST / "static-cache.yaml"),
-                     id="static-cache"),
-        pytest.param(lambda: load_scenario(DIGEST / "link-override.yaml"),
-                     id="link-override"),
-        pytest.param(flood_layout, id="flood-layout")])
-    def test_matches_the_debited_run(self, cfg, monkeypatch):
-        calls = []
-        debit = engine.energy_debit
-
-        def counted(*args):
-            calls.append(args)
-            return debit(*args)
-
-        monkeypatch.setattr(engine, "energy_debit", counted)
-        sim, trace, summary = self._run(cfg())
-        assert sim.fixed_energy and sim.router.fixed_energy
-        assert sim.manager.energy_debit is None
-        assert calls == []
-        assert summary["packets_delivered"] > 0
-
-        monkeypatch.setattr(engine, "energy_is_fixed", lambda costs: False)
-        sim, debited_trace, debited_summary = self._run(cfg())
-        assert not sim.fixed_energy and not sim.router.fixed_energy
-        assert calls
-        assert debited_trace == trace
-        assert debited_summary == summary
+    """A run debits energy when any one cost is not zero.  That a run with
+    every cost 0 debits nothing, and gives the trace of one that debits
+    every action, is checked by ``test_differential.py``."""
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(EnergyCosts)])

@@ -31,11 +31,12 @@ class StrayTolerantState:
         self.state = state
         self.stray = stray
 
+    @property
+    def nodes(self):
+        return self.state.nodes
+
     def node(self, nid):
         return self.state.node(nid)
-
-    def alive_ids(self):
-        return self.state.alive_ids()
 
     def neighbors(self, nid, level):
         return self.state.neighbors(nid, level) | {

@@ -1,9 +1,5 @@
-"""The cached topology snapshot against a brute-force full-scan reference.
-
-``BruteForceState`` derives every neighbor set and link from scratch on
-each call, as ``NetworkState`` did before it cached a grid-built adjacency
-and memoised link attributes per topology version.
-"""
+"""The cached topology snapshot against ``reference.BruteForceState``,
+which derives every neighbor set and link from scratch on each call."""
 
 import math
 import random
@@ -12,59 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antmanet import engine
-from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
-                             NodeGroup, ScenarioConfig)
-from antmanet.engine import Simulator, TraceWriter
 from antmanet.errors import UnknownNodeError
-from antmanet.model import (LinkAttributes, NetworkState, NodeAttributes,
-                            link_expiration_time)
+from antmanet.model import NetworkState, NodeAttributes
+
+from reference import BruteForceState
 
 LEVELS = (0, 1, 2)
-
-
-def _in_range(a, b, level):
-    (ax, ay), (bx, by) = a.position, b.position
-    if not all(math.isfinite(v) for v in (ax, ay, bx, by)):
-        raise ValueError("non-finite coordinate")
-    return math.hypot(ax - bx, ay - by) <= min(a.range_at(level),
-                                               b.range_at(level))
-
-
-class BruteForceState(NetworkState):
-    """Rescans every node on every call; caches nothing but the jitter."""
-
-    def neighbors(self, nid, level):
-        attrs = self.node(nid)
-        if not attrs.supports(level) or not attrs.alive:
-            return frozenset()
-        out = set()
-        for mid, m in self.nodes.items():
-            if (mid != nid and m.alive and m.supports(level)
-                    and _in_range(attrs, m, level)):
-                out.add(mid)
-        return frozenset(out)
-
-    def linked(self, a, b, level):
-        na, nb = self.node(a), self.node(b)
-        if not (na.alive and nb.alive and na.supports(level)
-                and nb.supports(level)):
-            return False
-        return _in_range(na, nb, level)
-
-    def link(self, a, b, level):
-        if not self.linked(a, b, level):
-            return None
-        lo, hi = (a, b) if a < b else (b, a)
-        delay, bandwidth = self._overrides.get((lo, hi, level), (None, None))
-        if delay is None:
-            delay = self.link_delay[level] * self._jitter(a, b, level, "d")
-        if bandwidth is None:
-            bandwidth = self.link_bandwidth[level] * self._jitter(a, b, level, "b")
-        na, nb = self.node(a), self.node(b)
-        rng = min(na.range_at(level), nb.range_at(level))
-        return LinkAttributes(delay=delay, bandwidth=bandwidth,
-                              let=link_expiration_time(na, nb, rng))
 
 
 def _populate(states, nodes):
@@ -435,39 +384,3 @@ def test_non_finite_position_after_refresh_raises(bad):
     for level in (0, 1):
         with pytest.raises(ValueError, match="non-finite coordinate on node 5"):
             state.neighbors(0, level)
-
-
-def _mobile_energy_config():
-    # Level-0 nodes start nearly drained, so beacon costs kill some of
-    # them mid-run and their deaths must change the topology.
-    return ScenarioConfig(
-        seed=21, duration=60.0, arena=Arena(500, 500),
-        groups=[NodeGroup(count=30, max_level=0, energy=0.008),
-                NodeGroup(count=20, max_level=1),
-                NodeGroup(count=10, max_level=2)],
-        mobility=MobilityConfig(enabled=True, speed_min=1.0, speed_max=6.0,
-                                pause=1.0),
-        energy_costs=EnergyCosts(tx_packet=0.002, tx_bit=1e-7,
-                                 rx_packet=0.001, rx_bit=5e-8,
-                                 beacon=0.0002),
-        flows=[FlowConfig(src=s, dst=d, start=1.0 + i, packets=10,
-                          interval=4.0)
-               for i, (s, d) in enumerate([(0, 59), (31, 45), (50, 12),
-                                           (5, 40), (22, 55), (33, 58)])])
-
-
-def _run_trace(monkeypatch, state_cls):
-    monkeypatch.setattr(engine, "NetworkState", state_cls)
-    lines = []
-    summary = Simulator(_mobile_energy_config(),
-                        trace=TraceWriter(lines.append)).run()
-    return "".join(lines), summary
-
-
-def test_trace_matches_brute_force(monkeypatch):
-    fast, fast_stats = _run_trace(monkeypatch, NetworkState)
-    brute, brute_stats = _run_trace(monkeypatch, BruteForceState)
-    assert fast_stats["deaths"] > 0
-    assert fast_stats["packets_delivered"] > 0
-    assert fast_stats == brute_stats
-    assert fast == brute

@@ -2,7 +2,6 @@
 not the record's key was seen before."""
 
 import math
-from pathlib import Path
 
 import pytest
 
@@ -10,9 +9,9 @@ from antmanet import engine
 from antmanet.config import load_scenario
 from antmanet.engine import Simulator, TraceWriter, format_record
 
-ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS = [ROOT / "scenarios" / "reference.yaml",
-             *sorted((ROOT / "tests" / "data" / "digest").glob("*.yaml"))]
+from digests import CORPUS, DATA, REFERENCE
+
+SCENARIOS = [REFERENCE, *CORPUS]
 
 
 def _run(path):
@@ -50,8 +49,7 @@ def test_lines_are_format_record(path):
 
 def test_static_cache_mostly_hits():
     # static-cache.yaml is flood-shaped: fixed nodes, repeated sends.
-    _, _, hits, keys = _run(ROOT / "tests" / "data" / "digest"
-                            / "static-cache.yaml")
+    _, _, hits, keys = _run(DATA / "digest" / "static-cache.yaml")
     assert hits >= 1000
     assert hits > 9 * keys
 
