@@ -20,12 +20,22 @@ from an empty memo.  Each must give the same result, in the same order,
 as the code it stands in for.  Elections have no reference loop:
 ``helpers.checked_election`` checks each table against the rule it
 implements.
+
+``assert_matches_references`` runs one scenario with the fast paths and
+under `use_references` and requires the same trace bytes.  ``MOBILE``
+is the scenario that meets most of the references' paths.
 """
 
 import math
 
+import pytest
+
 from antmanet import clustering, engine
 from antmanet.clustering import ClusterState
+from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
+                             NodeGroup, ScenarioConfig)
+from antmanet.engine import Simulator, TraceWriter, format_record
+from antmanet.errors import ElectionError
 from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
 from antmanet.model import LinkAttributes, NetworkState, link_expiration_time
 from antmanet.routing import Router
@@ -258,3 +268,61 @@ def use_references(monkeypatch):
                          ("run_cycle", reference_run_cycle)):
         monkeypatch.setattr(MaintenanceManager, name, method)
     monkeypatch.setattr(Router, "discover_route", reference_discover_route)
+
+
+def _plain_writer(write):
+    """A trace sink that encodes every record, keyed or not."""
+    def sink(record, key=None):
+        write(format_record(record) + "\n")
+    return sink
+
+
+def _outcome(config, writer):
+    """(trace text, summary or the initial election's error, simulator)."""
+    lines = []
+    sim = Simulator(config, trace=writer(lines.append))
+    try:
+        result = sim.run()
+    except ElectionError as exc:
+        result = repr(exc)
+    return "".join(lines), result, sim
+
+
+def assert_matches_references(config):
+    """Run `config` with the fast paths and under `use_references`, whose
+    lines are each `format_record` of the record rather than
+    `TraceWriter`'s cached text.  Both must write the same trace bytes and
+    return the same summary and counters, or fail the initial election
+    with the same error, and the fast run must debit no energy when every
+    cost is 0.  Returns the fast run's (trace text, summary or error,
+    simulator)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if engine.energy_is_fixed(config.energy_costs):
+            # A debit would fail the run: with every cost 0 there is none.
+            mp.setattr(engine, "energy_debit", None)
+        fast = _outcome(config, TraceWriter)
+    with pytest.MonkeyPatch.context() as mp:
+        use_references(mp)
+        slow = _outcome(config, _plain_writer)
+    assert fast[0] == slow[0]
+    assert fast[1] == slow[1]
+    assert dict(fast[2].stats) == dict(slow[2].stats)
+    return fast
+
+
+KILLING = EnergyCosts(tx_packet=0.002, tx_bit=1e-7, rx_packet=0.001,
+                      rx_bit=5e-8, beacon=0.0002)
+
+# Level-0 nodes start nearly drained, so beacon costs kill some of them
+# mid-run; the run also joins (case 2), merges (case 3) and re-elects.
+MOBILE = ScenarioConfig(
+    seed=21, duration=60.0, arena=Arena(500, 500),
+    groups=[NodeGroup(count=30, max_level=0, energy=0.008),
+            NodeGroup(count=20, max_level=1),
+            NodeGroup(count=10, max_level=2)],
+    mobility=MobilityConfig(enabled=True, speed_min=1.0, speed_max=6.0,
+                            pause=1.0),
+    energy_costs=KILLING,
+    flows=[FlowConfig(src=s, dst=d, start=1.0 + i, packets=10, interval=4.0)
+           for i, (s, d) in enumerate([(0, 59), (31, 45), (50, 12),
+                                       (5, 40), (22, 55), (33, 58)])])

@@ -1,9 +1,12 @@
 """Unit-level comparisons of the beacon cycle's fast paths with the
-references in ``reference.py``, on random clustered layouts."""
+references in ``reference.py``, on random clustered layouts, and one
+mobile run that dies, joins, merges and re-elects under them all."""
 
+import dataclasses
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +17,8 @@ from antmanet.config import BeaconConfig
 from antmanet.maintenance import MaintenanceManager
 
 from helpers import add_node, checked_election, make_state, manual_clusters
-from reference import (reference_best_head_in_range,
+from reference import (MOBILE, assert_matches_references,
+                       reference_best_head_in_range,
                        reference_check_reelection_triggers,
                        reference_detect_head_merges, reference_weight_table)
 
@@ -175,3 +179,13 @@ def test_elections_match_head_scans(seed, n, span, dead_share, theta_w):
         for nid in sorted(state.nodes):
             assert (mgr._best_head_in_range(level, nid)
                     == reference_best_head_in_range(mgr, level, nid))
+
+
+@pytest.mark.parametrize("theta_w", [-math.inf, 0.0])
+def test_mobile_run_matches_references(theta_w):
+    trace, summary, _ = assert_matches_references(
+        dataclasses.replace(MOBILE, weights=WeightParams(theta_w=theta_w)))
+    # The run exercises joins (case 2), merges (case 3) and re-elections.
+    for case in ('"case":"2"', '"case":"3"', '"case":"reelect"'):
+        assert case in trace
+    assert summary["deaths"] > 0

@@ -1,49 +1,29 @@
 """Every fast path against every reference, on generated scenarios.
 
-A run with the fast paths and a run under ``reference.use_references``,
-whose lines are each `format_record` of the record rather than
-`TraceWriter`'s cached text, must write the same trace bytes and return
-the same summary and counters, or fail the initial election with the
-same error.  A run whose every cost is 0 must also debit no energy.  CI
+``reference.assert_matches_references`` runs each drawn scenario with the
+fast paths and under ``reference.use_references``.  The fixed scenarios
+that the comparison also runs are parameters of their own tests:
+``test_route_memo.py`` (the golden and digest scenarios),
+``test_cycle_equivalence.py`` (``reference.MOBILE``),
+``test_topology_snapshot.py`` and ``test_engine.py`` (every cost 0).  CI
 runs this file under several hash seeds."""
 
 import dataclasses
 import math
-import random
-from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from antmanet import engine
 from antmanet.clustering import WeightParams
 from antmanet.config import (Arena, CacheConfig, EnergyCosts, FlowConfig,
                              LinkConfig, LinkOverride, MobilityConfig,
-                             NodeGroup, ScenarioConfig, load_scenario)
-from antmanet.engine import Simulator, TraceWriter, format_record
+                             NodeGroup, ScenarioConfig)
 from antmanet.errors import ElectionError
 from antmanet.routing import QosRequirement
 
-from digests import CORPUS, REFERENCE, run
-from reference import use_references
-
-KILLING = EnergyCosts(tx_packet=0.002, tx_bit=1e-7, rx_packet=0.001,
-                      rx_bit=5e-8, beacon=0.0002)
-
-# Level-0 nodes start nearly drained, so beacon costs kill some of them
-# mid-run; the run also joins (case 2), merges (case 3) and re-elects.
-MOBILE = ScenarioConfig(
-    seed=21, duration=60.0, arena=Arena(500, 500),
-    groups=[NodeGroup(count=30, max_level=0, energy=0.008),
-            NodeGroup(count=20, max_level=1),
-            NodeGroup(count=10, max_level=2)],
-    mobility=MobilityConfig(enabled=True, speed_min=1.0, speed_max=6.0,
-                            pause=1.0),
-    energy_costs=KILLING,
-    flows=[FlowConfig(src=s, dst=d, start=1.0 + i, packets=10, interval=4.0)
-           for i, (s, d) in enumerate([(0, 59), (31, 45), (50, 12),
-                                       (5, 40), (22, 55), (33, 58)])])
+from digests import run
+from reference import KILLING, MOBILE, assert_matches_references
 
 # No level-0 node clears this threshold: the initial election fails.
 UNELECTABLE = dataclasses.replace(MOBILE, weights=WeightParams(theta_w=0.9))
@@ -60,19 +40,6 @@ RIPPLE = ScenarioConfig(
     mobility=MobilityConfig(enabled=True, speed_min=1.0, speed_max=3.0,
                             pause=1.0))
 
-
-# A static 100-node layout at flood's density with a 40/40/20 interface
-# mix, every cost 0 and a 0.5 s cache, so each 1 packet/s flow
-# rediscovers its route over an unchanging topology.
-_rng = random.Random("fixed-energy-flood")
-FLOOD = ScenarioConfig(
-    seed=7, duration=10.0, arena=Arena(850.0, 850.0),
-    groups=[NodeGroup(count=40, max_level=0), NodeGroup(count=40, max_level=1),
-            NodeGroup(count=20, max_level=2)],
-    cache=CacheConfig(max_age=0.5),
-    flows=[FlowConfig(src=src, dst=dst, start=round(_rng.uniform(0.0, 2.0), 3),
-                      packets=8, interval=1.0)
-           for src, dst in (_rng.sample(range(100), 2) for _ in range(60))])
 
 QOS = [QosRequirement(), QosRequirement(min_bandwidth=1e6),
        QosRequirement(max_delay=0.01), QosRequirement(min_let=5.0),
@@ -126,64 +93,13 @@ def scenarios(draw):
         flows=flows)
 
 
-def _plain_writer(write):
-    """A trace sink that encodes every record, keyed or not."""
-    def sink(record, key=None):
-        write(format_record(record) + "\n")
-    return sink
-
-
-def _outcome(config, writer):
-    """(trace text, summary or the initial election's error, counters)."""
-    lines = []
-    sim = Simulator(config, trace=writer(lines.append))
-    try:
-        result = sim.run()
-    except ElectionError as exc:
-        result = repr(exc)
-    return "".join(lines), result, dict(sim.stats)
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
           phases=[p for p in Phase if p is not Phase.shrink])
 @given(scenario=scenarios())
-@example(scenario=REFERENCE)
-@example(scenario=CORPUS[0])
-@example(scenario=CORPUS[1])
-@example(scenario=CORPUS[2])
-@example(scenario=CORPUS[3])
-@example(scenario=CORPUS[4])
-@example(scenario=MOBILE)
-@example(scenario=dataclasses.replace(MOBILE,
-                                      weights=WeightParams(theta_w=0.0)))
 @example(scenario=UNELECTABLE)
 @example(scenario=RIPPLE)
-@example(scenario=FLOOD)
 def test_fast_paths_change_no_trace_byte(scenario):
-    config = (load_scenario(scenario) if isinstance(scenario, Path)
-              else scenario)
-    with pytest.MonkeyPatch.context() as mp:
-        if engine.energy_is_fixed(config.energy_costs):
-            # A debit would fail the run: with every cost 0 there is none.
-            mp.setattr(engine, "energy_debit", None)
-        fast = _outcome(config, TraceWriter)
-    with pytest.MonkeyPatch.context() as mp:
-        use_references(mp)
-        slow = _outcome(config, _plain_writer)
-    assert fast[0] == slow[0]
-    assert fast[1:] == slow[1:]
-
-
-@pytest.mark.parametrize("config, needles", [
-    (MOBILE, ('"case":"2"', '"case":"3"', '"case":"reelect"',
-              '"kind":"node_death"', '"kind":"delivered"')),
-    (FLOOD, ('"kind":"delivered"',))], ids=["mobile", "flood"])
-def test_examples_exercise_their_paths(config, needles):
-    """The mobile example kills nodes, joins, merges and re-elects, and
-    the flood example delivers over fixed energy."""
-    text, _ = run(config)
-    for needle in needles:
-        assert needle in text, needle
+    assert_matches_references(scenario)
 
 
 def test_unelectable_example_fails_its_initial_election():

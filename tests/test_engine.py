@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from antmanet import engine
-from antmanet.config import (Arena, EnergyCosts, FlowConfig,
+from antmanet.config import (Arena, CacheConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, Placement,
                              ScenarioConfig, load_scenario, parse_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
@@ -18,6 +18,7 @@ from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
 from antmanet.model import NodeAttributes
 
 from helpers import DEFAULTS, record_sink
+from reference import assert_matches_references
 
 
 def attrs(pos=(0.0, 0.0), energy=100.0):
@@ -361,10 +362,45 @@ class TestSummary:
         assert sim.stats is sim.router.stats is sim.manager.stats
 
 
+DIGEST = Path(__file__).resolve().parent / "data" / "digest"
+
+
+def flood_layout():
+    """A generated static 100-node layout at flood's density with a 40/40/20
+    interface mix, every cost 0 and a 0.5 s cache, so each 1 packet/s flow
+    rediscovers its route over an unchanging topology."""
+    rng = random.Random("fixed-energy-flood")
+    flows = []
+    for _ in range(60):
+        src, dst = rng.sample(range(100), 2)
+        flows.append(FlowConfig(src=src, dst=dst,
+                                start=round(rng.uniform(0.0, 2.0), 3),
+                                packets=8, interval=1.0))
+    return ScenarioConfig(
+        seed=7, duration=10.0, arena=Arena(850.0, 850.0),
+        groups=[NodeGroup(count=40, max_level=0),
+                NodeGroup(count=40, max_level=1),
+                NodeGroup(count=20, max_level=2)],
+        cache=CacheConfig(max_age=0.5), flows=flows)
+
+
 class TestFixedEnergy:
-    """A run debits energy when any one cost is not zero.  That a run with
-    every cost 0 debits nothing, and gives the trace of one that debits
-    every action, is checked by ``test_differential.py``."""
+    """With every energy cost 0 a run debits nothing and routing takes the
+    memoized path metrics as they are; the result must be the run that
+    debits every action and re-reads energy on every discovery."""
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(lambda: load_scenario(DIGEST / "static-cache.yaml"),
+                     id="static-cache"),
+        pytest.param(lambda: load_scenario(DIGEST / "link-override.yaml"),
+                     id="link-override"),
+        pytest.param(flood_layout, id="flood-layout")])
+    def test_matches_the_debited_run(self, cfg):
+        # The fast run fails on any debit; the reference run debits all.
+        _, summary, sim = assert_matches_references(cfg())
+        assert sim.fixed_energy and sim.router.fixed_energy
+        assert sim.manager.energy_debit is None
+        assert summary["packets_delivered"] > 0
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(EnergyCosts)])

@@ -1,6 +1,7 @@
 """The cached topology snapshot against ``reference.BruteForceState``,
 which derives every neighbor set and link from scratch on each call."""
 
+import dataclasses
 import math
 import random
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antmanet.config import MobilityConfig
 from antmanet.errors import UnknownNodeError
 from antmanet.model import NetworkState, NodeAttributes
 
-from reference import BruteForceState
+from reference import MOBILE, BruteForceState, assert_matches_references
 
 LEVELS = (0, 1, 2)
 
@@ -384,3 +386,14 @@ def test_non_finite_position_after_refresh_raises(bad):
     for level in (0, 1):
         with pytest.raises(ValueError, match="non-finite coordinate on node 5"):
             state.neighbors(0, level)
+
+
+def test_trace_matches_brute_force():
+    """Fast movement, stepped every 0.5 s, carries nodes past the
+    snapshot's skin between rebuilds while beacon costs kill them."""
+    _, summary, _ = assert_matches_references(dataclasses.replace(
+        MOBILE, mobility=MobilityConfig(enabled=True, speed_min=5.0,
+                                        speed_max=20.0, pause=0.5,
+                                        update_interval=0.5)))
+    assert summary["deaths"] > 0
+    assert summary["packets_delivered"] > 0
