@@ -115,10 +115,12 @@ def _seed_spec(spec):
         raise argparse.ArgumentTypeError(
             f"no seeds in {spec!r}: expected lo..hi with lo <= hi, or a "
             "comma list such as 3,5,9")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
-        raise argparse.ArgumentTypeError(
-            f"seed {repeated[0]} repeated in {spec!r}: each seed runs once")
+    seen = set()
+    for s in seeds:
+        if s in seen:
+            raise argparse.ArgumentTypeError(
+                f"seed {s} repeated in {spec!r}: each seed runs once")
+        seen.add(s)
     return seeds
 
 

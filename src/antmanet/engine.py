@@ -46,33 +46,6 @@ def energy_is_fixed(costs):
     return not any(astuple(costs))
 
 
-def mobility_update(attrs, waypoint, speed, dt, window):
-    """Advance toward the waypoint at constant speed for dt seconds.
-
-    Returns (new_position, arrived) and refreshes the node's running
-    average speed over the configured window.
-    """
-    px, py = attrs.position
-    wx, wy = waypoint
-    dist = math.hypot(wx - px, wy - py)
-    step = speed * dt
-    if dist <= step or dist == 0.0:
-        new_pos = (wx, wy)
-        arrived = True
-    else:
-        f = step / dist
-        new_pos = (px + (wx - px) * f, py + (wy - py) * f)
-        arrived = False
-    frac = min(dt / window, 1.0) if window > 0 else 1.0
-    attrs.mobility += frac * (speed - attrs.mobility)
-    attrs.position = new_pos
-    if dist > 0:
-        attrs.velocity = ((wx - px) / dist * speed, (wy - py) / dist * speed)
-    else:
-        attrs.velocity = (0.0, 0.0)
-    return new_pos, arrived
-
-
 class RandomWaypoint:
     """Classic random-waypoint model over a rectangular arena."""
 
@@ -91,19 +64,47 @@ class RandomWaypoint:
         speed = self.rng.uniform(self.speed_min, self.speed_max)
         return wp, speed, now
 
-    def step(self, nid, attrs, now, dt):
-        entry = self.targets.get(nid)
-        if entry is None:
-            entry = self._draw(now)
-            self.targets[nid] = entry
-        waypoint, speed, pause_until = entry
-        if now < pause_until:
-            mobility_update(attrs, attrs.position, 0.0, dt, self.window)
-            return
-        _, arrived = mobility_update(attrs, waypoint, speed, dt, self.window)
-        if arrived:
-            wp, sp, _ = self._draw(now)
-            self.targets[nid] = (wp, sp, now + dt + self.pause)
+    def step(self, nodes, now, dt):
+        """Move every live node of `nodes` ({id: attributes}) for dt
+        seconds, in id order, so that the draws keep their order.
+
+        A node draws its first waypoint when first moved.  A moving node
+        advances toward its waypoint at its speed and, on reaching it,
+        snaps to it and draws the next, which it leaves after `pause`; a
+        paused node keeps its position.  Each node's running average
+        speed moves toward its current speed (0 while paused) by
+        min(dt / window, 1) of the gap."""
+        window = self.window
+        frac = min(dt / window, 1.0) if window > 0 else 1.0
+        targets = self.targets
+        for nid in sorted(nodes):
+            attrs = nodes[nid]
+            if not attrs.alive:
+                continue
+            entry = targets.get(nid)
+            if entry is None:
+                entry = targets[nid] = self._draw(now)
+            (wx, wy), speed, pause_until = entry
+            if now < pause_until:
+                attrs.mobility -= frac * attrs.mobility
+                attrs.velocity = (0.0, 0.0)
+                continue
+            attrs.mobility += frac * (speed - attrs.mobility)
+            px, py = attrs.position
+            dx, dy = wx - px, wy - py
+            dist = math.hypot(dx, dy)
+            step = speed * dt
+            if dist > 0:
+                attrs.velocity = (dx / dist * speed, dy / dist * speed)
+            else:
+                attrs.velocity = (0.0, 0.0)
+            if dist > step:
+                f = step / dist
+                attrs.position = (px + dx * f, py + dy * f)
+            else:
+                attrs.position = (wx, wy)
+                wp, sp, _ = self._draw(now)
+                targets[nid] = (wp, sp, now + dt + self.pause)
 
 
 # One encoder for every record: json.dumps with these arguments would build
@@ -265,11 +266,8 @@ class Simulator:
         self.manager.run_cycle(self.now)
 
     def _handle_mobility(self, payload):
-        dt = self.config.mobility.update_interval
-        for nid in sorted(self.state.nodes):
-            attrs = self.state.nodes[nid]
-            if attrs.alive:
-                self.waypoints.step(nid, attrs, self.now, dt)
+        self.waypoints.step(self.state.nodes, self.now,
+                            self.config.mobility.update_interval)
         self.state.touch()
 
     def _handle_evaporate(self, payload):

@@ -53,42 +53,70 @@ class MaintenanceManager:
         self.energy_debit = energy_debit
         self._merge_attempted = set()
         self._recent_joins = []
+        # level -> {head: the members its latest beacon round missed}
+        self._missed = {}
 
     # -- beaconing and detection -----------------------------------------
 
-    def beacon_tick(self, head, level, now):
-        """One head's beacon round: re-stamp the members it reaches."""
-        if not self.state.node(head).alive:
-            return
+    def beacon_tick(self, level, now):
+        """The beacon round of `level`: each live head, in id order,
+        re-stamps the members it reaches and records the others, the ones
+        it missed, for `detect_changes`."""
+        clusters = self.clusters
+        table = clusters.levels.get(level, {})
+        nodes = self.state.nodes
+        neighbors = self.state.neighbors
         debit = self.energy_debit
-        if debit is not None:
-            debit(head, "beacon")
-        # A member's debit can kill only that member, which changes no
-        # head-to-other-member link, so one lookup serves the whole loop.
-        # A dead node has no link, so `near` holds live members only.
-        near = self.state.neighbors(head, level)
-        heard = sorted(near & self.clusters.members_of(head, level))
-        self.clusters.refresh(level, head, heard, now)
-        if debit is not None:
-            for m in heard:
-                debit(m, "beacon")
-        self.stats["beacon_packets"] += 1 + len(heard)
+        missed = {}
+        packets = 0
+        for head in sorted(table):
+            if not nodes[head].alive:
+                continue
+            if debit is not None:
+                debit(head, "beacon")
+            # A member's debit can kill only that member, which changes no
+            # head-to-other-member link, so one lookup serves the whole loop.
+            # A dead node has no link, so `near` holds live members only.
+            near = neighbors(head, level)
+            members = table[head]
+            heard = sorted(near & members)
+            clusters.refresh(level, head, heard, now)
+            if debit is not None:
+                for m in heard:
+                    debit(m, "beacon")
+            packets += 1 + len(heard)
+            if len(heard) < len(members):
+                missed[head] = members - near
+        self._missed[level] = missed
+        if packets:
+            self.stats["beacon_packets"] += packets
 
     def detect_changes(self, now):
-        """Stale pairs and head losses, judged purely from beacon history."""
+        """Stale pairs and head losses, judged purely from beacon history.
+
+        Called at the `now` of the latest beacon round, as `run_cycle`
+        does.  Every head's liveness is checked.  Only a member that its
+        live head's latest beacon round missed can hold a stamp older than
+        `now`: every other membership was re-stamped by that round or
+        written since, at `now`.  So only those members are tested, and
+        only while they are still members."""
         events = []
         bound = self.beacon.detection_bound
         last_heard = self.clusters.last_heard
+        nodes = self.state.nodes
         for level in sorted(self.clusters.levels):
-            for head in sorted(self.clusters.heads(level)):
-                members = self.clusters.members_of(head, level)
-                if not self.state.node(head).alive:
+            table = self.clusters.levels[level]
+            missed = self._missed.get(level, {})
+            for head in sorted(table):
+                if not nodes[head].alive:
                     events.append(MembershipEvent("head_left", level, head=head))
                     continue
-                stale = []
-                for m in sorted(members):
-                    if now - last_heard[(level, head, m)] >= bound:
-                        stale.append(m)
+                lost = missed.get(head)
+                if not lost:
+                    continue
+                members = table[head]
+                stale = [m for m in sorted(lost & members)
+                         if now - last_heard[(level, head, m)] >= bound]
                 if stale and len(stale) == len(members):
                     # Every member lost the head simultaneously: the head
                     # (not the members) is the one that moved away.
@@ -267,8 +295,7 @@ class MaintenanceManager:
         `max_rounds` rounds stops there and counts one ``round_cap_hits``.
         """
         for level in sorted(self.clusters.levels):
-            for head in sorted(self.clusters.heads(level)):
-                self.beacon_tick(head, level, now)
+            self.beacon_tick(level, now)
         for _ in range(max_rounds):
             before = self.clusters.epoch
             for ev in self.detect_changes(now):

@@ -2,24 +2,27 @@
 `use_references`, which installs them all at once.
 
 ``BruteForceState`` derives every neighbor set and link from scratch on
-each call.  ``reference_weight_table`` sums every participant's distances
-for the group maximum, ``reference_check_reelection_triggers`` builds
-every level's full weight table on every call,
-``reference_detect_head_merges`` tests every head pair, and
-``reference_best_head_in_range`` tests every head for each node.
-``reference_head_of`` and ``reference_participants`` scan the cluster
-tables instead of reading the head index, ``reference_cover_orphans``
-tests every live node's eligibility, and ``reference_beacon_tick`` tests
-each member's liveness and counts and debits its packets one by one.
-``reference_scoped_election`` writes its election's result by its own
-dissolve, leave and join calls instead of through `ClusterState.install`,
-``reference_run_cycle`` ends a repair round when a copy of every cluster
-table taken before it compares equal after it, instead of reading the
-hierarchy epoch, and ``reference_discover_route`` starts every discovery
-from an empty memo.  Each must give the same result, in the same order,
-as the code it stands in for.  Elections have no reference loop:
-``helpers.checked_election`` checks each table against the rule it
-implements.
+each call, and ``reference_step`` moves each node by its own
+``mobility_update`` call.  ``reference_weight_table`` sums every
+participant's distances for the group maximum,
+``reference_check_reelection_triggers`` builds every level's full weight
+table on every call, ``reference_detect_head_merges`` tests every head
+pair, and ``reference_best_head_in_range`` tests every head for each
+node.  ``reference_head_of`` and ``reference_participants`` scan the
+cluster tables instead of reading the head index,
+``reference_cover_orphans`` tests every live node's eligibility,
+``reference_beacon_tick`` tests each member's liveness and counts and
+debits its packets one by one, and ``reference_detect_changes`` tests
+every member's stamp instead of only the members the beacon round
+missed.  ``reference_scoped_election`` writes its election's result by
+its own dissolve, leave and join calls instead of through
+`ClusterState.install`, ``reference_run_cycle`` ends a repair round when
+a copy of every cluster table taken before it compares equal after it,
+instead of reading the hierarchy epoch, and ``reference_discover_route``
+starts every discovery from an empty memo.  Each must give the same
+result, in the same order, as the code it stands in for.  Elections have
+no reference loop: ``helpers.checked_election`` checks each table against
+the rule it implements.
 
 ``assert_matches_references`` runs one scenario with the fast paths and
 under `use_references` and requires the same trace bytes.  ``MOBILE``
@@ -34,13 +37,60 @@ from antmanet import clustering, engine
 from antmanet.clustering import ClusterState
 from antmanet.config import (Arena, EnergyCosts, FlowConfig, MobilityConfig,
                              NodeGroup, ScenarioConfig)
-from antmanet.engine import Simulator, TraceWriter, format_record
+from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
+                             format_record)
 from antmanet.errors import ElectionError
 from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
 from antmanet.model import LinkAttributes, NetworkState, link_expiration_time
 from antmanet.routing import Router
 
 from helpers import checked_election
+
+
+def mobility_update(attrs, waypoint, speed, dt, window):
+    """Advance toward the waypoint at constant speed for dt seconds.
+
+    Returns (new_position, arrived) and refreshes the node's running
+    average speed over the configured window.
+    """
+    px, py = attrs.position
+    wx, wy = waypoint
+    dist = math.hypot(wx - px, wy - py)
+    step = speed * dt
+    if dist <= step or dist == 0.0:
+        new_pos = (wx, wy)
+        arrived = True
+    else:
+        f = step / dist
+        new_pos = (px + (wx - px) * f, py + (wy - py) * f)
+        arrived = False
+    frac = min(dt / window, 1.0) if window > 0 else 1.0
+    attrs.mobility += frac * (speed - attrs.mobility)
+    attrs.position = new_pos
+    if dist > 0:
+        attrs.velocity = ((wx - px) / dist * speed, (wy - py) / dist * speed)
+    else:
+        attrs.velocity = (0.0, 0.0)
+    return new_pos, arrived
+
+
+def reference_step(self, nodes, now, dt):
+    for nid in sorted(nodes):
+        attrs = nodes[nid]
+        if not attrs.alive:
+            continue
+        entry = self.targets.get(nid)
+        if entry is None:
+            entry = self._draw(now)
+            self.targets[nid] = entry
+        waypoint, speed, pause_until = entry
+        if now < pause_until:
+            mobility_update(attrs, attrs.position, 0.0, dt, self.window)
+            continue
+        _, arrived = mobility_update(attrs, waypoint, speed, dt, self.window)
+        if arrived:
+            wp, sp, _ = self._draw(now)
+            self.targets[nid] = (wp, sp, now + dt + self.pause)
 
 
 def _linked(a, b, level):
@@ -150,17 +200,41 @@ def reference_cover_orphans(self, level, now, case):
         self._scoped_election(level, remainder, now, case=case)
 
 
-def reference_beacon_tick(self, head, level, now):
-    if not self.state.node(head).alive:
-        return
-    self.energy_debit(head, "beacon")
-    self.stats["beacon_packets"] += 1
-    near = self.state.neighbors(head, level)
-    for m in sorted(self.clusters.members_of(head, level)):
-        if self.state.node(m).alive and m in near:
-            self.clusters.refresh(level, head, (m,), now)
-            self.energy_debit(m, "beacon")
-            self.stats["beacon_packets"] += 1
+def reference_beacon_tick(self, level, now):
+    for head in sorted(self.clusters.heads(level)):
+        if not self.state.node(head).alive:
+            continue
+        self.energy_debit(head, "beacon")
+        self.stats["beacon_packets"] += 1
+        near = self.state.neighbors(head, level)
+        for m in sorted(self.clusters.members_of(head, level)):
+            if self.state.node(m).alive and m in near:
+                self.clusters.refresh(level, head, (m,), now)
+                self.energy_debit(m, "beacon")
+                self.stats["beacon_packets"] += 1
+
+
+def reference_detect_changes(self, now):
+    events = []
+    bound = self.beacon.detection_bound
+    last_heard = self.clusters.last_heard
+    for level in sorted(self.clusters.levels):
+        for head in sorted(self.clusters.heads(level)):
+            members = self.clusters.members_of(head, level)
+            if not self.state.node(head).alive:
+                events.append(MembershipEvent("head_left", level, head=head))
+                continue
+            stale = []
+            for m in sorted(members):
+                if now - last_heard[(level, head, m)] >= bound:
+                    stale.append(m)
+            if stale and len(stale) == len(members):
+                events.append(MembershipEvent("head_left", level, head=head))
+                continue
+            for m in stale:
+                events.append(MembershipEvent(
+                    "member_left", level, head=head, node=m))
+    return events
 
 
 def reference_detect_head_merges(self, now):
@@ -222,8 +296,7 @@ def reference_scoped_election(self, level, nodes, now, case):
 
 def reference_run_cycle(self, now, max_rounds=8):
     for level in sorted(self.clusters.levels):
-        for head in sorted(self.clusters.heads(level)):
-            self.beacon_tick(head, level, now)
+        self.beacon_tick(level, now)
     for _ in range(max_rounds):
         before = {level: {head: set(members)
                           for head, members in table.items()}
@@ -260,7 +333,9 @@ def use_references(monkeypatch):
     monkeypatch.setattr(clustering, "select_cluster_heads", checked_election)
     monkeypatch.setattr(ClusterState, "head_of", reference_head_of)
     monkeypatch.setattr(ClusterState, "participants", reference_participants)
+    monkeypatch.setattr(RandomWaypoint, "step", reference_step)
     for name, method in (("beacon_tick", reference_beacon_tick),
+                         ("detect_changes", reference_detect_changes),
                          ("detect_head_merges", reference_detect_head_merges),
                          ("_best_head_in_range", reference_best_head_in_range),
                          ("_cover_orphans", reference_cover_orphans),

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from antmanet import config
-from antmanet.cli import main
+from antmanet.cli import build_parser, main
 from antmanet.config import (FlowConfig, NodeGroup, Placement, ScenarioConfig,
                              load_scenario, parse_scenario, serialize)
 from antmanet.engine import Simulator
@@ -766,7 +766,15 @@ class TestCli:
         assert f"no seeds in {spec!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec, seed", [("3,3", 3), ("4,9,4", 4)])
+    def test_sweep_long_seed_range_parses(self):
+        # Repeats are found in one pass: a quadratic check would take
+        # minutes on this range before any run started.
+        args = build_parser().parse_args(
+            ["sweep", "mini.yaml", "--seeds", "1..200000"])
+        assert args.seeds == list(range(1, 200001))
+
+    @pytest.mark.parametrize("spec, seed", [("3,3", 3), ("4,9,4", 4),
+                                            ("3,5,3", 3), ("1,2,2,1", 2)])
     def test_sweep_repeated_seed_exit_2(self, scenario_file, tmp_path,
                                         capsys, spec, seed):
         out = tmp_path / "out"

@@ -14,10 +14,10 @@ from antmanet.config import (Arena, CacheConfig, EnergyCosts, FlowConfig,
                              MobilityConfig, NodeGroup, Placement,
                              ScenarioConfig, load_scenario, parse_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
-                             energy_debit, format_record, mobility_update)
+                             energy_debit, format_record)
 from antmanet.model import NodeAttributes
 
-from helpers import DEFAULTS, record_sink
+from helpers import record_sink
 from reference import assert_matches_references
 
 
@@ -49,35 +49,73 @@ class TestEnergyDebit:
             energy_debit(attrs(), "sleep", 0, EnergyCosts())
 
 
+def waypoints(pause=0.0, seed=3):
+    return RandomWaypoint((100.0, 60.0), 0.5, 2.0, pause=pause, window=10.0,
+                          rng=random.Random(seed))
+
+
 class TestMobilityUpdate:
+    """`RandomWaypoint.step`, one tick of every live node's movement."""
+
     def test_partial_step_toward_waypoint(self):
+        wp = waypoints()
+        wp.targets[0] = ((10.0, 0.0), 2.0, 0.0)
         a = attrs(pos=(0.0, 0.0))
-        pos, arrived = mobility_update(a, (10.0, 0.0), speed=2.0, dt=1.0,
-                                       window=DEFAULTS.mobility.window)
-        assert pos == pytest.approx((2.0, 0.0))
-        assert not arrived
+        wp.step({0: a}, 1.0, 1.0)
+        assert a.position == pytest.approx((2.0, 0.0))
         assert a.velocity == pytest.approx((2.0, 0.0))
+        assert wp.targets[0] == ((10.0, 0.0), 2.0, 0.0)
 
     def test_arrival_snaps_to_waypoint(self):
+        wp = waypoints(pause=4.0)
+        wp.targets[0] = ((1.0, 0.0), 2.0, 0.0)
         a = attrs(pos=(0.0, 0.0))
-        pos, arrived = mobility_update(a, (1.0, 0.0), speed=2.0, dt=1.0,
-                                       window=DEFAULTS.mobility.window)
-        assert pos == (1.0, 0.0)
-        assert arrived
+        wp.step({0: a}, 1.0, 1.0)
+        assert a.position == (1.0, 0.0)
+        # The next waypoint and speed are drawn at arrival, and the node
+        # leaves for them after the pause.
+        rng = random.Random(3)
+        assert wp.targets[0] == ((rng.uniform(0.0, 100.0),
+                                  rng.uniform(0.0, 60.0)),
+                                 rng.uniform(0.5, 2.0), 1.0 + 1.0 + 4.0)
 
     def test_mobility_average_tracks_speed(self):
+        wp = waypoints()
+        wp.targets[0] = ((1e6, 0.0), 3.0, 0.0)
         a = attrs(pos=(0.0, 0.0))
-        for _ in range(200):
-            mobility_update(a, (1e6, 0.0), speed=3.0, dt=1.0,
-                            window=DEFAULTS.mobility.window)
+        for t in range(200):
+            wp.step({0: a}, float(t), 1.0)
         assert a.mobility == pytest.approx(3.0, abs=1e-6)
 
+    def test_paused_node_keeps_position(self):
+        wp = waypoints()
+        wp.targets[0] = ((10.0, 0.0), 2.0, 5.0)
+        a = attrs(pos=(3.0, 4.0))
+        a.velocity, a.mobility = (1.0, 1.0), 2.0
+        wp.step({0: a}, 1.0, 1.0)
+        assert a.position == (3.0, 4.0)
+        assert a.velocity == (0.0, 0.0)
+        # Paused, the average decays toward 0 by dt / window of itself.
+        assert a.mobility == pytest.approx(1.8)
+        assert wp.targets[0] == ((10.0, 0.0), 2.0, 5.0)
+
+    def test_dead_node_neither_moves_nor_draws(self):
+        wp = waypoints()
+        dead = attrs(pos=(5.0, 5.0))
+        dead.alive = False
+        wp.step({2: attrs(), 0: dead, 1: attrs()}, 1.0, 1.0)
+        assert dead.position == (5.0, 5.0)
+        assert sorted(wp.targets) == [1, 2]
+        # Nodes draw in id order: node 1's waypoint is the stream's first.
+        rng = random.Random(3)
+        assert wp.targets[1][0] == (rng.uniform(0.0, 100.0),
+                                    rng.uniform(0.0, 60.0))
+
     def test_waypoints_stay_inside_arena(self):
-        wp = RandomWaypoint((100.0, 60.0), 0.5, 2.0, pause=0.0, window=10.0,
-                            rng=random.Random(3))
+        wp = waypoints()
         a = attrs(pos=(50.0, 30.0))
         for t in range(500):
-            wp.step(0, a, float(t), 1.0)
+            wp.step({0: a}, float(t), 1.0)
             x, y = a.position
             assert 0.0 <= x <= 100.0 and 0.0 <= y <= 60.0
 

@@ -25,32 +25,65 @@ def walkaway_world():
 class TestBeaconing:
     def test_tick_refreshes_reachable_members(self):
         state, clusters, mgr = walkaway_world()
-        mgr.beacon_tick(1, 0, 5.0)
+        mgr.beacon_tick(0, 5.0)
         assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
                                   (0, 1, 3): 5.0}
+        assert mgr._missed == {0: {}}
+        assert mgr.stats["beacon_packets"] == 4
 
     def test_tick_skips_out_of_range_member(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[3].position = (5000.0, 0.0)
         state.touch()
-        mgr.beacon_tick(1, 0, 5.0)
+        mgr.beacon_tick(0, 5.0)
         assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
                                   (0, 1, 3): 0.0}
+        assert mgr._missed == {0: {1: {3}}}
+
+    def test_dead_member_is_missed(self):
+        state, clusters, mgr = walkaway_world()
+        state.nodes[2].alive = False
+        state.touch()
+        mgr.beacon_tick(0, 5.0)
+        assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 0.0,
+                                  (0, 1, 3): 5.0}
+        assert mgr._missed == {0: {1: {2}}}
+        assert mgr.stats["beacon_packets"] == 3
 
     def test_dead_head_does_not_beacon(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[1].alive = False
         state.touch()
-        mgr.beacon_tick(1, 0, 5.0)
+        mgr.beacon_tick(0, 5.0)
         assert clusters.last_heard == {(0, 1, 0): 0.0, (0, 1, 2): 0.0,
                                   (0, 1, 3): 0.0}
-        assert mgr.stats["beacon_packets"] == 0
+        assert mgr._missed == {0: {}}
+        assert "beacon_packets" not in mgr.stats
+
+    def test_two_heads_beacon_in_id_order(self):
+        state = make_state()
+        add_node(state, 0, (0.0, 0.0))
+        add_node(state, 1, (5.0, 0.0))
+        add_node(state, 2, (500.0, 0.0))
+        add_node(state, 3, (505.0, 0.0))
+        add_node(state, 4, (900.0, 0.0))
+        clusters = manual_clusters({0: {2: {3, 4}, 0: {1}}, 1: {}, 2: {}})
+        mgr = manager(state, clusters)
+        calls = []
+        mgr.energy_debit = lambda node, action: calls.append(node)
+        mgr.beacon_tick(0, 2.0)
+        # Each head debits itself, then the members it reached.
+        assert calls == [0, 1, 2, 3]
+        assert clusters.last_heard == {(0, 0, 1): 2.0, (0, 2, 3): 2.0,
+                                  (0, 2, 4): 0.0}
+        assert mgr._missed == {0: {2: {4}}}
+        assert mgr.stats["beacon_packets"] == 4
 
     def test_energy_debit_callback(self):
         state, clusters, mgr = walkaway_world()
         calls = []
         mgr.energy_debit = lambda node, action: calls.append((node, action))
-        mgr.beacon_tick(1, 0, 1.0)
+        mgr.beacon_tick(0, 1.0)
         assert (1, "beacon") in calls
         assert len(calls) == 4  # head plus three acking members
 
@@ -78,6 +111,24 @@ class TestMemberWalkAway:
         check_invariants(state, clusters)
         # The stray node is re-covered, here as its own head.
         assert clusters.head_of(3, 0) == 3
+
+    def test_stale_members_reported_in_id_order(self):
+        # The beacon round keeps the missed members {1, 8} as a set
+        # difference, which iterates 8 before 1.
+        state = make_state()
+        add_node(state, 0, (0.0, 0.0))
+        add_node(state, 9, (5.0, 0.0))
+        for nid in (1, 8):
+            add_node(state, nid, (5000.0 + nid, 0.0))
+        clusters = manual_clusters({0: {0: {1, 8, 9}}, 1: {}, 2: {}})
+        mgr = manager(state, clusters)
+        bound = mgr.beacon.detection_bound
+        mgr.beacon_tick(0, bound - 1.0)
+        assert mgr.detect_changes(bound - 1.0) == []
+        mgr.beacon_tick(0, bound)
+        assert mgr.detect_changes(bound) == [
+            MembershipEvent("member_left", 0, head=0, node=1),
+            MembershipEvent("member_left", 0, head=0, node=8)]
 
     def test_pheromone_purged_for_departed_member(self):
         state, clusters, mgr = walkaway_world()
@@ -118,7 +169,7 @@ class TestFailedElection:
                                  make_router(state, clusters),
                                  WeightParams(theta_w=2.0), BeaconConfig(),
                                  trace=record_sink(records))
-        mgr.beacon_tick(1, 0, 3.0)
+        mgr.beacon_tick(0, 3.0)
         # The tables, the head index and the stamps.
         before = copy.deepcopy(vars(clusters))
         mgr.check_reelection(5.0)
@@ -151,7 +202,10 @@ class TestHeadLoss:
         mgr = manager(state, clusters)
         state.nodes[1].position = (5000.0, 0.0)
         state.touch()
-        events = mgr.detect_changes(mgr.beacon.detection_bound)
+        bound = mgr.beacon.detection_bound
+        # Detection reads the members the latest beacon round missed.
+        mgr.beacon_tick(0, bound)
+        events = mgr.detect_changes(bound)
         kinds = {(e.kind, e.head) for e in events}
         assert ("head_left", 1) in kinds
         assert not any(k == "member_left" for k, _ in kinds)

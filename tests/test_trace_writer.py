@@ -15,41 +15,33 @@ SCENARIOS = [REFERENCE, *CORPUS]
 
 
 def _run(path):
-    """The writer's lines and format_record's, both taken as each record
-    is emitted, and (cache hits, distinct keys) over the keyed records."""
-    ours, plain = [], []
-    writer = TraceWriter(ours.append)
+    """(cache hits, distinct keys) over the keyed records of one run of
+    `path`, written through a `TraceWriter`.  That its lines are
+    `format_record`'s is checked on every digest scenario by
+    ``test_route_memo.py``, whose reference run writes each record through
+    `format_record`."""
+    writer = TraceWriter(lambda line: None)
     keys = set()
     hits = 0
 
     def sink(record, key=None):
         nonlocal hits
         writer(record, key)
-        plain.append(format_record(record) + "\n")
         if key is not None:
             hits += key in keys
             keys.add(key)
 
     Simulator(load_scenario(path), trace=sink).run()
-    return ours, plain, hits, len(keys)
+    return hits, len(keys)
 
 
 def test_corpus_has_five_digest_scenarios():
     assert len(SCENARIOS) == 6
 
 
-@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
-def test_lines_are_format_record(path):
-    ours, plain, hits, keys = _run(path)
-    assert keys > 0
-    assert len(ours) == len(plain)
-    for got, want in zip(ours, plain):
-        assert got == want
-
-
 def test_static_cache_mostly_hits():
     # static-cache.yaml is flood-shaped: fixed nodes, repeated sends.
-    _, _, hits, keys = _run(DATA / "digest" / "static-cache.yaml")
+    hits, keys = _run(DATA / "digest" / "static-cache.yaml")
     assert hits >= 1000
     assert hits > 9 * keys
 
