@@ -7,7 +7,7 @@ from .config import ScenarioConfig, load_scenario, parse_scenario, serialize
 from .engine import Simulator
 from .model import (LinkAttributes, NetworkState, NodeAttributes,
                     link_expiration_time)
-from .qos import DepositParams, PathMetrics, path_metrics, pheromone_deposit
+from .qos import DepositParams, PathMetrics, pheromone_deposit
 from .routing import (PheromoneTable, PreferenceParams, QosRequirement,
                       RouteCache, Router, path_preference_probability,
                       preference_score)

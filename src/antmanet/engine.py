@@ -112,37 +112,12 @@ class RandomWaypoint:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _c_encoder():
-    """The C encoder `_ENCODER.encode` builds on every call (circular
-    checks, ASCII output), built once; None without the C module."""
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return None
-    e = _ENCODER
-    return make({}, e.default, json.encoder.encode_basestring_ascii,
-                e.indent, e.key_separator, e.item_separator, e.sort_keys,
-                e.skipkeys, e.allow_nan)
-
-
-_iterencode = _c_encoder()
-
-
 def format_record(record):
-    """Canonical one-line encoding of a trace record: sorted keys, no
-    spaces, ASCII only, as ``json.dumps(record, sort_keys=True,
-    separators=(",", ":"))`` writes it.  `TraceWriter` encodes each line
-    of a trace through here, a repeated record only once per run."""
-    global _iterencode
-    if _iterencode is None:
-        return _ENCODER.encode(record)
-    try:
-        return "".join(_iterencode(record, 0))
-    except BaseException:
-        # A failed encode leaves the ids of the containers it was inside in
-        # the encoder's circular-reference markers; encoding any of them
-        # again would raise "Circular reference detected".
-        _iterencode = _c_encoder()
-        raise
+    """The canonical one-line encoding of a trace record, as
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes
+    it: sorted keys, no spaces, ASCII only.  `TraceWriter` encodes each
+    line of a trace through here, a repeated record only once per run."""
+    return _ENCODER.encode(record)
 
 
 class TraceWriter:

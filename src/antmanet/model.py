@@ -344,6 +344,8 @@ class NetworkState:
         return None
 
     def _jitter(self, a, b, level, tag):
+        if not self.link_jitter:
+            return 1.0
         key = (min(a, b), max(a, b), level, tag)
         u = self._jitter_cache.get(key)
         if u is None:

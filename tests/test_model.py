@@ -4,7 +4,8 @@ import random
 import pytest
 
 from antmanet.errors import ConfigError, UnknownNodeError
-from antmanet.model import NodeAttributes, link_expiration_time
+from antmanet.model import (DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_DELAY,
+                            NodeAttributes, link_expiration_time)
 
 from helpers import add_node, make_state
 from reference import BruteForceState
@@ -88,6 +89,23 @@ class TestNeighbors:
                 for lvl in (0, 1):
                     r = min(s.nodes[i].range_at(lvl), s.nodes[j].range_at(lvl))
                     assert (j in s.neighbors(i, lvl)) == (d <= r)
+
+
+class TestLink:
+    def test_zero_jitter_draws_nothing(self, monkeypatch):
+        """At link_jitter 0 every link keeps the level's default delay and
+        bandwidth exactly, and no generator is seeded to find that out."""
+        def no_draws(*args):
+            raise AssertionError("random.Random seeded at zero jitter")
+
+        monkeypatch.setattr("antmanet.model.random.Random", no_draws)
+        s = make_state(link_jitter=0.0, seed=5)
+        add_node(s, 1, (0, 0), level=2)
+        add_node(s, 2, (10, 0), level=2)
+        for level in (0, 1, 2):
+            link = s.link(1, 2, level)
+            assert link.delay == DEFAULT_LINK_DELAY[level]
+            assert link.bandwidth == DEFAULT_LINK_BANDWIDTH[level]
 
 
 def _bisect_let(a, b, range_m, hi=1e7):
