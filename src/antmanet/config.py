@@ -144,7 +144,7 @@ class CacheConfig:
 
 @dataclass
 class EnergyCosts:
-    """Energy debited per radio action (see ``engine.energy_debit``)."""
+    """Energy per radio action, combined once per run in ``Simulator.run``."""
     tx_packet: float = 0.0
     tx_bit: float = 0.0
     rx_packet: float = 0.0
@@ -242,6 +242,9 @@ _BOUNDS = {
     "deposit.ref_let": _POSITIVE, "deposit.ref_delay": _POSITIVE,
     "deposit.let_cap": _POSITIVE,
     "preference.let_cap": _POSITIVE,
+    # A metric or pheromone of 0 under a negative exponent divides by zero.
+    **{f"preference.alpha{i}": _NON_NEGATIVE for i in range(1, 7)},
+    **{f"deposit.lambda_{x}": _NON_NEGATIVE for x in ("b", "e", "t", "d", "hc")},
     "preference.theta_p": _FRACTION,
     "pheromone.q": {"lo": 0, "hi": 1, "lo_open": True, "code": "q-range"},
     "pheromone.initial": _NON_NEGATIVE,

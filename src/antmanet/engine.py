@@ -23,19 +23,9 @@ from .model import NetworkState, NodeAttributes
 from .routing import Router
 
 
-def energy_debit(attrs, action, size_bits, costs):
-    """New energy after one radio action; clamps at zero (node death).
-
-    `costs` is a ``config.EnergyCosts``.
-    """
-    if action == "tx":
-        cost = costs.tx_packet + costs.tx_bit * size_bits
-    elif action == "rx":
-        cost = costs.rx_packet + costs.rx_bit * size_bits
-    elif action == "beacon":
-        cost = costs.beacon
-    else:
-        raise ValueError(f"unknown action {action}")
+def energy_debit(attrs, cost):
+    """New energy after a radio action that costs `cost`; clamps at zero
+    (node death)."""
     return max(0.0, attrs.energy - cost)
 
 
@@ -218,16 +208,16 @@ class Simulator:
 
     # -- infrastructure ----------------------------------------------------
 
-    def schedule(self, t, kind, **payload):
-        heapq.heappush(self._queue, (t, self._seq, kind, payload))
+    def schedule(self, t, handler, payload=None):
+        heapq.heappush(self._queue, (t, self._seq, handler, payload))
         self._seq += 1
 
-    def _apply_energy(self, nid, action, bits=0):
+    def _apply_energy(self, nid, cost):
         attrs = self.state.node(nid)
         if not attrs.alive:
             return
         # Links do not depend on energy, so only a death changes the topology.
-        attrs.energy = energy_debit(attrs, action, bits, self.config.energy_costs)
+        attrs.energy = energy_debit(attrs, cost)
         if attrs.energy == 0.0:
             attrs.alive = False
             self.state.touch()
@@ -248,8 +238,7 @@ class Simulator:
     def _handle_evaporate(self, payload):
         self.router.evaporate_all()
 
-    def _handle_packet_send(self, payload):
-        flow_idx = payload["flow"]
+    def _handle_packet_send(self, flow_idx):
         flow = self.config.flows[flow_idx]
         fstats = self._flow_stats[flow_idx]
         try:
@@ -266,40 +255,36 @@ class Simulator:
                        ("no_route", flow_idx))
             return
         fstats["sent"] += 1
-        self.schedule(self.now, "packet_at", flow=flow_idx, path=route.path,
-                      levels=route.levels, idx=0, sent_at=self.now)
+        self.schedule(self.now, self._handle_packet_at,
+                      (flow_idx, route.path, route.levels, 0, self.now))
 
     def _handle_packet_at(self, payload):
-        """Deliver, or forward one hop on the level discovery chose.  A
-        packet is dropped at a dead destination or before a missing link;
-        a dead relay has no links."""
-        path = payload["path"]
-        idx = payload["idx"]
-        flow_idx = payload["flow"]
+        """Deliver, or forward on the level discovery chose, the packet
+        (flow, path, levels, idx, sent_at) at ``path[idx]``; drop it at a
+        dead destination or before a missing link (a dead relay has none)."""
+        flow_idx, path, levels, idx, sent_at = payload
         a = path[idx]
         if idx == len(path) - 1:
             if not self.state.node(a).alive:
                 self._drop(flow_idx, at=a)
                 return
-            delay = self.now - payload["sent_at"]
+            delay = self.now - sent_at
             self.stats["total_delay"] += delay
             self._flow_stats[flow_idx]["delivered"] += 1
             self.trace({"kind": "delivered", "t": self.now, "flow": flow_idx,
                         "dst": a, "delay": delay})
             return
         b = path[idx + 1]
-        link = self.state.link(a, b, payload["levels"][idx])
+        link = self.state.link(a, b, levels[idx])
         if link is None:
             self._drop(flow_idx, at=a, next=b)
             return
         if not self.fixed_energy:
-            bits = self.config.packet_size_bits
-            self._apply_energy(a, "tx", bits)
-            self._apply_energy(b, "rx", bits)
+            self._apply_energy(a, self._tx_cost)
+            self._apply_energy(b, self._rx_cost)
         arrival = self.now + link.delay + self.state.node(b).node_delay
-        self.schedule(arrival, "packet_at", flow=flow_idx, path=path,
-                      levels=payload["levels"], idx=idx + 1,
-                      sent_at=payload["sent_at"])
+        self.schedule(arrival, self._handle_packet_at,
+                      (flow_idx, path, levels, idx + 1, sent_at))
 
     def _drop(self, flow_idx, **where):
         self._flow_stats[flow_idx]["dropped"] += 1
@@ -322,8 +307,19 @@ class Simulator:
                         "case": "initial", "heads": heads})
         # Decided here, not at construction, so that setup does not pay for
         # it: with every cost 0 no radio action is debited, and routing
-        # takes each path's energy from its memoized link metrics.
-        self.fixed_energy = energy_is_fixed(cfg.energy_costs)
+        # takes each path's energy from its memoized link metrics; otherwise
+        # each action's cost is worked out once, here.
+        costs = cfg.energy_costs
+        self.fixed_energy = energy_is_fixed(costs)
+        debit = None
+        if not self.fixed_energy:
+            bits = cfg.packet_size_bits
+            self._tx_cost = costs.tx_packet + costs.tx_bit * bits
+            self._rx_cost = costs.rx_packet + costs.rx_bit * bits
+            apply, beacon = self._apply_energy, costs.beacon
+
+            def debit(node):
+                apply(node, beacon)
         self.router = Router(
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,
@@ -333,16 +329,16 @@ class Simulator:
         self.manager = MaintenanceManager(
             self.state, self.clusters, self.router, cfg.weights, cfg.beacon,
             trace=self.trace, stats=self.stats,
-            energy_debit=None if self.fixed_energy else self._apply_energy)
+            energy_debit=debit)
 
-        periodic = [("beacon", cfg.beacon.interval),
-                    ("evaporate", cfg.pheromone.evaporation_interval)]
+        periodic = [(self._handle_beacon, cfg.beacon.interval),
+                    (self._handle_evaporate, cfg.pheromone.evaporation_interval)]
         if self.waypoints is not None:
-            periodic.append(("mobility", cfg.mobility.update_interval))
-        for kind, interval in periodic:
+            periodic.append((self._handle_mobility, cfg.mobility.update_interval))
+        for handler, interval in periodic:
             t = interval
             while t <= cfg.duration:
-                self.schedule(t, kind)
+                self.schedule(t, handler)
                 t += interval
         for i, flow in enumerate(cfg.flows):
             self._flow_stats.append({
@@ -353,22 +349,15 @@ class Simulator:
                 st = flow.start + k * flow.interval
                 if st > cfg.duration:  # so is every later send
                     break
-                self.schedule(st, "packet_send", flow=i)
+                self.schedule(st, self._handle_packet_send, i)
 
-        handlers = {"beacon": self._handle_beacon,
-                    "mobility": self._handle_mobility,
-                    "evaporate": self._handle_evaporate,
-                    "packet_send": self._handle_packet_send,
-                    "packet_at": self._handle_packet_at}
-        last_t = 0.0
         while self._queue:
-            t, _, kind, payload = heapq.heappop(self._queue)
+            t, _, handler, payload = heapq.heappop(self._queue)
             if t > cfg.duration:
                 break
-            assert t >= last_t, "clock moved backwards"
-            last_t = t
+            assert t >= self.now, "clock moved backwards"
             self.now = t
-            handlers[kind](payload)
+            handler(payload)
 
         summary = self.summary()
         self.trace({"kind": "summary", "t": cfg.duration, **summary})

@@ -49,19 +49,17 @@ class MaintenanceManager:
         self.beacon = beacon  # a config.BeaconConfig
         self.trace = trace
         self.stats = Counter() if stats is None else stats
-        # fn(node, action), or None where no beacon costs energy.
+        # fn(node), which debits one beacon packet; None if beacons are free.
         self.energy_debit = energy_debit
         self._merge_attempted = set()
         self._recent_joins = []
-        # level -> {head: the members its latest beacon round missed}
-        self._missed = {}
 
     # -- beaconing and detection -----------------------------------------
 
     def beacon_tick(self, level, now):
         """The beacon round of `level`: each live head, in id order,
-        re-stamps the members it reaches and records the others, the ones
-        it missed, for `detect_changes`."""
+        re-stamps the members it reaches.  Returns {head: the members it
+        missed} for each head that missed any, for `detect_changes`."""
         clusters = self.clusters
         table = clusters.levels.get(level, {})
         nodes = self.state.nodes
@@ -73,7 +71,7 @@ class MaintenanceManager:
             if not nodes[head].alive:
                 continue
             if debit is not None:
-                debit(head, "beacon")
+                debit(head)
             # A member's debit can kill only that member, which changes no
             # head-to-other-member link, so one lookup serves the whole loop.
             # A dead node has no link, so `near` holds live members only.
@@ -83,35 +81,35 @@ class MaintenanceManager:
             clusters.refresh(level, head, heard, now)
             if debit is not None:
                 for m in heard:
-                    debit(m, "beacon")
+                    debit(m)
             packets += 1 + len(heard)
             if len(heard) < len(members):
                 missed[head] = members - near
-        self._missed[level] = missed
         if packets:
             self.stats["beacon_packets"] += packets
+        return missed
 
-    def detect_changes(self, now):
+    def detect_changes(self, now, missed):
         """Stale pairs and head losses, judged purely from beacon history.
 
-        Called at the `now` of the latest beacon round, as `run_cycle`
-        does.  Every head's liveness is checked.  Only a member that its
-        live head's latest beacon round missed can hold a stamp older than
-        `now`: every other membership was re-stamped by that round or
-        written since, at `now`.  So only those members are tested, and
-        only while they are still members."""
+        `missed` maps each level to what its `beacon_tick` at `now`
+        returned.  Every head's liveness is checked.  Only a member that
+        its live head's round missed can hold a stamp older than `now`:
+        every other membership was re-stamped by that round or written
+        since, at `now`.  So only those members are tested, and only while
+        they are still members."""
         events = []
         bound = self.beacon.detection_bound
         last_heard = self.clusters.last_heard
         nodes = self.state.nodes
         for level in sorted(self.clusters.levels):
             table = self.clusters.levels[level]
-            missed = self._missed.get(level, {})
+            level_missed = missed.get(level, {})
             for head in sorted(table):
                 if not nodes[head].alive:
                     events.append(MembershipEvent("head_left", level, head=head))
                     continue
-                lost = missed.get(head)
+                lost = level_missed.get(head)
                 if not lost:
                     continue
                 members = table[head]
@@ -294,11 +292,11 @@ class MaintenanceManager:
         same clusters moves no epoch.  A cycle that is still changing after
         `max_rounds` rounds stops there and counts one ``round_cap_hits``.
         """
-        for level in sorted(self.clusters.levels):
-            self.beacon_tick(level, now)
+        missed = {level: self.beacon_tick(level, now)
+                  for level in sorted(self.clusters.levels)}
         for _ in range(max_rounds):
             before = self.clusters.epoch
-            for ev in self.detect_changes(now):
+            for ev in self.detect_changes(now, missed):
                 self.handle_membership_change(ev, now)
             # Cover newly arrived or orphaned level-0 nodes (case 2 / 1.2).
             self._cover_orphans(0, now, case=CASES["head_left"][0])

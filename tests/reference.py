@@ -11,18 +11,19 @@ pair, and ``reference_best_head_in_range`` tests every head for each
 node.  ``reference_head_of`` and ``reference_participants`` scan the
 cluster tables instead of reading the head index,
 ``reference_cover_orphans`` tests every live node's eligibility,
-``reference_beacon_tick`` tests each member's liveness and counts and
-debits its packets one by one, and ``reference_detect_changes`` tests
-every member's stamp instead of only the members the beacon round
-missed.  ``reference_scoped_election`` writes its election's result by
-its own dissolve, leave and join calls instead of through
-`ClusterState.install`, ``reference_run_cycle`` ends a repair round when
-a copy of every cluster table taken before it compares equal after it,
-instead of reading the hierarchy epoch, and ``reference_discover_route``
-starts every discovery from an empty memo.  Each must give the same
-result, in the same order, as the code it stands in for.  Elections have
-no reference loop: ``helpers.checked_election`` checks each table against
-the rule it implements.
+``reference_beacon_tick`` tests each member's liveness, counts and
+debits its packets and collects the members it missed one by one, and
+``reference_detect_changes`` tests every member's stamp instead of only
+the members the beacon round missed, and requires each stale member to
+be one that round missed.  ``reference_scoped_election`` writes its
+election's result by its own dissolve, leave and join calls instead of
+through `ClusterState.install`, ``reference_run_cycle`` ends a repair
+round when a copy of every cluster table taken before it compares equal
+after it, instead of reading the hierarchy epoch, and
+``reference_discover_route`` starts every discovery from an empty memo.
+Each must give the same result, in the same order, as the code it stands
+in for.  Elections have no reference loop: ``helpers.checked_election``
+checks each table against the rule it implements.
 
 ``assert_matches_references`` runs one scenario with the fast paths and
 under `use_references` and requires the same trace bytes.  ``MOBILE``
@@ -201,20 +202,24 @@ def reference_cover_orphans(self, level, now, case):
 
 
 def reference_beacon_tick(self, level, now):
+    missed = {}
     for head in sorted(self.clusters.heads(level)):
         if not self.state.node(head).alive:
             continue
-        self.energy_debit(head, "beacon")
+        self.energy_debit(head)
         self.stats["beacon_packets"] += 1
         near = self.state.neighbors(head, level)
         for m in sorted(self.clusters.members_of(head, level)):
             if self.state.node(m).alive and m in near:
                 self.clusters.refresh(level, head, (m,), now)
-                self.energy_debit(m, "beacon")
+                self.energy_debit(m)
                 self.stats["beacon_packets"] += 1
+            else:
+                missed.setdefault(head, set()).add(m)
+    return missed
 
 
-def reference_detect_changes(self, now):
+def reference_detect_changes(self, now, missed):
     events = []
     bound = self.beacon.detection_bound
     last_heard = self.clusters.last_heard
@@ -227,6 +232,9 @@ def reference_detect_changes(self, now):
             stale = []
             for m in sorted(members):
                 if now - last_heard[(level, head, m)] >= bound:
+                    assert m in missed.get(level, {}).get(head, ()), (
+                        f"stale member {m} of {head} at level {level} was "
+                        "not missed by its head's beacon round")
                     stale.append(m)
             if stale and len(stale) == len(members):
                 events.append(MembershipEvent("head_left", level, head=head))
@@ -295,13 +303,14 @@ def reference_scoped_election(self, level, nodes, now, case):
 
 
 def reference_run_cycle(self, now, max_rounds=8):
+    missed = {}
     for level in sorted(self.clusters.levels):
-        self.beacon_tick(level, now)
+        missed[level] = self.beacon_tick(level, now)
     for _ in range(max_rounds):
         before = {level: {head: set(members)
                           for head, members in table.items()}
                   for level, table in self.clusters.levels.items()}
-        for ev in self.detect_changes(now):
+        for ev in self.detect_changes(now, missed):
             self.handle_membership_change(ev, now)
         self._cover_orphans(0, now, case=CASES["head_left"][0])
         for ev in self.detect_head_merges(now):

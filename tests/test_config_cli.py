@@ -210,6 +210,31 @@ class TestParsing:
         assert [(p, c) for p, c, _ in exc.value.issues] == [
             (text.split(":")[0] + "[0].energy", "range")]
 
+    def test_negative_exponent_reported(self):
+        # Under no pheromone this scenario's first discovery would raise
+        # ZeroDivisionError: 0.0 cannot be raised to a negative power.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(
+                "placements: [{id: 0, position: [0, 0]},"
+                " {id: 1, position: [80, 0]}, {id: 2, position: [160, 0]}]\n"
+                "pheromone: {initial: 0.0}\n"
+                "preference: {alpha1: -1.0}\n"
+                "flows: [{src: 0, dst: 2}]")
+        assert exc.value.issues == [
+            ("preference.alpha1", "range", "must be >= 0.0")]
+
+    def test_every_exponent_is_bounded(self):
+        alphas = [f"alpha{i}" for i in range(1, 7)]
+        lambdas = [f"lambda_{x}" for x in ("b", "e", "t", "d", "hc")]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(
+                "preference: {" + ", ".join(f"{k}: -0.5" for k in alphas)
+                + "}\ndeposit: {" + ", ".join(f"{k}: -0.5" for k in lambdas)
+                + "}")
+        assert sorted((p, c) for p, c, _ in exc.value.issues) == sorted(
+            [(f"preference.{k}", "range") for k in alphas]
+            + [(f"deposit.{k}", "range") for k in lambdas])
+
     def test_link_that_is_not_a_mapping_reported_once(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("links: [5]")

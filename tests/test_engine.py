@@ -26,27 +26,31 @@ def attrs(pos=(0.0, 0.0), energy=100.0):
 
 
 class TestEnergyDebit:
+    """Each action's cost, debited over a run of `two_node_config`: node 0
+    sends three 8,192-bit packets straight to node 1, and head and member
+    each beacon once a second for 10 s.  The costs are powers of two, so
+    each node's energy is exact."""
+
+    def final_energies(self, **costs):
+        sim = Simulator(two_node_config(energy_costs=EnergyCosts(**costs)))
+        assert sim.run()["packets_delivered"] == 3
+        return [sim.state.nodes[n].energy for n in (0, 1)]
+
     def test_tx_cost(self):
-        c = EnergyCosts(tx_packet=1.0, tx_bit=0.001)
-        assert energy_debit(attrs(energy=10.0), "tx", 1000, c) == \
-            pytest.approx(8.0)
+        # Each send costs 1 + 8192 / 1024 = 9.
+        assert self.final_energies(tx_packet=1.0, tx_bit=2.0 ** -10) == [
+            100.0 - 3 * 9.0, 100.0]
 
     def test_rx_cost(self):
-        c = EnergyCosts(rx_packet=0.5, rx_bit=0.0005)
-        assert energy_debit(attrs(energy=10.0), "rx", 1000, c) == \
-            pytest.approx(9.0)
+        # Each receipt costs 0.5 + 8192 / 4096 = 2.5.
+        assert self.final_energies(rx_packet=0.5, rx_bit=2.0 ** -12) == [
+            100.0, 100.0 - 3 * 2.5]
 
     def test_beacon_cost(self):
-        c = EnergyCosts(beacon=0.25)
-        assert energy_debit(attrs(energy=1.0), "beacon", 0, c) == 0.75
+        assert self.final_energies(beacon=0.25) == [100.0 - 10 * 0.25] * 2
 
     def test_clamped_at_zero(self):
-        c = EnergyCosts(tx_packet=50.0)
-        assert energy_debit(attrs(energy=10.0), "tx", 0, c) == 0.0
-
-    def test_unknown_action(self):
-        with pytest.raises(ValueError):
-            energy_debit(attrs(), "sleep", 0, EnergyCosts())
+        assert energy_debit(attrs(energy=10.0), 50.0) == 0.0
 
 
 def waypoints(pause=0.0, seed=3):
@@ -156,10 +160,10 @@ class RelayProbe(Simulator):
         if rec["kind"] == "route_selected":
             self.selected.append(rec)
 
-    def schedule(self, t, kind, **payload):
-        if kind == "packet_at" and payload["idx"] == 0:
+    def schedule(self, t, handler, payload=None):
+        if handler == self._handle_packet_at and payload[3] == 0:
             self.sends.append(payload)
-        super().schedule(t, kind, **payload)
+        super().schedule(t, handler, payload)
 
     def _handle_packet_send(self, payload):
         if len(self.selected) == 1:
@@ -195,9 +199,10 @@ class TestSimulator:
         assert summary["packets_delivered"] == 2
         first, second = sim.selected
         assert first["path"] != second["path"]
-        for send, route in zip(sim.sends, sim.selected, strict=True):
-            assert send["path"] == tuple(route["path"])
-            assert send["levels"] == tuple(route["levels"])
+        for (_, path, levels, _, _), route in zip(sim.sends, sim.selected,
+                                                  strict=True):
+            assert path == tuple(route["path"])
+            assert levels == tuple(route["levels"])
 
     def test_stale_cached_route_does_not_shadow_a_newer_one(self):
         """A cached route with a missing link is skipped, not returned:
@@ -278,7 +283,7 @@ class TestSimulator:
         assert sim.run()["deaths"] == 1
         assert not sim.state.nodes[0].alive
         version = sim.state.version
-        sim._apply_energy(0, "tx")
+        sim._apply_energy(0, 500.0)
         assert sim.stats["deaths"] == 1
         assert sim.state.version == version
 

@@ -25,39 +25,35 @@ def walkaway_world():
 class TestBeaconing:
     def test_tick_refreshes_reachable_members(self):
         state, clusters, mgr = walkaway_world()
-        mgr.beacon_tick(0, 5.0)
+        assert mgr.beacon_tick(0, 5.0) == {}
         assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
                                   (0, 1, 3): 5.0}
-        assert mgr._missed == {0: {}}
         assert mgr.stats["beacon_packets"] == 4
 
     def test_tick_skips_out_of_range_member(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[3].position = (5000.0, 0.0)
         state.touch()
-        mgr.beacon_tick(0, 5.0)
+        assert mgr.beacon_tick(0, 5.0) == {1: {3}}
         assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 5.0,
                                   (0, 1, 3): 0.0}
-        assert mgr._missed == {0: {1: {3}}}
 
     def test_dead_member_is_missed(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[2].alive = False
         state.touch()
-        mgr.beacon_tick(0, 5.0)
+        assert mgr.beacon_tick(0, 5.0) == {1: {2}}
         assert clusters.last_heard == {(0, 1, 0): 5.0, (0, 1, 2): 0.0,
                                   (0, 1, 3): 5.0}
-        assert mgr._missed == {0: {1: {2}}}
         assert mgr.stats["beacon_packets"] == 3
 
     def test_dead_head_does_not_beacon(self):
         state, clusters, mgr = walkaway_world()
         state.nodes[1].alive = False
         state.touch()
-        mgr.beacon_tick(0, 5.0)
+        assert mgr.beacon_tick(0, 5.0) == {}
         assert clusters.last_heard == {(0, 1, 0): 0.0, (0, 1, 2): 0.0,
                                   (0, 1, 3): 0.0}
-        assert mgr._missed == {0: {}}
         assert "beacon_packets" not in mgr.stats
 
     def test_two_heads_beacon_in_id_order(self):
@@ -70,22 +66,21 @@ class TestBeaconing:
         clusters = manual_clusters({0: {2: {3, 4}, 0: {1}}, 1: {}, 2: {}})
         mgr = manager(state, clusters)
         calls = []
-        mgr.energy_debit = lambda node, action: calls.append(node)
-        mgr.beacon_tick(0, 2.0)
+        mgr.energy_debit = calls.append
+        assert mgr.beacon_tick(0, 2.0) == {2: {4}}
         # Each head debits itself, then the members it reached.
         assert calls == [0, 1, 2, 3]
         assert clusters.last_heard == {(0, 0, 1): 2.0, (0, 2, 3): 2.0,
                                   (0, 2, 4): 0.0}
-        assert mgr._missed == {0: {2: {4}}}
         assert mgr.stats["beacon_packets"] == 4
 
     def test_energy_debit_callback(self):
         state, clusters, mgr = walkaway_world()
         calls = []
-        mgr.energy_debit = lambda node, action: calls.append((node, action))
+        mgr.energy_debit = calls.append
         mgr.beacon_tick(0, 1.0)
-        assert (1, "beacon") in calls
-        assert len(calls) == 4  # head plus three acking members
+        # The head, then its three acking members.
+        assert calls == [1, 0, 2, 3]
 
     def test_invalid_miss_threshold(self):
         state = clique_state(2)
@@ -123,10 +118,10 @@ class TestMemberWalkAway:
         clusters = manual_clusters({0: {0: {1, 8, 9}}, 1: {}, 2: {}})
         mgr = manager(state, clusters)
         bound = mgr.beacon.detection_bound
-        mgr.beacon_tick(0, bound - 1.0)
-        assert mgr.detect_changes(bound - 1.0) == []
-        mgr.beacon_tick(0, bound)
-        assert mgr.detect_changes(bound) == [
+        missed = {0: mgr.beacon_tick(0, bound - 1.0)}
+        assert mgr.detect_changes(bound - 1.0, missed) == []
+        missed = {0: mgr.beacon_tick(0, bound)}
+        assert mgr.detect_changes(bound, missed) == [
             MembershipEvent("member_left", 0, head=0, node=1),
             MembershipEvent("member_left", 0, head=0, node=8)]
 
@@ -203,9 +198,8 @@ class TestHeadLoss:
         state.nodes[1].position = (5000.0, 0.0)
         state.touch()
         bound = mgr.beacon.detection_bound
-        # Detection reads the members the latest beacon round missed.
-        mgr.beacon_tick(0, bound)
-        events = mgr.detect_changes(bound)
+        # Detection reads the members the beacon round missed.
+        events = mgr.detect_changes(bound, {0: mgr.beacon_tick(0, bound)})
         kinds = {(e.kind, e.head) for e in events}
         assert ("head_left", 1) in kinds
         assert not any(k == "member_left" for k, _ in kinds)
