@@ -68,7 +68,10 @@ def weight_table(state, level, participants, p, nodes=None):
         return {}
     attrs = state.nodes
     pset = set(participants)
-    linked = {n: state.neighbors(n, level) & pset for n in participants}
+    linked = {}
+    for n in participants:
+        nbrs = state.neighbors(n, level)
+        linked[n] = nbrs if nbrs <= pset else nbrs & pset
     weighed = participants if nodes is None else nodes
     sums = {n: _distance_sum(attrs, n, linked[n]) for n in weighed}
     best = max(sums.values(), default=0.0)

@@ -120,6 +120,10 @@ class TraceWriter:
     finite.  So the first record with a key is encoded up to "t", and every
     record with that key is written as that text and its own "t".  The
     cache lasts as long as the writer, which serves one run.
+
+    Every record kind that repeats is keyed, `delivered` included.  Records
+    can share nested values, such as a memoized route ant's packet, so no
+    sink may mutate a record.
     """
 
     def __init__(self, write):
@@ -271,8 +275,11 @@ class Simulator:
             delay = self.now - sent_at
             self.stats["total_delay"] += delay
             self._flow_stats[flow_idx]["delivered"] += 1
+            # delay is now - sent_at with now >= sent_at: finite and never
+            # -0.0, so records with equal keys have equal text.
             self.trace({"kind": "delivered", "t": self.now, "flow": flow_idx,
-                        "dst": a, "delay": delay})
+                        "dst": a, "delay": delay},
+                       ("delivered", flow_idx, a, delay))
             return
         b = path[idx + 1]
         link = self.state.link(a, b, levels[idx])
@@ -317,9 +324,17 @@ class Simulator:
             self._tx_cost = costs.tx_packet + costs.tx_bit * bits
             self._rx_cost = costs.rx_packet + costs.rx_bit * bits
             apply, beacon = self._apply_energy, costs.beacon
+            nodes = self.state.nodes
 
-            def debit(node):
-                apply(node, beacon)
+            def debit(nids):
+                # A live node whose energy stays above 0 only loses the
+                # cost; a death, or a dead node, goes through apply.
+                for nid in nids:
+                    attrs = nodes[nid]
+                    if attrs.alive and attrs.energy > beacon:
+                        attrs.energy -= beacon
+                    else:
+                        apply(nid, beacon)
         self.router = Router(
             self.state, self.clusters, pref=cfg.preference,
             deposit=cfg.deposit, q=cfg.pheromone.q,

@@ -49,7 +49,8 @@ class MaintenanceManager:
         self.beacon = beacon  # a config.BeaconConfig
         self.trace = trace
         self.stats = Counter() if stats is None else stats
-        # fn(node), which debits one beacon packet; None if beacons are free.
+        # fn(nodes), which debits one beacon packet from each of `nodes`
+        # in order; None if beacons are free.
         self.energy_debit = energy_debit
         self._merge_attempted = set()
         self._recent_joins = []
@@ -71,7 +72,7 @@ class MaintenanceManager:
             if not nodes[head].alive:
                 continue
             if debit is not None:
-                debit(head)
+                debit((head,))
             # A member's debit can kill only that member, which changes no
             # head-to-other-member link, so one lookup serves the whole loop.
             # A dead node has no link, so `near` holds live members only.
@@ -80,8 +81,7 @@ class MaintenanceManager:
             heard = sorted(near & members)
             clusters.refresh(level, head, heard, now)
             if debit is not None:
-                for m in heard:
-                    debit(m)
+                debit(heard)
             packets += 1 + len(heard)
             if len(heard) < len(members):
                 missed[head] = members - near

@@ -17,14 +17,17 @@ Discovery re-derives much from the topology and the cluster tables
 alone, so the router keeps one memo of it, cleared whenever the topology
 version (``NetworkState.version``) or the hierarchy epoch
 (``ClusterState.epoch``) changes.  It holds, per endpoint pair, the
-discovery plan: their link level, or the climb's route ants followed by
-its failure or its legs, each leg's scope frozen; per flood, the
-expansion with each path's link metrics and nodes; and per route, the
-link metrics of the route and of each suffix, or its broken link.  Every
-call still reads the endpoints' liveness, the route cache, pheromone,
-the time and energy afresh, and emits the same records and counters as a
-call with an empty memo.  A router built with ``fixed_energy`` serves a
-run where no energy moves, so it takes the memoized metrics as they are.
+discovery plan: their link level, or the climb's route ants (each as
+its trace packet and record key) followed by its failure or its legs,
+each leg's scope frozen; per flood, the expansion with each path's link
+metrics and nodes; and per route, the link metrics of the route and of
+each suffix, or its broken link.  Every call still reads the endpoints'
+liveness, the route cache, pheromone, the time and energy afresh, and
+emits the same records and counters as a call with an empty memo.  A
+router built with ``fixed_energy`` serves a run where no energy moves, so
+it takes the memoized metrics as they are, and its flood entries also
+keep each reply's trace packet and record key.  Records that replay
+memoized parts share them, so a sink must not mutate a record.
 """
 
 import heapq
@@ -180,6 +183,26 @@ def _with_energy(m, nodes):
                        hop_count=m.hop_count)
 
 
+def _route_ant(sender, target, flag):
+    """A Route ant's trace packet and its record key."""
+    return ({"src": sender, "dst": target, "flag": flag},
+            ("route_ant", sender, target, flag))
+
+
+def _reply(level, src, dst, path, m):
+    """The trace packet and record key, whose first item is the record's
+    kind, of the reply that retraces `path`, a level-`level` segment path
+    from src to dst with metrics `m`.  Level 0 segments run inside one
+    cluster (Knave ants), the rest across the head overlay (King ants)."""
+    kind, ends = (("reply_king_ant", ("src_head", "dst_head")) if level
+                  else ("reply_knave_ant", ("src_member", "dst_member")))
+    return ({"hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
+             "let": m.let, "bandwidth": m.bandwidth, ends[0]: src,
+             ends[1]: dst, "to_visit": list(reversed(path))},
+            (kind, src, dst, path, m.hop_count, m.delay, m.energy, m.let,
+             m.bandwidth))
+
+
 # --------------------------------------------------------------------------
 # Router
 
@@ -205,7 +228,8 @@ class Router:
         # What discovery derives from the topology and the cluster tables,
         # valid while (state.version, clusters.epoch) is _memo_stamp.  The
         # key shapes tell its entries apart: (src, dst) -> _plan's plan,
-        # (level, src, dst, scope) -> _expand's flood, and
+        # (level, src, dst, scope) -> _expand's flood and, with fixed
+        # energy, its replies, and
         # (path, levels) -> _route_metrics' metrics.
         self._memo = {}
         self._memo_stamp = None
@@ -275,10 +299,11 @@ class Router:
         with each path's link metrics and nodes, depends only on the
         topology version, the scope and the endpoints, so it comes from
         the memo.  Energy changes within a version, so each path's metrics
-        take it afresh on every call, unless it is fixed.  Per next hop the
-        first best-scoring admissible reply is kept; the next hop with the
-        highest preference probability (ties to the lower id) wins unless
-        it is below `theta_p`.
+        take it afresh on every call, and its reply is built afresh,
+        unless energy is fixed: then the memo keeps the replies too.  Per
+        next hop the first best-scoring admissible reply is kept; the next
+        hop with the highest preference probability (ties to the lower id)
+        wins unless it is below `theta_p`.
         """
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
@@ -287,8 +312,12 @@ class Router:
         key = (level, src, dst, scope)
         flood = memo.get(key)
         if flood is None:
-            flood = memo[key] = self._expand(scope, level, src, dst)
-        found, forwards, reply_hops = flood
+            found, forwards, reply_hops = self._expand(scope, level, src, dst)
+            replies = ([_reply(level, src, dst, path, fm)
+                        for path, fm, _ in found]
+                       if self.fixed_energy else None)
+            flood = memo[key] = found, forwards, reply_hops, replies
+        found, forwards, reply_hops, replies = flood
         self.stats["request_forwards"] += forwards
         if not found:
             raise NoRouteError(
@@ -296,21 +325,16 @@ class Router:
         self.stats["reply_packets"] += len(found)
         self.stats["reply_hops"] += reply_hops
         # Each delivered request ant turns into a reply that retraces its
-        # visited stack in reverse, carrying the path's QoS values.  Level 0
-        # segments run inside one cluster (Knave ants), the rest across the
-        # head overlay (King ants).
-        kind, ends = (("reply_king_ant", ("src_head", "dst_head")) if level
-                      else ("reply_knave_ant", ("src_member", "dst_member")))
+        # visited stack in reverse, carrying the path's QoS values.
         best_per_hop = {}
-        fixed = self.fixed_energy
-        for path, fm, nodes in found:
-            m = fm if fixed else _with_energy(fm, nodes)
-            self.trace({"kind": kind, "t": now, "packet": {
-                "hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
-                "let": m.let, "bandwidth": m.bandwidth, ends[0]: src, ends[1]: dst,
-                "to_visit": list(reversed(path))}},
-                (kind, src, dst, path, m.hop_count, m.delay, m.energy, m.let,
-                 m.bandwidth))
+        for i, (path, fm, nodes) in enumerate(found):
+            if replies is None:
+                m = _with_energy(fm, nodes)
+                packet, rkey = _reply(level, src, dst, path, m)
+            else:
+                m = fm
+                packet, rkey = replies[i]
+            self.trace({"kind": rkey[0], "t": now, "packet": packet}, rkey)
             if not qos.admits(m):
                 continue
             j = path[1]
@@ -340,9 +364,9 @@ class Router:
 
         Linked endpoints get their lowest link level, and nothing else.
         Otherwise a climb up both endpoints' head chains gives the Route
-        ants (sender, target, flag) to record, then either the message of
-        the NoRouteError that stops it or its legs (scope, level, from,
-        to).
+        ants to record, each as `_route_ant`'s (packet, key), then either
+        the message of the NoRouteError that stops it or its legs (scope,
+        level, from, to).
         """
         level = self.state.link_level(src, dst)
         if level is not None:
@@ -367,11 +391,11 @@ class Router:
                 return (None, ants,
                         f"level-2 heads {up[-1]} and {down[-1]} differ", ())
             if up[-2] != up[-1]:
-                ants.append((up[-2], up[-1], 0))
+                ants.append(_route_ant(up[-2], up[-1], 0))
             if up[-1] == down[-1]:
                 break
         if up[-1] != up[-2]:
-            ants.append((up[-1], up[-2], 1))
+            ants.append(_route_ant(up[-1], up[-2], 1))
 
         # The chains meet at `level`.  Legs run up the source's chain,
         # across the meeting head's cluster and down the destination's
@@ -474,11 +498,9 @@ class Router:
             self.stats["cache_hits"] += 1
             return hit
 
-        for sender, target, flag in ants:
+        for packet, key in ants:
             self.stats["route_ants"] += 1
-            self.trace({"kind": "route_ant", "t": now, "packet": {
-                "src": sender, "dst": target, "flag": flag}},
-                ("route_ant", sender, target, flag))
+            self.trace({"kind": "route_ant", "t": now, "packet": packet}, key)
         if failure is not None:
             raise NoRouteError(failure)
         path, levels = [src], []

@@ -206,13 +206,13 @@ def reference_beacon_tick(self, level, now):
     for head in sorted(self.clusters.heads(level)):
         if not self.state.node(head).alive:
             continue
-        self.energy_debit(head)
+        self.energy_debit((head,))
         self.stats["beacon_packets"] += 1
         near = self.state.neighbors(head, level)
         for m in sorted(self.clusters.members_of(head, level)):
             if self.state.node(m).alive and m in near:
                 self.clusters.refresh(level, head, (m,), now)
-                self.energy_debit(m)
+                self.energy_debit((m,))
                 self.stats["beacon_packets"] += 1
             else:
                 missed.setdefault(head, set()).add(m)

@@ -52,6 +52,43 @@ class TestEnergyDebit:
     def test_clamped_at_zero(self):
         assert energy_debit(attrs(energy=10.0), 50.0) == 0.0
 
+    def beacon_run(self, energies):
+        """A run of `two_node_config` where only beacons cost energy, 0.25
+        each, and nodes 0 and 1 start with `energies`."""
+        cfg = two_node_config(energy_costs=EnergyCosts(beacon=0.25))
+        cfg.placements = [dataclasses.replace(p, energy=e)
+                          for p, e in zip(cfg.placements, energies)]
+        records = []
+        sim = Simulator(cfg, trace=record_sink(records))
+        sim.run()
+        return sim, [(r["t"], r["node"]) for r in records
+                     if r["kind"] == "node_death"]
+
+    @pytest.mark.parametrize("energies, deaths, final", [
+        # Head 0 empties itself at its 8th beacon; member 1, unheard at
+        # t = 8 and elected head then, empties itself at its 1st.
+        ((2.0, 2.0), [(8.0, 0), (9.0, 1)], [0.0, 0.0]),
+        # Member 0 empties itself at its 8th ack of head 1.
+        ((2.0, 100.0), [(8.0, 0)], [0.0, 100.0 - 10 * 0.25])],
+        ids=["head", "member"])
+    def test_beacon_debit_to_exactly_zero_kills(self, energies, deaths,
+                                                final):
+        sim, seen = self.beacon_run(energies)
+        assert seen == deaths
+        assert [sim.state.nodes[n].energy for n in (0, 1)] == final
+        assert sim.stats["deaths"] == len(deaths)
+
+    def test_beacon_debit_leaves_a_dead_node_alone(self):
+        # Whatever its energy: the node's death is not the debit's to count.
+        sim, _ = self.beacon_run((2.0, 100.0))
+        node = sim.state.nodes[1]
+        node.alive = False
+        version = sim.state.version
+        sim.manager.energy_debit((1,))
+        assert node.energy == 100.0 - 10 * 0.25
+        assert sim.stats["deaths"] == 1
+        assert sim.state.version == version
+
 
 def waypoints(pause=0.0, seed=3):
     return RandomWaypoint((100.0, 60.0), 0.5, 2.0, pause=pause, window=10.0,

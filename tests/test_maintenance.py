@@ -66,7 +66,7 @@ class TestBeaconing:
         clusters = manual_clusters({0: {2: {3, 4}, 0: {1}}, 1: {}, 2: {}})
         mgr = manager(state, clusters)
         calls = []
-        mgr.energy_debit = calls.append
+        mgr.energy_debit = calls.extend
         assert mgr.beacon_tick(0, 2.0) == {2: {4}}
         # Each head debits itself, then the members it reached.
         assert calls == [0, 1, 2, 3]
@@ -77,7 +77,7 @@ class TestBeaconing:
     def test_energy_debit_callback(self):
         state, clusters, mgr = walkaway_world()
         calls = []
-        mgr.energy_debit = calls.append
+        mgr.energy_debit = calls.extend
         mgr.beacon_tick(0, 1.0)
         # The head, then its three acking members.
         assert calls == [1, 0, 2, 3]

@@ -2,6 +2,7 @@
 not the record's key was seen before."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,10 @@ from antmanet.config import load_scenario
 from antmanet.engine import Simulator, TraceWriter, format_record
 
 from digests import CORPUS, DATA, REFERENCE
+from reference import MOBILE
 
 SCENARIOS = [REFERENCE, *CORPUS]
+STATIC_CACHE = DATA / "digest" / "static-cache.yaml"
 
 
 def _run(path):
@@ -41,9 +44,64 @@ def test_corpus_has_five_digest_scenarios():
 
 def test_static_cache_mostly_hits():
     # static-cache.yaml is flood-shaped: fixed nodes, repeated sends.
-    hits, keys = _run(DATA / "digest" / "static-cache.yaml")
+    hits, keys = _run(STATIC_CACHE)
     assert hits >= 1000
     assert hits > 9 * keys
+
+
+def _received(config):
+    """(record, key, `format_record` of the record on receipt) for each
+    record of one run of `config`."""
+    received = []
+
+    def sink(record, key=None):
+        received.append((record, key, format_record(record)))
+
+    Simulator(config, trace=sink).run()
+    return received
+
+
+@pytest.mark.parametrize("name", ["static-cache", "mobile"])
+def test_records_keep_their_text(name):
+    """Records may share parts that discovery memoizes: with fixed energy
+    (static-cache.yaml) route ants and replies, with energy moving
+    (`reference.MOBILE`) route ants.  Each record still encodes, when the
+    run ends, to the text it had when the sink received it."""
+    config = load_scenario(STATIC_CACHE) if name == "static-cache" else MOBILE
+    received = _received(config)
+    assert ([format_record(record) for record, _, _ in received]
+            == [text for _, _, text in received])
+
+
+REPEATED = ("delivered", "route_ant", "reply_knave_ant", "reply_king_ant")
+
+
+def test_repeated_records_are_keyed():
+    received = _received(load_scenario(STATIC_CACHE))
+    repeated = [(record, key) for record, key, _ in received
+                if record["kind"] in REPEATED]
+    # The run has no level-0 reply; its replies are King ants.
+    assert set(Counter(r["kind"] for r, _ in repeated)) == {
+        "delivered", "route_ant", "reply_king_ant"}
+    assert [record for record, key in repeated if key is None] == []
+    # Replays of a memoized route ant or reply share its packet.
+    shared = Counter(id(r["packet"]) for r, _ in repeated if "packet" in r)
+    assert max(shared.values()) > 1
+
+
+def test_keyed_delivered_delays():
+    """Close or tiny delays that are unequal have keys of their own; an
+    equal delay repeats its key."""
+    delays = [0.1 + 0.2, 0.3, 5e-324, 0.1 + 0.2, 0.3, 5e-324]
+    lines = []
+    writer = TraceWriter(lines.append)
+    records = []
+    for i, delay in enumerate(delays):
+        record = {"kind": "delivered", "t": 1.0 + i, "flow": 0, "dst": 3,
+                  "delay": delay}
+        writer(record, ("delivered", 0, 3, delay))
+        records.append(record)
+    assert lines == [format_record(r) + "\n" for r in records]
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.1 + 0.2, 5e-324, 1e16, 1e300,
