@@ -1,7 +1,9 @@
 """Deterministic discrete-event core.
 
 A single heap-ordered event queue drives elections, beacons, mobility,
-pheromone evaporation and traffic.  All randomness comes from one seed,
+pheromone evaporation and traffic.  It holds only the next event of each
+stream (beacons, evaporation, mobility, each flow's sends) and each
+packet's next hop.  All randomness comes from one seed,
 forked by fixed labels into the mobility and topology streams (and the
 per-link jitter), so adding draws to one never perturbs the others;
 elections draw none.  Given (config, seed) the trace byte stream is
@@ -110,7 +112,7 @@ def format_record(record):
     return _ENCODER.encode(record)
 
 
-class TraceWriter:
+def TraceWriter(write):
     """The trace sink that writes each record as one line, `format_record`
     of it and a newline, through `write`.
 
@@ -119,26 +121,27 @@ class TraceWriter:
     from "t"; "t" is its largest key and a float (not a subclass) that is
     finite.  So the first record with a key is encoded up to "t", and every
     record with that key is written as that text and its own "t".  The
-    cache lasts as long as the writer, which serves one run.
+    cache lasts as long as the sink, which serves one run.
 
     Every record kind that repeats is keyed, `delivered` included.  Records
     can share nested values, such as a memoized route ant's packet, so no
     sink may mutate a record.
+
+    The sink is a closure, not an instance: the key cache and the last "t"
+    are its local cells, so a record costs one plain call.
     """
+    heads = {}  # key -> the record's line up to the value of "t"
+    # The last "t" seen and the text that ends its lines.  The records of
+    # one event share the clock's float object, so it recurs.
+    last_t = object()
+    t_end = None
 
-    def __init__(self, write):
-        self._write = write
-        self._heads = {}  # key -> the record's line up to the value of "t"
-        # The last "t" seen and the text that ends its lines.  The records
-        # of one event share the clock's float object, so it recurs.
-        self._t = object()
-        self._t_end = None
-
-    def __call__(self, record, key=None):
+    def sink(record, key=None):
+        nonlocal last_t, t_end
         if key is None:
-            self._write(format_record(record) + "\n")
+            write(format_record(record) + "\n")
             return
-        head = self._heads.get(key)
+        head = heads.get(key)
         if head is None:
             if max(record) != "t":
                 raise ValueError(
@@ -146,16 +149,27 @@ class TraceWriter:
             rest = record.copy()
             del rest["t"]
             head = format_record(rest)[:-1] + (',"t":' if rest else '"t":')
-            self._heads[key] = head
+            heads[key] = head
         t = record["t"]
-        if t is not self._t:
+        if t is not last_t:
             # json writes a finite float as repr does, but not an int, a
             # non-finite float or a float subclass with its own repr.
             if not (type(t) is float and math.isfinite(t)):
                 raise ValueError(f'"t" of keyed record {record!r} is not a '
                                  "finite float")
-            self._t, self._t_end = t, repr(t) + "}\n"
-        self._write(head + self._t_end)
+            last_t, t_end = t, repr(t) + "}\n"
+        write(head + t_end)
+
+    return sink
+
+
+# Stream numbers, the tie-break between events queued for one instant:
+# the periodic streams first, then flow i as FLOWS + i.  A stream has at
+# most one event queued, its next, so one number per stream orders ties as
+# a block of numbers per stream, one per event, would.  Runtime events (a
+# packet's next hop) are numbered after every stream, in the order they
+# are scheduled.
+BEACON, EVAPORATE, MOBILITY, FLOWS = range(4)
 
 
 class Simulator:
@@ -169,8 +183,9 @@ class Simulator:
         self.rng_mobility = random.Random(f"{seed}:mobility")
         self.rng_topology = random.Random(f"{seed}:topology")
         self.now = 0.0
-        self._seq = 0
         self._queue = []
+        self._seq = FLOWS + len(config.flows)
+        self._ran = False
         # The run's one counter store, shared with the router and the
         # maintenance manager.
         self.stats = Counter()
@@ -213,8 +228,32 @@ class Simulator:
     # -- infrastructure ----------------------------------------------------
 
     def schedule(self, t, handler, payload=None):
+        """Queue a runtime event: handler(payload) at time t."""
         heapq.heappush(self._queue, (t, self._seq, handler, payload))
         self._seq += 1
+
+    def _queue_next(self, stream, t, handler, payload):
+        """Queue the next event of `stream` at time t, unless t is past the
+        run's end.  Each stream's handler calls this for its successor."""
+        if t <= self.config.duration:
+            heapq.heappush(self._queue, (t, stream, handler, payload))
+
+    def _queue_streams(self):
+        """Queue the first event of every stream: each periodic stream's
+        first tick, one interval in, and each flow's first send."""
+        cfg = self.config
+        periodic = [(BEACON, self._handle_beacon, cfg.beacon.interval),
+                    (EVAPORATE, self._handle_evaporate,
+                     cfg.pheromone.evaporation_interval)]
+        if self.waypoints is not None:
+            periodic.append((MOBILITY, self._handle_mobility,
+                             cfg.mobility.update_interval))
+        for stream, handler, interval in periodic:
+            self._queue_next(stream, interval, handler, interval)
+        for i, flow in enumerate(cfg.flows):
+            if flow.packets > 0:
+                self._queue_next(FLOWS + i, flow.start,
+                                 self._handle_packet_send, (i, 0))
 
     def _apply_energy(self, nid, cost):
         attrs = self.state.node(nid)
@@ -230,20 +269,35 @@ class Simulator:
             self.trace({"kind": "node_death", "t": self.now, "node": nid})
 
     # -- handlers -----------------------------------------------------------
+    #
+    # A periodic handler's payload is its interval.  The next tick comes
+    # one interval after this one, so tick k falls at the running sum of k
+    # intervals.
 
-    def _handle_beacon(self, payload):
+    def _handle_beacon(self, interval):
+        self._queue_next(BEACON, self.now + interval, self._handle_beacon,
+                         interval)
         self.manager.run_cycle(self.now)
 
-    def _handle_mobility(self, payload):
-        self.waypoints.step(self.state.nodes, self.now,
-                            self.config.mobility.update_interval)
+    def _handle_mobility(self, dt):
+        self._queue_next(MOBILITY, self.now + dt, self._handle_mobility, dt)
+        self.waypoints.step(self.state.nodes, self.now, dt)
         self.state.touch()
 
-    def _handle_evaporate(self, payload):
+    def _handle_evaporate(self, interval):
+        self._queue_next(EVAPORATE, self.now + interval,
+                         self._handle_evaporate, interval)
         self.router.evaporate_all()
 
-    def _handle_packet_send(self, flow_idx):
+    def _handle_packet_send(self, payload):
+        """Send packet k of the flow, for payload (flow, k), and queue the
+        flow's next send: packet k + 1 at start + (k + 1) * interval."""
+        flow_idx, k = payload
         flow = self.config.flows[flow_idx]
+        if k + 1 < flow.packets:
+            self._queue_next(FLOWS + flow_idx,
+                             flow.start + (k + 1) * flow.interval,
+                             self._handle_packet_send, (flow_idx, k + 1))
         fstats = self._flow_stats[flow_idx]
         try:
             route = self.router.discover_route(flow.src, flow.dst, flow.qos,
@@ -301,6 +355,20 @@ class Simulator:
     # -- run -----------------------------------------------------------------
 
     def run(self):
+        """Run the scenario once and return its summary.
+
+        The queue starts with the first event of each stream; each event
+        of a stream queues the stream's next, and each hop of a packet its
+        next hop.  Events at one instant run in stream order (beacon,
+        evaporation, mobility, the flows in order), then runtime events in
+        the order they were scheduled.  A simulator runs once: a second
+        call raises RuntimeError before it writes any record.
+        """
+        if self._ran:
+            raise RuntimeError(
+                "Simulator.run called twice: a simulator runs its scenario "
+                "once; build a new Simulator to run it again")
+        self._ran = True
         cfg = self.config
         self.trace({"kind": "scenario", "seed": cfg.seed,
                     "duration": cfg.duration,
@@ -346,29 +414,17 @@ class Simulator:
             trace=self.trace, stats=self.stats,
             energy_debit=debit)
 
-        periodic = [(self._handle_beacon, cfg.beacon.interval),
-                    (self._handle_evaporate, cfg.pheromone.evaporation_interval)]
-        if self.waypoints is not None:
-            periodic.append((self._handle_mobility, cfg.mobility.update_interval))
-        for handler, interval in periodic:
-            t = interval
-            while t <= cfg.duration:
-                self.schedule(t, handler)
-                t += interval
         for i, flow in enumerate(cfg.flows):
             self._flow_stats.append({
                 "flow": i, "src": flow.src, "dst": flow.dst,
                 "sent": 0, "delivered": 0, "dropped": 0,
                 "rejected": 0, "failed": 0})
-            for k in range(flow.packets):
-                st = flow.start + k * flow.interval
-                if st > cfg.duration:  # so is every later send
-                    break
-                self.schedule(st, self._handle_packet_send, i)
+        self._queue_streams()
 
-        while self._queue:
-            t, _, handler, payload = heapq.heappop(self._queue)
-            if t > cfg.duration:
+        queue, pop, duration = self._queue, heapq.heappop, cfg.duration
+        while queue:
+            t, _, handler, payload = pop(queue)
+            if t > duration:
                 break
             assert t >= self.now, "clock moved backwards"
             self.now = t

@@ -26,7 +26,8 @@ liveness, the route cache, pheromone, the time and energy afresh, and
 emits the same records and counters as a call with an empty memo.  A
 router built with ``fixed_energy`` serves a run where no energy moves, so
 it takes the memoized metrics as they are, and its flood entries also
-keep each reply's trace packet and record key.  Records that replay
+keep each reply's next hop, trace packet, record key and, once it is
+scored, its QoS score factors.  Records that replay
 memoized parts share them, so a sink must not mutate a record.
 """
 
@@ -34,6 +35,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
@@ -68,12 +70,15 @@ class PheromoneTable:
     def get(self, level, i, j, d):
         return self.entries.get((level, i, j, d), self.initial)
 
-    def deposit(self, level, i, j, d, dtau):
+    def deposit(self, path, levels, d, dtau):
+        """Deposit dtau toward destination d on each hop of `path`, hop i
+        on plane levels[i]: tau becomes (1 - q) * tau + dtau."""
         if dtau < 0:
             raise ConfigError("deposit must be >= 0")
-        key = (level, i, j, d)
-        tau = self.entries.get(key, self.initial)
-        self.entries[key] = (1.0 - self.q) * tau + dtau
+        entries, initial, keep = self.entries, self.initial, 1.0 - self.q
+        for i, j, level in zip(path, path[1:], levels):
+            key = (level, i, j, d)
+            entries[key] = keep * entries.get(key, initial) + dtau
 
     def evaporate(self):
         for key in self.entries:
@@ -99,8 +104,7 @@ class QosRequirement:
                 and m.let >= self.min_let and m.delay <= self.max_delay)
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """A discovered route: its nodes, the level of each hop, its QoS
     metrics, and the time its cached copy expires."""
     destination: int
@@ -151,17 +155,26 @@ class PreferenceParams:
     theta_p: float = 0.0  # minimum acceptable preference
 
 
-def preference_score(m, tau, p):
-    """The preference of a path with metrics `m` and pheromone `tau`: the
-    product of its terms, each under its exponent in `p`."""
+def score_factors(m, p):
+    """The QoS terms of a path with metrics `m`, each under its exponent in
+    `p`: 1/delay, 1/hops, bandwidth, energy and the capped expiry."""
     if m.delay <= 0 or m.hop_count <= 0:
         raise ConfigError("delay and hop count must be positive")
-    return (tau ** p.alpha1
-            * (1.0 / m.delay) ** p.alpha2
-            * m.hop_visibility ** p.alpha3
-            * m.bandwidth ** p.alpha4
-            * m.energy ** p.alpha5
-            * min(m.let, p.let_cap) ** p.alpha6)
+    return ((1.0 / m.delay) ** p.alpha2,
+            m.hop_visibility ** p.alpha3,
+            m.bandwidth ** p.alpha4,
+            m.energy ** p.alpha5,
+            min(m.let, p.let_cap) ** p.alpha6)
+
+
+def preference_score(m, tau, p):
+    """The preference of a path with metrics `m` and pheromone `tau`: the
+    pheromone under its exponent times the `score_factors`, multiplied
+    from left to right.  A replayed flood reply multiplies its memoized
+    factors in the same order, so its score is the same float."""
+    f_delay, f_hops, f_bandwidth, f_energy, f_let = score_factors(m, p)
+    return (tau ** p.alpha1 * f_delay * f_hops * f_bandwidth * f_energy
+            * f_let)
 
 
 def path_preference_probability(scores):
@@ -190,17 +203,21 @@ def _route_ant(sender, target, flag):
 
 
 def _reply(level, src, dst, path, m):
-    """The trace packet and record key, whose first item is the record's
-    kind, of the reply that retraces `path`, a level-`level` segment path
-    from src to dst with metrics `m`.  Level 0 segments run inside one
-    cluster (Knave ants), the rest across the head overlay (King ants)."""
+    """The reply that retraces `path`, a level-`level` segment path from
+    src to dst with metrics `m`, as `_segment` replays it: [next hop, path,
+    metrics, trace packet, record key, score factors].  The key's first
+    item is the record's kind; the factors are None until the reply is
+    first scored.  Level 0 segments run inside one cluster (Knave ants),
+    the rest across the head overlay (King ants)."""
     kind, ends = (("reply_king_ant", ("src_head", "dst_head")) if level
                   else ("reply_knave_ant", ("src_member", "dst_member")))
-    return ({"hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
+    return [path[1], path, m,
+            {"hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
              "let": m.let, "bandwidth": m.bandwidth, ends[0]: src,
              ends[1]: dst, "to_visit": list(reversed(path))},
             (kind, src, dst, path, m.hop_count, m.delay, m.energy, m.let,
-             m.bandwidth))
+             m.bandwidth),
+            None]
 
 
 # --------------------------------------------------------------------------
@@ -228,8 +245,8 @@ class Router:
         # What discovery derives from the topology and the cluster tables,
         # valid while (state.version, clusters.epoch) is _memo_stamp.  The
         # key shapes tell its entries apart: (src, dst) -> _plan's plan,
-        # (level, src, dst, scope) -> _expand's flood and, with fixed
-        # energy, its replies, and
+        # (level, src, dst, scope) -> _expand's flood, with fixed energy
+        # its paths as `_reply` entries, and
         # (path, levels) -> _route_metrics' metrics.
         self._memo = {}
         self._memo_stamp = None
@@ -299,25 +316,29 @@ class Router:
         with each path's link metrics and nodes, depends only on the
         topology version, the scope and the endpoints, so it comes from
         the memo.  Energy changes within a version, so each path's metrics
-        take it afresh on every call, and its reply is built afresh,
-        unless energy is fixed: then the memo keeps the replies too.  Per
-        next hop the first best-scoring admissible reply is kept; the next
-        hop with the highest preference probability (ties to the lower id)
-        wins unless it is below `theta_p`.
+        take it afresh on every call, its reply is built afresh and scored
+        by `preference_score`, unless energy is fixed: then the memo keeps
+        the `_reply` entries, and each keeps its `score_factors` from its
+        first scoring on, so that a replayed reply scores as tau under its
+        exponent times those factors.  Per next hop the first best-scoring
+        admissible reply is kept; the next hop with the highest preference
+        probability (ties to the lower id) wins unless it is below
+        `theta_p`.
         """
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
+        fixed = self.fixed_energy
         memo = self._current_memo()
         key = (level, src, dst, scope)
         flood = memo.get(key)
         if flood is None:
             found, forwards, reply_hops = self._expand(scope, level, src, dst)
-            replies = ([_reply(level, src, dst, path, fm)
-                        for path, fm, _ in found]
-                       if self.fixed_energy else None)
-            flood = memo[key] = found, forwards, reply_hops, replies
-        found, forwards, reply_hops, replies = flood
+            if fixed:
+                found = [_reply(level, src, dst, path, fm)
+                         for path, fm, _ in found]
+            flood = memo[key] = found, forwards, reply_hops
+        found, forwards, reply_hops = flood
         self.stats["request_forwards"] += forwards
         if not found:
             raise NoRouteError(
@@ -326,20 +347,25 @@ class Router:
         self.stats["reply_hops"] += reply_hops
         # Each delivered request ant turns into a reply that retraces its
         # visited stack in reverse, carrying the path's QoS values.
+        replies = found if fixed else [
+            _reply(level, src, dst, path, _with_energy(fm, nodes))
+            for path, fm, nodes in found]
+        trace, pref, tau_of = self.trace, self.pref, self.pheromone.get
         best_per_hop = {}
-        for i, (path, fm, nodes) in enumerate(found):
-            if replies is None:
-                m = _with_energy(fm, nodes)
-                packet, rkey = _reply(level, src, dst, path, m)
-            else:
-                m = fm
-                packet, rkey = replies[i]
-            self.trace({"kind": rkey[0], "t": now, "packet": packet}, rkey)
+        for reply in replies:
+            j, path, m, packet, rkey, factors = reply
+            trace({"kind": rkey[0], "t": now, "packet": packet}, rkey)
             if not qos.admits(m):
                 continue
-            j = path[1]
-            tau = self.pheromone.get(level, src, j, pher_dst)
-            score = preference_score(m, tau, self.pref)
+            tau = tau_of(level, src, j, pher_dst)
+            if fixed:
+                if factors is None:
+                    factors = reply[5] = score_factors(m, pref)
+                f_delay, f_hops, f_bandwidth, f_energy, f_let = factors
+                score = (tau ** pref.alpha1 * f_delay * f_hops * f_bandwidth
+                         * f_energy * f_let)
+            else:
+                score = preference_score(m, tau, pref)
             prev = best_per_hop.get(j)
             if prev is None or score > prev[0]:
                 best_per_hop[j] = (score, path)
@@ -443,11 +469,10 @@ class Router:
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
         if self.deposit_params is not None:
-            dtau = pheromone_deposit(m, self.deposit_params)
-            for (i, j), level in zip(zip(path, path[1:]), levels):
-                self.pheromone.deposit(level, i, j, dst, dtau)
-        route = Route(destination=dst, path=path, levels=levels, metrics=m,
-                      expires_at=now + min(m.let, self.cache_max_age))
+            self.pheromone.deposit(
+                path, levels, dst, pheromone_deposit(m, self.deposit_params))
+        route = Route(dst, path, levels, m,
+                      now + min(m.let, self.cache_max_age))
         # Only routes of two hops or more are cached: a linked pair gets its
         # direct route before discover_route reads the cache.
         if len(path) > 2:
@@ -456,8 +481,8 @@ class Router:
             sm = (suffixes[idx] if fixed
                   else _with_energy(suffixes[idx], nodes[idx:]))
             self.cache.insert(path[idx], Route(
-                destination=dst, path=path[idx:], levels=levels[idx:],
-                metrics=sm, expires_at=now + min(sm.let, self.cache_max_age)))
+                dst, path[idx:], levels[idx:], sm,
+                now + min(sm.let, self.cache_max_age)))
         self.trace({"kind": "route_selected", "t": now, "src": src, "dst": dst,
                     "path": list(path), "levels": list(levels),
                     "delay": m.delay, "bandwidth": m.bandwidth,

@@ -19,8 +19,12 @@ be one that round missed.  ``reference_scoped_election`` writes its
 election's result by its own dissolve, leave and join calls instead of
 through `ClusterState.install`, ``reference_run_cycle`` ends a repair
 round when a copy of every cluster table taken before it compares equal
-after it, instead of reading the hierarchy epoch, and
-``reference_discover_route`` starts every discovery from an empty memo.
+after it, instead of reading the hierarchy epoch,
+``reference_discover_route`` starts every discovery from an empty memo,
+and ``reference_queue_streams`` queues every periodic event and every
+send inside the run before the loop starts, each through `schedule`,
+instead of one event per stream at a time
+(``reference_queue_next`` then queues nothing).
 Each must give the same result, in the same order, as the code it stands
 in for.  Elections have no reference loop: ``helpers.checked_election``
 checks each table against the rule it implements.
@@ -331,6 +335,29 @@ def reference_discover_route(self, *args, **kwargs):
     return _discover_route(self, *args, **kwargs)
 
 
+def reference_queue_streams(self):
+    cfg = self.config
+    periodic = [(self._handle_beacon, cfg.beacon.interval),
+                (self._handle_evaporate, cfg.pheromone.evaporation_interval)]
+    if self.waypoints is not None:
+        periodic.append((self._handle_mobility, cfg.mobility.update_interval))
+    for handler, interval in periodic:
+        t = interval
+        while t <= cfg.duration:
+            self.schedule(t, handler, interval)
+            t += interval
+    for i, flow in enumerate(cfg.flows):
+        for k in range(flow.packets):
+            st = flow.start + k * flow.interval
+            if st > cfg.duration:  # so is every later send
+                break
+            self.schedule(st, self._handle_packet_send, (i, k))
+
+
+def reference_queue_next(self, stream, t, handler, payload):
+    pass
+
+
 def use_references(monkeypatch):
     """Install every reference above in place of its fast path, the
     checked election in place of the election, and energy debits on
@@ -352,6 +379,8 @@ def use_references(monkeypatch):
                          ("run_cycle", reference_run_cycle)):
         monkeypatch.setattr(MaintenanceManager, name, method)
     monkeypatch.setattr(Router, "discover_route", reference_discover_route)
+    monkeypatch.setattr(Simulator, "_queue_streams", reference_queue_streams)
+    monkeypatch.setattr(Simulator, "_queue_next", reference_queue_next)
 
 
 def _plain_writer(write):

@@ -11,8 +11,9 @@ import pytest
 
 from antmanet import engine
 from antmanet.config import (Arena, CacheConfig, EnergyCosts, FlowConfig,
-                             MobilityConfig, NodeGroup, Placement,
-                             ScenarioConfig, load_scenario, parse_scenario)
+                             LinkOverride, MobilityConfig, NodeGroup,
+                             Placement, ScenarioConfig, load_scenario,
+                             parse_scenario)
 from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
                              energy_debit, format_record)
 from antmanet.model import NodeAttributes
@@ -491,6 +492,80 @@ class TestFixedEnergy:
         assert not sim.fixed_energy
         start = NodeAttributes.energy
         assert min(a.energy for a in sim.state.nodes.values()) < start
+
+
+def tie_config():
+    """Flows 0 and 1 send four packets each, every 0.5 s from t = 1, the
+    instant of the first beacon, evaporation and mobility tick; the ticks
+    at t = 2 and 3 land on sends and deliveries too.  Each packet's one
+    hop takes 0.25 s on the link plus 0.25 s at the receiver, so it lands
+    exactly on its flow's next send.  The nodes move, so a send's route
+    records the expiry of the positions the instant's mobility tick
+    left."""
+    return ScenarioConfig(
+        seed=4, duration=3.0, arena=Arena(200, 200),
+        placements=[Placement(id=0, position=(0.0, 0.0), node_delay=0.25),
+                    Placement(id=1, position=(50.0, 0.0), node_delay=0.25)],
+        links=[LinkOverride(a=0, b=1, level=0, delay=0.25)],
+        mobility=MobilityConfig(enabled=True, speed_min=0.1, speed_max=0.2,
+                                pause=0.5),
+        flows=[FlowConfig(src=0, dst=1, start=1.0, packets=4, interval=0.5),
+               FlowConfig(src=1, dst=0, start=1.0, packets=4, interval=0.5)])
+
+
+class QueueProbe(Simulator):
+    """Checks after every push that the queue holds at most one event per
+    stream (beacon, evaporation, mobility and each flow) and one hop per
+    packet in flight."""
+
+    def _check(self):
+        in_flight = sum(f["sent"] - f["delivered"] - f["dropped"]
+                        for f in self._flow_stats)
+        assert len(self._queue) <= 3 + len(self.config.flows) + in_flight
+
+    def schedule(self, t, handler, payload=None):
+        super().schedule(t, handler, payload)
+        self._check()
+
+    def _queue_next(self, stream, t, handler, payload):
+        super()._queue_next(stream, t, handler, payload)
+        self._check()
+
+
+class TestEventQueue:
+    def test_ties_run_in_the_eager_queue_order(self):
+        # Streams before runtime events, and streams in order: at each
+        # instant both sends select their routes before either packet is
+        # delivered, and from t = 2 they see the tick's new positions.
+        trace, summary, _ = assert_matches_references(tie_config())
+        records = [json.loads(line) for line in trace.splitlines()]
+        at = [(r["kind"], r.get("src", r.get("flow")))
+              for r in records if r.get("t") == 1.5]
+        assert at == [("route_selected", 0), ("route_selected", 1),
+                      ("delivered", 0), ("delivered", 1)]
+        lets = [r["let"] for r in records if r["kind"] == "route_selected"]
+        assert lets[0] == lets[2] != lets[4] == lets[6]
+        assert summary["packets_sent"] == summary["packets_delivered"] == 8
+
+    @pytest.mark.parametrize("cfg", [tie_config, flood_layout],
+                             ids=["ties", "flood-layout"])
+    def test_one_event_per_stream_and_packet_in_flight(self, cfg):
+        sim = QueueProbe(cfg())
+        summary = sim.run()
+        assert summary["packets_sent"] > 0
+
+    def test_a_second_run_raises_before_any_record(self):
+        root = Path(__file__).resolve().parents[1]
+        records = []
+        sim = Simulator(load_scenario(root / "scenarios" / "reference.yaml"),
+                        trace=record_sink(records))
+        summary = sim.run()
+        before = list(records)
+        with pytest.raises(RuntimeError,
+                           match=r"^Simulator\.run called twice: "):
+            sim.run()
+        assert records == before
+        assert sim.summary() == summary
 
 
 def dumps(record):

@@ -2,14 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antmanet import routing
-from antmanet.errors import NoAdmissibleRouteError, NoRouteError
+from antmanet.errors import ConfigError, NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               QosRequirement, Route, RouteCache,
-                              path_preference_probability, preference_score)
+                              path_preference_probability, preference_score,
+                              score_factors)
 
 from helpers import (DEFAULTS, add_node, line_state, make_router, make_state,
                      manual_clusters, record_sink)
@@ -68,21 +71,35 @@ class TestPreferenceProbability:
 class TestPheromoneTable:
     def test_zero_deposit_only_evaporates(self):
         t = PheromoneTable(q=0.5, initial=DEFAULTS.pheromone.initial)
-        t.deposit(0, 0, 1, 9, 1.0)
+        t.deposit((0, 1), (0,), 9, 1.0)
         before = t.get(0, 0, 1, 9)
-        t.deposit(0, 0, 1, 9, 0.0)
+        t.deposit((0, 1), (0,), 9, 0.0)
         assert t.get(0, 0, 1, 9) == pytest.approx(0.5 * before)
 
     def test_direct_substitution(self):
         t = PheromoneTable(q=0.5, initial=1.0)
-        t.deposit(0, 0, 3, 9, 2.0)
+        t.deposit((0, 3), (0,), 9, 2.0)
         assert t.get(0, 0, 3, 9) == pytest.approx(2.5)
 
     def test_repeated_deposits_converge_to_ratio(self):
         t = PheromoneTable(q=0.25, initial=1.0)
         for _ in range(100):
-            t.deposit(0, 0, 3, 9, 2.0)
+            t.deposit((0, 3), (0,), 9, 2.0)
         assert t.get(0, 0, 3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
+
+    def test_deposit_on_each_hop_of_a_path(self):
+        # Hop i lands on plane levels[i], every hop toward destination 9.
+        t = PheromoneTable(q=0.5, initial=1.0)
+        t.entries[(1, 4, 6, 9)] = 3.0
+        t.deposit((2, 4, 6, 9), (0, 1, 0), 9, 2.0)
+        assert t.entries == {(0, 2, 4, 9): 2.5, (1, 4, 6, 9): 3.5,
+                             (0, 6, 9, 9): 2.5}
+
+    def test_negative_deposit_raises_and_writes_nothing(self):
+        t = PheromoneTable(q=0.5, initial=1.0)
+        with pytest.raises(ConfigError, match="deposit must be >= 0"):
+            t.deposit((2, 4, 6), (0, 0), 6, -1.0)
+        assert t.entries == {}
 
     def test_evaporate_full(self):
         t = PheromoneTable(q=1.0, initial=DEFAULTS.pheromone.initial)
@@ -105,8 +122,9 @@ class TestPheromoneTable:
 
     def test_purge_keeps_the_departed_nodes_own_trails(self):
         t = PheromoneTable(q=0.5, initial=1.0)
-        for key in ((0, 1, 3, 9), (1, 1, 9, 3), (0, 3, 1, 9), (2, 3, 9, 1)):
-            t.deposit(*key, 2.0)
+        for level, i, j, d in ((0, 1, 3, 9), (1, 1, 9, 3), (0, 3, 1, 9),
+                               (2, 3, 9, 1)):
+            t.deposit((i, j), (level,), d, 2.0)
         t.purge_node(3)
         assert list(t.entries) == [(0, 3, 1, 9), (2, 3, 9, 1)]
 
@@ -456,7 +474,7 @@ class TestChoice:
         assert make_router(state, clusters).discover_route(
             0, 3, now=0.0).path == (0, 1, 3)
         r = make_router(state, clusters, pref=PreferenceParams(alpha1=alpha1))
-        r.pheromone.deposit(0, 0, 2, 3, 1.0)
+        r.pheromone.deposit((0, 2), (0,), 3, 1.0)
         assert r.discover_route(0, 3, now=0.0).path == path
 
     def test_each_admissible_reply_is_scored_once(self, monkeypatch):
@@ -474,6 +492,119 @@ class TestChoice:
         replies = [rec["packet"] for rec in records
                    if rec["kind"] == "reply_knave_ant"]
         assert len(scored) == len(replies) == 2
+
+
+def literal_score(m, tau, p):
+    """The preference score as one product, written out term by term."""
+    return (tau ** p.alpha1 * (1.0 / m.delay) ** p.alpha2
+            * (1.0 / m.hop_count) ** p.alpha3 * m.bandwidth ** p.alpha4
+            * m.energy ** p.alpha5 * min(m.let, p.let_cap) ** p.alpha6)
+
+
+# Exponents within the config's bounds (>= 0), 0 included; values that
+# keep every product finite.
+exponents = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0)
+values = st.floats(1e-3, 1e3)
+prefs = st.builds(PreferenceParams, exponents, exponents, exponents,
+                  exponents, exponents, exponents,
+                  let_cap=st.sampled_from([1e6, 5.0, math.inf]))
+taus = st.just(DEFAULTS.pheromone.initial) | values
+
+
+class TestScoreFactors:
+    """A fixed-energy router keeps each flood reply's `score_factors` and
+    scores a replayed reply as tau under its exponent times them; the
+    score must be `preference_score`'s, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(delay=values, hops=st.integers(1, 12), bandwidth=values,
+           energy=values, let=values | st.just(math.inf), tau=taus,
+           p=prefs)
+    def test_factor_product_is_preference_score(self, delay, hops, bandwidth,
+                                                energy, let, tau, p):
+        m = metrics(delay=delay, bw=bandwidth, energy=energy, let=let,
+                    hops=hops)
+        f_delay, f_hops, f_bandwidth, f_energy, f_let = score_factors(m, p)
+        replayed = (tau ** p.alpha1 * f_delay * f_hops * f_bandwidth
+                    * f_energy * f_let)
+        assert (replayed.hex() == preference_score(m, tau, p).hex()
+                == literal_score(m, tau, p).hex())
+
+    @staticmethod
+    def scores(fixed, p, delays, energies, deposits):
+        """The score maps that two discoveries on the diamond hand to
+        path_preference_probability, the second a replay after the first
+        route expired, and the number of preference_score calls."""
+        state, clusters = diamond()
+        for (a, b), delay in zip(((0, 1), (1, 3), (0, 2), (2, 3)), delays):
+            state.set_link_params(a, b, 0, delay=delay)
+        for n, energy in zip((1, 2), energies):
+            state.node(n).energy = energy
+        r = make_router(state, clusters, pref=p, fixed_energy=fixed)
+        for j, dtau in zip((1, 2), deposits):
+            if dtau is not None:
+                r.pheromone.deposit((0, j), (0,), 3, dtau)
+        seen, calls = [], []
+
+        def recording(scores):
+            seen.append({j: s.hex() for j, s in scores.items()})
+            return path_preference_probability(scores)
+
+        def counting(m, tau, p):
+            calls.append(m)
+            return preference_score(m, tau, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(routing, "path_preference_probability", recording)
+            mp.setattr(routing, "preference_score", counting)
+            for now in (0.0, 2 * DEFAULTS.cache.max_age):
+                r.discover_route(0, 3, now=now)
+        return seen, len(calls)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(p=prefs, delays=st.lists(st.floats(1e-4, 0.1), min_size=4,
+                                    max_size=4),
+           energies=st.lists(values, min_size=2, max_size=2),
+           deposits=st.lists(st.none() | st.floats(0.0, 5.0), min_size=2,
+                             max_size=2))
+    def test_replayed_replies_score_as_preference_score(
+            self, p, delays, energies, deposits):
+        # The diamond's nodes do not move: each reply's LET is infinite.
+        fast, fast_calls = self.scores(True, p, delays, energies, deposits)
+        slow, slow_calls = self.scores(False, p, delays, energies, deposits)
+        assert fast == slow
+        assert [sorted(s) for s in fast] == [[1, 2], [1, 2]]
+        assert (fast_calls, slow_calls) == (0, 4)
+
+    @pytest.mark.parametrize("m", [metrics(delay=0.0), metrics(delay=-1.0),
+                                   metrics(hops=0)],
+                             ids=["zero-delay", "negative-delay", "no-hops"])
+    def test_degenerate_metrics_raise(self, m):
+        p = PreferenceParams()
+        with pytest.raises(ConfigError, match="must be positive"):
+            score_factors(m, p)
+        with pytest.raises(ConfigError, match="must be positive"):
+            preference_score(m, 1.0, p)
+
+    @pytest.mark.parametrize("fixed", [False, True],
+                             ids=["debited", "fixed-energy"])
+    def test_zero_delay_reply_raises_at_each_scoring(self, fixed):
+        # Every delay on the diamond is 0, so is each reply's.  The first
+        # reply is traced, then raises when it is scored, at every call.
+        state, clusters = diamond()
+        for n in range(4):
+            state.node(n).node_delay = 0.0
+        for a, b in ((0, 1), (1, 3), (0, 2), (2, 3)):
+            state.set_link_params(a, b, 0, delay=0.0)
+        records = []
+        r = make_router(state, clusters, trace=record_sink(records),
+                        fixed_energy=fixed)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="must be positive"):
+                r.discover_route(0, 3, now=0.0)
+        assert [rec["kind"] for rec in records].count("reply_knave_ant") == 2
 
 
 class TestFloodMemo:
