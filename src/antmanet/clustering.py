@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ElectionError
-from .model import left_sum
+from .model import LEVELS, left_sum
 
 
 @dataclass
@@ -251,7 +251,7 @@ def form_hierarchy(state, p, now=0.0):
     """Elect and install level 0, then level 1 among its multi-interface
     heads, then level 2; returns the new ClusterState."""
     clusters = ClusterState()
-    for level in (0, 1, 2):
+    for level in LEVELS:
         table = select_cluster_heads(state, level, p,
                                      candidates(state, clusters, level))
         clusters.install(level, table, now)

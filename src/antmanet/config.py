@@ -28,7 +28,7 @@ import yaml
 from .clustering import WeightParams
 from .errors import ScenarioError
 from .model import (DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_DELAY,
-                    DEFAULT_TX_RANGE, NodeAttributes)
+                    DEFAULT_TX_RANGE, LEVELS, NodeAttributes)
 from .qos import DepositParams
 from .routing import PreferenceParams, QosRequirement
 
@@ -214,7 +214,9 @@ _POSITIVE = {"lo": 0, "lo_open": True}
 _NON_NEGATIVE = {"lo": 0}
 _AT_LEAST_ONE = {"lo": 1}
 _FRACTION = {"lo": 0, "hi": 1}
-_LEVEL = {"lo": 0, "hi": 2}
+_LEVEL = {"lo": LEVELS[0], "hi": LEVELS[-1]}
+# A per-level map's YAML keys, l0 to l2, and the level each names.
+_LEVEL_KEYS = {f"l{level}": level for level in LEVELS}
 
 # Bounds on numbers, keyed by YAML path ("[]" stands for any list index or
 # per-level key l0-l2).  A number not listed may take any finite value.
@@ -366,15 +368,18 @@ def _levels(ctx, raw, path, arg, parsed):
     if raw is None:
         return out
     if not isinstance(raw, dict):
-        ctx.err(path, "type", "expected a mapping of l0/l1/l2")
+        ctx.err(path, "type",
+                f"expected a mapping of {'/'.join(_LEVEL_KEYS)}")
         return out
     for k, v in raw.items():
-        if k not in ("l0", "l1", "l2"):
-            ctx.err(f"{path}.{k}", "unknown-key", "expected l0, l1 or l2")
+        if k not in _LEVEL_KEYS:
+            *rest, last = _LEVEL_KEYS
+            ctx.err(f"{path}.{k}", "unknown-key",
+                    f"expected {', '.join(rest)} or {last}")
             continue
         v = _number(ctx, v, f"{path}.{k}", number, None)
         if v is not None:
-            out[int(k[1])] = v
+            out[_LEVEL_KEYS[k]] = v
     return out
 
 

@@ -21,7 +21,7 @@ from . import clustering
 from .config import Placement
 from .errors import NoAdmissibleRouteError, RoutingError
 from .maintenance import MaintenanceManager
-from .model import NetworkState, NodeAttributes
+from .model import LEVELS, NetworkState, NodeAttributes
 from .routing import Router
 
 
@@ -451,7 +451,7 @@ class Simulator:
                                 + stats["reply_hops"]
                                 + stats["beacon_packets"]),
             "elections": {str(level): stats[f"elections_l{level}"]
-                          for level in (0, 1, 2)},
+                          for level in LEVELS},
             "discovery_failures": failed,
             "admission_rejections": rejected,
             "deaths": stats["deaths"],

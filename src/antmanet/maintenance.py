@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 from . import clustering
 from .errors import ElectionError
+from .model import LEVELS
 
-# Trace case code of each structural change, indexed by level.
-CASES = {
-    "member_left": ("1.1", "4.2", "6.2"),
-    "head_left": ("1.2", "4.1", "6.1"),
-    "member_joined": ("2", "5", "7"),
-}
+# Trace case code of each structural change, by level.
+CASES = {kind: dict(zip(LEVELS, codes, strict=True)) for kind, codes in (
+    ("member_left", ("1.1", "4.2", "6.2")),
+    ("head_left", ("1.2", "4.1", "6.1")),
+    ("member_joined", ("2", "5", "7")),
+)}
 
 
 @dataclass
@@ -185,13 +186,13 @@ class MaintenanceManager:
         raise ValueError(f"unknown event kind {event.kind}")
 
     def propagate_hierarchy_change(self, now):
-        """Reconcile levels 1 and 2 with the current lower-level head sets.
+        """Reconcile each level above 0 with the head set of the level below.
 
         Removes entries whose node is no longer eligible (cases
         4.1/4.2/6.1/6.2) and adopts or elects uncovered eligible heads
         (cases 5 and 7).
         """
-        for level in (1, 2):
+        for level in LEVELS[1:]:
             def eligible(node):
                 return clustering.eligible(self.state, self.clusters, node,
                                            level)

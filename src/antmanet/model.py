@@ -36,6 +36,10 @@ def left_sum(values):
     return reduce(add, values, 0.0)
 
 
+# The hierarchy's levels, lowest first: every per-level loop, map and
+# scenario key is derived from this tuple.
+LEVELS = (0, 1, 2)
+
 # Transmission ranges by max_level: one entry per supported level.
 DEFAULT_TX_RANGE = {0: (100.0,), 1: (100.0, 250.0), 2: (100.0, 250.0, 600.0)}
 
@@ -338,7 +342,7 @@ class NetworkState:
 
     def link_level(self, a, b):
         """Lowest level at which a and b are currently linked, else None."""
-        for level in (0, 1, 2):
+        for level in LEVELS:
             if self.linked(a, b, level):
                 return level
         return None

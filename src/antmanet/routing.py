@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
                      NoRouteError, RoutingLoopError)
-from .model import left_sum
+from .model import LEVELS, left_sum
 # path_metrics is bound here though unused: bench/test_bench.py checks
 # the profiler's wrapping of from-imported names through it.
 from .qos import (PathMetrics, link_metrics, path_links,  # noqa: F401
@@ -400,20 +400,20 @@ class Router:
         # Climb both endpoints' head chains until they meet: up[i + 1] is
         # the level-i head of up[i], and down likewise from dst.  At each
         # level a Route ant asks the source chain's new head, unless that
-        # head is the asker; level 2 is the top, so there the two heads
-        # must be one.  Once a head confirms the destination in its
+        # head is the asker; the top level has no heads above it, so there
+        # the two heads must be one.  Once a head confirms the destination in its
         # tables, a Route ant with flag 1 answers back down.
         clusters = self.clusters
         ants = []
         up, down = [src], [dst]
-        for level in (0, 1, 2):
+        for level in LEVELS:
             for chain in (up, down):
                 head = clusters.head_of(chain[-1], level)
                 if head is None:
                     return (None, ants,
                             f"node {chain[-1]} has no level-{level} head", ())
                 chain.append(head)
-            if level == 2 and up[-1] != down[-1]:
+            if level == LEVELS[-1] and up[-1] != down[-1]:
                 return (None, ants,
                         f"level-2 heads {up[-1]} and {down[-1]} differ", ())
             if up[-2] != up[-1]:

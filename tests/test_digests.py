@@ -22,7 +22,8 @@ def test_corpus_matches_digest_table():
 
 
 def test_corpus_meets_every_case_code():
-    codes = {code for per_level in CASES.values() for code in per_level}
+    codes = {code for per_level in CASES.values()
+             for code in per_level.values()}
     codes |= {"3", "reelect"}
     seen = set()
     for path in CORPUS:

@@ -5,10 +5,22 @@ import pytest
 
 from antmanet.errors import ConfigError, UnknownNodeError
 from antmanet.model import (DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_DELAY,
-                            NodeAttributes, link_expiration_time)
+                            DEFAULT_TX_RANGE, LEVELS, NodeAttributes,
+                            link_expiration_time)
 
 from helpers import add_node, make_state
 from reference import BruteForceState
+
+
+class TestLevels:
+    def test_defaults_cover_each_level(self):
+        # The per-level defaults have one entry per level, in LEVELS order,
+        # and a node of max_level L has one default range per level <= L.
+        assert tuple(DEFAULT_LINK_DELAY) == LEVELS
+        assert tuple(DEFAULT_LINK_BANDWIDTH) == LEVELS
+        assert tuple(DEFAULT_TX_RANGE) == LEVELS
+        for max_level, ranges in DEFAULT_TX_RANGE.items():
+            assert len(ranges) == LEVELS.index(max_level) + 1
 
 
 class TestNodeAttributes:
