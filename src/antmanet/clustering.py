@@ -120,14 +120,21 @@ class ClusterState:
     """Per-level head -> member tables, and a node -> head index and a
     last-heard stamp per membership kept in step with them.  Only `join`,
     `leave`, `dissolve` and `refresh` (a beacon's re-stamp) write these
-    three, so `head_of` is a lookup, `participants` a copy, and each
-    membership has one stamp.  `install`, the one writer of an election's
-    result, writes through them, save for founding an empty level.
+    three, so `head_of` is a lookup, `heads` and `participants` are views
+    of the tables' and the index's keys, and each membership has one
+    stamp.  A view follows later writes, so a caller that keeps one
+    across a write, or needs a set it can change, builds a set from it.
+    `install`, the one writer of an election's result, writes through
+    them, save for founding an empty level.
 
     ``epoch`` counts the writes that change a table or the index: `join`,
     `leave` and `dissolve` each increment it, `refresh` and an `install`
     of the clusters already held do not.  A value derived from the tables
-    holds while ``epoch`` is unchanged."""
+    holds while ``epoch`` is unchanged.
+
+    Once a frozen run settles (see `maintenance.MaintenanceManager`), its
+    beacon cycles no longer re-stamp ``last_heard``: a stamp then tells
+    when the membership was last heard before the run settled."""
 
     def __init__(self):
         self.levels = {}  # level -> {head: set(member ids)}
@@ -199,7 +206,8 @@ class ClusterState:
     # -- reads -------------------------------------------------------------
 
     def heads(self, level):
-        return set(self.levels.get(level, {}))
+        """The level's heads, as a read-only view of its table's keys."""
+        return self.levels.get(level, {}).keys()
 
     def members_of(self, head, level):
         return self.levels.get(level, {}).get(head, set())
@@ -209,8 +217,9 @@ class ClusterState:
         return {head} | self.members_of(head, level)
 
     def participants(self, level):
-        """Every head and member at `level`."""
-        return set(self._index.get(level, ()))
+        """Every head and member at `level`, as a read-only view of the
+        index's keys."""
+        return self._index.get(level, {}).keys()
 
     def head_of(self, node, level):
         """The head of `node`'s level-`level` cluster (itself if it heads

@@ -409,10 +409,14 @@ class Simulator:
             tau_initial=cfg.pheromone.initial,
             cache_max_age=cfg.cache.max_age, trace=self.trace,
             stats=self.stats, fixed_energy=self.fixed_energy)
+        # A run without mobility and with fixed energy is frozen: no event
+        # after setup touches the topology or changes a node's energy,
+        # liveness or mobility average, so its beacon cycles settle.
         self.manager = MaintenanceManager(
             self.state, self.clusters, self.router, cfg.weights, cfg.beacon,
             trace=self.trace, stats=self.stats,
-            energy_debit=debit)
+            energy_debit=debit,
+            frozen=self.waypoints is None and self.fixed_energy)
 
         for i, flow in enumerate(cfg.flows):
             self._flow_stats.append({

@@ -10,7 +10,8 @@ The last-heard stamps live in ClusterState with the tables.  Membership
 changes only through its writers `join`, `leave` and `dissolve`, which
 write or drop the stamps with the memberships; `install` writes every
 election's result through them, and a beacon re-stamps the members it
-reaches through `refresh`.
+reaches through `refresh`, until a frozen run settles (see
+`MaintenanceManager`).
 """
 
 from collections import Counter
@@ -38,9 +39,25 @@ class MembershipEvent:
 
 
 class MaintenanceManager:
+    """Runs one beacon cycle per interval (`run_cycle`) over the
+    hierarchy in `clusters`.
+
+    A manager built `frozen` serves a run in which, after setup, nothing
+    can touch the topology or change a node's energy, liveness or
+    mobility average: mobility is off and energy is fixed.  Every member
+    then stays linked to its head, and a cycle's inputs other than the
+    clock are what the cycle before left.  Every table write here
+    writes a record, so a cycle that writes no record leaves the tables,
+    and with them `ClusterState.epoch`, as it found them, and every later
+    cycle would be that cycle again.  Such a cycle settles the run
+    (`settled_at` is its time), and each later cycle only counts its
+    beacon packets; the beacon event still fires every interval.  The
+    settled cycles no longer re-stamp `ClusterState.last_heard`, which
+    nothing can observe, since no member can be missed."""
+
     def __init__(self, state, clusters, router, wparams, beacon,
                  trace=lambda record, key=None: None, stats=None,
-                 energy_debit=None):
+                 energy_debit=None, frozen=False):
         if beacon.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.state = state
@@ -53,6 +70,18 @@ class MaintenanceManager:
         # fn(nodes), which debits one beacon packet from each of `nodes`
         # in order; None if beacons are free.
         self.energy_debit = energy_debit
+        self.frozen = frozen
+        # The time of the cycle that settled the run, or None, and the
+        # beacon packets of that cycle, which each later cycle counts.
+        self.settled_at = None
+        self._settled_packets = 0
+        # The records written so far, counted only in a frozen run.
+        self._records = 0
+        if frozen:
+            def counted(record):
+                self._records += 1
+                trace(record)
+            self.trace = counted
         self._merge_attempted = set()
         self._recent_joins = []
 
@@ -292,7 +321,18 @@ class MaintenanceManager:
         found it: no table changed, since a re-election that re-forms the
         same clusters moves no epoch.  A cycle that is still changing after
         `max_rounds` rounds stops there and counts one ``round_cap_hits``.
+
+        In a frozen run the first cycle that writes no record settles the
+        run, and every later cycle only adds that cycle's count to
+        ``beacon_packets``: it re-stamps no membership and runs no round
+        (see the class docstring).
         """
+        stats = self.stats
+        if self.settled_at is not None:
+            if self._settled_packets:
+                stats["beacon_packets"] += self._settled_packets
+            return
+        packets, records = stats["beacon_packets"], self._records
         missed = {level: self.beacon_tick(level, now)
                   for level in sorted(self.clusters.levels)}
         for _ in range(max_rounds):
@@ -308,4 +348,7 @@ class MaintenanceManager:
             if self.clusters.epoch == before:
                 break
         else:
-            self.stats["round_cap_hits"] += 1
+            stats["round_cap_hits"] += 1
+        if self.frozen and self._records == records:
+            self.settled_at = now
+            self._settled_packets = stats["beacon_packets"] - packets

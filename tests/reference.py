@@ -26,7 +26,9 @@ send inside the run before the loop starts, each through `schedule`,
 instead of one event per stream at a time
 (``reference_queue_next`` then queues nothing).
 Each must give the same result, in the same order, as the code it stands
-in for.  Elections have no reference loop: ``helpers.checked_election``
+in for.  A frozen run's settled beacon cycles have no function of their
+own here: `use_references` makes `energy_is_fixed` false, so no run is
+frozen and every cycle runs in full, which is their reference.  Elections have no reference loop: ``helpers.checked_election``
 checks each table against the rule it implements.
 
 ``assert_matches_references`` runs one scenario with the fast paths and

@@ -468,7 +468,9 @@ def flood_layout():
 class TestFixedEnergy:
     """With every energy cost 0 a run debits nothing and routing takes the
     memoized path metrics as they are; the result must be the run that
-    debits every action and re-reads energy on every discovery."""
+    debits every action and re-reads energy on every discovery.  These
+    runs are static too, so they are frozen: their beacon cycles settle,
+    where the reference run's, never frozen, run in full."""
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(lambda: load_scenario(DIGEST / "static-cache.yaml"),
@@ -482,6 +484,10 @@ class TestFixedEnergy:
         assert sim.fixed_energy and sim.router.fixed_energy
         assert sim.manager.energy_debit is None
         assert summary["packets_delivered"] > 0
+        # The initial election leaves nothing to repair, so the first
+        # cycle writes no record and settles the run.
+        assert sim.manager.frozen
+        assert sim.manager.settled_at == sim.config.beacon.interval
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(EnergyCosts)])
@@ -492,6 +498,34 @@ class TestFixedEnergy:
         assert not sim.fixed_energy
         start = NodeAttributes.energy
         assert min(a.energy for a in sim.state.nodes.values()) < start
+
+
+class TestFrozenRun:
+    """Only a run without mobility and with fixed energy is frozen, so
+    only its beacon cycles can settle."""
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(lambda: two_node_config(
+            energy_costs=EnergyCosts(beacon=1e-6)), id="static-beacon-cost"),
+        pytest.param(lambda: two_node_config(
+            mobility=MobilityConfig(enabled=True, speed_min=0.1,
+                                    speed_max=0.2)), id="mobile-zero-cost")])
+    def test_never_settles(self, cfg):
+        sim = Simulator(cfg())
+        summary = sim.run()
+        assert not sim.manager.frozen
+        assert sim.manager.settled_at is None
+        # Each of the 10 cycles beacons head and member.
+        assert sim.stats["beacon_packets"] == 20
+        assert summary["packets_delivered"] == 3
+
+    def test_settled_cycles_count_their_beacons(self):
+        sim = Simulator(two_node_config())
+        sim.run()
+        assert sim.manager.frozen and sim.manager.settled_at == 1.0
+        assert sim.stats["beacon_packets"] == 20
+        # The settled cycles re-stamp nothing.
+        assert set(sim.clusters.last_heard.values()) == {1.0}
 
 
 def tie_config():

@@ -10,9 +10,9 @@ from helpers import (add_node, check_invariants, clique_state, make_router,
                      make_state, manual_clusters, record_sink)
 
 
-def manager(state, clusters):
+def manager(state, clusters, **kw):
     return MaintenanceManager(state, clusters, make_router(state, clusters),
-                              WeightParams(), BeaconConfig())
+                              WeightParams(), BeaconConfig(), **kw)
 
 
 def walkaway_world():
@@ -206,14 +206,14 @@ class TestHeadLoss:
 
 
 class TestHeadMerge:
-    def _world(self):
+    def _world(self, **kw):
         state = make_state()
         add_node(state, 0, (0.0, 0.0))
         add_node(state, 1, (5.0, 0.0))
         add_node(state, 2, (500.0, 0.0))
         add_node(state, 3, (505.0, 0.0))
         clusters = manual_clusters({0: {0: {1}, 2: {3}}, 1: {}, 2: {}})
-        mgr = manager(state, clusters)
+        mgr = manager(state, clusters, **kw)
         return state, clusters, mgr
 
     def test_heads_in_range_merge_into_one_cluster(self):
@@ -240,8 +240,8 @@ class TestHeadMerge:
         assert {h: set(m) for h, m in clusters.levels[0].items()} == snapshot
         assert mgr.stats.get("elections_l0", 0) == elections.get("elections_l0", 0)
 
-    def _merging(self):
-        state, clusters, mgr = self._world()
+    def _merging(self, **kw):
+        state, clusters, mgr = self._world(**kw)
         state.nodes[2].position = (20.0, 0.0)
         state.nodes[3].position = (25.0, 0.0)
         state.touch()
@@ -314,3 +314,65 @@ class TestHierarchyPropagation:
         after = {lvl: {h: set(m) for h, m in t.items()}
                  for lvl, t in clusters.levels.items()}
         assert after == before
+
+
+class TestSettledCycles:
+    """A frozen manager settles at its first cycle that writes no record,
+    and every later cycle only counts that cycle's beacon packets."""
+
+    def test_head_below_theta_w_never_settles(self):
+        # Every weight is below theta_w, so each cycle flags head 1 and its
+        # re-election fails.  A frozen Simulator run cannot show this: its
+        # initial election would have failed.
+        state = clique_state(4)
+        clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}})
+        records = []
+        mgr = MaintenanceManager(state, clusters,
+                                 make_router(state, clusters),
+                                 WeightParams(theta_w=2.0), BeaconConfig(),
+                                 trace=record_sink(records), frozen=True)
+        for t in (1.0, 2.0, 3.0, 4.0):
+            mgr.run_cycle(t)
+            assert records[-2:] == [
+                {"kind": "maintenance", "t": t, "case": "reelect",
+                 "level": 0, "head": 1},
+                {"kind": "maintenance", "t": t, "case": "reelect",
+                 "level": 0, "error": "election-failed"}]
+        assert len(records) == 8
+        assert mgr.settled_at is None
+        assert mgr.stats["beacon_packets"] == 4 * 4
+
+    def test_merge_settles_at_the_first_silent_cycle(self):
+        # The first cycle merges the two adjacent heads (case 3); the
+        # second writes no record and settles the run.
+        records = []
+        mgr = TestHeadMerge()._merging(trace=record_sink(records),
+                                       frozen=True)
+        clusters = mgr.clusters
+        mgr.run_cycle(1.0)
+        assert {r.get("case") for r in records} == {"3"}
+        assert mgr.settled_at is None
+        written = len(records)
+        mgr.run_cycle(2.0)
+        assert len(records) == written
+        assert mgr.settled_at == 2.0
+        # One head and its three members beacon each cycle.
+        assert mgr.stats["beacon_packets"] == 4 + 4
+        tables = {level: {h: set(m) for h, m in table.items()}
+                  for level, table in clusters.levels.items()}
+        stamps = dict(clusters.last_heard)
+        assert set(stamps.values()) == {2.0}
+        for t in (3.0, 4.0, 5.0):
+            mgr.run_cycle(t)
+        assert len(records) == written
+        assert mgr.stats["beacon_packets"] == 5 * 4
+        assert clusters.levels == tables
+        assert clusters.last_heard == stamps
+        check_invariants(mgr.state, clusters)
+
+    def test_not_frozen_never_settles(self):
+        state, clusters, mgr = hierarchy_world()
+        for t in (1.0, 2.0, 3.0):
+            mgr.run_cycle(t)
+        assert not mgr.frozen and mgr.settled_at is None
+        assert set(clusters.last_heard.values()) == {3.0}
