@@ -54,22 +54,26 @@ def _atomic(path):
         raise
 
 
-def _write_atomic(path, text):
+def _write_json(path, doc):
+    """Write `doc` to `path` as indented JSON, atomically; returns the
+    text written, so that a caller prints the same bytes."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with _atomic(path) as f:
         f.write(text)
+    return text
 
 
 def _run_one(cfg, stem, out_dir, with_trace):
     """Run one scenario and write its summary; with `with_trace`, each
-    record is written to the trace file as the run emits it."""
+    record is written to the trace file as the run emits it.  Returns the
+    summary and the text written for it."""
     with (_atomic(out_dir / f"{stem}.trace") if with_trace
           else nullcontext()) as f:
         trace = TraceWriter(f.write) if with_trace else None
         summary = {"scenario": stem, "seed": cfg.seed,
                    **Simulator(cfg, trace=trace).run()}
-        _write_atomic(out_dir / f"{stem}.summary.json",
-                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary
+        text = _write_json(out_dir / f"{stem}.summary.json", summary)
+    return summary, text
 
 
 def cmd_validate(args):
@@ -81,8 +85,8 @@ def cmd_run(args):
     cfg = _load(args)
     out_dir = _out_dir(args)
     stem = Path(args.scenario).stem
-    summary = _run_one(cfg, stem, out_dir, False)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    _, text = _run_one(cfg, stem, out_dir, False)
+    print(text, end="")
     return 0
 
 
@@ -131,7 +135,8 @@ def cmd_sweep(args):
     summaries = []
     for seed in args.seeds:
         cfg = dataclasses.replace(base, seed=seed)
-        summaries.append(_run_one(cfg, f"{stem}.seed{seed}", out_dir, False))
+        summary, _ = _run_one(cfg, f"{stem}.seed{seed}", out_dir, False)
+        summaries.append(summary)
 
     def ratio(s):
         # Over every send attempt: a packet whose discovery failed or was
@@ -153,9 +158,7 @@ def cmd_sweep(args):
         "control_packets": agg([float(s["control_packets"])
                                 for s in summaries]),
     }
-    _write_atomic(out_dir / f"{stem}.sweep.json",
-                  json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_write_json(out_dir / f"{stem}.sweep.json", report), end="")
     return 0
 
 

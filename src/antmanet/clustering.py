@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ElectionError
-from .model import LEVELS, left_sum
+from .model import LEVELS
 
 
 @dataclass
@@ -42,10 +42,15 @@ def node_weight(c_i, e_i, m_i, d_i, p):
 
 
 def _distance_sum(nodes, node, nbrs):
-    """The summed distance from `node` to each of `nbrs`, in id order."""
+    """The summed distance from `node` to each of `nbrs`, in id order,
+    added left to right from 0.0 as `left_sum` would."""
     x, y = nodes[node].position
-    positions = (nodes[m].position for m in sorted(nbrs))
-    return left_sum(math.hypot(x - mx, y - my) for mx, my in positions)
+    hypot = math.hypot
+    total = 0.0
+    for m in sorted(nbrs):
+        mx, my = nodes[m].position
+        total += hypot(x - mx, y - my)
+    return total
 
 
 def weight_table(state, level, participants, p, nodes=None):
@@ -67,11 +72,16 @@ def weight_table(state, level, participants, p, nodes=None):
     if not participants:
         return {}
     attrs = state.nodes
+    adj = state.adjacency(level)
     pset = set(participants)
-    linked = {}
-    for n in participants:
-        nbrs = state.neighbors(n, level)
-        linked[n] = nbrs if nbrs <= pset else nbrs & pset
+    if pset.issuperset(state.members(level)):
+        # Every linked peer is a live member, so a participant.
+        linked = {n: adj[n] for n in participants}
+    else:
+        linked = {}
+        for n in participants:
+            nbrs = adj[n]
+            linked[n] = nbrs if nbrs <= pset else nbrs & pset
     weighed = participants if nodes is None else nodes
     sums = {n: _distance_sum(attrs, n, linked[n]) for n in weighed}
     best = max(sums.values(), default=0.0)
@@ -111,8 +121,10 @@ def eligible(state, clusters, node, level):
 def candidates(state, clusters, level, skip=frozenset()):
     """The set of nodes eligible at `level`, less `skip`.  Above level 0
     only the lower level's heads can qualify, so only they are scanned."""
-    pool = state.nodes if level == 0 else clusters.levels.get(level - 1, {})
-    return {n for n in pool
+    if level == 0:
+        # Every node has the level-0 interface, so the live ones qualify.
+        return {n for n in state.members(0) if n not in skip}
+    return {n for n in clusters.levels.get(level - 1, {})
             if n not in skip and eligible(state, clusters, n, level)}
 
 
@@ -237,6 +249,7 @@ def select_cluster_heads(state, level, p, participants):
     heaviest neighboring head, the lower id on a tie."""
     participants = sorted(participants)
     weights = weight_table(state, level, participants, p)
+    adj = state.adjacency(level)
     clusters = {}
     covered = set()
     for n in sorted(participants, key=lambda n: (-weights[n], n)):
@@ -245,12 +258,12 @@ def select_cluster_heads(state, level, p, participants):
         if weights[n] < p.theta_w:
             raise ElectionError(f"no level-{level} candidate clears theta_w")
         clusters[n] = set()
-        covered |= state.neighbors(n, level)
+        covered |= adj[n]
 
     head_set = set(clusters)
     for n in participants:
         if n not in head_set:
-            best = max(state.neighbors(n, level) & head_set,
+            best = max(adj[n] & head_set,
                        key=lambda h: (weights[h], -h))
             clusters[best].add(n)
     return clusters

@@ -53,7 +53,14 @@ class MaintenanceManager:
     (`settled_at` is its time), and each later cycle only counts its
     beacon packets; the beacon event still fires every interval.  The
     settled cycles no longer re-stamp `ClusterState.last_heard`, which
-    nothing can observe, since no member can be missed."""
+    nothing can observe, since no member can be missed.
+
+    In every run the manager counts the records it writes (its `trace`
+    is wrapped), and in every run a repair round skips the level-0
+    orphan cover and the upward reconciliation while the hierarchy epoch
+    and the live nodes are what they were at the pass's last run that
+    wrote no record (`_unless_quiet`): such a run found nothing to do,
+    and would find nothing again."""
 
     def __init__(self, state, clusters, router, wparams, beacon,
                  trace=lambda record, key=None: None, stats=None,
@@ -75,13 +82,16 @@ class MaintenanceManager:
         # beacon packets of that cycle, which each later cycle counts.
         self.settled_at = None
         self._settled_packets = 0
-        # The records written so far, counted only in a frozen run.
+        # The records written so far.
         self._records = 0
-        if frozen:
-            def counted(record):
-                self._records += 1
-                trace(record)
-            self.trace = counted
+
+        def counted(record):
+            self._records += 1
+            trace(record)
+        self.trace = counted
+        # Repair pass -> the (epoch, live nodes) at which it last ran
+        # without writing a record (see `_unless_quiet`).
+        self._quiet = {}
         self._merge_attempted = set()
         self._recent_joins = []
 
@@ -103,9 +113,12 @@ class MaintenanceManager:
                 continue
             if debit is not None:
                 debit((head,))
-            # A member's debit can kill only that member, which changes no
-            # head-to-other-member link, so one lookup serves the whole loop.
-            # A dead node has no link, so `near` holds live members only.
+            # The head's own debit can kill it and touch() the topology, so
+            # each head looks its neighbors up after that debit, not from a
+            # map fetched before the loop.  A member's debit can kill only
+            # that member, which changes no head-to-other-member link, so
+            # one lookup serves the head's members.  A dead node has no
+            # link, so `near` holds live members only.
             near = neighbors(head, level)
             members = table[head]
             heard = sorted(near & members)
@@ -289,12 +302,13 @@ class MaintenanceManager:
         heads = sorted(h for h in self.clusters.heads(0)
                        if self.state.node(h).alive)
         head_set = set(heads)
+        adj = self.state.adjacency(0)
         # A pair stays on the attempted list only while both remain heads;
         # re-merging an unchanged head pair would loop forever.
         self._merge_attempted = {p for p in self._merge_attempted
                                  if p <= head_set}
         for h1 in heads:
-            for h2 in sorted(self.state.neighbors(h1, 0) & head_set):
+            for h2 in sorted(adj[h1] & head_set):
                 if h2 > h1 and frozenset((h1, h2)) not in self._merge_attempted:
                     events.append(MembershipEvent(
                         "heads_in_range", 0, head=h1, other=h2))
@@ -314,6 +328,25 @@ class MaintenanceManager:
 
     # -- the per-interval cycle ---------------------------------------------
 
+    def _unless_quiet(self, repair, *args, **kwargs):
+        """Run `repair`, the level-0 orphan cover or the upward
+        reconciliation, unless the hierarchy epoch and the live nodes are
+        what they were at its last run that wrote no record.
+
+        Both passes act only on orphans and on ineligible table entries,
+        and each action writes a record.  Which nodes those are depends
+        only on the tables, on liveness (every live node is a level-0
+        member) and on the nodes' interfaces, which never change.  So a
+        run that wrote no record found nothing to do, and so would every
+        run while the epoch and the live nodes stay where they were."""
+        key = (self.clusters.epoch, self.state.members(0))
+        if self._quiet.get(repair) == key:
+            return
+        records = self._records
+        repair(*args, **kwargs)
+        if self._records == records:
+            self._quiet[repair] = key
+
     def run_cycle(self, now, max_rounds=8):
         """One full beacon interval: beacon, detect, process to quiescence.
 
@@ -321,6 +354,8 @@ class MaintenanceManager:
         found it: no table changed, since a re-election that re-forms the
         same clusters moves no epoch.  A cycle that is still changing after
         `max_rounds` rounds stops there and counts one ``round_cap_hits``.
+        A round skips the level-0 orphan cover and the upward
+        reconciliation while neither could act (`_unless_quiet`).
 
         In a frozen run the first cycle that writes no record settles the
         run, and every later cycle only adds that cycle's count to
@@ -340,10 +375,11 @@ class MaintenanceManager:
             for ev in self.detect_changes(now, missed):
                 self.handle_membership_change(ev, now)
             # Cover newly arrived or orphaned level-0 nodes (case 2 / 1.2).
-            self._cover_orphans(0, now, case=CASES["head_left"][0])
+            self._unless_quiet(self._cover_orphans, 0, now,
+                               case=CASES["head_left"][0])
             for ev in self.detect_head_merges(now):
                 self.handle_membership_change(ev, now)
-            self.propagate_hierarchy_change(now)
+            self._unless_quiet(self.propagate_hierarchy_change, now)
             self.check_reelection(now)
             if self.clusters.epoch == before:
                 break

@@ -30,8 +30,10 @@ def left_sum(values):
 
     Since CPython 3.12 ``sum()`` compensates float rounding, which moves
     the last bit of some sums against 3.10 and 3.11.  Every sum that
-    reaches a trace byte or a decision goes through here instead, so the
-    trace does not depend on the interpreter.
+    reaches a trace byte or a decision goes through here instead, or
+    through the one other left-to-right sum, the plain loop of
+    ``clustering._distance_sum``; none through the builtin ``sum``.  So
+    the trace does not depend on the interpreter.
     """
     return reduce(add, values, 0.0)
 
@@ -167,6 +169,11 @@ class NetworkState:
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
     scratch otherwise (``_build_adjacency``).  Both give the same sets.
+
+    Two level views serve passes that read a whole level and cannot touch
+    the topology: ``adjacency(level)``, the version's neighbor map, and
+    ``members(level)``, the live nodes with the level's interface, which
+    both the build and the refresh already list.
     """
 
     def __init__(self, link_delay=None, link_bandwidth=None, link_jitter=0.0, seed=0):
@@ -321,6 +328,23 @@ class NetworkState:
                 adj = self._build_adjacency(level)
             self._adjacency[level] = adj
         return adj
+
+    def adjacency(self, level):
+        """The level's neighbor map in this topology version: {nid: frozenset
+        of linked peers} for every node, as ``neighbors`` reads it.
+
+        Read-only, and valid only until the next ``touch()``: a later
+        version may update the same map in place, or replace it.  A pass
+        that cannot touch the topology fetches it once instead of calling
+        ``neighbors`` per node."""
+        return self._snapshot(level)
+
+    def members(self, level):
+        """The ids of the live nodes with the level's interface, in the
+        order of ``nodes``, as a read-only list; valid until the next
+        ``touch()``."""
+        self._snapshot(level)
+        return self._references[level].ids
 
     def neighbors(self, nid, level):
         """All peers linked to `nid` at `level`; empty if dead or unsupported."""

@@ -279,6 +279,7 @@ class Router:
         order, number of request forwards, summed hops of the paths).
         """
         state = self.state
+        adj = state.adjacency(level)
         heap = [(state.node(src).node_delay, 0, (src,))]
         seq = 1
         pops = 0
@@ -298,7 +299,7 @@ class Router:
             if n >= FANOUT_CAP:
                 continue
             expansions[node] = n + 1
-            for nb in sorted(state.neighbors(node, level)):
+            for nb in sorted(adj[node]):
                 if nb not in scope or nb in path:
                     continue
                 link = state.link(node, nb, level)

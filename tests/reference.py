@@ -1,10 +1,11 @@
 """Reference implementations of the simulator's fast paths, and
 `use_references`, which installs them all at once.
 
-``BruteForceState`` derives every neighbor set and link from scratch on
-each call, and ``reference_step`` moves each node by its own
-``mobility_update`` call.  ``reference_weight_table`` sums every
-participant's distances for the group maximum,
+``BruteForceState`` derives every neighbor set and link, and the level
+views ``adjacency`` and ``members``, from scratch on each call (each
+lookup in its ``adjacency`` rescans), and ``reference_step`` moves each
+node by its own ``mobility_update`` call.  ``reference_weight_table``
+sums every participant's distances for the group maximum,
 ``reference_check_reelection_triggers`` builds every level's full weight
 table on every call, ``reference_detect_head_merges`` tests every head
 pair, and ``reference_best_head_in_range`` tests every head for each
@@ -17,9 +18,11 @@ debits its packets and collects the members it missed one by one, and
 the members the beacon round missed, and requires each stale member to
 be one that round missed.  ``reference_scoped_election`` writes its
 election's result by its own dissolve, leave and join calls instead of
-through `ClusterState.install`, ``reference_run_cycle`` ends a repair
-round when a copy of every cluster table taken before it compares equal
-after it, instead of reading the hierarchy epoch,
+through `ClusterState.install`, ``reference_run_cycle`` runs every
+repair pass in every round, where the fast cycle skips the level-0
+orphan cover and the upward reconciliation while neither could act, and
+ends a repair round when a copy of every cluster table taken before it
+compares equal after it, instead of reading the hierarchy epoch,
 ``reference_discover_route`` starts every discovery from an empty memo,
 and ``reference_queue_streams`` queues every periodic event and every
 send inside the run before the loop starts, each through `schedule`,
@@ -37,6 +40,7 @@ is the scenario that meets most of the references' paths.
 """
 
 import math
+from collections.abc import Mapping
 
 import pytest
 
@@ -112,8 +116,31 @@ def _linked(a, b, level):
     return d <= a.tx_range[level] and d <= b.tx_range[level]
 
 
+class _Rescan(Mapping):
+    """A level's neighbor map whose every lookup rescans the nodes."""
+
+    def __init__(self, state, level):
+        self.state, self.level = state, level
+
+    def __getitem__(self, nid):
+        return self.state.neighbors(nid, self.level)
+
+    def __iter__(self):
+        return iter(self.state.nodes)
+
+    def __len__(self):
+        return len(self.state.nodes)
+
+
 class BruteForceState(NetworkState):
     """Rescans every node on every call; caches nothing but the jitter."""
+
+    def adjacency(self, level):
+        return _Rescan(self, level)
+
+    def members(self, level):
+        return [nid for nid, attrs in self.nodes.items()
+                if attrs.alive and attrs.supports(level)]
 
     def neighbors(self, nid, level):
         a = self.node(nid)

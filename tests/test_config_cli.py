@@ -677,6 +677,17 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
 
+    @pytest.mark.parametrize("command, written", [
+        (["run"], "mini.summary.json"),
+        (["sweep", "--seeds", "1..2"], "mini.sweep.json")],
+        ids=["run", "sweep"])
+    def test_stdout_is_the_written_document(self, scenario_file, tmp_path,
+                                            capsysbinary, command, written):
+        out = tmp_path / "out"
+        assert main([command[0], str(scenario_file), *command[1:],
+                     "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == (out / written).read_bytes()
+
     def test_run_twice_identical_outputs(self, scenario_file, tmp_path,
                                          capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -260,7 +260,7 @@ class TestHeadMerge:
         assert mgr.stats["round_cap_hits"] == 0
 
 
-def hierarchy_world():
+def hierarchy_world(**kw):
     """Three level-0 heads, all level-1 capable and mutually in range."""
     state = make_state()
     add_node(state, 10, (0.0, 0.0), level=1)
@@ -271,7 +271,7 @@ def hierarchy_world():
                               state.nodes[head].position[1]))
     clusters = manual_clusters({0: {10: {11}, 20: {21}, 30: {31}},
                                 1: {10: {20, 30}}, 2: {}})
-    mgr = manager(state, clusters)
+    mgr = manager(state, clusters, **kw)
     return state, clusters, mgr
 
 
@@ -376,3 +376,76 @@ class TestSettledCycles:
             mgr.run_cycle(t)
         assert not mgr.frozen and mgr.settled_at is None
         assert set(clusters.last_heard.values()) == {3.0}
+
+
+class TestQuietPasses:
+    """A manager that is not frozen skips the level-0 orphan cover and the
+    upward reconciliation while the hierarchy epoch and the live nodes
+    are what they were at the pass's last run that wrote no record."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The names of the level-0 orphan covers ("cover") and the upward
+        reconciliations ("propagate") that run, in order."""
+        runs = []
+
+        def counting(name, method):
+            def run(self, *args, **kw):
+                if name == "propagate" or args[0] == 0:
+                    runs.append(name)
+                return method(self, *args, **kw)
+            return run
+
+        for name, attr in (("cover", "_cover_orphans"),
+                           ("propagate", "propagate_hierarchy_change")):
+            monkeypatch.setattr(MaintenanceManager, attr, counting(
+                name, getattr(MaintenanceManager, attr)))
+        return runs
+
+    def test_skipped_while_nothing_moved(self, runs):
+        records = []
+        state, clusters, mgr = hierarchy_world(trace=record_sink(records))
+        mgr.run_cycle(1.0)
+        assert runs == ["cover", "propagate"]
+        for t in (2.0, 3.0, 4.0):
+            mgr.run_cycle(t)
+        assert runs == ["cover", "propagate"]
+        assert records == []
+
+    def test_run_again_after_a_death_that_writes_no_table(self, runs):
+        # Member 11 dies; within the detection bound its loss writes
+        # nothing, so only the live nodes moved.
+        records = []
+        state, clusters, mgr = hierarchy_world(trace=record_sink(records))
+        mgr.run_cycle(1.0)
+        epoch = clusters.epoch
+        state.nodes[11].alive = False
+        state.touch()
+        mgr.run_cycle(2.0)
+        assert records == [] and clusters.epoch == epoch
+        assert runs == ["cover", "propagate"] * 2
+        mgr.run_cycle(3.0)
+        assert runs == ["cover", "propagate"] * 2
+
+    def test_run_again_after_a_failed_election(self, runs):
+        # Node 3 is out of every head's range, and alone it weighs 0.25,
+        # below theta_w: each cover elects it and fails, which writes only
+        # an `election-failed` record and leaves the epoch where it was.
+        state = make_state()
+        for nid in range(3):
+            add_node(state, nid, (5.0 * nid, 0.0))
+        add_node(state, 3, (5000.0, 0.0))
+        clusters = manual_clusters({0: {1: {0, 2}}, 1: {}, 2: {}})
+        records = []
+        mgr = MaintenanceManager(state, clusters,
+                                 make_router(state, clusters),
+                                 WeightParams(theta_w=0.5), BeaconConfig(),
+                                 trace=record_sink(records))
+        epoch = clusters.epoch
+        for t in (1.0, 2.0, 3.0):
+            mgr.run_cycle(t)
+        assert records == [
+            {"kind": "maintenance", "t": t, "case": "1.2", "level": 0,
+             "error": "election-failed"} for t in (1.0, 2.0, 3.0)]
+        assert clusters.epoch == epoch
+        assert runs == ["cover", "propagate", "cover", "cover"]

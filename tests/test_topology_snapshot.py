@@ -1,5 +1,6 @@
 """The cached topology snapshot against ``reference.BruteForceState``,
-which derives every neighbor set and link from scratch on each call."""
+which derives every neighbor set and link, and the level views, from
+scratch on each call."""
 
 import dataclasses
 import math
@@ -44,6 +45,8 @@ def _random_nodes(rng, n, span):
 def _assert_same_topology(real, ref):
     ids = list(ref.nodes)
     for level in LEVELS:
+        assert real.members(level) == ref.members(level)
+        assert real.adjacency(level) == ref.adjacency(level)
         for a in ids:
             expected = ref.neighbors(a, level)
             got = real.neighbors(a, level)
