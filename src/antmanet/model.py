@@ -119,20 +119,29 @@ DEFAULT_LINK_BANDWIDTH = {0: 2e6, 1: 5e6, 2: 10e6}
 
 
 # A level's skin, as a fraction of its largest range.  A wider skin
-# rebuilds less often but keeps, and re-tests, more pairs; on soak and
-# dense, 0.2 and 0.3 cost about the same and 0.1 more.
-SKIN = 0.2
+# rebuilds less often but keeps, and re-tests, more pairs.  Median untraced
+# `bench/run.py` wall_s at seed 1, 10 alternating runs each (2-vCPU x86-64,
+# Python 3.11):
+#
+#   SKIN    0.2     0.3     0.4     0.5
+#   soak    0.1511  0.1489  0.1486  0.1487
+#   dense   0.0314  0.0309  0.0302  0.0307
+SKIN = 0.4
 
 
 class _Reference:
     """A level's last full build, against which later versions refresh.
 
-    ``pairs`` holds (i, j, linked) for every member pair within its range
-    plus ``skin``, in the order of ``slack``, the pair's distance from its
-    range.  ``flipped`` holds the indices of the pairs whose link differs
-    from the build in ``adj``, the adjacency of the latest version.
-    ``margin`` covers rounding: a rounded distance can move by an ulp or
-    so more than the rounded displacements that moved it.
+    ``pairs`` holds (i, j, m, linked) for every member pair within ``skin``
+    of its range m, the smaller of the two ranges, on either side, in the
+    order of ``slack``, the pair's distance from m.  A linked pair deeper
+    than the skin is left out: the refresh re-tests only the pairs whose
+    slack is within its bound, and it rebuilds instead once the bound
+    reaches the skin, so such a pair cannot flip before the next build.
+    ``flipped`` holds the indices of the pairs whose link differs from the
+    build in ``adj``, the adjacency of the latest version.  ``margin``
+    covers rounding: a rounded distance can move by an ulp or so more than
+    the rounded displacements that moved it.
     """
 
     __slots__ = ("ids", "ranges", "positions", "skin", "margin", "slack",
@@ -225,13 +234,14 @@ class NetworkState:
         within about 10**6 ranges of the origin.  The build becomes the
         level's reference for ``_refresh``.
         """
+        # The same tests as supports() and range_at().
         members = []
         for nid, attrs in self.nodes.items():
-            if attrs.alive and attrs.supports(level):
+            if attrs.alive and attrs.max_level >= level:
                 x, y = attrs.position
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError(f"non-finite coordinate on node {nid}")
-                members.append((nid, x, y, attrs.range_at(level)))
+                members.append((nid, x, y, attrs.tx_range[level]))
         largest = max((m[3] for m in members), default=0.0)
         skin = largest * SKIN
         reach = largest + skin
@@ -241,27 +251,30 @@ class NetworkState:
         grid = defaultdict(list)
         for i, (_, x, y, r) in enumerate(members):
             grid[(math.floor(x / cell), math.floor(y / cell))].append(
-                (i, x, y, r, r + skin))
+                (i, x, y, r))
         hypot = math.hypot
         found = [[] for _ in members]
-        near = []  # (slack, i, j, linked) for each pair within range + skin
+        near = []  # (slack, i, j, m, linked) for each pair within the skin
         for (cx, cy), here in grid.items():
             # Test each pair once: within this cell, and against the four
             # adjacent cells that come after it in x, then y.
-            after = [m for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy),
-                                   (cx + 1, cy + 1))
-                     for m in grid.get(key, ())]
-            for k, (i, ax, ay, ra, ra_skin) in enumerate(here):
-                for others in (here[k + 1:], after):
-                    for j, bx, by, rb, rb_skin in others:
-                        d = hypot(ax - bx, ay - by)
-                        if d <= ra_skin and d <= rb_skin:
-                            if d <= ra and d <= rb:
-                                found[i].append(j)
-                                found[j].append(i)
-                                near.append((min(ra, rb) - d, i, j, True))
-                            else:
-                                near.append((d - min(ra, rb), i, j, False))
+            candidates = here + [
+                entry for key in ((cx, cy + 1), (cx + 1, cy - 1),
+                                  (cx + 1, cy), (cx + 1, cy + 1))
+                for entry in grid.get(key, ())]
+            for k, (i, ax, ay, ra) in enumerate(here, 1):
+                for j, bx, by, rb in candidates[k:]:
+                    d = hypot(ax - bx, ay - by)
+                    # m + skin is min(ra + skin, rb + skin): rounding is
+                    # monotone.
+                    m = ra if ra < rb else rb
+                    if d <= m:
+                        found[i].append(j)
+                        found[j].append(i)
+                        if m - d <= skin:
+                            near.append((m - d, i, j, m, True))
+                    elif d <= m + skin:
+                        near.append((d - m, i, j, m, False))
         ids = [m[0] for m in members]
         adj = dict.fromkeys(self.nodes, frozenset())
         for nid, found_i in zip(ids, found):
@@ -280,12 +293,14 @@ class NetworkState:
         when the reference cannot bound the change: the node sequence or a
         range differs from the build, or the displacements reach the skin.
         """
-        # The same tests as the build's supports() and range_at().
+        # The same tests as the build's.
         nodes = self.nodes
         ids = [nid for nid, attrs in nodes.items()
                if attrs.alive and attrs.max_level >= level]
         if len(nodes) != len(ref.adj) or ids != ref.ids:
             return None
+        if not ids:
+            return ref.adj  # no members, no links: the map stays empty
         live = [nodes[nid] for nid in ids]
         if [attrs.tx_range[level] for attrs in live] != ref.ranges:
             return None
@@ -299,18 +314,17 @@ class NetworkState:
         bound = sum(steps[-2:]) + ref.margin
         if not bound < ref.skin:
             return None
-        hypot, ranges = math.hypot, ref.ranges
+        # dist(p, q) is hypot(px - qx, py - qy) to the bit, as the build
+        # computes it.
+        dist = math.dist
         flipped = set()
-        for k in range(bisect_right(ref.slack, bound)):
-            i, j, linked = ref.pairs[k]
-            ax, ay = positions[i]
-            bx, by = positions[j]
-            d = hypot(ax - bx, ay - by)
-            if (d <= ranges[i] and d <= ranges[j]) != linked:
+        for k, (i, j, m, linked) in enumerate(
+                ref.pairs[:bisect_right(ref.slack, bound)]):
+            if (dist(positions[i], positions[j]) <= m) != linked:
                 flipped.add(k)
         adj = ref.adj
         for k in flipped ^ ref.flipped:
-            i, j, _ = ref.pairs[k]
+            i, j, _, _ = ref.pairs[k]
             a, b = ids[i], ids[j]
             adj[a] = adj[a] ^ {b}
             adj[b] = adj[b] ^ {a}

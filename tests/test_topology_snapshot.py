@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antmanet import model
 from antmanet.config import MobilityConfig
 from antmanet.errors import UnknownNodeError
 from antmanet.model import NetworkState, NodeAttributes
@@ -227,19 +228,22 @@ def _random_step(states, rng, step):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
        span=st.sampled_from([5.0, 100.0, 400.0]),
-       step=st.sampled_from([0.001, 0.02, 0.3]))
-def test_random_walks_match_brute_force(seed, n, span, step):
-    # Steps of 0.1% and 2% of the span stay below the skin for several
-    # ticks; 30% steps pass it on most ticks.
+       step=st.sampled_from([0.001, 0.02, 0.3]),
+       skin=st.sampled_from([0.05, 0.2, 0.4, 1.0]))
+def test_random_walks_match_brute_force(seed, n, span, step, skin):
+    # Steps of 0.1% and 2% of the span stay below most skins for several
+    # ticks; 30% steps pass all but the widest on most ticks.
     rng = random.Random(seed)
     nodes = _random_nodes(rng, n, span)
-    states = (NetworkState(link_jitter=0.3, seed=seed),
-              BruteForceState(link_jitter=0.3, seed=seed))
-    _populate(states, nodes)
-    _assert_same_topology(*states)
-    for _ in range(6):
-        _random_step(states, rng, step * span)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "SKIN", skin)
+        states = (NetworkState(link_jitter=0.3, seed=seed),
+                  BruteForceState(link_jitter=0.3, seed=seed))
+        _populate(states, nodes)
         _assert_same_topology(*states)
+        for _ in range(6):
+            _random_step(states, rng, step * span)
+            _assert_same_topology(*states)
 
 
 def _walk_world():
@@ -257,26 +261,54 @@ def test_small_steps_refresh_without_rebuilding(monkeypatch):
     builds = _count_builds(monkeypatch)
     states, rng = _walk_world()
     _assert_same_topology(*states)
-    # Level 2 has no members, so no skin, and is rebuilt on every version.
-    assert builds.count(0) == builds.count(1) == 1
+    assert builds.count(0) == builds.count(1) == builds.count(2) == 1
     for _ in range(10):
         _random_step(states, rng, 0.5)
         _assert_same_topology(*states)
-    # Ten ticks of at most 0.5 m move no pair by the 20 m level-0 skin.
-    assert builds.count(0) == builds.count(1) == 1
+    # Ten ticks of at most 0.5 m move no pair by the level-0 skin, 100 m
+    # times SKIN; level 2 has no members, and keeps its empty map.
+    assert builds.count(0) == builds.count(1) == builds.count(2) == 1
     for _ in range(3):
         _random_step(states, rng, 60.0)
         _assert_same_topology(*states)
     assert builds.count(0) > 1 and builds.count(1) > 1
 
 
+def test_reference_keeps_the_pairs_within_the_skin():
+    # Deeper linked pairs cannot flip before the next build, and farther
+    # unlinked ones are not kept either.
+    states, _ = _walk_world()
+    real = states[0]
+    for level in (0, 1):
+        real.adjacency(level)
+        ref = real._references[level]
+        ids = ref.ids
+        attrs = [real.nodes[nid] for nid in ids]
+        expected = set()
+        for i, a in enumerate(attrs):
+            for j in range(i + 1, len(attrs)):
+                b = attrs[j]
+                m = min(a.tx_range[level], b.tx_range[level])
+                d = math.hypot(a.position[0] - b.position[0],
+                               a.position[1] - b.position[1])
+                if abs(d - m) <= ref.skin:
+                    expected.add((ids[i], ids[j], m, d <= m, abs(d - m)))
+        kept = {(ids[min(i, j)], ids[max(i, j)], m, linked, slack)
+                for (i, j, m, linked), slack in zip(ref.pairs, ref.slack)}
+        assert kept == expected
+        assert len(ref.pairs) == len(kept) < len(attrs) * (len(attrs) - 1) // 2
+        assert any(not linked for _, _, _, linked, _ in kept)
+        assert ref.slack == sorted(ref.slack)
+
+
 def test_skin_steps_rebuild(monkeypatch):
-    # Two nodes 25 m apart beyond their range, more than the 20 m skin:
+    # Two nodes 5 m farther apart than their 100 m range plus its skin:
     # the pair is not kept, so closing the gap in one step must rebuild.
     builds = _count_builds(monkeypatch)
     states = (NetworkState(), BruteForceState())
     _populate(states, [(0, dict(position=(0.0, 0.0))),
-                       (1, dict(position=(125.0, 0.0))),
+                       (1, dict(position=(100.0 + 100.0 * model.SKIN + 5.0,
+                                          0.0))),
                        (2, dict(position=(500.0, 0.0)))])
     _assert_same_topology(*states)
     _move(states, 1, (100.0, 0.0))
