@@ -144,9 +144,11 @@ class ClusterState:
     of the clusters already held do not.  A value derived from the tables
     holds while ``epoch`` is unchanged.
 
-    Once a frozen run settles (see `maintenance.MaintenanceManager`), its
-    beacon cycles no longer re-stamp ``last_heard``: a stamp then tells
-    when the membership was last heard before the run settled."""
+    The beacon cycles that `maintenance.MaintenanceManager` skips as
+    settled re-stamp no ``last_heard``.  A stamp then tells when the
+    membership was last heard before the run settled, until the first
+    cycle that runs again re-stamps every membership at the last skipped
+    cycle's time."""
 
     def __init__(self):
         self.levels = {}  # level -> {head: set(member ids)}

@@ -15,7 +15,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import astuple
 
 from . import clustering
 from .config import Placement
@@ -29,13 +28,6 @@ def energy_debit(attrs, cost):
     """New energy after a radio action that costs `cost`; clamps at zero
     (node death)."""
     return max(0.0, attrs.energy - cost)
-
-
-def energy_is_fixed(costs):
-    """Whether no radio action costs energy under `costs`, a
-    ``config.EnergyCosts``.  Costs are >= 0 and starting energy is > 0,
-    so then no debit changes a node's energy or kills it."""
-    return not any(astuple(costs))
 
 
 class RandomWaypoint:
@@ -194,7 +186,6 @@ class Simulator:
         self.clusters = None
         self.router = None
         self.manager = None
-        self.fixed_energy = None
         mob = config.mobility
         self.waypoints = RandomWaypoint(
             (config.arena.width, config.arena.height),
@@ -261,6 +252,7 @@ class Simulator:
             return
         # Links do not depend on energy, so only a death changes the topology.
         attrs.energy = energy_debit(attrs, cost)
+        self.state.energy_version += 1
         if attrs.energy == 0.0:
             attrs.alive = False
             self.state.touch()
@@ -340,7 +332,7 @@ class Simulator:
         if link is None:
             self._drop(flow_idx, at=a, next=b)
             return
-        if not self.fixed_energy:
+        if self._tx_cost or self._rx_cost:
             self._apply_energy(a, self._tx_cost)
             self._apply_energy(b, self._rx_cost)
         arrival = self.now + link.delay + self.state.node(b).node_delay
@@ -380,23 +372,23 @@ class Simulator:
             self.stats[f"elections_l{level}"] += len(heads)
             self.trace({"kind": "election", "t": self.now, "level": level,
                         "case": "initial", "heads": heads})
-        # Decided here, not at construction, so that setup does not pay for
-        # it: with every cost 0 no radio action is debited, and routing
-        # takes each path's energy from its memoized link metrics; otherwise
-        # each action's cost is worked out once, here.
+        # Each radio action's cost, worked out once.  Costs are >= 0 and a
+        # live node's energy is > 0, so a debit of 0 changes no energy and
+        # kills no node: a run skips its hop debits if both hop costs are
+        # 0, and its beacon debits if the beacon is free.
         costs = cfg.energy_costs
-        self.fixed_energy = energy_is_fixed(costs)
+        bits = cfg.packet_size_bits
+        self._tx_cost = costs.tx_packet + costs.tx_bit * bits
+        self._rx_cost = costs.rx_packet + costs.rx_bit * bits
         debit = None
-        if not self.fixed_energy:
-            bits = cfg.packet_size_bits
-            self._tx_cost = costs.tx_packet + costs.tx_bit * bits
-            self._rx_cost = costs.rx_packet + costs.rx_bit * bits
+        if costs.beacon:
             apply, beacon = self._apply_energy, costs.beacon
-            nodes = self.state.nodes
+            state, nodes = self.state, self.state.nodes
 
             def debit(nids):
                 # A live node whose energy stays above 0 only loses the
                 # cost; a death, or a dead node, goes through apply.
+                state.energy_version += 1
                 for nid in nids:
                     attrs = nodes[nid]
                     if attrs.alive and attrs.energy > beacon:
@@ -408,15 +400,10 @@ class Simulator:
             deposit=cfg.deposit, q=cfg.pheromone.q,
             tau_initial=cfg.pheromone.initial,
             cache_max_age=cfg.cache.max_age, trace=self.trace,
-            stats=self.stats, fixed_energy=self.fixed_energy)
-        # A run without mobility and with fixed energy is frozen: no event
-        # after setup touches the topology or changes a node's energy,
-        # liveness or mobility average, so its beacon cycles settle.
+            stats=self.stats)
         self.manager = MaintenanceManager(
             self.state, self.clusters, self.router, cfg.weights, cfg.beacon,
-            trace=self.trace, stats=self.stats,
-            energy_debit=debit,
-            frozen=self.waypoints is None and self.fixed_energy)
+            trace=self.trace, stats=self.stats, energy_debit=debit)
 
         for i, flow in enumerate(cfg.flows):
             self._flow_stats.append({

@@ -10,8 +10,9 @@ The last-heard stamps live in ClusterState with the tables.  Membership
 changes only through its writers `join`, `leave` and `dissolve`, which
 write or drop the stamps with the memberships; `install` writes every
 election's result through them, and a beacon re-stamps the members it
-reaches through `refresh`, until a frozen run settles (see
-`MaintenanceManager`).
+reaches through `refresh`.  A cycle that can only repeat the one before
+is skipped, and its re-stamps are caught up later (see
+`MaintenanceManager.run_cycle`).
 """
 
 from collections import Counter
@@ -42,29 +43,25 @@ class MaintenanceManager:
     """Runs one beacon cycle per interval (`run_cycle`) over the
     hierarchy in `clusters`.
 
-    A manager built `frozen` serves a run in which, after setup, nothing
-    can touch the topology or change a node's energy, liveness or
-    mobility average: mobility is off and energy is fixed.  Every member
-    then stays linked to its head, and a cycle's inputs other than the
-    clock are what the cycle before left.  Every table write here
-    writes a record, so a cycle that writes no record leaves the tables,
-    and with them `ClusterState.epoch`, as it found them, and every later
-    cycle would be that cycle again.  Such a cycle settles the run
-    (`settled_at` is its time), and each later cycle only counts its
-    beacon packets; the beacon event still fires every interval.  The
-    settled cycles no longer re-stamp `ClusterState.last_heard`, which
-    nothing can observe, since no member can be missed.
+    A cycle reads the tables, the topology and the nodes' energies, which
+    `ClusterState.epoch`, `NetworkState.version` and
+    `NetworkState.energy_version` count, and the clock only through the
+    stamps of the members it misses.  So a cycle that writes no record
+    (every table write here writes one), misses no member and leaves
+    those three counters, its quiet key, where it found them settles:
+    every later cycle that finds the same key would be that cycle again.
+    Such a later cycle only counts the settled cycle's beacon packets.
 
-    In every run the manager counts the records it writes (its `trace`
-    is wrapped), and in every run a repair round skips the level-0
-    orphan cover and the upward reconciliation while the hierarchy epoch
-    and the live nodes are what they were at the pass's last run that
-    wrote no record (`_unless_quiet`): such a run found nothing to do,
-    and would find nothing again."""
+    The manager counts the records it writes (its `trace` is wrapped),
+    and a repair round skips the level-0 orphan cover and the upward
+    reconciliation while the hierarchy epoch and the live nodes are what
+    they were at the pass's last run that wrote no record
+    (`_unless_quiet`): such a run found nothing to do, and would find
+    nothing again."""
 
     def __init__(self, state, clusters, router, wparams, beacon,
                  trace=lambda record, key=None: None, stats=None,
-                 energy_debit=None, frozen=False):
+                 energy_debit=None):
         if beacon.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.state = state
@@ -72,16 +69,13 @@ class MaintenanceManager:
         self.router = router
         self.wparams = wparams
         self.beacon = beacon  # a config.BeaconConfig
-        self.trace = trace
         self.stats = Counter() if stats is None else stats
         # fn(nodes), which debits one beacon packet from each of `nodes`
         # in order; None if beacons are free.
         self.energy_debit = energy_debit
-        self.frozen = frozen
-        # The time of the cycle that settled the run, or None, and the
-        # beacon packets of that cycle, which each later cycle counts.
-        self.settled_at = None
-        self._settled_packets = 0
+        # [quiet key, beacon packets] of the settled cycle and the time of
+        # the last cycle skipped since (None before the first); or None.
+        self._settled = None
         # The records written so far.
         self._records = 0
 
@@ -357,19 +351,30 @@ class MaintenanceManager:
         A round skips the level-0 orphan cover and the upward
         reconciliation while neither could act (`_unless_quiet`).
 
-        In a frozen run the first cycle that writes no record settles the
-        run, and every later cycle only adds that cycle's count to
-        ``beacon_packets``: it re-stamps no membership and runs no round
-        (see the class docstring).
+        A cycle that finds the quiet key of the settled cycle (see the
+        class docstring) only adds that cycle's count to
+        ``beacon_packets``.  It re-stamps no membership, though its beacon
+        would have reached every member.  So the first cycle that finds a
+        different key first re-stamps every membership at the last skipped
+        cycle's time, and only then beacons.
         """
-        stats = self.stats
-        if self.settled_at is not None:
-            if self._settled_packets:
-                stats["beacon_packets"] += self._settled_packets
-            return
+        stats, clusters, state = self.stats, self.clusters, self.state
+        key = (clusters.epoch, state.version, state.energy_version)
+        if self._settled is not None:
+            settled_key, packets, skipped_at = self._settled
+            if key == settled_key:
+                if packets:
+                    stats["beacon_packets"] += packets
+                self._settled[2] = now
+                return
+            self._settled = None
+            if skipped_at is not None:
+                for level, table in clusters.levels.items():
+                    for head, members in table.items():
+                        clusters.refresh(level, head, members, skipped_at)
         packets, records = stats["beacon_packets"], self._records
         missed = {level: self.beacon_tick(level, now)
-                  for level in sorted(self.clusters.levels)}
+                  for level in sorted(clusters.levels)}
         for _ in range(max_rounds):
             before = self.clusters.epoch
             for ev in self.detect_changes(now, missed):
@@ -385,6 +390,8 @@ class MaintenanceManager:
                 break
         else:
             stats["round_cap_hits"] += 1
-        if self.frozen and self._records == records:
-            self.settled_at = now
-            self._settled_packets = stats["beacon_packets"] - packets
+            return
+        if (self._records == records and not any(missed.values())
+                and key == (clusters.epoch, state.version,
+                            state.energy_version)):
+            self._settled = [key, stats["beacon_packets"] - packets, None]

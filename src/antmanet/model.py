@@ -173,7 +173,9 @@ class NetworkState:
     ``version`` counts the topology versions: ``touch()`` and
     ``set_link_params`` each increment it.  A value derived from the
     adjacency, the link attributes and the node delays holds while
-    ``version`` is unchanged.
+    ``version`` is unchanged.  ``energy_version`` counts energy writes:
+    whoever changes a node's energy increments it, so a value derived
+    from energies too holds while both counters are unchanged.
 
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
@@ -197,6 +199,7 @@ class NetworkState:
         self._references = {}  # level -> _Reference of the last full build
         self._links = {}  # (lo, hi, level) -> LinkAttributes, or None if unlinked
         self.version = 0
+        self.energy_version = 0
 
     def add_node(self, nid, attrs):
         nid = int(nid)

@@ -13,22 +13,23 @@ Every node scores each admissible reply once with the multiplicative
 expiry, each under a tunable exponent) and the best admissible path
 wins, gets a pheromone deposit, and is cached if it has two hops or more.
 
-Discovery re-derives much from the topology and the cluster tables
-alone, so the router keeps one memo of it, cleared whenever the topology
-version (``NetworkState.version``) or the hierarchy epoch
-(``ClusterState.epoch``) changes.  It holds, per endpoint pair, the
-discovery plan: their link level, or the climb's route ants (each as
-its trace packet and record key) followed by its failure or its legs,
-each leg's scope frozen; per flood, the expansion with each path's link
-metrics and nodes; and per route, the link metrics of the route and of
-each suffix, or its broken link.  Every call still reads the endpoints'
-liveness, the route cache, pheromone, the time and energy afresh, and
-emits the same records and counters as a call with an empty memo.  A
-router built with ``fixed_energy`` serves a run where no energy moves, so
-it takes the memoized metrics as they are, and its flood entries also
-keep each reply's next hop, trace packet, record key and, once it is
-scored, its QoS score factors.  Records that replay
-memoized parts share them, so a sink must not mutate a record.
+Discovery re-derives much from the topology, the cluster tables and the
+energies, so the router memoizes it in two tiers.  The first is cleared
+whenever the topology version (``NetworkState.version``) or the
+hierarchy epoch (``ClusterState.epoch``) changes.  It holds, per
+endpoint pair, the discovery plan: their link level, or the climb's
+route ants (each as its trace packet and record key) followed by its
+failure or its legs, each leg's scope frozen; per flood, the expansion
+with each path's link metrics and nodes; and per route, the link
+metrics of the route and of each suffix, or its broken link.  The second
+is cleared also whenever ``NetworkState.energy_version`` moves.  It
+holds, per flood, each path's reply (next hop, metrics with the energy
+minimum, trace packet, record key and, once scored, its QoS score
+factors), and per route the metrics of the route and of each suffix
+with their energy minima.  Every call still reads the endpoints'
+liveness, the route cache, pheromone and the time afresh, and emits the
+same records and counters as a call with an empty memo.  Records that
+replay memoized parts share them, so a sink must not mutate a record.
 """
 
 import heapq
@@ -170,8 +171,8 @@ def score_factors(m, p):
 def preference_score(m, tau, p):
     """The preference of a path with metrics `m` and pheromone `tau`: the
     pheromone under its exponent times the `score_factors`, multiplied
-    from left to right.  A replayed flood reply multiplies its memoized
-    factors in the same order, so its score is the same float."""
+    from left to right.  A flood reply multiplies its memoized factors in
+    the same order, so its score is the same float."""
     f_delay, f_hops, f_bandwidth, f_energy, f_let = score_factors(m, p)
     return (tau ** p.alpha1 * f_delay * f_hops * f_bandwidth * f_energy
             * f_let)
@@ -228,8 +229,7 @@ class Router:
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
                  tau_initial, cache_max_age,
-                 trace=lambda record, key=None: None, stats=None,
-                 fixed_energy=False):
+                 trace=lambda record, key=None: None, stats=None):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -239,17 +239,16 @@ class Router:
         self.pheromone = PheromoneTable(q, tau_initial)
         self.cache = RouteCache()
         self.stats = Counter() if stats is None else stats
-        # True when no node's energy changes during the run: the energy
-        # minimum link_metrics took when the memo was filled still holds.
-        self.fixed_energy = fixed_energy
         # What discovery derives from the topology and the cluster tables,
-        # valid while (state.version, clusters.epoch) is _memo_stamp.  The
+        # valid while (state.version, clusters.epoch) is _stamp[:2].  The
         # key shapes tell its entries apart: (src, dst) -> _plan's plan,
-        # (level, src, dst, scope) -> _expand's flood, with fixed energy
-        # its paths as `_reply` entries, and
-        # (path, levels) -> _route_metrics' metrics.
-        self._memo = {}
-        self._memo_stamp = None
+        # (level, src, dst, scope) -> _expand's flood, and
+        # (path, levels) -> _route_metrics' metrics.  Under the last two
+        # keys, _fresh holds a flood's `_reply` entries and a route's
+        # metrics with their energy, valid while _stamp is
+        # (state.version, clusters.epoch, state.energy_version).
+        self._memo, self._fresh = {}, {}
+        self._stamp = ()
 
     def evaporate_all(self):
         self.pheromone.evaporate()
@@ -259,11 +258,15 @@ class Router:
         self.cache.purge_node(node)
 
     def _current_memo(self):
-        """The memo, emptied first if the topology or the hierarchy moved."""
-        stamp = (self.state.version, self.clusters.epoch)
-        if stamp != self._memo_stamp:
-            self._memo.clear()
-            self._memo_stamp = stamp
+        """The memo's first tier; each tier is emptied first if what it
+        depends on moved, so ``_fresh`` is current after the call."""
+        state = self.state
+        stamp = (state.version, self.clusters.epoch, state.energy_version)
+        if stamp != self._stamp:
+            if stamp[:2] != self._stamp[:2]:
+                self._memo.clear()
+            self._fresh.clear()
+            self._stamp = stamp
         return self._memo
 
     # -- discovery segment ---------------------------------------------
@@ -316,41 +319,38 @@ class Router:
         Emits one reply record per path the flood finds.  The expansion,
         with each path's link metrics and nodes, depends only on the
         topology version, the scope and the endpoints, so it comes from
-        the memo.  Energy changes within a version, so each path's metrics
-        take it afresh on every call, its reply is built afresh and scored
-        by `preference_score`, unless energy is fixed: then the memo keeps
-        the `_reply` entries, and each keeps its `score_factors` from its
-        first scoring on, so that a replayed reply scores as tau under its
-        exponent times those factors.  Per next hop the first best-scoring
-        admissible reply is kept; the next hop with the highest preference
+        the memo's first tier.  Each path's `_reply`, its metrics taking
+        the energy minimum afresh, comes from the second tier, and keeps
+        its `score_factors` from its first scoring on: a reply scores as
+        tau under its exponent times those factors, as `preference_score`
+        multiplies them.  Per next hop the first best-scoring admissible
+        reply is kept; the next hop with the highest preference
         probability (ties to the lower id) wins unless it is below
         `theta_p`.
         """
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
-        fixed = self.fixed_energy
-        memo = self._current_memo()
+        memo, fresh = self._current_memo(), self._fresh
         key = (level, src, dst, scope)
-        flood = memo.get(key)
+        flood = fresh.get(key)
         if flood is None:
-            found, forwards, reply_hops = self._expand(scope, level, src, dst)
-            if fixed:
-                found = [_reply(level, src, dst, path, fm)
-                         for path, fm, _ in found]
-            flood = memo[key] = found, forwards, reply_hops
-        found, forwards, reply_hops = flood
+            expansion = memo.get(key)
+            if expansion is None:
+                expansion = memo[key] = self._expand(scope, level, src, dst)
+            found, forwards, reply_hops = expansion
+            # Each delivered request ant turns into a reply that retraces
+            # its visited stack in reverse, carrying the path's QoS values.
+            flood = fresh[key] = ([
+                _reply(level, src, dst, path, _with_energy(fm, nodes))
+                for path, fm, nodes in found], forwards, reply_hops)
+        replies, forwards, reply_hops = flood
         self.stats["request_forwards"] += forwards
-        if not found:
+        if not replies:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
-        self.stats["reply_packets"] += len(found)
+        self.stats["reply_packets"] += len(replies)
         self.stats["reply_hops"] += reply_hops
-        # Each delivered request ant turns into a reply that retraces its
-        # visited stack in reverse, carrying the path's QoS values.
-        replies = found if fixed else [
-            _reply(level, src, dst, path, _with_energy(fm, nodes))
-            for path, fm, nodes in found]
         trace, pref, tau_of = self.trace, self.pref, self.pheromone.get
         best_per_hop = {}
         for reply in replies:
@@ -358,15 +358,11 @@ class Router:
             trace({"kind": rkey[0], "t": now, "packet": packet}, rkey)
             if not qos.admits(m):
                 continue
-            tau = tau_of(level, src, j, pher_dst)
-            if fixed:
-                if factors is None:
-                    factors = reply[5] = score_factors(m, pref)
-                f_delay, f_hops, f_bandwidth, f_energy, f_let = factors
-                score = (tau ** pref.alpha1 * f_delay * f_hops * f_bandwidth
-                         * f_energy * f_let)
-            else:
-                score = preference_score(m, tau, pref)
+            if factors is None:
+                factors = reply[5] = score_factors(m, pref)
+            f_delay, f_hops, f_bandwidth, f_energy, f_let = factors
+            score = (tau_of(level, src, j, pher_dst) ** pref.alpha1 * f_delay
+                     * f_hops * f_bandwidth * f_energy * f_let)
             prev = best_per_hop.get(j)
             if prev is None or score > prev[0]:
                 best_per_hop[j] = (score, path)
@@ -437,35 +433,37 @@ class Router:
             for head, lvl, a, b in legs)
 
     def _route_metrics(self, path, levels):
-        """The route's NodeAttributes and the link_metrics of the route and
-        of each suffix of two hops or more, longest first; or the message
-        of the missing link, if one is missing."""
+        """(link_metrics, NodeAttributes) of the route and of each suffix of
+        two hops or more, longest first; or the message of the missing
+        link, if one is missing."""
         try:
             links = path_links(path, self.state, levels)
         except BrokenPathError as exc:
             return str(exc)
         nodes = [self.state.node(n) for n in path]
-        return nodes, [link_metrics(links[i:], nodes[i:])
-                       for i in range(max(1, len(links) - 1))]
+        return [(link_metrics(links[i:], nodes[i:]), nodes[i:])
+                for i in range(max(1, len(links) - 1))]
 
     def _finalize(self, src, dst, path, levels, qos, now):
         """Score, reward and cache an assembled route (tuples `path` and
         `levels`) and its relays' suffixes; returns its Route.
 
         The link metrics of the route and of its suffixes come from the
-        memo, each with its energy read afresh unless it is fixed."""
-        memo = self._current_memo()
+        memo's first tier, and those metrics with their energy minima from
+        its second."""
+        memo, fresh = self._current_memo(), self._fresh
         key = (path, levels)
-        metrics = memo.get(key)
+        metrics = fresh.get(key)
         if metrics is None:
-            metrics = memo[key] = self._route_metrics(path, levels)
-        if isinstance(metrics, str):
-            # A member-head hop at either end can go stale between beacon
-            # cycles; treat the assembled route as undiscoverable this attempt.
-            raise NoRouteError(metrics)
-        nodes, suffixes = metrics
-        fixed = self.fixed_energy
-        m = suffixes[0] if fixed else _with_energy(suffixes[0], nodes)
+            links = memo.get(key)
+            if links is None:
+                links = memo[key] = self._route_metrics(path, levels)
+            if isinstance(links, str):
+                # A member-head hop at either end can go stale between beacon
+                # cycles; the assembled route is undiscoverable this attempt.
+                raise NoRouteError(links)
+            metrics = fresh[key] = [_with_energy(*s) for s in links]
+        m = metrics[0]
         if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
@@ -478,9 +476,7 @@ class Router:
         # direct route before discover_route reads the cache.
         if len(path) > 2:
             self.cache.insert(src, route)
-        for idx in range(1, len(path) - 2):
-            sm = (suffixes[idx] if fixed
-                  else _with_energy(suffixes[idx], nodes[idx:]))
+        for idx, sm in enumerate(metrics[1:], 1):
             self.cache.insert(path[idx], Route(
                 dst, path[idx:], levels[idx:], sm,
                 now + min(sm.let, self.cache_max_age)))

@@ -8,6 +8,7 @@ from antmanet.clustering import (ClusterState, select_cluster_heads,
                                  weight_table)
 from antmanet.config import ScenarioConfig
 from antmanet.errors import ElectionError
+from antmanet.maintenance import MaintenanceManager
 from antmanet.model import DEFAULT_TX_RANGE, NetworkState, NodeAttributes
 from antmanet.routing import Router
 
@@ -20,6 +21,21 @@ def record_sink(records):
     def sink(record, key=None):
         records.append(record)
     return sink
+
+
+def beacon_times(monkeypatch):
+    """The times of the beacon cycles that beacon, in order: a list that
+    fills while `monkeypatch` holds.  A cycle that the manager skips as
+    settled beacons at no level, so its time is missing."""
+    times = []
+    tick = MaintenanceManager.beacon_tick
+
+    def timed(self, level, now):
+        if not times or times[-1] != now:
+            times.append(now)
+        return tick(self, level, now)
+    monkeypatch.setattr(MaintenanceManager, "beacon_tick", timed)
+    return times
 
 
 def make_router(state, clusters, **kw):

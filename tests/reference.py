@@ -22,16 +22,17 @@ through `ClusterState.install`, ``reference_run_cycle`` runs every
 repair pass in every round, where the fast cycle skips the level-0
 orphan cover and the upward reconciliation while neither could act, and
 ends a repair round when a copy of every cluster table taken before it
-compares equal after it, instead of reading the hierarchy epoch,
-``reference_discover_route`` starts every discovery from an empty memo,
+compares equal after it, instead of reading the hierarchy epoch; run in
+full every cycle, it is also the reference for the cycles that
+`MaintenanceManager.run_cycle` skips as settled, and for the re-stamp
+that follows them.  ``reference_discover_route`` starts every discovery
+from an empty memo, both tiers,
 and ``reference_queue_streams`` queues every periodic event and every
 send inside the run before the loop starts, each through `schedule`,
 instead of one event per stream at a time
 (``reference_queue_next`` then queues nothing).
 Each must give the same result, in the same order, as the code it stands
-in for.  A frozen run's settled beacon cycles have no function of their
-own here: `use_references` makes `energy_is_fixed` false, so no run is
-frozen and every cycle runs in full, which is their reference.  Elections have no reference loop: ``helpers.checked_election``
+in for.  Elections have no reference loop: ``helpers.checked_election``
 checks each table against the rule it implements.
 
 ``assert_matches_references`` runs one scenario with the fast paths and
@@ -41,6 +42,7 @@ is the scenario that meets most of the references' paths.
 
 import math
 from collections.abc import Mapping
+from dataclasses import astuple
 
 import pytest
 
@@ -235,17 +237,18 @@ def reference_cover_orphans(self, level, now, case):
 
 
 def reference_beacon_tick(self, level, now):
+    debit = self.energy_debit or (lambda nids: None)
     missed = {}
     for head in sorted(self.clusters.heads(level)):
         if not self.state.node(head).alive:
             continue
-        self.energy_debit((head,))
+        debit((head,))
         self.stats["beacon_packets"] += 1
         near = self.state.neighbors(head, level)
         for m in sorted(self.clusters.members_of(head, level)):
             if self.state.node(m).alive and m in near:
                 self.clusters.refresh(level, head, (m,), now)
-                self.energy_debit((m,))
+                debit((m,))
                 self.stats["beacon_packets"] += 1
             else:
                 missed.setdefault(head, set()).add(m)
@@ -360,7 +363,7 @@ _discover_route = Router.discover_route
 
 
 def reference_discover_route(self, *args, **kwargs):
-    self._memo.clear()
+    self._stamp = ()
     return _discover_route(self, *args, **kwargs)
 
 
@@ -388,11 +391,9 @@ def reference_queue_next(self, stream, t, handler, payload):
 
 
 def use_references(monkeypatch):
-    """Install every reference above in place of its fast path, the
-    checked election in place of the election, and energy debits on
-    every run (``reference_beacon_tick`` debits unconditionally)."""
+    """Install every reference above in place of its fast path, and the
+    checked election in place of the election."""
     monkeypatch.setattr(engine, "NetworkState", BruteForceState)
-    monkeypatch.setattr(engine, "energy_is_fixed", lambda costs: False)
     monkeypatch.setattr(clustering, "check_reelection_triggers",
                         reference_check_reelection_triggers)
     monkeypatch.setattr(clustering, "select_cluster_heads", checked_election)
@@ -439,7 +440,7 @@ def assert_matches_references(config):
     cost is 0.  Returns the fast run's (trace text, summary or error,
     simulator)."""
     with pytest.MonkeyPatch.context() as mp:
-        if engine.energy_is_fixed(config.energy_costs):
+        if not any(astuple(config.energy_costs)):
             # A debit would fail the run: with every cost 0 there is none.
             mp.setattr(engine, "energy_debit", None)
         fast = _outcome(config, TraceWriter)

@@ -6,9 +6,10 @@ that the comparison also runs are parameters of their own tests:
 ``test_route_memo.py`` (the golden and digest scenarios),
 ``test_cycle_equivalence.py`` (``reference.MOBILE``),
 ``test_topology_snapshot.py`` and ``test_engine.py`` (every cost 0).
-``DRAINED_HEADS``, a drawn scenario's pitfall made fixed, has its own
-test here, since a generated draw is not stable across changes to the
-strategy.  CI runs this file under several hash seeds."""
+``DRAINED_HEADS``, a drawn scenario's pitfall made fixed, and
+``QUIET_MOBILE`` have their own tests here, since a generated draw is not
+stable across changes to the strategy.  CI runs this file under several
+hash seeds."""
 
 import dataclasses
 import json
@@ -26,6 +27,7 @@ from antmanet.errors import ElectionError
 from antmanet.routing import QosRequirement
 
 from digests import run
+from helpers import beacon_times
 from reference import KILLING, MOBILE, assert_matches_references
 
 # No level-0 node clears this threshold: the initial election fails.
@@ -52,6 +54,14 @@ DRAINED_HEADS = ScenarioConfig(
     seed=3, duration=12.0, arena=Arena(60, 60),
     groups=[NodeGroup(count=5, max_level=0, energy=0.001)],
     energy_costs=EnergyCosts(beacon=0.0004))
+
+# MOBILE without energy costs, its nodes moving every 4 s: after a quiet
+# cycle, the beacon cycles before the next move find nothing changed and
+# are skipped, and the first cycle after it must re-stamp every membership
+# as those cycles would have, or a member missed later goes stale early.
+QUIET_MOBILE = dataclasses.replace(
+    MOBILE, energy_costs=EnergyCosts(),
+    mobility=dataclasses.replace(MOBILE.mobility, update_interval=4.0))
 
 
 QOS = [QosRequirement(), QosRequirement(min_bandwidth=1e6),
@@ -126,6 +136,14 @@ def test_head_killed_by_its_own_beacon_debit():
     # that dies heading a cluster died of its own debit: here every one.
     assert deaths == lost
     assert summary["deaths"] == 5
+
+
+def test_skipped_cycles_of_a_mobile_run(monkeypatch):
+    beaconed = beacon_times(monkeypatch)
+    _, summary, sim = assert_matches_references(QUIET_MOBILE)
+    cycles = int(QUIET_MOBILE.duration / QUIET_MOBILE.beacon.interval)
+    assert 0 < len(beaconed) < cycles
+    assert summary["packets_delivered"] > 0
 
 
 def test_unelectable_example_fails_its_initial_election():

@@ -18,7 +18,7 @@ from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
                              energy_debit, format_record)
 from antmanet.model import NodeAttributes
 
-from helpers import record_sink
+from helpers import beacon_times, record_sink
 from reference import assert_matches_references
 
 
@@ -466,11 +466,12 @@ def flood_layout():
 
 
 class TestFixedEnergy:
-    """With every energy cost 0 a run debits nothing and routing takes the
-    memoized path metrics as they are; the result must be the run that
-    debits every action and re-reads energy on every discovery.  These
-    runs are static too, so they are frozen: their beacon cycles settle,
-    where the reference run's, never frozen, run in full."""
+    """With every energy cost 0 a run debits nothing, so its energy counter
+    never moves: routing replays each flood's replies and each route's
+    metrics from the memo.  These runs are static too, so their beacon
+    cycles settle.  The result must be the reference run's, which
+    re-derives everything on every discovery and runs every beacon cycle
+    in full."""
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(lambda: load_scenario(DIGEST / "static-cache.yaml"),
@@ -478,16 +479,19 @@ class TestFixedEnergy:
         pytest.param(lambda: load_scenario(DIGEST / "link-override.yaml"),
                      id="link-override"),
         pytest.param(flood_layout, id="flood-layout")])
-    def test_matches_the_debited_run(self, cfg):
-        # The fast run fails on any debit; the reference run debits all.
+    def test_matches_the_reference_run(self, cfg, monkeypatch):
+        # The fast run fails on any debit.
+        beaconed = beacon_times(monkeypatch)
         _, summary, sim = assert_matches_references(cfg())
-        assert sim.fixed_energy and sim.router.fixed_energy
         assert sim.manager.energy_debit is None
+        assert sim.state.energy_version == 0
         assert summary["packets_delivered"] > 0
         # The initial election leaves nothing to repair, so the first
-        # cycle writes no record and settles the run.
-        assert sim.manager.frozen
-        assert sim.manager.settled_at == sim.config.beacon.interval
+        # cycle writes no record and settles the run: every later cycle
+        # beacons no level and re-stamps no membership.
+        interval = sim.config.beacon.interval
+        assert beaconed == [interval]
+        assert set(sim.clusters.last_heard.values()) == {interval}
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(EnergyCosts)])
@@ -495,14 +499,17 @@ class TestFixedEnergy:
         cfg = two_node_config(energy_costs=EnergyCosts(**{field: 1e-6}))
         sim = Simulator(cfg)
         sim.run()
-        assert not sim.fixed_energy
+        assert sim.state.energy_version > 0
         start = NodeAttributes.energy
         assert min(a.energy for a in sim.state.nodes.values()) < start
 
 
 class TestFrozenRun:
-    """Only a run without mobility and with fixed energy is frozen, so
-    only its beacon cycles can settle."""
+    """Only a run in which nothing moves between beacon cycles skips
+    them: a beacon that costs energy moves the energy counter in every
+    cycle, and mobility moves the topology between cycles, so such runs
+    beacon in every cycle.  A static run without costs settles at its
+    first cycle."""
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(lambda: two_node_config(
@@ -510,19 +517,21 @@ class TestFrozenRun:
         pytest.param(lambda: two_node_config(
             mobility=MobilityConfig(enabled=True, speed_min=0.1,
                                     speed_max=0.2)), id="mobile-zero-cost")])
-    def test_never_settles(self, cfg):
+    def test_never_settles(self, cfg, monkeypatch):
+        beaconed = beacon_times(monkeypatch)
         sim = Simulator(cfg())
         summary = sim.run()
-        assert not sim.manager.frozen
-        assert sim.manager.settled_at is None
+        assert beaconed == [float(t) for t in range(1, 11)]
+        assert set(sim.clusters.last_heard.values()) == {10.0}
         # Each of the 10 cycles beacons head and member.
         assert sim.stats["beacon_packets"] == 20
         assert summary["packets_delivered"] == 3
 
-    def test_settled_cycles_count_their_beacons(self):
+    def test_settled_cycles_count_their_beacons(self, monkeypatch):
+        beaconed = beacon_times(monkeypatch)
         sim = Simulator(two_node_config())
         sim.run()
-        assert sim.manager.frozen and sim.manager.settled_at == 1.0
+        assert beaconed == [1.0]
         assert sim.stats["beacon_packets"] == 20
         # The settled cycles re-stamp nothing.
         assert set(sim.clusters.last_heard.values()) == {1.0}

@@ -6,8 +6,8 @@ from antmanet.clustering import WeightParams
 from antmanet.config import BeaconConfig
 from antmanet.maintenance import MaintenanceManager, MembershipEvent
 
-from helpers import (add_node, check_invariants, clique_state, make_router,
-                     make_state, manual_clusters, record_sink)
+from helpers import (add_node, beacon_times, check_invariants, clique_state,
+                     make_router, make_state, manual_clusters, record_sink)
 
 
 def manager(state, clusters, **kw):
@@ -317,20 +317,25 @@ class TestHierarchyPropagation:
 
 
 class TestSettledCycles:
-    """A frozen manager settles at its first cycle that writes no record,
-    and every later cycle only counts that cycle's beacon packets."""
+    """A cycle that writes no record, misses no member and leaves the
+    hierarchy epoch, the topology version and the energy counter where
+    it found them settles: every later cycle that finds those three
+    unchanged only counts that cycle's beacon packets.  The first cycle
+    that finds them moved re-stamps every membership at the last
+    skipped cycle's time, and then beacons."""
 
-    def test_head_below_theta_w_never_settles(self):
+    def test_head_below_theta_w_never_settles(self, monkeypatch):
         # Every weight is below theta_w, so each cycle flags head 1 and its
-        # re-election fails.  A frozen Simulator run cannot show this: its
+        # re-election fails.  A static Simulator run cannot show this: its
         # initial election would have failed.
+        beaconed = beacon_times(monkeypatch)
         state = clique_state(4)
         clusters = manual_clusters({0: {1: {0, 2, 3}}, 1: {}, 2: {}})
         records = []
         mgr = MaintenanceManager(state, clusters,
                                  make_router(state, clusters),
                                  WeightParams(theta_w=2.0), BeaconConfig(),
-                                 trace=record_sink(records), frozen=True)
+                                 trace=record_sink(records))
         for t in (1.0, 2.0, 3.0, 4.0):
             mgr.run_cycle(t)
             assert records[-2:] == [
@@ -339,23 +344,22 @@ class TestSettledCycles:
                 {"kind": "maintenance", "t": t, "case": "reelect",
                  "level": 0, "error": "election-failed"}]
         assert len(records) == 8
-        assert mgr.settled_at is None
+        assert beaconed == [1.0, 2.0, 3.0, 4.0]
+        assert set(clusters.last_heard.values()) == {4.0}
         assert mgr.stats["beacon_packets"] == 4 * 4
 
-    def test_merge_settles_at_the_first_silent_cycle(self):
+    def test_merge_settles_at_the_first_silent_cycle(self, monkeypatch):
         # The first cycle merges the two adjacent heads (case 3); the
         # second writes no record and settles the run.
+        beaconed = beacon_times(monkeypatch)
         records = []
-        mgr = TestHeadMerge()._merging(trace=record_sink(records),
-                                       frozen=True)
+        mgr = TestHeadMerge()._merging(trace=record_sink(records))
         clusters = mgr.clusters
         mgr.run_cycle(1.0)
         assert {r.get("case") for r in records} == {"3"}
-        assert mgr.settled_at is None
         written = len(records)
         mgr.run_cycle(2.0)
         assert len(records) == written
-        assert mgr.settled_at == 2.0
         # One head and its three members beacon each cycle.
         assert mgr.stats["beacon_packets"] == 4 + 4
         tables = {level: {h: set(m) for h, m in table.items()}
@@ -365,23 +369,74 @@ class TestSettledCycles:
         for t in (3.0, 4.0, 5.0):
             mgr.run_cycle(t)
         assert len(records) == written
+        assert beaconed == [1.0, 2.0]
         assert mgr.stats["beacon_packets"] == 5 * 4
         assert clusters.levels == tables
         assert clusters.last_heard == stamps
         check_invariants(mgr.state, clusters)
 
-    def test_not_frozen_never_settles(self):
+    def test_not_frozen_never_settles(self, monkeypatch):
+        # The topology moves between cycles, though no link changes, so
+        # every cycle beacons and re-stamps every membership.
+        beaconed = beacon_times(monkeypatch)
         state, clusters, mgr = hierarchy_world()
         for t in (1.0, 2.0, 3.0):
             mgr.run_cycle(t)
-        assert not mgr.frozen and mgr.settled_at is None
+            state.touch()
+        assert beaconed == [1.0, 2.0, 3.0]
         assert set(clusters.last_heard.values()) == {3.0}
+
+    @pytest.mark.parametrize("move", [
+        lambda state, clusters: state.touch(),
+        lambda state, clusters: setattr(state, "energy_version",
+                                        state.energy_version + 1),
+        lambda state, clusters: (clusters.leave(0, 1, 3),
+                                 clusters.join(0, 1, (3,), 3.5)),
+    ], ids=["version", "energy_version", "epoch"])
+    def test_each_counter_ends_the_settle(self, move, monkeypatch):
+        # The first cycle settles and the next two are skipped; once one of
+        # the three counters moves, the next cycle beacons again and, quiet,
+        # settles anew.
+        beaconed = beacon_times(monkeypatch)
+        state, clusters, mgr = walkaway_world()
+        for t in (1.0, 2.0, 3.0):
+            mgr.run_cycle(t)
+        assert set(clusters.last_heard.values()) == {1.0}
+        move(state, clusters)
+        for t in (4.0, 5.0):
+            mgr.run_cycle(t)
+        assert beaconed == [1.0, 4.0]
+        assert set(clusters.last_heard.values()) == {4.0}
+        assert mgr.stats["beacon_packets"] == 5 * 4
+
+    def test_resume_restamps_at_the_last_skipped_cycle(self, monkeypatch):
+        # The first cycle settles and the next two are skipped; then member
+        # 3 walks away.  A skipped cycle would have heard every member, so
+        # member 3 was last heard at 3.0 and is stale from 6.0 on (the
+        # bound is 3 s), as in a manager that skips nothing.
+        beaconed = beacon_times(monkeypatch)
+        records = []
+        state, clusters, _ = walkaway_world()
+        mgr = manager(state, clusters, trace=record_sink(records))
+        for t in (1.0, 2.0, 3.0):
+            mgr.run_cycle(t)
+        state.nodes[3].position = (5000.0, 0.0)
+        state.touch()
+        mgr.run_cycle(4.0)
+        assert clusters.last_heard == {(0, 1, 0): 4.0, (0, 1, 2): 4.0,
+                                       (0, 1, 3): 3.0}
+        for t in (5.0, 6.0):
+            mgr.run_cycle(t)
+        assert beaconed == [1.0, 4.0, 5.0, 6.0]
+        assert [(r["t"], r["kind"], r["case"]) for r in records] == [
+            (6.0, "maintenance", "1.1"), (6.0, "election", "1.2")]
+        assert records[0]["node"] == 3
 
 
 class TestQuietPasses:
-    """A manager that is not frozen skips the level-0 orphan cover and the
-    upward reconciliation while the hierarchy epoch and the live nodes
-    are what they were at the pass's last run that wrote no record."""
+    """A manager skips the level-0 orphan cover and the upward
+    reconciliation while the hierarchy epoch and the live nodes are what
+    they were at the pass's last run that wrote no record."""
 
     @pytest.fixture
     def runs(self, monkeypatch):

@@ -18,9 +18,10 @@ tie breaks as before.  ``mobile-deaths`` checks this with
 
 Each digest scenario is first rewritten as placements where its built
 state put its group nodes; the rewritten scenario must give the original
-trace, and each map of it must too.  Both scenarios are frozen runs
-(static, every energy cost 0), so the relations also check that a moved
-layout's beacon cycles settle as the original's do.
+trace, and each map of it must too.  Both scenarios are static, with
+every energy cost 0, so their beacon cycles settle; the relations also
+check that a moved layout's membership stamps, which tell when its
+cycles settled, are the original's.
 """
 
 import dataclasses
@@ -112,11 +113,13 @@ def relabelled_record(line):
 
 @pytest.fixture(scope="module", params=SCENARIOS)
 def scenario(request):
-    """(config, trace text, settled_at) of one digest scenario."""
+    """(config, trace text, membership stamps) of one digest scenario."""
     config = load_scenario(DATA / "digest" / f"{request.param}.yaml")
     text, sim = run(config)
-    assert sim.manager.frozen
-    return config, text, sim.manager.settled_at
+    # The first cycle settles the run: later cycles re-stamp nothing.
+    assert set(sim.clusters.last_heard.values()) == {
+        config.beacon.interval}
+    return config, text, sim.clusters.last_heard
 
 
 def test_placements_keep_the_trace(scenario):
@@ -127,13 +130,13 @@ def test_placements_keep_the_trace(scenario):
 
 @pytest.mark.parametrize("name", MAPS)
 def test_map_keeps_the_trace(scenario, name):
-    config, text, settled_at = scenario
+    config, text, stamps = scenario
     moved = as_placements(config, MAPS[name])
     assert ([p.position for p in moved.placements]
             != [p.position for p in as_placements(config).placements])
     moved_text, sim = run(moved)
     assert moved_text == text
-    assert sim.manager.settled_at == settled_at
+    assert sim.clusters.last_heard == stamps
 
 
 def test_id_relabelling_maps_a_mobile_trace():

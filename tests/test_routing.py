@@ -1,11 +1,14 @@
 import math
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antmanet import routing
+from antmanet.engine import Simulator
 from antmanet.errors import ConfigError, NoAdmissibleRouteError, NoRouteError
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
@@ -482,11 +485,11 @@ class TestChoice:
         state, clusters = diamond()
         records, scored = [], []
 
-        def counting(m, tau, p):
+        def counting(m, p):
             scored.append(m)
-            return preference_score(m, tau, p)
+            return score_factors(m, p)
 
-        monkeypatch.setattr(routing, "preference_score", counting)
+        monkeypatch.setattr(routing, "score_factors", counting)
         r = make_router(state, clusters, trace=record_sink(records))
         assert r.discover_route(0, 3, now=0.0).path == (0, 1, 3)
         replies = [rec["packet"] for rec in records
@@ -512,8 +515,8 @@ taus = st.just(DEFAULTS.pheromone.initial) | values
 
 
 class TestScoreFactors:
-    """A fixed-energy router keeps each flood reply's `score_factors` and
-    scores a replayed reply as tau under its exponent times them; the
+    """The router keeps each flood reply's `score_factors` while no energy
+    moves, and scores a reply as tau under its exponent times them; the
     score must be `preference_score`'s, bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -532,16 +535,18 @@ class TestScoreFactors:
                 == literal_score(m, tau, p).hex())
 
     @staticmethod
-    def scores(fixed, p, delays, energies, deposits):
+    def scores(replay, p, delays, energies, deposits):
         """The score maps that two discoveries on the diamond hand to
-        path_preference_probability, the second a replay after the first
-        route expired, and the number of preference_score calls."""
+        path_preference_probability, the second after the first route
+        expired, from the memo if `replay` and else from an emptied one;
+        the number of score_factors calls; and each next hop's
+        `preference_score`, from the path's metrics and pheromone."""
         state, clusters = diamond()
         for (a, b), delay in zip(((0, 1), (1, 3), (0, 2), (2, 3)), delays):
             state.set_link_params(a, b, 0, delay=delay)
         for n, energy in zip((1, 2), energies):
             state.node(n).energy = energy
-        r = make_router(state, clusters, pref=p, fixed_energy=fixed)
+        r = make_router(state, clusters, pref=p)
         for j, dtau in zip((1, 2), deposits):
             if dtau is not None:
                 r.pheromone.deposit((0, j), (0,), 3, dtau)
@@ -551,16 +556,21 @@ class TestScoreFactors:
             seen.append({j: s.hex() for j, s in scores.items()})
             return path_preference_probability(scores)
 
-        def counting(m, tau, p):
+        def counting(m, p):
             calls.append(m)
-            return preference_score(m, tau, p)
+            return score_factors(m, p)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(routing, "path_preference_probability", recording)
-            mp.setattr(routing, "preference_score", counting)
+            mp.setattr(routing, "score_factors", counting)
             for now in (0.0, 2 * DEFAULTS.cache.max_age):
+                if not replay:
+                    r._stamp = ()
                 r.discover_route(0, 3, now=now)
-        return seen, len(calls)
+        expected = {j: preference_score(
+            path_metrics((0, j, 3), state, levels=(0, 0)),
+            r.pheromone.get(0, 0, j, 3), p).hex() for j in (1, 2)}
+        return seen, len(calls), expected
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -572,11 +582,13 @@ class TestScoreFactors:
     def test_replayed_replies_score_as_preference_score(
             self, p, delays, energies, deposits):
         # The diamond's nodes do not move: each reply's LET is infinite.
-        fast, fast_calls = self.scores(True, p, delays, energies, deposits)
-        slow, slow_calls = self.scores(False, p, delays, energies, deposits)
-        assert fast == slow
-        assert [sorted(s) for s in fast] == [[1, 2], [1, 2]]
-        assert (fast_calls, slow_calls) == (0, 4)
+        # Without a deposit rule, pheromone stays as it was set.
+        fast, fast_calls, expected = self.scores(True, p, delays, energies,
+                                                 deposits)
+        slow, slow_calls, _ = self.scores(False, p, delays, energies,
+                                          deposits)
+        assert fast == slow == [expected, expected]
+        assert (fast_calls, slow_calls) == (2, 4)
 
     @pytest.mark.parametrize("m", [metrics(delay=0.0), metrics(delay=-1.0),
                                    metrics(hops=0)],
@@ -588,22 +600,25 @@ class TestScoreFactors:
         with pytest.raises(ConfigError, match="must be positive"):
             preference_score(m, 1.0, p)
 
-    @pytest.mark.parametrize("fixed", [False, True],
+    @pytest.mark.parametrize("debited", [True, False],
                              ids=["debited", "fixed-energy"])
-    def test_zero_delay_reply_raises_at_each_scoring(self, fixed):
+    def test_zero_delay_reply_raises_at_each_scoring(self, debited):
         # Every delay on the diamond is 0, so is each reply's.  The first
-        # reply is traced, then raises when it is scored, at every call.
+        # reply is traced, then raises when it is scored, at every call:
+        # rebuilt after an energy write, or replayed from the memo.
         state, clusters = diamond()
         for n in range(4):
             state.node(n).node_delay = 0.0
         for a, b in ((0, 1), (1, 3), (0, 2), (2, 3)):
             state.set_link_params(a, b, 0, delay=0.0)
         records = []
-        r = make_router(state, clusters, trace=record_sink(records),
-                        fixed_energy=fixed)
+        r = make_router(state, clusters, trace=record_sink(records))
         for _ in range(2):
             with pytest.raises(ConfigError, match="must be positive"):
                 r.discover_route(0, 3, now=0.0)
+            if debited:
+                state.node(1).energy -= 1.0
+                state.energy_version += 1
         assert [rec["kind"] for rec in records].count("reply_knave_ant") == 2
 
 
@@ -680,7 +695,10 @@ class TestFloodMemo:
         r = make_router(state, clusters, cache_max_age=0.5,
                         trace=record_sink(records))
         r.discover_route(0, 3, now=0.0)
-        state.nodes[1].energy = 5.0  # no touch(): links do not change
+        # No touch(): links do not change.  An energy writer moves the
+        # energy counter instead.
+        state.nodes[1].energy = 5.0
+        state.energy_version += 1
         route = r.discover_route(0, 3, now=1.0)
         energies = [rec["packet"]["energy"] for rec in records
                     if rec["kind"] == "reply_knave_ant"]
@@ -688,6 +706,30 @@ class TestFloodMemo:
         assert route.metrics == path_metrics(route.path, state,
                                              levels=route.levels)
         self.check_replies(records, state, 1.0)
+
+    def test_engine_energy_write_reaches_the_next_flood(self):
+        # The engine debits relay 1 between two floods of one topology
+        # version and one hierarchy epoch.  The second flood's replies and
+        # route carry the new energy, so the memo's energy tier cannot be
+        # keyed on the version and the epoch alone.
+        state, clusters = diamond()
+        records = []
+        r = make_router(state, clusters, cache_max_age=0.5,
+                        trace=record_sink(records))
+        sim = SimpleNamespace(state=state, router=r, stats=Counter(),
+                              trace=r.trace, now=0.5)
+        first = r.discover_route(0, 3, now=0.0)
+        version, epoch = state.version, clusters.epoch
+        Simulator._apply_energy(sim, 1, 95.0)
+        assert (state.version, clusters.epoch) == (version, epoch)
+        second = r.discover_route(0, 3, now=1.0)
+        replies = [(rec["t"], rec["packet"]["to_visit"],
+                    rec["packet"]["energy"]) for rec in records
+                   if rec["kind"] == "reply_knave_ant"]
+        assert replies == [(0.0, [3, 1, 0], 100.0), (0.0, [3, 2, 0], 100.0),
+                           (1.0, [3, 1, 0], 5.0), (1.0, [3, 2, 0], 100.0)]
+        assert (first.metrics.energy, second.metrics.energy) == (100.0, 100.0)
+        assert second.path == (0, 2, 3)
 
 
 def two_region_world(cross_region):
