@@ -57,10 +57,19 @@ class RandomWaypoint:
         snaps to it and draws the next, which it leaves after `pause`; a
         paused node keeps its position.  Each node's running average
         speed moves toward its current speed (0 while paused) by
-        min(dt / window, 1) of the gap."""
+        min(dt / window, 1) of the gap.
+
+        Returns `longest` for ``NetworkState.moved``: the largest step
+        taken, or distance to a waypoint snapped to.  A node's move exceeds
+        it by no more than that call allows.  With u = 2**-53, rounding
+        f = step / dist, dx * f and hypot stretches a step by under 5u, and
+        rounding dx and hypot the snapped distance by under 4u; rounding
+        px + dx * f adds at most u of each new coordinate."""
         window = self.window
         frac = min(dt / window, 1.0) if window > 0 else 1.0
         targets = self.targets
+        hypot = math.hypot
+        longest = 0.0
         for nid in sorted(nodes):
             attrs = nodes[nid]
             if not attrs.alive:
@@ -76,7 +85,7 @@ class RandomWaypoint:
             attrs.mobility += frac * (speed - attrs.mobility)
             px, py = attrs.position
             dx, dy = wx - px, wy - py
-            dist = math.hypot(dx, dy)
+            dist = hypot(dx, dy)
             step = speed * dt
             if dist > 0:
                 attrs.velocity = (dx / dist * speed, dy / dist * speed)
@@ -85,10 +94,15 @@ class RandomWaypoint:
             if dist > step:
                 f = step / dist
                 attrs.position = (px + dx * f, py + dy * f)
+                if step > longest:
+                    longest = step
             else:
                 attrs.position = (wx, wy)
                 wp, sp, _ = self._draw(now)
                 targets[nid] = (wp, sp, now + dt + self.pause)
+                if dist > longest:
+                    longest = dist
+        return longest
 
 
 # One encoder for every record: json.dumps with these arguments would build
@@ -273,8 +287,7 @@ class Simulator:
 
     def _handle_mobility(self, dt):
         self._queue_next(MOBILITY, self.now + dt, self._handle_mobility, dt)
-        self.waypoints.step(self.state.nodes, self.now, dt)
-        self.state.touch()
+        self.state.moved(self.waypoints.step(self.state.nodes, self.now, dt))
 
     def _handle_evaporate(self, interval):
         self._queue_next(EVAPORATE, self.now + interval,

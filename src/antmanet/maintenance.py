@@ -97,23 +97,26 @@ class MaintenanceManager:
         missed} for each head that missed any, for `detect_changes`."""
         clusters = self.clusters
         table = clusters.levels.get(level, {})
-        nodes = self.state.nodes
-        neighbors = self.state.neighbors
+        state = self.state
+        nodes = state.nodes
         debit = self.energy_debit
         missed = {}
         packets = 0
+        adj = version = None
         for head in sorted(table):
             if not nodes[head].alive:
                 continue
             if debit is not None:
                 debit((head,))
-            # The head's own debit can kill it and touch() the topology, so
-            # each head looks its neighbors up after that debit, not from a
-            # map fetched before the loop.  A member's debit can kill only
-            # that member, which changes no head-to-other-member link, so
-            # one lookup serves the head's members.  A dead node has no
+            # A debit can kill a node and touch() the topology, so the map
+            # is fetched again once the version has moved: each head reads
+            # its neighbors after its own debit.  A member's debit can kill
+            # only that member, which changes no head-to-other-member link,
+            # so one lookup serves the head's members.  A dead node has no
             # link, so `near` holds live members only.
-            near = neighbors(head, level)
+            if state.version != version:
+                adj, version = state.adjacency(level), state.version
+            near = adj[head]
             members = table[head]
             heard = sorted(near & members)
             clusters.refresh(level, head, heard, now)
@@ -341,6 +344,12 @@ class MaintenanceManager:
         if self._records == records:
             self._quiet[repair] = key
 
+    def _quiet_key(self):
+        """The quiet key: the hierarchy epoch, the topology version and the
+        energy version, the counters that a beacon cycle reads."""
+        state = self.state
+        return (self.clusters.epoch, state.version, state.energy_version)
+
     def run_cycle(self, now, max_rounds=8):
         """One full beacon interval: beacon, detect, process to quiescence.
 
@@ -358,8 +367,8 @@ class MaintenanceManager:
         different key first re-stamps every membership at the last skipped
         cycle's time, and only then beacons.
         """
-        stats, clusters, state = self.stats, self.clusters, self.state
-        key = (clusters.epoch, state.version, state.energy_version)
+        stats, clusters = self.stats, self.clusters
+        key = self._quiet_key()
         if self._settled is not None:
             settled_key, packets, skipped_at = self._settled
             if key == settled_key:
@@ -392,6 +401,5 @@ class MaintenanceManager:
             stats["round_cap_hits"] += 1
             return
         if (self._records == records and not any(missed.values())
-                and key == (clusters.epoch, state.version,
-                            state.energy_version)):
+                and key == self._quiet_key()):
             self._settled = [key, stats["beacon_packets"] - packets, None]

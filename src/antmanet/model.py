@@ -5,13 +5,18 @@ Nodes live on a 2-D plane and carry up to three radio interfaces (levels
 range grows strictly with the level.  Links are derived from positions,
 velocities, ranges and liveness.  ``NetworkState`` caches them per
 topology version: a per-level adjacency, and the attributes of every link
-looked up.  ``touch()`` starts a new version, and ``version`` counts them.
+looked up.  ``moved(longest)`` starts a new version after a mobility tick
+that moved no node farther than `longest`; ``touch()`` starts one after
+any other change.  ``version`` counts them.
 
-A level's adjacency is carried across versions, as a neighbor list with a
-skin (Verlet, Phys. Rev. 159, 1967).  A full grid build keeps every pair
-within its range plus the skin, sorted by how far it is from flipping.
-While the nodes have moved less than the skin since that build, a new
-version re-tests only the pairs that the movement could have flipped.
+A level's adjacency is carried across mobility ticks, as a neighbor list
+with a skin (Verlet, Phys. Rev. 159, 1967).  A full grid build keeps every
+pair within its range plus the skin, sorted by how far it is from
+flipping, and a travel bound that each tick's `longest` raises.  While
+twice that bound stays below the skin, a new version re-tests only the
+pairs that the movement could have flipped.  ``touch()`` drops every
+level's build, so the next read rebuilds.  A build made before the first
+move keeps no skin: a static run never refreshes.
 """
 
 import math
@@ -20,6 +25,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add, itemgetter
 
 from .errors import ConfigError, UnknownNodeError
@@ -132,29 +138,47 @@ SKIN = 0.4
 class _Reference:
     """A level's last full build, against which later versions refresh.
 
-    ``pairs`` holds (i, j, m, linked) for every member pair within ``skin``
+    ``pairs`` holds (a, b, m, linked) for every member pair within ``skin``
     of its range m, the smaller of the two ranges, on either side, in the
-    order of ``slack``, the pair's distance from m.  A linked pair deeper
-    than the skin is left out: the refresh re-tests only the pairs whose
-    slack is within its bound, and it rebuilds instead once the bound
-    reaches the skin, so such a pair cannot flip before the next build.
+    order of ``slack``, the pair's distance from m; a and b are the two
+    nodes' attributes.  ``near`` holds the same pairs as (slack, i, j, m,
+    linked), i and j being the nodes' indices in ``ids``.  A linked pair
+    deeper than the skin is left out: the refresh re-tests only the pairs
+    whose slack is within its bound, and it rebuilds instead once the
+    bound reaches the skin, so such a pair cannot flip before the next
+    build.
     ``flipped`` holds the indices of the pairs whose link differs from the
-    build in ``adj``, the adjacency of the latest version.  ``margin``
-    covers rounding: a rounded distance can move by an ulp or so more than
-    the rounded displacements that moved it.
+    build in ``adj``, the adjacency of the latest version.
+
+    ``travel`` bounds how far any member has moved since the build: each
+    ``moved(longest)`` adds `longest` times ``STRETCH``, plus ``creep``.
+    ``creep`` is 2**-50 of the sum of the reach and a bound on the
+    members' coordinates at the build.  While the refresh holds, travel
+    stays below the reach, so a member's coordinates stay within that sum,
+    and rounding its new ones adds at most a quarter of ``creep`` (see
+    ``moved``); the rest covers the rounding of the sum itself.  ``margin``
+    covers the rounding of a distance.
     """
 
-    __slots__ = ("ids", "ranges", "positions", "skin", "margin", "slack",
-                 "pairs", "flipped", "adj")
+    __slots__ = ("ids", "skin", "margin", "creep", "travel", "near",
+                 "slack", "pairs", "flipped", "adj")
 
-    def __init__(self, ids, ranges, positions, skin, margin, near, adj):
+    def __init__(self, ids, attrs, skin, margin, creep, near, adj):
         near.sort(key=itemgetter(0))
-        self.ids, self.ranges, self.positions = ids, ranges, positions
-        self.skin, self.margin = skin, margin
-        self.slack = [pair[0] for pair in near]
-        self.pairs = [pair[1:] for pair in near]
+        self.ids = ids
+        self.skin, self.margin, self.creep = skin, margin, creep
+        self.travel = 0.0
+        self.near = near
+        self.slack = list(map(itemgetter(0), near))
+        self.pairs = [(attrs[i], attrs[j], m, linked)
+                      for _, i, j, m, linked in near]
         self.flipped = set()
         self.adj = adj
+
+
+# Stretches each tick's `longest` in ``moved``: 2**-48 covers the 2**-50
+# that ``moved`` allows a caller, and the rounding of the product and sum.
+STRETCH = 1.0 + 2.0 ** -48
 
 
 class NetworkState:
@@ -164,18 +188,23 @@ class NetworkState:
     node (empty for a dead node or one without the level's interface), and
     the ``LinkAttributes`` of every (pair, level) looked up.  Links depend
     on positions, velocities (through the link expiration time), ranges
-    and liveness, so a change to any of these must be followed by
-    ``touch()``, which starts a new version.  A node's ``node_delay``, like
-    its position, velocity, range and liveness, changes only with a
+    and liveness, so a change to any of these must be followed by a new
+    version.  A mobility tick that changes only positions and velocities
+    reports how far nodes moved through ``moved(longest)``; every other
+    change (a node added, a death, a range edit) is followed by
+    ``touch()``, which means that anything may have changed.  A node's
+    ``node_delay``, like its range and liveness, changes only with a
     ``touch()``.  Energy does not enter a link, so energy changes need no
-    ``touch()``.
+    new version.
 
-    ``version`` counts the topology versions: ``touch()`` and
+    ``version`` counts the topology versions: ``moved``, ``touch()`` and
     ``set_link_params`` each increment it.  A value derived from the
     adjacency, the link attributes and the node delays holds while
     ``version`` is unchanged.  ``energy_version`` counts energy writes:
     whoever changes a node's energy increments it, so a value derived
     from energies too holds while both counters are unchanged.
+    ``travel`` is the sum of every tick's `longest`: while it is 0, no
+    node has moved, and a build keeps no skin.
 
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
@@ -184,7 +213,7 @@ class NetworkState:
     Two level views serve passes that read a whole level and cannot touch
     the topology: ``adjacency(level)``, the version's neighbor map, and
     ``members(level)``, the live nodes with the level's interface, which
-    both the build and the refresh already list.
+    the build lists.
     """
 
     def __init__(self, link_delay=None, link_bandwidth=None, link_jitter=0.0, seed=0):
@@ -200,6 +229,7 @@ class NetworkState:
         self._links = {}  # (lo, hi, level) -> LinkAttributes, or None if unlinked
         self.version = 0
         self.energy_version = 0
+        self.travel = 0.0
 
     def add_node(self, nid, attrs):
         nid = int(nid)
@@ -215,10 +245,26 @@ class NetworkState:
             raise UnknownNodeError(f"unknown node id {nid}") from None
 
     def touch(self):
-        """Start a new topology version: drop the cached adjacency and links."""
+        """Start a new topology version after any change: drop the cached
+        adjacency and links, and every level's build."""
+        self._adjacency.clear()
+        self._links.clear()
+        self._references.clear()
+        self.version += 1
+
+    def moved(self, longest):
+        """Start a new topology version after a mobility tick that changed
+        only positions and velocities, and moved no node farther than
+        `longest`, up to rounding: a node may have moved up to 2**-50 of
+        `longest` farther, and 2**-52 of its largest new coordinate, which
+        the rounding of new coordinates can add.  Drops the cached
+        adjacency and links, and raises every level's travel bound."""
         self._adjacency.clear()
         self._links.clear()
         self.version += 1
+        self.travel += longest
+        for ref in self._references.values():
+            ref.travel += longest * STRETCH + ref.creep
 
     def set_link_params(self, a, b, level, delay=None, bandwidth=None):
         """Pin explicit delay/bandwidth for one link (crafted scenarios)."""
@@ -235,7 +281,9 @@ class NetworkState:
         pair within that reach lies in the same or an adjacent cell.  The
         margin absorbs rounding in the cell index; it holds for coordinates
         within about 10**6 ranges of the origin.  The build becomes the
-        level's reference for ``_refresh``.
+        level's reference for ``_refresh``.  Before the first move the skin
+        is 0, so a static run keeps no pair, and the first ``moved``
+        rebuilds with the skin.
         """
         # The same tests as supports() and range_at().
         members = []
@@ -244,15 +292,15 @@ class NetworkState:
                 x, y = attrs.position
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError(f"non-finite coordinate on node {nid}")
-                members.append((nid, x, y, attrs.tx_range[level]))
+                members.append((nid, x, y, attrs.tx_range[level], attrs))
         largest = max((m[3] for m in members), default=0.0)
-        skin = largest * SKIN
+        skin = largest * SKIN if self.travel else 0.0
         reach = largest + skin
         cell = reach * (1.0 + 1e-9)
         if not cell > 0.0:
             cell = 1.0
         grid = defaultdict(list)
-        for i, (_, x, y, r) in enumerate(members):
+        for i, (_, x, y, r, _) in enumerate(members):
             grid[(math.floor(x / cell), math.floor(y / cell))].append(
                 (i, x, y, r))
         hypot = math.hypot
@@ -281,53 +329,42 @@ class NetworkState:
         ids = [m[0] for m in members]
         adj = dict.fromkeys(self.nodes, frozenset())
         for nid, found_i in zip(ids, found):
-            adj[nid] = frozenset(ids[j] for j in found_i)
+            adj[nid] = frozenset(map(ids.__getitem__, found_i))
+        creep = 0.0
+        if skin:
+            # No member is farther from the origin, on either axis, than
+            # two cells beyond its cell's index.
+            far = (max(map(abs, chain.from_iterable(grid))) + 2) * cell
+            creep = 2.0 ** -50 * (far + reach)
         self._references[level] = _Reference(
-            ids, [m[3] for m in members], [(m[1], m[2]) for m in members],
-            skin, reach * 1e-9, near, adj)
+            ids, [m[4] for m in members], skin, reach * 1e-9, creep, near,
+            adj)
         return adj
 
-    def _refresh(self, level, ref):
+    def _refresh(self, ref):
         """The level's adjacency, updated from its reference build.
 
-        No pair moves by more than the sum of the two largest node
-        displacements since the build, so only the pairs whose slack is
-        within that sum (plus a float margin) are re-tested.  Returns None
-        when the reference cannot bound the change: the node sequence or a
-        range differs from the build, or the displacements reach the skin.
+        Each member has moved at most ``ref.travel`` since the build, so no
+        pair's distance has moved by more than twice that, and only the
+        pairs whose slack is within that (plus a float margin) are
+        re-tested.  Returns None when the bound reaches the skin, which a
+        build without skin always does once any tick has been reported.
+        A level with no members keeps its empty map.
         """
-        # The same tests as the build's.
-        nodes = self.nodes
-        ids = [nid for nid, attrs in nodes.items()
-               if attrs.alive and attrs.max_level >= level]
-        if len(nodes) != len(ref.adj) or ids != ref.ids:
-            return None
-        if not ids:
-            return ref.adj  # no members, no links: the map stays empty
-        live = [nodes[nid] for nid in ids]
-        if [attrs.tx_range[level] for attrs in live] != ref.ranges:
-            return None
-        positions = [attrs.position for attrs in live]
-        steps = sorted(map(math.dist, positions, ref.positions))
-        if not math.isfinite(sum(steps)):
-            for nid, (x, y) in zip(ids, positions):
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"non-finite coordinate on node {nid}")
-            return None
-        bound = sum(steps[-2:]) + ref.margin
+        if not ref.ids:
+            return ref.adj
+        bound = 2.0 * ref.travel + ref.margin
         if not bound < ref.skin:
             return None
         # dist(p, q) is hypot(px - qx, py - qy) to the bit, as the build
         # computes it.
         dist = math.dist
-        flipped = set()
-        for k, (i, j, m, linked) in enumerate(
-                ref.pairs[:bisect_right(ref.slack, bound)]):
-            if (dist(positions[i], positions[j]) <= m) != linked:
-                flipped.add(k)
-        adj = ref.adj
+        flipped = {k for k, (a, b, m, linked) in enumerate(
+                       ref.pairs[:bisect_right(ref.slack, bound)])
+                   if (dist(a.position, b.position) <= m) != linked}
+        adj, ids, near = ref.adj, ref.ids, ref.near
         for k in flipped ^ ref.flipped:
-            i, j, _, _ = ref.pairs[k]
+            _, i, j, _, _ = near[k]
             a, b = ids[i], ids[j]
             adj[a] = adj[a] ^ {b}
             adj[b] = adj[b] ^ {a}
@@ -340,7 +377,7 @@ class NetworkState:
         if adj is None:
             ref = self._references.get(level)
             if ref is not None:
-                adj = self._refresh(level, ref)
+                adj = self._refresh(ref)
             if adj is None:
                 adj = self._build_adjacency(level)
             self._adjacency[level] = adj

@@ -1,0 +1,167 @@
+"""A committed mutation gate: each mutant is a small defect that named
+tests must catch.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants
+
+Each mutant names a file of the checkout, a snippet that occurs exactly
+once in it, the snippet's replacement, the test ids that must catch it,
+and the change it guards.  For each mutant the runner copies the
+checkout to a temporary directory, applies the one replacement and runs
+the test ids there with ``pytest -x -q``.  The mutant is killed when
+pytest reports a failed test (exit status 1).  It survives when the tests
+pass; any other status (a collection error, an unknown id, a timeout) is
+an error.  The runner exits 1 if any mutant survives or errs.  It uses
+the standard library only.
+
+Name fixed tests only: a generated draw of ``test_differential.py``
+changes whenever the test's source does, so its kills are not stable.  A
+surviving mutant is a finding to record, never a mutant to soften.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds one mutant's tests may take before the run counts as an error.
+TIMEOUT = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest ids, relative to the checkout
+    source: str  # the change whose defect this is
+
+
+SNAPSHOT = "tests/test_topology_snapshot.py::"
+
+MUTANTS = (
+    Mutant("travel-bound-without-factor-2", "src/antmanet/model.py",
+           "bound = 2.0 * ref.travel + ref.margin",
+           "bound = ref.travel + ref.margin",
+           (SNAPSHOT + "test_head_on_pair_flips_within_twice_the_travel",),
+           "neighbor lists fed by the mobility tick"),
+    Mutant("travel-bound-without-creep", "src/antmanet/model.py",
+           "ref.travel += longest * STRETCH + ref.creep",
+           "ref.travel += longest * STRETCH",
+           (SNAPSHOT + "test_steps_below_an_ulp_accumulate",),
+           "neighbor lists fed by the mobility tick"),
+    Mutant("touch-keeps-the-references", "src/antmanet/model.py",
+           "        self._references.clear()\n", "",
+           (SNAPSHOT + "test_touch_drops_every_reference",
+            SNAPSHOT + "test_death_and_revival_mid_walk",
+            SNAPSHOT + "test_range_change_rebuilds"),
+           "neighbor lists fed by the mobility tick"),
+    Mutant("no-skin-after-the-first-move", "src/antmanet/model.py",
+           "skin = largest * SKIN if self.travel else 0.0", "skin = 0.0",
+           (SNAPSHOT + "test_small_steps_refresh_without_rebuilding",
+            SNAPSHOT + "test_reference_keeps_the_pairs_within_the_skin"),
+           "neighbor lists fed by the mobility tick"),
+    Mutant("refresh-past-the-skin", "src/antmanet/model.py",
+           "        if not bound < ref.skin:\n            return None\n", "",
+           (SNAPSHOT + "test_skin_steps_rebuild",),
+           "the neighbor list's refresh within the skin"),
+    Mutant("every-linked-pair-kept", "src/antmanet/model.py",
+           "if m - d <= skin:", "if True:",
+           (SNAPSHOT + "test_reference_keeps_the_pairs_within_the_skin",),
+           "a reference that keeps only the pairs within the skin"),
+    Mutant("empty-level-rebuilt", "src/antmanet/model.py",
+           "        if not ref.ids:\n            return ref.adj\n", "",
+           (SNAPSHOT + "test_small_steps_refresh_without_rebuilding",),
+           "a reference that keeps only the pairs within the skin"),
+    Mutant("beacon-map-not-fetched-after-a-death",
+           "src/antmanet/maintenance.py",
+           "if state.version != version:", "if adj is None:",
+           ("tests/test_maintenance.py::TestBeaconing::"
+            "test_head_killed_by_its_own_debit_hears_no_one",),
+           "neighbor lists fed by the mobility tick"),
+    Mutant("quiet-key-without-energy-version", "src/antmanet/maintenance.py",
+           "return (self.clusters.epoch, state.version, state.energy_version)",
+           "return (self.clusters.epoch, state.version)",
+           ("tests/test_maintenance.py::TestSettledCycles::"
+            "test_each_counter_ends_the_settle[energy_version]",),
+           "one energy counter in place of the fixed_energy and frozen flags"),
+    Mutant("resume-restamp-dropped", "src/antmanet/maintenance.py",
+           "if skipped_at is not None:", "if False:",
+           ("tests/test_maintenance.py::TestSettledCycles::"
+            "test_resume_restamps_at_the_last_skipped_cycle",
+            "tests/test_differential.py::test_skipped_cycles_of_a_mobile_run"),
+           "one energy counter in place of the fixed_energy and frozen flags"),
+)
+
+
+def _ignore(directory, names):
+    return [n for n in names
+            if n in (".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                     ".work")]
+
+
+def run(mutant):
+    """Apply `mutant` in a copy of the checkout and run its tests; returns
+    "killed", "survived" or "error: <why>"."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=_ignore)
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.snippet) != 1:
+            return "error: the snippet does not occur exactly once"
+        target.write_text(text.replace(mutant.snippet, mutant.replacement),
+                          encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        # An installed antmanet must not shadow the mutated copy.
+        where = subprocess.run(
+            [sys.executable, "-c",
+             "import antmanet; print(antmanet.__file__)"],
+            cwd=copy, env=env, stdout=subprocess.PIPE, text=True, check=True)
+        if not Path(where.stdout.strip()).is_relative_to(copy):
+            return f"error: antmanet imported from {where.stdout.strip()}"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q",
+                 "-p", "no:cacheprovider", *mutant.tests],
+                cwd=copy, env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return f"error: timed out after {TIMEOUT} s"
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    tail = done.stdout.strip().splitlines()[-1:] or [""]
+    return f"error: pytest exit status {done.returncode}: {tail[0]}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    failed = 0
+    for mutant in chosen:
+        t0 = time.perf_counter()
+        outcome = run(mutant)
+        print(f"{mutant.name}: {outcome} "
+              f"({time.perf_counter() - t0:.1f} s)", flush=True)
+        failed += outcome != "killed"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,11 @@
 ``BruteForceState`` derives every neighbor set and link, and the level
 views ``adjacency`` and ``members``, from scratch on each call (each
 lookup in its ``adjacency`` rescans), and ``reference_step`` moves each
-node by its own ``mobility_update`` call.  ``reference_weight_table``
-sums every participant's distances for the group maximum,
+node by its own ``mobility_update`` call and returns its own bound on
+the tick's moves, the largest ``math.dist`` over the nodes it moved,
+where ``RandomWaypoint.step`` returns the largest step it took.
+``reference_weight_table`` sums every participant's distances for the
+group maximum,
 ``reference_check_reelection_triggers`` builds every level's full weight
 table on every call, ``reference_detect_head_merges`` tests every head
 pair, and ``reference_best_head_in_range`` tests every head for each
@@ -88,6 +91,9 @@ def mobility_update(attrs, waypoint, speed, dt, window):
 
 
 def reference_step(self, nodes, now, dt):
+    """Move every live node by its own `mobility_update` call, and return
+    the largest distance, by `math.dist`, that any node moved."""
+    longest = 0.0
     for nid in sorted(nodes):
         attrs = nodes[nid]
         if not attrs.alive:
@@ -97,13 +103,17 @@ def reference_step(self, nodes, now, dt):
             entry = self._draw(now)
             self.targets[nid] = entry
         waypoint, speed, pause_until = entry
+        old = attrs.position
         if now < pause_until:
             mobility_update(attrs, attrs.position, 0.0, dt, self.window)
-            continue
-        _, arrived = mobility_update(attrs, waypoint, speed, dt, self.window)
-        if arrived:
-            wp, sp, _ = self._draw(now)
-            self.targets[nid] = (wp, sp, now + dt + self.pause)
+        else:
+            _, arrived = mobility_update(attrs, waypoint, speed, dt,
+                                         self.window)
+            if arrived:
+                wp, sp, _ = self._draw(now)
+                self.targets[nid] = (wp, sp, now + dt + self.pause)
+        longest = max(longest, math.dist(old, attrs.position))
+    return longest
 
 
 def _linked(a, b, level):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,29 @@ class TestMobilityUpdate:
         rng = random.Random(3)
         assert wp.targets[1][0] == (rng.uniform(0.0, 100.0),
                                     rng.uniform(0.0, 60.0))
+
+    def test_returned_bound_covers_every_move(self):
+        # In exact rationals: each node's move is within what
+        # NetworkState.moved allows of the tick's bound, 2**-50 of it plus
+        # 2**-52 of the node's largest new coordinate.  The slowest steps
+        # at the largest coordinates are below an ulp.
+        rng = random.Random(11)
+        for scale in (1.0, 1e3, 1e6, 1e8):
+            wp = RandomWaypoint((scale, scale), 1e-9, 3.0, pause=0.5,
+                                window=10.0, rng=random.Random(5))
+            nodes = {n: attrs(pos=(rng.uniform(-scale, scale),
+                                   rng.uniform(-scale, scale)))
+                     for n in range(20)}
+            for t in range(30):
+                before = {n: a.position for n, a in nodes.items()}
+                longest = wp.step(nodes, float(t), rng.choice((0.1, 1.0, 7.0)))
+                stretched = Fraction(longest) * (1 + Fraction(2) ** -50)
+                for n, a in nodes.items():
+                    px, py = map(Fraction, before[n])
+                    x, y = map(Fraction, a.position)
+                    allowed = stretched + Fraction(2) ** -52 * max(abs(x),
+                                                                   abs(y))
+                    assert (x - px) ** 2 + (y - py) ** 2 <= allowed ** 2
 
     def test_waypoints_stay_inside_arena(self):
         wp = waypoints()

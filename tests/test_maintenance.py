@@ -74,6 +74,31 @@ class TestBeaconing:
                                   (0, 2, 4): 0.0}
         assert mgr.stats["beacon_packets"] == 4
 
+    def test_head_killed_by_its_own_debit_hears_no_one(self):
+        # Head 2's own debit kills it after head 0 has read the level's
+        # map: a dead head reaches no member, so it re-stamps and debits
+        # none, and misses its member.
+        state = make_state()
+        add_node(state, 0, (0.0, 0.0))
+        add_node(state, 1, (5.0, 0.0))
+        add_node(state, 2, (500.0, 0.0))
+        add_node(state, 3, (505.0, 0.0))
+        clusters = manual_clusters({0: {2: {3}, 0: {1}}, 1: {}, 2: {}})
+        mgr = manager(state, clusters)
+        calls = []
+
+        def debit(nids):
+            calls.extend(nids)
+            if 2 in nids:
+                state.nodes[2].alive = False
+                state.touch()
+
+        mgr.energy_debit = debit
+        assert mgr.beacon_tick(0, 2.0) == {2: {3}}
+        assert calls == [0, 1, 2]
+        assert clusters.last_heard == {(0, 0, 1): 2.0, (0, 2, 3): 0.0}
+        assert mgr.stats["beacon_packets"] == 3
+
     def test_energy_debit_callback(self):
         state, clusters, mgr = walkaway_world()
         calls = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from antmanet import model
 from antmanet.config import MobilityConfig
+from antmanet.engine import RandomWaypoint
 from antmanet.errors import UnknownNodeError
 from antmanet.model import NetworkState, NodeAttributes
 
@@ -214,36 +215,68 @@ def _touch(states):
         state.touch()
 
 
-def _random_step(states, rng, step):
-    """Move every node up to `step` in a random direction, then touch."""
-    for nid in sorted(states[0].nodes):
-        x, y = states[0].nodes[nid].position
+def _moved(states, longest):
+    for state in states:
+        state.moved(longest)
+
+
+def _random_step(states, rng, step, pause=0.0):
+    """Move every live node up to `step` in a random direction, except that
+    each pauses with probability `pause`, then report the tick through
+    ``moved`` with its true bound, the largest ``math.dist`` moved."""
+    longest = 0.0
+    for nid, attrs in sorted(states[0].nodes.items()):
+        if not attrs.alive or rng.random() < pause:
+            continue
+        x, y = attrs.position
         angle = rng.uniform(0.0, 2.0 * math.pi)
         length = rng.uniform(0.0, step)
         _move(states, nid, (x + length * math.cos(angle),
                             y + length * math.sin(angle)))
-    _touch(states)
+        longest = max(longest, math.dist((x, y), attrs.position))
+    _moved(states, longest)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
        span=st.sampled_from([5.0, 100.0, 400.0]),
        step=st.sampled_from([0.001, 0.02, 0.3]),
-       skin=st.sampled_from([0.05, 0.2, 0.4, 1.0]))
-def test_random_walks_match_brute_force(seed, n, span, step, skin):
+       skin=st.sampled_from([0.05, 0.2, 0.4, 1.0]),
+       pause=st.sampled_from([0.0, 0.3, 0.9]),
+       death=st.integers(1, 5))
+def test_random_walks_match_brute_force(seed, n, span, step, skin, pause,
+                                        death):
     # Steps of 0.1% and 2% of the span stay below most skins for several
-    # ticks; 30% steps pass all but the widest on most ticks.
+    # ticks; 30% steps pass all but the widest on most ticks.  After the
+    # first tick, each node pauses on a tick with probability `pause`; at
+    # tick `death` the node with the most level-0 links dies, and the walk
+    # ends with a tick on which every node pauses.
     rng = random.Random(seed)
     nodes = _random_nodes(rng, n, span)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "SKIN", skin)
+        builds = _count_builds(mp)
         states = (NetworkState(link_jitter=0.3, seed=seed),
                   BruteForceState(link_jitter=0.3, seed=seed))
         _populate(states, nodes)
         _assert_same_topology(*states)
-        for _ in range(6):
-            _random_step(states, rng, step * span)
+        for tick in range(6):
+            _random_step(states, rng, step * span, pause if tick else 0.0)
+            if tick == death:
+                victim = max(states[0].nodes, key=lambda nid: (
+                    len(states[0].neighbors(nid, 0)), nid))
+                for state in states:
+                    state.nodes[victim].alive = False
+                    state.touch()
             _assert_same_topology(*states)
+        before = len(builds)
+        _random_step(states, rng, step * span, pause=1.0)
+        _assert_same_topology(*states)
+    # Every live node moved on the first tick, so every build since keeps
+    # a skin, and no node moved on the last tick, so each level refreshed:
+    # versions that rebuilt nothing exist on every walk.
+    assert len(builds) == before
+    assert len(builds) < len(LEVELS) * 8
 
 
 def _walk_world():
@@ -265,23 +298,67 @@ def test_small_steps_refresh_without_rebuilding(monkeypatch):
     for _ in range(10):
         _random_step(states, rng, 0.5)
         _assert_same_topology(*states)
-    # Ten ticks of at most 0.5 m move no pair by the level-0 skin, 100 m
-    # times SKIN; level 2 has no members, and keeps its empty map.
-    assert builds.count(0) == builds.count(1) == builds.count(2) == 1
+    # The builds before the first move keep no skin, so the first tick
+    # rebuilds levels 0 and 1.  Ten ticks of at most 0.5 m move no pair by
+    # the level-0 skin, 100 m times SKIN; level 2 has no members, and
+    # keeps its empty map.
+    assert builds.count(0) == builds.count(1) == 2
+    assert builds.count(2) == 1
     for _ in range(3):
         _random_step(states, rng, 60.0)
         _assert_same_topology(*states)
-    assert builds.count(0) > 1 and builds.count(1) > 1
+    assert builds.count(0) > 2 and builds.count(1) > 2
+
+
+def test_touch_drops_every_reference(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    states, rng = _walk_world()
+    real = states[0]
+    _random_step(states, rng, 0.5)
+    _assert_same_topology(*states)
+    assert sorted(real._references) == [0, 1, 2]
+    before = len(builds)
+    real.touch()
+    assert real._references == {}
+    _assert_same_topology(*states)
+    assert sorted(builds[before:]) == [0, 1, 2]
+
+
+def test_head_on_pair_flips_within_twice_the_travel(monkeypatch):
+    # Two nodes close head on, 1 m each per tick.  The first tick rebuilds
+    # with the pair 7.5 m beyond its range, and the link appears four
+    # ticks later, when the ticks since have reported only 4 m: the pair
+    # must be re-tested within twice that.
+    builds = _count_builds(monkeypatch)
+    states = (NetworkState(), BruteForceState())
+    _populate(states, [(0, dict(position=(0.0, 0.0))),
+                       (1, dict(position=(109.5, 0.0)))])
+    _assert_same_topology(*states)
+    for tick in range(1, 7):
+        _move(states, 0, (float(tick), 0.0))
+        _move(states, 1, (109.5 - tick, 0.0))
+        _moved(states, 1.0)
+        _assert_same_topology(*states)
+        assert states[0].linked(0, 1, 0) == (tick >= 5)
+    # One build before the first move, one at it, and refreshes since.
+    assert builds.count(0) == 2
 
 
 def test_reference_keeps_the_pairs_within_the_skin():
     # Deeper linked pairs cannot flip before the next build, and farther
-    # unlinked ones are not kept either.
-    states, _ = _walk_world()
+    # unlinked ones are not kept either.  A build before the first move
+    # keeps no skin, and no pair.
+    states, rng = _walk_world()
     real = states[0]
     for level in (0, 1):
         real.adjacency(level)
         ref = real._references[level]
+        assert ref.skin == 0.0 and ref.pairs == []
+    _random_step(states, rng, 0.5)
+    for level in (0, 1):
+        real.adjacency(level)
+        ref = real._references[level]
+        assert ref.skin > 0.0
         ids = ref.ids
         attrs = [real.nodes[nid] for nid in ids]
         expected = set()
@@ -294,8 +371,11 @@ def test_reference_keeps_the_pairs_within_the_skin():
                 if abs(d - m) <= ref.skin:
                     expected.add((ids[i], ids[j], m, d <= m, abs(d - m)))
         kept = {(ids[min(i, j)], ids[max(i, j)], m, linked, slack)
-                for (i, j, m, linked), slack in zip(ref.pairs, ref.slack)}
+                for slack, i, j, m, linked in ref.near}
         assert kept == expected
+        assert ref.slack == [pair[0] for pair in ref.near]
+        assert ref.pairs == [(attrs[i], attrs[j], m, linked)
+                             for _, i, j, m, linked in ref.near]
         assert len(ref.pairs) == len(kept) < len(attrs) * (len(attrs) - 1) // 2
         assert any(not linked for _, _, _, linked, _ in kept)
         assert ref.slack == sorted(ref.slack)
@@ -304,18 +384,21 @@ def test_reference_keeps_the_pairs_within_the_skin():
 def test_skin_steps_rebuild(monkeypatch):
     # Two nodes 5 m farther apart than their 100 m range plus its skin:
     # the pair is not kept, so closing the gap in one step must rebuild.
+    # A first tick, in which no node moves, rebuilds with the skin.
     builds = _count_builds(monkeypatch)
     states = (NetworkState(), BruteForceState())
+    gap = 100.0 * model.SKIN + 5.0
     _populate(states, [(0, dict(position=(0.0, 0.0))),
-                       (1, dict(position=(100.0 + 100.0 * model.SKIN + 5.0,
-                                          0.0))),
+                       (1, dict(position=(100.0 + gap, 0.0))),
                        (2, dict(position=(500.0, 0.0)))])
     _assert_same_topology(*states)
+    _moved(states, 1e-12)
+    _assert_same_topology(*states)
     _move(states, 1, (100.0, 0.0))
-    _touch(states)
+    _moved(states, gap)
     _assert_same_topology(*states)
     assert states[0].neighbors(0, 0) == {1}
-    assert builds.count(0) == 2
+    assert builds.count(0) == 3
 
 
 def test_node_parked_exactly_at_range():
@@ -325,9 +408,12 @@ def test_node_parked_exactly_at_range():
     for position in ((10.0, 20.0), (10.0, 20.0), (10.0, 20.0 - 1e-6),
                      (10.0, 20.0), (10.0 - 1e-6, 20.0), (10.0, 20.0)):
         _random_step(states, rng, 0.5)
-        _move(states, 0, position)
-        _move(states, 2, (70.0, 100.0))
-        _touch(states)
+        longest = 0.0
+        for nid, new in ((0, position), (2, (70.0, 100.0))):
+            longest = max(longest, math.dist(states[0].nodes[nid].position,
+                                             new))
+            _move(states, nid, new)
+        _moved(states, longest)
         _assert_same_topology(*states)
         assert (2 in states[0].neighbors(0, 0)) == (position == (10.0, 20.0))
 
@@ -336,7 +422,8 @@ def test_one_ulp_step_across_range():
     # Node 1 moves one ulp of x toward node 0, 7e-15 m, and the rounded
     # distance drops by one ulp of itself, 1.4e-14 m, onto the range: a
     # link appears across a slack twice the computed displacement, which
-    # only the refresh's float margin covers.
+    # only the refresh's float margin covers.  A first tick, in which no
+    # node moves, rebuilds with the skin that the refresh needs.
     rng = random.Random(5)
     cases = 0
     while cases < 20:
@@ -349,11 +436,81 @@ def test_one_ulp_step_across_range():
         states = (NetworkState(), BruteForceState())
         _populate(states, [(0, dict(position=(0.0, 0.0), tx_range=(after,))),
                            (1, dict(position=(x, y), tx_range=(after,)))])
+        _moved(states, 1e-12)
         _assert_same_topology(*states)
         _move(states, 1, (x1, y))
-        _touch(states)
+        _moved(states, math.dist((x, y), (x1, y)))
         _assert_same_topology(*states)
         assert states[0].linked(0, 1, 0)
+
+
+def test_tiny_steps_at_large_coordinates(monkeypatch):
+    # 10**7 m from the origin, where an ulp of a coordinate is 1.9e-9 m,
+    # every node steps up to three ulps a coordinate per tick, for 300
+    # ticks, while node 1 stays parked within an ulp of node 0's range.
+    builds = _count_builds(monkeypatch)
+    rng = random.Random(8)
+    x0 = y0 = 1e7
+    ulp = math.ulp(x0)
+    states = (NetworkState(), BruteForceState())
+    _populate(states, [(0, dict(position=(x0, y0))),
+                       (1, dict(position=(x0 + 100.0, y0)))]
+              + [(nid, dict(position=(x0 + rng.uniform(-150.0, 150.0),
+                                      y0 + rng.uniform(-150.0, 150.0))))
+                 for nid in range(2, 7)])
+    _assert_same_topology(*states)
+    links = []
+    for _ in range(300):
+        longest = 0.0
+        for nid, attrs in sorted(states[0].nodes.items()):
+            x, y = attrs.position
+            if nid == 0:
+                new = (x0, y0 + rng.randint(-1, 1) * ulp)
+            elif nid == 1:
+                new = (x0 + 100.0 + rng.randint(-1, 1) * ulp, y0)
+            else:
+                new = (x + rng.randint(-3, 3) * ulp,
+                       y + rng.randint(-3, 3) * ulp)
+            _move(states, nid, new)
+            longest = max(longest, math.dist((x, y), new))
+        _moved(states, longest)
+        _assert_same_topology(*states)
+        links.append(states[0].linked(0, 1, 0))
+    assert 50 < links.count(True) < 250
+    # One build before the first move, one at it, and refreshes since.
+    assert builds.count(0) == 2
+
+
+def test_steps_below_an_ulp_accumulate(monkeypatch):
+    # 10**8 m from the origin an ulp of a coordinate is 1.5e-8 m.  Two nodes
+    # head for each other at 1e-8 m a tick, which rounding turns into a
+    # whole ulp, half as much again as the step the tick reports.  The
+    # first tick rebuilds with the pair 65 ulps beyond its range, and the
+    # link appears 33 ticks later, when twice the reported steps cover
+    # only two thirds of that: the travel bound must add the rounding of
+    # the new coordinates.
+    builds = _count_builds(monkeypatch)
+    x0 = 1e8
+    ulp = math.ulp(x0)
+    states = (NetworkState(), BruteForceState())
+    _populate(states, [(0, dict(position=(x0, x0))),
+                       (1, dict(position=(x0 + 100.0 + 67 * ulp, x0)))])
+    walk = RandomWaypoint((1.0, 1.0), 0.0, 0.0, 0.0, 1.0, random.Random(0))
+    walk.targets = {0: ((x0 + 1000.0, x0), 1e-8, 0.0),
+                    1: ((x0 - 1000.0, x0), 1e-8, 0.0)}
+    _assert_same_topology(*states)
+    for tick in range(1, 41):
+        longest = walk.step(states[0].nodes, float(tick), 1.0)
+        assert longest == 1e-8
+        expected = {0: x0 + tick * ulp, 1: x0 + 100.0 + (67 - tick) * ulp}
+        for nid, attrs in states[0].nodes.items():
+            assert attrs.position == (expected[nid], x0)
+            states[1].nodes[nid].position = attrs.position
+            states[1].nodes[nid].velocity = attrs.velocity
+        _moved(states, longest)
+        _assert_same_topology(*states)
+        assert states[0].linked(0, 1, 0) == (tick >= 34)
+    assert builds.count(0) == 2
 
 
 def test_death_and_revival_mid_walk(monkeypatch):
