@@ -14,22 +14,20 @@ expiry, each under a tunable exponent) and the best admissible path
 wins, gets a pheromone deposit, and is cached if it has two hops or more.
 
 Discovery re-derives much from the topology, the cluster tables and the
-energies, so the router memoizes it in two tiers.  The first is cleared
-whenever the topology version (``NetworkState.version``) or the
-hierarchy epoch (``ClusterState.epoch``) changes.  It holds, per
-endpoint pair, the discovery plan: their link level, or the climb's
-route ants (each as its trace packet and record key) followed by its
-failure or its legs, each leg's scope frozen; per flood, the expansion
-with each path's link metrics and nodes; and per route, the link
-metrics of the route and of each suffix, or its broken link.  The second
-is cleared also whenever ``NetworkState.energy_version`` moves.  It
-holds, per flood, each path's reply (next hop, metrics with the energy
-minimum, trace packet, record key and, once scored, its QoS score
-factors), and per route the metrics of the route and of each suffix
-with their energy minima.  Every call still reads the endpoints'
-liveness, the route cache, pheromone and the time afresh, and emits the
-same records and counters as a call with an empty memo.  Records that
-replay memoized parts share them, so a sink must not mutate a record.
+energies, so the router memoizes it under one stamp: the topology
+version (``NetworkState.version``), the hierarchy epoch
+(``ClusterState.epoch``) and the energy counter
+(``NetworkState.energy_version``).  The memo is emptied whenever the
+stamp moves.  It holds, per endpoint pair, the discovery plan: their
+link level, or the climb's route ants (each as its trace packet and
+record key) followed by its failure or its legs, each leg's scope
+frozen; per flood, each path's reply (next hop, path, metrics, trace
+packet, record key and, once scored, its QoS score factors); and per
+route, the metrics of the route and of each suffix, or its broken link.
+Every call still reads the endpoints' liveness, the route cache,
+pheromone and the time afresh, and emits the same records and counters
+as a call with an empty memo.  Records that replay memoized parts share
+them, so a sink must not mutate a record.
 """
 
 import heapq
@@ -189,14 +187,6 @@ def path_preference_probability(scores):
     return {j: s / total for j, s in scores.items()}
 
 
-def _with_energy(m, nodes):
-    """`m`, the link_metrics over `nodes`, with their energy read afresh:
-    within a topology version, energy is all that can move it."""
-    return PathMetrics(delay=m.delay, bandwidth=m.bandwidth,
-                       energy=min(a.energy for a in nodes), let=m.let,
-                       hop_count=m.hop_count)
-
-
 def _route_ant(sender, target, flag):
     """A Route ant's trace packet and its record key."""
     return ({"src": sender, "dst": target, "flag": flag},
@@ -239,15 +229,13 @@ class Router:
         self.pheromone = PheromoneTable(q, tau_initial)
         self.cache = RouteCache()
         self.stats = Counter() if stats is None else stats
-        # What discovery derives from the topology and the cluster tables,
-        # valid while (state.version, clusters.epoch) is _stamp[:2].  The
-        # key shapes tell its entries apart: (src, dst) -> _plan's plan,
-        # (level, src, dst, scope) -> _expand's flood, and
-        # (path, levels) -> _route_metrics' metrics.  Under the last two
-        # keys, _fresh holds a flood's `_reply` entries and a route's
-        # metrics with their energy, valid while _stamp is
-        # (state.version, clusters.epoch, state.energy_version).
-        self._memo, self._fresh = {}, {}
+        # What discovery derives from the topology, the cluster tables and
+        # the energies, valid while _stamp is (state.version,
+        # clusters.epoch, state.energy_version).  The key shapes tell its
+        # entries apart: (src, dst) -> _plan's plan, (level, src, dst,
+        # scope) -> _expand's flood, and (path, levels) -> _route_metrics'
+        # metrics.
+        self._memo = {}
         self._stamp = ()
 
     def evaporate_all(self):
@@ -258,14 +246,11 @@ class Router:
         self.cache.purge_node(node)
 
     def _current_memo(self):
-        """The memo's first tier; each tier is emptied first if what it
-        depends on moved, so ``_fresh`` is current after the call."""
+        """The memo, emptied first if its stamp moved."""
         state = self.state
         stamp = (state.version, self.clusters.epoch, state.energy_version)
         if stamp != self._stamp:
-            if stamp[:2] != self._stamp[:2]:
-                self._memo.clear()
-            self._fresh.clear()
+            self._memo.clear()
             self._stamp = stamp
         return self._memo
 
@@ -278,8 +263,10 @@ class Router:
         accumulated path delay, so the first path to reach the destination
         is the minimum-delay one.
 
-        Returns ([(path, its link_metrics, its NodeAttributes)] in arrival
-        order, number of request forwards, summed hops of the paths).
+        Each delivered request ant turns into a reply that retraces its
+        visited stack in reverse, carrying the path's QoS values.  Returns
+        (each found path's `_reply` in arrival order, number of request
+        forwards, summed hops of the paths).
         """
         state = self.state
         adj = state.adjacency(level)
@@ -296,7 +283,8 @@ class Router:
             if node == dst:
                 links = path_links(path, state, (level,) * (len(path) - 1))
                 nodes = [state.node(n) for n in path]
-                found.append((path, link_metrics(links, nodes), nodes))
+                found.append(_reply(level, src, dst, path,
+                                    link_metrics(links, nodes)))
                 continue
             n = expansions.get(node, 0)
             if n >= FANOUT_CAP:
@@ -310,19 +298,16 @@ class Router:
                 heapq.heappush(heap, (cum + link.delay + nd, seq, path + (nb,)))
                 seq += 1
                 forwards += 1
-        return found, forwards, sum(len(p) - 1 for p, _, _ in found)
+        return found, forwards, sum(len(r[1]) - 1 for r in found)
 
     def _segment(self, scope, level, src, dst, pher_dst, qos, now):
         """Replay the request ants of one discovery segment, confined to the
         frozenset `scope`, and return the chosen path.
 
-        Emits one reply record per path the flood finds.  The expansion,
-        with each path's link metrics and nodes, depends only on the
-        topology version, the scope and the endpoints, so it comes from
-        the memo's first tier.  Each path's `_reply`, its metrics taking
-        the energy minimum afresh, comes from the second tier, and keeps
-        its `score_factors` from its first scoring on: a reply scores as
-        tau under its exponent times those factors, as `preference_score`
+        Emits one reply record per path the flood finds.  The flood comes
+        from the memo, and each of its `_reply` entries keeps its
+        `score_factors` from its first scoring on: a reply scores as tau
+        under its exponent times those factors, as `preference_score`
         multiplies them.  Per next hop the first best-scoring admissible
         reply is kept; the next hop with the highest preference
         probability (ties to the lower id) wins unless it is below
@@ -331,19 +316,11 @@ class Router:
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
-        memo, fresh = self._current_memo(), self._fresh
+        memo = self._current_memo()
         key = (level, src, dst, scope)
-        flood = fresh.get(key)
+        flood = memo.get(key)
         if flood is None:
-            expansion = memo.get(key)
-            if expansion is None:
-                expansion = memo[key] = self._expand(scope, level, src, dst)
-            found, forwards, reply_hops = expansion
-            # Each delivered request ant turns into a reply that retraces
-            # its visited stack in reverse, carrying the path's QoS values.
-            flood = fresh[key] = ([
-                _reply(level, src, dst, path, _with_energy(fm, nodes))
-                for path, fm, nodes in found], forwards, reply_hops)
+            flood = memo[key] = self._expand(scope, level, src, dst)
         replies, forwards, reply_hops = flood
         self.stats["request_forwards"] += forwards
         if not replies:
@@ -433,15 +410,15 @@ class Router:
             for head, lvl, a, b in legs)
 
     def _route_metrics(self, path, levels):
-        """(link_metrics, NodeAttributes) of the route and of each suffix of
-        two hops or more, longest first; or the message of the missing
-        link, if one is missing."""
+        """The link_metrics of the route and of each suffix of two hops or
+        more, longest first; or the message of the missing link, if one is
+        missing."""
         try:
             links = path_links(path, self.state, levels)
         except BrokenPathError as exc:
             return str(exc)
         nodes = [self.state.node(n) for n in path]
-        return [(link_metrics(links[i:], nodes[i:]), nodes[i:])
+        return [link_metrics(links[i:], nodes[i:])
                 for i in range(max(1, len(links) - 1))]
 
     def _finalize(self, src, dst, path, levels, qos, now):
@@ -449,20 +426,16 @@ class Router:
         `levels`) and its relays' suffixes; returns its Route.
 
         The link metrics of the route and of its suffixes come from the
-        memo's first tier, and those metrics with their energy minima from
-        its second."""
-        memo, fresh = self._current_memo(), self._fresh
+        memo."""
+        memo = self._current_memo()
         key = (path, levels)
-        metrics = fresh.get(key)
+        metrics = memo.get(key)
         if metrics is None:
-            links = memo.get(key)
-            if links is None:
-                links = memo[key] = self._route_metrics(path, levels)
-            if isinstance(links, str):
-                # A member-head hop at either end can go stale between beacon
-                # cycles; the assembled route is undiscoverable this attempt.
-                raise NoRouteError(links)
-            metrics = fresh[key] = [_with_energy(*s) for s in links]
+            metrics = memo[key] = self._route_metrics(path, levels)
+        if isinstance(metrics, str):
+            # A member-head hop at either end can go stale between beacon
+            # cycles; the assembled route is undiscoverable this attempt.
+            raise NoRouteError(metrics)
         m = metrics[0]
         if not qos.admits(m):
             raise NoAdmissibleRouteError(

@@ -46,6 +46,7 @@ class Mutant:
 
 
 SNAPSHOT = "tests/test_topology_snapshot.py::"
+FLOOD_MEMO = "tests/test_routing.py::TestFloodMemo::"
 
 MUTANTS = (
     Mutant("travel-bound-without-factor-2", "src/antmanet/model.py",
@@ -99,6 +100,12 @@ MUTANTS = (
             "test_resume_restamps_at_the_last_skipped_cycle",
             "tests/test_differential.py::test_skipped_cycles_of_a_mobile_run"),
            "one energy counter in place of the fixed_energy and frozen flags"),
+    Mutant("memo-stamp-without-energy-version", "src/antmanet/routing.py",
+           "stamp = (state.version, self.clusters.epoch, state.energy_version)",
+           "stamp = (state.version, self.clusters.epoch)",
+           (FLOOD_MEMO + "test_engine_energy_write_reaches_the_next_flood",
+            FLOOD_MEMO + "test_energy_is_read_at_every_flood"),
+           "one discovery memo under one stamp"),
 )
 
 

@@ -29,10 +29,9 @@ compares equal after it, instead of reading the hierarchy epoch; run in
 full every cycle, it is also the reference for the cycles that
 `MaintenanceManager.run_cycle` skips as settled, and for the re-stamp
 that follows them.  ``reference_discover_route`` starts every discovery
-from an empty memo, both tiers,
-and ``reference_queue_streams`` queues every periodic event and every
-send inside the run before the loop starts, each through `schedule`,
-instead of one event per stream at a time
+from an empty memo, and ``reference_queue_streams`` queues every
+periodic event and every send inside the run before the loop starts,
+each through `schedule`, instead of one event per stream at a time
 (``reference_queue_next`` then queues nothing).
 Each must give the same result, in the same order, as the code it stands
 in for.  Elections have no reference loop: ``helpers.checked_election``

@@ -1,8 +1,8 @@
 """The digest corpus's traces match the committed table, the corpus
 meets every maintenance case code, no route ant goes from a head to
 itself, its finite weight threshold moves its trace, route caches hold
-one route per node and destination and no one-hop route, and every
-scenario replays some of discovery's memo."""
+one route per node and destination and no one-hop route, and no
+scenario derives a memo entry of discovery twice under one stamp."""
 
 import dataclasses
 import json
@@ -78,17 +78,31 @@ def test_route_caches_hold_no_duplicate():
                for key, r in held.items())
 
 
-def test_every_scenario_replays_memo_entries(monkeypatch):
-    """Each scenario looks up discovery's plans, floods and route metrics
-    in the router's memo more often than it derives them."""
-    counts = Counter()
+def test_memo_derives_each_entry_once_per_stamp(monkeypatch):
+    """No scenario derives a plan, a flood or a route's metrics twice
+    under one stamp (topology version, hierarchy epoch, energy counter).
+    The two static zero-cost scenarios, whose stamp moves only with the
+    hierarchy, look them up in the router's memo more often than they
+    derive them; the others spend energy between most discoveries."""
+    counts, derived = Counter(), Counter()
     for name in ("_current_memo", "_plan", "_expand", "_route_metrics"):
-        def counted(self, *args, method=getattr(Router, name),
-                    kind="lookups" if name == "_current_memo" else "derived"):
-            counts[kind] += 1
+        def counted(self, *args, method=getattr(Router, name), name=name):
+            if name == "_current_memo":
+                counts["lookups"] += 1
+            else:
+                counts["derived"] += 1
+                state = self.state
+                stamp = (state.version, self.clusters.epoch,
+                         state.energy_version)
+                derived[stamp, name, args] += 1
             return method(self, *args)
         monkeypatch.setattr(Router, name, counted)
     for path in CORPUS:
         counts.clear()
+        derived.clear()
         run(path)
-        assert 0 < counts["derived"] < counts["lookups"], (path.stem, counts)
+        assert counts["derived"] > 0, (path.stem, counts)
+        twice = [key for key, n in derived.items() if n > 1]
+        assert not twice, (path.stem, twice[:3])
+        if path.stem in ("link-override", "static-cache"):
+            assert counts["derived"] < counts["lookups"], (path.stem, counts)

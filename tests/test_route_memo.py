@@ -1,8 +1,9 @@
 """The router's discovery memo, and every other fast path, changes no
 trace byte: the golden scenario and every digest scenario give the same
 trace and counters under ``reference.use_references``, which starts
-every discovery from an empty memo.  That every digest scenario replays
-some memo entries is checked by ``test_digests.py``.
+every discovery from an empty memo.  That no digest scenario derives a
+memo entry twice under one stamp, and that the static zero-cost ones
+replay entries, is checked by ``test_digests.py``.
 
 CI runs this file under several hash seeds, so a memo key or a frozen
 scope that iterates in hash order would show here."""

@@ -710,8 +710,8 @@ class TestFloodMemo:
     def test_engine_energy_write_reaches_the_next_flood(self):
         # The engine debits relay 1 between two floods of one topology
         # version and one hierarchy epoch.  The second flood's replies and
-        # route carry the new energy, so the memo's energy tier cannot be
-        # keyed on the version and the epoch alone.
+        # route carry the new energy, so the memo cannot be stamped with
+        # the version and the epoch alone.
         state, clusters = diamond()
         records = []
         r = make_router(state, clusters, cache_max_age=0.5,
