@@ -205,6 +205,7 @@ class Simulator:
             (config.arena.width, config.arena.height),
             mob.speed_min, mob.speed_max, mob.pause, mob.window,
             self.rng_mobility) if mob.enabled else None
+        self.state.mobile = mob.enabled  # its first builds keep the skin
 
     # -- construction ----------------------------------------------------
 

@@ -15,8 +15,8 @@ pair within its range plus the skin, sorted by how far it is from
 flipping, and a travel bound that each tick's `longest` raises.  While
 twice that bound stays below the skin, a new version re-tests only the
 pairs that the movement could have flipped.  ``touch()`` drops every
-level's build, so the next read rebuilds.  A build made before the first
-move keeps no skin: a static run never refreshes.
+level's build, so the next read rebuilds.  A build keeps no skin before
+the first move unless the state is ``mobile``: a static run never refreshes.
 """
 
 import math
@@ -203,8 +203,8 @@ class NetworkState:
     ``version`` is unchanged.  ``energy_version`` counts energy writes:
     whoever changes a node's energy increments it, so a value derived
     from energies too holds while both counters are unchanged.
-    ``travel`` is the sum of every tick's `longest`: while it is 0, no
-    node has moved, and a build keeps no skin.
+    ``travel`` is the sum of every tick's `longest`, and ``mobile`` says
+    that nodes are going to move: while neither is set, builds keep no skin.
 
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
@@ -230,6 +230,7 @@ class NetworkState:
         self.version = 0
         self.energy_version = 0
         self.travel = 0.0
+        self.mobile = False
 
     def add_node(self, nid, attrs):
         nid = int(nid)
@@ -281,9 +282,8 @@ class NetworkState:
         pair within that reach lies in the same or an adjacent cell.  The
         margin absorbs rounding in the cell index; it holds for coordinates
         within about 10**6 ranges of the origin.  The build becomes the
-        level's reference for ``_refresh``.  Before the first move the skin
-        is 0, so a static run keeps no pair, and the first ``moved``
-        rebuilds with the skin.
+        level's reference for ``_refresh``.  Until the first move it keeps
+        no skin, and so no pair, unless the state is ``mobile``.
         """
         # The same tests as supports() and range_at().
         members = []
@@ -294,7 +294,7 @@ class NetworkState:
                     raise ValueError(f"non-finite coordinate on node {nid}")
                 members.append((nid, x, y, attrs.tx_range[level], attrs))
         largest = max((m[3] for m in members), default=0.0)
-        skin = largest * SKIN if self.travel else 0.0
+        skin = largest * SKIN if self.travel or self.mobile else 0.0
         reach = largest + skin
         cell = reach * (1.0 + 1e-9)
         if not cell > 0.0:

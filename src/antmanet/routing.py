@@ -18,16 +18,20 @@ energies, so the router memoizes it under one stamp: the topology
 version (``NetworkState.version``), the hierarchy epoch
 (``ClusterState.epoch``) and the energy counter
 (``NetworkState.energy_version``).  The memo is emptied whenever the
-stamp moves.  It holds, per endpoint pair, the discovery plan: their
-link level, or the climb's route ants (each as its trace packet and
-record key) followed by its failure or its legs, each leg's scope
-frozen; per flood, each path's reply (next hop, path, metrics, trace
-packet, record key and, once scored, its QoS score factors); and per
-route, the metrics of the route and of each suffix, or its broken link.
-Every call still reads the endpoints' liveness, the route cache,
-pheromone and the time afresh, and emits the same records and counters
-as a call with an empty memo.  Records that replay memoized parts share
-them, so a sink must not mutate a record.
+stamp moves, and read once per discovery.  It holds, per endpoint pair,
+the discovery plan: their link level, or the climb's route ants (each as
+its trace packet and record key) followed by its failure or its legs,
+each leg's scope frozen, and per tuple of segment choices the assembled
+path and levels, or the node it revisits; per flood, each path's reply
+(next hop, path, metrics, trace packet, record key and, once scored, its
+QoS score factors) and, per `QosRequirement`, which replies it admits;
+and per route, its broken link, or all that a send repeats: the metrics,
+cache age and pheromone keys of the route, its deposit, each relay's
+suffix with its metrics and cache age, and the ``route_selected`` fields.
+A send then adds only the time.  Every call still reads the endpoints'
+liveness, the route cache, pheromone and the time afresh, and emits the
+same records and counters as a call with an empty memo.  Records that
+replay memoized parts share them, so a sink must not mutate a record.
 """
 
 import heapq
@@ -69,14 +73,21 @@ class PheromoneTable:
     def get(self, level, i, j, d):
         return self.entries.get((level, i, j, d), self.initial)
 
+    @staticmethod
+    def keys(path, levels, d):
+        """The keys of `path`'s hops toward d, hop i on plane levels[i]."""
+        return [(level, i, j, d) for i, j, level in zip(path, path[1:], levels)]
+
     def deposit(self, path, levels, d, dtau):
-        """Deposit dtau toward destination d on each hop of `path`, hop i
-        on plane levels[i]: tau becomes (1 - q) * tau + dtau."""
+        """`deposit_on` the `keys` of `path`'s hops toward d."""
+        self.deposit_on(self.keys(path, levels, d), dtau)
+
+    def deposit_on(self, keys, dtau):
+        """Deposit dtau on each of `keys`: tau becomes (1 - q) * tau + dtau."""
         if dtau < 0:
             raise ConfigError("deposit must be >= 0")
         entries, initial, keep = self.entries, self.initial, 1.0 - self.q
-        for i, j, level in zip(path, path[1:], levels):
-            key = (level, i, j, d)
+        for key in keys:
             entries[key] = keep * entries.get(key, initial) + dtau
 
     def evaporate(self):
@@ -232,9 +243,10 @@ class Router:
         # What discovery derives from the topology, the cluster tables and
         # the energies, valid while _stamp is (state.version,
         # clusters.epoch, state.energy_version).  The key shapes tell its
-        # entries apart: (src, dst) -> _plan's plan, (level, src, dst,
-        # scope) -> _expand's flood, and (path, levels) -> _route_metrics'
-        # metrics.
+        # entries apart: (src, dst) -> _plan's plan, with each assembled
+        # route per tuple of segment choices; (level, src, dst, scope) ->
+        # _expand's flood, with each QosRequirement's admissible replies;
+        # and (path, levels) -> _route_entry's per-send work.
         self._memo = {}
         self._stamp = ()
 
@@ -300,12 +312,14 @@ class Router:
                 forwards += 1
         return found, forwards, sum(len(r[1]) - 1 for r in found)
 
-    def _segment(self, scope, level, src, dst, pher_dst, qos, now):
+    def _segment(self, scope, level, src, dst, pher_dst, qos, now, memo=None):
         """Replay the request ants of one discovery segment, confined to the
         frozenset `scope`, and return the chosen path.
 
-        Emits one reply record per path the flood finds.  The flood comes
-        from the memo, and each of its `_reply` entries keeps its
+        Emits one reply record per path the flood finds, and scores each
+        admissible reply right after its record.  The flood comes from
+        `memo` (the current memo if None), with each `QosRequirement`'s
+        admissible replies, and each of its `_reply` entries keeps its
         `score_factors` from its first scoring on: a reply scores as tau
         under its exponent times those factors, as `preference_score`
         multiplies them.  Per next hop the first best-scoring admissible
@@ -316,45 +330,49 @@ class Router:
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
-        memo = self._current_memo()
+        if memo is None:
+            memo = self._current_memo()
         key = (level, src, dst, scope)
         flood = memo.get(key)
         if flood is None:
-            flood = memo[key] = self._expand(scope, level, src, dst)
-        replies, forwards, reply_hops = flood
+            flood = memo[key] = (*self._expand(scope, level, src, dst), {})
+        replies, forwards, reply_hops, admitted = flood
         self.stats["request_forwards"] += forwards
         if not replies:
             raise NoRouteError(
                 f"no level-{level} path from {src} to {dst} within scope")
         self.stats["reply_packets"] += len(replies)
         self.stats["reply_hops"] += reply_hops
-        trace, pref, tau_of = self.trace, self.pref, self.pheromone.get
-        best_per_hop = {}
-        for reply in replies:
+        admits = admitted.get(qos)
+        if admits is None:
+            admits = admitted[qos] = [qos.admits(r[2]) for r in replies]
+        trace, pref = self.trace, self.pref
+        taus, initial = self.pheromone.entries, self.pheromone.initial
+        scores, paths = {}, {}
+        for reply, admissible in zip(replies, admits):
             j, path, m, packet, rkey, factors = reply
             trace({"kind": rkey[0], "t": now, "packet": packet}, rkey)
-            if not qos.admits(m):
+            if not admissible:
                 continue
             if factors is None:
                 factors = reply[5] = score_factors(m, pref)
             f_delay, f_hops, f_bandwidth, f_energy, f_let = factors
-            score = (tau_of(level, src, j, pher_dst) ** pref.alpha1 * f_delay
-                     * f_hops * f_bandwidth * f_energy * f_let)
-            prev = best_per_hop.get(j)
-            if prev is None or score > prev[0]:
-                best_per_hop[j] = (score, path)
-        if not best_per_hop:
+            score = (taus.get((level, src, j, pher_dst), initial) ** pref.alpha1
+                     * f_delay * f_hops * f_bandwidth * f_energy * f_let)
+            prev = scores.get(j)
+            if prev is None or score > prev:
+                scores[j], paths[j] = score, path
+        if not scores:
             raise NoAdmissibleRouteError(
                 f"no admissible route from {src} to {dst} under the QoS floors")
-        probs = path_preference_probability(
-            {j: score for j, (score, _) in best_per_hop.items()})
+        probs = path_preference_probability(scores)
         if abs(left_sum(probs.values()) - 1.0) > 1e-9:
             raise AssertionError("preference probabilities do not normalize")
-        best_j = max(sorted(probs), key=lambda j: probs[j])
+        best_j = max(sorted(probs), key=probs.__getitem__)
         if probs[best_j] < self.pref.theta_p:
             raise NoAdmissibleRouteError(
                 f"best preference {probs[best_j]:.3g} below threshold")
-        return best_per_hop[best_j][1]
+        return paths[best_j]
 
     # -- discovery -------------------------------------------------------
 
@@ -409,56 +427,62 @@ class Router:
             (frozenset(clusters.cluster(head, lvl)), lvl, a, b)
             for head, lvl, a, b in legs)
 
-    def _route_metrics(self, path, levels):
-        """The link_metrics of the route and of each suffix of two hops or
-        more, longest first; or the message of the missing link, if one is
-        missing."""
+    def _route_entry(self, path, levels):
+        """What every send of the route `path` (hop i on level levels[i])
+        repeats under one stamp: [metrics, cache age, pheromone keys,
+        deposit (None until first needed), relays, `route_selected` fields,
+        record key], each relay (node, path, levels, metrics, cache age) of
+        a suffix of two hops or more; or the message of a missing link."""
         try:
             links = path_links(path, self.state, levels)
         except BrokenPathError as exc:
             return str(exc)
         nodes = [self.state.node(n) for n in path]
-        return [link_metrics(links[i:], nodes[i:])
-                for i in range(max(1, len(links) - 1))]
+        src, dst, max_age = path[0], path[-1], self.cache_max_age
+        m, *suffixes = [link_metrics(links[i:], nodes[i:])
+                        for i in range(max(1, len(links) - 1))]
+        return [m, min(m.let, max_age), self.pheromone.keys(path, levels, dst),
+                None,
+                [(path[i], path[i:], levels[i:], sm, min(sm.let, max_age))
+                 for i, sm in enumerate(suffixes, 1)],
+                {"src": src, "dst": dst, "path": list(path),
+                 "levels": list(levels), "delay": m.delay,
+                 "bandwidth": m.bandwidth, "energy": m.energy, "let": m.let,
+                 "hops": m.hop_count},
+                ("route_selected", src, dst, path, levels, m.delay,
+                 m.bandwidth, m.energy, m.let, m.hop_count)]
 
-    def _finalize(self, src, dst, path, levels, qos, now):
+    def _finalize(self, memo, src, dst, path, levels, qos, now):
         """Score, reward and cache an assembled route (tuples `path` and
         `levels`) and its relays' suffixes; returns its Route.
 
-        The link metrics of the route and of its suffixes come from the
-        memo."""
-        memo = self._current_memo()
+        Each send replays the route's `_route_entry` from `memo`, adding
+        only the time."""
         key = (path, levels)
-        metrics = memo.get(key)
-        if metrics is None:
-            metrics = memo[key] = self._route_metrics(path, levels)
-        if isinstance(metrics, str):
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = self._route_entry(path, levels)
+        if isinstance(entry, str):
             # A member-head hop at either end can go stale between beacon
             # cycles; the assembled route is undiscoverable this attempt.
-            raise NoRouteError(metrics)
-        m = metrics[0]
+            raise NoRouteError(entry)
+        m, age, keys, dtau, relays, fields, rkey = entry
         if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
         if self.deposit_params is not None:
-            self.pheromone.deposit(
-                path, levels, dst, pheromone_deposit(m, self.deposit_params))
-        route = Route(dst, path, levels, m,
-                      now + min(m.let, self.cache_max_age))
+            if dtau is None:
+                dtau = entry[3] = pheromone_deposit(m, self.deposit_params)
+            self.pheromone.deposit_on(keys, dtau)
+        route = Route(dst, path, levels, m, now + age)
         # Only routes of two hops or more are cached: a linked pair gets its
         # direct route before discover_route reads the cache.
+        insert = self.cache.insert
         if len(path) > 2:
-            self.cache.insert(src, route)
-        for idx, sm in enumerate(metrics[1:], 1):
-            self.cache.insert(path[idx], Route(
-                dst, path[idx:], levels[idx:], sm,
-                now + min(sm.let, self.cache_max_age)))
-        self.trace({"kind": "route_selected", "t": now, "src": src, "dst": dst,
-                    "path": list(path), "levels": list(levels),
-                    "delay": m.delay, "bandwidth": m.bandwidth,
-                    "energy": m.energy, "let": m.let, "hops": m.hop_count},
-                   ("route_selected", src, dst, path, levels, m.delay,
-                    m.bandwidth, m.energy, m.let, m.hop_count))
+            insert(src, route)
+        for node, s_path, s_levels, sm, s_age in relays:
+            insert(node, Route(dst, s_path, s_levels, sm, now + s_age))
+        self.trace({"kind": "route_selected", "t": now, **fields}, rkey)
         return route
 
     def discover_route(self, src, dst, qos=QosRequirement(), now=0.0):
@@ -479,12 +503,13 @@ class Router:
         memo = self._current_memo()
         plan = memo.get((src, dst))
         if plan is None:
-            plan = memo[src, dst] = self._plan(src, dst)
-        level, ants, failure, legs = plan
+            plan = memo[src, dst] = (*self._plan(src, dst), {})
+        level, ants, failure, legs, paths = plan
 
         # Direct neighbor: deliver without emitting any ants.
         if level is not None:
-            return self._finalize(src, dst, (src, dst), (level,), qos, now)
+            return self._finalize(memo, src, dst, (src, dst), (level,), qos,
+                                  now)
 
         hit = self.cache.lookup(src, dst, now)
         if (hit is not None and qos.admits(hit.metrics)
@@ -498,18 +523,25 @@ class Router:
             self.trace({"kind": "route_ant", "t": now, "packet": packet}, key)
         if failure is not None:
             raise NoRouteError(failure)
-        path, levels = [src], []
-        for scope, lvl, a, b in legs:
-            if path[-1] != a:
-                # The member-to-head hop onto the first leg.
-                path.append(a)
+        segs = tuple([self._segment(scope, lvl, a, b, dst, qos, now, memo)
+                      for scope, lvl, a, b in legs])
+        assembled = paths.get(segs)
+        if assembled is None:
+            path, levels = [src], []
+            for (_, lvl, a, _), seg in zip(legs, segs):
+                if path[-1] != a:
+                    # The member-to-head hop onto the first leg.
+                    path.append(a)
+                    levels.append(0)
+                path += seg[1:]
+                levels += [lvl] * (len(seg) - 1)
+            if path[-1] != dst:
+                path.append(dst)
                 levels.append(0)
-            seg = self._segment(scope, lvl, a, b, dst, qos, now)
-            path += seg[1:]
-            levels += [lvl] * (len(seg) - 1)
-        if path[-1] != dst:
-            path.append(dst)
-            levels.append(0)
-        if len(set(path)) != len(path):
-            raise RoutingLoopError(f"assembled route revisits a node: {path}")
-        return self._finalize(src, dst, tuple(path), tuple(levels), qos, now)
+            assembled = paths[segs] = (
+                f"assembled route revisits a node: {path}"
+                if len(set(path)) != len(path) else (tuple(path), tuple(levels)))
+        if isinstance(assembled, str):
+            raise RoutingLoopError(assembled)
+        path, levels = assembled
+        return self._finalize(memo, src, dst, path, levels, qos, now)

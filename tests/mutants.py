@@ -66,10 +66,15 @@ MUTANTS = (
             SNAPSHOT + "test_range_change_rebuilds"),
            "neighbor lists fed by the mobility tick"),
     Mutant("no-skin-after-the-first-move", "src/antmanet/model.py",
-           "skin = largest * SKIN if self.travel else 0.0", "skin = 0.0",
+           "skin = largest * SKIN if self.travel or self.mobile else 0.0",
+           "skin = 0.0",
            (SNAPSHOT + "test_small_steps_refresh_without_rebuilding",
             SNAPSHOT + "test_reference_keeps_the_pairs_within_the_skin"),
            "neighbor lists fed by the mobility tick"),
+    Mutant("mobile-run-not-marked", "src/antmanet/engine.py",
+           "self.state.mobile = mob.enabled", "pass",
+           (SNAPSHOT + "test_mobile_run_builds_each_level_once",),
+           "a mobile run's first builds keep the skin"),
     Mutant("refresh-past-the-skin", "src/antmanet/model.py",
            "        if not bound < ref.skin:\n            return None\n", "",
            (SNAPSHOT + "test_skin_steps_rebuild",),
@@ -106,6 +111,24 @@ MUTANTS = (
            (FLOOD_MEMO + "test_engine_energy_write_reaches_the_next_flood",
             FLOOD_MEMO + "test_energy_is_read_at_every_flood"),
            "one discovery memo under one stamp"),
+    Mutant("admissibility-without-its-qos", "src/antmanet/routing.py",
+           "admits = admitted.get(qos)",
+           "admits = next(iter(admitted.values()), None)",
+           (FLOOD_MEMO + "test_floors_share_one_flood_with_their_own_choices",),
+           "memo entries that keep their per-send work"),
+    Mutant("relay-expiry-frozen-at-the-first-send", "src/antmanet/routing.py",
+           "insert(node, Route(dst, s_path, s_levels, sm, now + s_age))",
+           "insert(node, memo.setdefault((node, s_path), Route(\n"
+           "                dst, s_path, s_levels, sm, now + s_age)))",
+           (FLOOD_MEMO
+            + "test_replay_expires_and_deposits_as_a_fresh_derivation",),
+           "memo entries that keep their per-send work"),
+    Mutant("assembled-route-without-the-choices", "src/antmanet/routing.py",
+           "assembled = paths.get(segs)",
+           "assembled = next(iter(paths.values()), None)",
+           (FLOOD_MEMO
+            + "test_steered_replays_of_one_plan_assemble_their_own_paths",),
+           "memo entries that keep their per-send work"),
 )
 
 

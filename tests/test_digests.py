@@ -85,7 +85,7 @@ def test_memo_derives_each_entry_once_per_stamp(monkeypatch):
     hierarchy, look them up in the router's memo more often than they
     derive them; the others spend energy between most discoveries."""
     counts, derived = Counter(), Counter()
-    for name in ("_current_memo", "_plan", "_expand", "_route_metrics"):
+    for name in ("_current_memo", "_plan", "_expand", "_route_entry"):
         def counted(self, *args, method=getattr(Router, name), name=name):
             if name == "_current_memo":
                 counts["lookups"] += 1

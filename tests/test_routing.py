@@ -623,7 +623,9 @@ class TestScoreFactors:
 
 
 class TestFloodMemo:
-    """A discovery after a topology change floods the new topology.
+    """A discovery after a topology change floods the new topology, and a
+    discovery replayed under one stamp still takes its own QoS floors,
+    time and pheromone.
 
     The second discovery comes after the first route's cache entry has
     expired, so it floods again; the memo of the first flood must not
@@ -730,6 +732,89 @@ class TestFloodMemo:
                            (1.0, [3, 1, 0], 5.0), (1.0, [3, 2, 0], 100.0)]
         assert (first.metrics.energy, second.metrics.energy) == (100.0, 100.0)
         assert second.path == (0, 2, 3)
+
+
+    def test_floors_share_one_flood_with_their_own_choices(self,
+                                                           monkeypatch):
+        # Link 1-3 is faster but narrower than 2-3, and bandwidth does not
+        # score (alpha4 = 0): a flow without floors takes (0, 1, 3), and a
+        # bandwidth floor above 1-3's leaves (0, 2, 3).  Both flows replay
+        # the one flood of one stamp, in either order.
+        state, clusters = diamond()
+        state.set_link_params(1, 3, 0, bandwidth=1e3)
+        state.set_link_params(0, 2, 0, delay=0.05)
+        floods = []
+        expand = routing.Router._expand
+
+        def counted(self, *args):
+            floods.append(args)
+            return expand(self, *args)
+
+        monkeypatch.setattr(routing.Router, "_expand", counted)
+        records = []
+        r = make_router(state, clusters, pref=PreferenceParams(alpha4=0.0),
+                        cache_max_age=0.5, trace=record_sink(records))
+        free, floor = QosRequirement(), QosRequirement(min_bandwidth=1e4)
+        paths = [r.discover_route(0, 3, qos=qos, now=now).path
+                 for qos, now in ((free, 0.0), (floor, 0.0), (free, 1.0),
+                                  (floor, 2.0))]
+        assert paths == [(0, 1, 3), (0, 2, 3), (0, 1, 3), (0, 2, 3)]
+        assert floods == [(frozenset(range(4)), 0, 0, 3)]
+        assert [rec["t"] for rec in records
+                if rec["kind"] == "reply_knave_ant"] == [
+                    0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+
+    def test_replay_expires_and_deposits_as_a_fresh_derivation(self):
+        # Relay 3 drifts toward 4: the suffixes over link 2-3 expire in
+        # 6.25 s, the one from 3 in 31.25 s, capped at the cache's 10 s.  The
+        # route is sent again at t = 3 under the same stamp, from the memo
+        # or from an emptied one, once the source's cached copy is gone.
+        def sent_twice(replay):
+            state, clusters = single_cluster_line(6)
+            state.nodes[3].velocity = (4.0, 0.0)
+            state.touch()
+            r = make_router(state, clusters, deposit=DepositParams(),
+                            cache_max_age=10.0)
+            r.discover_route(0, 5, now=0.0)
+            del r.cache.routes[0, 5]
+            if not replay:
+                r._stamp = ()
+            return state, r, r.discover_route(0, 5, now=3.0)
+
+        state, r, route = sent_twice(True)
+        _, fresh, fresh_route = sent_twice(False)
+        assert route == fresh_route
+        assert route.path == (0, 1, 2, 3, 4, 5)
+        expiries = {}
+        for idx in range(len(route.path) - 2):
+            suffix = route.path[idx:]
+            m = path_metrics(suffix, state, levels=route.levels[idx:])
+            cached = r.cache.routes[suffix[0], 5]
+            assert cached.path == suffix
+            expiries[suffix[0]] = cached.expires_at
+            assert cached.expires_at == 3.0 + min(m.let, 10.0)
+        assert expiries == {0: 9.25, 1: 9.25, 2: 9.25, 3: 13.0}
+        assert r.cache.routes == fresh.cache.routes
+        dtau = pheromone_deposit(route.metrics, r.deposit_params)
+        keep = 1.0 - r.pheromone.q
+        tau = keep * (keep * r.pheromone.initial + dtau) + dtau
+        assert r.pheromone.entries == fresh.pheromone.entries == {
+            (0, i, i + 1, 5): tau for i in range(5)}
+
+    def test_steered_replays_of_one_plan_assemble_their_own_paths(self):
+        # Deposits between three sends of one stamp flip the diamond's
+        # one segment between its next hops; each send's route follows.
+        state, clusters = diamond()
+        r = make_router(state, clusters, cache_max_age=0.5)
+        routes = [r.discover_route(0, 3, now=0.0)]
+        stamp = r._stamp
+        for now, j, dtau in ((1.0, 2, 1.0), (2.0, 1, 5.0)):
+            r.pheromone.deposit((0, j), (0,), 3, dtau)
+            routes.append(r.discover_route(0, 3, now=now))
+        assert r._stamp == stamp
+        assert [(route.path, route.levels) for route in routes] == [
+            ((0, 1, 3), (0, 0)), ((0, 2, 3), (0, 0)), ((0, 1, 3), (0, 0))]
+        assert r.cache.routes == {(0, 3): routes[-1]}
 
 
 def two_region_world(cross_region):

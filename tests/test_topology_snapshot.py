@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antmanet import model
-from antmanet.config import MobilityConfig
-from antmanet.engine import RandomWaypoint
+from antmanet.config import EnergyCosts, MobilityConfig
+from antmanet.engine import RandomWaypoint, Simulator
 from antmanet.errors import UnknownNodeError
 from antmanet.model import NetworkState, NodeAttributes
 
@@ -589,3 +589,24 @@ def test_trace_matches_brute_force():
                                         update_interval=0.5)))
     assert summary["deaths"] > 0
     assert summary["packets_delivered"] > 0
+
+
+def test_mobile_run_builds_each_level_once(monkeypatch):
+    """The engine marks a mobile run's state before its first election,
+    so the first build of each level keeps the skin, and ten ticks of at
+    most 1 m refresh it; a static run's builds keep no pair."""
+    builds = _count_builds(monkeypatch)
+    slow = dataclasses.replace(
+        MOBILE, duration=10.0, energy_costs=EnergyCosts(),
+        mobility=MobilityConfig(enabled=True, speed_min=0.5, speed_max=1.0,
+                                pause=0.0))
+    sim = Simulator(slow)
+    sim.run()
+    assert sorted(builds) == [0, 1, 2]
+    assert all(ref.skin > 0 for ref in sim.state._references.values())
+    static = Simulator(dataclasses.replace(slow, mobility=MobilityConfig()))
+    static.run()
+    assert not static.state.mobile
+    assert sorted(static.state._references) == [0, 1, 2]
+    assert all(ref.skin == 0 and not ref.near
+               for ref in static.state._references.values())
