@@ -17,6 +17,7 @@ serialize(parse(x)) always reparses to an equal config.
 comment header.
 """
 
+import bisect
 import io
 import math
 import re
@@ -32,12 +33,91 @@ from .model import (DEFAULT_LINK_BANDWIDTH, DEFAULT_LINK_DELAY,
 from .qos import DepositParams
 from .routing import PreferenceParams, QosRequirement
 
+_TAG = "tag:yaml.org,2002:"
+_STR, _INT, _FLOAT, _SEQ, _MAP = (_TAG + t for t in
+                                  ("str", "int", "float", "seq", "map"))
+# The constructors of the scalar tags a scenario uses; a node of any other
+# tag goes to PyYAML's constructor.
+_SCALARS = {_TAG + t: yaml.constructor.SafeConstructor.yaml_constructors[
+    _TAG + t] for t in ("str", "int", "float", "bool", "null")}
+# Nesting deeper than this goes to PyYAML's constructor.
+_DEPTH = 64
+
+
+class _Handover(Exception):
+    """The walk met a node that PyYAML's constructor must build."""
+
+
 class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser with PyYAML's safe constructor and resolver, so a
     document both parsers accept loads as under SafeLoader (where they part
     is pinned in tests/test_config_cli.py), save that a scalar key repeated
     in one mapping is an error, not a new value.  Merge keys (``<<``) still
-    merge.  Without libyaml the parser is PyYAML's own."""
+    merge.  Without libyaml the parser is PyYAML's own.
+
+    Two shortcuts give the same data in less time.  A scalar's tag is
+    resolved once per loader for each (value, implicit) pair.  A document
+    of str, int, float, bool and null scalars, sequences, and mappings with
+    distinct scalar keys is built in one walk over its nodes; any other
+    document (an alias, a merge key, another tag, a repeated or non-scalar
+    key, nesting past _DEPTH, a scalar its constructor rejects) is built
+    again from the start by PyYAML's constructor, with its results and its
+    errors."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags = {}
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode:
+            return super().resolve(kind, value, implicit)
+        key = (value, implicit)
+        tag = self._tags.get(key)
+        if tag is None:
+            tag = self._tags[key] = super().resolve(kind, value, implicit)
+        return tag
+
+    def construct_document(self, node):
+        try:
+            return self._build(node, set(), _DEPTH)
+        except Exception:
+            pass
+        # Whatever the walk met, PyYAML's constructor builds the document
+        # or raises its own error, outside the walk's exception.
+        return super().construct_document(node)
+
+    def _build(self, node, seen, depth):
+        if node in seen or not depth:
+            raise _Handover
+        seen.add(node)
+        tag, value = node.tag, node.value
+        kind = type(node)
+        if kind is yaml.ScalarNode:
+            if tag == _STR:
+                return value
+            # YAML 1.1 reads a leading 0 as octal.
+            if (tag == _INT and value.isdecimal() and value.isascii()
+                    and value[0] != "0"):
+                return int(value)
+            # With a digit first, SafeConstructor's float is float(value).
+            if (tag == _FLOAT and value.isascii() and value[0].isdecimal()
+                    and "_" not in value and ":" not in value):
+                return float(value)
+            return _SCALARS[tag](self, node)
+        depth -= 1
+        if kind is yaml.SequenceNode and tag == _SEQ:
+            return [self._build(item, seen, depth) for item in value]
+        if kind is not yaml.MappingNode or tag != _MAP:
+            raise _Handover
+        data = {}
+        for key_node, value_node in value:
+            if type(key_node) is not yaml.ScalarNode:
+                raise _Handover
+            key = self._build(key_node, seen, depth)
+            if key in data:
+                raise _Handover
+            data[key] = self._build(value_node, seen, depth)
+        return data
 
     def construct_mapping(self, node, deep=False):
         if isinstance(node, yaml.MappingNode):
@@ -189,11 +269,18 @@ class ScenarioConfig:
         are numbered on from the largest placement id plus 1."""
         for p in self.placements:
             yield p.id, p
-        next_id = max((p.id for p in self.placements), default=-1) + 1
+        for ids, g in self.group_ids():
+            for nid in ids:
+                yield nid, g
+
+    def group_ids(self):
+        """(range of node ids, group) of every group, as nodes() numbers
+        them, without listing the nodes."""
+        first = max((p.id for p in self.placements), default=-1) + 1
         for g in self.groups:
-            for _ in range(g.count):
-                yield next_id, g
-                next_id += 1
+            ids = range(first, first + max(g.count, 0))
+            yield ids, g
+            first = ids.stop
 
     def to_dict(self):
         """Plain YAML-ready data: level maps keyed l0/l1/l2, tuples as lists,
@@ -514,12 +601,31 @@ def _section(ctx, raw, path, spec, parsed=None):
 _SCENARIO = _Spec(ScenarioConfig, "")
 
 
+def _settings_of(cfg):
+    """The function from a node id to that node's Placement or NodeGroup,
+    or None where no node has the id.  It looks a group node up by its
+    group's id range, so its cost grows with the groups, not the nodes."""
+    placed = {p.id: p for p in cfg.placements}
+    groups = list(cfg.group_ids())
+    stops = [ids.stop for ids, _ in groups]
+
+    def settings(nid):
+        if nid is None or nid in placed:
+            return placed.get(nid)
+        i = bisect.bisect_right(stops, nid)
+        if i < len(groups) and nid in groups[i][0]:
+            return groups[i][1]
+        return None
+    return settings
+
+
 def _check_link(ctx, i, lk, settings, pinned):
     """A link at a level one of its ends lacks would never exist, and of
     two entries for one link only the later would be applied, so either
-    override would be silently ignored.  `pinned` maps each link entered
-    so far, as (lower end, higher end, level), to its entry's index.  A
-    missing or out-of-range level is reported already."""
+    override would be silently ignored.  `settings` is _settings_of's
+    function, `pinned` maps each link entered so far, as (lower end,
+    higher end, level), to its entry's index.  A missing or out-of-range
+    level is reported already."""
     if lk.level is None or not _LEVEL["lo"] <= lk.level <= _LEVEL["hi"]:
         return
     lo, hi = sorted((lk.a, lk.b))
@@ -530,10 +636,11 @@ def _check_link(ctx, i, lk, settings, pinned):
                 f"between nodes {lo} and {hi}")
     for end in ("a", "b"):
         nid = getattr(lk, end)
-        if settings[nid].max_level < lk.level:
+        max_level = settings(nid).max_level
+        if max_level < lk.level:
             ctx.err(f"links[{i}].level", "level",
                     f"{end} is node {nid}, which has no level-{lk.level} "
-                    f"interface (max_level {settings[nid].max_level})")
+                    f"interface (max_level {max_level})")
 
 
 def parse_scenario(text):
@@ -551,20 +658,21 @@ def parse_scenario(text):
     ctx = _Ctx()
     cfg = _section(ctx, data, "", _SCENARIO)
 
-    settings = dict(cfg.nodes())
+    settings = _settings_of(cfg)
     pinned = {}
     for name, ends in (("flows", ("src", "dst")), ("links", ("a", "b"))):
         for i, item in enumerate(getattr(cfg, name)):
             for end in ends:
                 nid = getattr(item, end)
-                if nid is not None and nid not in settings:
+                if nid is not None and settings(nid) is None:
                     ctx.err(f"{name}[{i}].{end}", "node-ref",
                             f"node {nid} does not exist")
             a, b = (getattr(item, end) for end in ends)
             if a is not None and a == b:
                 ctx.err(f"{name}[{i}].{ends[1]}", "node-ref",
                         f"{ends[1]} is node {a}, the same as {ends[0]}")
-            elif name == "links" and a in settings and b in settings:
+            elif (name == "links" and settings(a) is not None
+                  and settings(b) is not None):
                 _check_link(ctx, i, item, settings, pinned)
 
     if ctx.issues:

@@ -47,6 +47,7 @@ class Mutant:
 
 SNAPSHOT = "tests/test_topology_snapshot.py::"
 FLOOD_MEMO = "tests/test_routing.py::TestFloodMemo::"
+LOADER = "tests/test_config_cli.py::TestLoaderEquivalence::"
 
 MUTANTS = (
     Mutant("travel-bound-without-factor-2", "src/antmanet/model.py",
@@ -129,6 +130,26 @@ MUTANTS = (
            (FLOOD_MEMO
             + "test_steered_replays_of_one_plan_assemble_their_own_paths",),
            "memo entries that keep their per-send work"),
+    Mutant("walk-reads-merge-as-a-key", "src/antmanet/config.py",
+           'for t in ("str", "int", "float", "bool", "null")}',
+           'for t in ("str", "int", "float", "bool", "null")}'
+           ' | {_TAG + "merge":'
+           ' yaml.constructor.SafeConstructor.construct_yaml_str}',
+           (LOADER + "test_edge_documents",),
+           "scenario data built in one walk over the nodes"),
+    Mutant("int-fast-path-takes-a-leading-zero", "src/antmanet/config.py",
+           'and value[0] != "0"):', "):",
+           (LOADER + "test_edge_documents",),
+           "scenario data built in one walk over the nodes"),
+    Mutant("tag-cache-keyed-on-the-value", "src/antmanet/config.py",
+           "key = (value, implicit)", "key = value",
+           (LOADER + "test_edge_documents",),
+           "each scalar's tag resolved once per loader"),
+    Mutant("nodes-listed-to-check-ends", "src/antmanet/config.py",
+           "settings = _settings_of(cfg)",
+           "settings = dict(cfg.nodes()).get",
+           ("tests/test_fuzz_config.py::test_huge_count_validates_fast",),
+           "validation linear in the document"),
 )
 
 

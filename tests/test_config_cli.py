@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from antmanet import config
 from antmanet.cli import build_parser, main
@@ -411,6 +413,8 @@ class TestNonFinite:
 
 SCENARIO_FILES = sorted(
     (Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+DIGEST_FILES = sorted(
+    (Path(__file__).resolve().parents[1] / "tests/data/digest").glob("*.yaml"))
 
 # Documents on which libyaml and the pure-Python parser could disagree.
 YAML_EDGE_CASES = [
@@ -431,6 +435,36 @@ YAML_EDGE_CASES = [
     "--- 1\n--- 2",
     "!!python/object:os.system {}",
     "",
+]
+
+# A document for each way out of config._LOADER's walk over the nodes, on
+# which PyYAML's constructor builds the document instead.
+WALK_EXITS = [
+    "a: &x 1\nb: *x",
+    "a: &x [1, 2]\nb: *x\nc: &y {k: 1}\nd: *y",
+    "a: &x [*x]",
+    "c: {<<: {k: 1}, j: 2}",
+    "c: {<<: [{k: 1}, {j: 2}], k: 3}",
+    "b: !!binary aGVsbG8=\n",
+    "s: !!set {a, b}",
+    "o: !!omap [{a: 1}, {b: 2}]",
+    "date: 2002-12-14",
+    "? [1, 2]\n: x",
+    "[" * (config._DEPTH + 1) + "]" * (config._DEPTH + 1),
+    # A scalar that its constructor rejects.
+    "[1, !!bool 'maybe']",
+]
+YAML_EDGE_CASES += WALK_EXITS + [
+    # Explicit tags on quoted scalars, which the walk builds.
+    "[!!int '12', !!float '1.5', !!str 12, !!bool 'yes', !!int '-+1',\n"
+    " !!float '--1']",
+    # One value, plain and then quoted, and the other way round: a quoted
+    # scalar is never an int.
+    "a: 12\nb: '12'\nc: '7'\nd: 7",
+    # YAML 1.1 reads 007 and 017 as octal.
+    "[0, -0, +7, 007, 017, 1_0, 12]",
+    "{.nan: 1, ~: 2, yes: 3, 1.5: 4, 12: 5, '12': 6}",
+    "[" * config._DEPTH + "]" * config._DEPTH,
 ]
 
 # Where the parsers part: libyaml reads a tab between tokens on a line as a
@@ -533,11 +567,103 @@ class TestLoaderEquivalence:
                 assert yaml.load(text, Loader=loader) == expected
 
 
+class TestWalk:
+    """config._LOADER builds a plain document in one walk over its nodes,
+    and gives any other to PyYAML's constructor."""
+
+    @staticmethod
+    def handovers(text, monkeypatch):
+        """How many times loading `text` reaches PyYAML's constructor."""
+        calls = []
+        construct = yaml.constructor.BaseConstructor.construct_document
+        monkeypatch.setattr(
+            yaml.constructor.BaseConstructor, "construct_document",
+            lambda self, node: calls.append(node) or construct(self, node))
+        _load_or_error(text, config._LOADER)
+        return len(calls)
+
+    @pytest.mark.parametrize("text", WALK_EXITS + [
+        "dup: 1\ndup: 2", "{1: a, true: b}"])
+    def test_exits_hand_over(self, text, monkeypatch):
+        assert self.handovers(text, monkeypatch) == 1
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES + DIGEST_FILES,
+                             ids=lambda p: p.name)
+    def test_scenarios_are_walked(self, path, monkeypatch):
+        text = path.read_text(encoding="utf-8")
+        assert self.handovers(text, monkeypatch) == 0
+
+    def test_aliased_collection_is_one_object(self, loader):
+        data = yaml.load("a: &x [1]\nb: *x\nc: &y {k: 1}\nd: *y",
+                         Loader=loader)
+        assert data["a"] is data["b"] and data["c"] is data["d"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None,
+              phases=[p for p in Phase if p is not Phase.shrink])
+    @given(data=st.data())
+    def test_generated_documents(self, data):
+        text = _render(data, 3, [])
+        assert (_load_or_error(text, config._LOADER)
+                == _load_or_error(text, yaml.SafeLoader)), text
+
+
+# Scalars whose tags the resolver, an explicit tag or quotes decide, and
+# keys that load to distinct values, so that no mapping repeats a key.
+SCALARS = ["0", "-0", "+7", "007", "017", "12", "'12'", "1_0", "1.5",
+           "-1.5", "6.8e+5", ".inf", "-.Inf", ".nan", "yes", "No", "~",
+           "null", "''", "abc", "1:30", "0x1F", "1e5", "2002-12-14",
+           "!!int '12'", "!!str 12", "!!float '1.5'", "!!bool 'on'"]
+KEYS = ["a", "b", "'12'", "12", "1.5", "~", "yes", "017", "-0"]
+
+
+def _render(data, depth, anchors):
+    """A flow-style YAML node drawn from `data`; `anchors` holds the name
+    and kind of each anchor defined so far.  A mapping may merge (<<) a
+    mapping or an alias of one."""
+    kinds = ["scalar", "seq", "map"] if depth else ["scalar"]
+    if anchors:
+        kinds.append("alias")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "alias":
+        return "*" + data.draw(st.sampled_from(anchors))[0]
+    if kind == "scalar":
+        text = data.draw(st.sampled_from(SCALARS))
+    elif kind == "seq":
+        n = data.draw(st.integers(0, 3))
+        text = "[" + ", ".join(_render(data, depth - 1, anchors)
+                               for _ in range(n)) + "]"
+    else:
+        keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=3,
+                                  unique=True))
+        entries = [f"{k}: {_render(data, depth - 1, anchors)}" for k in keys]
+        maps = [name for name, of in anchors if of == "map"]
+        if data.draw(st.booleans()):
+            merged = (data.draw(st.sampled_from(["*" + m for m in maps]))
+                      if maps and data.draw(st.booleans())
+                      else _render_map(data, anchors))
+            entries.insert(data.draw(st.integers(0, len(entries))),
+                           f"<<: {merged}")
+        text = "{" + ", ".join(entries) + "}"
+    if data.draw(st.booleans()):
+        name = f"a{len(anchors)}"
+        anchors.append((name, kind))
+        return f"&{name} {text}"
+    return text
+
+
+def _render_map(data, anchors):
+    keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=2, unique=True))
+    return "{" + ", ".join(f"{k}: {_render(data, 0, anchors)}"
+                           for k in keys) + "}"
+
+
 def _load_or_error(text, loader):
-    """repr of the document, or the class of the YAMLError it raises."""
+    """repr of the document, or the class of the error it raises (PyYAML's
+    scalar constructors raise ValueError and KeyError besides YAMLError)."""
     try:
         return repr(yaml.load(text, Loader=loader))
-    except yaml.YAMLError as exc:
+    except Exception as exc:
         return type(exc)
 
 
