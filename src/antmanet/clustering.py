@@ -118,14 +118,14 @@ def eligible(state, clusters, node, level):
             and (level == 0 or node in clusters.levels.get(level - 1, {})))
 
 
-def candidates(state, clusters, level, skip=frozenset()):
-    """The set of nodes eligible at `level`, less `skip`.  Above level 0
-    only the lower level's heads can qualify, so only they are scanned."""
+def candidates(state, clusters, level):
+    """The set of nodes eligible at `level`.  Above level 0 only the lower
+    level's heads can qualify, so only they are scanned."""
     if level == 0:
         # Every node has the level-0 interface, so the live ones qualify.
-        return {n for n in state.members(0) if n not in skip}
+        return set(state.members(0))
     return {n for n in clusters.levels.get(level - 1, {})
-            if n not in skip and eligible(state, clusters, n, level)}
+            if eligible(state, clusters, n, level)}
 
 
 class ClusterState:

@@ -21,6 +21,7 @@ import bisect
 import io
 import math
 import re
+import reprlib
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
@@ -52,8 +53,10 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser with PyYAML's safe constructor and resolver, so a
     document both parsers accept loads as under SafeLoader (where they part
     is pinned in tests/test_config_cli.py), save that a scalar key repeated
-    in one mapping is an error, not a new value.  Merge keys (``<<``) still
-    merge.  Without libyaml the parser is PyYAML's own.
+    in one mapping is an error, not a new value, and that a scalar its tag
+    cannot read (``!!bool 'maybe'``) is a ConstructorError at its mark, not
+    a bare KeyError or ValueError.  Merge keys (``<<``) still merge.
+    Without libyaml the parser is PyYAML's own.
 
     Two shortcuts give the same data in less time.  A scalar's tag is
     resolved once per loader for each (value, implicit) pair.  A document
@@ -118,6 +121,14 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 raise _Handover
             data[key] = self._build(value_node, seen, depth)
         return data
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (KeyError, ValueError):
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {reprlib.repr(node.value)} as "
+                f"{node.tag}", node.start_mark) from None
 
     def construct_mapping(self, node, deep=False):
         if isinstance(node, yaml.MappingNode):

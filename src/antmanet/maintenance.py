@@ -263,11 +263,10 @@ class MaintenanceManager:
     def _cover_orphans(self, level, now, case):
         """Adoption first, election for the remainder, of every eligible
         node the level leaves uncovered."""
-        orphans = sorted(clustering.candidates(
-            self.state, self.clusters, level,
-            skip=self.clusters.participants(level)))
+        orphans = (clustering.candidates(self.state, self.clusters, level)
+                   - self.clusters.participants(level))
         remainder = set()
-        for n in orphans:
+        for n in sorted(orphans):
             ev = MembershipEvent("member_joined", level, node=n)
             if not self.handle_membership_change(ev, now):
                 remainder.add(n)

@@ -18,20 +18,21 @@ energies, so the router memoizes it under one stamp: the topology
 version (``NetworkState.version``), the hierarchy epoch
 (``ClusterState.epoch``) and the energy counter
 (``NetworkState.energy_version``).  The memo is emptied whenever the
-stamp moves, and read once per discovery.  It holds, per endpoint pair,
-the discovery plan: their link level, or the climb's route ants (each as
-its trace packet and record key) followed by its failure or its legs,
-each leg's scope frozen, and per tuple of segment choices the assembled
-path and levels, or the node it revisits; per flood, each path's reply
-(next hop, path, metrics, trace packet, record key and, once scored, its
-QoS score factors) and, per `QosRequirement`, which replies it admits;
-and per route, its broken link, or all that a send repeats: the metrics,
-cache age and pheromone keys of the route, its deposit, each relay's
-suffix with its metrics and cache age, and the ``route_selected`` fields.
-A send then adds only the time.  Every call still reads the endpoints'
-liveness, the route cache, pheromone and the time afresh, and emits the
-same records and counters as a call with an empty memo.  Records that
-replay memoized parts share them, so a sink must not mutate a record.
+stamp moves, and read once per discovery.  Per endpoint pair it holds
+the discovery plan: their link level, or the climb's route ants (trace
+packet and record key) and its failure or its legs, each leg's scope
+frozen, and per tuple of segment choices what a send of the assembled
+route repeats: path, levels, metrics, cache age, pheromone keys,
+deposit, each relay's suffix with its metrics and cache age, and the
+``route_selected`` fields.  Per flood it holds each path's reply (next
+hop, path, metrics, trace packet, record key and, once scored, its QoS
+score factors) and, per `QosRequirement`, which replies it admits.  A
+failure, the climb's or a route's revisited node or missing link, is
+kept as (error class, message) and raised afresh at each replay.  A send
+adds only the time.  Every call still reads the endpoints' liveness, the
+route cache, pheromone and the time afresh, and emits the same records
+and counters as a call with an empty memo.  Records that replay memoized
+parts share them, so a sink must not mutate a record.
 """
 
 import heapq
@@ -77,10 +78,6 @@ class PheromoneTable:
     def keys(path, levels, d):
         """The keys of `path`'s hops toward d, hop i on plane levels[i]."""
         return [(level, i, j, d) for i, j, level in zip(path, path[1:], levels)]
-
-    def deposit(self, path, levels, d, dtau):
-        """`deposit_on` the `keys` of `path`'s hops toward d."""
-        self.deposit_on(self.keys(path, levels, d), dtau)
 
     def deposit_on(self, keys, dtau):
         """Deposit dtau on each of `keys`: tau becomes (1 - q) * tau + dtau."""
@@ -243,10 +240,10 @@ class Router:
         # What discovery derives from the topology, the cluster tables and
         # the energies, valid while _stamp is (state.version,
         # clusters.epoch, state.energy_version).  The key shapes tell its
-        # entries apart: (src, dst) -> _plan's plan, with each assembled
-        # route per tuple of segment choices; (level, src, dst, scope) ->
-        # _expand's flood, with each QosRequirement's admissible replies;
-        # and (path, levels) -> _route_entry's per-send work.
+        # entries apart: (src, dst) -> _plan's plan, whose route table
+        # holds each route's _route_entry per tuple of segment choices;
+        # and (level, src, dst, scope) -> _expand's flood, with each
+        # QosRequirement's admissible replies.
         self._memo = {}
         self._stamp = ()
 
@@ -312,13 +309,13 @@ class Router:
                 forwards += 1
         return found, forwards, sum(len(r[1]) - 1 for r in found)
 
-    def _segment(self, scope, level, src, dst, pher_dst, qos, now, memo=None):
+    def _segment(self, scope, level, src, dst, pher_dst, qos, now, memo):
         """Replay the request ants of one discovery segment, confined to the
         frozenset `scope`, and return the chosen path.
 
         Emits one reply record per path the flood finds, and scores each
         admissible reply right after its record.  The flood comes from
-        `memo` (the current memo if None), with each `QosRequirement`'s
+        `memo`, the current memo, with each `QosRequirement`'s
         admissible replies, and each of its `_reply` entries keeps its
         `score_factors` from its first scoring on: a reply scores as tau
         under its exponent times those factors, as `preference_score`
@@ -330,8 +327,6 @@ class Router:
         if src == dst:
             # Trivial segment (a head routing to itself); no ants needed.
             return (src,)
-        if memo is None:
-            memo = self._current_memo()
         key = (level, src, dst, scope)
         flood = memo.get(key)
         if flood is None:
@@ -378,17 +373,19 @@ class Router:
 
     def _plan(self, src, dst):
         """How discovery from src to dst proceeds under this topology and
-        hierarchy: (link level, route ants, failure, legs).
+        hierarchy: (link level, route ants, failure, legs, routes).
 
-        Linked endpoints get their lowest link level, and nothing else.
+        Linked endpoints get their lowest link level, and their direct
+        route's `_route_entry` under () in the route table `routes`.
         Otherwise a climb up both endpoints' head chains gives the Route
         ants to record, each as `_route_ant`'s (packet, key), then either
-        the message of the NoRouteError that stops it or its legs (scope,
-        level, from, to).
+        its failure (NoRouteError, message) or its legs (scope, level,
+        from, to), whose segment choices key the routes they assemble.
         """
         level = self.state.link_level(src, dst)
         if level is not None:
-            return level, (), None, ()
+            return (level, (), None, (),
+                    {(): self._route_entry((src, dst), (level,))})
         # Climb both endpoints' head chains until they meet: up[i + 1] is
         # the level-i head of up[i], and down likewise from dst.  At each
         # level a Route ant asks the source chain's new head, unless that
@@ -402,12 +399,12 @@ class Router:
             for chain in (up, down):
                 head = clusters.head_of(chain[-1], level)
                 if head is None:
-                    return (None, ants,
-                            f"node {chain[-1]} has no level-{level} head", ())
+                    return (None, ants, (NoRouteError, f"node {chain[-1]} "
+                                         f"has no level-{level} head"), (), {})
                 chain.append(head)
             if level == LEVELS[-1] and up[-1] != down[-1]:
-                return (None, ants,
-                        f"level-2 heads {up[-1]} and {down[-1]} differ", ())
+                return (None, ants, (NoRouteError, f"level-2 heads {up[-1]} "
+                                     f"and {down[-1]} differ"), (), {})
             if up[-2] != up[-1]:
                 ants.append(_route_ant(up[-2], up[-1], 0))
             if up[-1] == down[-1]:
@@ -425,24 +422,29 @@ class Router:
                    for i in reversed(range(1, level))])
         return None, ants, None, tuple(
             (frozenset(clusters.cluster(head, lvl)), lvl, a, b)
-            for head, lvl, a, b in legs)
+            for head, lvl, a, b in legs), {}
 
     def _route_entry(self, path, levels):
         """What every send of the route `path` (hop i on level levels[i])
-        repeats under one stamp: [metrics, cache age, pheromone keys,
-        deposit (None until first needed), relays, `route_selected` fields,
-        record key], each relay (node, path, levels, metrics, cache age) of
-        a suffix of two hops or more; or the message of a missing link."""
+        repeats under one stamp: [path, levels, metrics, cache age,
+        pheromone keys, deposit (None until first needed), relays,
+        `route_selected` fields, record key], each relay (node, path,
+        levels, metrics, cache age) of a suffix of two hops or more; or the
+        failure of a revisited node or missing link (a member-head hop at
+        either end can go stale between beacon cycles)."""
+        if len(set(path)) != len(path):
+            return (RoutingLoopError,
+                    f"assembled route revisits a node: {list(path)}")
         try:
             links = path_links(path, self.state, levels)
         except BrokenPathError as exc:
-            return str(exc)
+            return NoRouteError, str(exc)
         nodes = [self.state.node(n) for n in path]
         src, dst, max_age = path[0], path[-1], self.cache_max_age
         m, *suffixes = [link_metrics(links[i:], nodes[i:])
                         for i in range(max(1, len(links) - 1))]
-        return [m, min(m.let, max_age), self.pheromone.keys(path, levels, dst),
-                None,
+        return [path, levels, m, min(m.let, max_age),
+                self.pheromone.keys(path, levels, dst), None,
                 [(path[i], path[i:], levels[i:], sm, min(sm.let, max_age))
                  for i, sm in enumerate(suffixes, 1)],
                 {"src": src, "dst": dst, "path": list(path),
@@ -452,27 +454,19 @@ class Router:
                 ("route_selected", src, dst, path, levels, m.delay,
                  m.bandwidth, m.energy, m.let, m.hop_count)]
 
-    def _finalize(self, memo, src, dst, path, levels, qos, now):
-        """Score, reward and cache an assembled route (tuples `path` and
-        `levels`) and its relays' suffixes; returns its Route.
-
-        Each send replays the route's `_route_entry` from `memo`, adding
-        only the time."""
-        key = (path, levels)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = self._route_entry(path, levels)
-        if isinstance(entry, str):
-            # A member-head hop at either end can go stale between beacon
-            # cycles; the assembled route is undiscoverable this attempt.
-            raise NoRouteError(entry)
-        m, age, keys, dtau, relays, fields, rkey = entry
+    def _finalize(self, entry, src, dst, qos, now):
+        """Score, reward and cache the route of its `_route_entry` `entry`
+        and its relays' suffixes, adding only the time; returns its Route.
+        A failure, the tuple (error class, message), raises afresh."""
+        if isinstance(entry, tuple):
+            raise entry[0](entry[1])
+        path, levels, m, age, keys, dtau, relays, fields, rkey = entry
         if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
         if self.deposit_params is not None:
             if dtau is None:
-                dtau = entry[3] = pheromone_deposit(m, self.deposit_params)
+                dtau = entry[5] = pheromone_deposit(m, self.deposit_params)
             self.pheromone.deposit_on(keys, dtau)
         route = Route(dst, path, levels, m, now + age)
         # Only routes of two hops or more are cached: a linked pair gets its
@@ -503,13 +497,12 @@ class Router:
         memo = self._current_memo()
         plan = memo.get((src, dst))
         if plan is None:
-            plan = memo[src, dst] = (*self._plan(src, dst), {})
-        level, ants, failure, legs, paths = plan
+            plan = memo[src, dst] = self._plan(src, dst)
+        level, ants, failure, legs, routes = plan
 
         # Direct neighbor: deliver without emitting any ants.
         if level is not None:
-            return self._finalize(memo, src, dst, (src, dst), (level,), qos,
-                                  now)
+            return self._finalize(routes[()], src, dst, qos, now)
 
         hit = self.cache.lookup(src, dst, now)
         if (hit is not None and qos.admits(hit.metrics)
@@ -522,11 +515,11 @@ class Router:
             self.stats["route_ants"] += 1
             self.trace({"kind": "route_ant", "t": now, "packet": packet}, key)
         if failure is not None:
-            raise NoRouteError(failure)
+            raise failure[0](failure[1])
         segs = tuple([self._segment(scope, lvl, a, b, dst, qos, now, memo)
                       for scope, lvl, a, b in legs])
-        assembled = paths.get(segs)
-        if assembled is None:
+        entry = routes.get(segs)
+        if entry is None:
             path, levels = [src], []
             for (_, lvl, a, _), seg in zip(legs, segs):
                 if path[-1] != a:
@@ -538,10 +531,6 @@ class Router:
             if path[-1] != dst:
                 path.append(dst)
                 levels.append(0)
-            assembled = paths[segs] = (
-                f"assembled route revisits a node: {path}"
-                if len(set(path)) != len(path) else (tuple(path), tuple(levels)))
-        if isinstance(assembled, str):
-            raise RoutingLoopError(assembled)
-        path, levels = assembled
-        return self._finalize(memo, src, dst, path, levels, qos, now)
+            entry = routes[segs] = self._route_entry(tuple(path),
+                                                     tuple(levels))
+        return self._finalize(entry, src, dst, qos, now)

@@ -46,7 +46,8 @@ class Mutant:
 
 
 SNAPSHOT = "tests/test_topology_snapshot.py::"
-FLOOD_MEMO = "tests/test_routing.py::TestFloodMemo::"
+ROUTING = "tests/test_routing.py::"
+FLOOD_MEMO = ROUTING + "TestFloodMemo::"
 LOADER = "tests/test_config_cli.py::TestLoaderEquivalence::"
 
 MUTANTS = (
@@ -112,6 +113,29 @@ MUTANTS = (
            (FLOOD_MEMO + "test_engine_energy_write_reaches_the_next_flood",
             FLOOD_MEMO + "test_energy_is_read_at_every_flood"),
            "one discovery memo under one stamp"),
+    Mutant("memo-stamp-without-version", "src/antmanet/routing.py",
+           "stamp = (state.version, self.clusters.epoch, state.energy_version)",
+           "stamp = (self.clusters.epoch, state.energy_version)",
+           (FLOOD_MEMO + "test_moved_node_reroutes_with_new_let",),
+           "one discovery memo under one stamp"),
+    Mutant("memo-stamp-without-epoch", "src/antmanet/routing.py",
+           "stamp = (state.version, self.clusters.epoch, state.energy_version)",
+           "stamp = (state.version, state.energy_version)",
+           (ROUTING + "TestHierarchicalDiscovery::"
+            "test_hierarchy_change_climbs_afresh[dissolve]",),
+           "one discovery memo under one stamp"),
+    Mutant("expand-without-its-loop-check", "src/antmanet/routing.py",
+           "if nb not in scope or nb in path:", "if nb not in scope:",
+           (ROUTING + "TestAnts::test_reply_retraces_in_reverse",),
+           "loop-free request ants"),
+    Mutant("install-without-the-held-table-return",
+           "src/antmanet/clustering.py",
+           "if all(held.get(head) == members for head, members in "
+           "table.items()):",
+           "if False:",
+           ("tests/test_clustering.py::TestClusterState::"
+            "test_install_of_the_held_table_only_restamps",),
+           "one writer of an election's result"),
     Mutant("admissibility-without-its-qos", "src/antmanet/routing.py",
            "admits = admitted.get(qos)",
            "admits = next(iter(admitted.values()), None)",
@@ -119,17 +143,25 @@ MUTANTS = (
            "memo entries that keep their per-send work"),
     Mutant("relay-expiry-frozen-at-the-first-send", "src/antmanet/routing.py",
            "insert(node, Route(dst, s_path, s_levels, sm, now + s_age))",
-           "insert(node, memo.setdefault((node, s_path), Route(\n"
+           "insert(node, self._memo.setdefault((node, s_path), Route(\n"
            "                dst, s_path, s_levels, sm, now + s_age)))",
            (FLOOD_MEMO
             + "test_replay_expires_and_deposits_as_a_fresh_derivation",),
            "memo entries that keep their per-send work"),
     Mutant("assembled-route-without-the-choices", "src/antmanet/routing.py",
-           "assembled = paths.get(segs)",
-           "assembled = next(iter(paths.values()), None)",
+           "entry = routes.get(segs)",
+           "entry = next(iter(routes.values()), None)",
            (FLOOD_MEMO
             + "test_steered_replays_of_one_plan_assemble_their_own_paths",),
            "memo entries that keep their per-send work"),
+    Mutant("failure-replay-reraises-one-instance", "src/antmanet/routing.py",
+           "raise entry[0](entry[1])",
+           "raise self.__dict__.setdefault(entry, entry[0](entry[1]))",
+           (ROUTING + "TestMemoizedFailures::"
+            "test_replay_raises_as_the_derivation[stale-hop]",
+            ROUTING + "TestMemoizedFailures::"
+            "test_replay_raises_as_the_derivation[loop]"),
+           "one route table per endpoint pair"),
     Mutant("walk-reads-merge-as-a-key", "src/antmanet/config.py",
            'for t in ("str", "int", "float", "bool", "null")}',
            'for t in ("str", "int", "float", "bool", "null")}'

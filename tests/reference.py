@@ -14,7 +14,6 @@ table on every call, ``reference_detect_head_merges`` tests every head
 pair, and ``reference_best_head_in_range`` tests every head for each
 node.  ``reference_head_of`` and ``reference_participants`` scan the
 cluster tables instead of reading the head index,
-``reference_cover_orphans`` tests every live node's eligibility,
 ``reference_beacon_tick`` tests each member's liveness, counts and
 debits its packets and collects the members it missed one by one, and
 ``reference_detect_changes`` tests every member's stamp instead of only
@@ -233,18 +232,6 @@ def reference_participants(self, level):
     return out
 
 
-def reference_cover_orphans(self, level, now, case):
-    orphans = (clustering.candidates(self.state, self.clusters, level)
-               - self.clusters.participants(level))
-    remainder = set()
-    for n in sorted(orphans):
-        ev = MembershipEvent("member_joined", level, node=n)
-        if not self.handle_membership_change(ev, now):
-            remainder.add(n)
-    if remainder:
-        self._scoped_election(level, remainder, now, case=case)
-
-
 def reference_beacon_tick(self, level, now):
     debit = self.energy_debit or (lambda nids: None)
     missed = {}
@@ -413,7 +400,6 @@ def use_references(monkeypatch):
                          ("detect_changes", reference_detect_changes),
                          ("detect_head_merges", reference_detect_head_merges),
                          ("_best_head_in_range", reference_best_head_in_range),
-                         ("_cover_orphans", reference_cover_orphans),
                          ("_scoped_election", reference_scoped_election),
                          ("run_cycle", reference_run_cycle)):
         monkeypatch.setattr(MaintenanceManager, name, method)

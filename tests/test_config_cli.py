@@ -451,8 +451,6 @@ WALK_EXITS = [
     "date: 2002-12-14",
     "? [1, 2]\n: x",
     "[" * (config._DEPTH + 1) + "]" * (config._DEPTH + 1),
-    # A scalar that its constructor rejects.
-    "[1, !!bool 'maybe']",
 ]
 YAML_EDGE_CASES += WALK_EXITS + [
     # Explicit tags on quoted scalars, which the walk builds.
@@ -465,6 +463,23 @@ YAML_EDGE_CASES += WALK_EXITS + [
     "[0, -0, +7, 007, 017, 1_0, 12]",
     "{.nan: 1, ~: 2, yes: 3, 1.5: 4, 12: 5, '12': 6}",
     "[" * config._DEPTH + "]" * config._DEPTH,
+]
+
+# Scalars that their tag cannot read: SafeLoader raises PyYAML's bare error,
+# which has no mark, and config._LOADER a ConstructorError at the scalar.
+# Besides a repeated key, this is where the two loaders part.  Each row is
+# the document, SafeLoader's error, and the value, tag, line and column
+# that config._LOADER's error names.
+UNREADABLE = [
+    ("[1, !!bool 'maybe']", KeyError, "'maybe'", "bool", 1, 5),
+    ("seed: !!bool 'maybe'", KeyError, "'maybe'", "bool", 1, 7),
+    ("seed: !!int 'x'", ValueError, "'x'", "int", 1, 7),
+    # Past Python's int-digit limit; reprlib shortens the value.
+    ("seed: " + "1" * 5000, ValueError, "'111111111111...1111111111111'",
+     "int", 1, 7),
+    ("seed: 1\nlink: {delay: !!float 'x'}", ValueError, "'x'", "float", 2,
+     15),
+    ("date: 2002-13-45", ValueError, "'2002-13-45'", "timestamp", 1, 7),
 ]
 
 # Where the parsers part: libyaml reads a tab between tokens on a line as a
@@ -512,6 +527,25 @@ class TestLoaderEquivalence:
         assert (path, code) == ("<document>", "yaml")
         assert f"found duplicate key {key}\n" in msg
         assert f"line {line}," in msg.split("found duplicate key")[1]
+
+    @pytest.mark.parametrize("text, error, value, tag, line, column",
+                             UNREADABLE,
+                             ids=["seq", "bool", "int", "digits", "nested",
+                                  "timestamp"])
+    def test_unreadable_scalar_reported(self, text, error, value, tag, line,
+                                        column, tmp_path):
+        with pytest.raises(error):
+            yaml.load(text, Loader=yaml.SafeLoader)
+        with pytest.raises(yaml.constructor.ConstructorError):
+            yaml.load(text, Loader=config._LOADER)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        [(where, code, msg)] = exc.value.issues
+        assert (where, code) == ("<document>", "yaml")
+        assert msg == (f"cannot read {value} as tag:yaml.org,2002:{tag}\n"
+                       f'  in "{path}", line {line}, column {column}')
 
     @pytest.mark.parametrize("path", SCENARIO_FILES,
                              ids=[p.name for p in SCENARIO_FILES])
@@ -583,7 +617,8 @@ class TestWalk:
         return len(calls)
 
     @pytest.mark.parametrize("text", WALK_EXITS + [
-        "dup: 1\ndup: 2", "{1: a, true: b}"])
+        "dup: 1\ndup: 2", "{1: a, true: b}"]
+        + [text for text, *_ in UNREADABLE])
     def test_exits_hand_over(self, text, monkeypatch):
         assert self.handovers(text, monkeypatch) == 1
 
@@ -763,6 +798,20 @@ class TestCli:
         assert (f'found duplicate key \'seed\'\n  in "{bad}", line 1, column 11'
                 in err)
         assert "<unicode string>" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed: !!bool 'maybe'",
+         "cannot read 'maybe' as tag:yaml.org,2002:bool"),
+        ("seed: !!int 'x'", "cannot read 'x' as tag:yaml.org,2002:int")],
+        ids=["bool", "int"])
+    def test_validate_unreadable_scalar_exit_2(self, tmp_path, capsys, text,
+                                               message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text + "\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f'error: <document>: [yaml] {message}\n'
+            f'  in "{bad}", line 1, column 7\n')
 
     def test_validate_non_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

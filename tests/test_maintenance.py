@@ -152,7 +152,8 @@ class TestMemberWalkAway:
 
     def test_pheromone_purged_for_departed_member(self):
         state, clusters, mgr = walkaway_world()
-        mgr.router.pheromone.deposit((0, 3), (0,), 3, 1.0)
+        mgr.router.pheromone.deposit_on(
+            mgr.router.pheromone.keys((0, 3), (0,), 3), 1.0)
         ev = MembershipEvent("member_left", 0, head=1, node=3)
         assert mgr.handle_membership_change(ev, 10.0)
         assert mgr.router.pheromone.entries == {}
@@ -168,7 +169,8 @@ class TestMemberWalkAway:
             MembershipEvent("member_left", 0, head=1, node=3), 10.0)
         records = []
         mgr.trace = record_sink(records)
-        mgr.router.pheromone.deposit((0, 3), (0,), 3, 1.0)
+        mgr.router.pheromone.deposit_on(
+            mgr.router.pheromone.keys((0, 3), (0,), 3), 1.0)
         levels = {lvl: {h: set(m) for h, m in table.items()}
                   for lvl, table in clusters.levels.items()}
         pheromone = dict(mgr.router.pheromone.entries)

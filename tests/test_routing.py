@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from antmanet import routing
 from antmanet.engine import Simulator
-from antmanet.errors import ConfigError, NoAdmissibleRouteError, NoRouteError
+from antmanet.errors import (ConfigError, NoAdmissibleRouteError, NoRouteError,
+                             RoutingLoopError)
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams,
@@ -74,34 +76,34 @@ class TestPreferenceProbability:
 class TestPheromoneTable:
     def test_zero_deposit_only_evaporates(self):
         t = PheromoneTable(q=0.5, initial=DEFAULTS.pheromone.initial)
-        t.deposit((0, 1), (0,), 9, 1.0)
+        t.deposit_on(t.keys((0, 1), (0,), 9), 1.0)
         before = t.get(0, 0, 1, 9)
-        t.deposit((0, 1), (0,), 9, 0.0)
+        t.deposit_on(t.keys((0, 1), (0,), 9), 0.0)
         assert t.get(0, 0, 1, 9) == pytest.approx(0.5 * before)
 
     def test_direct_substitution(self):
         t = PheromoneTable(q=0.5, initial=1.0)
-        t.deposit((0, 3), (0,), 9, 2.0)
+        t.deposit_on(t.keys((0, 3), (0,), 9), 2.0)
         assert t.get(0, 0, 3, 9) == pytest.approx(2.5)
 
     def test_repeated_deposits_converge_to_ratio(self):
         t = PheromoneTable(q=0.25, initial=1.0)
         for _ in range(100):
-            t.deposit((0, 3), (0,), 9, 2.0)
+            t.deposit_on(t.keys((0, 3), (0,), 9), 2.0)
         assert t.get(0, 0, 3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
 
     def test_deposit_on_each_hop_of_a_path(self):
         # Hop i lands on plane levels[i], every hop toward destination 9.
         t = PheromoneTable(q=0.5, initial=1.0)
         t.entries[(1, 4, 6, 9)] = 3.0
-        t.deposit((2, 4, 6, 9), (0, 1, 0), 9, 2.0)
+        t.deposit_on(t.keys((2, 4, 6, 9), (0, 1, 0), 9), 2.0)
         assert t.entries == {(0, 2, 4, 9): 2.5, (1, 4, 6, 9): 3.5,
                              (0, 6, 9, 9): 2.5}
 
     def test_negative_deposit_raises_and_writes_nothing(self):
         t = PheromoneTable(q=0.5, initial=1.0)
         with pytest.raises(ConfigError, match="deposit must be >= 0"):
-            t.deposit((2, 4, 6), (0, 0), 6, -1.0)
+            t.deposit_on(t.keys((2, 4, 6), (0, 0), 6), -1.0)
         assert t.entries == {}
 
     def test_evaporate_full(self):
@@ -127,7 +129,7 @@ class TestPheromoneTable:
         t = PheromoneTable(q=0.5, initial=1.0)
         for level, i, j, d in ((0, 1, 3, 9), (1, 1, 9, 3), (0, 3, 1, 9),
                                (2, 3, 9, 1)):
-            t.deposit((i, j), (level,), d, 2.0)
+            t.deposit_on(t.keys((i, j), (level,), d), 2.0)
         t.purge_node(3)
         assert list(t.entries) == [(0, 3, 1, 9), (2, 3, 9, 1)]
 
@@ -177,7 +179,7 @@ class TestAnts:
         r = make_router(state, manual_clusters({0: {}}),
                         trace=record_sink(records))
         r._segment(frozenset(state.nodes), level, src, dst, dst,
-                   QosRequirement(), 0.0)
+                   QosRequirement(), 0.0, r._current_memo())
         return [rec for rec in records if rec["kind"].startswith("reply_")]
 
     def test_reply_retraces_in_reverse(self):
@@ -477,7 +479,7 @@ class TestChoice:
         assert make_router(state, clusters).discover_route(
             0, 3, now=0.0).path == (0, 1, 3)
         r = make_router(state, clusters, pref=PreferenceParams(alpha1=alpha1))
-        r.pheromone.deposit((0, 2), (0,), 3, 1.0)
+        r.pheromone.deposit_on(r.pheromone.keys((0, 2), (0,), 3), 1.0)
         assert r.discover_route(0, 3, now=0.0).path == path
 
     def test_each_admissible_reply_is_scored_once(self, monkeypatch):
@@ -549,7 +551,7 @@ class TestScoreFactors:
         r = make_router(state, clusters, pref=p)
         for j, dtau in zip((1, 2), deposits):
             if dtau is not None:
-                r.pheromone.deposit((0, j), (0,), 3, dtau)
+                r.pheromone.deposit_on(r.pheromone.keys((0, j), (0,), 3), dtau)
         seen, calls = [], []
 
         def recording(scores):
@@ -809,7 +811,7 @@ class TestFloodMemo:
         routes = [r.discover_route(0, 3, now=0.0)]
         stamp = r._stamp
         for now, j, dtau in ((1.0, 2, 1.0), (2.0, 1, 5.0)):
-            r.pheromone.deposit((0, j), (0,), 3, dtau)
+            r.pheromone.deposit_on(r.pheromone.keys((0, j), (0,), 3), dtau)
             routes.append(r.discover_route(0, 3, now=now))
         assert r._stamp == stamp
         assert [(route.path, route.levels) for route in routes] == [
@@ -924,3 +926,64 @@ class TestHierarchicalDiscovery:
         bound = max(deposits) / r.pheromone.q + r.pheromone.initial
         for tau in r.pheromone.entries.values():
             assert 0.0 <= tau <= bound + 1e-9
+
+
+def looping_world():
+    """Source 0 is a member of head 10, and its level-1 interface puts it
+    in 10's level-1 cluster too, where it is the one relay between 10 and
+    20 (300 apart, past level 1's 250).  The assembled route climbs from 0
+    to 10 and floods back through 0: (0, 10, 0, 20, 3)."""
+    state = make_state()
+    add_node(state, 10, (0.0, 0.0), level=1)
+    add_node(state, 0, (90.0, 0.0), level=1)
+    add_node(state, 20, (300.0, 0.0), level=1)
+    add_node(state, 3, (380.0, 0.0))
+    return state, manual_clusters({0: {10: {0}, 20: {3}},
+                                   1: {10: {0, 20}}})
+
+
+def stale_member_world():
+    """Member 0 has walked out of its head 10's range, and the tables
+    still hold it: the assembled route's first hop has no link."""
+    state, clusters = two_region_world(cross_region=True)
+    state.nodes[0].position = (-150.0, 0.0)
+    state.touch()
+    return state, clusters
+
+
+class TestMemoizedFailures:
+    """An assembled route that revisits a node or misses a link fails
+    with the same error, records and counters whether it is derived or
+    replayed under one stamp, and each replay raises a new exception."""
+
+    @pytest.mark.parametrize("world, error, message", [
+        (stale_member_world, NoRouteError, "no link between 0 and 10"),
+        (looping_world, RoutingLoopError,
+         "assembled route revisits a node: [0, 10, 0, 20, 3]"),
+    ], ids=["stale-hop", "loop"])
+    def test_replay_raises_as_the_derivation(self, world, error, message,
+                                             monkeypatch):
+        entries = []
+        route_entry = routing.Router._route_entry
+
+        def counted(self, *args):
+            entries.append(args)
+            return route_entry(self, *args)
+
+        monkeypatch.setattr(routing.Router, "_route_entry", counted)
+        state, clusters = world()
+        records = []
+        r = make_router(state, clusters, trace=record_sink(records))
+        calls = []
+        for _ in range(2):
+            records.clear()
+            before = Counter(r.stats)
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+                r.discover_route(0, 3, now=1.0)
+            calls.append((exc.value, len(exc.traceback), list(records),
+                          r.stats - before))
+        (first, *derived), (second, *replayed) = calls
+        assert first is not second
+        assert derived == replayed
+        assert derived[1] and derived[2]["route_ants"] == 1
+        assert len(entries) == 1
