@@ -21,7 +21,7 @@ from .config import Placement
 from .errors import NoAdmissibleRouteError, RoutingError
 from .maintenance import MaintenanceManager
 from .model import LEVELS, NetworkState, NodeAttributes
-from .routing import Router
+from .routing import Line, Router
 
 
 def energy_debit(attrs, cost):
@@ -114,7 +114,7 @@ def format_record(record):
     """The canonical one-line encoding of a trace record, as
     ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes
     it: sorted keys, no spaces, ASCII only.  `TraceWriter` encodes each
-    line of a trace through here, a repeated record only once per run."""
+    line of a trace through here, a `Line`'s fields only once."""
     return _ENCODER.encode(record)
 
 
@@ -122,46 +122,40 @@ def TraceWriter(write):
     """The trace sink that writes each record as one line, `format_record`
     of it and a newline, through `write`.
 
-    A sink is called as ``sink(record, key=None)``.  A keyed record has the
-    same fields and values as every earlier record with its key, apart
-    from "t"; "t" is its largest key and a float (not a subclass) that is
-    finite.  So the first record with a key is encoded up to "t", and every
-    record with that key is written as that text and its own "t".  The
-    cache lasts as long as the sink, which serves one run.
+    A sink is called as ``sink(record)`` for a record written once, or as
+    ``sink(line, t)`` for a `routing.Line`, the record ``{**line.fields,
+    "t": t}`` of a record that recurs.  Every field of a Line sorts before
+    "t", and t is a float (not a subclass) that is finite.  So the line's
+    text up to the value of "t", its head, is encoded once, when a writer
+    first meets the Line, and kept on it; each write is that head and
+    ``repr(t)``.  A Line's fields must not change once it is written.
 
-    Every record kind that repeats is keyed, `delivered` included.  Records
-    can share nested values, such as a memoized route ant's packet, so no
-    sink may mutate a record.
-
-    The sink is a closure, not an instance: the key cache and the last "t"
-    are its local cells, so a record costs one plain call.
+    The sink is a closure, not an instance: the last "t" is its local
+    cell, so a record costs one plain call.
     """
-    heads = {}  # key -> the record's line up to the value of "t"
     # The last "t" seen and the text that ends its lines.  The records of
     # one event share the clock's float object, so it recurs.
     last_t = object()
     t_end = None
 
-    def sink(record, key=None):
+    def sink(record, t=None):
         nonlocal last_t, t_end
-        if key is None:
+        if t is None:
             write(format_record(record) + "\n")
             return
-        head = heads.get(key)
+        head = record.head
         if head is None:
-            if max(record) != "t":
+            fields = record.fields
+            if max(fields, default="") >= "t":
                 raise ValueError(
-                    f'"t" is not the largest key of keyed record {record!r}')
-            rest = record.copy()
-            del rest["t"]
-            head = format_record(rest)[:-1] + (',"t":' if rest else '"t":')
-            heads[key] = head
-        t = record["t"]
+                    f'"t" would not be the largest key of {fields!r}')
+            head = record.head = (format_record(fields)[:-1]
+                                  + (',"t":' if fields else '"t":'))
         if t is not last_t:
             # json writes a finite float as repr does, but not an int, a
             # non-finite float or a float subclass with its own repr.
             if not (type(t) is float and math.isfinite(t)):
-                raise ValueError(f'"t" of keyed record {record!r} is not a '
+                raise ValueError(f'"t" {t!r} of {record.fields!r} is not a '
                                  "finite float")
             last_t, t_end = t, repr(t) + "}\n"
         write(head + t_end)
@@ -182,9 +176,10 @@ class Simulator:
     def __init__(self, config, trace=None):
         self.config = config
         # The record sink shared with the router and the maintenance
-        # manager, called as trace(record, key=None); see TraceWriter.
+        # manager, called as trace(record) or trace(line, t); see
+        # TraceWriter.
         self.trace = (trace if trace is not None
-                      else (lambda record, key=None: None))
+                      else (lambda record, t=None: None))
         seed = config.seed
         self.rng_mobility = random.Random(f"{seed}:mobility")
         self.rng_topology = random.Random(f"{seed}:topology")
@@ -315,8 +310,7 @@ class Simulator:
             return
         except RoutingError:
             fstats["failed"] += 1
-            self.trace({"kind": "no_route", "t": self.now, "flow": flow_idx},
-                       ("no_route", flow_idx))
+            self.trace(self._no_route[flow_idx], self.now)
             return
         fstats["sent"] += 1
         self.schedule(self.now, self._handle_packet_at,
@@ -328,28 +322,33 @@ class Simulator:
         dead destination or before a missing link (a dead relay has none)."""
         flow_idx, path, levels, idx, sent_at = payload
         a = path[idx]
+        state = self.state
         if idx == len(path) - 1:
-            if not self.state.node(a).alive:
+            if not state.nodes[a].alive:
                 self._drop(flow_idx, at=a)
                 return
             delay = self.now - sent_at
             self.stats["total_delay"] += delay
             self._flow_stats[flow_idx]["delivered"] += 1
             # delay is now - sent_at with now >= sent_at: finite and never
-            # -0.0, so records with equal keys have equal text.
-            self.trace({"kind": "delivered", "t": self.now, "flow": flow_idx,
-                        "dst": a, "delay": delay},
-                       ("delivered", flow_idx, a, delay))
+            # -0.0, so deliveries with equal keys have equal text.
+            key = (flow_idx, a, delay)
+            line = self._delivered.get(key)
+            if line is None:
+                line = self._delivered[key] = Line({
+                    "kind": "delivered", "flow": flow_idx, "dst": a,
+                    "delay": delay})
+            self.trace(line, self.now)
             return
         b = path[idx + 1]
-        link = self.state.link(a, b, levels[idx])
+        link = state.link(a, b, levels[idx])
         if link is None:
             self._drop(flow_idx, at=a, next=b)
             return
         if self._tx_cost or self._rx_cost:
             self._apply_energy(a, self._tx_cost)
             self._apply_energy(b, self._rx_cost)
-        arrival = self.now + link.delay + self.state.node(b).node_delay
+        arrival = self.now + link.delay + state.nodes[b].node_delay
         self.schedule(arrival, self._handle_packet_at,
                       (flow_idx, path, levels, idx + 1, sent_at))
 
@@ -424,6 +423,11 @@ class Simulator:
                 "flow": i, "src": flow.src, "dst": flow.dst,
                 "sent": 0, "delivered": 0, "dropped": 0,
                 "rejected": 0, "failed": 0})
+        # The records that recur apart from their time, as Lines: each
+        # flow's no_route, and each (flow, destination, delay)'s delivered.
+        self._no_route = [Line({"kind": "no_route", "flow": i})
+                          for i in range(len(cfg.flows))]
+        self._delivered = {}
         self._queue_streams()
 
         queue, pop, duration = self._queue, heapq.heappop, cfg.duration

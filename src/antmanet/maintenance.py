@@ -60,7 +60,7 @@ class MaintenanceManager:
     nothing again."""
 
     def __init__(self, state, clusters, router, wparams, beacon,
-                 trace=lambda record, key=None: None, stats=None,
+                 trace=lambda record, t=None: None, stats=None,
                  energy_debit=None):
         if beacon.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")

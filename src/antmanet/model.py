@@ -67,8 +67,8 @@ class NodeAttributes:
         self.position = tuple(float(v) for v in self.position)
         self.velocity = tuple(float(v) for v in self.velocity)
         self.tx_range = tuple(float(v) for v in self.tx_range)
-        # A float, and 0.0 for -0.0: trace keys compare energies with ==,
-        # which cannot tell 100 from 100.0 or -0.0 from 0.0, though JSON can.
+        # A float, and 0.0 for -0.0, so that an energy traces as one text
+        # however it was given: JSON tells 100 from 100.0 and -0.0 from 0.0.
         self.energy = float(self.energy) + 0.0
         if self.energy < 0:
             raise ConfigError("energy must be >= 0")

@@ -19,20 +19,20 @@ version (``NetworkState.version``), the hierarchy epoch
 (``ClusterState.epoch``) and the energy counter
 (``NetworkState.energy_version``).  The memo is emptied whenever the
 stamp moves, and read once per discovery.  Per endpoint pair it holds
-the discovery plan: their link level, or the climb's route ants (trace
-packet and record key) and its failure or its legs, each leg's scope
-frozen, and per tuple of segment choices what a send of the assembled
-route repeats: path, levels, metrics, cache age, pheromone keys,
-deposit, each relay's suffix with its metrics and cache age, and the
-``route_selected`` fields.  Per flood it holds each path's reply (next
-hop, path, metrics, trace packet, record key and, once scored, its QoS
-score factors) and, per `QosRequirement`, which replies it admits.  A
-failure, the climb's or a route's revisited node or missing link, is
-kept as (error class, message) and raised afresh at each replay.  A send
-adds only the time.  Every call still reads the endpoints' liveness, the
-route cache, pheromone and the time afresh, and emits the same records
-and counters as a call with an empty memo.  Records that replay memoized
-parts share them, so a sink must not mutate a record.
+the discovery plan: their link level, or the climb's route ants (one
+`Line` each) and its failure or its legs, each leg's scope frozen, and
+per tuple of segment choices what a send of the assembled route
+repeats: path, levels, metrics, cache age, pheromone keys, deposit, each
+relay's suffix with its metrics and cache age, and the `route_selected`
+`Line`.  Per flood it holds each path's reply (next hop, path, metrics,
+`Line` and, once scored, its QoS score factors) and, per
+`QosRequirement`, which replies it admits.  A failure, the climb's or a
+route's revisited node or missing link, is kept as (error class,
+message) and raised afresh at each replay.  A send adds only the time:
+each memoized record reaches the trace sink as ``sink(line, t)``.  Every
+call still reads the endpoints' liveness, the route cache, pheromone and
+the time afresh, and emits the same records and counters as a call with
+an empty memo.
 """
 
 import heapq
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
-                     NoRouteError, RoutingLoopError)
+                     NoRouteError, RoutingLoopError, UnknownNodeError)
 from .model import LEVELS, left_sum
 # path_metrics is bound here though unused: bench/test_bench.py checks
 # the profiler's wrapping of from-imported names through it.
@@ -195,28 +195,38 @@ def path_preference_probability(scores):
     return {j: s / total for j, s in scores.items()}
 
 
+class Line:
+    """A trace record that recurs apart from its time "t": `fields`, the
+    record without "t", which no one mutates, and `head`, the record's
+    line up to the value of "t" once a writer has encoded it (None
+    before).  A sink receives it as ``sink(line, t)``; see
+    `engine.TraceWriter`.  Lines compare and hash by identity."""
+
+    __slots__ = ("fields", "head")
+
+    def __init__(self, fields):
+        self.fields = fields
+        self.head = None
+
+
 def _route_ant(sender, target, flag):
-    """A Route ant's trace packet and its record key."""
-    return ({"src": sender, "dst": target, "flag": flag},
-            ("route_ant", sender, target, flag))
+    """A Route ant's `Line`."""
+    return Line({"kind": "route_ant",
+                 "packet": {"src": sender, "dst": target, "flag": flag}})
 
 
 def _reply(level, src, dst, path, m):
     """The reply that retraces `path`, a level-`level` segment path from
     src to dst with metrics `m`, as `_segment` replays it: [next hop, path,
-    metrics, trace packet, record key, score factors].  The key's first
-    item is the record's kind; the factors are None until the reply is
-    first scored.  Level 0 segments run inside one cluster (Knave ants),
+    metrics, `Line`, score factors].  The factors are None until the reply
+    is first scored.  Level 0 segments run inside one cluster (Knave ants),
     the rest across the head overlay (King ants)."""
     kind, ends = (("reply_king_ant", ("src_head", "dst_head")) if level
                   else ("reply_knave_ant", ("src_member", "dst_member")))
-    return [path[1], path, m,
-            {"hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
-             "let": m.let, "bandwidth": m.bandwidth, ends[0]: src,
-             ends[1]: dst, "to_visit": list(reversed(path))},
-            (kind, src, dst, path, m.hop_count, m.delay, m.energy, m.let,
-             m.bandwidth),
-            None]
+    packet = {"hop_count": m.hop_count, "delay": m.delay, "energy": m.energy,
+              "let": m.let, "bandwidth": m.bandwidth, ends[0]: src,
+              ends[1]: dst, "to_visit": list(reversed(path))}
+    return [path[1], path, m, Line({"kind": kind, "packet": packet}), None]
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +237,7 @@ class Router:
 
     def __init__(self, state, clusters, pref=None, deposit=None, *, q,
                  tau_initial, cache_max_age,
-                 trace=lambda record, key=None: None, stats=None):
+                 trace=lambda record, t=None: None, stats=None):
         self.state = state
         self.clusters = clusters
         self.pref = pref or PreferenceParams()
@@ -243,7 +253,9 @@ class Router:
         # entries apart: (src, dst) -> _plan's plan, whose route table
         # holds each route's _route_entry per tuple of segment choices;
         # and (level, src, dst, scope) -> _expand's flood, with each
-        # QosRequirement's admissible replies.
+        # QosRequirement's admissible replies.  Each record that a replay
+        # repeats is kept as a Line: a route ant's, a reply's, a route's
+        # route_selected.
         self._memo = {}
         self._stamp = ()
 
@@ -345,12 +357,12 @@ class Router:
         taus, initial = self.pheromone.entries, self.pheromone.initial
         scores, paths = {}, {}
         for reply, admissible in zip(replies, admits):
-            j, path, m, packet, rkey, factors = reply
-            trace({"kind": rkey[0], "t": now, "packet": packet}, rkey)
+            j, path, m, line, factors = reply
+            trace(line, now)
             if not admissible:
                 continue
             if factors is None:
-                factors = reply[5] = score_factors(m, pref)
+                factors = reply[4] = score_factors(m, pref)
             f_delay, f_hops, f_bandwidth, f_energy, f_let = factors
             score = (taus.get((level, src, j, pher_dst), initial) ** pref.alpha1
                      * f_delay * f_hops * f_bandwidth * f_energy * f_let)
@@ -378,7 +390,7 @@ class Router:
         Linked endpoints get their lowest link level, and their direct
         route's `_route_entry` under () in the route table `routes`.
         Otherwise a climb up both endpoints' head chains gives the Route
-        ants to record, each as `_route_ant`'s (packet, key), then either
+        ants to record, each as `_route_ant`'s `Line`, then either
         its failure (NoRouteError, message) or its legs (scope, level,
         from, to), whose segment choices key the routes they assemble.
         """
@@ -428,7 +440,7 @@ class Router:
         """What every send of the route `path` (hop i on level levels[i])
         repeats under one stamp: [path, levels, metrics, cache age,
         pheromone keys, deposit (None until first needed), relays,
-        `route_selected` fields, record key], each relay (node, path,
+        `route_selected` `Line`], each relay (node, path,
         levels, metrics, cache age) of a suffix of two hops or more; or the
         failure of a revisited node or missing link (a member-head hop at
         either end can go stale between beacon cycles)."""
@@ -447,12 +459,11 @@ class Router:
                 self.pheromone.keys(path, levels, dst), None,
                 [(path[i], path[i:], levels[i:], sm, min(sm.let, max_age))
                  for i, sm in enumerate(suffixes, 1)],
-                {"src": src, "dst": dst, "path": list(path),
-                 "levels": list(levels), "delay": m.delay,
-                 "bandwidth": m.bandwidth, "energy": m.energy, "let": m.let,
-                 "hops": m.hop_count},
-                ("route_selected", src, dst, path, levels, m.delay,
-                 m.bandwidth, m.energy, m.let, m.hop_count)]
+                Line({"kind": "route_selected", "src": src, "dst": dst,
+                      "path": list(path), "levels": list(levels),
+                      "delay": m.delay, "bandwidth": m.bandwidth,
+                      "energy": m.energy, "let": m.let,
+                      "hops": m.hop_count})]
 
     def _finalize(self, entry, src, dst, qos, now):
         """Score, reward and cache the route of its `_route_entry` `entry`
@@ -460,7 +471,7 @@ class Router:
         A failure, the tuple (error class, message), raises afresh."""
         if isinstance(entry, tuple):
             raise entry[0](entry[1])
-        path, levels, m, age, keys, dtau, relays, fields, rkey = entry
+        path, levels, m, age, keys, dtau, relays, line = entry
         if not qos.admits(m):
             raise NoAdmissibleRouteError(
                 f"assembled route from {src} to {dst} misses the QoS floors")
@@ -476,7 +487,7 @@ class Router:
             insert(src, route)
         for node, s_path, s_levels, sm, s_age in relays:
             insert(node, Route(dst, s_path, s_levels, sm, now + s_age))
-        self.trace({"kind": "route_selected", "t": now, **fields}, rkey)
+        self.trace(line, now)
         return route
 
     def discover_route(self, src, dst, qos=QosRequirement(), now=0.0):
@@ -490,7 +501,12 @@ class Router:
         a new discovery replaces it or it expires: the link can come back.
         """
         state = self.state
-        if not state.node(src).alive or not state.node(dst).alive:
+        nodes = state.nodes
+        try:
+            alive = nodes[src].alive and nodes[dst].alive
+        except KeyError as exc:
+            raise UnknownNodeError(f"unknown node id {exc.args[0]}") from None
+        if not alive:
             raise NoRouteError(f"endpoint dead: {src} -> {dst}")
         if src == dst:
             raise NoRouteError("source equals destination")
@@ -511,9 +527,9 @@ class Router:
             self.stats["cache_hits"] += 1
             return hit
 
-        for packet, key in ants:
-            self.stats["route_ants"] += 1
-            self.trace({"kind": "route_ant", "t": now, "packet": packet}, key)
+        for line in ants:
+            self.trace(line, now)
+        self.stats["route_ants"] += len(ants)
         if failure is not None:
             raise failure[0](failure[1])
         segs = tuple([self._segment(scope, lvl, a, b, dst, qos, now, memo)

@@ -16,10 +16,20 @@ from antmanet.routing import Router
 DEFAULTS = ScenarioConfig()
 
 
+def as_record(record, t=None):
+    """The record of a sink call: `record` itself for ``sink(record)``, and
+    for ``sink(line, t)`` a new dict of the Line's fields and "t", which
+    the emitters put after "kind"."""
+    if t is None:
+        return record
+    fields = record.fields
+    return {"kind": fields["kind"], "t": t, **fields}
+
+
 def record_sink(records):
     """A trace sink that appends each record, as its dict, to `records`."""
-    def sink(record, key=None):
-        records.append(record)
+    def sink(record, t=None):
+        records.append(as_record(record, t))
     return sink
 
 

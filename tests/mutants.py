@@ -49,6 +49,7 @@ SNAPSHOT = "tests/test_topology_snapshot.py::"
 ROUTING = "tests/test_routing.py::"
 FLOOD_MEMO = ROUTING + "TestFloodMemo::"
 LOADER = "tests/test_config_cli.py::TestLoaderEquivalence::"
+TRACE = "tests/test_trace_writer.py::"
 
 MUTANTS = (
     Mutant("travel-bound-without-factor-2", "src/antmanet/model.py",
@@ -182,6 +183,37 @@ MUTANTS = (
            "settings = dict(cfg.nodes()).get",
            ("tests/test_fuzz_config.py::test_huge_count_validates_fast",),
            "validation linear in the document"),
+    Mutant("line-head-cached-by-kind", "src/antmanet/engine.py",
+           "        head = record.head\n",
+           "        head = sink.__dict__.setdefault(record.fields['kind'],"
+           " record).head\n",
+           (TRACE + "test_lines_of_one_kind_keep_their_fields",
+            TRACE + "test_equal_fields_keep_their_own_text"),
+           "recurring records written as Lines"),
+    Mutant("delivered-line-without-its-delay", "src/antmanet/engine.py",
+           "key = (flow_idx, a, delay)", "key = (flow_idx, a)",
+           (TRACE + "test_keyed_delivered_delays",),
+           "recurring records written as Lines"),
+    Mutant("line-fields-not-checked-before-t", "src/antmanet/engine.py",
+           '            if max(fields, default="") >= "t":\n'
+           "                raise ValueError(\n"
+           "                    f'\"t\" would not be the largest key of"
+           " {fields!r}')\n", "",
+           (TRACE + "test_t_not_largest_key_raises",),
+           "recurring records written as Lines"),
+    Mutant("detection-at-the-bound-missed", "src/antmanet/maintenance.py",
+           "if now - last_heard[(level, head, m)] >= bound]",
+           "if now - last_heard[(level, head, m)] > bound]",
+           ("tests/test_maintenance.py::TestMemberWalkAway::"
+            "test_detected_exactly_at_staleness_bound",),
+           "members declared lost at the detection bound"),
+    Mutant("delivered-at-a-dead-destination", "src/antmanet/engine.py",
+           "            if not state.nodes[a].alive:\n"
+           "                self._drop(flow_idx, at=a)\n"
+           "                return\n", "",
+           ("tests/test_engine.py::TestSimulator::"
+            "test_destination_killed_on_receipt_is_not_delivered",),
+           "a packet dropped at a dead destination"),
 )
 
 

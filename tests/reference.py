@@ -58,7 +58,7 @@ from antmanet.maintenance import CASES, MaintenanceManager, MembershipEvent
 from antmanet.model import LinkAttributes, NetworkState, link_expiration_time
 from antmanet.routing import Router
 
-from helpers import checked_election
+from helpers import as_record, checked_election
 
 
 def mobility_update(attrs, waypoint, speed, dt, window):
@@ -409,9 +409,10 @@ def use_references(monkeypatch):
 
 
 def _plain_writer(write):
-    """A trace sink that encodes every record, keyed or not."""
-    def sink(record, key=None):
-        write(format_record(record) + "\n")
+    """A trace sink that encodes every record, a Line's as the plain dict
+    of its fields and "t"."""
+    def sink(record, t=None):
+        write(format_record(as_record(record, t)) + "\n")
     return sink
 
 

@@ -19,7 +19,7 @@ from antmanet.engine import (RandomWaypoint, Simulator, TraceWriter,
                              energy_debit, format_record)
 from antmanet.model import NodeAttributes
 
-from helpers import beacon_times, record_sink
+from helpers import as_record, beacon_times, record_sink
 from reference import assert_matches_references
 
 
@@ -218,7 +218,8 @@ class RelayProbe(Simulator):
         self.selected, self.sends = [], []
         super().__init__(cfg, trace=self.record)
 
-    def record(self, rec, key=None):
+    def record(self, rec, t=None):
+        rec = as_record(rec, t)
         if rec["kind"] == "route_selected":
             self.selected.append(rec)
 
