@@ -26,6 +26,8 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
+from yaml.events import (MappingEndEvent, MappingStartEvent, ScalarEvent,
+                         SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
 
 from .clustering import WeightParams
 from .errors import ScenarioError
@@ -37,7 +39,7 @@ from .routing import PreferenceParams, QosRequirement
 _TAG = "tag:yaml.org,2002:"
 _STR, _INT, _FLOAT, _SEQ, _MAP = (_TAG + t for t in
                                   ("str", "int", "float", "seq", "map"))
-# The constructors of the scalar tags a scenario uses; a node of any other
+# The constructors of the scalar tags a scenario uses; a scalar of any other
 # tag goes to PyYAML's constructor.
 _SCALARS = {_TAG + t: yaml.constructor.SafeConstructor.yaml_constructors[
     _TAG + t] for t in ("str", "int", "float", "bool", "null")}
@@ -46,7 +48,8 @@ _DEPTH = 64
 
 
 class _Handover(Exception):
-    """The walk met a node that PyYAML's constructor must build."""
+    """The walk met an event that PyYAML's composer and constructor must
+    build."""
 
 
 class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -61,18 +64,29 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     Two shortcuts give the same data in less time.  A scalar's tag is
     resolved once per loader for each (value, implicit) pair.  A document
     of str, int, float, bool and null scalars, sequences, and mappings with
-    distinct scalar keys is built in one walk over its nodes; any other
-    document (an alias, a merge key, another tag, a repeated or non-scalar
-    key, nesting past _DEPTH, a scalar its constructor rejects) is built
-    again from the start by PyYAML's constructor, with its results and its
-    errors."""
+    distinct scalar keys is built as the parser's events arrive, with no
+    node tree.  On any other stream (an anchor or an alias, a merge key,
+    another tag, a repeated or non-scalar key, nesting past _DEPTH, a
+    second document, a path resolver, a scalar its constructor rejects, a
+    syntax error) the walk stops, and PyYAML's composer and constructor
+    load the text again from its start, with their results and their
+    errors.  A text stream that cannot seek is read into memory first, so
+    that it can be read again."""
 
     def __init__(self, stream):
+        if hasattr(stream, "read"):
+            if not stream.seekable():
+                copy = io.StringIO(stream.read())
+                copy.name = getattr(stream, "name", "<file>")
+                stream = copy
+            self._start = stream.tell()
         super().__init__(stream)
+        self._source = stream
         self._tags = {}
 
     def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode:
+        # A path resolver's tag depends on where the scalar is.
+        if kind is not yaml.ScalarNode or self.yaml_path_resolvers:
             return super().resolve(kind, value, implicit)
         key = (value, implicit)
         tag = self._tags.get(key)
@@ -80,22 +94,47 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             tag = self._tags[key] = super().resolve(kind, value, implicit)
         return tag
 
-    def construct_document(self, node):
+    def get_single_data(self):
         try:
-            return self._build(node, set(), _DEPTH)
+            return self._document()
         except Exception:
             pass
-        # Whatever the walk met, PyYAML's constructor builds the document
-        # or raises its own error, outside the walk's exception.
-        return super().construct_document(node)
+        # Whatever the walk met, PyYAML loads the text again on a fresh
+        # loader, outside the walk's exception.
+        source = self._source
+        if hasattr(source, "read"):
+            source.seek(self._start)
+        again = _LOADER(source)
+        try:
+            return super(_LOADER, again).get_single_data()
+        finally:
+            again.dispose()
 
-    def _build(self, node, seen, depth):
-        if node in seen or not depth:
+    def _document(self):
+        """The data of the stream's one document, or None for a stream
+        with none."""
+        if self.yaml_path_resolvers:
             raise _Handover
-        seen.add(node)
-        tag, value = node.tag, node.value
-        kind = type(node)
-        if kind is yaml.ScalarNode:
+        get = self.get_event
+        get()  # StreamStartEvent
+        if type(get()) is StreamEndEvent:
+            return None
+        data = self._value(get(), _DEPTH)
+        get()  # DocumentEndEvent
+        if type(get()) is not StreamEndEvent:
+            raise _Handover  # a second document
+        return data
+
+    def _value(self, event, depth):
+        """The data of the node that `event` starts, built from the events
+        up to the node's end."""
+        if event.anchor is not None or not depth:
+            raise _Handover  # an anchor, an alias, or nesting past _DEPTH
+        kind = type(event)
+        if kind is ScalarEvent:
+            tag, value = event.tag, event.value
+            if tag is None or tag == "!":
+                tag = self.resolve(yaml.ScalarNode, value, event.implicit)
             if tag == _STR:
                 return value
             # YAML 1.1 reads a leading 0 as octal.
@@ -106,20 +145,27 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             if (tag == _FLOAT and value.isascii() and value[0].isdecimal()
                     and "_" not in value and ":" not in value):
                 return float(value)
-            return _SCALARS[tag](self, node)
-        depth -= 1
-        if kind is yaml.SequenceNode and tag == _SEQ:
-            return [self._build(item, seen, depth) for item in value]
-        if kind is not yaml.MappingNode or tag != _MAP:
+            return _SCALARS[tag](self, yaml.ScalarNode(tag, value))
+        get, depth = self.get_event, depth - 1
+        if kind is SequenceStartEvent and event.tag in (None, "!", _SEQ):
+            items = []
+            event = get()
+            while type(event) is not SequenceEndEvent:
+                items.append(self._value(event, depth))
+                event = get()
+            return items
+        if kind is not MappingStartEvent or event.tag not in (None, "!", _MAP):
             raise _Handover
         data = {}
-        for key_node, value_node in value:
-            if type(key_node) is not yaml.ScalarNode:
-                raise _Handover
-            key = self._build(key_node, seen, depth)
+        event = get()
+        while type(event) is not MappingEndEvent:
+            if type(event) is not ScalarEvent:
+                raise _Handover  # a non-scalar key
+            key = self._value(event, depth)
             if key in data:
-                raise _Handover
-            data[key] = self._build(value_node, seen, depth)
+                raise _Handover  # a repeated key
+            data[key] = self._value(get(), depth)
+            event = get()
         return data
 
     def construct_object(self, node, deep=False):

@@ -49,6 +49,7 @@ SNAPSHOT = "tests/test_topology_snapshot.py::"
 ROUTING = "tests/test_routing.py::"
 FLOOD_MEMO = ROUTING + "TestFloodMemo::"
 LOADER = "tests/test_config_cli.py::TestLoaderEquivalence::"
+WALK = "tests/test_config_cli.py::TestWalk::"
 TRACE = "tests/test_trace_writer.py::"
 
 MUTANTS = (
@@ -169,15 +170,59 @@ MUTANTS = (
            ' | {_TAG + "merge":'
            ' yaml.constructor.SafeConstructor.construct_yaml_str}',
            (LOADER + "test_edge_documents",),
-           "scenario data built in one walk over the nodes"),
+           "scenario data built as the parser's events arrive"),
     Mutant("int-fast-path-takes-a-leading-zero", "src/antmanet/config.py",
            'and value[0] != "0"):', "):",
            (LOADER + "test_edge_documents",),
-           "scenario data built in one walk over the nodes"),
+           "scenario data built as the parser's events arrive"),
     Mutant("tag-cache-keyed-on-the-value", "src/antmanet/config.py",
            "key = (value, implicit)", "key = value",
            (LOADER + "test_edge_documents",),
-           "each scalar's tag resolved once per loader"),
+           "each scalar's tag resolved once per loader, in the event walk "
+           "and in a handover"),
+    Mutant("tag-cache-ignores-path-resolvers", "src/antmanet/config.py",
+           "if kind is not yaml.ScalarNode or self.yaml_path_resolvers:",
+           "if kind is not yaml.ScalarNode:",
+           (WALK + "test_path_resolvers_hand_over",),
+           "each scalar's tag resolved once per loader, in the event walk "
+           "and in a handover"),
+    Mutant("walk-takes-the-first-of-two-documents", "src/antmanet/config.py",
+           "        if type(get()) is not StreamEndEvent:\n"
+           "            raise _Handover  # a second document\n",
+           "        get()\n",
+           (LOADER + "test_edge_documents",
+            WALK + "test_exits_load_as_the_base_loader"),
+           "scenario data built as the parser's events arrive"),
+    Mutant("walk-takes-an-anchor", "src/antmanet/config.py",
+           "if event.anchor is not None or not depth:", "if not depth:",
+           (LOADER + "test_edge_documents",
+            WALK + "test_exits_load_as_the_base_loader"),
+           "scenario data built as the parser's events arrive"),
+    Mutant("walk-ignores-path-resolvers", "src/antmanet/config.py",
+           "        if self.yaml_path_resolvers:\n"
+           "            raise _Handover\n", "",
+           (WALK + "test_path_resolvers_hand_over",),
+           "scenario data built as the parser's events arrive"),
+    Mutant("walk-hands-over-only-its-own-signal", "src/antmanet/config.py",
+           "        except Exception:\n            pass\n",
+           "        except _Handover:\n            pass\n",
+           (LOADER + "test_edge_documents",
+            LOADER + "test_unreadable_scalar_reported"),
+           "scenario data built as the parser's events arrive"),
+    Mutant("handover-reads-on-without-rewinding", "src/antmanet/config.py",
+           "source.seek(self._start)", "source.tell()",
+           (LOADER + "test_yaml_issue_names_the_file",
+            WALK + "test_handover_reads_the_stream_again"),
+           "a handover that reads the text again"),
+    Mutant("handover-rewinds-past-the-loaders-start",
+           "src/antmanet/config.py",
+           "source.seek(self._start)", "source.seek(0)",
+           (WALK + "test_handover_reads_the_stream_again",),
+           "a handover that reads the text again"),
+    Mutant("unseekable-stream-not-kept", "src/antmanet/config.py",
+           "if not stream.seekable():", "if False:",
+           (WALK + "test_handover_reads_the_stream_again",),
+           "a handover that reads the text again"),
     Mutant("nodes-listed-to-check-ends", "src/antmanet/config.py",
            "settings = _settings_of(cfg)",
            "settings = dict(cfg.nodes()).get",

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -432,15 +433,20 @@ YAML_EDGE_CASES = [
     "a: [1, 2",
     "a: b: c",
     "key: @reserved",
-    "--- 1\n--- 2",
     "!!python/object:os.system {}",
     "",
 ]
 
-# A document for each way out of config._LOADER's walk over the nodes, on
-# which PyYAML's constructor builds the document instead.
+# A document for each way out of config._LOADER's walk over the parser's
+# events, on which PyYAML's composer and constructor load the text again.
 WALK_EXITS = [
     "a: &x 1\nb: *x",
+    # An anchor with no alias, defined twice: PyYAML's composer rejects it.
+    "a: &x 1\nb: &x 2",
+    "--- 1\n--- 2",
+    # A scalar its tag cannot read, then a syntax error: the syntax error
+    # is reported, as PyYAML composes the whole document first.
+    "seed: !!bool 'maybe'\nx: ]",
     "a: &x [1, 2]\nb: *x\nc: &y {k: 1}\nd: *y",
     "a: &x [*x]",
     "c: {<<: {k: 1}, j: 2}",
@@ -574,16 +580,19 @@ class TestLoaderEquivalence:
         assert [(p, c) for p, c, _ in exc.value.issues] == [("<document>", "yaml")]
 
     def test_yaml_issue_names_the_file(self, loader, tmp_path):
-        path = tmp_path / "bad.yaml"
-        path.write_text("seed: 1\n{unclosed", encoding="utf-8")
-        with pytest.raises(ScenarioError) as exc:
-            load_scenario(path)
-        [(where, code, msg)] = exc.value.issues
-        assert (where, code) == ("<document>", "yaml")
-        assert f'in "{path}", line 2,' in msg
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(path.read_text(encoding="utf-8"))
-        assert 'in "<unicode string>", line 2,' in exc.value.issues[0][2]
+        # config._LOADER's walk hands both texts over, so each is read
+        # again from the file's stream.
+        for text in ("seed: 1\n{unclosed", "seed: 1\n---\nseed: 2"):
+            path = tmp_path / "bad.yaml"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ScenarioError) as exc:
+                load_scenario(path)
+            [(where, code, msg)] = exc.value.issues
+            assert (where, code) == ("<document>", "yaml")
+            assert f'in "{path}", line 2,' in msg
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(path.read_text(encoding="utf-8"))
+            assert 'in "<unicode string>", line 2,' in exc.value.issues[0][2]
 
     @pytest.mark.parametrize("text", YAML_EDGE_CASES)
     def test_edge_documents(self, text):
@@ -602,31 +611,93 @@ class TestLoaderEquivalence:
 
 
 class TestWalk:
-    """config._LOADER builds a plain document in one walk over its nodes,
-    and gives any other to PyYAML's constructor."""
+    """config._LOADER builds a plain document as the parser's events
+    arrive, and has PyYAML's composer and constructor load any other text
+    again."""
 
     @staticmethod
     def handovers(text, monkeypatch):
-        """How many times loading `text` reaches PyYAML's constructor."""
-        calls = []
+        """How many times loading `text` composes a node tree, and how many
+        times it reaches PyYAML's constructor."""
+        composed, constructed = [], []
+        compose = config._LOADER.get_single_node
         construct = yaml.constructor.BaseConstructor.construct_document
         monkeypatch.setattr(
+            config._LOADER, "get_single_node",
+            lambda self: composed.append(self) or compose(self))
+        monkeypatch.setattr(
             yaml.constructor.BaseConstructor, "construct_document",
-            lambda self, node: calls.append(node) or construct(self, node))
+            lambda self, node: (constructed.append(node)
+                                or construct(self, node)))
         _load_or_error(text, config._LOADER)
-        return len(calls)
+        return len(composed), len(constructed)
 
     @pytest.mark.parametrize("text", WALK_EXITS + [
         "dup: 1\ndup: 2", "{1: a, true: b}"]
         + [text for text, *_ in UNREADABLE])
     def test_exits_hand_over(self, text, monkeypatch):
-        assert self.handovers(text, monkeypatch) == 1
+        try:
+            yaml.compose(text, Loader=config._LOADER.__base__)
+            constructs = 1
+        except yaml.YAMLError:  # PyYAML's composer rejects the text
+            constructs = 0
+        assert self.handovers(text, monkeypatch) == (1, constructs)
+
+    @pytest.mark.parametrize("text", WALK_EXITS)
+    def test_exits_load_as_the_base_loader(self, text):
+        """Each exit's data, or its error's class and message, is that of
+        the PyYAML loader config._LOADER extends."""
+        assert (_load_or_message(text, config._LOADER)
+                == _load_or_message(text, config._LOADER.__base__))
 
     @pytest.mark.parametrize("path", SCENARIO_FILES + DIGEST_FILES,
                              ids=lambda p: p.name)
     def test_scenarios_are_walked(self, path, monkeypatch):
         text = path.read_text(encoding="utf-8")
-        assert self.handovers(text, monkeypatch) == 0
+        assert self.handovers(text, monkeypatch) == (0, 0)
+
+    @pytest.mark.parametrize("seekable", [True, False],
+                             ids=["seekable", "unseekable"])
+    def test_handover_reads_the_stream_again(self, seekable):
+        """A handover reads a stream again from where the loader found it,
+        under the stream's name; a stream that cannot seek is read into
+        memory first."""
+        class Stream(io.StringIO):
+            def seekable(self):
+                return seekable
+
+            def seek(self, *args):
+                if not seekable:
+                    raise io.UnsupportedOperation("seek")
+                return super().seek(*args)
+
+        def opened(text):
+            stream = Stream("skipped: line\n" + text)
+            stream.name = "scenario.yaml"
+            stream.readline()
+            return stream
+
+        with pytest.raises(yaml.composer.ComposerError) as exc:
+            yaml.load(opened("seed: &x 1\n---\nseed: 2"),
+                      Loader=config._LOADER)
+        assert 'in "scenario.yaml", line 2,' in str(exc.value)
+        assert yaml.load(opened("a: &x [1]\nb: *x"),
+                         Loader=config._LOADER) == {"a": [1], "b": [1]}
+
+    def test_path_resolvers_hand_over(self, monkeypatch):
+        """A path resolver registered on the loader config._LOADER extends
+        tags the nodes at its path, which the walk does not track."""
+        base = config._LOADER.__base__
+        monkeypatch.setattr(base, "yaml_path_resolvers", {}, raising=False)
+        base.add_path_resolver(config._TAG + "set", ["1"], dict)
+        base.add_path_resolver(config._TAG + "int", ["n"], str)
+        # Each scalar has an implicit tag: only the path makes a set.
+        assert self.handovers("1: {2: ~}", monkeypatch) == (1, 1)
+        assert yaml.load("1: {2: ~}", Loader=config._LOADER) == {1: {2}}
+        # The second "abc" is tagged !!int by the path, not by the first.
+        with pytest.raises(yaml.constructor.ConstructorError,
+                           match="cannot read 'abc' as tag:yaml.org,2002:int"):
+            yaml.load("m: abc\nn: abc", Loader=config._LOADER)
 
     def test_aliased_collection_is_one_object(self, loader):
         data = yaml.load("a: &x [1]\nb: *x\nc: &y {k: 1}\nd: *y",
@@ -700,6 +771,14 @@ def _load_or_error(text, loader):
         return repr(yaml.load(text, Loader=loader))
     except Exception as exc:
         return type(exc)
+
+
+def _load_or_message(text, loader):
+    """repr of the document, or the class and message of its error."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestSerialization:
