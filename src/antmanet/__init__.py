@@ -9,7 +9,6 @@ from .model import (LinkAttributes, NetworkState, NodeAttributes,
                     link_expiration_time)
 from .qos import DepositParams, PathMetrics, pheromone_deposit
 from .routing import (PheromoneTable, PreferenceParams, QosRequirement,
-                      RouteCache, Router, path_preference_probability,
-                      preference_score)
+                      RouteCache, Router, path_preference_probability)
 
 __version__ = "0.1.0"

@@ -8,10 +8,11 @@ destination each surviving copy is converted to a reply that retraces the
 visited stack in reverse.  Ants exist only as trace records: one
 ``route_ant`` per Route ant and one ``reply_knave_ant``/``reply_king_ant``
 per reply; the delay-ordered flood stands in for the request ants.
-Every node scores each admissible reply once with the multiplicative
-``preference_score`` (pheromone x 1/delay x 1/hops x bandwidth x energy x
-expiry, each under a tunable exponent) and the best admissible path
-wins, gets a pheromone deposit, and is cached if it has two hops or more.
+Every node scores each admissible reply once with the paper's
+multiplicative preference (pheromone x 1/delay x 1/hops x bandwidth x
+energy x expiry, each under a tunable exponent) and the best admissible
+path wins, gets a pheromone deposit, and is cached if it has two hops or
+more.
 
 Discovery re-derives much from the topology, the cluster tables and the
 energies, so the router memoizes it under one stamp: the topology
@@ -70,9 +71,6 @@ class PheromoneTable:
         self.q = q
         self.initial = initial
         self.entries = {}
-
-    def get(self, level, i, j, d):
-        return self.entries.get((level, i, j, d), self.initial)
 
     @staticmethod
     def keys(path, levels, d):
@@ -174,19 +172,9 @@ def score_factors(m, p):
             min(m.let, p.let_cap) ** p.alpha6)
 
 
-def preference_score(m, tau, p):
-    """The preference of a path with metrics `m` and pheromone `tau`: the
-    pheromone under its exponent times the `score_factors`, multiplied
-    from left to right.  A flood reply multiplies its memoized factors in
-    the same order, so its score is the same float."""
-    f_delay, f_hops, f_bandwidth, f_energy, f_let = score_factors(m, p)
-    return (tau ** p.alpha1 * f_delay * f_hops * f_bandwidth * f_energy
-            * f_let)
-
-
 def path_preference_probability(scores):
     """Each next hop's share of the summed scores: `scores` maps j to its
-    preference_score; returns j -> probability summing to 1."""
+    preference score; returns j -> probability summing to 1."""
     if not scores:
         raise NoRouteError("empty candidate set")
     total = left_sum(scores.values())
@@ -330,8 +318,8 @@ class Router:
         `memo`, the current memo, with each `QosRequirement`'s
         admissible replies, and each of its `_reply` entries keeps its
         `score_factors` from its first scoring on: a reply scores as tau
-        under its exponent times those factors, as `preference_score`
-        multiplies them.  Per next hop the first best-scoring admissible
+        under its exponent times those factors, multiplied from left to
+        right.  Per next hop the first best-scoring admissible
         reply is kept; the next hop with the highest preference
         probability (ties to the lower id) wins unless it is below
         `theta_p`.

@@ -1,5 +1,6 @@
 """Shared builders for hand-crafted network and cluster fixtures, the
-election oracle and the hierarchy's structural invariants."""
+election oracle, the paper's preference score and the hierarchy's
+structural invariants."""
 
 import dataclasses
 import math
@@ -10,7 +11,7 @@ from antmanet.config import ScenarioConfig
 from antmanet.errors import ElectionError
 from antmanet.maintenance import MaintenanceManager
 from antmanet.model import DEFAULT_TX_RANGE, NetworkState, NodeAttributes
-from antmanet.routing import Router
+from antmanet.routing import Router, score_factors
 
 # The config dataclasses' defaults, for objects built without a scenario.
 DEFAULTS = ScenarioConfig()
@@ -53,6 +54,22 @@ def make_router(state, clusters, **kw):
     kw = {"q": DEFAULTS.pheromone.q, "tau_initial": DEFAULTS.pheromone.initial,
           "cache_max_age": DEFAULTS.cache.max_age, **kw}
     return Router(state, clusters, **kw)
+
+
+def preference_score(m, tau, p):
+    """The paper's preference of a path with metrics `m` and pheromone
+    `tau`: the pheromone under its exponent times the `score_factors`,
+    multiplied from left to right.  The router multiplies a flood reply's
+    memoized factors in the same order, so its score is the same float."""
+    f_delay, f_hops, f_bandwidth, f_energy, f_let = score_factors(m, p)
+    return (tau ** p.alpha1 * f_delay * f_hops * f_bandwidth * f_energy
+            * f_let)
+
+
+def tau_of(table, level, i, j, d):
+    """The pheromone of PheromoneTable `table` on key (level, i, j, d): its
+    entry, or the table's initial value where it has none."""
+    return table.entries.get((level, i, j, d), table.initial)
 
 
 def make_state(**kw):

@@ -27,10 +27,11 @@ from antmanet.model import NetworkState, NodeAttributes
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams,
-                              path_preference_probability, preference_score)
+                              path_preference_probability)
 
 from helpers import (DEFAULTS, add_node, check_invariants, make_router,
-                     make_state, manual_clusters, record_sink)
+                     make_state, manual_clusters, preference_score,
+                     record_sink)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"

@@ -16,11 +16,10 @@ from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
 from antmanet.routing import (PheromoneTable, PreferenceParams,
                               QosRequirement, Route, RouteCache,
-                              path_preference_probability, preference_score,
-                              score_factors)
+                              path_preference_probability, score_factors)
 
 from helpers import (DEFAULTS, add_node, line_state, make_router, make_state,
-                     manual_clusters, record_sink)
+                     manual_clusters, preference_score, record_sink, tau_of)
 
 
 def metrics(delay=1.0, bw=2.0, energy=3.0, let=4.0, hops=2):
@@ -77,20 +76,20 @@ class TestPheromoneTable:
     def test_zero_deposit_only_evaporates(self):
         t = PheromoneTable(q=0.5, initial=DEFAULTS.pheromone.initial)
         t.deposit_on(t.keys((0, 1), (0,), 9), 1.0)
-        before = t.get(0, 0, 1, 9)
+        before = tau_of(t, 0, 0, 1, 9)
         t.deposit_on(t.keys((0, 1), (0,), 9), 0.0)
-        assert t.get(0, 0, 1, 9) == pytest.approx(0.5 * before)
+        assert tau_of(t, 0, 0, 1, 9) == pytest.approx(0.5 * before)
 
     def test_direct_substitution(self):
         t = PheromoneTable(q=0.5, initial=1.0)
         t.deposit_on(t.keys((0, 3), (0,), 9), 2.0)
-        assert t.get(0, 0, 3, 9) == pytest.approx(2.5)
+        assert tau_of(t, 0, 0, 3, 9) == pytest.approx(2.5)
 
     def test_repeated_deposits_converge_to_ratio(self):
         t = PheromoneTable(q=0.25, initial=1.0)
         for _ in range(100):
             t.deposit_on(t.keys((0, 3), (0,), 9), 2.0)
-        assert t.get(0, 0, 3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
+        assert tau_of(t, 0, 0, 3, 9) == pytest.approx(2.0 / 0.25, abs=1e-6)
 
     def test_deposit_on_each_hop_of_a_path(self):
         # Hop i lands on plane levels[i], every hop toward destination 9.
@@ -110,20 +109,21 @@ class TestPheromoneTable:
         t = PheromoneTable(q=1.0, initial=DEFAULTS.pheromone.initial)
         t.entries[(0, 0, 1, 2)] = 5.0
         t.evaporate()
-        assert t.get(0, 0, 1, 2) == 0.0
+        assert tau_of(t, 0, 0, 1, 2) == 0.0
 
     def test_evaporate_substitution(self):
         t = PheromoneTable(q=0.25, initial=DEFAULTS.pheromone.initial)
         t.entries[(0, 0, 1, 2)] = 4.0
         t.evaporate()
-        assert t.get(0, 0, 1, 2) == pytest.approx(3.0)
+        assert tau_of(t, 0, 0, 1, 2) == pytest.approx(3.0)
 
     def test_evaporate_closed_form(self):
         t = PheromoneTable(q=0.1, initial=DEFAULTS.pheromone.initial)
         t.entries[(0, 0, 1, 2)] = 7.0
         for _ in range(12):
             t.evaporate()
-        assert t.get(0, 0, 1, 2) == pytest.approx(7.0 * 0.9 ** 12, abs=1e-12)
+        assert tau_of(t, 0, 0, 1, 2) == pytest.approx(7.0 * 0.9 ** 12,
+                                                      abs=1e-12)
 
     def test_purge_keeps_the_departed_nodes_own_trails(self):
         t = PheromoneTable(q=0.5, initial=1.0)
@@ -571,7 +571,7 @@ class TestScoreFactors:
                 r.discover_route(0, 3, now=now)
         expected = {j: preference_score(
             path_metrics((0, j, 3), state, levels=(0, 0)),
-            r.pheromone.get(0, 0, j, 3), p).hex() for j in (1, 2)}
+            tau_of(r.pheromone, 0, 0, j, 3), p).hex() for j in (1, 2)}
         return seen, len(calls), expected
 
     @settings(max_examples=60, deadline=None, derandomize=True,
