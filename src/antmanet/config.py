@@ -37,14 +37,17 @@ from .qos import DepositParams
 from .routing import PreferenceParams, QosRequirement
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _INT, _FLOAT, _SEQ, _MAP = (_TAG + t for t in
-                                  ("str", "int", "float", "seq", "map"))
+_STR, _FLOAT, _SEQ, _MAP = (_TAG + t for t in ("str", "float", "seq", "map"))
 # The constructors of the scalar tags a scenario uses; a scalar of any other
 # tag goes to PyYAML's constructor.
 _SCALARS = {_TAG + t: yaml.constructor.SafeConstructor.yaml_constructors[
     _TAG + t] for t in ("str", "int", "float", "bool", "null")}
 # Nesting deeper than this goes to PyYAML's constructor.
 _DEPTH = 64
+# PyYAML's implicit resolvers for each digit, which the walk's number rule
+# assumes: a leading digit tries float, then int, then timestamp.
+_DIGITS = {d: list(yaml.resolver.Resolver.yaml_implicit_resolvers[d])
+           for d in "0123456789"}
 
 
 class _Handover(Exception):
@@ -61,17 +64,20 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     a bare KeyError or ValueError.  Merge keys (``<<``) still merge.
     Without libyaml the parser is PyYAML's own.
 
-    Two shortcuts give the same data in less time.  A scalar's tag is
-    resolved once per loader for each (value, implicit) pair.  A document
-    of str, int, float, bool and null scalars, sequences, and mappings with
+    Two shortcuts give the same data in less time.  A document of str,
+    int, float, bool and null scalars, sequences, and mappings with
     distinct scalar keys is built as the parser's events arrive, with no
-    node tree.  On any other stream (an anchor or an alias, a merge key,
-    another tag, a repeated or non-scalar key, nesting past _DEPTH, a
-    second document, a path resolver, a scalar its constructor rejects, a
-    syntax error) the walk stops, and PyYAML's composer and constructor
-    load the text again from its start, with their results and their
-    errors.  A text stream that cannot seek is read into memory first, so
-    that it can be read again."""
+    node tree.  A plain scalar skips ``resolve`` where its first character
+    settles its type: it is a str if the loader's table lists no implicit
+    resolver for that character (nor a wildcard one), and while the digits
+    keep PyYAML's resolvers, ASCII digits with no leading zero (or ``0``)
+    are an int and digits, a dot and digits a float.  On any other stream
+    (an anchor or an alias, a merge key, another tag, a repeated or
+    non-scalar key, nesting past _DEPTH, a second document, a path
+    resolver, a scalar its constructor rejects, a syntax error) the walk
+    stops, and PyYAML's composer and constructor load the text again from
+    its start, with their results and their errors.  A text stream that
+    cannot seek is read into memory first, so that it can be read again."""
 
     def __init__(self, stream):
         if hasattr(stream, "read"):
@@ -82,17 +88,6 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             self._start = stream.tell()
         super().__init__(stream)
         self._source = stream
-        self._tags = {}
-
-    def resolve(self, kind, value, implicit):
-        # A path resolver's tag depends on where the scalar is.
-        if kind is not yaml.ScalarNode or self.yaml_path_resolvers:
-            return super().resolve(kind, value, implicit)
-        key = (value, implicit)
-        tag = self._tags.get(key)
-        if tag is None:
-            tag = self._tags[key] = super().resolve(kind, value, implicit)
-        return tag
 
     def get_single_data(self):
         try:
@@ -115,6 +110,12 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         with none."""
         if self.yaml_path_resolvers:
             raise _Handover
+        # A wildcard resolver may type a scalar with any first character,
+        # and the number rule holds only for PyYAML's resolvers on digits.
+        table = self.yaml_implicit_resolvers
+        self._table = None if None in table else table
+        self._digits = (_DIGITS.keys() if all(
+            table.get(d) == stock for d, stock in _DIGITS.items()) else ())
         get = self.get_event
         get()  # StreamStartEvent
         if type(get()) is StreamEndEvent:
@@ -133,14 +134,21 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         kind = type(event)
         if kind is ScalarEvent:
             tag, value = event.tag, event.value
+            if tag is None and event.implicit[0]:
+                first, table = value[:1], self._table
+                if table is not None and first not in table:
+                    return value
+                if first in self._digits and value.isascii():
+                    # YAML 1.1 reads a leading 0 as octal.
+                    if value.isdecimal() and (first != "0" or value == "0"):
+                        return int(value)
+                    whole, dot, part = value.partition(".")
+                    if dot and whole.isdecimal() and (part or "0").isdecimal():
+                        tag = _FLOAT
             if tag is None or tag == "!":
                 tag = self.resolve(yaml.ScalarNode, value, event.implicit)
             if tag == _STR:
                 return value
-            # YAML 1.1 reads a leading 0 as octal.
-            if (tag == _INT and value.isdecimal() and value.isascii()
-                    and value[0] != "0"):
-                return int(value)
             # With a digit first, SafeConstructor's float is float(value).
             if (tag == _FLOAT and value.isascii() and value[0].isdecimal()
                     and "_" not in value and ":" not in value):

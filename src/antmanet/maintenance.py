@@ -295,17 +295,20 @@ class MaintenanceManager:
     def detect_head_merges(self, now):
         """Case 3: two level-0 heads in mutual transmission range."""
         events = []
-        heads = sorted(h for h in self.clusters.heads(0)
-                       if self.state.node(h).alive)
+        nodes = self.state.nodes
+        heads = sorted(h for h in self.clusters.heads(0) if nodes[h].alive)
         head_set = set(heads)
         adj = self.state.adjacency(0)
         # A pair stays on the attempted list only while both remain heads;
         # re-merging an unchanged head pair would loop forever.
-        self._merge_attempted = {p for p in self._merge_attempted
-                                 if p <= head_set}
+        attempted = self._merge_attempted
+        if attempted:
+            attempted = self._merge_attempted = {p for p in attempted
+                                                 if p <= head_set}
         for h1 in heads:
-            for h2 in sorted(adj[h1] & head_set):
-                if h2 > h1 and frozenset((h1, h2)) not in self._merge_attempted:
+            near = adj[h1] & head_set
+            for h2 in sorted(near) if near else ():
+                if h2 > h1 and frozenset((h1, h2)) not in attempted:
                     events.append(MembershipEvent(
                         "heads_in_range", 0, head=h1, other=h2))
         return events

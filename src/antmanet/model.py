@@ -64,9 +64,9 @@ class NodeAttributes:
     alive: bool = True
 
     def __post_init__(self):
-        self.position = tuple(float(v) for v in self.position)
-        self.velocity = tuple(float(v) for v in self.velocity)
-        self.tx_range = tuple(float(v) for v in self.tx_range)
+        self.position = tuple(map(float, self.position))
+        self.velocity = tuple(map(float, self.velocity))
+        self.tx_range = tuple(map(float, self.tx_range))
         # A float, and 0.0 for -0.0, so that an energy traces as one text
         # however it was given: JSON tells 100 from 100.0 and -0.0 from 0.0.
         self.energy = float(self.energy) + 0.0

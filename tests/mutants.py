@@ -172,20 +172,34 @@ MUTANTS = (
            (LOADER + "test_edge_documents",),
            "scenario data built as the parser's events arrive"),
     Mutant("int-fast-path-takes-a-leading-zero", "src/antmanet/config.py",
-           'and value[0] != "0"):', "):",
+           '(first != "0" or value == "0")', "True",
            (LOADER + "test_edge_documents",),
-           "scenario data built as the parser's events arrive"),
-    Mutant("tag-cache-keyed-on-the-value", "src/antmanet/config.py",
-           "key = (value, implicit)", "key = value",
+           "plain scalars typed by their first character"),
+    Mutant("str-rule-ignores-the-table", "src/antmanet/config.py",
+           "first not in table:",
+           "first not in '-+0123456789.yYnNtTfFoO<~=!&*':",
+           (LOADER + "test_changed_resolvers_load_as_under_safeloader",),
+           "plain scalars typed by their first character"),
+    Mutant("str-rule-ignores-a-wildcard-resolver", "src/antmanet/config.py",
+           "self._table = None if None in table else table",
+           "self._table = table",
+           (LOADER + "test_changed_resolvers_load_as_under_safeloader",),
+           "plain scalars typed by their first character"),
+    Mutant("float-rule-takes-an-exponent", "src/antmanet/config.py",
+           '(part or "0").isdecimal()',
+           '(part or "0").replace("e", "").isdecimal()',
            (LOADER + "test_edge_documents",),
-           "each scalar's tag resolved once per loader, in the event walk "
-           "and in a handover"),
-    Mutant("tag-cache-ignores-path-resolvers", "src/antmanet/config.py",
-           "if kind is not yaml.ScalarNode or self.yaml_path_resolvers:",
-           "if kind is not yaml.ScalarNode:",
-           (WALK + "test_path_resolvers_hand_over",),
-           "each scalar's tag resolved once per loader, in the event walk "
-           "and in a handover"),
+           "plain scalars typed by their first character"),
+    Mutant("number-rule-ignores-a-changed-table", "src/antmanet/config.py",
+           "self._digits = (_DIGITS.keys() if all(",
+           "self._digits = (_DIGITS.keys() if True or all(",
+           (LOADER + "test_changed_resolvers_load_as_under_safeloader",),
+           "plain scalars typed by their first character"),
+    Mutant("number-rule-takes-non-ascii-digits", "src/antmanet/config.py",
+           "if first in self._digits and value.isascii():",
+           "if first in self._digits:",
+           (LOADER + "test_edge_documents",),
+           "plain scalars typed by their first character"),
     Mutant("walk-takes-the-first-of-two-documents", "src/antmanet/config.py",
            "        if type(get()) is not StreamEndEvent:\n"
            "            raise _Handover  # a second document\n",

@@ -469,7 +469,27 @@ YAML_EDGE_CASES += WALK_EXITS + [
     "[0, -0, +7, 007, 017, 1_0, 12]",
     "{.nan: 1, ~: 2, yes: 3, 1.5: 4, 12: 5, '12': 6}",
     "[" * config._DEPTH + "]" * config._DEPTH,
+    # Plain scalars that the walk types by their first character, and ones
+    # that only look like numbers: YAML 1.1 reads 09 and 1.5e3 as strings.
+    "[0, 00, 0.5, 00.5, 1., .5, 1.5e+3, 1e5, 1_0.5, 12:30,\n"
+    " 12345678901234567890, 09, 1.5e3]",
+    "{0: a, 7.: b, 10: c, 1.5e+3: d}",
+    # Non-ASCII digits are no numbers.
+    "a: [\u0663, \u00b2, 1\u0663, 1.\u0663]\n\u0663: \u00b2",
+    # Keys and values with and without a resolver on their first character.
+    "yes: On\n~: flows\ntx_range: [null, yes, On, ~, flows, tx_range]",
 ]
+
+# Implicit resolvers added to a loader's table, as (tag, pattern, first
+# characters, whether it goes ahead of the resolvers already there,
+# a document it changes), each named by where it changes the table.
+RESOLVER_CHANGES = {
+    "digit-ahead": ("str", r"^42$", ["4"], True, "k: [42, 420, 4.2]"),
+    "digit-after": ("null", r"^0[0-9]+$", ["0"], False, "k: [09, 017, 0]"),
+    "new-first-character": ("null", r"^void$", ["v"], False,
+                            "void: [void, vo]"),
+    "wildcard": ("null", r"^void$", None, False, "void: [void, vo]"),
+}
 
 # Scalars that their tag cannot read: SafeLoader raises PyYAML's bare error,
 # which has no mark, and config._LOADER a ConstructorError at the scalar.
@@ -598,6 +618,39 @@ class TestLoaderEquivalence:
     def test_edge_documents(self, text):
         assert (_load_or_error(text, config._LOADER)
                 == _load_or_error(text, yaml.SafeLoader))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.text("0123456789._:eE+-abxyYnNtTfFoO~", max_size=8)
+           | st.from_regex(r"\A[0-9]{1,3}(\.[0-9]{0,3})?([eE][-+]?[0-9])?\Z"))
+    def test_plain_scalars_type_as_under_safeloader(self, scalar):
+        """A plain scalar loads to the same value, of the same type, under
+        config._LOADER and SafeLoader, as a value and as a key."""
+        for text in (f"k: {scalar}", f"{scalar}: v"):
+            assert (_load_or_error(text, config._LOADER)
+                    == _load_or_error(text, yaml.SafeLoader)), text
+
+    @pytest.mark.parametrize(
+        "tag, pattern, first, ahead, text", RESOLVER_CHANGES.values(),
+        ids=RESOLVER_CHANGES)
+    def test_changed_resolvers_load_as_under_safeloader(
+            self, tag, pattern, first, ahead, text):
+        """A subclass of config._LOADER with an implicit resolver added to
+        its table loads a text as a SafeLoader subclass with the same
+        resolver does, where the resolver changes what SafeLoader reads."""
+        loaders = []
+        for base in (config._LOADER, yaml.SafeLoader):
+            class Changed(base):
+                pass
+            Changed.add_implicit_resolver(config._TAG + tag,
+                                          re.compile(pattern), first)
+            for ch in first if ahead else ():
+                entries = Changed.yaml_implicit_resolvers[ch]
+                entries.insert(0, entries.pop())
+            loaders.append(Changed)
+        changed = _load_or_error(text, loaders[1])
+        assert changed != _load_or_error(text, yaml.SafeLoader)
+        assert _load_or_error(text, loaders[0]) == changed
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks libyaml")
     @pytest.mark.parametrize("text, libyaml, pure", YAML_DIVERGENCES)
