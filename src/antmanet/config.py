@@ -71,13 +71,14 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     settles its type: it is a str if the loader's table lists no implicit
     resolver for that character (nor a wildcard one), and while the digits
     keep PyYAML's resolvers, ASCII digits with no leading zero (or ``0``)
-    are an int and digits, a dot and digits a float.  On any other stream
-    (an anchor or an alias, a merge key, another tag, a repeated or
-    non-scalar key, nesting past _DEPTH, a second document, a path
-    resolver, a scalar its constructor rejects, a syntax error) the walk
-    stops, and PyYAML's composer and constructor load the text again from
-    its start, with their results and their errors.  A text stream that
-    cannot seek is read into memory first, so that it can be read again."""
+    are an int, and digits, a dot and optional digits a float.  On any
+    other stream (an anchor or an alias, a merge key, another tag, a
+    repeated or non-scalar key, nesting past _DEPTH, a second document, a
+    path resolver, a scalar its constructor rejects, a syntax error) the
+    walk stops, and PyYAML's composer and constructor load the text again
+    from its start, with their results and their errors.  A text stream
+    that cannot seek is read into memory first, so that it can be read
+    again."""
 
     def __init__(self, stream):
         if hasattr(stream, "read"):
