@@ -96,11 +96,12 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         except Exception:
             pass
         # Whatever the walk met, PyYAML loads the text again on a fresh
-        # loader, outside the walk's exception.
+        # loader of this loader's class, so that a subclass keeps its
+        # resolvers, outside the walk's exception.
         source = self._source
         if hasattr(source, "read"):
             source.seek(self._start)
-        again = _LOADER(source)
+        again = type(self)(source)
         try:
             return super(_LOADER, again).get_single_data()
         finally:

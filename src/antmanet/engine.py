@@ -18,10 +18,9 @@ from collections import Counter
 
 from . import clustering
 from .config import Placement
-from .errors import NoAdmissibleRouteError, RoutingError
 from .maintenance import MaintenanceManager
 from .model import LEVELS, NetworkState, NodeAttributes
-from .routing import Line, Router
+from .routing import ADMISSION, Failure, Line, Router
 
 
 def energy_debit(attrs, cost):
@@ -292,7 +291,9 @@ class Simulator:
 
     def _handle_packet_send(self, payload):
         """Send packet k of the flow, for payload (flow, k), and queue the
-        flow's next send: packet k + 1 at start + (k + 1) * interval."""
+        flow's next send: packet k + 1 at start + (k + 1) * interval.  A
+        discovery `Failure` whose reason is in `routing.ADMISSION` rejects
+        the packet; any other fails it."""
         flow_idx, k = payload
         flow = self.config.flows[flow_idx]
         if k + 1 < flow.packets:
@@ -300,17 +301,16 @@ class Simulator:
                              flow.start + (k + 1) * flow.interval,
                              self._handle_packet_send, (flow_idx, k + 1))
         fstats = self._flow_stats[flow_idx]
-        try:
-            route = self.router.discover_route(flow.src, flow.dst, flow.qos,
-                                               now=self.now)
-        except NoAdmissibleRouteError:
-            fstats["rejected"] += 1
-            self.trace({"kind": "admission_rejected", "t": self.now,
-                        "flow": flow_idx})
-            return
-        except RoutingError:
-            fstats["failed"] += 1
-            self.trace(self._no_route[flow_idx], self.now)
+        route = self.router.discover_route(flow.src, flow.dst, flow.qos,
+                                           now=self.now)
+        if type(route) is Failure:
+            if route.reason in ADMISSION:
+                fstats["rejected"] += 1
+                self.trace({"kind": "admission_rejected", "t": self.now,
+                            "flow": flow_idx})
+            else:
+                fstats["failed"] += 1
+                self.trace(self._no_route[flow_idx], self.now)
             return
         fstats["sent"] += 1
         self.schedule(self.now, self._handle_packet_at,

@@ -37,19 +37,3 @@ class DegenerateRouteError(AntManetError):
 class ElectionError(AntManetError):
     """A node left uncovered by a cluster-head election is too light to
     head a cluster: its weight is below theta_w."""
-
-
-class RoutingError(AntManetError):
-    """Base class for route-discovery failures."""
-
-
-class NoRouteError(RoutingError):
-    """Destination unreachable at every hierarchy level."""
-
-
-class NoAdmissibleRouteError(RoutingError):
-    """Routes exist but none satisfies the QoS floors."""
-
-
-class RoutingLoopError(RoutingError):
-    """A request ant tried to visit the same node twice."""

@@ -27,13 +27,14 @@ repeats: path, levels, metrics, cache age, pheromone keys, deposit, each
 relay's suffix with its metrics and cache age, and the `route_selected`
 `Line`.  Per flood it holds each path's reply (next hop, path, metrics,
 `Line` and, once scored, its QoS score factors) and, per
-`QosRequirement`, which replies it admits.  A failure, the climb's or a
-route's revisited node or missing link, is kept as (error class,
-message) and raised afresh at each replay.  A send adds only the time:
-each memoized record reaches the trace sink as ``sink(line, t)``.  Every
-call still reads the endpoints' liveness, the route cache, pheromone and
-the time afresh, and emits the same records and counters as a call with
-an empty memo.
+`QosRequirement`, which replies it admits.  Discovery raises no
+exception for a failure: it returns a `Failure`, a (reason, message)
+pair.  The memo keeps the climb's failure and a route's revisited node
+or missing link as the `Failure` itself, and each replay returns that
+object.  A send adds only the time: each memoized record reaches the
+trace sink as ``sink(line, t)``.  Every call still reads the endpoints'
+liveness, the route cache, pheromone and the time afresh, and emits the
+same records and counters as a call with an empty memo.
 """
 
 import heapq
@@ -42,8 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (BrokenPathError, ConfigError, NoAdmissibleRouteError,
-                     NoRouteError, RoutingLoopError, UnknownNodeError)
+from .errors import ConfigError, UnknownNodeError
 from .model import LEVELS, left_sum
 # path_metrics is bound here though unused: bench/test_bench.py checks
 # the profiler's wrapping of from-imported names through it.
@@ -119,6 +119,20 @@ class Route(NamedTuple):
     expires_at: float
 
 
+class Failure(NamedTuple):
+    """A discovery that found no route: its reason code, such as
+    `no_l1_head`, and its message."""
+    reason: str
+    message: str
+
+
+# The reasons for which routes exist but the flow admits none.
+ADMISSION = frozenset({"qos_floor", "theta_p", "zero_preference"})
+
+_SAME_ENDPOINTS = Failure("same_endpoints", "source equals destination")
+_ZERO_PREFERENCE = Failure("zero_preference", "all candidates degenerate")
+
+
 class RouteCache:
     """Every node's latest route per destination.
 
@@ -174,12 +188,13 @@ def score_factors(m, p):
 
 def path_preference_probability(scores):
     """Each next hop's share of the summed scores: `scores` maps j to its
-    preference score; returns j -> probability summing to 1."""
+    preference score; returns j -> probability summing to 1.  Raises
+    ValueError for an empty map or one whose scores sum to 0 or less."""
     if not scores:
-        raise NoRouteError("empty candidate set")
+        raise ValueError("empty candidate set")
     total = left_sum(scores.values())
     if total <= 0:
-        raise NoAdmissibleRouteError("all candidates degenerate")
+        raise ValueError("all candidates degenerate")
     return {j: s / total for j, s in scores.items()}
 
 
@@ -311,7 +326,7 @@ class Router:
 
     def _segment(self, scope, level, src, dst, pher_dst, qos, now, memo):
         """Replay the request ants of one discovery segment, confined to the
-        frozenset `scope`, and return the chosen path.
+        frozenset `scope`, and return the chosen path or its `Failure`.
 
         Emits one reply record per path the flood finds, and scores each
         admissible reply right after its record.  The flood comes from
@@ -334,7 +349,8 @@ class Router:
         replies, forwards, reply_hops, admitted = flood
         self.stats["request_forwards"] += forwards
         if not replies:
-            raise NoRouteError(
+            return Failure(
+                "no_path_in_scope",
                 f"no level-{level} path from {src} to {dst} within scope")
         self.stats["reply_packets"] += len(replies)
         self.stats["reply_hops"] += reply_hops
@@ -358,15 +374,20 @@ class Router:
             if prev is None or score > prev:
                 scores[j], paths[j] = score, path
         if not scores:
-            raise NoAdmissibleRouteError(
+            return Failure(
+                "qos_floor",
                 f"no admissible route from {src} to {dst} under the QoS floors")
+        # Scores are >= 0, so this is the zero total that
+        # path_preference_probability rejects.
+        if not any(scores.values()):
+            return _ZERO_PREFERENCE
         probs = path_preference_probability(scores)
         if abs(left_sum(probs.values()) - 1.0) > 1e-9:
             raise AssertionError("preference probabilities do not normalize")
         best_j = max(sorted(probs), key=probs.__getitem__)
         if probs[best_j] < self.pref.theta_p:
-            raise NoAdmissibleRouteError(
-                f"best preference {probs[best_j]:.3g} below threshold")
+            return Failure("theta_p", f"best preference {probs[best_j]:.3g} "
+                           "below threshold")
         return paths[best_j]
 
     # -- discovery -------------------------------------------------------
@@ -379,8 +400,8 @@ class Router:
         route's `_route_entry` under () in the route table `routes`.
         Otherwise a climb up both endpoints' head chains gives the Route
         ants to record, each as `_route_ant`'s `Line`, then either
-        its failure (NoRouteError, message) or its legs (scope, level,
-        from, to), whose segment choices key the routes they assemble.
+        its `Failure` or its legs (scope, level, from, to), whose segment
+        choices key the routes they assemble.
         """
         level = self.state.link_level(src, dst)
         if level is not None:
@@ -399,12 +420,14 @@ class Router:
             for chain in (up, down):
                 head = clusters.head_of(chain[-1], level)
                 if head is None:
-                    return (None, ants, (NoRouteError, f"node {chain[-1]} "
-                                         f"has no level-{level} head"), (), {})
+                    return (None, ants, Failure(
+                        f"no_l{level}_head",
+                        f"node {chain[-1]} has no level-{level} head"), (), {})
                 chain.append(head)
             if level == LEVELS[-1] and up[-1] != down[-1]:
-                return (None, ants, (NoRouteError, f"level-2 heads {up[-1]} "
-                                     f"and {down[-1]} differ"), (), {})
+                return (None, ants, Failure(
+                    "different_l2_heads",
+                    f"level-2 heads {up[-1]} and {down[-1]} differ"), (), {})
             if up[-2] != up[-1]:
                 ants.append(_route_ant(up[-2], up[-1], 0))
             if up[-1] == down[-1]:
@@ -430,16 +453,19 @@ class Router:
         pheromone keys, deposit (None until first needed), relays,
         `route_selected` `Line`], each relay (node, path,
         levels, metrics, cache age) of a suffix of two hops or more; or the
-        failure of a revisited node or missing link (a member-head hop at
+        `Failure` of a revisited node or missing link (a member-head hop at
         either end can go stale between beacon cycles)."""
         if len(set(path)) != len(path):
-            return (RoutingLoopError,
-                    f"assembled route revisits a node: {list(path)}")
-        try:
-            links = path_links(path, self.state, levels)
-        except BrokenPathError as exc:
-            return NoRouteError, str(exc)
-        nodes = [self.state.node(n) for n in path]
+            return Failure("routing_loop",
+                           f"assembled route revisits a node: {list(path)}")
+        state = self.state
+        links = []
+        for a, b, level in zip(path, path[1:], levels):
+            link = state.link(a, b, level)
+            if link is None:
+                return Failure("stale_link", f"no link between {a} and {b}")
+            links.append(link)
+        nodes = [state.node(n) for n in path]
         src, dst, max_age = path[0], path[-1], self.cache_max_age
         m, *suffixes = [link_metrics(links[i:], nodes[i:])
                         for i in range(max(1, len(links) - 1))]
@@ -455,13 +481,14 @@ class Router:
 
     def _finalize(self, entry, src, dst, qos, now):
         """Score, reward and cache the route of its `_route_entry` `entry`
-        and its relays' suffixes, adding only the time; returns its Route.
-        A failure, the tuple (error class, message), raises afresh."""
-        if isinstance(entry, tuple):
-            raise entry[0](entry[1])
+        and its relays' suffixes, adding only the time; returns its Route,
+        or its `Failure`: the entry's own, or `qos_floor`."""
+        if type(entry) is Failure:
+            return entry
         path, levels, m, age, keys, dtau, relays, line = entry
         if not qos.admits(m):
-            raise NoAdmissibleRouteError(
+            return Failure(
+                "qos_floor",
                 f"assembled route from {src} to {dst} misses the QoS floors")
         if self.deposit_params is not None:
             if dtau is None:
@@ -479,7 +506,8 @@ class Router:
         return route
 
     def discover_route(self, src, dst, qos=QosRequirement(), now=0.0):
-        """Full hierarchical route discovery; returns the Route.
+        """Full hierarchical route discovery; returns the Route, or the
+        `Failure` that says why there is none.
 
         Linked endpoints get their direct route.  Otherwise the source's
         cached route is returned as it is if it meets the QoS floors and
@@ -487,6 +515,9 @@ class Router:
         head chains discovers a new one, which replaces it in the cache.
         A cached route that fails the check is kept, not dropped, until
         a new discovery replaces it or it expires: the link can come back.
+        The climb's legs run in order, and the first that fails ends the
+        discovery.  An unknown node id raises UnknownNodeError: it is the
+        caller's bug, not an outcome.
         """
         state = self.state
         nodes = state.nodes
@@ -495,9 +526,9 @@ class Router:
         except KeyError as exc:
             raise UnknownNodeError(f"unknown node id {exc.args[0]}") from None
         if not alive:
-            raise NoRouteError(f"endpoint dead: {src} -> {dst}")
+            return Failure("endpoint_dead", f"endpoint dead: {src} -> {dst}")
         if src == dst:
-            raise NoRouteError("source equals destination")
+            return _SAME_ENDPOINTS
         memo = self._current_memo()
         plan = memo.get((src, dst))
         if plan is None:
@@ -519,9 +550,14 @@ class Router:
             self.trace(line, now)
         self.stats["route_ants"] += len(ants)
         if failure is not None:
-            raise failure[0](failure[1])
-        segs = tuple([self._segment(scope, lvl, a, b, dst, qos, now, memo)
-                      for scope, lvl, a, b in legs])
+            return failure
+        segs = []
+        for scope, lvl, a, b in legs:
+            seg = self._segment(scope, lvl, a, b, dst, qos, now, memo)
+            if type(seg) is Failure:
+                return seg
+            segs.append(seg)
+        segs = tuple(segs)
         entry = routes.get(segs)
         if entry is None:
             path, levels = [src], []

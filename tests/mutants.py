@@ -47,10 +47,12 @@ class Mutant:
 
 SNAPSHOT = "tests/test_topology_snapshot.py::"
 ROUTING = "tests/test_routing.py::"
+REASONS = ROUTING + "TestFailureReasons::"
 FLOOD_MEMO = ROUTING + "TestFloodMemo::"
 LOADER = "tests/test_config_cli.py::TestLoaderEquivalence::"
 WALK = "tests/test_config_cli.py::TestWalk::"
 TRACE = "tests/test_trace_writer.py::"
+ENERGY = "tests/test_engine.py::TestEnergyDebit::"
 
 MUTANTS = (
     Mutant("travel-bound-without-factor-2", "src/antmanet/model.py",
@@ -156,14 +158,29 @@ MUTANTS = (
            (FLOOD_MEMO
             + "test_steered_replays_of_one_plan_assemble_their_own_paths",),
            "memo entries that keep their per-send work"),
-    Mutant("failure-replay-reraises-one-instance", "src/antmanet/routing.py",
-           "raise entry[0](entry[1])",
-           "raise self.__dict__.setdefault(entry, entry[0](entry[1]))",
+    Mutant("failure-replay-takes-another-reason", "src/antmanet/routing.py",
+           "entry = routes.get(segs)",
+           "entry = routes.get(segs)\n"
+           "        if type(entry) is Failure:\n"
+           "            entry = entry._replace(reason=\"stale_link\")",
            (ROUTING + "TestMemoizedFailures::"
-            "test_replay_raises_as_the_derivation[stale-hop]",
-            ROUTING + "TestMemoizedFailures::"
-            "test_replay_raises_as_the_derivation[loop]"),
-           "one route table per endpoint pair"),
+            "test_replay_returns_the_stored_failure[loop]",
+            REASONS + "test_each_reason[routing_loop]"),
+           "discovery failures returned as values"),
+    Mutant("failure-replay-builds-a-new-failure", "src/antmanet/routing.py",
+           "            return failure\n",
+           "            return Failure(*failure)\n",
+           (REASONS + "test_each_reason[no_l1_head]",
+            REASONS + "test_each_reason[different_l2_heads]"),
+           "discovery failures returned as values"),
+    Mutant("admission-failure-sent-as-no-route", "src/antmanet/routing.py",
+           'ADMISSION = frozenset({"qos_floor", "theta_p", "zero_preference"})',
+           'ADMISSION = frozenset({"theta_p", "zero_preference"})',
+           ("tests/test_engine.py::TestFailureDispatch::"
+            "test_reason_picks_the_record"
+            "[qos_floor-admission_rejected-rejected]",
+            "tests/test_digests.py::test_corpus_matches_digest_table"),
+           "discovery failures returned as values"),
     Mutant("walk-reads-merge-as-a-key", "src/antmanet/config.py",
            'for t in ("str", "int", "float", "bool", "null")}',
            'for t in ("str", "int", "float", "bool", "null")}'
@@ -223,6 +240,10 @@ MUTANTS = (
            (LOADER + "test_edge_documents",
             LOADER + "test_unreadable_scalar_reported"),
            "scenario data built as the parser's events arrive"),
+    Mutant("handover-on-the-base-loader", "src/antmanet/config.py",
+           "again = type(self)(source)", "again = _LOADER(source)",
+           (WALK + "test_handover_keeps_the_loaders_class",),
+           "a handover on the loader's own class"),
     Mutant("handover-reads-on-without-rewinding", "src/antmanet/config.py",
            "source.seek(self._start)", "source.tell()",
            (LOADER + "test_yaml_issue_names_the_file",
@@ -266,6 +287,24 @@ MUTANTS = (
            ("tests/test_maintenance.py::TestMemberWalkAway::"
             "test_detected_exactly_at_staleness_bound",),
            "members declared lost at the detection bound"),
+    Mutant("hop-costs-swapped", "src/antmanet/engine.py",
+           "self._apply_energy(a, self._tx_cost)\n"
+           "            self._apply_energy(b, self._rx_cost)",
+           "self._apply_energy(a, self._rx_cost)\n"
+           "            self._apply_energy(b, self._tx_cost)",
+           (ENERGY + "test_tx_cost", ENERGY + "test_rx_cost"),
+           "each radio action's cost worked out once"),
+    Mutant("tx-cost-without-its-bit-term", "src/antmanet/engine.py",
+           "self._tx_cost = costs.tx_packet + costs.tx_bit * bits",
+           "self._tx_cost = costs.tx_packet",
+           (ENERGY + "test_tx_cost",),
+           "each radio action's cost worked out once"),
+    Mutant("beacon-cost-debited-on-hops", "src/antmanet/engine.py",
+           "self._rx_cost = costs.rx_packet + costs.rx_bit * bits",
+           "self._rx_cost = costs.rx_packet + costs.rx_bit * bits"
+           " + costs.beacon",
+           (ENERGY + "test_beacon_cost",),
+           "each radio action's cost worked out once"),
     Mutant("delivered-at-a-dead-destination", "src/antmanet/engine.py",
            "            if not state.nodes[a].alive:\n"
            "                self._drop(flow_idx, at=a)\n"

@@ -737,6 +737,20 @@ class TestWalk:
         assert yaml.load(opened("a: &x [1]\nb: *x"),
                          Loader=config._LOADER) == {"a": [1], "b": [1]}
 
+    def test_handover_keeps_the_loaders_class(self):
+        """A subclass of config._LOADER keeps its implicit resolvers when
+        the walk hands over: an anchor makes this text a handover."""
+        loaders = []
+        for base in (config._LOADER, yaml.SafeLoader):
+            class Void(base):
+                pass
+            Void.add_implicit_resolver(config._TAG + "null",
+                                       re.compile("^void$"), "v")
+            loaders.append(Void)
+        text = "k: void\nb: &x 1"
+        assert yaml.load(text, Loader=loaders[1]) == {"k": None, "b": 1}
+        assert yaml.load(text, Loader=loaders[0]) == {"k": None, "b": 1}
+
     def test_path_resolvers_hand_over(self, monkeypatch):
         """A path resolver registered on the loader config._LOADER extends
         tags the nodes at its path, which the walk does not track."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from antmanet import engine
+from antmanet import engine, routing
 from antmanet.config import (Arena, CacheConfig, EnergyCosts, FlowConfig,
                              LinkOverride, MobilityConfig, NodeGroup,
                              Placement, ScenarioConfig, load_scenario,
@@ -466,6 +466,47 @@ class TestSummary:
     def test_one_counter_store(self):
         sim, _, _ = self._run()
         assert sim.stats is sim.router.stats is sim.manager.stats
+
+
+class TestFailureDispatch:
+    """`_handle_packet_send` writes a discovery `Failure` as the record of
+    its reason's kind, and counts it in that kind's counter: the admission
+    reasons as `admission_rejected`, every other as `no_route`."""
+
+    @pytest.mark.parametrize("reason, kind, counter", [
+        ("endpoint_dead", "no_route", "failed"),
+        ("same_endpoints", "no_route", "failed"),
+        ("no_l0_head", "no_route", "failed"),
+        ("no_l1_head", "no_route", "failed"),
+        ("no_l2_head", "no_route", "failed"),
+        ("different_l2_heads", "no_route", "failed"),
+        ("stale_link", "no_route", "failed"),
+        ("routing_loop", "no_route", "failed"),
+        ("no_path_in_scope", "no_route", "failed"),
+        ("qos_floor", "admission_rejected", "rejected"),
+        ("theta_p", "admission_rejected", "rejected"),
+        ("zero_preference", "admission_rejected", "rejected"),
+    ])
+    def test_reason_picks_the_record(self, reason, kind, counter,
+                                     monkeypatch):
+        class Stub(engine.Router):
+            def discover_route(self, src, dst, qos, now):
+                return routing.Failure(reason, "stub")
+
+        monkeypatch.setattr(engine, "Router", Stub)
+        records = []
+        summary = Simulator(two_node_config(),
+                            trace=record_sink(records)).run()
+        sends = [r for r in records
+                 if r["kind"] in ("no_route", "admission_rejected")]
+        assert sends == [{"kind": kind, "t": t, "flow": 0}
+                         for t in (1.0, 2.0, 3.0)]
+        [flow] = summary["flows"]
+        assert {key: flow[key] for key in ("sent", "rejected", "failed")} == {
+            "sent": 0, "rejected": 0, "failed": 0, counter: 3}
+        assert (summary["discovery_failures"],
+                summary["admission_rejections"]) == (
+            (3, 0) if counter == "failed" else (0, 3))
 
 
 DIGEST = Path(__file__).resolve().parent / "data" / "digest"

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,11 +9,10 @@ from hypothesis import strategies as st
 
 from antmanet import routing
 from antmanet.engine import Simulator
-from antmanet.errors import (ConfigError, NoAdmissibleRouteError, NoRouteError,
-                             RoutingLoopError)
+from antmanet.errors import ConfigError
 from antmanet.qos import (DepositParams, PathMetrics, path_metrics,
                           pheromone_deposit)
-from antmanet.routing import (PheromoneTable, PreferenceParams,
+from antmanet.routing import (Failure, PheromoneTable, PreferenceParams,
                               QosRequirement, Route, RouteCache,
                               path_preference_probability, score_factors)
 
@@ -64,11 +62,11 @@ class TestPreferenceProbability:
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(NoRouteError):
+        with pytest.raises(ValueError, match="^empty candidate set$"):
             path_preference_probability({})
 
     def test_all_degenerate_rejected(self):
-        with pytest.raises(NoAdmissibleRouteError):
+        with pytest.raises(ValueError, match="^all candidates degenerate$"):
             path_preference_probability(score_map([(1, metrics(bw=0.0), 0.0)]))
 
 
@@ -277,8 +275,8 @@ class TestRouteCache:
         r = make_router(state, clusters)
         route = r.discover_route(0, 4, now=0.0)
         strict = QosRequirement(min_bandwidth=2 * route.metrics.bandwidth)
-        with pytest.raises(NoAdmissibleRouteError):
-            r.discover_route(0, 4, qos=strict, now=1.0)
+        assert r.discover_route(0, 4, qos=strict, now=1.0) == Failure(
+            "qos_floor", "no admissible route from 0 to 4 under the QoS floors")
         assert r.stats["cache_hits"] == 0
         assert r.cache.routes[0, 4] is route
 
@@ -291,8 +289,8 @@ class TestRouteCache:
         home = state.nodes[3].position
         state.nodes[3].position = (150.0, 1000.0)
         state.touch()
-        with pytest.raises(NoRouteError):
-            r.discover_route(0, 4, now=1.0)
+        assert r.discover_route(0, 4, now=1.0) == Failure(
+            "no_path_in_scope", "no level-0 path from 0 to 4 within scope")
         assert r.stats["cache_hits"] == 0
         assert r.cache.routes[0, 4] is route
         state.nodes[3].position = home
@@ -385,23 +383,23 @@ class TestDiscovery:
         add_node(state, 2, (1000, 1000))
         clusters = manual_clusters({0: {0: {1}, 2: set()}, 1: {}, 2: {}})
         r = make_router(state, clusters)
-        with pytest.raises(NoRouteError):
-            r.discover_route(0, 2, now=0.0)
+        assert r.discover_route(0, 2, now=0.0) == Failure(
+            "no_l1_head", "node 0 has no level-1 head")
         # The cache lookup added no entry.
         assert r.cache.routes == {}
 
     def test_source_equals_destination_raises_no_route(self):
         state, clusters = single_cluster_line(3)
         r = make_router(state, clusters)
-        with pytest.raises(NoRouteError, match="^source equals destination$"):
-            r.discover_route(1, 1, now=0.0)
+        assert r.discover_route(1, 1, now=0.0) == Failure(
+            "same_endpoints", "source equals destination")
 
     def test_qos_floor_violation_distinct_error(self):
         state, clusters = single_cluster_line(4)
         r = make_router(state, clusters)
         qos = QosRequirement(min_bandwidth=1e12)
-        with pytest.raises(NoAdmissibleRouteError):
-            r.discover_route(0, 3, qos=qos, now=0.0)
+        assert r.discover_route(0, 3, qos=qos, now=0.0) == Failure(
+            "qos_floor", "no admissible route from 0 to 3 under the QoS floors")
 
     def test_admission_soundness(self):
         state, clusters = single_cluster_line(5)
@@ -461,9 +459,8 @@ class TestChoice:
         r = make_router(state, clusters, pref=PreferenceParams(theta_p=theta_p),
                         trace=record_sink(records))
         if path is None:
-            with pytest.raises(NoAdmissibleRouteError,
-                               match="best preference 0.5 below threshold"):
-                r.discover_route(0, 3, now=0.0)
+            assert r.discover_route(0, 3, now=0.0) == Failure(
+                "theta_p", "best preference 0.5 below threshold")
         else:
             assert r.discover_route(0, 3, now=0.0).path == path
         assert [rec["packet"]["to_visit"] for rec in records
@@ -861,46 +858,46 @@ class TestHierarchicalDiscovery:
         assert 20 not in state.neighbors(10, 1)
         assert 20 in state.neighbors(10, 2)
 
-    @pytest.mark.parametrize("edit, ants, error", [
+    @pytest.mark.parametrize("edit, ants, failure", [
         # A discovered route: each chain climbs to level 2, where 10 heads
         # both regions; 10 heads the source's chain from level 0 up, so it
         # would address every later ant to itself, and sends none of them.
         (None, [(0, 10, 0)], None),
         (lambda clusters: clusters.leave(0, 20, 3), [],
-         "node 3 has no level-0 head"),
+         Failure("no_l0_head", "node 3 has no level-0 head")),
         (lambda clusters: clusters.dissolve(1, 20), [(0, 10, 0)],
-         "node 20 has no level-1 head"),
+         Failure("no_l1_head", "node 20 has no level-1 head")),
         (lambda clusters: clusters.leave(2, 10, 20), [(0, 10, 0)],
-         "node 20 has no level-2 head"),
+         Failure("no_l2_head", "node 20 has no level-2 head")),
         (lambda clusters: clusters.install(2, {10: set(), 20: set()}, 1.0),
-         [(0, 10, 0)], "level-2 heads 10 and 20 differ"),
+         [(0, 10, 0)],
+         Failure("different_l2_heads", "level-2 heads 10 and 20 differ")),
     ], ids=["found", "no_l0_head", "no_l1_head", "no_l2_head",
             "different_l2_heads"])
-    def test_cross_region_route_ants(self, edit, ants, error):
-        """The exact route ants and failure message of each exit of
-        cross-region discovery: a missing or differing head stops it
-        before that level's ant."""
+    def test_cross_region_route_ants(self, edit, ants, failure):
+        """The exact route ants and failure of each exit of cross-region
+        discovery: a missing or differing head stops it before that
+        level's ant."""
         state, clusters = two_region_world(cross_region=True)
         records = []
         r = make_router(state, clusters, trace=record_sink(records))
         if edit is None:
-            r.discover_route(0, 3, now=1.0)
+            assert type(r.discover_route(0, 3, now=1.0)) is Route
         else:
             edit(clusters)
-            with pytest.raises(NoRouteError, match=f"^{error}$"):
-                r.discover_route(0, 3, now=1.0)
+            assert r.discover_route(0, 3, now=1.0) == failure
         assert [rec for rec in records if rec["kind"] == "route_ant"] == [
             {"kind": "route_ant", "t": 1.0,
              "packet": {"src": s, "dst": d, "flag": flag}}
             for s, d, flag in ants]
 
-    @pytest.mark.parametrize("edit, error", [
+    @pytest.mark.parametrize("edit, failure", [
         (lambda clusters: clusters.dissolve(1, 20),
-         "node 20 has no level-1 head"),
+         Failure("no_l1_head", "node 20 has no level-1 head")),
         (lambda clusters: clusters.leave(2, 10, 20),
-         "node 20 has no level-2 head"),
+         Failure("no_l2_head", "node 20 has no level-2 head")),
     ], ids=["dissolve", "leave"])
-    def test_hierarchy_change_climbs_afresh(self, edit, error):
+    def test_hierarchy_change_climbs_afresh(self, edit, failure):
         """Once a head of a memoized plan loses its cluster, the next
         discovery climbs the changed chains instead of replaying the plan,
         though the topology is unchanged."""
@@ -909,8 +906,7 @@ class TestHierarchicalDiscovery:
         r.discover_route(0, 3, now=1.0)
         assert (0, 3) in r._memo
         edit(clusters)
-        with pytest.raises(NoRouteError, match=f"^{error}$"):
-            r.discover_route(0, 3, now=2.0)
+        assert r.discover_route(0, 3, now=2.0) == failure
 
     def test_pheromone_positive_and_bounded_after_traffic(self):
         state, clusters = single_cluster_line(5)
@@ -953,16 +949,17 @@ def stale_member_world():
 
 class TestMemoizedFailures:
     """An assembled route that revisits a node or misses a link fails
-    with the same error, records and counters whether it is derived or
-    replayed under one stamp, and each replay raises a new exception."""
+    with the same `Failure`, records and counters whether it is derived
+    or replayed under one stamp, and each replay returns the stored
+    object."""
 
-    @pytest.mark.parametrize("world, error, message", [
-        (stale_member_world, NoRouteError, "no link between 0 and 10"),
-        (looping_world, RoutingLoopError,
+    @pytest.mark.parametrize("world, reason, message", [
+        (stale_member_world, "stale_link", "no link between 0 and 10"),
+        (looping_world, "routing_loop",
          "assembled route revisits a node: [0, 10, 0, 20, 3]"),
     ], ids=["stale-hop", "loop"])
-    def test_replay_raises_as_the_derivation(self, world, error, message,
-                                             monkeypatch):
+    def test_replay_returns_the_stored_failure(self, world, reason, message,
+                                               monkeypatch):
         entries = []
         route_entry = routing.Router._route_entry
 
@@ -978,12 +975,129 @@ class TestMemoizedFailures:
         for _ in range(2):
             records.clear()
             before = Counter(r.stats)
-            with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
-                r.discover_route(0, 3, now=1.0)
-            calls.append((exc.value, len(exc.traceback), list(records),
-                          r.stats - before))
+            failure = r.discover_route(0, 3, now=1.0)
+            assert failure == Failure(reason, message)
+            calls.append((failure, list(records), r.stats - before))
         (first, *derived), (second, *replayed) = calls
-        assert first is not second
+        assert first is second
         assert derived == replayed
-        assert derived[1] and derived[2]["route_ants"] == 1
+        assert derived[0] and derived[1]["route_ants"] == 1
         assert len(entries) == 1
+
+
+def three_level_world():
+    """Source 0's head 10 sits in head 11's level-1 cluster but 300 m from
+    it, past level 1's 250 m; 11 heads level 2 over 21, which heads
+    destination 3's head 20 at level 1.  The climb meets at 11, and its
+    first leg, 10 to 11 at level 1, finds no path."""
+    state = make_state()
+    for nid, x, level in ((0, -30.0, 0), (10, 0.0, 1), (11, 300.0, 2),
+                          (21, 700.0, 2), (20, 900.0, 1), (3, 930.0, 0)):
+        add_node(state, nid, (x, 0.0), level=level)
+    return state, manual_clusters({0: {10: {0}, 20: {3}},
+                                   1: {11: {10}, 21: {20}},
+                                   2: {11: {21}}})
+
+
+def failure_case(reason):
+    """(router, src, dst, QoS floors) of a small world whose discovery
+    fails with `reason`."""
+    qos = QosRequirement()
+    if reason in ("no_l0_head", "no_l1_head", "no_l2_head",
+                  "different_l2_heads"):
+        state, clusters = two_region_world(cross_region=True)
+        {"no_l0_head": lambda: clusters.leave(0, 20, 3),
+         "no_l1_head": lambda: clusters.dissolve(1, 20),
+         "no_l2_head": lambda: clusters.leave(2, 10, 20),
+         "different_l2_heads": lambda: clusters.install(
+             2, {10: set(), 20: set()}, 1.0)}[reason]()
+        return make_router(state, clusters), 0, 3, qos
+    if reason == "stale_link":
+        return make_router(*stale_member_world()), 0, 3, qos
+    if reason == "routing_loop":
+        return make_router(*looping_world()), 0, 3, qos
+    if reason == "no_path_in_scope":
+        return make_router(*three_level_world()), 0, 3, qos
+    if reason == "qos_floor":
+        # The overlay leg from 10 to 20 meets a delay floor that the whole
+        # route, with its member hops, misses.
+        state, clusters = two_region_world(cross_region=True)
+        m = path_metrics((0, 10, 20, 3), state, levels=(0, 2, 0))
+        qos = QosRequirement(max_delay=math.nextafter(m.delay, 0.0))
+        return make_router(state, clusters), 0, 3, qos
+    if reason == "theta_p":
+        return (make_router(*diamond(), pref=PreferenceParams(theta_p=0.6)),
+                0, 3, qos)
+    state, clusters = single_cluster_line(5)
+    if reason == "endpoint_dead":
+        state.nodes[4].alive = False
+        state.touch()
+    r = make_router(state, clusters, deposit=DepositParams(), q=1.0,
+                    cache_max_age=0.5)
+    if reason == "zero_preference":
+        # The one reply's trail gets the deposit, and evaporation at
+        # q = 1 takes it to 0.
+        r.discover_route(0, 4, now=0.0)
+        r.evaporate_all()
+    if reason == "same_endpoints":
+        return r, 2, 2, qos
+    return r, 0, 4, qos
+
+
+# Each reason, the message of its world in `failure_case`, and whether the
+# second call returns the first call's object.
+FAILURES = [
+    ("endpoint_dead", "endpoint dead: 0 -> 4", False),
+    ("same_endpoints", "source equals destination", True),
+    ("no_l0_head", "node 3 has no level-0 head", True),
+    ("no_l1_head", "node 20 has no level-1 head", True),
+    ("no_l2_head", "node 20 has no level-2 head", True),
+    ("different_l2_heads", "level-2 heads 10 and 20 differ", True),
+    ("stale_link", "no link between 0 and 10", True),
+    ("routing_loop",
+     "assembled route revisits a node: [0, 10, 0, 20, 3]", True),
+    ("no_path_in_scope", "no level-1 path from 10 to 11 within scope",
+     False),
+    ("qos_floor", "assembled route from 0 to 3 misses the QoS floors",
+     False),
+    ("theta_p", "best preference 0.5 below threshold", False),
+    ("zero_preference", "all candidates degenerate", True),
+]
+
+
+class TestFailureReasons:
+    """Each reason's small world fails with the reason and its message,
+    twice under one stamp with the same records and counters.  A failure
+    the memo keeps (the climb's, an assembled route's) or one that is a
+    constant is the same object at the second call; the others are built
+    per call from what each call reads afresh."""
+
+    @pytest.mark.parametrize("reason, message, stored", FAILURES,
+                             ids=[reason for reason, *_ in FAILURES])
+    def test_each_reason(self, reason, message, stored):
+        r, src, dst, qos = failure_case(reason)
+        records = []
+        r.trace = record_sink(records)
+        calls = []
+        for _ in range(2):
+            records.clear()
+            before = Counter(r.stats)
+            failure = r.discover_route(src, dst, qos, now=1.0)
+            assert failure == Failure(reason, message)
+            calls.append((failure, list(records), r.stats - before))
+        (first, *derived), (second, *replayed) = calls
+        assert derived == replayed
+        assert (first is second) == stored
+
+    def test_legs_stop_at_the_first_failure(self):
+        """The climb meets at level 2 with three legs; the first finds no
+        path, so the level-2 and level-1 legs after it send no request
+        and no reply."""
+        records = []
+        r = make_router(*three_level_world(), trace=record_sink(records))
+        failure = r.discover_route(0, 3, now=1.0)
+        assert failure.reason == "no_path_in_scope"
+        assert [key for key in r._memo if isinstance(key[-1], frozenset)] == [
+            (1, 10, 11, frozenset({10, 11}))]
+        assert r.stats["request_forwards"] == r.stats["reply_packets"] == 0
+        assert [rec["kind"] for rec in records] == ["route_ant"] * 2
