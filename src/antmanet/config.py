@@ -26,8 +26,9 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
-from yaml.events import (MappingEndEvent, MappingStartEvent, ScalarEvent,
-                         SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
+from yaml.events import (AliasEvent, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+                         StreamEndEvent)
 
 from .clustering import WeightParams
 from .errors import ScenarioError
@@ -38,109 +39,113 @@ from .routing import PreferenceParams, QosRequirement
 
 _TAG = "tag:yaml.org,2002:"
 _STR, _FLOAT, _SEQ, _MAP = (_TAG + t for t in ("str", "float", "seq", "map"))
-# The constructors of the scalar tags a scenario uses; a scalar of any other
-# tag goes to PyYAML's constructor.
+# The constructors of the scalar tags a scenario may use.
 _SCALARS = {_TAG + t: yaml.constructor.SafeConstructor.yaml_constructors[
     _TAG + t] for t in ("str", "int", "float", "bool", "null")}
-# Nesting deeper than this goes to PyYAML's constructor.
+# PyYAML's implicit resolvers, by the first character they match.
+_IMPLICIT = yaml.resolver.Resolver.yaml_implicit_resolvers
+# Nesting deeper than this is refused.
 _DEPTH = 64
-# PyYAML's implicit resolvers for each digit, which the walk's number rule
-# assumes: a leading digit tries float, then int, then timestamp.
-_DIGITS = {d: list(yaml.resolver.Resolver.yaml_implicit_resolvers[d])
-           for d in "0123456789"}
 
 
-class _Handover(Exception):
-    """The walk met an event that PyYAML's composer and constructor must
-    build."""
+def _refused(event, problem):
+    return yaml.constructor.ConstructorError(None, None, problem,
+                                             event.start_mark)
 
 
 class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """libyaml's parser with PyYAML's safe constructor and resolver, so a
-    document both parsers accept loads as under SafeLoader (where they part
-    is pinned in tests/test_config_cli.py), save that a scalar key repeated
-    in one mapping is an error, not a new value, and that a scalar its tag
-    cannot read (``!!bool 'maybe'``) is a ConstructorError at its mark, not
-    a bare KeyError or ValueError.  Merge keys (``<<``) still merge.
-    Without libyaml the parser is PyYAML's own.
+    """libyaml's parser with PyYAML's safe scalar constructors and
+    resolver, building a scenario's data as the parser's events arrive,
+    with no node tree.  Without libyaml the parser is PyYAML's own.
 
-    Two shortcuts give the same data in less time.  A document of str,
-    int, float, bool and null scalars, sequences, and mappings with
-    distinct scalar keys is built as the parser's events arrive, with no
-    node tree.  A plain scalar skips ``resolve`` where its first character
-    settles its type: it is a str if the loader's table lists no implicit
-    resolver for that character (nor a wildcard one), and while the digits
-    keep PyYAML's resolvers, ASCII digits with no leading zero (or ``0``)
-    are an int, and digits, a dot and optional digits a float.  On any
-    other stream (an anchor or an alias, a merge key, another tag, a
-    repeated or non-scalar key, nesting past _DEPTH, a second document, a
-    path resolver, a scalar its constructor rejects, a syntax error) the
-    walk stops, and PyYAML's composer and constructor load the text again
-    from its start, with their results and their errors.  A text stream
-    that cannot seek is read into memory first, so that it can be read
-    again."""
+    A scenario is one document of str, int, float, bool and null scalars,
+    sequences, and mappings with distinct scalar keys, anchors and aliases
+    included (``yaml.safe_dump`` writes them for a shared object).  It
+    loads as under SafeLoader: an alias gives the anchored object itself,
+    and a collection's anchor is defined before its items are built, so
+    ``&a [*a]`` is a list that holds itself.  Anything else is a
+    ConstructorError at its mark: a merge key ``<<`` or any other tag, a
+    scalar its tag cannot read (``!!bool 'maybe'``, ``!!int ''``), an
+    undefined or redefined anchor, a repeated or non-scalar key, nesting
+    deeper than _DEPTH, or a second document.
 
-    def __init__(self, stream):
-        if hasattr(stream, "read"):
-            if not stream.seekable():
-                copy = io.StringIO(stream.read())
-                copy.name = getattr(stream, "name", "<file>")
-                stream = copy
-            self._start = stream.tell()
-        super().__init__(stream)
-        self._source = stream
+    A plain scalar skips ``resolve`` where its first character settles its
+    type: it is a str if PyYAML lists no implicit resolver for that
+    character, and ASCII digits with no leading zero (or ``0``) are an int,
+    and digits, a dot and optional digits a float."""
 
     def get_single_data(self):
-        try:
-            return self._document()
-        except Exception:
-            pass
-        # Whatever the walk met, PyYAML loads the text again on a fresh
-        # loader of this loader's class, so that a subclass keeps its
-        # resolvers, outside the walk's exception.
-        source = self._source
-        if hasattr(source, "read"):
-            source.seek(self._start)
-        again = type(self)(source)
-        try:
-            return super(_LOADER, again).get_single_data()
-        finally:
-            again.dispose()
-
-    def _document(self):
         """The data of the stream's one document, or None for a stream
         with none."""
-        if self.yaml_path_resolvers:
-            raise _Handover
-        # A wildcard resolver may type a scalar with any first character,
-        # and the number rule holds only for PyYAML's resolvers on digits.
-        table = self.yaml_implicit_resolvers
-        self._table = None if None in table else table
-        self._digits = (_DIGITS.keys() if all(
-            table.get(d) == stock for d, stock in _DIGITS.items()) else ())
+        self._anchors = {}
         get = self.get_event
         get()  # StreamStartEvent
         if type(get()) is StreamEndEvent:
             return None
         data = self._value(get(), _DEPTH)
         get()  # DocumentEndEvent
-        if type(get()) is not StreamEndEvent:
-            raise _Handover  # a second document
+        event = get()
+        if type(event) is not StreamEndEvent:
+            raise _refused(event, "found a second document")
         return data
 
     def _value(self, event, depth):
-        """The data of the node that `event` starts, built from the events
-        up to the node's end."""
-        if event.anchor is not None or not depth:
-            raise _Handover  # an anchor, an alias, or nesting past _DEPTH
+        """The data of the node that `event` starts or aliases, built from
+        the events up to the node's end."""
+        anchor = event.anchor
+        if anchor is not None:
+            if type(event) is AliasEvent:
+                if anchor not in self._anchors:
+                    raise _refused(event, f"found undefined alias {anchor!r}")
+                return self._anchors[anchor]
+            if anchor in self._anchors:
+                raise _refused(event, f"found duplicate anchor {anchor!r}")
+        if not depth:
+            raise _refused(event, f"found nesting deeper than {_DEPTH}")
         kind = type(event)
         if kind is ScalarEvent:
-            tag, value = event.tag, event.value
+            data = self._scalar(event)
+        elif kind is SequenceStartEvent and event.tag in (None, "!", _SEQ):
+            data = []
+        elif kind is MappingStartEvent and event.tag in (None, "!", _MAP):
+            data = {}
+        else:
+            raise _refused(event, f"cannot read a collection as {event.tag}")
+        if anchor is not None:
+            # Defined before a collection's items are built, so that an
+            # alias among them gives the collection itself.
+            self._anchors[anchor] = data
+        if kind is ScalarEvent:
+            return data
+        get, depth = self.get_event, depth - 1
+        if kind is SequenceStartEvent:
+            event = get()
+            while type(event) is not SequenceEndEvent:
+                data.append(self._value(event, depth))
+                event = get()
+            return data
+        start, event = event, get()
+        while type(event) is not MappingEndEvent:
+            if type(event) is not ScalarEvent:
+                raise _refused(event, "found a non-scalar key")
+            key = self._value(event, depth)
+            if key in data:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", start.start_mark,
+                    f"found duplicate key {key!r}", event.start_mark)
+            data[key] = self._value(get(), depth)
+            event = get()
+        return data
+
+    def _scalar(self, event):
+        """The scalar `event`'s value."""
+        tag, value = event.tag, event.value
+        try:
             if tag is None and event.implicit[0]:
-                first, table = value[:1], self._table
-                if table is not None and first not in table:
+                first = value[:1]
+                if first not in _IMPLICIT:
                     return value
-                if first in self._digits and value.isascii():
+                if first.isdecimal() and value.isascii():
                     # YAML 1.1 reads a leading 0 as octal.
                     if value.isdecimal() and (first != "0" or value == "0"):
                         return int(value)
@@ -156,49 +161,13 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     and "_" not in value and ":" not in value):
                 return float(value)
             return _SCALARS[tag](self, yaml.ScalarNode(tag, value))
-        get, depth = self.get_event, depth - 1
-        if kind is SequenceStartEvent and event.tag in (None, "!", _SEQ):
-            items = []
-            event = get()
-            while type(event) is not SequenceEndEvent:
-                items.append(self._value(event, depth))
-                event = get()
-            return items
-        if kind is not MappingStartEvent or event.tag not in (None, "!", _MAP):
-            raise _Handover
-        data = {}
-        event = get()
-        while type(event) is not MappingEndEvent:
-            if type(event) is not ScalarEvent:
-                raise _Handover  # a non-scalar key
-            key = self._value(event, depth)
-            if key in data:
-                raise _Handover  # a repeated key
-            data[key] = self._value(get(), depth)
-            event = get()
-        return data
-
-    def construct_object(self, node, deep=False):
-        try:
-            return super().construct_object(node, deep)
-        except (KeyError, ValueError):
-            raise yaml.constructor.ConstructorError(
-                None, None, f"cannot read {reprlib.repr(node.value)} as "
-                f"{node.tag}", node.start_mark) from None
-
-    def construct_mapping(self, node, deep=False):
-        if isinstance(node, yaml.MappingNode):
-            seen = set()
-            for key_node, _ in node.value:
-                if (isinstance(key_node, yaml.ScalarNode)
-                        and key_node.tag != "tag:yaml.org,2002:merge"):
-                    key = self.construct_object(key_node)
-                    if key in seen:
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping", node.start_mark,
-                            f"found duplicate key {key!r}", key_node.start_mark)
-                    seen.add(key)
-        return super().construct_mapping(node, deep)
+        except (KeyError, ValueError, IndexError):
+            # The lookup of a tag with no constructor, and PyYAML's
+            # scalar constructors on a value they cannot read.
+            if tag is None or tag == "!":
+                tag = self.resolve(yaml.ScalarNode, value, event.implicit)
+            raise _refused(event, f"cannot read {reprlib.repr(value)} as "
+                           f"{tag}") from None
 
 
 @dataclass

@@ -186,78 +186,54 @@ MUTANTS = (
            'for t in ("str", "int", "float", "bool", "null")}'
            ' | {_TAG + "merge":'
            ' yaml.constructor.SafeConstructor.construct_yaml_str}',
-           (LOADER + "test_edge_documents",),
+           (LOADER + "test_edge_documents", WALK + "test_refused"),
            "scenario data built as the parser's events arrive"),
     Mutant("int-fast-path-takes-a-leading-zero", "src/antmanet/config.py",
            '(first != "0" or value == "0")', "True",
            (LOADER + "test_edge_documents",),
-           "plain scalars typed by their first character"),
-    Mutant("str-rule-ignores-the-table", "src/antmanet/config.py",
-           "first not in table:",
-           "first not in '-+0123456789.yYnNtTfFoO<~=!&*':",
-           (LOADER + "test_changed_resolvers_load_as_under_safeloader",),
-           "plain scalars typed by their first character"),
-    Mutant("str-rule-ignores-a-wildcard-resolver", "src/antmanet/config.py",
-           "self._table = None if None in table else table",
-           "self._table = table",
-           (LOADER + "test_changed_resolvers_load_as_under_safeloader",),
            "plain scalars typed by their first character"),
     Mutant("float-rule-takes-an-exponent", "src/antmanet/config.py",
            '(part or "0").isdecimal()',
            '(part or "0").replace("e", "").isdecimal()',
            (LOADER + "test_edge_documents",),
            "plain scalars typed by their first character"),
-    Mutant("number-rule-ignores-a-changed-table", "src/antmanet/config.py",
-           "self._digits = (_DIGITS.keys() if all(",
-           "self._digits = (_DIGITS.keys() if True or all(",
-           (LOADER + "test_changed_resolvers_load_as_under_safeloader",),
-           "plain scalars typed by their first character"),
     Mutant("number-rule-takes-non-ascii-digits", "src/antmanet/config.py",
-           "if first in self._digits and value.isascii():",
-           "if first in self._digits:",
+           "if first.isdecimal() and value.isascii():",
+           "if first.isdecimal():",
            (LOADER + "test_edge_documents",),
            "plain scalars typed by their first character"),
     Mutant("walk-takes-the-first-of-two-documents", "src/antmanet/config.py",
-           "        if type(get()) is not StreamEndEvent:\n"
-           "            raise _Handover  # a second document\n",
-           "        get()\n",
-           (LOADER + "test_edge_documents",
-            WALK + "test_exits_load_as_the_base_loader"),
+           "        event = get()\n"
+           "        if type(event) is not StreamEndEvent:\n"
+           '            raise _refused(event, "found a second document")\n',
+           "",
+           (LOADER + "test_edge_documents", WALK + "test_refused"),
            "scenario data built as the parser's events arrive"),
     Mutant("walk-takes-an-anchor", "src/antmanet/config.py",
-           "if event.anchor is not None or not depth:", "if not depth:",
+           "            self._anchors[anchor] = data\n",
+           "            pass\n",
            (LOADER + "test_edge_documents",
-            WALK + "test_exits_load_as_the_base_loader"),
+            WALK + "test_aliased_collection_is_one_object"),
            "scenario data built as the parser's events arrive"),
-    Mutant("walk-ignores-path-resolvers", "src/antmanet/config.py",
-           "        if self.yaml_path_resolvers:\n"
-           "            raise _Handover\n", "",
-           (WALK + "test_path_resolvers_hand_over",),
-           "scenario data built as the parser's events arrive"),
-    Mutant("walk-hands-over-only-its-own-signal", "src/antmanet/config.py",
-           "        except Exception:\n            pass\n",
-           "        except _Handover:\n            pass\n",
-           (LOADER + "test_edge_documents",
-            LOADER + "test_unreadable_scalar_reported"),
-           "scenario data built as the parser's events arrive"),
-    Mutant("handover-on-the-base-loader", "src/antmanet/config.py",
-           "again = type(self)(source)", "again = _LOADER(source)",
-           (WALK + "test_handover_keeps_the_loaders_class",),
-           "a handover on the loader's own class"),
-    Mutant("handover-reads-on-without-rewinding", "src/antmanet/config.py",
-           "source.seek(self._start)", "source.tell()",
-           (LOADER + "test_yaml_issue_names_the_file",
-            WALK + "test_handover_reads_the_stream_again"),
-           "a handover that reads the text again"),
-    Mutant("handover-rewinds-past-the-loaders-start",
+    Mutant("walk-takes-a-redefined-anchor", "src/antmanet/config.py",
+           "            if anchor in self._anchors:\n"
+           "                raise _refused(event, "
+           'f"found duplicate anchor {anchor!r}")\n', "",
+           (LOADER + "test_edge_documents", WALK + "test_refused"),
+           "one scenario loader, which builds aliases itself"),
+    Mutant("alias-builds-a-copy", "src/antmanet/config.py",
+           "                return self._anchors[anchor]\n",
+           "                data = self._anchors[anchor]\n"
+           "                return (data.copy() if isinstance(data, (list, dict))"
+           "\n                        else data)\n",
+           (WALK + "test_aliased_collection_is_one_object",),
+           "one scenario loader, which builds aliases itself"),
+    Mutant("scalar-errors-narrowed-to-key-and-value-errors",
            "src/antmanet/config.py",
-           "source.seek(self._start)", "source.seek(0)",
-           (WALK + "test_handover_reads_the_stream_again",),
-           "a handover that reads the text again"),
-    Mutant("unseekable-stream-not-kept", "src/antmanet/config.py",
-           "if not stream.seekable():", "if False:",
-           (WALK + "test_handover_reads_the_stream_again",),
-           "a handover that reads the text again"),
+           "        except (KeyError, ValueError, IndexError):\n",
+           "        except (KeyError, ValueError):\n",
+           (LOADER + "test_unreadable_scalar_reported",),
+           "one scenario loader, which builds aliases itself"),
     Mutant("nodes-listed-to-check-ends", "src/antmanet/config.py",
            "settings = _settings_of(cfg)",
            "settings = dict(cfg.nodes()).get",

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -419,11 +418,8 @@ DIGEST_FILES = sorted(
 
 # Documents on which libyaml and the pure-Python parser could disagree.
 YAML_EDGE_CASES = [
-    "a: &x [1, 2]\nb: *x\nc: {<<: {k: 1}, j: 2}",
-    "a: &x {k: 1, j: 1}\nc: {<<: *x, k: 2}",
     "sexagesimal: 1:30:00\nfloat60: 1:30.5",
     "octal: 0o17\nold_octal: 017\nhex: 0x1F\nbin: 0b101\nsep: 1_000",
-    "date: 2002-12-14\nstamp: 2001-12-14t21:59:43.10-05:00",
     "pinf: .inf\nninf: -.Inf\nnan: .NaN\nexp: 6.8523015e+5",
     "bools: [yes, No, on, OFF, true, ~, null, '']",
     "'a\tb': \"c\td\"",
@@ -433,32 +429,54 @@ YAML_EDGE_CASES = [
     "a: [1, 2",
     "a: b: c",
     "key: @reserved",
-    "!!python/object:os.system {}",
     "",
 ]
 
-# A document for each way out of config._LOADER's walk over the parser's
-# events, on which PyYAML's composer and constructor load the text again.
-WALK_EXITS = [
+# Documents that config._LOADER refuses, each with the problem and the line
+# and column that its ConstructorError names.
+REFUSED = [
+    ("a: &x 1\nb: &x 2", "found duplicate anchor 'x'", 2, 4),
+    ("a: &x [1]\nb: &x {}", "found duplicate anchor 'x'", 2, 4),
+    ("a: *x\nb: &x 1", "found undefined alias 'x'", 1, 4),
+    ("--- 1\n--- 2", "found a second document", 2, 1),
+    # A scalar its tag cannot read, then a syntax error: the walk reaches
+    # the scalar first.
+    ("seed: !!bool 'maybe'\nx: ]",
+     "cannot read 'maybe' as tag:yaml.org,2002:bool", 1, 7),
+    ("c: {<<: {k: 1}, j: 2}", "cannot read '<<' as tag:yaml.org,2002:merge",
+     1, 5),
+    ("c: {<<: [{k: 1}, {j: 2}], k: 3}",
+     "cannot read '<<' as tag:yaml.org,2002:merge", 1, 5),
+    ("a: &x [1, 2]\nb: *x\nc: {<<: {k: 1}, j: 2}",
+     "cannot read '<<' as tag:yaml.org,2002:merge", 3, 5),
+    ("a: &x {k: 1, j: 1}\nc: {<<: *x, k: 2}",
+     "cannot read '<<' as tag:yaml.org,2002:merge", 2, 5),
+    ("b: !!binary aGVsbG8=\n",
+     "cannot read 'aGVsbG8=' as tag:yaml.org,2002:binary", 1, 4),
+    ("s: !!set {a, b}", "cannot read a collection as tag:yaml.org,2002:set",
+     1, 4),
+    ("o: !!omap [{a: 1}, {b: 2}]",
+     "cannot read a collection as tag:yaml.org,2002:omap", 1, 4),
+    ("!!python/object:os.system {}", "cannot read a collection as "
+     "tag:yaml.org,2002:python/object:os.system", 1, 1),
+    ("date: 2002-12-14", "cannot read '2002-12-14' as "
+     "tag:yaml.org,2002:timestamp", 1, 7),
+    ("date: 2002-12-14\nstamp: 2001-12-14t21:59:43.10-05:00",
+     "cannot read '2002-12-14' as tag:yaml.org,2002:timestamp", 1, 7),
+    ("? [1, 2]\n: x", "found a non-scalar key", 1, 3),
+    ("a: &k 1\n*k : 2", "found a non-scalar key", 2, 1),
+    ("[" * (config._DEPTH + 1) + "]" * (config._DEPTH + 1),
+     f"found nesting deeper than {config._DEPTH}", 1, config._DEPTH + 1),
+]
+# Anchors and aliases, which config._LOADER builds as SafeLoader does.
+ALIASED = [
     "a: &x 1\nb: *x",
-    # An anchor with no alias, defined twice: PyYAML's composer rejects it.
-    "a: &x 1\nb: &x 2",
-    "--- 1\n--- 2",
-    # A scalar its tag cannot read, then a syntax error: the syntax error
-    # is reported, as PyYAML composes the whole document first.
-    "seed: !!bool 'maybe'\nx: ]",
     "a: &x [1, 2]\nb: *x\nc: &y {k: 1}\nd: *y",
     "a: &x [*x]",
-    "c: {<<: {k: 1}, j: 2}",
-    "c: {<<: [{k: 1}, {j: 2}], k: 3}",
-    "b: !!binary aGVsbG8=\n",
-    "s: !!set {a, b}",
-    "o: !!omap [{a: 1}, {b: 2}]",
-    "date: 2002-12-14",
-    "? [1, 2]\n: x",
-    "[" * (config._DEPTH + 1) + "]" * (config._DEPTH + 1),
+    "a: &x {b: *x}",
+    "&k a: *k",
 ]
-YAML_EDGE_CASES += WALK_EXITS + [
+YAML_EDGE_CASES += [text for text, *_ in REFUSED] + ALIASED + [
     # Explicit tags on quoted scalars, which the walk builds.
     "[!!int '12', !!float '1.5', !!str 12, !!bool 'yes', !!int '-+1',\n"
     " !!float '--1']",
@@ -480,22 +498,10 @@ YAML_EDGE_CASES += WALK_EXITS + [
     "yes: On\n~: flows\ntx_range: [null, yes, On, ~, flows, tx_range]",
 ]
 
-# Implicit resolvers added to a loader's table, as (tag, pattern, first
-# characters, whether it goes ahead of the resolvers already there,
-# a document it changes), each named by where it changes the table.
-RESOLVER_CHANGES = {
-    "digit-ahead": ("str", r"^42$", ["4"], True, "k: [42, 420, 4.2]"),
-    "digit-after": ("null", r"^0[0-9]+$", ["0"], False, "k: [09, 017, 0]"),
-    "new-first-character": ("null", r"^void$", ["v"], False,
-                            "void: [void, vo]"),
-    "wildcard": ("null", r"^void$", None, False, "void: [void, vo]"),
-}
-
 # Scalars that their tag cannot read: SafeLoader raises PyYAML's bare error,
 # which has no mark, and config._LOADER a ConstructorError at the scalar.
-# Besides a repeated key, this is where the two loaders part.  Each row is
-# the document, SafeLoader's error, and the value, tag, line and column
-# that config._LOADER's error names.
+# Each row is the document, SafeLoader's error, and the value, tag, line
+# and column that config._LOADER's error names.
 UNREADABLE = [
     ("[1, !!bool 'maybe']", KeyError, "'maybe'", "bool", 1, 5),
     ("seed: !!bool 'maybe'", KeyError, "'maybe'", "bool", 1, 7),
@@ -506,6 +512,11 @@ UNREADABLE = [
     ("seed: 1\nlink: {delay: !!float 'x'}", ValueError, "'x'", "float", 2,
      15),
     ("date: 2002-13-45", ValueError, "'2002-13-45'", "timestamp", 1, 7),
+    # PyYAML's int and float constructors index the value's first
+    # character, and what is left of it after a sign.
+    ("seed: !!int", IndexError, "''", "int", 1, 7),
+    ('duration: !!float ""', IndexError, "''", "float", 1, 11),
+    ("seed: !!int '-'", IndexError, "'-'", "int", 1, 7),
 ]
 
 # Where the parsers part: libyaml reads a tab between tokens on a line as a
@@ -557,7 +568,8 @@ class TestLoaderEquivalence:
     @pytest.mark.parametrize("text, error, value, tag, line, column",
                              UNREADABLE,
                              ids=["seq", "bool", "int", "digits", "nested",
-                                  "timestamp"])
+                                  "timestamp", "empty-int", "empty-float",
+                                  "sign-only"])
     def test_unreadable_scalar_reported(self, text, error, value, tag, line,
                                         column, tmp_path):
         with pytest.raises(error):
@@ -600,8 +612,7 @@ class TestLoaderEquivalence:
         assert [(p, c) for p, c, _ in exc.value.issues] == [("<document>", "yaml")]
 
     def test_yaml_issue_names_the_file(self, loader, tmp_path):
-        # config._LOADER's walk hands both texts over, so each is read
-        # again from the file's stream.
+        # libyaml's parser names the stream it reads in every mark.
         for text in ("seed: 1\n{unclosed", "seed: 1\n---\nseed: 2"):
             path = tmp_path / "bad.yaml"
             path.write_text(text, encoding="utf-8")
@@ -616,8 +627,11 @@ class TestLoaderEquivalence:
 
     @pytest.mark.parametrize("text", YAML_EDGE_CASES)
     def test_edge_documents(self, text):
-        assert (_load_or_error(text, config._LOADER)
-                == _load_or_error(text, yaml.SafeLoader))
+        """Each document loads as under SafeLoader, unless it is REFUSED."""
+        expected = (yaml.constructor.ConstructorError
+                    if text in {t for t, *_ in REFUSED}
+                    else _load_or_error(text, yaml.SafeLoader))
+        assert _load_or_error(text, config._LOADER) == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -629,28 +643,6 @@ class TestLoaderEquivalence:
         for text in (f"k: {scalar}", f"{scalar}: v"):
             assert (_load_or_error(text, config._LOADER)
                     == _load_or_error(text, yaml.SafeLoader)), text
-
-    @pytest.mark.parametrize(
-        "tag, pattern, first, ahead, text", RESOLVER_CHANGES.values(),
-        ids=RESOLVER_CHANGES)
-    def test_changed_resolvers_load_as_under_safeloader(
-            self, tag, pattern, first, ahead, text):
-        """A subclass of config._LOADER with an implicit resolver added to
-        its table loads a text as a SafeLoader subclass with the same
-        resolver does, where the resolver changes what SafeLoader reads."""
-        loaders = []
-        for base in (config._LOADER, yaml.SafeLoader):
-            class Changed(base):
-                pass
-            Changed.add_implicit_resolver(config._TAG + tag,
-                                          re.compile(pattern), first)
-            for ch in first if ahead else ():
-                entries = Changed.yaml_implicit_resolvers[ch]
-                entries.insert(0, entries.pop())
-            loaders.append(Changed)
-        changed = _load_or_error(text, loaders[1])
-        assert changed != _load_or_error(text, yaml.SafeLoader)
-        assert _load_or_error(text, loaders[0]) == changed
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks libyaml")
     @pytest.mark.parametrize("text, libyaml, pure", YAML_DIVERGENCES)
@@ -664,14 +656,13 @@ class TestLoaderEquivalence:
 
 
 class TestWalk:
-    """config._LOADER builds a plain document as the parser's events
-    arrive, and has PyYAML's composer and constructor load any other text
-    again."""
+    """config._LOADER builds a scenario's data as the parser's events
+    arrive, with no node tree, and refuses what a scenario cannot hold."""
 
     @staticmethod
-    def handovers(text, monkeypatch):
-        """How many times loading `text` composes a node tree, and how many
-        times it reaches PyYAML's constructor."""
+    def composes(text, monkeypatch):
+        """How many times parse_scenario(text) composes a node tree, and
+        how many times it reaches PyYAML's constructor."""
         composed, constructed = [], []
         compose = config._LOADER.get_single_node
         construct = yaml.constructor.BaseConstructor.construct_document
@@ -682,118 +673,99 @@ class TestWalk:
             yaml.constructor.BaseConstructor, "construct_document",
             lambda self, node: (constructed.append(node)
                                 or construct(self, node)))
-        _load_or_error(text, config._LOADER)
+        try:
+            parse_scenario(text)
+        except ScenarioError:
+            pass
         return len(composed), len(constructed)
 
-    @pytest.mark.parametrize("text", WALK_EXITS + [
-        "dup: 1\ndup: 2", "{1: a, true: b}"]
-        + [text for text, *_ in UNREADABLE])
-    def test_exits_hand_over(self, text, monkeypatch):
-        try:
-            yaml.compose(text, Loader=config._LOADER.__base__)
-            constructs = 1
-        except yaml.YAMLError:  # PyYAML's composer rejects the text
-            constructs = 0
-        assert self.handovers(text, monkeypatch) == (1, constructs)
-
-    @pytest.mark.parametrize("text", WALK_EXITS)
-    def test_exits_load_as_the_base_loader(self, text):
-        """Each exit's data, or its error's class and message, is that of
-        the PyYAML loader config._LOADER extends."""
-        assert (_load_or_message(text, config._LOADER)
-                == _load_or_message(text, config._LOADER.__base__))
+    @pytest.mark.parametrize("text", [text for text, *_ in REFUSED] + ALIASED
+                             + ["dup: 1\ndup: 2", "{1: a, true: b}"]
+                             + [text for text, *_ in UNREADABLE])
+    def test_nothing_is_composed(self, text, monkeypatch):
+        assert self.composes(text, monkeypatch) == (0, 0)
 
     @pytest.mark.parametrize("path", SCENARIO_FILES + DIGEST_FILES,
                              ids=lambda p: p.name)
     def test_scenarios_are_walked(self, path, monkeypatch):
         text = path.read_text(encoding="utf-8")
-        assert self.handovers(text, monkeypatch) == (0, 0)
+        assert self.composes(text, monkeypatch) == (0, 0)
 
-    @pytest.mark.parametrize("seekable", [True, False],
-                             ids=["seekable", "unseekable"])
-    def test_handover_reads_the_stream_again(self, seekable):
-        """A handover reads a stream again from where the loader found it,
-        under the stream's name; a stream that cannot seek is read into
-        memory first."""
-        class Stream(io.StringIO):
-            def seekable(self):
-                return seekable
-
-            def seek(self, *args):
-                if not seekable:
-                    raise io.UnsupportedOperation("seek")
-                return super().seek(*args)
-
-        def opened(text):
-            stream = Stream("skipped: line\n" + text)
-            stream.name = "scenario.yaml"
-            stream.readline()
-            return stream
-
-        with pytest.raises(yaml.composer.ComposerError) as exc:
-            yaml.load(opened("seed: &x 1\n---\nseed: 2"),
-                      Loader=config._LOADER)
-        assert 'in "scenario.yaml", line 2,' in str(exc.value)
-        assert yaml.load(opened("a: &x [1]\nb: *x"),
-                         Loader=config._LOADER) == {"a": [1], "b": [1]}
-
-    def test_handover_keeps_the_loaders_class(self):
-        """A subclass of config._LOADER keeps its implicit resolvers when
-        the walk hands over: an anchor makes this text a handover."""
-        loaders = []
-        for base in (config._LOADER, yaml.SafeLoader):
-            class Void(base):
-                pass
-            Void.add_implicit_resolver(config._TAG + "null",
-                                       re.compile("^void$"), "v")
-            loaders.append(Void)
-        text = "k: void\nb: &x 1"
-        assert yaml.load(text, Loader=loaders[1]) == {"k": None, "b": 1}
-        assert yaml.load(text, Loader=loaders[0]) == {"k": None, "b": 1}
-
-    def test_path_resolvers_hand_over(self, monkeypatch):
-        """A path resolver registered on the loader config._LOADER extends
-        tags the nodes at its path, which the walk does not track."""
-        base = config._LOADER.__base__
-        monkeypatch.setattr(base, "yaml_path_resolvers", {}, raising=False)
-        base.add_path_resolver(config._TAG + "set", ["1"], dict)
-        base.add_path_resolver(config._TAG + "int", ["n"], str)
-        # Each scalar has an implicit tag: only the path makes a set.
-        assert self.handovers("1: {2: ~}", monkeypatch) == (1, 1)
-        assert yaml.load("1: {2: ~}", Loader=config._LOADER) == {1: {2}}
-        # The second "abc" is tagged !!int by the path, not by the first.
-        with pytest.raises(yaml.constructor.ConstructorError,
-                           match="cannot read 'abc' as tag:yaml.org,2002:int"):
-            yaml.load("m: abc\nn: abc", Loader=config._LOADER)
+    @pytest.mark.parametrize("text, problem, line, column", REFUSED,
+                             ids=[text for text, *_ in REFUSED])
+    def test_refused(self, text, problem, line, column, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        [(where, code, msg)] = exc.value.issues
+        assert (where, code) == ("<document>", "yaml")
+        assert msg == f'{problem}\n  in "{path}", line {line}, column {column}'
 
     def test_aliased_collection_is_one_object(self, loader):
-        data = yaml.load("a: &x [1]\nb: *x\nc: &y {k: 1}\nd: *y",
-                         Loader=loader)
+        data = yaml.load("a: &x [1]\nb: *x\nc: &y {k: 1}\nd: *y\n"
+                         "e: &z [*z]\nf: &w {k: *w}", Loader=loader)
         assert data["a"] is data["b"] and data["c"] is data["d"]
+        # A collection's anchor is defined before its items are built.
+        assert data["e"][0] is data["e"] and data["f"]["k"] is data["f"]
+
+    def test_shared_list_is_dumped_as_an_alias(self):
+        """yaml.safe_dump writes an anchor and an alias for a tx_range list
+        that two groups share, so a scenario written from such data holds
+        both, and it parses as the dump of the same data unshared does."""
+        tx_range = [100.0, 250.0]
+        shared = {"groups": [{"count": n, "max_level": 1, "tx_range": tx_range}
+                             for n in (2, 3)]}
+        unshared = {"groups": [dict(g, tx_range=list(tx_range))
+                               for g in shared["groups"]]}
+        text = yaml.safe_dump(shared)
+        assert "&id001" in text and "*id001" in text
+        assert "&id001" not in yaml.safe_dump(unshared)
+        assert parse_scenario(text) == parse_scenario(yaml.safe_dump(unshared))
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None,
               phases=[p for p in Phase if p is not Phase.shrink])
     @given(data=st.data())
     def test_generated_documents(self, data):
-        text = _render(data, 3, [])
-        assert (_load_or_error(text, config._LOADER)
-                == _load_or_error(text, yaml.SafeLoader)), text
+        """A drawn document loads as under SafeLoader, or, if it holds a
+        construct that a scenario cannot, raises a ConstructorError that
+        names one of the constructs it holds."""
+        refused = set()
+        text = _render(data, 3, [], refused)
+        if not refused:
+            assert (_load_or_error(text, config._LOADER)
+                    == _load_or_error(text, yaml.SafeLoader)), text
+            return
+        with pytest.raises(yaml.constructor.ConstructorError) as exc:
+            yaml.load(text, Loader=config._LOADER)
+        assert any(f"cannot read {what}" == exc.value.problem
+                   for what in refused), text
 
 
 # Scalars whose tags the resolver, an explicit tag or quotes decide, and
 # keys that load to distinct values, so that no mapping repeats a key.
 SCALARS = ["0", "-0", "+7", "007", "017", "12", "'12'", "1_0", "1.5",
            "-1.5", "6.8e+5", ".inf", "-.Inf", ".nan", "yes", "No", "~",
-           "null", "''", "abc", "1:30", "0x1F", "1e5", "2002-12-14",
+           "null", "''", "abc", "1:30", "0x1F", "1e5",
            "!!int '12'", "!!str 12", "!!float '1.5'", "!!bool 'on'"]
+# Scalars that config._LOADER refuses, each with the value and tag that
+# its error names.
+REFUSED_SCALARS = {
+    "2002-12-14": "'2002-12-14' as tag:yaml.org,2002:timestamp",
+    "!!int": "'' as tag:yaml.org,2002:int",
+    '!!float ""': "'' as tag:yaml.org,2002:float",
+    "!!int '-'": "'-' as tag:yaml.org,2002:int",
+}
+MERGE = "'<<' as tag:yaml.org,2002:merge"
 KEYS = ["a", "b", "'12'", "12", "1.5", "~", "yes", "017", "-0"]
 
 
-def _render(data, depth, anchors):
+def _render(data, depth, anchors, refused):
     """A flow-style YAML node drawn from `data`; `anchors` holds the name
-    and kind of each anchor defined so far.  A mapping may merge (<<) a
-    mapping or an alias of one."""
+    and kind of each anchor defined so far, and `refused` gains what each
+    refused construct drawn makes config._LOADER's error name.  A mapping
+    may merge (<<) a mapping or an alias of one."""
     kinds = ["scalar", "seq", "map"] if depth else ["scalar"]
     if anchors:
         kinds.append("alias")
@@ -801,22 +773,26 @@ def _render(data, depth, anchors):
     if kind == "alias":
         return "*" + data.draw(st.sampled_from(anchors))[0]
     if kind == "scalar":
-        text = data.draw(st.sampled_from(SCALARS))
+        text = data.draw(st.sampled_from(SCALARS + list(REFUSED_SCALARS)))
+        if text in REFUSED_SCALARS:
+            refused.add(REFUSED_SCALARS[text])
     elif kind == "seq":
         n = data.draw(st.integers(0, 3))
-        text = "[" + ", ".join(_render(data, depth - 1, anchors)
+        text = "[" + ", ".join(_render(data, depth - 1, anchors, refused)
                                for _ in range(n)) + "]"
     else:
         keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=3,
                                   unique=True))
-        entries = [f"{k}: {_render(data, depth - 1, anchors)}" for k in keys]
+        entries = [f"{k}: {_render(data, depth - 1, anchors, refused)}"
+                   for k in keys]
         maps = [name for name, of in anchors if of == "map"]
         if data.draw(st.booleans()):
             merged = (data.draw(st.sampled_from(["*" + m for m in maps]))
                       if maps and data.draw(st.booleans())
-                      else _render_map(data, anchors))
+                      else _render_map(data, anchors, refused))
             entries.insert(data.draw(st.integers(0, len(entries))),
                            f"<<: {merged}")
+            refused.add(MERGE)
         text = "{" + ", ".join(entries) + "}"
     if data.draw(st.booleans()):
         name = f"a{len(anchors)}"
@@ -825,27 +801,20 @@ def _render(data, depth, anchors):
     return text
 
 
-def _render_map(data, anchors):
+def _render_map(data, anchors, refused):
     keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=2, unique=True))
-    return "{" + ", ".join(f"{k}: {_render(data, 0, anchors)}"
+    return "{" + ", ".join(f"{k}: {_render(data, 0, anchors, refused)}"
                            for k in keys) + "}"
 
 
 def _load_or_error(text, loader):
     """repr of the document, or the class of the error it raises (PyYAML's
-    scalar constructors raise ValueError and KeyError besides YAMLError)."""
+    scalar constructors raise KeyError, ValueError and IndexError besides
+    YAMLError)."""
     try:
         return repr(yaml.load(text, Loader=loader))
     except Exception as exc:
         return type(exc)
-
-
-def _load_or_message(text, loader):
-    """repr of the document, or the class and message of its error."""
-    try:
-        return repr(yaml.load(text, Loader=loader))
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 class TestSerialization:
@@ -945,19 +914,23 @@ class TestCli:
                 in err)
         assert "<unicode string>" not in err
 
-    @pytest.mark.parametrize("text, message", [
+    @pytest.mark.parametrize("text, message, column", [
         ("seed: !!bool 'maybe'",
-         "cannot read 'maybe' as tag:yaml.org,2002:bool"),
-        ("seed: !!int 'x'", "cannot read 'x' as tag:yaml.org,2002:int")],
-        ids=["bool", "int"])
+         "cannot read 'maybe' as tag:yaml.org,2002:bool", 7),
+        ("seed: !!int 'x'", "cannot read 'x' as tag:yaml.org,2002:int", 7),
+        ("seed: !!int", "cannot read '' as tag:yaml.org,2002:int", 7),
+        ('duration: !!float ""', "cannot read '' as tag:yaml.org,2002:float",
+         11),
+        ("seed: !!int '-'", "cannot read '-' as tag:yaml.org,2002:int", 7)],
+        ids=["bool", "int", "empty-int", "empty-float", "sign-only"])
     def test_validate_unreadable_scalar_exit_2(self, tmp_path, capsys, text,
-                                               message):
+                                               message, column):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text + "\n", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
         assert capsys.readouterr().err == (
             f'error: <document>: [yaml] {message}\n'
-            f'  in "{bad}", line 1, column 7\n')
+            f'  in "{bad}", line 1, column {column}\n')
 
     def test_validate_non_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
