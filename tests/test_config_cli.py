@@ -685,6 +685,13 @@ class TestWalk:
     def test_nothing_is_composed(self, text, monkeypatch):
         assert self.composes(text, monkeypatch) == (0, 0)
 
+    @pytest.mark.parametrize("text", ALIASED)
+    def test_exits_load_as_the_base_loader(self, text):
+        """Each aliased document's data is that of the PyYAML loader
+        config._LOADER extends."""
+        assert (_load_or_error(text, config._LOADER)
+                == _load_or_error(text, config._LOADER.__base__))
+
     @pytest.mark.parametrize("path", SCENARIO_FILES + DIGEST_FILES,
                              ids=lambda p: p.name)
     def test_scenarios_are_walked(self, path, monkeypatch):
