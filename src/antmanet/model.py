@@ -15,8 +15,9 @@ pair within its range plus the skin, sorted by how far it is from
 flipping, and a travel bound that each tick's `longest` raises.  While
 twice that bound stays below the skin, a new version re-tests only the
 pairs that the movement could have flipped.  ``touch()`` drops every
-level's build, so the next read rebuilds.  A build keeps no skin before
-the first move unless the state is ``mobile``: a static run never refreshes.
+level's build, so the next read rebuilds.  Every build keeps the skin, so
+a mobile run's first builds serve its first ticks, and a static run,
+which reports no tick, builds each level once and never refreshes.
 """
 
 import math
@@ -203,8 +204,6 @@ class NetworkState:
     ``version`` is unchanged.  ``energy_version`` counts energy writes:
     whoever changes a node's energy increments it, so a value derived
     from energies too holds while both counters are unchanged.
-    ``travel`` is the sum of every tick's `longest`, and ``mobile`` says
-    that nodes are going to move: while neither is set, builds keep no skin.
 
     The first lookup at a level in a new version refreshes the level's
     previous adjacency when it can (``_refresh``) and builds it from
@@ -229,8 +228,6 @@ class NetworkState:
         self._links = {}  # (lo, hi, level) -> LinkAttributes, or None if unlinked
         self.version = 0
         self.energy_version = 0
-        self.travel = 0.0
-        self.mobile = False
 
     def add_node(self, nid, attrs):
         nid = int(nid)
@@ -263,7 +260,6 @@ class NetworkState:
         self._adjacency.clear()
         self._links.clear()
         self.version += 1
-        self.travel += longest
         for ref in self._references.values():
             ref.travel += longest * STRETCH + ref.creep
 
@@ -282,8 +278,7 @@ class NetworkState:
         pair within that reach lies in the same or an adjacent cell.  The
         margin absorbs rounding in the cell index; it holds for coordinates
         within about 10**6 ranges of the origin.  The build becomes the
-        level's reference for ``_refresh``.  Until the first move it keeps
-        no skin, and so no pair, unless the state is ``mobile``.
+        level's reference for ``_refresh``.
         """
         # The same tests as supports() and range_at().
         members = []
@@ -294,7 +289,7 @@ class NetworkState:
                     raise ValueError(f"non-finite coordinate on node {nid}")
                 members.append((nid, x, y, attrs.tx_range[level], attrs))
         largest = max((m[3] for m in members), default=0.0)
-        skin = largest * SKIN if self.travel or self.mobile else 0.0
+        skin = largest * SKIN
         reach = largest + skin
         cell = reach * (1.0 + 1e-9)
         if not cell > 0.0:
@@ -347,9 +342,8 @@ class NetworkState:
         Each member has moved at most ``ref.travel`` since the build, so no
         pair's distance has moved by more than twice that, and only the
         pairs whose slack is within that (plus a float margin) are
-        re-tested.  Returns None when the bound reaches the skin, which a
-        build without skin always does once any tick has been reported.
-        A level with no members keeps its empty map.
+        re-tested.  Returns None when the bound reaches the skin.  A level
+        with no members keeps its empty map.
         """
         if not ref.ids:
             return ref.adj
@@ -371,8 +365,14 @@ class NetworkState:
         ref.flipped = flipped
         return adj
 
-    def _snapshot(self, level):
-        """The level's adjacency in this topology version."""
+    def adjacency(self, level):
+        """The level's neighbor map in this topology version: {nid: frozenset
+        of linked peers} for every node, as ``neighbors`` reads it.
+
+        Read-only, and valid only until the next ``touch()``: a later
+        version may update the same map in place, or replace it.  A pass
+        that cannot touch the topology fetches it once instead of calling
+        ``neighbors`` per node."""
         adj = self._adjacency.get(level)
         if adj is None:
             ref = self._references.get(level)
@@ -383,33 +383,23 @@ class NetworkState:
             self._adjacency[level] = adj
         return adj
 
-    def adjacency(self, level):
-        """The level's neighbor map in this topology version: {nid: frozenset
-        of linked peers} for every node, as ``neighbors`` reads it.
-
-        Read-only, and valid only until the next ``touch()``: a later
-        version may update the same map in place, or replace it.  A pass
-        that cannot touch the topology fetches it once instead of calling
-        ``neighbors`` per node."""
-        return self._snapshot(level)
-
     def members(self, level):
         """The ids of the live nodes with the level's interface, in the
         order of ``nodes``, as a read-only list; valid until the next
         ``touch()``."""
-        self._snapshot(level)
+        self.adjacency(level)
         return self._references[level].ids
 
     def neighbors(self, nid, level):
         """All peers linked to `nid` at `level`; empty if dead or unsupported."""
-        adj = self._snapshot(level)
+        adj = self.adjacency(level)
         try:
             return adj[nid]
         except KeyError:
             raise UnknownNodeError(f"unknown node id {nid}") from None
 
     def linked(self, a, b, level):
-        adj = self._snapshot(level)
+        adj = self.adjacency(level)
         for nid in (a, b):
             if nid not in adj:
                 raise UnknownNodeError(f"unknown node id {nid}")

@@ -72,15 +72,10 @@ MUTANTS = (
             SNAPSHOT + "test_range_change_rebuilds"),
            "neighbor lists fed by the mobility tick"),
     Mutant("no-skin-after-the-first-move", "src/antmanet/model.py",
-           "skin = largest * SKIN if self.travel or self.mobile else 0.0",
-           "skin = 0.0",
+           "skin = largest * SKIN", "skin = 0.0",
            (SNAPSHOT + "test_small_steps_refresh_without_rebuilding",
             SNAPSHOT + "test_reference_keeps_the_pairs_within_the_skin"),
            "neighbor lists fed by the mobility tick"),
-    Mutant("mobile-run-not-marked", "src/antmanet/engine.py",
-           "self.state.mobile = mob.enabled", "pass",
-           (SNAPSHOT + "test_mobile_run_builds_each_level_once",),
-           "a mobile run's first builds keep the skin"),
     Mutant("refresh-past-the-skin", "src/antmanet/model.py",
            "        if not bound < ref.skin:\n            return None\n", "",
            (SNAPSHOT + "test_skin_steps_rebuild",),

@@ -272,9 +272,9 @@ def test_random_walks_match_brute_force(seed, n, span, step, skin, pause,
         before = len(builds)
         _random_step(states, rng, step * span, pause=1.0)
         _assert_same_topology(*states)
-    # Every live node moved on the first tick, so every build since keeps
-    # a skin, and no node moved on the last tick, so each level refreshed:
-    # versions that rebuilt nothing exist on every walk.
+    # Every build keeps a skin, and no node moved on the last tick, so
+    # each level refreshed: versions that rebuilt nothing exist on every
+    # walk.
     assert len(builds) == before
     assert len(builds) < len(LEVELS) * 8
 
@@ -298,16 +298,14 @@ def test_small_steps_refresh_without_rebuilding(monkeypatch):
     for _ in range(10):
         _random_step(states, rng, 0.5)
         _assert_same_topology(*states)
-    # The builds before the first move keep no skin, so the first tick
-    # rebuilds levels 0 and 1.  Ten ticks of at most 0.5 m move no pair by
-    # the level-0 skin, 100 m times SKIN; level 2 has no members, and
-    # keeps its empty map.
-    assert builds.count(0) == builds.count(1) == 2
-    assert builds.count(2) == 1
+    # Ten ticks of at most 0.5 m move no pair by the level-0 skin, 100 m
+    # times SKIN, so each level refreshes its first build; level 2 has no
+    # members, and keeps its empty map.  Each 60 m tick rebuilds.
+    assert builds.count(0) == builds.count(1) == builds.count(2) == 1
     for _ in range(3):
         _random_step(states, rng, 60.0)
         _assert_same_topology(*states)
-    assert builds.count(0) > 2 and builds.count(1) > 2
+    assert builds.count(0) == builds.count(1) == 4
 
 
 def test_touch_drops_every_reference(monkeypatch):
@@ -325,10 +323,10 @@ def test_touch_drops_every_reference(monkeypatch):
 
 
 def test_head_on_pair_flips_within_twice_the_travel(monkeypatch):
-    # Two nodes close head on, 1 m each per tick.  The first tick rebuilds
-    # with the pair 7.5 m beyond its range, and the link appears four
-    # ticks later, when the ticks since have reported only 4 m: the pair
-    # must be re-tested within twice that.
+    # Two nodes close head on, 1 m each per tick.  The first build keeps
+    # the pair 9.5 m beyond its range, and the link appears on the fifth
+    # tick, when the ticks have reported only 5 m: the pair must be
+    # re-tested within twice that.
     builds = _count_builds(monkeypatch)
     states = (NetworkState(), BruteForceState())
     _populate(states, [(0, dict(position=(0.0, 0.0))),
@@ -340,21 +338,15 @@ def test_head_on_pair_flips_within_twice_the_travel(monkeypatch):
         _moved(states, 1.0)
         _assert_same_topology(*states)
         assert states[0].linked(0, 1, 0) == (tick >= 5)
-    # One build before the first move, one at it, and refreshes since.
-    assert builds.count(0) == 2
+    # One build before the first move, and refreshes since.
+    assert builds.count(0) == 1
 
 
 def test_reference_keeps_the_pairs_within_the_skin():
     # Deeper linked pairs cannot flip before the next build, and farther
-    # unlinked ones are not kept either.  A build before the first move
-    # keeps no skin, and no pair.
-    states, rng = _walk_world()
+    # unlinked ones are not kept either.
+    states, _ = _walk_world()
     real = states[0]
-    for level in (0, 1):
-        real.adjacency(level)
-        ref = real._references[level]
-        assert ref.skin == 0.0 and ref.pairs == []
-    _random_step(states, rng, 0.5)
     for level in (0, 1):
         real.adjacency(level)
         ref = real._references[level]
@@ -384,7 +376,6 @@ def test_reference_keeps_the_pairs_within_the_skin():
 def test_skin_steps_rebuild(monkeypatch):
     # Two nodes 5 m farther apart than their 100 m range plus its skin:
     # the pair is not kept, so closing the gap in one step must rebuild.
-    # A first tick, in which no node moves, rebuilds with the skin.
     builds = _count_builds(monkeypatch)
     states = (NetworkState(), BruteForceState())
     gap = 100.0 * model.SKIN + 5.0
@@ -392,13 +383,11 @@ def test_skin_steps_rebuild(monkeypatch):
                        (1, dict(position=(100.0 + gap, 0.0))),
                        (2, dict(position=(500.0, 0.0)))])
     _assert_same_topology(*states)
-    _moved(states, 1e-12)
-    _assert_same_topology(*states)
     _move(states, 1, (100.0, 0.0))
     _moved(states, gap)
     _assert_same_topology(*states)
     assert states[0].neighbors(0, 0) == {1}
-    assert builds.count(0) == 3
+    assert builds.count(0) == 2
 
 
 def test_node_parked_exactly_at_range():
@@ -422,8 +411,7 @@ def test_one_ulp_step_across_range():
     # Node 1 moves one ulp of x toward node 0, 7e-15 m, and the rounded
     # distance drops by one ulp of itself, 1.4e-14 m, onto the range: a
     # link appears across a slack twice the computed displacement, which
-    # only the refresh's float margin covers.  A first tick, in which no
-    # node moves, rebuilds with the skin that the refresh needs.
+    # only the refresh's float margin covers.
     rng = random.Random(5)
     cases = 0
     while cases < 20:
@@ -436,7 +424,6 @@ def test_one_ulp_step_across_range():
         states = (NetworkState(), BruteForceState())
         _populate(states, [(0, dict(position=(0.0, 0.0), tx_range=(after,))),
                            (1, dict(position=(x, y), tx_range=(after,)))])
-        _moved(states, 1e-12)
         _assert_same_topology(*states)
         _move(states, 1, (x1, y))
         _moved(states, math.dist((x, y), (x1, y)))
@@ -477,18 +464,18 @@ def test_tiny_steps_at_large_coordinates(monkeypatch):
         _assert_same_topology(*states)
         links.append(states[0].linked(0, 1, 0))
     assert 50 < links.count(True) < 250
-    # One build before the first move, one at it, and refreshes since.
-    assert builds.count(0) == 2
+    # One build before the first move, and refreshes since.
+    assert builds.count(0) == 1
 
 
 def test_steps_below_an_ulp_accumulate(monkeypatch):
     # 10**8 m from the origin an ulp of a coordinate is 1.5e-8 m.  Two nodes
     # head for each other at 1e-8 m a tick, which rounding turns into a
     # whole ulp, half as much again as the step the tick reports.  The
-    # first tick rebuilds with the pair 65 ulps beyond its range, and the
-    # link appears 33 ticks later, when twice the reported steps cover
-    # only two thirds of that: the travel bound must add the rounding of
-    # the new coordinates.
+    # first build keeps the pair 67 ulps beyond its range, and the link
+    # appears on the 34th tick, when twice the reported steps cover only
+    # two thirds of that: the travel bound must add the rounding of the
+    # new coordinates.
     builds = _count_builds(monkeypatch)
     x0 = 1e8
     ulp = math.ulp(x0)
@@ -510,7 +497,7 @@ def test_steps_below_an_ulp_accumulate(monkeypatch):
         _moved(states, longest)
         _assert_same_topology(*states)
         assert states[0].linked(0, 1, 0) == (tick >= 34)
-    assert builds.count(0) == 2
+    assert builds.count(0) == 1
 
 
 def test_death_and_revival_mid_walk(monkeypatch):
@@ -592,21 +579,28 @@ def test_trace_matches_brute_force():
 
 
 def test_mobile_run_builds_each_level_once(monkeypatch):
-    """The engine marks a mobile run's state before its first election,
-    so the first build of each level keeps the skin, and ten ticks of at
-    most 1 m refresh it; a static run's builds keep no pair."""
+    """A run, mobile or static, builds each level once, and every build
+    keeps the skin: ten ticks of at most 1 m refresh a mobile run's
+    builds, and a static run, which reports no tick, never refreshes."""
     builds = _count_builds(monkeypatch)
+    refreshes = []
+    refresh = NetworkState._refresh
+
+    def counted(self, ref):
+        refreshes.append(ref)
+        return refresh(self, ref)
+
+    monkeypatch.setattr(NetworkState, "_refresh", counted)
     slow = dataclasses.replace(
         MOBILE, duration=10.0, energy_costs=EnergyCosts(),
         mobility=MobilityConfig(enabled=True, speed_min=0.5, speed_max=1.0,
                                 pause=0.0))
-    sim = Simulator(slow)
-    sim.run()
-    assert sorted(builds) == [0, 1, 2]
-    assert all(ref.skin > 0 for ref in sim.state._references.values())
-    static = Simulator(dataclasses.replace(slow, mobility=MobilityConfig()))
-    static.run()
-    assert not static.state.mobile
-    assert sorted(static.state._references) == [0, 1, 2]
-    assert all(ref.skin == 0 and not ref.near
-               for ref in static.state._references.values())
+    for mobility in (slow.mobility, MobilityConfig()):
+        builds.clear()
+        refreshes.clear()
+        sim = Simulator(dataclasses.replace(slow, mobility=mobility))
+        sim.run()
+        assert sorted(builds) == [0, 1, 2]
+        assert sorted(sim.state._references) == [0, 1, 2]
+        assert all(ref.skin > 0 for ref in sim.state._references.values())
+        assert bool(refreshes) == mobility.enabled
