@@ -74,14 +74,10 @@ def weight_table(state, level, participants, p, nodes=None):
     attrs = state.nodes
     adj = state.adjacency(level)
     pset = set(participants)
-    if pset.issuperset(state.members(level)):
-        # Every linked peer is a live member, so a participant.
-        linked = {n: adj[n] for n in participants}
-    else:
-        linked = {}
-        for n in participants:
-            nbrs = adj[n]
-            linked[n] = nbrs if nbrs <= pset else nbrs & pset
+    linked = {}
+    for n in participants:
+        nbrs = adj[n]
+        linked[n] = nbrs if nbrs <= pset else nbrs & pset
     weighed = participants if nodes is None else nodes
     sums = {n: _distance_sum(attrs, n, linked[n]) for n in weighed}
     best = max(sums.values(), default=0.0)
