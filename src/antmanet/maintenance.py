@@ -102,21 +102,17 @@ class MaintenanceManager:
         debit = self.energy_debit
         missed = {}
         packets = 0
-        adj = version = None
+        # A debit can kill a node and touch() the topology, so each head
+        # reads its neighbors after its own debit.  A member's debit can
+        # kill only that member, which changes no head-to-other-member link,
+        # so one lookup serves the head's members.  A dead node has no link,
+        # so `near` holds live members only.
         for head in sorted(table):
             if not nodes[head].alive:
                 continue
             if debit is not None:
                 debit((head,))
-            # A debit can kill a node and touch() the topology, so the map
-            # is fetched again once the version has moved: each head reads
-            # its neighbors after its own debit.  A member's debit can kill
-            # only that member, which changes no head-to-other-member link,
-            # so one lookup serves the head's members.  A dead node has no
-            # link, so `near` holds live members only.
-            if state.version != version:
-                adj, version = state.adjacency(level), state.version
-            near = adj[head]
+            near = state.adjacency(level)[head]
             members = table[head]
             heard = sorted(near & members)
             clusters.refresh(level, head, heard, now)

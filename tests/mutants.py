@@ -88,12 +88,24 @@ MUTANTS = (
            "        if not ref.ids:\n            return ref.adj\n", "",
            (SNAPSHOT + "test_small_steps_refresh_without_rebuilding",),
            "a reference that keeps only the pairs within the skin"),
-    Mutant("beacon-map-not-fetched-after-a-death",
+    Mutant("beacon-map-read-once-before-the-heads",
            "src/antmanet/maintenance.py",
-           "if state.version != version:", "if adj is None:",
+           "        for head in sorted(table):\n"
+           "            if not nodes[head].alive:\n"
+           "                continue\n"
+           "            if debit is not None:\n"
+           "                debit((head,))\n"
+           "            near = state.adjacency(level)[head]\n",
+           "        adj = state.adjacency(level)\n"
+           "        for head in sorted(table):\n"
+           "            if not nodes[head].alive:\n"
+           "                continue\n"
+           "            if debit is not None:\n"
+           "                debit((head,))\n"
+           "            near = adj[head]\n",
            ("tests/test_maintenance.py::TestBeaconing::"
             "test_head_killed_by_its_own_debit_hears_no_one",),
-           "neighbor lists fed by the mobility tick"),
+           "each head reads the level's map after its own debit"),
     Mutant("quiet-key-without-energy-version", "src/antmanet/maintenance.py",
            "return (self.clusters.epoch, state.version, state.energy_version)",
            "return (self.clusters.epoch, state.version)",
