@@ -297,10 +297,8 @@ class MaintenanceManager:
         adj = self.state.adjacency(0)
         # A pair stays on the attempted list only while both remain heads;
         # re-merging an unchanged head pair would loop forever.
-        attempted = self._merge_attempted
-        if attempted:
-            attempted = self._merge_attempted = {p for p in attempted
-                                                 if p <= head_set}
+        attempted = self._merge_attempted = {
+            p for p in self._merge_attempted if p <= head_set}
         for h1 in heads:
             near = adj[h1] & head_set
             for h2 in sorted(near) if near else ():
