@@ -301,7 +301,7 @@ class MaintenanceManager:
             p for p in self._merge_attempted if p <= head_set}
         for h1 in heads:
             near = adj[h1] & head_set
-            for h2 in sorted(near) if near else ():
+            for h2 in sorted(near):
                 if h2 > h1 and frozenset((h1, h2)) not in attempted:
                     events.append(MembershipEvent(
                         "heads_in_range", 0, head=h1, other=h2))
