@@ -110,7 +110,7 @@ def eligible(state, clusters, node, level):
     alive, has the level's interface and, above level 0, heads a cluster
     of the level below."""
     attrs = state.node(node)
-    return (attrs.alive and attrs.supports(level)
+    return (attrs.alive and attrs.max_level >= level
             and (level == 0 or node in clusters.levels.get(level - 1, {})))
 
 

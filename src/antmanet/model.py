@@ -81,12 +81,6 @@ class NodeAttributes:
             if hi <= lo:
                 raise ConfigError("tx_range must increase strictly with level")
 
-    def supports(self, level):
-        return level <= self.max_level
-
-    def range_at(self, level):
-        return self.tx_range[level]
-
 
 @dataclass(frozen=True)
 class LinkAttributes:
@@ -280,7 +274,6 @@ class NetworkState:
         within about 10**6 ranges of the origin.  The build becomes the
         level's reference for ``_refresh``.
         """
-        # The same tests as supports() and range_at().
         members = []
         for nid, attrs in self.nodes.items():
             if attrs.alive and attrs.max_level >= level:
@@ -405,7 +398,7 @@ class NetworkState:
                 raise UnknownNodeError(f"unknown node id {nid}")
         if a == b:
             attrs = self.nodes[a]
-            return attrs.alive and attrs.supports(level)
+            return attrs.alive and attrs.max_level >= level
         return b in adj[a]
 
     def link_level(self, a, b):
@@ -445,7 +438,7 @@ class NetworkState:
             if bandwidth is None:
                 bandwidth = self.link_bandwidth[level] * self._jitter(a, b, level, "b")
             na, nb = self.node(a), self.node(b)
-            rng = min(na.range_at(level), nb.range_at(level))
+            rng = min(na.tx_range[level], nb.tx_range[level])
             attrs = LinkAttributes(delay=delay, bandwidth=bandwidth,
                                    let=link_expiration_time(na, nb, rng))
         self._links[key] = attrs

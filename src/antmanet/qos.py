@@ -20,11 +20,6 @@ class PathMetrics:
     let: float  # T(R), seconds
     hop_count: int  # HC(R), number of nodes on the path
 
-    @property
-    def hop_visibility(self):
-        """1 / HC(R): shorter routes look more attractive."""
-        return 1.0 / self.hop_count
-
 
 @dataclass
 class DepositParams:

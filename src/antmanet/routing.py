@@ -180,7 +180,7 @@ def score_factors(m, p):
     if m.delay <= 0 or m.hop_count <= 0:
         raise ConfigError("delay and hop count must be positive")
     return ((1.0 / m.delay) ** p.alpha2,
-            m.hop_visibility ** p.alpha3,
+            (1.0 / m.hop_count) ** p.alpha3,
             m.bandwidth ** p.alpha4,
             m.energy ** p.alpha5,
             min(m.let, p.let_cap) ** p.alpha6)

@@ -164,7 +164,7 @@ def check_invariants(state, clusters):
         table = clusters.levels[level]
         seen = {}
         for head, members in table.items():
-            assert state.node(head).supports(level), \
+            assert state.node(head).max_level >= level, \
                 f"head {head} lacks a level-{level} interface"
             for m in members:
                 assert m in state.neighbors(head, level), \

@@ -150,7 +150,7 @@ class BruteForceState(NetworkState):
 
     def members(self, level):
         return [nid for nid, attrs in self.nodes.items()
-                if attrs.alive and attrs.supports(level)]
+                if attrs.alive and attrs.max_level >= level]
 
     def neighbors(self, nid, level):
         a = self.node(nid)
@@ -170,7 +170,7 @@ class BruteForceState(NetworkState):
         if bandwidth is None:
             bandwidth = self.link_bandwidth[level] * self._jitter(a, b, level, "b")
         na, nb = self.node(a), self.node(b)
-        rng = min(na.range_at(level), nb.range_at(level))
+        rng = min(na.tx_range[level], nb.tx_range[level])
         return LinkAttributes(delay=delay, bandwidth=bandwidth,
                               let=link_expiration_time(na, nb, rng))
 

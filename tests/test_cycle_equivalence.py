@@ -167,7 +167,7 @@ def test_elections_match_head_scans(seed, n, span, dead_share, theta_w):
     p = WeightParams(theta_w=theta_w)
     for level in (0, 1, 2):
         participants = [nid for nid, attrs in state.nodes.items()
-                        if attrs.alive and attrs.supports(level)]
+                        if attrs.alive and attrs.max_level >= level]
         try:
             checked_election(state, level, p, participants)
         except clustering.ElectionError:

@@ -321,7 +321,7 @@ class TestHierarchyPropagation:
         assert 10 not in clusters.participants(1)
         # The surviving capable heads are re-covered at level 1.
         for h in clusters.heads(0):
-            if state.nodes[h].supports(1):
+            if state.nodes[h].max_level >= 1:
                 assert clusters.head_of(h, 1) is not None
         check_invariants(state, clusters)
 

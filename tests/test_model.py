@@ -99,7 +99,7 @@ class TestNeighbors:
             for j in s.neighbors(i, 2):
                 d = math.dist(s.nodes[i].position, s.nodes[j].position)
                 for lvl in (0, 1):
-                    r = min(s.nodes[i].range_at(lvl), s.nodes[j].range_at(lvl))
+                    r = min(s.nodes[i].tx_range[lvl], s.nodes[j].tx_range[lvl])
                     assert (j in s.neighbors(i, lvl)) == (d <= r)
 
 
